@@ -204,7 +204,7 @@ RecalSection run_recalibration(int jobs, int shots) {
     opts.num_workers = 2;
     opts.auto_flush_batch_size = 4;  // work streams while we submit
     ExecutionService service(make_toronto27(), opts);
-    const Calibration base = service.backend().device().calibration();
+    const Calibration base = service.backend().epoch()->device().calibration();
 
     double build_s = 0.0;
     std::uint64_t recals = 0;

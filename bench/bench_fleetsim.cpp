@@ -76,8 +76,11 @@ std::vector<Device> make_fleet() {
 /// replays these exact makespans — no shape heuristics in the artifact.
 std::vector<SimJobClass> build_classes(const std::vector<Device>& fleet) {
   const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
-  std::deque<Backend> backends;  // Backend owns mutexes; deque never moves
-  for (const Device& d : fleet) backends.emplace_back(d);
+  // One epoch per device; epochs own mutexes and a deque never moves them.
+  std::deque<CalibrationEpoch> epochs;
+  for (const Device& d : fleet) {
+    epochs.emplace_back(0, d, /*transpile_cache_capacity=*/1024);
+  }
 
   std::vector<SimJobClass> classes;
   for (const char* name : kClasses) {
@@ -88,7 +91,7 @@ std::vector<SimJobClass> build_classes(const std::vector<Device>& fleet) {
     cls.qubits = shape.num_qubits;
     for (std::size_t d = 0; d < fleet.size(); ++d) {
       const Device& device = fleet[d];
-      const CandidateIndex* index = &backends[d].candidate_index();
+      const CandidateIndex* index = &epochs[d].candidate_index();
       const auto efs = solo_efs_score(device, *partitioner, shape, index);
       if (!efs) {
         cls.makespan_ns.push_back(-1.0);
@@ -97,7 +100,7 @@ std::vector<SimJobClass> build_classes(const std::vector<Device>& fleet) {
       }
       const ProgramShape shapes[] = {shape};
       const auto alloc = partitioner->allocate(device, shapes, index);
-      const TranspiledProgram tp = backends[d].transpile(
+      const TranspiledProgram tp = epochs[d].transpile(
           spec.circuit, (*alloc)[0].qubits, hardware_aware_options(), 0);
       cls.makespan_ns.push_back(
           schedule_circuit(tp.physical, device, SchedulePolicy::ALAP)

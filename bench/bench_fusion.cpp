@@ -664,13 +664,23 @@ void BM_IdealFused(benchmark::State& state) {
 }
 BENCHMARK(BM_IdealFused)->Arg(1)->Arg(7);
 
-// Noiseless density executor (ROADMAP (f)): per-op channel replay vs the
-// fused CompiledProgram stream the executor consumes when gate and idle
-// noise are both off. Same Backend (warm caches) on both sides so the
-// timer isolates the replay itself.
+// Noiseless density executor: per-op channel replay vs the fused
+// CompiledProgram stream the executor consumes when gate and idle noise
+// are both off. The per-op arm is the noisy path (gate noise on) against a
+// zero-gate-error copy of the calibration, i.e. the same unitary
+// evolution. Warm epoch caches on both sides so the timer isolates the
+// replay itself.
 void noiseless_executor(benchmark::State& state, bool fuse) {
   const Device device = make_toronto27();
-  Backend backend(device);
+  Calibration cal = device.calibration();
+  if (!fuse) {
+    std::fill(cal.q1_error.begin(), cal.q1_error.end(), 0.0);
+    std::fill(cal.cx_error.begin(), cal.cx_error.end(), 0.0);
+  }
+  const CalibrationEpoch epoch(
+      0, Device(device.name(), device.topology(), std::move(cal),
+                device.crosstalk_ground_truth()),
+      /*transpile_cache_capacity=*/0);
   const BenchmarkSpec& spec =
       benchmark_suite()[static_cast<std::size_t>(state.range(0))];
   const TranspiledProgram tp = transpile_to_partition(
@@ -680,11 +690,10 @@ void noiseless_executor(benchmark::State& state, bool fuse) {
   progs.push_back({tp.physical, spec.short_name});
   ExecOptions opts;
   opts.shots = 64;
-  opts.gate_noise = false;
+  opts.gate_noise = !fuse;
   opts.idle_noise = false;
-  opts.fuse_noiseless = fuse;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(backend.execute(progs, opts));
+    benchmark::DoNotOptimize(epoch.execute(progs, opts));
   }
   state.SetLabel(spec.name);
 }

@@ -53,13 +53,13 @@ BatchReport run_parallel(const Device& device,
   }
   // Compatibility shim: one synchronous pass through the service's batch
   // pipeline — the exact code path an ExecutionService worker runs for a
-  // batch, on a throwaway Backend. Input order and the caller's seed are
-  // preserved, so the output is bit-identical to the historical facade
-  // (asserted by tests/test_service.cpp), and pipeline exceptions
-  // (invalid_argument for config errors, runtime_error for an
+  // batch, on a throwaway uncached calibration epoch. Input order and the
+  // caller's seed are preserved, so the output is bit-identical to the
+  // historical facade (asserted by tests/test_service.cpp), and pipeline
+  // exceptions (invalid_argument for config errors, runtime_error for an
   // unplaceable batch) propagate with their original types.
-  Backend backend(device, /*transpile_cache_capacity=*/0);
-  return run_batch_pipeline(backend, programs, {}, options);
+  const CalibrationEpoch epoch(0, device, /*transpile_cache_capacity=*/0);
+  return run_batch_pipeline(epoch, programs, {}, options);
 }
 
 }  // namespace qucp

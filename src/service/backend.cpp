@@ -7,15 +7,12 @@
 namespace qucp {
 
 CalibrationEpoch::CalibrationEpoch(std::uint64_t id, Device device,
-                                   std::size_t transpile_cache_capacity,
-                                   bool parametric)
+                                   std::size_t transpile_cache_capacity)
     : id_(id),
       device_(std::move(device)),
       candidate_index_(device_),
       derived_noise_(DerivedNoise::from(device_.calibration())),
-      capacity_(transpile_cache_capacity),
-      parametric_(parametric),
-      program_cache_(parametric) {}
+      capacity_(transpile_cache_capacity) {}
 
 TranspiledProgram CalibrationEpoch::transpile(const Circuit& logical,
                                               std::span<const int> partition,
@@ -24,15 +21,13 @@ TranspiledProgram CalibrationEpoch::transpile(const Circuit& logical,
   if (capacity_ == 0) {
     return transpile_to_partition(logical, device_, partition, options);
   }
-  const ParamBinding binding =
-      parametric_ ? ParamBinding(logical) : ParamBinding{};
+  const ParamBinding binding(logical);
   // Parameterless circuits gain nothing from a template (there is nothing
-  // to rebind), so they take the exact-key path even in parametric mode —
-  // the structural key still folds, e.g., renamed copies together.
-  const bool use_template = parametric_ && !binding.values.empty();
-  CacheKey key{parametric_ ? structural_fingerprint(logical)
-                           : circuit_fingerprint(logical),
-               options_fp, std::vector<int>(partition.begin(), partition.end())};
+  // to rebind), so they take the exact-binding path — the structural key
+  // still folds, e.g., renamed copies together.
+  const bool use_template = !binding.values.empty();
+  CacheKey key{structural_fingerprint(logical), options_fp,
+               std::vector<int>(partition.begin(), partition.end())};
   std::shared_ptr<const TranspileTemplate> tmpl;
   bool fallback = false;  // structure matched, but the entry can't serve it
   {
@@ -109,9 +104,8 @@ void CalibrationEpoch::transpile_sweep(std::span<const Circuit* const> circuits,
   out.clear();
   out.resize(circuits.size());
   if (circuits.empty()) return;
-  if (capacity_ == 0 || !parametric_) {
-    // No template machinery to amortize; the per-call path is already the
-    // whole story.
+  if (capacity_ == 0) {
+    // No cache to amortize; the per-call path is already the whole story.
     for (std::size_t i = 0; i < circuits.size(); ++i) {
       out[i] = transpile(*circuits[i], partition, options, options_fp);
     }
@@ -219,13 +213,6 @@ TranspileCacheStats CalibrationEpoch::cache_stats() const {
   return stats;
 }
 
-void CalibrationEpoch::clear_cache() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cache_.clear();
-  insertion_order_.clear();
-  stats_.entries = 0;
-}
-
 void CalibrationEpoch::warm(std::span<const int> partition_sizes) const {
   for (int k : partition_sizes) {
     if (k <= 0 || k > device_.num_qubits()) continue;
@@ -233,12 +220,10 @@ void CalibrationEpoch::warm(std::span<const int> partition_sizes) const {
   }
 }
 
-Backend::Backend(Device device, std::size_t transpile_cache_capacity,
-                 bool parametric)
+Backend::Backend(Device device, std::size_t transpile_cache_capacity)
     : capacity_(transpile_cache_capacity),
-      parametric_(parametric),
-      epoch_(std::make_shared<CalibrationEpoch>(
-          0, std::move(device), transpile_cache_capacity, parametric)) {}
+      epoch_(std::make_shared<CalibrationEpoch>(0, std::move(device),
+                                                transpile_cache_capacity)) {}
 
 std::shared_ptr<const CalibrationEpoch> Backend::epoch() const {
   std::lock_guard<std::mutex> lock(epoch_mutex_);
@@ -259,7 +244,7 @@ double Backend::recalibrate(Calibration cal) {
   Device next(old->device().name(), old->device().topology(), std::move(cal),
               old->device().crosstalk_ground_truth());
   auto fresh = std::make_shared<const CalibrationEpoch>(
-      old->id() + 1, std::move(next), capacity_, parametric_);
+      old->id() + 1, std::move(next), capacity_);
   // Off-lane warm build: reproduce the candidate working set the retiring
   // epoch accumulated, so the first pack cycle on the new epoch routes at
   // full speed. Runs entirely on this thread — no lane or worker waits.

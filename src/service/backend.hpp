@@ -22,24 +22,23 @@
 // transpile — and because the cache lives inside the epoch, a hit can
 // never serve a result transpiled under a different calibration.
 //
-// In parametric mode (the default) the circuit key is the *structural*
-// fingerprint: entries for parameterized circuits store a
-// TranspileTemplate (mapping/parametric.hpp) alongside the transpiled
-// program of the first binding seen. A job whose structure matches but
-// whose angles differ binds the template in one cheap pass —
-// bit-identical to a from-scratch transpile — instead of re-placing and
-// re-routing. Bindings the template rejects (an angle flipping one of the
-// optimizer's recorded identity decisions) fall back to a from-scratch
-// template rebuild, which also replaces the cached entry so a degenerate
-// first binding (e.g. an all-zero VQE start) does not pin a
-// fallback-prone template forever.
+// The circuit key is the *structural* fingerprint: entries for
+// parameterized circuits store a TranspileTemplate (mapping/parametric.hpp)
+// alongside the transpiled program of the first binding seen. A job whose
+// structure matches but whose angles differ binds the template in one
+// cheap pass — bit-identical to a from-scratch transpile — instead of
+// re-placing and re-routing. Bindings the template rejects (an angle
+// flipping one of the optimizer's recorded identity decisions) fall back
+// to a from-scratch template rebuild, which also replaces the cached entry
+// so a degenerate first binding (e.g. an all-zero VQE start) does not pin
+// a fallback-prone template forever. A capacity-0 epoch caches nothing and
+// transpiles every call from scratch; that is the reference the template
+// path is pinned against (tests/test_parametric.cpp).
 //
-// Backend keeps the historical accessor surface (device(),
-// candidate_index(), transpile(), execute(), ...) as forwarders to the
-// current epoch, so single-epoch callers are untouched. References
-// returned by the forwarders stay valid until the next recalibrate();
-// code that must survive a concurrent recalibration (the fleet planner,
-// batch execution) pins an epoch with epoch() and works through it.
+// Backend itself only versions epochs: every device, cache and execution
+// query goes through a pinned epoch(), so a caller that reads the device,
+// transpiles and then reads cache counters sees one calibration snapshot
+// even across a concurrent recalibrate().
 
 #include <atomic>
 #include <cstdint>
@@ -84,11 +83,8 @@ struct TranspileCacheStats {
 class CalibrationEpoch {
  public:
   /// `transpile_cache_capacity` = 0 disables transpile caching.
-  /// `parametric` = false keys the cache on exact circuit fingerprints
-  /// only (the pre-template behavior; useful for A/B benchmarking).
   CalibrationEpoch(std::uint64_t id, Device device,
-                   std::size_t transpile_cache_capacity,
-                   bool parametric = true);
+                   std::size_t transpile_cache_capacity);
 
   CalibrationEpoch(const CalibrationEpoch&) = delete;
   CalibrationEpoch& operator=(const CalibrationEpoch&) = delete;
@@ -152,7 +148,6 @@ class CalibrationEpoch {
                                           const ExecOptions& options) const;
 
   [[nodiscard]] TranspileCacheStats cache_stats() const;
-  void clear_cache() const;
 
   /// Distinct (kind, params) gate unitaries memoized by this epoch.
   [[nodiscard]] std::size_t gate_cache_entries() const {
@@ -176,10 +171,10 @@ class CalibrationEpoch {
     }
   };
 
-  /// One cached transpilation. `tmpl` is non-null only for parametric
+  /// One cached transpilation. `tmpl` is non-null only for parameterized
   /// entries that built a template; `binding0` is the parameter binding
-  /// `result` was transpiled from (empty for parameterless circuits and
-  /// non-parametric entries, where the key already pins exact values).
+  /// `result` was transpiled from (empty for parameterless circuits, where
+  /// the key already pins exact values).
   struct CacheEntry {
     TranspiledProgram result;
     std::vector<double> binding0;
@@ -191,7 +186,6 @@ class CalibrationEpoch {
   CandidateIndex candidate_index_;  ///< built against device_ (declared above)
   DerivedNoise derived_noise_;      ///< derived from device_.calibration()
   std::size_t capacity_;
-  bool parametric_ = true;
   mutable std::mutex mutex_;
   mutable std::map<CacheKey, CacheEntry> cache_;
   mutable std::deque<CacheKey> insertion_order_;  ///< FIFO eviction queue
@@ -208,11 +202,9 @@ class CalibrationEpoch {
 
 class Backend {
  public:
-  /// `transpile_cache_capacity` = 0 disables transpile caching; both
-  /// knobs apply to every epoch this backend ever builds. `parametric` =
-  /// false reverts the transpile cache to exact-fingerprint keying.
-  explicit Backend(Device device, std::size_t transpile_cache_capacity = 1024,
-                   bool parametric = true);
+  /// `transpile_cache_capacity` = 0 disables transpile caching; it
+  /// applies to every epoch this backend ever builds.
+  explicit Backend(Device device, std::size_t transpile_cache_capacity = 1024);
 
   /// Pin the current calibration epoch. The returned shared_ptr keeps the
   /// epoch (device, caches, derived constants) alive across any number of
@@ -244,40 +236,8 @@ class Backend {
     return recalibration_build_s_.load(std::memory_order_relaxed);
   }
 
-  // Forwarders to the current epoch. References are valid until the next
-  // recalibrate(); epoch-crossing callers pin epoch() instead.
-  [[nodiscard]] const Device& device() const { return epoch()->device(); }
-  [[nodiscard]] const CandidateIndex& candidate_index() const {
-    return epoch()->candidate_index();
-  }
-  [[nodiscard]] const CompiledProgramCache& program_cache() const {
-    return epoch()->program_cache();
-  }
-  [[nodiscard]] std::shared_ptr<const CompiledProgram> compiled_program(
-      const Circuit& logical) const {
-    return epoch()->compiled_program(logical);
-  }
-  [[nodiscard]] TranspiledProgram transpile(const Circuit& logical,
-                                            std::span<const int> partition,
-                                            const TranspileOptions& options,
-                                            std::uint64_t options_fp) {
-    return epoch()->transpile(logical, partition, options, options_fp);
-  }
-  [[nodiscard]] ParallelRunReport execute(std::vector<PhysicalProgram> programs,
-                                          const ExecOptions& options) const {
-    return epoch()->execute(std::move(programs), options);
-  }
-  [[nodiscard]] TranspileCacheStats cache_stats() const {
-    return epoch()->cache_stats();
-  }
-  void clear_cache() { epoch()->clear_cache(); }
-  [[nodiscard]] std::size_t gate_cache_entries() const {
-    return epoch()->gate_cache_entries();
-  }
-
  private:
   std::size_t capacity_;
-  bool parametric_ = true;
   mutable std::mutex epoch_mutex_;  ///< guards the epoch_ pointer swap
   std::shared_ptr<const CalibrationEpoch> epoch_;
   std::mutex recal_mutex_;  ///< serializes concurrent recalibrate() calls

@@ -43,9 +43,8 @@ double modeled_exec_ns(const Device& device, const ProgramShape& shape) {
 }
 
 AdmissionProbe::AdmissionProbe(const FleetSlot& slot,
-                               const Partitioner& partitioner,
-                               bool incremental)
-    : slot_(&slot), partitioner_(&partitioner), incremental_(incremental) {}
+                               const Partitioner& partitioner)
+    : slot_(&slot), partitioner_(&partitioner) {}
 
 AdmissionProbe::~AdmissionProbe() = default;
 AdmissionProbe::AdmissionProbe(AdmissionProbe&&) noexcept = default;
@@ -81,7 +80,7 @@ const std::vector<PartitionAssignment>* AdmissionProbe::probe(
     return !precedes;
   };
 
-  if (incremental_ && slot_->index != nullptr &&
+  if (slot_->index != nullptr &&
       partitioner_->supports_incremental() && sorts_last()) {
     // Fast path: the grown batch's allocation order is the old order plus
     // the new shape at the end, so the members' greedy prefix (and their
@@ -97,8 +96,8 @@ const std::vector<PartitionAssignment>* AdmissionProbe::probe(
     pending_order_.push_back(shapes_.size());
     pending_fast_ = true;
   } else {
-    // Reference path: re-allocate the whole grown batch from scratch, in
-    // the same largest-first order the execution pipeline will use.
+    // From-scratch path: re-allocate the whole grown batch in the same
+    // largest-first order the execution pipeline will use.
     std::vector<ProgramShape> tentative = shapes_;
     tentative.push_back(shape);
     pending_order_ = allocation_order(tentative);
@@ -402,8 +401,7 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
   std::vector<AdmissionProbe> probes;
   probes.reserve(num_slots);
   for (std::size_t s = 0; s < num_slots; ++s) {
-    probes.emplace_back(slots[s], partitioner,
-                        options.incremental_admission);
+    probes.emplace_back(slots[s], partitioner);
   }
   std::vector<char> closed(num_slots, 0);
   std::vector<std::size_t> prefs;

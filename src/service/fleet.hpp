@@ -97,18 +97,15 @@ struct FleetSlot {
 /// shrinking shape order within a batch), extends it with a single
 /// Partitioner::grow_one step — the earlier members' assignments are the
 /// greedy prefix replay, which is bit-identical by construction, so only
-/// the new job is allocated. A probe that would land mid-order (or a
-/// partitioner/slot without incremental support) falls back to the
-/// reference from-scratch allocation; either way the produced assignment
-/// vector and order are bit-identical to the historical path, which
-/// tests/test_fleet.cpp pins golden-style over randomized streams on all
-/// bundled topologies.
+/// the new job is allocated. A probe that would land mid-order, a slot
+/// without a CandidateIndex, or a partitioner without grow_one takes the
+/// from-scratch allocation instead; either way the produced assignment
+/// vector and order are bit-identical, which tests/test_fleet.cpp pins
+/// golden-style (indexed vs index-less slots) over randomized streams on
+/// all bundled topologies.
 class AdmissionProbe {
  public:
-  /// `incremental` off forces the from-scratch path for every probe (the
-  /// reference arm of the golden A/B tests).
-  AdmissionProbe(const FleetSlot& slot, const Partitioner& partitioner,
-                 bool incremental);
+  AdmissionProbe(const FleetSlot& slot, const Partitioner& partitioner);
   ~AdmissionProbe();
   AdmissionProbe(AdmissionProbe&&) noexcept;
   AdmissionProbe& operator=(AdmissionProbe&&) noexcept;
@@ -146,7 +143,6 @@ class AdmissionProbe {
 
   const FleetSlot* slot_;
   const Partitioner* partitioner_;
-  bool incremental_;
   std::vector<ProgramShape> shapes_;  ///< open batch, admission order
   std::vector<std::size_t> order_;    ///< == allocation_order(shapes_)
   std::vector<PartitionAssignment> assignments_;  ///< allocation order

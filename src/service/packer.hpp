@@ -47,11 +47,13 @@ struct PackJob {
 struct PackedBatch {
   std::vector<std::size_t> jobs;  ///< PackJob::index values, queue order
   /// Partition each member was admitted on (parallel to `jobs`), exported
-  /// from the admission probe when every member went through it. Empty
-  /// when unavailable (single_batch packing, exclusive jobs — they bypass
-  /// the probe). Consumers must re-derive partitions when empty; the
-  /// service's sweep fast path additionally re-verifies these against the
-  /// pipeline's own allocation before trusting a prebound transpile.
+  /// from the admission probe when every member went through it —
+  /// whichever path (incremental grow-one or from-scratch re-allocation)
+  /// served each probe; both yield the same assignments. Empty when
+  /// unavailable (single_batch packing; batches holding an exclusive job,
+  /// which bypasses the probe). The service uses these only to key its
+  /// sweep prebinds, and run_batch_pipeline re-verifies them against its
+  /// own allocation before trusting a prebound transpile.
   std::vector<std::vector<int>> partitions;
 };
 
@@ -74,14 +76,6 @@ struct PackOptions {
   /// the execution pipeline then reports failure for the whole batch when
   /// it does not fit. This is run_parallel()'s historical contract.
   bool single_batch = false;
-  /// Admission probes grow the open batch one job at a time through a
-  /// persistent AllocationSession (AdmissionProbe, service/fleet.hpp)
-  /// instead of re-allocating the whole batch from scratch per test.
-  /// Decision- and bit-identical to the from-scratch path — same batches,
-  /// same EFS doubles, same spill stream (golden-pinned in
-  /// tests/test_fleet.cpp) — so this is purely a speed knob; off keeps
-  /// the reference path for A/B tests.
-  bool incremental_admission = true;
   /// Device-time model for the fleet packer's drain estimates (queue-aware
   /// routing, modeled-wait accounting). The service sets shots from its
   /// ExecOptions; queue_depth is ignored — queueing is what the estimates

@@ -71,7 +71,7 @@ std::shared_ptr<Backend> BackendRegistry::share(std::size_t id) const {
 std::optional<std::size_t> BackendRegistry::find(
     std::string_view device_name) const noexcept {
   for (std::size_t i = 0; i < backends_.size(); ++i) {
-    if (backends_[i]->device().name() == device_name) return i;
+    if (backends_[i]->epoch()->device().name() == device_name) return i;
   }
   return std::nullopt;
 }

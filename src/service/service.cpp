@@ -20,40 +20,60 @@ constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
 
 constexpr auto mix = fnv1a_mix;
 
-/// Fingerprint of everything besides (circuit, partition) that can change
-/// a transpilation result: method presets, optimize flags, the CNA
-/// crosstalk context, and the SRB estimates the CNA router reads.
-std::uint64_t transpile_options_fp(
-    Method method, double sigma, bool optimize,
-    std::span<const int> context_edges,
-    const std::optional<CrosstalkModel>& estimates) {
+/// Transpile options for one program of a batch, plus the fingerprint of
+/// everything besides (circuit, partition) that can change the result:
+/// method presets, optimize flags, the CNA crosstalk context, and the SRB
+/// estimates the CNA router reads. `context_edges` are CNA's co-runner
+/// edges (empty for every other method). run_batch_pipeline and the sweep
+/// prebind in dispatch_pending both derive their cache keys here, so the
+/// two can never disagree on a key.
+struct TranspileSetup {
+  TranspileOptions options;
+  std::uint64_t fp = 0;
+};
+
+TranspileSetup transpile_setup(const ParallelOptions& options,
+                               std::vector<int> context_edges) {
+  TranspileSetup setup;
   std::uint64_t h = kFnv1aBasis;
-  h = mix(h, static_cast<std::uint64_t>(method));
-  h = mix(h, std::bit_cast<std::uint64_t>(sigma));
-  h = mix(h, optimize ? 1 : 0);
+  h = mix(h, static_cast<std::uint64_t>(options.method));
+  h = mix(h, std::bit_cast<std::uint64_t>(options.sigma));
+  h = mix(h, options.optimize_circuits ? 1 : 0);
   h = mix(h, context_edges.size());
   for (int e : context_edges) h = mix(h, static_cast<std::uint64_t>(e));
-  if (estimates) {
-    for (const auto& [e1, e2, gamma] : estimates->pairs()) {
+  if (options.srb_estimates) {
+    for (const auto& [e1, e2, gamma] : options.srb_estimates->pairs()) {
       h = mix(h, static_cast<std::uint64_t>(e1));
       h = mix(h, static_cast<std::uint64_t>(e2));
       h = mix(h, std::bit_cast<std::uint64_t>(gamma));
     }
   }
-  return h;
+  setup.fp = h;
+  setup.options =
+      options.method == Method::CNA
+          ? cna_options(std::move(context_edges),
+                        options.srb_estimates ? &*options.srb_estimates
+                                              : nullptr)
+          : hardware_aware_options();
+  setup.options.optimize_input = options.optimize_circuits;
+  setup.options.optimize_output = options.optimize_circuits;
+  return setup;
+}
+
+/// The pipeline configuration a service batch runs with, before the
+/// per-batch seed and kernel-thread budget are applied. The sweep prebind
+/// derives its transpile options from it too.
+ParallelOptions pipeline_options(const ServiceOptions& options) {
+  ParallelOptions popts;
+  popts.method = options.method;
+  popts.sigma = options.sigma;
+  popts.exec = options.exec;
+  popts.srb_estimates = options.srb_estimates;
+  popts.optimize_circuits = options.optimize_circuits;
+  return popts;
 }
 
 }  // namespace
-
-BatchReport run_batch_pipeline(Backend& backend,
-                               const std::vector<Circuit>& programs,
-                               const std::vector<std::string>& names,
-                               const ParallelOptions& options) {
-  // Pin the backend's current epoch for the whole pipeline: partitioning,
-  // transpilation and execution all read one calibration snapshot even if
-  // the backend recalibrates mid-call.
-  return run_batch_pipeline(*backend.epoch(), programs, names, options);
-}
 
 BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
                                const std::vector<Circuit>& programs,
@@ -99,7 +119,6 @@ BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
   std::vector<int> swaps(programs.size(), 0);
   std::vector<std::vector<int>> layouts(programs.size());
   for (std::size_t i = 0; i < programs.size(); ++i) {
-    TranspileOptions topts;
     std::vector<int> context;
     if (options.method == Method::CNA) {
       for (std::size_t j = 0; j < programs.size(); ++j) {
@@ -108,17 +127,8 @@ BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
             device.topology().induced_edges(assignment[j].qubits);
         context.insert(context.end(), edges.begin(), edges.end());
       }
-      topts = cna_options(context, options.srb_estimates
-                                       ? &*options.srb_estimates
-                                       : nullptr);
-    } else {
-      topts = hardware_aware_options();
     }
-    topts.optimize_input = options.optimize_circuits;
-    topts.optimize_output = options.optimize_circuits;
-    const std::uint64_t opts_fp = transpile_options_fp(
-        options.method, options.sigma, options.optimize_circuits, context,
-        options.srb_estimates);
+    const TranspileSetup setup = transpile_setup(options, std::move(context));
     TranspiledProgram tp;
     if (prebound != nullptr && i < prebound->programs.size() &&
         prebound->programs[i].has_value() &&
@@ -131,7 +141,8 @@ BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
       // allocation and this pipeline's falls through to the normal path.
       tp = *std::move(prebound->programs[i]);
     } else {
-      tp = epoch.transpile(programs[i], assignment[i].qubits, topts, opts_fp);
+      tp = epoch.transpile(programs[i], assignment[i].qubits, setup.options,
+                           setup.fp);
     }
     swaps[i] = tp.swaps_added;
     layouts[i] = tp.final_layout;
@@ -192,8 +203,7 @@ BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
 ExecutionService::ExecutionService(Device device, ServiceOptions options)
     : ExecutionService(
           std::make_shared<Backend>(std::move(device),
-                                    options.transpile_cache_capacity,
-                                    options.parametric_transpile),
+                                    options.transpile_cache_capacity),
           std::move(options)) {}
 
 ExecutionService::ExecutionService(std::shared_ptr<Backend> backend,
@@ -449,7 +459,6 @@ void ExecutionService::dispatch_pending() {
   popts.max_batch_size = options_.max_batch_size;
   popts.efs_threshold = options_.efs_threshold;
   popts.single_batch = options_.single_batch;
-  popts.incremental_admission = options_.incremental_admission;
   popts.runtime.shots = options_.exec.shots;
   // Snapshot each lane's modeled backlog so queue-aware routing and the
   // wait accounting see work dispatched in earlier cycles. Read under the
@@ -472,7 +481,7 @@ void ExecutionService::dispatch_pending() {
   for (std::size_t idx : plan.unplaceable) {
     const std::string where =
         fleet_.size() == 1
-            ? backend(0).device().name()
+            ? plan.epochs.front()->device().name()
             : "any of the " + std::to_string(fleet_.size()) + " fleet devices";
     jobs[idx]->fail("job '" + jobs[idx]->name + "' does not fit on " + where +
                     " even alone");
@@ -512,17 +521,12 @@ void ExecutionService::dispatch_pending() {
   std::vector<std::vector<PreboundTranspiles>> prebound(plan.batches.size());
   std::vector<std::uint64_t> slot_sweep_groups(plan.batches.size(), 0);
   std::vector<std::uint64_t> slot_batched_binds(plan.batches.size(), 0);
-  const bool sweep_eligible = options_.parametric_transpile &&
-                              options_.transpile_cache_capacity > 0 &&
+  const bool sweep_eligible = options_.transpile_cache_capacity > 0 &&
                               options_.method != Method::CNA &&
                               !options_.single_batch;
   if (sweep_eligible) {
-    TranspileOptions topts = hardware_aware_options();
-    topts.optimize_input = options_.optimize_circuits;
-    topts.optimize_output = options_.optimize_circuits;
-    const std::uint64_t opts_fp = transpile_options_fp(
-        options_.method, options_.sigma, options_.optimize_circuits,
-        std::span<const int>{}, options_.srb_estimates);
+    const TranspileSetup setup =
+        transpile_setup(pipeline_options(options_), {});
     for (std::size_t s = 0; s < plan.batches.size(); ++s) {
       struct Target {
         std::size_t batch;
@@ -550,13 +554,21 @@ void ExecutionService::dispatch_pending() {
         circuits.clear();
         circuits.reserve(targets.size());
         for (const Target& t : targets) circuits.push_back(&jobs[t.job]->circuit);
-        plan.epochs[s]->transpile_sweep(circuits, group_key.second, topts,
-                                        opts_fp, bound);
-        // One fusion-plan fetch for the whole group (memoized per
-        // structure): the pipeline's scoring pass materializes each
-        // job's ideal-reference program from it directly.
-        const std::shared_ptr<const FusionPlan> fusion_plan =
-            plan.epochs[s]->program_cache().plan(*circuits.front());
+        std::shared_ptr<const FusionPlan> fusion_plan;
+        try {
+          plan.epochs[s]->transpile_sweep(circuits, group_key.second,
+                                          setup.options, setup.fp, bound);
+          // One fusion-plan fetch for the whole group (memoized per
+          // structure): the pipeline's scoring pass materializes each
+          // job's ideal-reference program from it directly.
+          fusion_plan = plan.epochs[s]->program_cache().plan(*circuits.front());
+        } catch (...) {
+          // The group's jobs are already counted outstanding, so they must
+          // still reach their batches: leave them without prebinds. The
+          // pipeline then transpiles them one by one and fails the batch
+          // with the cause through execute_batch's catch.
+          continue;
+        }
         ++slot_sweep_groups[s];
         slot_batched_binds[s] += targets.size();
         for (std::size_t t = 0; t < targets.size(); ++t) {
@@ -650,12 +662,7 @@ void ExecutionService::execute_batch(Lane& lane, Batch batch,
     names.push_back(job->name);
   }
 
-  ParallelOptions popts;
-  popts.method = options_.method;
-  popts.sigma = options_.sigma;
-  popts.exec = options_.exec;
-  popts.srb_estimates = options_.srb_estimates;
-  popts.optimize_circuits = options_.optimize_circuits;
+  ParallelOptions popts = pipeline_options(options_);
   // Decorrelate batches fleet-wide while keeping batch 0 of lane 0 on the
   // caller's exact seed (the run_parallel() shim runs as that batch and
   // must stay bit-identical to the historical single-shot behavior).

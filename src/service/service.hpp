@@ -17,9 +17,9 @@
 // The service also scales past one chip: construct it from a
 // BackendRegistry and it becomes a fleet — a FleetScheduler
 // (service/fleet.hpp) routes each pending job to a (backend, batch) slot
-// via a pluggable policy (RoundRobin / LeastLoaded / BestEfs), and every
-// backend gets its own packer/worker lane, so batches on different devices
-// execute concurrently without sharing locks:
+// via a pluggable policy (RoundRobin / LeastLoaded / BestEfs /
+// ExpectedLatency), and every backend gets its own packer/worker lane, so
+// batches on different devices execute concurrently without sharing locks:
 //
 //   BackendRegistry fleet({make_toronto27(), make_manhattan65()});
 //   ExecutionService service(std::move(fleet), options);  // BestEfs default
@@ -94,14 +94,10 @@ struct ServiceOptions {
   /// are pending, without waiting for flush(). Note: with concurrent
   /// submitters the batch boundaries then depend on arrival interleaving.
   std::size_t auto_flush_batch_size = 0;
+  /// Per-epoch transpile cache entries (service/backend.hpp); 0 disables
+  /// caching, so every job transpiles from scratch and submit_all() sweeps
+  /// take the per-job path.
   std::size_t transpile_cache_capacity = 1024;
-  /// Parametric compilation: key the transpile cache structurally and
-  /// serve parameter-sweep traffic by template binding
-  /// (service/backend.hpp). Off reverts to exact-fingerprint caching —
-  /// identical results either way (binds are bit-identical), so this is a
-  /// performance A/B knob, not a semantics switch. Excluded from the
-  /// transpile-options fingerprint for the same reason.
-  bool parametric_transpile = true;
   /// Sharded MPSC intake (service/intake.hpp): number of submission
   /// shards. Each submitter thread homes on shard (thread ordinal mod
   /// shards), so up to this many producers publish without touching the
@@ -121,11 +117,6 @@ struct ServiceOptions {
   /// and nothing is dropped, but under overload batch boundaries follow
   /// drain timing rather than auto_flush_batch_size.
   std::size_t submit_shard_capacity = 4096;
-  /// Use the incremental grow-one-job admission probe in the packer
-  /// (PackOptions::incremental_admission). Decision- and bit-identical to
-  /// the from-scratch re-allocation path; off = reference path, kept for
-  /// golden A/B tests.
-  bool incremental_admission = true;
   /// Feed *realized* batch durations back into the per-lane backlog the
   /// next dispatch cycle routes on: each lane keeps an EWMA of
   /// (measured wall-clock batch duration) / (modeled batch runtime), and
@@ -414,24 +405,19 @@ class ExecutionService {
 
 /// The one true batch pipeline (partition -> transpile-with-cache ->
 /// simultaneous execution -> fidelity metrics -> runtime model), shared by
-/// the service workers and the run_parallel() compatibility shim. `names`
-/// overrides per-program report names; empty entries (or an empty vector)
-/// fall back to the circuit name / "program<i>". Throws
-/// std::invalid_argument for config errors and std::runtime_error when the
-/// batch cannot be placed.
-[[nodiscard]] BatchReport run_batch_pipeline(
-    Backend& backend, const std::vector<Circuit>& programs,
-    const std::vector<std::string>& names, const ParallelOptions& options);
-
-/// Epoch-pinned form: runs the pipeline entirely against one calibration
-/// epoch (device snapshot + caches + derived noise constants). The
-/// Backend& overload forwards here with the backend's current epoch; the
-/// service workers call it with each batch's pack-time epoch so execution
-/// matches planning even across a live recalibration. `prebound`
+/// the service workers and the run_parallel() compatibility shim. It runs
+/// entirely against one calibration epoch (device snapshot + caches +
+/// derived noise constants): the service workers pass each batch's
+/// pack-time epoch so execution matches planning even across a live
+/// recalibration, and run_parallel() passes a throwaway capacity-0 epoch.
+/// `names` overrides per-program report names; empty entries (or an empty
+/// vector) fall back to the circuit name / "program<i>". `prebound`
 /// (optional) carries dispatch-time batch-bound transpiles; each entry is
 /// consumed (moved from) only when its recorded partition matches the
 /// allocation this pipeline derives, otherwise that program transpiles
 /// through the epoch cache as usual — results are identical either way.
+/// Throws std::invalid_argument for config errors and std::runtime_error
+/// when the batch cannot be placed.
 [[nodiscard]] BatchReport run_batch_pipeline(
     const CalibrationEpoch& epoch, const std::vector<Circuit>& programs,
     const std::vector<std::string>& names, const ParallelOptions& options,

@@ -275,10 +275,11 @@ ParallelRunReport execute_parallel(const Device& device,
   // unitary (crosstalk only amplifies gate depolarizing, and readout error
   // applies to the measurement probabilities afterwards), so each program
   // can replay its *fused* kernel stream instead of stepping gate by gate
-  // — ROADMAP item (f), ~2x on noiseless density runs. Agreement with the
-  // per-op walk is pinned at <= 1e-10 by tests/test_fusion.cpp.
-  const bool fused_noiseless =
-      options.fuse_noiseless && !options.gate_noise && !options.idle_noise;
+  // — ~2x on noiseless density runs. Readout error, sampling seeds and all
+  // reporting are unaffected. Agreement with the per-op walk (the noisy
+  // path, run against a zero-error calibration) is pinned at <= 1e-10 by
+  // tests/test_fusion.cpp.
+  const bool fused_noiseless = !options.gate_noise && !options.idle_noise;
 
   for (std::size_t p = 0; p < compiled.size(); ++p) {
     const Circuit& circ = compiled[p]->lowered();

@@ -51,15 +51,6 @@ struct ExecOptions {
   /// concurrent batch workers cannot oversubscribe the machine N-fold.
   int kernel_threads = 0;
 
-  /// When gate_noise and idle_noise are both off there are no per-op
-  /// channels to interleave, so the executor replays each program's fused
-  /// CompiledProgram stream (sim/fusion.hpp) instead of stepping gate by
-  /// gate (~2x on noiseless density runs; agreement with the per-op replay
-  /// is pinned at <= 1e-10 by tests/test_fusion.cpp). Readout error,
-  /// sampling seeds and all reporting are unaffected. Set false to force
-  /// the per-op path (A/B testing, debugging).
-  bool fuse_noiseless = true;
-
   /// Software crosstalk mitigation by instruction scheduling (Murali et
   /// al., the alternative to QuCP's avoidance): delay whole programs until
   /// no one-hop CX pairs overlap in time. With `serialize_hints` set only

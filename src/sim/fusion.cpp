@@ -477,21 +477,13 @@ std::shared_ptr<const CompiledProgram> CompiledProgramCache::fused(
   // Exact-fingerprint miss: fetch (or build) the structural plan, then
   // materialize this circuit's matrices against it. A parameter sweep
   // over one ansatz pays the fusion walk once — every later binding is a
-  // plan hit plus the cheap matrix products. With the parametric knob off
-  // the plan cache is bypassed and every distinct circuit pays the full
-  // fusion walk. Both halves run outside the lock; results are
-  // deterministic either way.
-  std::shared_ptr<const CompiledProgram> program;
-  if (parametric_) {
-    const std::shared_ptr<const FusionPlan> p = plan_for(fp.structural, circuit);
-    program = std::make_shared<const CompiledProgram>(
-        CompiledProgram::materialize(*p, circuit));
-  } else {
-    program = std::make_shared<const CompiledProgram>(
-        CompiledProgram::compile(circuit));
-  }
+  // plan hit plus the cheap matrix products. Both halves run outside the
+  // lock; materialize() is bit-identical to CompiledProgram::compile()
+  // (pinned by tests/test_parametric.cpp).
+  const std::shared_ptr<const FusionPlan> p = plan_for(fp.structural, circuit);
+  auto program = std::make_shared<const CompiledProgram>(
+      CompiledProgram::materialize(*p, circuit));
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!parametric_) ++plan_builds_;  // a fusion walk ran, just uncached
   auto [it, inserted] = fused_.emplace(key, std::move(program));
   if (inserted) {
     fused_order_.push_back(key);

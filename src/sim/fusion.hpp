@@ -234,13 +234,6 @@ class CompiledProgramCache {
  public:
   static constexpr std::size_t kMaxEntries = 1 << 10;
 
-  /// `parametric` gates the structural fusion-plan cache: when false,
-  /// exact-fingerprint misses compile from scratch (full fusion walk per
-  /// circuit) — the pre-parametric behavior, kept selectable so the knob
-  /// that disables template transpilation disables plan reuse too.
-  explicit CompiledProgramCache(bool parametric = true) noexcept
-      : parametric_(parametric) {}
-
   /// Fused compilation of `circuit` (ideal pipeline).
   [[nodiscard]] std::shared_ptr<const CompiledProgram> fused(
       const Circuit& circuit) const;
@@ -271,7 +264,6 @@ class CompiledProgramCache {
   [[nodiscard]] std::shared_ptr<const FusionPlan> plan_for(
       std::uint64_t structural_key, const Circuit& circuit) const;
 
-  bool parametric_ = true;
   mutable std::mutex mutex_;
   mutable std::unordered_map<std::uint64_t,
                              std::shared_ptr<const CompiledProgram>>

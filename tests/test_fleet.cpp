@@ -28,13 +28,22 @@ PackJob make_job(std::size_t index, ProgramShape shape,
 
 /// Slots + per-slot caches with stable addresses.
 struct TestFleet {
-  explicit TestFleet(std::vector<Device> devs) : devices(std::move(devs)) {
+  /// `indexed` gives every slot its own CandidateIndex, which lets the
+  /// admission probe take its incremental grow-one path; index-less slots
+  /// always re-allocate from scratch.
+  explicit TestFleet(std::vector<Device> devs, bool indexed = false)
+      : devices(std::move(devs)) {
     caches.resize(devices.size());
     for (std::size_t i = 0; i < devices.size(); ++i) {
-      slots.push_back({&devices[i], nullptr, &caches[i]});
+      if (indexed) {
+        indexes.push_back(std::make_unique<CandidateIndex>(devices[i]));
+      }
+      slots.push_back(
+          {&devices[i], indexed ? indexes.back().get() : nullptr, &caches[i]});
     }
   }
   std::vector<Device> devices;
+  std::vector<std::unique_ptr<CandidateIndex>> indexes;
   std::vector<std::map<std::uint64_t, double>> caches;
   std::vector<FleetSlot> slots;
 };
@@ -43,15 +52,15 @@ TEST(BackendRegistry, ConstructionAndLookup) {
   BackendRegistry registry(
       std::vector<Device>{make_toronto27(), make_manhattan65()});
   ASSERT_EQ(registry.size(), 2u);
-  EXPECT_EQ(registry.at(0).device().name(), "ibmq_toronto27");
-  EXPECT_EQ(registry.at(1).device().name(), "ibmq_manhattan65");
+  EXPECT_EQ(registry.at(0).epoch()->device().name(), "ibmq_toronto27");
+  EXPECT_EQ(registry.at(1).epoch()->device().name(), "ibmq_manhattan65");
   EXPECT_EQ(registry.find("ibmq_manhattan65"), std::optional<std::size_t>{1});
   EXPECT_EQ(registry.find("nope"), std::nullopt);
   EXPECT_THROW((void)registry.at(2), std::out_of_range);
 
   const std::size_t id = registry.add(make_line_device(5));
   EXPECT_EQ(id, 2u);
-  EXPECT_EQ(registry.share(2)->device().num_qubits(), 5);
+  EXPECT_EQ(registry.share(2)->epoch()->device().num_qubits(), 5);
 
   EXPECT_THROW(
       BackendRegistry(std::vector<std::shared_ptr<Backend>>{nullptr}),
@@ -639,14 +648,14 @@ std::vector<PackJob> random_pack_jobs(Rng& rng, int max_qubits) {
 }
 
 TEST(PackFleet, IncrementalAdmissionBitIdenticalOnAllTopologies) {
-  // Golden A/B for the grow-one admission probe: with
-  // PackOptions::incremental_admission on, pack_fleet must reproduce the
-  // from-scratch re-allocation path bit for bit — same batches, same
-  // spill stream, same modeled-seconds doubles, same solo-EFS cache
-  // fills — over randomized job streams (exclusive jobs and tight EFS
-  // thresholds included) on every bundled topology, for every candidate
-  // partitioner (with and without grow_one support) both with and
-  // without the backend's CandidateIndex.
+  // Golden A/B for the grow-one admission probe: a slot carrying the
+  // backend's CandidateIndex (incremental probes) must reproduce an
+  // index-less slot (from-scratch re-allocation per probe) bit for bit —
+  // same batches, same spill stream, same modeled-seconds doubles, same
+  // solo-EFS cache fills — over randomized job streams (exclusive jobs and
+  // tight EFS thresholds included) on every bundled topology, for every
+  // candidate partitioner (with and without grow_one support).
+  // test_allocator_golden pins indexed == index-less allocation itself.
   Rng rng(20260808);
   for (const Device& device : bundled_topologies()) {
     CandidateIndex index(device);  // persists across trials, like Backend's
@@ -658,30 +667,21 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalOnAllTopologies) {
       opts.max_batch_size = static_cast<int>(rng.integer(1, 5));
       if (rng.bernoulli(0.5)) opts.efs_threshold = rng.uniform(0.0, 0.4);
       for (const auto& partitioner : partitioners) {
-        for (const bool use_index : {false, true}) {
-          const std::string context =
-              device.name() + "/" + std::string(partitioner->name()) +
-              "/trial" + std::to_string(trial) +
-              (use_index ? "/indexed" : "/plain");
-          std::map<std::uint64_t, double> cache_ref;
-          std::map<std::uint64_t, double> cache_inc;
-          const FleetSlot slot_ref{&device, use_index ? &index : nullptr,
-                                   &cache_ref};
-          const FleetSlot slot_inc{&device, use_index ? &index : nullptr,
-                                   &cache_inc};
-          PackOptions ref_opts = opts;
-          ref_opts.incremental_admission = false;
-          const FleetPlan reference =
-              pack_fleet(std::span<const FleetSlot>(&slot_ref, 1), jobs,
-                         *partitioner, ref_opts, nullptr);
-          PackOptions inc_opts = opts;
-          inc_opts.incremental_admission = true;
-          const FleetPlan incremental =
-              pack_fleet(std::span<const FleetSlot>(&slot_inc, 1), jobs,
-                         *partitioner, inc_opts, nullptr);
-          expect_plans_identical(reference, incremental, context);
-          EXPECT_EQ(cache_ref, cache_inc) << context;
-        }
+        const std::string context = device.name() + "/" +
+                                    std::string(partitioner->name()) +
+                                    "/trial" + std::to_string(trial);
+        std::map<std::uint64_t, double> cache_ref;
+        std::map<std::uint64_t, double> cache_inc;
+        const FleetSlot slot_ref{&device, nullptr, &cache_ref};
+        const FleetSlot slot_inc{&device, &index, &cache_inc};
+        const FleetPlan reference =
+            pack_fleet(std::span<const FleetSlot>(&slot_ref, 1), jobs,
+                       *partitioner, opts, nullptr);
+        const FleetPlan incremental =
+            pack_fleet(std::span<const FleetSlot>(&slot_inc, 1), jobs,
+                       *partitioner, opts, nullptr);
+        expect_plans_identical(reference, incremental, context);
+        EXPECT_EQ(cache_ref, cache_inc) << context;
       }
     }
   }
@@ -710,13 +710,12 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalAcrossPoliciesAndBacklogs) {
         const std::string context =
             "trial" + std::to_string(trial) + "/" +
             (use_policy ? std::string(route_policy_name(kind)) : "id-order");
-        auto run = [&](bool incremental) {
+        auto run = [&](bool indexed) {
           TestFleet fleet({make_toronto27(), make_line_device(9),
-                           make_grid_device(4, 5)});
-          PackOptions arm = opts;
-          arm.incremental_admission = incremental;
+                           make_grid_device(4, 5)},
+                          indexed);
           const auto policy = use_policy ? make_routing_policy(kind) : nullptr;
-          return pack_fleet(fleet.slots, jobs, partitioner, arm, policy.get(),
+          return pack_fleet(fleet.slots, jobs, partitioner, opts, policy.get(),
                             backlog);
         };
         const FleetPlan reference = run(false);

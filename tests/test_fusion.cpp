@@ -197,6 +197,7 @@ TEST(FusionGolden, ExecutorDistributionsAndCountsBitIdenticalWithCache) {
   std::uint64_t seed = 500;
   for (const Device& device : bundled_devices()) {
     Backend backend(device);
+    const auto epoch = backend.epoch();
     Rng rng(seed++);
     const Circuit c = random_physical_circuit(device, rng, 4, 40);
     ExecOptions opts;
@@ -205,9 +206,9 @@ TEST(FusionGolden, ExecutorDistributionsAndCountsBitIdenticalWithCache) {
     progs.push_back({c, "golden"});
     const ParallelRunReport direct =
         execute_parallel(device, progs, opts);
-    const ParallelRunReport cached = backend.execute(progs, opts);
+    const ParallelRunReport cached = epoch->execute(progs, opts);
     // Twice through the backend: the second run replays cached programs.
-    const ParallelRunReport cached2 = backend.execute(progs, opts);
+    const ParallelRunReport cached2 = epoch->execute(progs, opts);
     ASSERT_EQ(direct.programs.size(), 1u);
     for (const ParallelRunReport* run : {&cached, &cached2}) {
       EXPECT_EQ(direct.programs[0].distribution.probs(),
@@ -218,16 +219,30 @@ TEST(FusionGolden, ExecutorDistributionsAndCountsBitIdenticalWithCache) {
   }
 }
 
+/// `device` with every gate error zeroed (readout error, coherence times,
+/// durations and crosstalk ground truth kept): the executor's noisy per-op
+/// walk on it applies exactly the unitary evolution of a noiseless run.
+Device zero_gate_error_copy(const Device& device) {
+  Calibration cal = device.calibration();
+  std::fill(cal.q1_error.begin(), cal.q1_error.end(), 0.0);
+  std::fill(cal.cx_error.begin(), cal.cx_error.end(), 0.0);
+  return Device(device.name(), device.topology(), std::move(cal),
+                device.crosstalk_ground_truth());
+}
+
 TEST(FusionGolden, NoiselessExecutorFusedStreamMatchesPerOpReplay) {
-  // ROADMAP (f): with gate_noise and idle_noise both off, the executor
-  // consumes the fused CompiledProgram stream instead of replaying per-op
-  // channels. The distributions must agree with the per-op walk
-  // (fuse_noiseless = false) to <= 1e-10 on every bundled topology —
-  // through the backend caches and without them, readout noise on and off
-  // — and the schedule-derived reporting must not move at all.
+  // With gate_noise and idle_noise both off, the executor consumes the
+  // fused CompiledProgram stream instead of replaying per-op channels.
+  // The reference is the per-op walk itself — the noisy path, with gate
+  // noise on against a zero-gate-error copy of the calibration and idle
+  // noise off. The distributions must agree to <= 1e-10 on every bundled
+  // topology — through the epoch caches and without them, readout noise
+  // on and off — and the schedule-derived reporting must not move at all.
   std::uint64_t seed = 1300;
   for (const Device& device : bundled_devices()) {
     Backend backend(device);
+    const auto epoch = backend.epoch();
+    const Device zero_error = zero_gate_error_copy(device);
     Rng rng(seed++);
     const Circuit c = random_physical_circuit(device, rng, 4, 40);
     std::vector<PhysicalProgram> progs;
@@ -239,14 +254,16 @@ TEST(FusionGolden, NoiselessExecutorFusedStreamMatchesPerOpReplay) {
       fused_opts.idle_noise = false;
       fused_opts.readout_noise = readout;
       ExecOptions per_op_opts = fused_opts;
-      per_op_opts.fuse_noiseless = false;
-      // Twice through the backend: the second run replays the cached
-      // fused program.
-      const ParallelRunReport fused = backend.execute(progs, fused_opts);
-      const ParallelRunReport fused2 = backend.execute(progs, fused_opts);
+      per_op_opts.gate_noise = true;
+      // Twice through the epoch: the second run replays the cached fused
+      // program. A third run goes through no cache at all.
+      const ParallelRunReport fused = epoch->execute(progs, fused_opts);
+      const ParallelRunReport fused2 = epoch->execute(progs, fused_opts);
+      const ParallelRunReport uncached =
+          execute_parallel(device, progs, fused_opts);
       const ParallelRunReport per_op =
-          execute_parallel(device, progs, per_op_opts);
-      for (const ParallelRunReport* run : {&fused, &fused2}) {
+          execute_parallel(zero_error, progs, per_op_opts);
+      for (const ParallelRunReport* run : {&fused, &fused2, &uncached}) {
         EXPECT_LT(dist_diff(run->programs[0].distribution,
                             per_op.programs[0].distribution),
                   kTol)

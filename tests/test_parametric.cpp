@@ -8,8 +8,9 @@
 // which must fall back to a rebuild rather than serve a wrong program.
 // Likewise FusionPlan::materialize() replayed against a re-bound circuit
 // must equal CompiledProgram::compile() of that circuit coefficient for
-// coefficient. Service-level tests pin that the parametric cache is a
-// pure performance knob: parametric on and off yield identical reports.
+// coefficient. Service-level tests pin that the structural cache is a
+// pure performance path: a cached service and an uncached one (capacity 0,
+// every job transpiled from scratch) yield identical reports.
 
 #include "mapping/parametric.hpp"
 
@@ -163,6 +164,7 @@ TEST(ParametricTranspile, BindsBitIdenticalOnAllTopologies) {
   const TranspileOptions topts = hardware_aware_options();
   for (const Device& device : bundled_devices()) {
     Backend backend(device);
+    const auto epoch = backend.epoch();
     Rng rng(seed++);
     for (int trial = 0; trial < 3; ++trial) {
       const int k = 2 + static_cast<int>(rng.index(3));  // 2..4 qubits
@@ -174,14 +176,14 @@ TEST(ParametricTranspile, BindsBitIdenticalOnAllTopologies) {
         const TranspiledProgram want =
             transpile_to_partition(c, device, partition, topts);
         const TranspiledProgram got =
-            backend.transpile(c, partition, topts, /*options_fp=*/17);
+            epoch->transpile(c, partition, topts, /*options_fp=*/17);
         expect_programs_bit_identical(
             got, want,
             device.name() + " trial " + std::to_string(trial) + " iter " +
                 std::to_string(iter));
       }
     }
-    const TranspileCacheStats stats = backend.cache_stats();
+    const TranspileCacheStats stats = epoch->cache_stats();
     EXPECT_GT(stats.structural_hits, 0u) << device.name();
     EXPECT_GT(stats.bind_ns, 0u) << device.name();
   }
@@ -196,6 +198,7 @@ TEST(ParametricTranspile, IdentityFlippingBindingsFallBackBitIdentical) {
   const std::vector<int> partition{0, 1, 2};
   const TranspileOptions topts = hardware_aware_options();
   Backend backend(device);
+  const auto epoch = backend.epoch();
 
   const auto make = [](double a, double b) {
     Circuit c(3);
@@ -216,20 +219,20 @@ TEST(ParametricTranspile, IdentityFlippingBindingsFallBackBitIdentical) {
     const Circuit c = make(a, b);
     const TranspiledProgram want =
         transpile_to_partition(c, device, partition, topts);
-    const TranspiledProgram got = backend.transpile(c, partition, topts, 3);
+    const TranspiledProgram got = epoch->transpile(c, partition, topts, 3);
     expect_programs_bit_identical(got, want,
                                   "a=" + std::to_string(a) +
                                       " b=" + std::to_string(b));
   }
-  const TranspileCacheStats stats = backend.cache_stats();
+  const TranspileCacheStats stats = epoch->cache_stats();
   EXPECT_GT(stats.bind_fallbacks, 0u);
 
   // After the fallback rebuilds, a fresh generic binding binds again.
   const Circuit again = make(0.4, 2.2);
   expect_programs_bit_identical(
-      backend.transpile(again, partition, topts, 3),
+      epoch->transpile(again, partition, topts, 3),
       transpile_to_partition(again, device, partition, topts), "post-rebuild");
-  EXPECT_GT(backend.cache_stats().structural_hits, stats.structural_hits);
+  EXPECT_GT(epoch->cache_stats().structural_hits, stats.structural_hits);
 }
 
 TEST(ParametricTranspile, MergedRotationChainsReplayExactSums) {
@@ -240,6 +243,7 @@ TEST(ParametricTranspile, MergedRotationChainsReplayExactSums) {
   const std::vector<int> partition{0, 1};
   const TranspileOptions topts = hardware_aware_options();
   Backend backend(device);
+  const auto epoch = backend.epoch();
 
   Rng rng(77);
   const auto make = [](double a, double b, double c, double d) {
@@ -258,11 +262,11 @@ TEST(ParametricTranspile, MergedRotationChainsReplayExactSums) {
     const Circuit c = make(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
                            rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0));
     expect_programs_bit_identical(
-        backend.transpile(c, partition, topts, 5),
+        epoch->transpile(c, partition, topts, 5),
         transpile_to_partition(c, device, partition, topts),
         "iter " + std::to_string(iter));
   }
-  EXPECT_GT(backend.cache_stats().structural_hits, 0u);
+  EXPECT_GT(epoch->cache_stats().structural_hits, 0u);
 }
 
 TEST(ParametricTranspile, ConcurrentBindsAreRaceFreeAndExact) {
@@ -273,6 +277,7 @@ TEST(ParametricTranspile, ConcurrentBindsAreRaceFreeAndExact) {
   const Device device = make_toronto27();
   const TranspileOptions topts = hardware_aware_options();
   Backend backend(device);
+  const auto epoch = backend.epoch();
   Rng region_rng(41);
   const std::vector<int> partition = random_region(device, region_rng, 4);
 
@@ -289,20 +294,20 @@ TEST(ParametricTranspile, ConcurrentBindsAreRaceFreeAndExact) {
         for (double& p : params) p = rng.uniform(0.05, 3.0);
         Circuit c = make_ryrz_ansatz(4, 1, params);
         c.measure_all();
-        const TranspiledProgram got = backend.transpile(c, partition, topts, 9);
+        const TranspiledProgram got = epoch->transpile(c, partition, topts, 9);
         const TranspiledProgram want =
             transpile_to_partition(c, device, partition, topts);
         if (got.physical.ops() != want.physical.ops() ||
             got.final_layout != want.final_layout) {
           mismatches.fetch_add(1);
         }
-        (void)backend.compiled_program(got.physical.compacted());
+        (void)epoch->compiled_program(got.physical.compacted());
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  const TranspileCacheStats stats = backend.cache_stats();
+  const TranspileCacheStats stats = epoch->cache_stats();
   EXPECT_EQ(stats.hits + stats.misses + stats.structural_hits +
                 stats.bind_fallbacks,
             static_cast<std::uint64_t>(kThreads * kIters));
@@ -431,6 +436,7 @@ TEST(ParametricFusion, SweepRunsFusionWalkOnce) {
   // every later iteration from the plan cache.
   const Device device = make_line_device(6);
   Backend backend(device);
+  const auto epoch = backend.epoch();
   Rng rng(8300);
   const int params = ansatz_parameter_count(4, 2);
   for (int iter = 0; iter < 50; ++iter) {
@@ -438,12 +444,12 @@ TEST(ParametricFusion, SweepRunsFusionWalkOnce) {
     for (double& a : angles) a = rng.uniform(0.05, 3.1);
     Circuit c = make_ryrz_ansatz(4, 2, angles);
     c.measure_all();
-    const auto prog = backend.compiled_program(c);
+    const auto prog = epoch->compiled_program(c);
     ASSERT_NE(prog, nullptr);
     EXPECT_EQ(prog->num_qubits(), 4);
   }
-  EXPECT_EQ(backend.program_cache().plan_builds(), 1u);
-  EXPECT_EQ(backend.program_cache().plan_hits(), 49u);
+  EXPECT_EQ(epoch->program_cache().plan_builds(), 1u);
+  EXPECT_EQ(epoch->program_cache().plan_hits(), 49u);
 }
 
 // ---------------------------------------------------------------------------
@@ -460,12 +466,13 @@ struct Digest {
   [[nodiscard]] bool operator==(const Digest&) const = default;
 };
 
-std::map<std::string, Digest> sweep_through_service(bool parametric) {
+std::map<std::string, Digest> sweep_through_service(bool cached) {
   ServiceOptions opts;
   opts.exec.shots = 128;
   opts.num_workers = 2;
   opts.max_batch_size = 4;
-  opts.parametric_transpile = parametric;
+  // Capacity 0 is the reference arm: every job transpiles from scratch.
+  opts.transpile_cache_capacity = cached ? 1024 : 0;
   ExecutionService service(make_toronto27(), opts);
   Rng rng(5150);
   std::vector<JobHandle> handles;
@@ -486,7 +493,7 @@ std::map<std::string, Digest> sweep_through_service(bool parametric) {
     out[h.name()] = {r.report.partition, r.report.counts.data(),
                      r.report.pst_value, r.report.jsd_value};
   }
-  if (parametric) {
+  if (cached) {
     // The sweep shares one structure: beyond the first job per partition,
     // transpiles must be served by template binds.
     EXPECT_GT(service.stats().transpile_cache.structural_hits, 0u);
@@ -495,9 +502,10 @@ std::map<std::string, Digest> sweep_through_service(bool parametric) {
 }
 
 TEST(ParametricService, SweepResultsIdenticalWithCacheOnAndOff) {
-  // parametric_transpile is a performance knob: the exact same jobs
-  // through a parametric and a non-parametric service must produce
-  // bit-identical partitions, counts, and metrics.
+  // Template binding is a pure performance path: the exact same jobs
+  // through a structurally cached service and an uncached one (every job
+  // transpiled from scratch) must produce bit-identical partitions,
+  // counts, and metrics.
   const auto on = sweep_through_service(true);
   const auto off = sweep_through_service(false);
   ASSERT_EQ(on.size(), 24u);

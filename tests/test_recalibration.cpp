@@ -89,29 +89,31 @@ TEST(CalibrationEpoch, ReplacementCachesAreWarmBuiltAndFresh) {
   Backend backend(make_toronto27());
   // Accumulate a candidate-index working set and transpile-cache traffic
   // on epoch 0.
-  (void)backend.candidate_index().per_k(2);
-  (void)backend.candidate_index().per_k(4);
+  const auto old_epoch = backend.epoch();
+  (void)old_epoch->candidate_index().per_k(2);
+  (void)old_epoch->candidate_index().per_k(4);
   const Circuit bell = get_benchmark("bell").circuit;
   const std::vector<int> partition{0, 1, 2, 4};
-  (void)backend.transpile(bell, partition, hardware_aware_options(), 7);
-  (void)backend.transpile(bell, partition, hardware_aware_options(), 7);
-  EXPECT_EQ(backend.cache_stats().hits, 1u);
+  (void)old_epoch->transpile(bell, partition, hardware_aware_options(), 7);
+  (void)old_epoch->transpile(bell, partition, hardware_aware_options(), 7);
+  EXPECT_EQ(old_epoch->cache_stats().hits, 1u);
 
-  const auto old_sizes = backend.candidate_index().cached_sizes();
+  const auto old_sizes = old_epoch->candidate_index().cached_sizes();
   EXPECT_EQ(old_sizes, (std::vector<int>{2, 4}));
 
-  (void)backend.recalibrate(scaled_calibration(backend.device(), 1.5));
+  (void)backend.recalibrate(scaled_calibration(old_epoch->device(), 1.5));
 
   // The successor's candidate index was warm-built with the predecessor's
   // working set (no lazy per_k builds on the first dispatch), and every
   // result cache starts empty — nothing transpiled under the old
   // calibration can leak through.
-  EXPECT_EQ(backend.candidate_index().cached_sizes(), old_sizes);
-  const TranspileCacheStats stats = backend.cache_stats();
+  const auto fresh = backend.epoch();
+  EXPECT_EQ(fresh->candidate_index().cached_sizes(), old_sizes);
+  const TranspileCacheStats stats = fresh->cache_stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(backend.gate_cache_entries(), 0u);
+  EXPECT_EQ(fresh->gate_cache_entries(), 0u);
 }
 
 TEST(CalibrationEpoch, InFlightBatchExecutesAgainstPinnedEpochBitIdentically) {
@@ -128,7 +130,7 @@ TEST(CalibrationEpoch, InFlightBatchExecutesAgainstPinnedEpochBitIdentically) {
   const BatchReport before = run_batch_pipeline(*pinned, programs, {}, opts);
 
   (void)backend.recalibrate(
-      scaled_calibration(backend.device(), 8.0, 4.0));
+      scaled_calibration(backend.epoch()->device(), 8.0, 4.0));
 
   const BatchReport after = run_batch_pipeline(*pinned, programs, {}, opts);
   ASSERT_EQ(after.programs.size(), before.programs.size());
@@ -142,9 +144,10 @@ TEST(CalibrationEpoch, InFlightBatchExecutesAgainstPinnedEpochBitIdentically) {
   EXPECT_DOUBLE_EQ(after.makespan_ns, before.makespan_ns);
 
   // The current epoch sees the degraded chip: the same batch on the
-  // backend's forwarders (current epoch) reports a worse makespan, since
-  // every CX now takes 4x as long.
-  const BatchReport degraded = run_batch_pipeline(backend, programs, {}, opts);
+  // backend's current epoch reports a worse makespan, since every CX now
+  // takes 4x as long.
+  const BatchReport degraded =
+      run_batch_pipeline(*backend.epoch(), programs, {}, opts);
   EXPECT_GT(degraded.makespan_ns, before.makespan_ns);
 }
 
@@ -181,7 +184,7 @@ TEST(CalibrationEpoch, SameRecalibrationScheduleIsDeterministic) {
     ExecutionService service(make_toronto27(), opts);
     auto a = run_segment(service, 12, 0);
     (void)service.backend().recalibrate(
-        scaled_calibration(service.backend().device(), 4.0, 2.0));
+        scaled_calibration(service.backend().epoch()->device(), 4.0, 2.0));
     auto b = run_segment(service, 12, 1);
     a.insert(b.begin(), b.end());
     return a;
@@ -201,7 +204,7 @@ TEST(CalibrationEpoch, ServiceStatsReportEpochAndBuildAccounting) {
   EXPECT_EQ(stats.stale_epoch_batches, 0u);
 
   (void)service.backend().recalibrate(
-      scaled_calibration(service.backend().device(), 2.0));
+      scaled_calibration(service.backend().epoch()->device(), 2.0));
   (void)run_segment(service, 4, 1);
   stats = service.stats();
   EXPECT_EQ(stats.backends[0].calibration_epoch, 1u);
@@ -230,7 +233,8 @@ TEST(CalibrationEpoch, RoutingShiftsAwayFromDegradedBackendAndBack) {
     BackendRegistry fleet(
         std::vector<Device>{make_toronto27(), make_toronto27()});
     ExecutionService service(std::move(fleet), opts);
-    const Calibration healthy = service.backend(0).device().calibration();
+    const Calibration healthy =
+        service.backend(0).epoch()->device().calibration();
     const Circuit bell = get_benchmark("bell").circuit;
 
     // Four identical 2-qubit jobs per segment: few enough that the EFS
@@ -261,7 +265,7 @@ TEST(CalibrationEpoch, RoutingShiftsAwayFromDegradedBackendAndBack) {
     EXPECT_EQ(baseline.first, 4u) << route_policy_name(policy);
 
     (void)service.backend(0).recalibrate(
-        scaled_calibration(service.backend(0).device(), 8.0, 5.0));
+        scaled_calibration(service.backend(0).epoch()->device(), 8.0, 5.0));
     const auto degraded = routed_delta(1);
     EXPECT_EQ(degraded.second, 4u)
         << route_policy_name(policy) << ": traffic did not shift away";
@@ -288,7 +292,7 @@ TEST(RecalibrationStress, EightProducersRaceLiveRecalibrations) {
   opts.submit_shard_capacity = 32;
   opts.auto_flush_batch_size = 16;
   ExecutionService service(make_toronto27(), opts);
-  const Calibration base = service.backend().device().calibration();
+  const Calibration base = service.backend().epoch()->device().calibration();
   const Circuit circuit = get_benchmark("bell").circuit;
 
   constexpr int kThreads = 8;

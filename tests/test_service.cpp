@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "benchmarks/suite.hpp"
+#include "common/rng.hpp"
 #include "core/runtime.hpp"
 
 namespace qucp {
@@ -133,7 +134,8 @@ TEST(ExecutionService, ShimIsBitIdenticalToDirectPipeline) {
   opts.exec.shots = 256;
 
   Backend backend(d);
-  const BatchReport direct = run_batch_pipeline(backend, programs, {}, opts);
+  const BatchReport direct =
+      run_batch_pipeline(*backend.epoch(), programs, {}, opts);
   const BatchReport shim = run_parallel(d, programs, opts);
 
   ASSERT_EQ(shim.programs.size(), direct.programs.size());
@@ -443,6 +445,79 @@ TEST(ExecutionService, ExclusiveUnplaceableJobFailsCleanly) {
   EXPECT_NE(big.error().find("does not fit"), std::string::npos);
   EXPECT_EQ(small.status(), JobStatus::Done);
   EXPECT_EQ(service.stats().spill_events, 0u);
+}
+
+/// A 7-qubit CX-dense circuit the router cannot place on toronto27
+/// (route_on_partition does not converge), prefixed with rz(theta, 0) so
+/// that bindings of `theta` share one structure and submit_all() marks
+/// them as a sweep.
+Circuit unroutable_sweep_circuit(double theta) {
+  constexpr int kWidth = 7;
+  Circuit c(kWidth, kWidth);
+  c.rz(theta, 0);
+  Rng rng(25);
+  const auto qubit = [&] { return static_cast<int>(rng.index(kWidth)); };
+  for (int g = 0; g < 23; ++g) {
+    switch (rng.index(12)) {
+      case 0: c.h(qubit()); break;
+      case 1: c.t(qubit()); break;
+      case 2: c.s(qubit()); break;
+      case 3: c.x(qubit()); break;
+      case 4: c.ry(rng.uniform(-3.1, 3.1), qubit()); break;
+      case 5: c.rz(rng.uniform(-3.1, 3.1), qubit()); break;
+      default: {
+        const int a = qubit();
+        int b = static_cast<int>(rng.index(kWidth - 1));
+        if (b >= a) ++b;
+        c.cx(a, b);
+        break;
+      }
+    }
+  }
+  c.measure_all();
+  return c;
+}
+
+TEST(ExecutionService, SweepWhoseRoutingFailsFailsItsJobs) {
+  // Regression: dispatch counts a plan's jobs outstanding before the sweep
+  // prebind runs, so a transpile_sweep that throws must not strand them.
+  // Every job fails with the routing error through its batch, flush()
+  // returns, and the counters conserve.
+  ServiceOptions opts = fast_service_options();
+  opts.max_batch_size = 2;
+  std::vector<Circuit> circuits;
+  for (int i = 0; i < 4; ++i) {
+    circuits.push_back(unroutable_sweep_circuit(0.3 + 0.4 * i));
+  }
+  // Heap-allocated so a regression can leak it instead of hanging in the
+  // destructor's drain.
+  auto* service = new ExecutionService(make_toronto27(), opts);
+  const std::vector<JobHandle> handles = service->submit_all(circuits);
+  std::string flush_error;
+  try {
+    service->flush();
+  } catch (const std::exception& e) {
+    flush_error = e.what();
+  }
+  EXPECT_EQ(flush_error, "");
+  bool all_terminal = true;
+  for (const JobHandle& h : handles) {
+    all_terminal = all_terminal && (h.status() == JobStatus::Done ||
+                                    h.status() == JobStatus::Failed);
+  }
+  if (!all_terminal) {
+    ADD_FAILURE() << "sweep jobs stranded in a non-terminal state";
+    return;  // leak the service: its destructor would wait forever
+  }
+  for (const JobHandle& h : handles) {
+    EXPECT_EQ(h.status(), JobStatus::Failed);
+    EXPECT_NE(h.error().find("routing did not converge"), std::string::npos)
+        << h.error();
+  }
+  const ServiceStats stats = service->stats();
+  EXPECT_EQ(stats.jobs_submitted, handles.size());
+  EXPECT_EQ(stats.jobs_submitted, stats.jobs_completed + stats.jobs_failed);
+  delete service;
 }
 
 TEST(Packer, SingleBatchModeNeverSplits) {
@@ -797,24 +872,25 @@ TEST(ExecutionService, RealizedDurationFeedbackPopulatesLaneStats) {
 
 TEST(Backend, TranspileCacheHitsAndEviction) {
   Backend backend(make_toronto27(), /*transpile_cache_capacity=*/2);
+  const auto epoch = backend.epoch();
   const Circuit bell = get_benchmark("bell").circuit;
   const std::vector<int> partition{0, 1, 2, 4};
   const TranspileOptions topts = hardware_aware_options();
 
   const TranspiledProgram first =
-      backend.transpile(bell, partition, topts, 7);
+      epoch->transpile(bell, partition, topts, 7);
   const TranspiledProgram again =
-      backend.transpile(bell, partition, topts, 7);
+      epoch->transpile(bell, partition, topts, 7);
   EXPECT_EQ(first.physical.ops(), again.physical.ops());
   EXPECT_EQ(first.final_layout, again.final_layout);
-  TranspileCacheStats stats = backend.cache_stats();
+  TranspileCacheStats stats = epoch->cache_stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
 
   // Distinct keys evict FIFO once capacity is exceeded.
-  (void)backend.transpile(bell, partition, topts, 8);
-  (void)backend.transpile(bell, partition, topts, 9);
-  stats = backend.cache_stats();
+  (void)epoch->transpile(bell, partition, topts, 8);
+  (void)epoch->transpile(bell, partition, topts, 9);
+  stats = epoch->cache_stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
 }
