@@ -19,7 +19,10 @@
 #include "bench_util.hpp"
 #include "circuit/gate.hpp"
 #include "common/strings.hpp"
+#include "circuit/circuit.hpp"
 #include "sim/density.hpp"
+#include "sim/fusion.hpp"
+#include "sim/kernels.hpp"
 #include "sim/statevector.hpp"
 
 namespace {
@@ -35,6 +38,8 @@ struct KernelResult {
   std::string kernel;
   int qubits = 0;
   double ns_per_op = 0.0;
+  std::string bundle;  ///< density_noisy_op rows: gate of the bundle
+  std::string form;    ///< density_noisy_op rows: "sequence" or "sweep"
 };
 
 /// Time `body` over enough repetitions to amortize clock overhead. The
@@ -113,6 +118,70 @@ std::vector<KernelResult> run_density_suite(int n) {
   return out;
 }
 
+/// One noisy executor op — idle relaxation on each operand, the gate,
+/// depolarizing — timed as the channel sequence (one sweep per channel and
+/// per 2q row/column pass: 3 sweeps for a 1q gate, 5 for CX) and as the
+/// single fused sweep (kern::apply_noisy_gate). Operands sit on local
+/// qubit 0 and n - 1, as in the executor's compacted partitions.
+std::vector<KernelResult> run_noisy_op_suite(int n) {
+  std::vector<KernelResult> out;
+  const std::size_t dim2 = (std::size_t{1} << n) * (std::size_t{1} << n);
+  const int reps = reps_for(dim2);
+  // Weak channels: up to 2e5 repetitions on one state must not decay the
+  // coherences into subnormals, which would time the FPU's slow path.
+  const kern::RelaxCoeffs relax{1e-5, 0.99999, 0.99999};
+  struct Bundle {
+    const char* name;
+    Circuit circuit;
+  };
+  std::vector<Bundle> bundles;
+  bundles.push_back({"1q_dense", Circuit(n)});
+  bundles.back().circuit.ry(0.7, 0);
+  bundles.push_back({"1q_diag", Circuit(n)});
+  bundles.back().circuit.rz(0.7, 0);
+  if (n >= 2) {
+    bundles.push_back({"cx", Circuit(n)});
+    bundles.back().circuit.cx(0, n - 1);
+  }
+  for (const Bundle& b : bundles) {
+    const FusedOp op = compile_ops(b.circuit).front();
+    const std::vector<int> q(op.q, op.q + op.k());
+    const double c2 = 1e-5;
+    const kern::DepolCoeffs depol{1.0 - c2, c2, op.k() == 1 ? 0.5 : 0.25};
+    kern::NoisyGate g;
+    g.qubits = q;
+    g.col = &op.dm;
+    g.row = op.k() == 2 ? &op.sv : nullptr;
+    g.relax[0] = &relax;
+    g.relax[1] = op.k() == 2 ? &relax : nullptr;
+    g.depol = &depol;
+    DensityMatrix init(n);
+    init.apply_unitary(gate_matrix(GateKind::H), std::vector<int>{0});
+    const std::vector<cx> rho0(init.data().begin(), init.data().end());
+    std::vector<cx> rho = rho0;
+    const int row[2] = {q[0] + n, op.k() == 2 ? q[1] + n : q[0]};
+    out.push_back({"density_noisy_op", n, time_ns_per_op(reps, [&] {
+                     for (int j = 0; j < op.k(); ++j) {
+                       kern::relax1(rho, n, q[j], relax);
+                     }
+                     if (op.k() == 1) {
+                       kern::apply_compiled(rho, 2 * n, row, op.dm);
+                     } else {
+                       kern::apply_compiled(rho, 2 * n, row, op.sv);
+                       kern::apply_compiled(rho, 2 * n, q, op.dm);
+                     }
+                     kern::depolarize(rho, n, q, depol);
+                   }),
+                   b.name, "sequence"});
+    rho = rho0;
+    out.push_back({"density_noisy_op", n, time_ns_per_op(reps, [&] {
+                     kern::apply_noisy_gate(rho, n, g);
+                   }),
+                   b.name, "sweep"});
+  }
+  return out;
+}
+
 std::vector<KernelResult> run_statevector_suite(int n) {
   std::vector<KernelResult> out;
   const int reps = reps_for(std::size_t{1} << n);
@@ -152,10 +221,15 @@ void write_json(const std::vector<KernelResult>& results) {
   std::fprintf(f, "  \"unit\": \"ns_per_op\",\n  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const KernelResult& r = results[i];
+    std::string variant;
+    if (!r.bundle.empty()) {
+      variant = ", \"bundle\": \"" + r.bundle + "\", \"form\": \"" +
+                r.form + "\"";
+    }
     std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"qubits\": %d, "
+                 "    {\"kernel\": \"%s\"%s, \"qubits\": %d, "
                  "\"ns_per_op\": %.1f}%s\n",
-                 r.kernel.c_str(), r.qubits, r.ns_per_op,
+                 r.kernel.c_str(), variant.c_str(), r.qubits, r.ns_per_op,
                  i + 1 == results.size() ? "" : ",");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -177,6 +251,10 @@ void print_kernel_grid() {
     const auto rs = run_density_suite(n);
     all.insert(all.end(), rs.begin(), rs.end());
   }
+  for (int n : {2, 4, 6}) {
+    const auto rs = run_noisy_op_suite(n);
+    all.insert(all.end(), rs.begin(), rs.end());
+  }
   for (int n : sv_sizes) {
     const auto rs = run_statevector_suite(n);
     all.insert(all.end(), rs.begin(), rs.end());
@@ -185,7 +263,9 @@ void print_kernel_grid() {
   bench::row({"kernel", "qubits", "ns/op"}, 26);
   bench::rule(3, 26);
   for (const KernelResult& r : all) {
-    bench::row({r.kernel, std::to_string(r.qubits), fmt_double(r.ns_per_op, 1)},
+    const std::string name =
+        r.bundle.empty() ? r.kernel : r.kernel + ":" + r.bundle + ":" + r.form;
+    bench::row({name, std::to_string(r.qubits), fmt_double(r.ns_per_op, 1)},
                26);
   }
   write_json(all);

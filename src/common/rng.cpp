@@ -28,7 +28,7 @@ Rng Rng::derive(std::string_view tag) const {
 
 double Rng::uniform(double lo, double hi) {
   if (lo > hi) throw std::invalid_argument("Rng::uniform: lo > hi");
-  return lo + (hi - lo) * unit_(engine_);
+  return lo + (hi - lo) * uniform();
 }
 
 std::size_t Rng::index(std::size_t n) {
@@ -50,7 +50,7 @@ double Rng::normal(double mean, double stddev) {
 
 bool Rng::bernoulli(double p) {
   p = std::clamp(p, 0.0, 1.0);
-  return unit_(engine_) < p;
+  return uniform() < p;
 }
 
 std::size_t Rng::discrete(std::span<const double> weights) {
@@ -62,7 +62,7 @@ std::size_t Rng::discrete(std::span<const double> weights) {
   if (total <= 0.0) {
     throw std::invalid_argument("Rng::discrete: all weights zero");
   }
-  double r = unit_(engine_) * total;
+  double r = uniform() * total;
   double acc = 0.0;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     acc += weights[i];

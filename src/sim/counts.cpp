@@ -135,8 +135,17 @@ Distribution Counts::to_distribution() const {
 namespace detail {
 
 std::size_t cdf_index(std::span<const double> cdf, double r) noexcept {
-  const std::size_t idx = static_cast<std::size_t>(
-      std::upper_bound(cdf.begin(), cdf.end(), r) - cdf.begin());
+  // Branchless upper_bound: the window halves by a compare-derived offset
+  // instead of a data-dependent branch (sampled draws mispredict about
+  // half of them), keeping the first-cdf[i]-greater-than-r rule.
+  std::size_t lo = 0;
+  std::size_t n = cdf.size();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    lo += static_cast<std::size_t>(cdf[lo + half - 1] <= r) * half;
+    n -= half;
+  }
+  const std::size_t idx = lo + static_cast<std::size_t>(cdf[lo] <= r);
   // r at or past cdf.back() — a draw in the rounding gap the accumulated
   // prefix sums leave below the true total — lands in the last bucket.
   return idx == cdf.size() ? cdf.size() - 1 : idx;

@@ -10,11 +10,63 @@
 
 namespace qucp {
 
-DensityMatrix::DensityMatrix(int num_qubits)
-    : num_qubits_(num_qubits), dim_(std::size_t{1} << num_qubits) {
+namespace {
+
+/// Uniform-Pauli channel via the twirl identity:
+///   sum_{all P} P rho P = 4^m * ptrace(rho) (x) I/2^m
+/// so rho' = c1 * rho + c2 * [ptrace(rho) (x) I/2^m].
+kern::DepolCoeffs depol_coeffs(double p, int k) {
+  if (p < 0.0 || p > 1.0) {
+    throw std::invalid_argument("DensityMatrix: depolarizing p outside [0,1]");
+  }
+  const double pauli_dim = std::pow(4.0, k);
+  const double c2 = p * pauli_dim / (pauli_dim - 1.0);
+  return {1.0 - c2, c2, std::ldexp(1.0, -k)};
+}
+
+/// Fused amplitude-damping (gamma) + pure-dephasing (lambda) channel in
+/// closed form. With m the qubit mask, each 2x2 sub-block
+/// [[p00, p01], [p10, p11]] over (row bit, col bit) maps to
+///   [[p00 + gamma p11,     sqrt(1-gamma)sqrt(1-lambda) p01],
+///    [sqrt(..)sqrt(..) p10,               (1-gamma) p11]]
+/// — the composition of the AD Kraus pair {diag(1, sqrt(1-gamma)),
+/// sqrt(gamma)|0><1|} and the PD pair {diag(1, sqrt(1-lambda)),
+/// sqrt(lambda)|1><1|}. Both pairs are complete by construction, so the
+/// full trace-preservation check reduces to a parameter-range guard (also
+/// rejects NaN from a NaN duration). Requires duration_ns > 0.
+kern::RelaxCoeffs relax_coeffs(const Relaxation& r) {
+  if (r.t1_us <= 0.0 || r.t2_us <= 0.0) {
+    throw std::invalid_argument("DensityMatrix: non-positive T1/T2");
+  }
+  const double t_us = r.duration_ns * 1e-3;
+  const double gamma = 1.0 - std::exp(-t_us / r.t1_us);
+  // Pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1); clamp at 0 when T2 is
+  // reported above the 2*T1 physical limit.
+  const double inv_tphi = std::max(0.0, 1.0 / r.t2_us - 0.5 / r.t1_us);
+  const double lambda = 1.0 - std::exp(-t_us * inv_tphi);
+  if (!(gamma >= 0.0 && gamma <= 1.0) || !(lambda >= 0.0 && lambda <= 1.0)) {
+    throw std::invalid_argument(
+        "DensityMatrix: relaxation channel parameters outside [0,1]");
+  }
+  return {gamma,
+          std::sqrt(std::max(0.0, 1.0 - gamma)) *
+              std::sqrt(std::max(0.0, 1.0 - lambda)),
+          1.0 - gamma};
+}
+
+/// Validated before dim_ shifts by it.
+int checked_qubit_count(int num_qubits) {
   if (num_qubits < 0 || num_qubits > 12) {
     throw std::invalid_argument("DensityMatrix: unsupported qubit count");
   }
+  return num_qubits;
+}
+
+}  // namespace
+
+DensityMatrix::DensityMatrix(int num_qubits)
+    : num_qubits_(checked_qubit_count(num_qubits)),
+      dim_(std::size_t{1} << num_qubits_) {
   rho_.assign(dim_ * dim_, cx{0.0, 0.0});
   rho_[0] = 1.0;
 }
@@ -79,25 +131,37 @@ void DensityMatrix::apply_unitary(const Matrix& u,
 
 void DensityMatrix::apply_compiled(const FusedOp& op,
                                    std::span<const int> qubits) {
+  apply_noisy_gate(op, qubits, {}, 0.0);
+}
+
+void DensityMatrix::apply_noisy_gate(const FusedOp& op,
+                                     std::span<const int> qubits,
+                                     std::span<const Relaxation> idle,
+                                     double depol_p) {
   check_qubits(qubits);
-  if (static_cast<int>(qubits.size()) != op.k()) {
+  const int k = static_cast<int>(qubits.size());
+  if (k != op.k() || (!idle.empty() && idle.size() != qubits.size())) {
     throw std::invalid_argument("DensityMatrix: matrix/operand mismatch");
   }
-  const int n2 = 2 * num_qubits_;
-  const std::span<cx> amps(rho_);
-  if (op.k() == 1) {
-    // One fused superket pass: op.dm is the compiled U (x) conj(U) on bits
-    // (q + n, q), exactly what transform_two_sided builds per call.
-    const int targets[2] = {qubits[0] + num_qubits_, qubits[0]};
-    kern::apply_compiled(amps, n2, targets, op.dm);
-    return;
+  if (k == 2 && op.sv.tag != op.dm.tag) {
+    throw std::invalid_argument("DensityMatrix: row/column pass tags differ");
   }
-  // Row pass (U on the row bits), then column pass (conj(U) on the column
-  // bits) — the same two sweeps as the uncompiled path.
-  const int row[2] = {qubits[0] + num_qubits_, qubits[1] + num_qubits_};
-  kern::apply_compiled(amps, n2, row, op.sv);
-  const int col[2] = {qubits[0], qubits[1]};
-  kern::apply_compiled(amps, n2, col, op.dm);
+  kern::NoisyGate g;
+  g.qubits = qubits;
+  g.col = &op.dm;
+  g.row = k == 2 ? &op.sv : nullptr;
+  kern::RelaxCoeffs relax[2];
+  for (std::size_t i = 0; i < idle.size(); ++i) {
+    if (idle[i].duration_ns <= 0.0) continue;
+    relax[i] = relax_coeffs(idle[i]);
+    g.relax[i] = &relax[i];
+  }
+  kern::DepolCoeffs depol;
+  if (depol_p != 0.0) {
+    depol = depol_coeffs(depol_p, k);
+    g.depol = &depol;
+  }
+  kern::apply_noisy_gate(rho_, num_qubits_, g);
 }
 
 void DensityMatrix::run(const CompiledProgram& program) {
@@ -110,100 +174,21 @@ void DensityMatrix::run(const CompiledProgram& program) {
 }
 
 void DensityMatrix::apply_depolarizing(double p, std::span<const int> qubits) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("DensityMatrix: depolarizing p outside [0,1]");
-  }
+  const int k = static_cast<int>(qubits.size());
+  const kern::DepolCoeffs coeffs = depol_coeffs(p, k);
   if (p == 0.0) return;
   check_qubits(qubits);
-  const int k = static_cast<int>(qubits.size());
-  const std::size_t ldim = std::size_t{1} << k;
-  const double pauli_dim = std::pow(4.0, k);
-  // Uniform-Pauli channel via the twirl identity:
-  //   sum_{all P} P rho P = 4^m * ptrace(rho) (x) I/2^m
-  // so rho' = c1 * rho + c2 * [ptrace(rho) (x) I/2^m] with:
-  const double c2 = p * pauli_dim / (pauli_dim - 1.0);
-  const double c1 = 1.0 - c2;
-  const double inv_ldim = 1.0 / static_cast<double>(ldim);
-
-  // Fused single-pass updates for the only sizes the executor emits: each
-  // 2^k x 2^k local block needs only its own elements (trace of the local
+  // One fused pass per local block for the only sizes the executor emits:
+  // each 2^k x 2^k block needs only its own elements (trace of the local
   // diagonal, uniform contraction, refill), so no scratch or extra sweeps.
-  if (k == 1) {
-    const int pc = qubits[0];
-    const int pr = qubits[0] + num_qubits_;
-    const std::size_t mc = std::size_t{1} << pc;
-    const std::size_t mr = std::size_t{1} << pr;
-    const std::size_t quads = (dim_ * dim_) >> 2;
-    cx* rho = rho_.data();
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
-    if (kern::native_kernels_active()) {
-      const double fill_scale = c2 * inv_ldim;
-      kern::parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-        kern::detail::depol1_range_avx2(rho, begin, end, pc, pr, c1,
-                                        fill_scale);
-      });
-      return;
-    }
-#endif
-    kern::parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t t = begin; t < end; ++t) {
-        const std::size_t base =
-            kern::insert_bit(kern::insert_bit(t, pc), pr);
-        const cx p00 = rho[base];
-        const cx p11 = rho[base | mr | mc];
-        const cx fill = c2 * (p00 + p11) * inv_ldim;
-        rho[base] = c1 * p00 + fill;
-        rho[base | mc] *= c1;
-        rho[base | mr] *= c1;
-        rho[base | mr | mc] = c1 * p11 + fill;
-      }
-    });
+  if (k == 1 || k == 2) {
+    kern::depolarize(rho_, num_qubits_, qubits, coeffs);
     return;
   }
-  if (k == 2) {
-    const int n = num_qubits_;
-    // Local value s: qubits[0] is the high bit (matching with_local).
-    std::size_t row_off[4];
-    std::size_t col_off[4];
-    for (std::size_t s = 0; s < 4; ++s) {
-      col_off[s] = ((s >> 1) ? (std::size_t{1} << qubits[0]) : 0) |
-                   ((s & 1) ? (std::size_t{1} << qubits[1]) : 0);
-      row_off[s] = col_off[s] << n;
-    }
-    int positions[4] = {qubits[0], qubits[1], qubits[0] + n, qubits[1] + n};
-    std::sort(positions, positions + 4);
-    const std::size_t blocks = (dim_ * dim_) >> 4;
-    cx* rho = rho_.data();
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
-    if (kern::native_kernels_active()) {
-      const double fill_scale = c2 * inv_ldim;
-      kern::parallel_for(blocks, [&](std::size_t begin, std::size_t end) {
-        kern::detail::depol2_range_avx2(rho, begin, end, positions, row_off,
-                                        col_off, c1, fill_scale);
-      });
-      return;
-    }
-#endif
-    kern::parallel_for(blocks, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t t = begin; t < end; ++t) {
-        std::size_t base = t;
-        for (int j = 0; j < 4; ++j) base = kern::insert_bit(base, positions[j]);
-        cx traced{0.0, 0.0};
-        for (std::size_t s = 0; s < 4; ++s) {
-          traced += rho[base + row_off[s] + col_off[s]];
-        }
-        const cx fill = c2 * traced * inv_ldim;
-        for (std::size_t sr = 0; sr < 4; ++sr) {
-          for (std::size_t sc = 0; sc < 4; ++sc) {
-            cx& v = rho[base + row_off[sr] + col_off[sc]];
-            v *= c1;
-            if (sr == sc) v += fill;
-          }
-        }
-      }
-    });
-    return;
-  }
+  const std::size_t ldim = std::size_t{1} << k;
+  const double c1 = coeffs.c1;
+  const double c2 = coeffs.c2;
+  const double inv_ldim = coeffs.inv_ldim;
 
   // Superket positions of the 2k target bits, ascending, for base
   // enumeration; per-local-value offsets onto the local diagonal (s, s).
@@ -299,60 +284,8 @@ void DensityMatrix::apply_relaxation(int qubit, double duration_ns,
                                      double t1_us, double t2_us) {
   check_qubits(std::span<const int>(&qubit, 1));
   if (duration_ns <= 0.0) return;
-  if (t1_us <= 0.0 || t2_us <= 0.0) {
-    throw std::invalid_argument("DensityMatrix: non-positive T1/T2");
-  }
-  const double t_us = duration_ns * 1e-3;
-  const double gamma = 1.0 - std::exp(-t_us / t1_us);
-  // Pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1); clamp at 0 when T2 is
-  // reported above the 2*T1 physical limit.
-  const double inv_tphi = std::max(0.0, 1.0 / t2_us - 0.5 / t1_us);
-  const double lambda = 1.0 - std::exp(-t_us * inv_tphi);
-
-  // Fused amplitude-damping (gamma) + pure-dephasing (lambda) channel in
-  // closed form. With m the qubit mask, each 2x2 sub-block
-  // [[p00, p01], [p10, p11]] over (row bit, col bit) maps to
-  //   [[p00 + gamma p11,     sqrt(1-gamma)sqrt(1-lambda) p01],
-  //    [sqrt(..)sqrt(..) p10,               (1-gamma) p11]]
-  // — the composition of the AD Kraus pair {diag(1, sqrt(1-gamma)),
-  // sqrt(gamma)|0><1|} and the PD pair {diag(1, sqrt(1-lambda)),
-  // sqrt(lambda)|1><1|}. Both pairs are complete by construction, so the
-  // full trace-preservation check reduces to this parameter-range guard
-  // (two comparisons per call; also rejects NaN from a NaN duration,
-  // which the old Kraus completeness check caught by throwing).
-  if (!(gamma >= 0.0 && gamma <= 1.0) || !(lambda >= 0.0 && lambda <= 1.0)) {
-    throw std::invalid_argument(
-        "DensityMatrix: relaxation channel parameters outside [0,1]");
-  }
-  const double keep = 1.0 - gamma;
-  const double decay = std::sqrt(std::max(0.0, 1.0 - gamma)) *
-                       std::sqrt(std::max(0.0, 1.0 - lambda));
-
-  const int pc = qubit;                // column bit position in the superket
-  const int pr = qubit + num_qubits_;  // row bit position
-  const std::size_t mc = std::size_t{1} << pc;
-  const std::size_t mr = std::size_t{1} << pr;
-  const std::size_t quads = (dim_ * dim_) >> 2;
-  cx* rho = rho_.data();
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
-  if (kern::native_kernels_active()) {
-    kern::parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-      kern::detail::relax1_range_avx2(rho, begin, end, pc, pr, gamma, decay,
-                                      keep);
-    });
-    return;
-  }
-#endif
-  kern::parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
-      const std::size_t base = kern::insert_bit(kern::insert_bit(t, pc), pr);
-      const cx p11 = rho[base | mr | mc];
-      rho[base] += gamma * p11;
-      rho[base | mc] *= decay;
-      rho[base | mr] *= decay;
-      rho[base | mr | mc] = keep * p11;
-    }
-  });
+  kern::relax1(rho_, num_qubits_, qubit,
+               relax_coeffs({duration_ns, t1_us, t2_us}));
 }
 
 std::vector<double> DensityMatrix::probabilities() const {

@@ -11,7 +11,10 @@
 // over 2n bits (see sim/kernels.hpp) — row bit q of rho lives at superket
 // bit q + n, column bit q at superket bit q. All scratch buffers are owned
 // by the instance and reused, so no channel update allocates after the
-// first call at a given size.
+// first call at a given size. A noisy gate — idle relaxation on its
+// operands, the gate, depolarizing — touches only the 2^k x 2^k local
+// blocks over its operands' row and column bits, so apply_noisy_gate runs
+// the whole sequence block by block in one sweep.
 
 #include <span>
 #include <vector>
@@ -24,6 +27,14 @@ namespace qucp {
 
 class CompiledProgram;  // sim/fusion.hpp
 struct FusedOp;         // sim/fusion.hpp
+
+/// Thermal relaxation of one qubit over an idle window: duration_ns under
+/// T1/T2 given in us. A duration <= 0 is no relaxation.
+struct Relaxation {
+  double duration_ns = 0.0;
+  double t1_us = 0.0;
+  double t2_us = 0.0;
+};
 
 class DensityMatrix {
  public:
@@ -40,11 +51,20 @@ class DensityMatrix {
   /// local bit).
   void apply_unitary(const Matrix& u, std::span<const int> qubits);
 
-  /// rho -> U rho U^dagger from a precompiled kernel set (sim/fusion.hpp):
-  /// the executor's hot path for replayed programs. Arithmetic is
-  /// identical to apply_unitary on the same matrix — the superket
-  /// compilation was merely hoisted to program-compile time.
+  /// rho -> U rho U^dagger from a precompiled kernel set (sim/fusion.hpp).
+  /// Arithmetic is identical to apply_unitary on the same matrix — the
+  /// superket compilation was merely hoisted to program-compile time — but
+  /// a 2q gate's row and column passes share one sweep over rho.
   void apply_compiled(const FusedOp& op, std::span<const int> qubits);
+
+  /// One gate of the noisy executor in a single sweep over rho: relaxation
+  /// for idle[i] on qubits[i] (in operand order; `idle` is empty or one
+  /// entry per operand), the compiled gate, then depolarizing with
+  /// parameter depol_p (0 = none). Bit-identical to apply_relaxation per
+  /// operand, apply_compiled and apply_depolarizing called in that order,
+  /// which cost up to five sweeps.
+  void apply_noisy_gate(const FusedOp& op, std::span<const int> qubits,
+                        std::span<const Relaxation> idle, double depol_p);
 
   /// Replay a fused program's unitary stream (noiselessly) on this state.
   /// Measurements in the program are ignored.
@@ -66,7 +86,9 @@ class DensityMatrix {
 
   /// Thermal relaxation on one qubit for duration_ns given T1/T2 in us.
   /// Amplitude damping followed by pure dephasing, fused into one
-  /// closed-form per-element pass (no Kraus matrices are built).
+  /// closed-form per-element pass (no Kraus matrices are built). The
+  /// executor calls this only for idle windows before measurements; idle
+  /// windows before gates ride in apply_noisy_gate's sweep.
   void apply_relaxation(int qubit, double duration_ns, double t1_us,
                         double t2_us);
 

@@ -294,11 +294,15 @@ ParallelRunReport execute_parallel(const Device& device,
     std::vector<std::pair<int, int>> measurements;  // (device qubit, clbit)
 
     if (fused_noiseless) {
-      // The executable carries the fused compilation of its compacted
-      // lowered circuit (active qubit i = local bit i — exactly the
-      // local_of mapping the measurement packing below relies on), so a
-      // cached program replays with zero per-call compilation work.
-      dm.run(compiled[p]->fused_compacted());
+      // Fused compilation of the compacted lowered circuit (active qubit i
+      // = local bit i — exactly the local_of mapping the measurement
+      // packing below relies on), through the Backend's cache when given.
+      const Circuit compact = circ.compacted();
+      if (program_cache != nullptr) {
+        dm.run(*program_cache->fused(compact));
+      } else {
+        dm.run(CompiledProgram::compile(compact));
+      }
       for (const Gate& g : circ.ops()) {
         if (g.kind == GateKind::Measure) {
           measurements.emplace_back(g.qubits[0], g.clbit);
@@ -314,51 +318,57 @@ ParallelRunReport execute_parallel(const Device& device,
                                 schedules[p].ops[y].start_ns;
                        });
 
-      auto apply_idle = [&](int q, double until_ns) {
-        if (!options.idle_noise) return;
+      // Idle window of device qubit q up to until_ns (thermal relaxation
+      // in the schedule gap), then mark it busy through busy_ns.
+      auto take_idle = [&](int q, double until_ns, double busy_ns) {
+        Relaxation r;
         const double gap = until_ns - busy_until[q];
-        if (gap > 1e-9) {
-          dm.apply_relaxation(local_of[q], gap, cal.t1_us[q], cal.t2_us[q]);
+        if (options.idle_noise && gap > 1e-9) {
+          r = {gap, cal.t1_us[q], cal.t2_us[q]};
         }
+        busy_until[q] = busy_ns;
+        return r;
       };
 
-      int local[4];
+      int local[2];
+      Relaxation idle[2];
       for (std::size_t idx : order) {
         const Gate& g = circ.ops()[idx];
         const ScheduledOp& so = schedules[p].ops[idx];
         if (g.kind == GateKind::Barrier) continue;
-        for (int q : g.qubits) {
-          apply_idle(q, so.start_ns);
-          busy_until[q] = so.end_ns;
-        }
         if (g.kind == GateKind::Measure) {
-          measurements.emplace_back(g.qubits[0], g.clbit);
+          const int q = g.qubits[0];
+          const Relaxation r = take_idle(q, so.start_ns, so.end_ns);
+          if (r.duration_ns > 0.0) {
+            dm.apply_relaxation(local_of[q], r.duration_ns, r.t1_us, r.t2_us);
+          }
+          measurements.emplace_back(q, g.clbit);
           continue;
         }
+        // Lowered circuits hold only 1q gates and CX.
         const std::size_t width = g.qubits.size();
         for (std::size_t i = 0; i < width; ++i) {
           local[i] = local_of[g.qubits[i]];
+          idle[i] = take_idle(g.qubits[i], so.start_ns, so.end_ns);
         }
-        const std::span<const int> local_span(local, width);
-        dm.apply_compiled(channels[idx], local_span);
-        if (!options.gate_noise) continue;
-        if (g.kind == GateKind::CX) {
+        double param = 0.0;
+        if (options.gate_noise && g.kind == GateKind::CX) {
           const double gamma = gamma_of[p][idx];
           const int edge = *topo.edge_index(g.qubits[0], g.qubits[1]);
           // x * 1.0 == x bitwise for every finite error rate, so the
           // epoch-precomputed parameter is exact for unamplified gates.
-          const double param =
-              (derived != nullptr && gamma == 1.0)
-                  ? derived->cx_depol[static_cast<std::size_t>(edge)]
-                  : depolarizing_param(cal.cx_error[edge] * gamma);
-          dm.apply_depolarizing(param, local_span);
-        } else {
-          const double param =
-              derived != nullptr
-                  ? derived->q1_depol[static_cast<std::size_t>(g.qubits[0])]
-                  : depolarizing_param(cal.q1_error[g.qubits[0]]);
-          dm.apply_depolarizing(param, local_span);
+          param = (derived != nullptr && gamma == 1.0)
+                      ? derived->cx_depol[static_cast<std::size_t>(edge)]
+                      : depolarizing_param(cal.cx_error[edge] * gamma);
+        } else if (options.gate_noise) {
+          param = derived != nullptr
+                      ? derived->q1_depol[static_cast<std::size_t>(g.qubits[0])]
+                      : depolarizing_param(cal.q1_error[g.qubits[0]]);
         }
+        // Idle relaxation, gate and depolarizing in one sweep over rho.
+        dm.apply_noisy_gate(channels[idx],
+                            std::span<const int>(local, width),
+                            std::span<const Relaxation>(idle, width), param);
       }
     }
 

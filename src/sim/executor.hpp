@@ -10,7 +10,8 @@
 //
 // Noise sources, matching the paper's discussion: per-edge CX error,
 // per-qubit single-qubit error, readout assignment error, idle thermal
-// relaxation (T1/T2) in schedule gaps, and crosstalk.
+// relaxation (T1/T2) in schedule gaps, and crosstalk. A gate's idle
+// relaxation, the gate and its depolarizing share one sweep over rho.
 
 #include <cstdint>
 #include <optional>
@@ -103,8 +104,11 @@ struct ParallelRunReport {
 /// calibration-derived depolarizing parameters precomputed for this
 /// device's calibration snapshot — it must have been built from exactly
 /// device.calibration(). Either way every gate replays through a
-/// precompiled kernel, with noise channels interleaved exactly as the
-/// uncompiled path did — results are bit-identical.
+/// precompiled kernel. With noise on, each gate and its channels — idle
+/// relaxation on its operands since their last op, then depolarizing —
+/// run as one DensityMatrix::apply_noisy_gate sweep, bit-identical to
+/// applying the channels one full pass at a time; idle windows before
+/// measurements relax in a pass of their own.
 [[nodiscard]] ParallelRunReport execute_parallel(
     const Device& device, std::vector<PhysicalProgram> programs,
     const ExecOptions& options = {}, GateMatrixCache* gate_cache = nullptr,

@@ -421,8 +421,6 @@ CompiledExecutable CompiledExecutable::compile(const Circuit& physical,
   CompiledExecutable exe;
   exe.lowered_ = lower_to_cx_basis(physical);
   exe.channels_ = compile_ops(exe.lowered_, matrices);
-  exe.fused_compacted_ = std::make_shared<const CompiledProgram>(
-      CompiledProgram::compile(exe.lowered_.compacted()));
   return exe;
 }
 
@@ -504,14 +502,9 @@ std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
       return it->second;
     }
   }
-  // Assemble piecewise (friend access) instead of via
-  // CompiledExecutable::compile so the fused half of the executable also
-  // flows through the plan cache.
-  auto exe_ptr = std::make_shared<CompiledExecutable>();
-  exe_ptr->lowered_ = lower_to_cx_basis(physical);
-  exe_ptr->channels_ = compile_ops(exe_ptr->lowered_, matrices);
-  exe_ptr->fused_compacted_ = fused(exe_ptr->lowered_.compacted());
-  std::shared_ptr<const CompiledExecutable> exe = std::move(exe_ptr);
+  std::shared_ptr<const CompiledExecutable> exe =
+      std::make_shared<const CompiledExecutable>(
+          CompiledExecutable::compile(physical, matrices));
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = executables_.emplace(key, std::move(exe));
   if (inserted) {

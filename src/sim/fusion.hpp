@@ -36,9 +36,9 @@
 //
 // CompiledExecutable is the unfused sibling for the noisy executor: the
 // CX-lowered circuit plus per-op precompiled kernels (including the
-// superket forms DensityMatrix needs), replayed gate by gate so noise
-// channels interleave exactly as before — arithmetic identical to the
-// uncompiled path bit for bit. CompiledProgramCache memoizes both per
+// superket forms DensityMatrix needs), replayed gate by gate — each gate
+// in one density sweep together with its idle relaxation and
+// depolarizing — arithmetic identical to the uncompiled path bit for bit. CompiledProgramCache memoizes both per
 // circuit fingerprint and lives on a Backend next to GateMatrixCache and
 // CandidateIndex.
 
@@ -184,12 +184,12 @@ class CompiledProgram {
 /// A physical program compiled for the noisy executor: lowered to the CX
 /// basis once, with per-op kernels precompiled and aligned 1:1 with
 /// `lowered.ops()` (non-unitary positions hold placeholder entries).
-/// Replay is gate by gate — no fusion — so interleaved noise channels see
-/// exactly the state they saw before compilation existed. The fused
-/// compilation of the compacted lowered circuit rides along for the
-/// executor's noiseless fast path (gate_noise and idle_noise both off),
-/// so a cached executable answers both replay styles without per-call
-/// recompaction.
+/// Replay is gate by gate — no fusion across gates — so the noise channels
+/// around each gate see exactly the state they saw before compilation
+/// existed; DensityMatrix::apply_noisy_gate runs each gate together with
+/// its own channels in one sweep. The executor's noiseless fast path
+/// (gate_noise and idle_noise both off) fetches the fused compilation of
+/// lowered().compacted() from the cache on demand instead.
 class CompiledExecutable {
  public:
   [[nodiscard]] static CompiledExecutable compile(
@@ -199,18 +199,9 @@ class CompiledExecutable {
   [[nodiscard]] const std::vector<FusedOp>& channels() const noexcept {
     return channels_;
   }
-  /// Fused kernel stream of lowered().compacted() — active qubit i of the
-  /// lowered circuit is local bit i, the executor's partition mapping.
-  [[nodiscard]] const CompiledProgram& fused_compacted() const noexcept {
-    return *fused_compacted_;
-  }
-
  private:
-  friend class CompiledProgramCache;  // assembles executables against its
-                                      // plan-aware fused() path
   Circuit lowered_;
   std::vector<FusedOp> channels_;
-  std::shared_ptr<const CompiledProgram> fused_compacted_;
 };
 
 /// Per-op (unfused) kernel compilation for an arbitrary circuit: entry i

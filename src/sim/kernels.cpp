@@ -205,13 +205,26 @@ void dense1_range_scalar(cx* a, std::size_t begin, std::size_t end, int target,
   }
 }
 
+/// parallel_for over `count` quads (or blocks) whose AVX2 body processes
+/// two adjacent ones per step when `paired`: chunks then split on even
+/// boundaries, so the result never depends on the thread count.
+template <typename F>
+void parallel_for_units(std::size_t count, bool paired, F&& fn) {
+  const std::size_t step = paired ? 2 : 1;
+  parallel_for(count / step, [&](std::size_t begin, std::size_t end) {
+    fn(begin * step, end * step);
+  });
+}
+
 void run_dense1(cx* a, std::size_t pairs, int target, std::size_t mask,
                 const CompiledUnitary& cu) {
 #if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
   if (native_kernels_active()) {
-    parallel_for(pairs, [&](std::size_t begin, std::size_t end) {
-      detail::dense1_range_avx2(a, begin, end, target, mask, cu);
-    });
+    parallel_for_units(pairs, target >= 1,
+                       [&](std::size_t begin, std::size_t end) {
+                         detail::dense1_range_avx2(a, begin, end, target,
+                                                   mask, cu);
+                       });
     return;
   }
 #endif
@@ -220,112 +233,189 @@ void run_dense1(cx* a, std::size_t pairs, int target, std::size_t mask,
   });
 }
 
-void run_cx_perm(cx* a, std::size_t quads, int p0, int p1, std::size_t mh,
-                 std::size_t ml) {
-  parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
-      const std::size_t base = insert_bit(insert_bit(t, p0), p1);
-      std::swap(a[base | mh], a[base | mh | ml]);
-    }
-  });
-}
+using Tag = CompiledUnitary::Tag;
 
-void run_swap_perm(cx* a, std::size_t quads, int p0, int p1, std::size_t mh,
-                   std::size_t ml) {
-  parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
-      const std::size_t base = insert_bit(insert_bit(t, p0), p1);
-      std::swap(a[base | ml], a[base | mh]);
-    }
-  });
-}
-
-void run_diag2(cx* a, std::size_t quads, int p0, int p1, std::size_t mh,
-               std::size_t ml, const CompiledUnitary& cu) {
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
-  if (native_kernels_active()) {
-    parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-      detail::diag2_range_avx2(a, begin, end, mh, ml, p0, p1, cu);
-    });
-    return;
-  }
-#endif
-  parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
-      const std::size_t base = insert_bit(insert_bit(t, p0), p1);
-      const std::size_t idx[4] = {base, base | ml, base | mh, base | mh | ml};
+/// One quad {base, base|ml, base|mh, base|mh|ml} through a compiled 4x4 of
+/// tag T: the scalar per-quad formula of every 4x4 update — statevector 2q
+/// gates, the density row/column passes, the 1q superket gate — in the
+/// single-gate sweeps and the fused noisy sweep alike.
+template <Tag T>
+inline void gate_quad(cx* a, std::size_t base, std::size_t mh, std::size_t ml,
+                      const CompiledUnitary& cu) {
+  if constexpr (T == Tag::kCxPerm) {
+    std::swap(a[base | mh], a[base | mh | ml]);
+  } else if constexpr (T == Tag::kSwapPerm) {
+    std::swap(a[base | ml], a[base | mh]);
+  } else {
+    const std::size_t idx[4] = {base, base | ml, base | mh, base | mh | ml};
+    if constexpr (T == Tag::kDiag2) {
       for (int r = 0; r < 4; ++r) {
         const double sr = a[idx[r]].real(), si = a[idx[r]].imag();
         a[idx[r]] = cx{cu.re[r] * sr - cu.im[r] * si,
                        cu.re[r] * si + cu.im[r] * sr};
       }
-    }
-  });
-}
-
-void run_perm2(cx* a, std::size_t quads, int p0, int p1, std::size_t mh,
-               std::size_t ml, const CompiledUnitary& cu) {
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
-  if (native_kernels_active()) {
-    parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-      detail::perm2_range_avx2(a, begin, end, mh, ml, p0, p1, cu);
-    });
-    return;
-  }
-#endif
-  parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
-      const std::size_t base = insert_bit(insert_bit(t, p0), p1);
-      const std::size_t idx[4] = {base, base | ml, base | mh, base | mh | ml};
+    } else if constexpr (T == Tag::kPerm2) {
       const cx in[4] = {a[idx[0]], a[idx[1]], a[idx[2]], a[idx[3]]};
       for (int r = 0; r < 4; ++r) {
         const cx s = in[cu.src[r]];
         a[idx[r]] = cx{cu.re[r] * s.real() - cu.im[r] * s.imag(),
                        cu.re[r] * s.imag() + cu.im[r] * s.real()};
       }
-    }
-  });
-}
-
-void dense2_range_scalar(cx* a, std::size_t begin, std::size_t end,
-                         std::size_t mh, std::size_t ml, int p0, int p1,
-                         const CompiledUnitary& cu) {
-  for (std::size_t t = begin; t < end; ++t) {
-    const std::size_t base = insert_bit(insert_bit(t, p0), p1);
-    const std::size_t i0 = base;            // local 00
-    const std::size_t i1 = base | ml;       // local 01
-    const std::size_t i2 = base | mh;       // local 10
-    const std::size_t i3 = base | mh | ml;  // local 11
-    const double ar[4] = {a[i0].real(), a[i1].real(), a[i2].real(),
-                          a[i3].real()};
-    const double ai[4] = {a[i0].imag(), a[i1].imag(), a[i2].imag(),
-                          a[i3].imag()};
-    const std::size_t idx[4] = {i0, i1, i2, i3};
-    for (int r = 0; r < 4; ++r) {
-      const int row = 4 * r;
-      double accr = 0.0, acci = 0.0;
-      for (int c = 0; c < 4; ++c) {
-        accr += cu.re[row + c] * ar[c] - cu.im[row + c] * ai[c];
-        acci += cu.re[row + c] * ai[c] + cu.im[row + c] * ar[c];
+    } else {
+      const double ar[4] = {a[idx[0]].real(), a[idx[1]].real(),
+                            a[idx[2]].real(), a[idx[3]].real()};
+      const double ai[4] = {a[idx[0]].imag(), a[idx[1]].imag(),
+                            a[idx[2]].imag(), a[idx[3]].imag()};
+      for (int r = 0; r < 4; ++r) {
+        const int row = 4 * r;
+        double accr = 0.0, acci = 0.0;
+        for (int c = 0; c < 4; ++c) {
+          accr += cu.re[row + c] * ar[c] - cu.im[row + c] * ai[c];
+          acci += cu.re[row + c] * ai[c] + cu.im[row + c] * ar[c];
+        }
+        a[idx[r]] = cx{accr, acci};
       }
-      a[idx[r]] = cx{accr, acci};
     }
   }
 }
 
-void run_dense2(cx* a, std::size_t quads, int p0, int p1, std::size_t mh,
+/// A compiled 4x4 of tag T on bits (p0 < p1; mh/ml = high/low operand
+/// masks): the AVX2 bodies where they exist, else the scalar quad loop.
+template <Tag T>
+void gate_quads(cx* a, std::size_t quads, int p0, int p1, std::size_t mh,
                 std::size_t ml, const CompiledUnitary& cu) {
 #if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
-  if (native_kernels_active()) {
-    parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-      detail::dense2_range_avx2(a, begin, end, mh, ml, p0, p1, cu);
-    });
-    return;
+  if constexpr (T == Tag::kDiag2 || T == Tag::kPerm2 || T == Tag::kDense2) {
+    if (native_kernels_active()) {
+      parallel_for_units(quads, p0 >= 1, [&](std::size_t b, std::size_t e) {
+        if constexpr (T == Tag::kDiag2) {
+          detail::diag2_range_avx2(a, b, e, mh, ml, p0, p1, cu);
+        } else if constexpr (T == Tag::kPerm2) {
+          detail::perm2_range_avx2(a, b, e, mh, ml, p0, p1, cu);
+        } else {
+          detail::dense2_range_avx2(a, b, e, mh, ml, p0, p1, cu);
+        }
+      });
+      return;
+    }
   }
 #endif
   parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-    dense2_range_scalar(a, begin, end, mh, ml, p0, p1, cu);
+    for (std::size_t t = begin; t < end; ++t) {
+      gate_quad<T>(a, insert_bit(insert_bit(t, p0), p1), mh, ml, cu);
+    }
   });
+}
+
+// --- density noise channels. Scalar per-quad / per-block formulas, shared
+// by the single-channel sweeps and the fused noisy-gate sweep.
+
+/// Relaxation on one quad (mr/mc = the qubit's row/column masks).
+inline void relax_quad(cx* rho, std::size_t base, std::size_t mr,
+                       std::size_t mc, const RelaxCoeffs& c) {
+  const cx p11 = rho[base | mr | mc];
+  rho[base] += c.gamma * p11;
+  rho[base | mc] *= c.decay;
+  rho[base | mr] *= c.decay;
+  rho[base | mr | mc] = c.keep * p11;
+}
+
+/// One-qubit depolarizing on one quad.
+inline void depol1_quad(cx* rho, std::size_t base, std::size_t mr,
+                        std::size_t mc, const DepolCoeffs& c) {
+  const cx p00 = rho[base];
+  const cx p11 = rho[base | mr | mc];
+  const cx fill = c.c2 * (p00 + p11) * c.inv_ldim;
+  rho[base] = c.c1 * p00 + fill;
+  rho[base | mc] *= c.c1;
+  rho[base | mr] *= c.c1;
+  rho[base | mr | mc] = c.c1 * p11 + fill;
+}
+
+/// Two-qubit depolarizing on one 16-element block: trace of the local
+/// diagonal, uniform contraction, refill.
+inline void depol2_block(cx* rho, std::size_t base, const std::size_t* row_off,
+                         const std::size_t* col_off, const DepolCoeffs& c) {
+  cx traced{0.0, 0.0};
+  for (std::size_t s = 0; s < 4; ++s) {
+    traced += rho[base + row_off[s] + col_off[s]];
+  }
+  const cx fill = c.c2 * traced * c.inv_ldim;
+  for (std::size_t sr = 0; sr < 4; ++sr) {
+    for (std::size_t sc = 0; sc < 4; ++sc) {
+      cx& v = rho[base + row_off[sr] + col_off[sc]];
+      v *= c.c1;
+      if (sr == sc) v += fill;
+    }
+  }
+}
+
+/// Block layout and per-step quad offsets for 1 or 2 local qubits of an
+/// n-qubit superket of `size` elements.
+detail::NoisyPlan make_plan(int n, std::span<const int> qubits,
+                            std::size_t size) {
+  detail::NoisyPlan p;
+  p.k = static_cast<int>(qubits.size());
+  p.blocks = size >> (2 * p.k);
+  if (p.k == 1) {
+    const int q = qubits[0];
+    p.positions[0] = q;
+    p.positions[1] = q + n;
+    // The quad over (row bit, column bit): relaxation, the superket gate
+    // (high operand = row bit) and depolarizing all update exactly it.
+    p.relax[0] = {std::size_t{1} << (q + n), std::size_t{1} << q, {0}, 1};
+    p.col = p.relax[0];
+    return p;
+  }
+  const int a = qubits[0];
+  const int b = qubits[1];
+  const std::size_t ca = std::size_t{1} << a, cb = std::size_t{1} << b;
+  const std::size_t ra = ca << n, rb = cb << n;
+  for (std::size_t s = 0; s < 4; ++s) {
+    p.col_off[s] = ((s >> 1) ? ca : 0) | ((s & 1) ? cb : 0);
+    p.row_off[s] = p.col_off[s] << n;
+  }
+  int pos[4] = {a, b, a + n, b + n};
+  std::sort(pos, pos + 4);
+  std::copy(pos, pos + 4, p.positions);
+  p.relax[0] = {ra, ca, {0, cb, rb, rb | cb}, 4};
+  p.relax[1] = {rb, cb, {0, ca, ra, ra | ca}, 4};
+  p.row = {ra, rb, {}, 4};
+  p.col = {ca, cb, {}, 4};
+  std::copy(p.col_off, p.col_off + 4, p.row.off);
+  std::copy(p.row_off, p.row_off + 4, p.col.off);
+  return p;
+}
+
+/// Scalar fused noisy-gate sweep over blocks [begin, end).
+template <Tag T>
+void noisy_range_scalar(cx* rho, std::size_t begin, std::size_t end,
+                        const detail::NoisyPlan& p) {
+  const NoisyGate& g = p.gate;
+  for (std::size_t t = begin; t < end; ++t) {
+    const std::size_t base = p.base(t);
+    for (int j = 0; j < p.k; ++j) {
+      if (g.relax[j] == nullptr) continue;
+      const detail::NoisyPlan::Step& s = p.relax[j];
+      for (int i = 0; i < s.count; ++i) {
+        relax_quad(rho, base | s.off[i], s.mh, s.ml, *g.relax[j]);
+      }
+    }
+    if (p.k == 2) {
+      for (int i = 0; i < 4; ++i) {
+        gate_quad<T>(rho, base | p.row.off[i], p.row.mh, p.row.ml, *g.row);
+      }
+    }
+    for (int i = 0; i < p.col.count; ++i) {
+      gate_quad<T>(rho, base | p.col.off[i], p.col.mh, p.col.ml, *g.col);
+    }
+    if (g.depol == nullptr) continue;
+    if (p.k == 1) {
+      depol1_quad(rho, base, p.col.mh, p.col.ml, *g.depol);
+    } else {
+      depol2_block(rho, base, p.row_off, p.col_off, *g.depol);
+    }
+  }
 }
 
 }  // namespace
@@ -421,23 +511,83 @@ void apply_compiled(std::span<cx> amps, int n, std::span<const int> targets,
   const int p0 = std::min(bit_hi, bit_lo);
   const int p1 = std::max(bit_hi, bit_lo);
   const std::size_t quads = amps.size() >> 2;
-  switch (cu.tag) {
-    case CompiledUnitary::Tag::kCxPerm:
-      run_cx_perm(a, quads, p0, p1, mh, ml);
-      return;
-    case CompiledUnitary::Tag::kSwapPerm:
-      run_swap_perm(a, quads, p0, p1, mh, ml);
-      return;
-    case CompiledUnitary::Tag::kDiag2:
-      run_diag2(a, quads, p0, p1, mh, ml, cu);
-      return;
-    case CompiledUnitary::Tag::kPerm2:
-      run_perm2(a, quads, p0, p1, mh, ml, cu);
-      return;
-    default:
-      run_dense2(a, quads, p0, p1, mh, ml, cu);
-      return;
+  detail::with_tag2(cu.tag, [&](auto tag) {
+    gate_quads<decltype(tag)::value>(a, quads, p0, p1, mh, ml, cu);
+  });
+}
+
+void relax1(std::span<cx> rho, int n, int q, const RelaxCoeffs& c) {
+  const int pc = q;      // column bit position in the superket
+  const int pr = q + n;  // row bit position
+  const std::size_t mc = std::size_t{1} << pc;
+  const std::size_t mr = std::size_t{1} << pr;
+  const std::size_t quads = rho.size() >> 2;
+  cx* r = rho.data();
+#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+  if (native_kernels_active()) {
+    parallel_for_units(quads, pc >= 1, [&](std::size_t b, std::size_t e) {
+      detail::relax1_range_avx2(r, b, e, pc, pr, c);
+    });
+    return;
   }
+#endif
+  parallel_for(quads, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t) {
+      relax_quad(r, insert_bit(insert_bit(t, pc), pr), mr, mc, c);
+    }
+  });
+}
+
+void depolarize(std::span<cx> rho, int n, std::span<const int> qubits,
+                const DepolCoeffs& c) {
+  assert(qubits.size() == 1 || qubits.size() == 2);
+  const detail::NoisyPlan p = make_plan(n, qubits, rho.size());
+  cx* r = rho.data();
+#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+  if (native_kernels_active()) {
+    parallel_for_units(p.blocks, p.positions[0] >= 1,
+                       [&](std::size_t b, std::size_t e) {
+                         if (p.k == 1) {
+                           detail::depol1_range_avx2(r, b, e, p.positions[0],
+                                                     p.positions[1], c);
+                         } else {
+                           detail::depol2_range_avx2(r, b, e, p, c);
+                         }
+                       });
+    return;
+  }
+#endif
+  parallel_for(p.blocks, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t) {
+      if (p.k == 1) {
+        depol1_quad(r, p.base(t), p.col.mh, p.col.ml, c);
+      } else {
+        depol2_block(r, p.base(t), p.row_off, p.col_off, c);
+      }
+    }
+  });
+}
+
+void apply_noisy_gate(std::span<cx> rho, int n, const NoisyGate& g) {
+  assert(g.qubits.size() == 1 || g.qubits.size() == 2);
+  assert(g.qubits.size() == 1 || g.row->tag == g.col->tag);
+  detail::NoisyPlan p = make_plan(n, g.qubits, rho.size());
+  p.gate = g;
+  cx* r = rho.data();
+#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+  if (native_kernels_active()) {
+    parallel_for_units(p.blocks, p.positions[0] >= 1,
+                       [&](std::size_t b, std::size_t e) {
+                         detail::noisy_range_avx2(r, b, e, p);
+                       });
+    return;
+  }
+#endif
+  detail::with_tag2(g.col->tag, [&](auto tag) {
+    parallel_for(p.blocks, [&](std::size_t begin, std::size_t end) {
+      noisy_range_scalar<decltype(tag)::value>(r, begin, end, p);
+    });
+  });
 }
 
 void apply1(std::span<cx> amps, [[maybe_unused]] int n, int target,

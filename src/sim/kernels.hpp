@@ -15,6 +15,15 @@
 // statevector pass with U on the row bits (q + n) and one with conj(U) on
 // the column bits (q).
 //
+// A noisy executor op — idle relaxation on each operand, the gate,
+// depolarizing — touches only the 2^k x 2^k local blocks over its
+// operands' row and column bits, so apply_noisy_gate runs the whole
+// sequence block by block in one sweep instead of one sweep per channel
+// and per pass. Each step applies the same per-quad / per-block formula
+// as its single-channel kernel (relax1, apply_compiled, depolarize), so
+// the fused result is bit-identical; both kernel TUs are compiled without
+// floating-point contraction so that holds wherever a formula is inlined.
+//
 // Kernels whose base loop is large are split across std::thread workers
 // (disjoint index ranges, join before return); small states — everything
 // the paper's <= 5-qubit programs produce — stay single-threaded.
@@ -22,6 +31,7 @@
 #include <cstddef>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -178,12 +188,117 @@ void apply_unitary(std::span<cx> amps, int n, std::span<const int> targets,
                    std::span<const cx> u, bool conjugate,
                    std::vector<cx>& scratch);
 
+/// Closed-form coefficients of one qubit's thermal-relaxation channel
+/// (DensityMatrix::apply_relaxation): on each 2x2 sub-block over the
+/// qubit's (row, column) bits, rho00 += gamma rho11, the coherences scale
+/// by decay and rho11 by keep.
+struct RelaxCoeffs {
+  double gamma = 0.0;
+  double decay = 1.0;
+  double keep = 1.0;
+};
+
+/// Coefficients of the k-qubit uniform depolarizing channel
+/// (DensityMatrix::apply_depolarizing): rho -> c1 rho + c2 [ptrace(rho)
+/// (x) I] * inv_ldim, with inv_ldim = 2^-k.
+struct DepolCoeffs {
+  double c1 = 1.0;
+  double c2 = 0.0;
+  double inv_ldim = 1.0;
+};
+
+/// Relaxation on qubit q of an n-qubit rho stored as a superket (column bit
+/// q, row bit q + n): one sweep over its 4^(n-1) quads.
+void relax1(std::span<cx> rho, int n, int q, const RelaxCoeffs& c);
+
+/// Depolarizing on one or two qubits (qubits[0] = high local bit) of an
+/// n-qubit superket rho: one sweep over its 2^k x 2^k local blocks.
+void depolarize(std::span<cx> rho, int n, std::span<const int> qubits,
+                const DepolCoeffs& c);
+
+/// One gate of the noisy density-matrix walk: optional relaxation on each
+/// operand (operand order), the compiled gate, then optional depolarizing.
+struct NoisyGate {
+  std::span<const int> qubits;  ///< 1 or 2 local qubits; [0] = high bit
+  /// k == 1: the superket U (x) conj(U) on bits (q + n, q); k == 2: conj(U)
+  /// on the column bits.
+  const CompiledUnitary* col = nullptr;
+  /// k == 2 only: U on the row bits; must carry col's tag.
+  const CompiledUnitary* row = nullptr;
+  const RelaxCoeffs* relax[2] = {};  ///< per operand; null = no idle window
+  const DepolCoeffs* depol = nullptr;  ///< null = no gate error
+};
+
+/// Apply a NoisyGate in one sweep over the 2^k x 2^k local blocks of an
+/// n-qubit superket rho. Every channel step runs the same per-quad /
+/// per-block formula as relax1, apply_compiled (row pass, then column
+/// pass) and depolarize, in that order, so the result is bit-identical to
+/// the multi-pass sequence — at one pass over rho instead of up to five.
+void apply_noisy_gate(std::span<cx> rho, int n, const NoisyGate& g);
+
 namespace detail {
+
+/// A NoisyGate resolved against a superket: block layout plus, per step,
+/// the masks and in-block offsets of the quads it updates. Built once per
+/// apply_noisy_gate / depolarize call and shared by the scalar and AVX2
+/// sweeps.
+struct NoisyPlan {
+  /// One quad-level step: relaxation on one operand (mh = row mask, ml =
+  /// column mask) or one gate pass (mh/ml = high/low operand masks).
+  struct Step {
+    std::size_t mh = 0;
+    std::size_t ml = 0;
+    std::size_t off[4] = {};  ///< quad bases within the block
+    int count = 0;
+  };
+  int k = 1;
+  int positions[4] = {};  ///< the block's superket bits, ascending
+  std::size_t blocks = 0;
+  Step relax[2];
+  Step row;  ///< k == 2: U on the row bits
+  Step col;  ///< k == 1: the superket gate; k == 2: conj(U) on the columns
+  std::size_t row_off[4] = {};  ///< k == 2 depolarizing: row bits of s
+  std::size_t col_off[4] = {};  ///< k == 2 depolarizing: column bits of s
+  NoisyGate gate;
+
+  /// Superket index of block t's base (every block bit clear).
+  [[nodiscard]] std::size_t base(std::size_t t) const noexcept {
+    for (int j = 0; j < 2 * k; ++j) t = insert_bit(t, positions[j]);
+    return t;
+  }
+};
+
+/// Call fn(std::integral_constant<Tag, T>{}) with `tag` lifted to a
+/// template argument, so 2q sweeps specialize on the tag outside their
+/// loops. Non-2q tags map to the dense body.
+template <typename F>
+void with_tag2(CompiledUnitary::Tag tag, F&& fn) {
+  using Tag = CompiledUnitary::Tag;
+  switch (tag) {
+    case Tag::kCxPerm:
+      fn(std::integral_constant<Tag, Tag::kCxPerm>{});
+      return;
+    case Tag::kSwapPerm:
+      fn(std::integral_constant<Tag, Tag::kSwapPerm>{});
+      return;
+    case Tag::kDiag2:
+      fn(std::integral_constant<Tag, Tag::kDiag2>{});
+      return;
+    case Tag::kPerm2:
+      fn(std::integral_constant<Tag, Tag::kPerm2>{});
+      return;
+    default:
+      fn(std::integral_constant<Tag, Tag::kDense2>{});
+      return;
+  }
+}
 
 // Internal range bodies of the dense 1q/2q kernels, dispatched per CPU.
 // The _avx2 variants live in kernels_avx2.cpp, compiled for x86-64-v3 only
 // under the QUCP_NATIVE_KERNELS CMake option and only ever called after a
 // cpuid check; the scalar bodies in kernels.cpp are the portable fallback.
+// Where the lowest target bit is >= 1 the AVX2 bodies process two adjacent
+// quads per step, so `begin` and `end` must then be even.
 void dense1_range_avx2(cx* a, std::size_t begin, std::size_t end, int target,
                        std::size_t mask, const CompiledUnitary& cu);
 void dense2_range_avx2(cx* a, std::size_t begin, std::size_t end,
@@ -196,18 +311,18 @@ void perm2_range_avx2(cx* a, std::size_t begin, std::size_t end,
                       std::size_t mh, std::size_t ml, int p0, int p1,
                       const CompiledUnitary& cu);
 
-// Range bodies of DensityMatrix's fused noise-channel updates (real-scalar
-// scaling of superket elements — no complex products, so these vectorize
-// into pure mul/add streams). `pc`/`pr` are the column/row superket bit
-// positions of the target qubit; `fill_scale` folds c2 * inv_ldim.
-void depol1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
-                       int pr, double c1, double fill_scale);
-void depol2_range_avx2(cx* rho, std::size_t begin, std::size_t end,
-                       const int* positions, const std::size_t* row_off,
-                       const std::size_t* col_off, double c1,
-                       double fill_scale);
+// Range bodies of the density noise channels (real-scalar scaling of
+// superket elements — no complex products, so these vectorize into pure
+// mul/add streams) and of the fused noisy-gate sweep (`begin`/`end` count
+// blocks). `pc`/`pr` are the column/row superket bits of the target qubit.
 void relax1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
-                       int pr, double gamma, double decay, double keep);
+                       int pr, const RelaxCoeffs& c);
+void depol1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
+                       int pr, const DepolCoeffs& c);
+void depol2_range_avx2(cx* rho, std::size_t begin, std::size_t end,
+                       const NoisyPlan& plan, const DepolCoeffs& c);
+void noisy_range_avx2(cx* rho, std::size_t begin, std::size_t end,
+                      const NoisyPlan& plan);
 
 // 4x4 complex matrix products for FusionPlan::materialize's per-binding
 // block assembly (sim/fusion.cpp) — the matmul chain an angle sweep replays

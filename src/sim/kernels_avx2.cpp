@@ -1,4 +1,5 @@
-// AVX2/FMA variants of the dense 1q/2q kernel range bodies.
+// AVX2/FMA variants of the dense 1q/2q kernel range bodies, the density
+// noise channels and the fused noisy-gate sweep.
 //
 // This TU is compiled with -march=x86-64-v3 when the QUCP_NATIVE_KERNELS
 // CMake option is ON and contributes nothing otherwise, so the library
@@ -16,6 +17,16 @@
 // combine once with vaddsubpd. Results match the scalar kernels to ~1 ulp
 // per term (FMA contracts the multiplies), not bitwise — callers that need
 // the scalar stream disable dispatch via set_native_kernels(false).
+//
+// Every 4x4 and noise-channel update is written once as a register body:
+// a "paired" body for two adjacent quads (base, base | 1) when superket
+// bit 0 is not one of the update's bits, and a row / single-quad body
+// otherwise. The single-channel range kernels (load, body, store) and the
+// fused noisy sweep (load a block, run every step's body, store) choose
+// between them by the same rule, so each element sees the same
+// instructions either way. The TU is built with -ffp-contract=off: every
+// fused multiply-add is an explicit intrinsic, so no body's rounding
+// depends on the context it is inlined into.
 
 #include "sim/kernels.hpp"
 
@@ -23,23 +34,9 @@
 
 #include <immintrin.h>
 
+#include <utility>
+
 namespace qucp::kern::detail {
-
-namespace {
-
-/// One (i0, i1) pair through the 2x2, used for loop heads/tails where the
-/// two-pair vector body cannot engage.
-inline void dense1_one_pair(cx* a, std::size_t i0, std::size_t i1,
-                            const CompiledUnitary& cu) {
-  const double a0r = a[i0].real(), a0i = a[i0].imag();
-  const double a1r = a[i1].real(), a1i = a[i1].imag();
-  a[i0] = cx{cu.re[0] * a0r - cu.im[0] * a0i + cu.re[1] * a1r - cu.im[1] * a1i,
-             cu.re[0] * a0i + cu.im[0] * a0r + cu.re[1] * a1i + cu.im[1] * a1r};
-  a[i1] = cx{cu.re[2] * a0r - cu.im[2] * a0i + cu.re[3] * a1r - cu.im[3] * a1i,
-             cu.re[2] * a0i + cu.im[2] * a0r + cu.re[3] * a1i + cu.im[3] * a1r};
-}
-
-}  // namespace
 
 void dense1_range_avx2(cx* a, std::size_t begin, std::size_t end, int target,
                        std::size_t mask, const CompiledUnitary& cu) {
@@ -48,18 +45,12 @@ void dense1_range_avx2(cx* a, std::size_t begin, std::size_t end, int target,
     // Bases with the target bit clear come in contiguous runs of
     // 2^target >= 2, so an even counter t and its successor map to adjacent
     // i0 (and adjacent i1): process two pairs per iteration with full-width
-    // loads. Head/tail pairs (odd alignment) take the single-pair path.
+    // loads (the caller splits ranges on even boundaries).
     const __m256d u00r = _mm256_set1_pd(cu.re[0]), u00i = _mm256_set1_pd(cu.im[0]);
     const __m256d u01r = _mm256_set1_pd(cu.re[1]), u01i = _mm256_set1_pd(cu.im[1]);
     const __m256d u10r = _mm256_set1_pd(cu.re[2]), u10i = _mm256_set1_pd(cu.im[2]);
     const __m256d u11r = _mm256_set1_pd(cu.re[3]), u11i = _mm256_set1_pd(cu.im[3]);
-    std::size_t t = begin;
-    if ((t & 1U) != 0 && t < end) {
-      const std::size_t i0 = insert_bit(t, target);
-      dense1_one_pair(a, i0, i0 | mask, cu);
-      ++t;
-    }
-    for (; t + 1 < end; t += 2) {
+    for (std::size_t t = begin; t < end; t += 2) {
       const std::size_t i0 = insert_bit(t, target);
       double* const p0 = p + 2 * i0;
       double* const p1 = p + 2 * (i0 | mask);
@@ -75,10 +66,6 @@ void dense1_range_avx2(cx* a, std::size_t begin, std::size_t end, int target,
           _mm256_fmadd_pd(u11i, x1s, _mm256_mul_pd(u10i, x0s)));
       _mm256_storeu_pd(p0, y0);
       _mm256_storeu_pd(p1, y1);
-    }
-    if (t < end) {
-      const std::size_t i0 = insert_bit(t, target);
-      dense1_one_pair(a, i0, i0 | mask, cu);
     }
     return;
   }
@@ -105,43 +92,458 @@ void dense1_range_avx2(cx* a, std::size_t begin, std::size_t end, int target,
 
 namespace {
 
-/// One quad through the 4x4 with packed 128-bit lane loads — correct for
-/// any (mh, ml), used when the contiguous two-quad body cannot engage.
-inline void dense2_one_quad(double* p, std::size_t base, std::size_t mh,
-                            std::size_t ml, const __m256d cr[4][2],
-                            const __m256d ci[4][2]) {
-  double* const p0 = p + 2 * base;
-  double* const p1 = p + 2 * (base | ml);
-  double* const p2 = p + 2 * (base | mh);
-  double* const p3 = p + 2 * (base | mh | ml);
-  const __m256d v01 =
-      _mm256_set_m128d(_mm_loadu_pd(p1), _mm_loadu_pd(p0));  // [x0, x1]
-  const __m256d v23 = _mm256_set_m128d(_mm_loadu_pd(p3), _mm_loadu_pd(p2));
-  const __m256d xb[4] = {_mm256_permute2f128_pd(v01, v01, 0x00),
-                         _mm256_permute2f128_pd(v01, v01, 0x11),
-                         _mm256_permute2f128_pd(v23, v23, 0x00),
-                         _mm256_permute2f128_pd(v23, v23, 0x11)};
-  const __m256d xs[4] = {_mm256_permute_pd(xb[0], 0x5),
-                         _mm256_permute_pd(xb[1], 0x5),
-                         _mm256_permute_pd(xb[2], 0x5),
-                         _mm256_permute_pd(xb[3], 0x5)};
-  // out01 lanes {0,1} = y0 (row 0), lanes {2,3} = y1 (row 1); out23 = y2/y3.
-  __m256d accr01 = _mm256_mul_pd(cr[0][0], xb[0]);
-  __m256d acci01 = _mm256_mul_pd(ci[0][0], xs[0]);
-  __m256d accr23 = _mm256_mul_pd(cr[0][1], xb[0]);
-  __m256d acci23 = _mm256_mul_pd(ci[0][1], xs[0]);
-  for (int c = 1; c < 4; ++c) {
-    accr01 = _mm256_fmadd_pd(cr[c][0], xb[c], accr01);
-    acci01 = _mm256_fmadd_pd(ci[c][0], xs[c], acci01);
-    accr23 = _mm256_fmadd_pd(cr[c][1], xb[c], accr23);
-    acci23 = _mm256_fmadd_pd(ci[c][1], xs[c], acci23);
+using Tag = CompiledUnitary::Tag;
+
+// --- Unit bodies on registers. A "pair" register holds the same quad
+// element of two adjacent quads (x, x | 1); a "row" register holds one row
+// (p_r0, p_r1) of a quad whose column bit is superket bit 0.
+
+/// Broadcast coefficients of a compiled 4x4, built once per sweep.
+struct GateVecs {
+  __m256d re[4][4], im[4][4];  ///< dense paired: entry (r, c)
+  __m256d vr[4], vi[4];        ///< diag/perm paired: per-row scale
+  __m256d cr[4][2], ci[4][2];  ///< dense single: column c, rows (0,1)/(2,3)
+};
+
+GateVecs gate_vecs(const CompiledUnitary& cu) {
+  GateVecs v;
+  for (int r = 0; r < 4; ++r) {
+    v.vr[r] = _mm256_set1_pd(cu.re[r]);
+    v.vi[r] = _mm256_set1_pd(cu.im[r]);
+    for (int c = 0; c < 4; ++c) {
+      v.re[r][c] = _mm256_set1_pd(cu.re[4 * r + c]);
+      v.im[r][c] = _mm256_set1_pd(cu.im[4 * r + c]);
+    }
   }
-  const __m256d out01 = _mm256_addsub_pd(accr01, acci01);
-  const __m256d out23 = _mm256_addsub_pd(accr23, acci23);
-  _mm_storeu_pd(p0, _mm256_castpd256_pd128(out01));
-  _mm_storeu_pd(p1, _mm256_extractf128_pd(out01, 1));
-  _mm_storeu_pd(p2, _mm256_castpd256_pd128(out23));
-  _mm_storeu_pd(p3, _mm256_extractf128_pd(out23, 1));
+  for (int c = 0; c < 4; ++c) {
+    v.cr[c][0] = _mm256_set_pd(cu.re[4 + c], cu.re[4 + c], cu.re[c], cu.re[c]);
+    v.ci[c][0] = _mm256_set_pd(cu.im[4 + c], cu.im[4 + c], cu.im[c], cu.im[c]);
+    v.cr[c][1] = _mm256_set_pd(cu.re[12 + c], cu.re[12 + c], cu.re[8 + c],
+                               cu.re[8 + c]);
+    v.ci[c][1] = _mm256_set_pd(cu.im[12 + c], cu.im[12 + c], cu.im[8 + c],
+                               cu.im[8 + c]);
+  }
+  return v;
+}
+
+/// A 4x4 of tag T on paired registers x0..x3 (local values 00, 01, 10, 11).
+template <Tag T>
+inline void gate_pair(__m256d& x0, __m256d& x1, __m256d& x2, __m256d& x3,
+                      const CompiledUnitary& cu, const GateVecs& v) {
+  if constexpr (T == Tag::kCxPerm) {
+    std::swap(x2, x3);
+  } else if constexpr (T == Tag::kSwapPerm) {
+    std::swap(x1, x2);
+  } else {
+    const __m256d x[4] = {x0, x1, x2, x3};
+    __m256d y[4];
+    for (int r = 0; r < 4; ++r) {
+      if constexpr (T == Tag::kDense2) {
+        __m256d accr = _mm256_mul_pd(v.re[r][0], x[0]);
+        __m256d acci = _mm256_mul_pd(v.im[r][0], _mm256_permute_pd(x[0], 0x5));
+        for (int c = 1; c < 4; ++c) {
+          accr = _mm256_fmadd_pd(v.re[r][c], x[c], accr);
+          acci = _mm256_fmadd_pd(v.im[r][c], _mm256_permute_pd(x[c], 0x5),
+                                 acci);
+        }
+        y[r] = _mm256_addsub_pd(accr, acci);
+      } else {
+        const __m256d s = x[T == Tag::kPerm2 ? cu.src[r] : r];
+        y[r] = _mm256_addsub_pd(
+            _mm256_mul_pd(v.vr[r], s),
+            _mm256_mul_pd(v.vi[r], _mm256_permute_pd(s, 0x5)));
+      }
+    }
+    x0 = y[0];
+    x1 = y[1];
+    x2 = y[2];
+    x3 = y[3];
+  }
+}
+
+/// A 4x4 of tag T on one quad held as v01 = [x0, x1], v23 = [x2, x3].
+template <Tag T>
+inline void gate_single(__m256d& v01, __m256d& v23, const CompiledUnitary& cu,
+                        const GateVecs& v) {
+  if constexpr (T == Tag::kCxPerm) {
+    v23 = _mm256_permute2f128_pd(v23, v23, 0x01);
+  } else if constexpr (T == Tag::kSwapPerm) {
+    const __m256d a = _mm256_permute2f128_pd(v01, v23, 0x20);  // [x0, x2]
+    v23 = _mm256_permute2f128_pd(v01, v23, 0x31);              // [x1, x3]
+    v01 = a;
+  } else if constexpr (T == Tag::kDense2) {
+    const __m256d xb[4] = {_mm256_permute2f128_pd(v01, v01, 0x00),
+                           _mm256_permute2f128_pd(v01, v01, 0x11),
+                           _mm256_permute2f128_pd(v23, v23, 0x00),
+                           _mm256_permute2f128_pd(v23, v23, 0x11)};
+    const __m256d xs[4] = {_mm256_permute_pd(xb[0], 0x5),
+                           _mm256_permute_pd(xb[1], 0x5),
+                           _mm256_permute_pd(xb[2], 0x5),
+                           _mm256_permute_pd(xb[3], 0x5)};
+    // out01 lanes {0,1} = y0 (row 0), lanes {2,3} = y1; out23 = y2/y3.
+    __m256d accr01 = _mm256_mul_pd(v.cr[0][0], xb[0]);
+    __m256d acci01 = _mm256_mul_pd(v.ci[0][0], xs[0]);
+    __m256d accr23 = _mm256_mul_pd(v.cr[0][1], xb[0]);
+    __m256d acci23 = _mm256_mul_pd(v.ci[0][1], xs[0]);
+    for (int c = 1; c < 4; ++c) {
+      accr01 = _mm256_fmadd_pd(v.cr[c][0], xb[c], accr01);
+      acci01 = _mm256_fmadd_pd(v.ci[c][0], xs[c], acci01);
+      accr23 = _mm256_fmadd_pd(v.cr[c][1], xb[c], accr23);
+      acci23 = _mm256_fmadd_pd(v.ci[c][1], xs[c], acci23);
+    }
+    v01 = _mm256_addsub_pd(accr01, acci01);
+    v23 = _mm256_addsub_pd(accr23, acci23);
+  } else {
+    // Diagonal / generalized permutation, one amplitude per 128-bit half:
+    // y = fmaddsub(re, s, im * swap(s)).
+    const __m128d x[4] = {
+        _mm256_castpd256_pd128(v01), _mm256_extractf128_pd(v01, 1),
+        _mm256_castpd256_pd128(v23), _mm256_extractf128_pd(v23, 1)};
+    __m128d y[4];
+    for (int r = 0; r < 4; ++r) {
+      const __m128d s = x[T == Tag::kPerm2 ? cu.src[r] : r];
+      y[r] = _mm_fmaddsub_pd(
+          _mm_set1_pd(cu.re[r]), s,
+          _mm_mul_pd(_mm_set1_pd(cu.im[r]), _mm_permute_pd(s, 0x1)));
+    }
+    v01 = _mm256_set_m128d(y[1], y[0]);
+    v23 = _mm256_set_m128d(y[3], y[2]);
+  }
+}
+
+struct RelaxVecs {
+  __m256d gamma, decay, keep;  ///< paired broadcasts
+  __m256d top, bot, gsel;      ///< rows: per-lane coefficients
+};
+
+RelaxVecs relax_vecs(const RelaxCoeffs& c) {
+  return {_mm256_set1_pd(c.gamma),
+          _mm256_set1_pd(c.decay),
+          _mm256_set1_pd(c.keep),
+          _mm256_setr_pd(1.0, 1.0, c.decay, c.decay),
+          _mm256_setr_pd(c.decay, c.decay, c.keep, c.keep),
+          _mm256_setr_pd(c.gamma, c.gamma, 0.0, 0.0)};
+}
+
+inline void relax_pair(__m256d& p00, __m256d& p01, __m256d& p10,
+                       __m256d& p11, const RelaxVecs& v) {
+  p00 = _mm256_fmadd_pd(v.gamma, p11, p00);
+  p01 = _mm256_mul_pd(v.decay, p01);
+  p10 = _mm256_mul_pd(v.decay, p10);
+  p11 = _mm256_mul_pd(v.keep, p11);
+}
+
+/// (1, decay) on the top row, (decay, keep) on the bottom, with the
+/// gamma * p11 term mirrored into the p00 lanes.
+inline void relax_rows(__m256d& r0, __m256d& r1, const RelaxVecs& v) {
+  const __m256d r1sw = _mm256_permute2f128_pd(r1, r1, 0x01);  // [p11, p10]
+  r0 = _mm256_fmadd_pd(r1sw, v.gsel, _mm256_mul_pd(r0, v.top));
+  r1 = _mm256_mul_pd(r1, v.bot);
+}
+
+struct DepolVecs {
+  __m256d c1, fill_scale;
+};
+
+DepolVecs depol_vecs(const DepolCoeffs& c) {
+  return {_mm256_set1_pd(c.c1), _mm256_set1_pd(c.c2 * c.inv_ldim)};
+}
+
+inline void depol1_pair(__m256d& p00, __m256d& p01, __m256d& p10,
+                        __m256d& p11, const DepolVecs& v) {
+  const __m256d sum = _mm256_add_pd(p00, p11);
+  p00 = _mm256_fmadd_pd(sum, v.fill_scale, _mm256_mul_pd(v.c1, p00));
+  p01 = _mm256_mul_pd(v.c1, p01);
+  p10 = _mm256_mul_pd(v.c1, p10);
+  p11 = _mm256_fmadd_pd(sum, v.fill_scale, _mm256_mul_pd(v.c1, p11));
+}
+
+/// Build the fill in the p00 lanes, mirror it into the p11 lanes.
+inline void depol1_rows(__m256d& r0, __m256d& r1, const DepolVecs& v) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d r1sw = _mm256_permute2f128_pd(r1, r1, 0x01);  // [p11, p10]
+  // Lanes {0,1} hold p00 + p11 — the only lanes the blends keep.
+  const __m256d fill = _mm256_mul_pd(v.fill_scale, _mm256_add_pd(r0, r1sw));
+  const __m256d fillsw = _mm256_permute2f128_pd(fill, fill, 0x01);
+  r0 = _mm256_fmadd_pd(v.c1, r0, _mm256_blend_pd(zero, fill, 0x3));
+  r1 = _mm256_fmadd_pd(v.c1, r1, _mm256_blend_pd(zero, fillsw, 0xC));
+}
+
+// --- A 2q block in registers. Element (ra, rb, ca, cb) — the row and
+// column bits of operands a = qubits[0] and b = qubits[1] — sits at
+// superket offset row_off[ra rb] | col_off[ca cb] from the block base.
+// kPaired (bit 0 outside the block): 16 registers whose upper lane is the
+// same element of block t + 1. kLowA / kLowB (operand a / b is local qubit
+// 0, so its column bit is superket bit 0): 8 registers with that column
+// bit across the lanes. Every step below picks the paired, row or single
+// body exactly as its single-channel sweep does for the same operands.
+enum class Layout { kPaired, kLowA, kLowB };
+
+template <Layout L>
+struct Block2 {
+  static constexpr int kCa = L == Layout::kLowA ? 1 : 2;  // ca in registers
+  static constexpr int kCb = L == Layout::kLowB ? 1 : 2;  // cb in registers
+  __m256d r[16];
+
+  __m256d& at(int ra, int rb, int ca, int cb) {
+    return r[(ra << 3) | (rb << 2) | (ca << 1) | cb];
+  }
+
+  template <typename F>
+  static void for_each_reg(F&& fn) {
+    for (int ra = 0; ra < 2; ++ra) {
+      for (int rb = 0; rb < 2; ++rb) {
+        for (int ca = 0; ca < kCa; ++ca) {
+          for (int cb = 0; cb < kCb; ++cb) fn(ra, rb, ca, cb);
+        }
+      }
+    }
+  }
+  static double* addr(double* p, std::size_t base, const NoisyPlan& plan,
+                      int ra, int rb, int ca, int cb) {
+    return p + 2 * (base | plan.row_off[2 * ra + rb] |
+                    plan.col_off[2 * ca + cb]);
+  }
+  void load(double* p, std::size_t base, const NoisyPlan& plan) {
+    for_each_reg([&](int ra, int rb, int ca, int cb) {
+      at(ra, rb, ca, cb) =
+          _mm256_loadu_pd(addr(p, base, plan, ra, rb, ca, cb));
+    });
+  }
+  void store(double* p, std::size_t base, const NoisyPlan& plan) {
+    for_each_reg([&](int ra, int rb, int ca, int cb) {
+      _mm256_storeu_pd(addr(p, base, plan, ra, rb, ca, cb),
+                       at(ra, rb, ca, cb));
+    });
+  }
+
+  void relax_a(const RelaxVecs& v) {
+    for (int rb = 0; rb < 2; ++rb) {
+      for (int cb = 0; cb < kCb; ++cb) {
+        if constexpr (L == Layout::kLowA) {
+          relax_rows(at(0, rb, 0, cb), at(1, rb, 0, cb), v);
+        } else {
+          relax_pair(at(0, rb, 0, cb), at(0, rb, 1, cb), at(1, rb, 0, cb),
+                     at(1, rb, 1, cb), v);
+        }
+      }
+    }
+  }
+  void relax_b(const RelaxVecs& v) {
+    for (int ra = 0; ra < 2; ++ra) {
+      for (int ca = 0; ca < kCa; ++ca) {
+        if constexpr (L == Layout::kLowB) {
+          relax_rows(at(ra, 0, ca, 0), at(ra, 1, ca, 0), v);
+        } else {
+          relax_pair(at(ra, 0, ca, 0), at(ra, 0, ca, 1), at(ra, 1, ca, 0),
+                     at(ra, 1, ca, 1), v);
+        }
+      }
+    }
+  }
+  /// U on the row bits: always paired (row bits are >= n >= 1).
+  template <Tag T>
+  void rows_pass(const CompiledUnitary& cu, const GateVecs& v) {
+    for (int ca = 0; ca < kCa; ++ca) {
+      for (int cb = 0; cb < kCb; ++cb) {
+        gate_pair<T>(at(0, 0, ca, cb), at(0, 1, ca, cb), at(1, 0, ca, cb),
+                     at(1, 1, ca, cb), cu, v);
+      }
+    }
+  }
+  /// conj(U) on the column bits: single-quad body when one is bit 0.
+  template <Tag T>
+  void cols_pass(const CompiledUnitary& cu, const GateVecs& v) {
+    for (int ra = 0; ra < 2; ++ra) {
+      for (int rb = 0; rb < 2; ++rb) {
+        if constexpr (L == Layout::kPaired) {
+          gate_pair<T>(at(ra, rb, 0, 0), at(ra, rb, 0, 1), at(ra, rb, 1, 0),
+                       at(ra, rb, 1, 1), cu, v);
+        } else if constexpr (L == Layout::kLowB) {
+          gate_single<T>(at(ra, rb, 0, 0), at(ra, rb, 1, 0), cu, v);
+        } else {
+          // Registers hold [x0, x2] and [x1, x3]; regroup into quad rows.
+          __m256d& r0 = at(ra, rb, 0, 0);
+          __m256d& r1 = at(ra, rb, 0, 1);
+          __m256d v01 = _mm256_permute2f128_pd(r0, r1, 0x20);
+          __m256d v23 = _mm256_permute2f128_pd(r0, r1, 0x31);
+          gate_single<T>(v01, v23, cu, v);
+          r0 = _mm256_permute2f128_pd(v01, v23, 0x20);
+          r1 = _mm256_permute2f128_pd(v01, v23, 0x31);
+        }
+      }
+    }
+  }
+  /// Two-qubit depolarizing: trace of the local diagonal (s = 00..11 in
+  /// order), uniform contraction, refill of the diagonal.
+  void depol(const DepolVecs& v) {
+    if constexpr (L == Layout::kPaired) {
+      __m256d sum = at(0, 0, 0, 0);
+      sum = _mm256_add_pd(sum, at(0, 1, 0, 1));
+      sum = _mm256_add_pd(sum, at(1, 0, 1, 0));
+      sum = _mm256_add_pd(sum, at(1, 1, 1, 1));
+      for_each_reg([&](int ra, int rb, int ca, int cb) {
+        __m256d& x = at(ra, rb, ca, cb);
+        x = _mm256_mul_pd(v.c1, x);
+        if (ra == ca && rb == cb) x = _mm256_fmadd_pd(v.fill_scale, sum, x);
+      });
+    } else {
+      // One element per lane: diagonal element s = (ra rb) sits in the
+      // register with the in-register column bit equal to its row bit,
+      // in the lane of the other row bit.
+      auto lane = [](__m256d x, int hi) {
+        return hi ? _mm256_extractf128_pd(x, 1) : _mm256_castpd256_pd128(x);
+      };
+      __m128d traced = _mm_setzero_pd();
+      for (int s = 0; s < 4; ++s) {
+        const int ra = s >> 1, rb = s & 1;
+        traced = _mm_add_pd(
+            traced, L == Layout::kLowA ? lane(at(ra, rb, 0, rb), ra)
+                                       : lane(at(ra, rb, ra, 0), rb));
+      }
+      const __m128d fill =
+          _mm_mul_pd(_mm256_castpd256_pd128(v.fill_scale), traced);
+      const __m256d fill2 = _mm256_set_m128d(fill, fill);
+      for_each_reg([&](int ra, int rb, int ca, int cb) {
+        __m256d& x = at(ra, rb, ca, cb);
+        const bool diag = L == Layout::kLowA ? cb == rb : ca == ra;
+        const int hi = L == Layout::kLowA ? ra : rb;
+        const __m256d scaled = _mm256_mul_pd(v.c1, x);
+        if (!diag) {
+          x = scaled;
+        } else if (hi) {
+          x = _mm256_blend_pd(scaled, _mm256_fmadd_pd(v.c1, x, fill2), 0xC);
+        } else {
+          x = _mm256_blend_pd(scaled, _mm256_fmadd_pd(v.c1, x, fill2), 0x3);
+        }
+      });
+    }
+  }
+};
+
+template <Layout L>
+void depol2_blocks(cx* rho, std::size_t begin, std::size_t end,
+                   const NoisyPlan& plan, const DepolVecs& v) {
+  double* const p = reinterpret_cast<double*>(rho);
+  const std::size_t stride = L == Layout::kPaired ? 2 : 1;
+  for (std::size_t t = begin; t < end; t += stride) {
+    const std::size_t base = plan.base(t);
+    Block2<L> blk;
+    blk.load(p, base, plan);
+    blk.depol(v);
+    blk.store(p, base, plan);
+  }
+}
+
+/// The fused 2q sweep: per block (pair), load once, run relaxation on a
+/// and b, the row and column passes and depolarizing in registers, store.
+template <Tag T, Layout L>
+void noisy_blocks(cx* rho, std::size_t begin, std::size_t end,
+                  const NoisyPlan& plan) {
+  const NoisyGate& g = plan.gate;
+  double* const p = reinterpret_cast<double*>(rho);
+  const RelaxVecs ra = relax_vecs(g.relax[0] ? *g.relax[0] : RelaxCoeffs{});
+  const RelaxVecs rb = relax_vecs(g.relax[1] ? *g.relax[1] : RelaxCoeffs{});
+  const GateVecs row_v = gate_vecs(*g.row);
+  const GateVecs col_v = gate_vecs(*g.col);
+  const DepolVecs dv = depol_vecs(g.depol ? *g.depol : DepolCoeffs{});
+  const std::size_t stride = L == Layout::kPaired ? 2 : 1;
+  for (std::size_t t = begin; t < end; t += stride) {
+    const std::size_t base = plan.base(t);
+    Block2<L> blk;
+    blk.load(p, base, plan);
+    if (g.relax[0] != nullptr) blk.relax_a(ra);
+    if (g.relax[1] != nullptr) blk.relax_b(rb);
+    blk.template rows_pass<T>(*g.row, row_v);
+    blk.template cols_pass<T>(*g.col, col_v);
+    if (g.depol != nullptr) blk.depol(dv);
+    blk.store(p, base, plan);
+  }
+}
+
+Layout layout_of(const NoisyPlan& plan) {
+  if (plan.positions[0] >= 1) return Layout::kPaired;
+  return plan.col_off[2] == 1 ? Layout::kLowA : Layout::kLowB;
+}
+
+template <typename F>
+void with_layout(Layout l, F&& fn) {
+  switch (l) {
+    case Layout::kPaired:
+      fn(std::integral_constant<Layout, Layout::kPaired>{});
+      return;
+    case Layout::kLowA:
+      fn(std::integral_constant<Layout, Layout::kLowA>{});
+      return;
+    case Layout::kLowB:
+      fn(std::integral_constant<Layout, Layout::kLowB>{});
+      return;
+  }
+}
+
+/// The fused 1q sweep over quads: paired (q >= 1) or as two row registers.
+template <Tag T>
+void noisy_quads(cx* rho, std::size_t begin, std::size_t end,
+                 const NoisyPlan& plan) {
+  const NoisyGate& g = plan.gate;
+  double* const p = reinterpret_cast<double*>(rho);
+  const RelaxVecs rv = relax_vecs(g.relax[0] ? *g.relax[0] : RelaxCoeffs{});
+  const GateVecs gv = gate_vecs(*g.col);
+  const DepolVecs dv = depol_vecs(g.depol ? *g.depol : DepolCoeffs{});
+  const std::size_t mr = plan.col.mh;
+  const std::size_t mc = plan.col.ml;
+  if (plan.positions[0] >= 1) {
+    for (std::size_t t = begin; t < end; t += 2) {
+      const std::size_t base = plan.base(t);
+      double* const q[4] = {p + 2 * base, p + 2 * (base | mc),
+                            p + 2 * (base | mr), p + 2 * (base | mr | mc)};
+      __m256d x[4] = {_mm256_loadu_pd(q[0]), _mm256_loadu_pd(q[1]),
+                      _mm256_loadu_pd(q[2]), _mm256_loadu_pd(q[3])};
+      if (g.relax[0] != nullptr) relax_pair(x[0], x[1], x[2], x[3], rv);
+      gate_pair<T>(x[0], x[1], x[2], x[3], *g.col, gv);
+      if (g.depol != nullptr) depol1_pair(x[0], x[1], x[2], x[3], dv);
+      for (int i = 0; i < 4; ++i) _mm256_storeu_pd(q[i], x[i]);
+    }
+    return;
+  }
+  for (std::size_t t = begin; t < end; ++t) {
+    const std::size_t base = plan.base(t);
+    double* const q0 = p + 2 * base;
+    double* const q1 = p + 2 * (base | mr);
+    __m256d r0 = _mm256_loadu_pd(q0);  // [p00, p01]
+    __m256d r1 = _mm256_loadu_pd(q1);  // [p10, p11]
+    if (g.relax[0] != nullptr) relax_rows(r0, r1, rv);
+    gate_single<T>(r0, r1, *g.col, gv);
+    if (g.depol != nullptr) depol1_rows(r0, r1, dv);
+    _mm256_storeu_pd(q0, r0);
+    _mm256_storeu_pd(q1, r1);
+  }
+}
+
+template <Tag T>
+void gate_range(cx* a, std::size_t begin, std::size_t end, std::size_t mh,
+                std::size_t ml, int p0, int p1, const CompiledUnitary& cu) {
+  const GateVecs v = gate_vecs(cu);
+  double* const p = reinterpret_cast<double*>(a);
+  for (std::size_t t = begin; t < end; t += p0 >= 1 ? 2 : 1) {
+    const std::size_t base = insert_bit(insert_bit(t, p0), p1);
+    double* const q[4] = {p + 2 * base, p + 2 * (base | ml),
+                          p + 2 * (base | mh), p + 2 * (base | mh | ml)};
+    if (p0 >= 1) {
+      __m256d x[4] = {_mm256_loadu_pd(q[0]), _mm256_loadu_pd(q[1]),
+                      _mm256_loadu_pd(q[2]), _mm256_loadu_pd(q[3])};
+      gate_pair<T>(x[0], x[1], x[2], x[3], cu, v);
+      for (int i = 0; i < 4; ++i) _mm256_storeu_pd(q[i], x[i]);
+    } else {
+      __m256d v01 = _mm256_set_m128d(_mm_loadu_pd(q[1]), _mm_loadu_pd(q[0]));
+      __m256d v23 = _mm256_set_m128d(_mm_loadu_pd(q[3]), _mm_loadu_pd(q[2]));
+      gate_single<T>(v01, v23, cu, v);
+      _mm_storeu_pd(q[0], _mm256_castpd256_pd128(v01));
+      _mm_storeu_pd(q[1], _mm256_extractf128_pd(v01, 1));
+      _mm_storeu_pd(q[2], _mm256_castpd256_pd128(v23));
+      _mm_storeu_pd(q[3], _mm256_extractf128_pd(v23, 1));
+    }
+  }
 }
 
 }  // namespace
@@ -149,385 +551,91 @@ inline void dense2_one_quad(double* p, std::size_t base, std::size_t mh,
 void dense2_range_avx2(cx* a, std::size_t begin, std::size_t end,
                        std::size_t mh, std::size_t ml, int p0, int p1,
                        const CompiledUnitary& cu) {
-  double* const p = reinterpret_cast<double*>(a);
-  // Column coefficient vectors for the per-quad body: cr[c][0] covers
-  // output lanes (y0, y1) of column c, cr[c][1] covers (y2, y3).
-  __m256d cr[4][2];
-  __m256d ci[4][2];
-  for (int c = 0; c < 4; ++c) {
-    cr[c][0] = _mm256_set_pd(cu.re[4 + c], cu.re[4 + c], cu.re[c], cu.re[c]);
-    ci[c][0] = _mm256_set_pd(cu.im[4 + c], cu.im[4 + c], cu.im[c], cu.im[c]);
-    cr[c][1] = _mm256_set_pd(cu.re[12 + c], cu.re[12 + c], cu.re[8 + c],
-                             cu.re[8 + c]);
-    ci[c][1] = _mm256_set_pd(cu.im[12 + c], cu.im[12 + c], cu.im[8 + c],
-                             cu.im[8 + c]);
-  }
-  if (p0 >= 1) {
-    // Contiguous runs of length 2^p0 >= 2: an even t and its successor map
-    // to adjacent bases, so every amplitude load/store is a full-width
-    // two-complex access.
-    std::size_t t = begin;
-    if ((t & 1U) != 0 && t < end) {
-      dense2_one_quad(p, insert_bit(insert_bit(t, p0), p1), mh, ml, cr, ci);
-      ++t;
-    }
-    for (; t + 1 < end; t += 2) {
-      const std::size_t base = insert_bit(insert_bit(t, p0), p1);
-      double* const q0 = p + 2 * base;
-      double* const q1 = p + 2 * (base | ml);
-      double* const q2 = p + 2 * (base | mh);
-      double* const q3 = p + 2 * (base | mh | ml);
-      const __m256d x[4] = {_mm256_loadu_pd(q0), _mm256_loadu_pd(q1),
-                            _mm256_loadu_pd(q2), _mm256_loadu_pd(q3)};
-      const __m256d s[4] = {
-          _mm256_permute_pd(x[0], 0x5), _mm256_permute_pd(x[1], 0x5),
-          _mm256_permute_pd(x[2], 0x5), _mm256_permute_pd(x[3], 0x5)};
-      double* const outp[4] = {q0, q1, q2, q3};
-      for (int r = 0; r < 4; ++r) {
-        const int row = 4 * r;
-        __m256d accr = _mm256_mul_pd(_mm256_set1_pd(cu.re[row]), x[0]);
-        __m256d acci = _mm256_mul_pd(_mm256_set1_pd(cu.im[row]), s[0]);
-        for (int c = 1; c < 4; ++c) {
-          accr = _mm256_fmadd_pd(_mm256_set1_pd(cu.re[row + c]), x[c], accr);
-          acci = _mm256_fmadd_pd(_mm256_set1_pd(cu.im[row + c]), s[c], acci);
-        }
-        _mm256_storeu_pd(outp[r], _mm256_addsub_pd(accr, acci));
-      }
-    }
-    if (t < end) {
-      dense2_one_quad(p, insert_bit(insert_bit(t, p0), p1), mh, ml, cr, ci);
-    }
-    return;
-  }
-  for (std::size_t t = begin; t < end; ++t) {
-    dense2_one_quad(p, insert_bit(insert_bit(t, p0), p1), mh, ml, cr, ci);
-  }
+  gate_range<Tag::kDense2>(a, begin, end, mh, ml, p0, p1, cu);
 }
-
-namespace {
-
-/// One quad through the diagonal 4x4, used where the two-quad vector body
-/// cannot engage. Single multiplies per output (no sums), so this matches
-/// the scalar kernel bitwise.
-inline void diag2_one_quad(cx* a, std::size_t base, std::size_t mh,
-                           std::size_t ml, const CompiledUnitary& cu) {
-  const std::size_t idx[4] = {base, base | ml, base | mh, base | mh | ml};
-  for (int r = 0; r < 4; ++r) {
-    const double sr = a[idx[r]].real(), si = a[idx[r]].imag();
-    a[idx[r]] =
-        cx{cu.re[r] * sr - cu.im[r] * si, cu.re[r] * si + cu.im[r] * sr};
-  }
-}
-
-/// One quad through the generalized permutation 4x4 (gather-then-scatter,
-/// all four inputs read before any store).
-inline void perm2_one_quad(cx* a, std::size_t base, std::size_t mh,
-                           std::size_t ml, const CompiledUnitary& cu) {
-  const std::size_t idx[4] = {base, base | ml, base | mh, base | mh | ml};
-  const cx in[4] = {a[idx[0]], a[idx[1]], a[idx[2]], a[idx[3]]};
-  for (int r = 0; r < 4; ++r) {
-    const cx s = in[cu.src[r]];
-    a[idx[r]] = cx{cu.re[r] * s.real() - cu.im[r] * s.imag(),
-                   cu.re[r] * s.imag() + cu.im[r] * s.real()};
-  }
-}
-
-}  // namespace
 
 void diag2_range_avx2(cx* a, std::size_t begin, std::size_t end,
                       std::size_t mh, std::size_t ml, int p0, int p1,
                       const CompiledUnitary& cu) {
-  double* const p = reinterpret_cast<double*>(a);
-  if (p0 >= 1) {
-    // Contiguous runs of length 2^p0 >= 2: an even t and its successor map
-    // to adjacent bases, so each of the four quad offsets is a full-width
-    // two-complex access scaled by one broadcast diagonal entry. A single
-    // mul per component (no FMA chains) keeps this bitwise equal to the
-    // scalar kernel.
-    __m256d vr[4], vi[4];
-    for (int r = 0; r < 4; ++r) {
-      vr[r] = _mm256_set1_pd(cu.re[r]);
-      vi[r] = _mm256_set1_pd(cu.im[r]);
-    }
-    std::size_t t = begin;
-    if ((t & 1U) != 0 && t < end) {
-      diag2_one_quad(a, insert_bit(insert_bit(t, p0), p1), mh, ml, cu);
-      ++t;
-    }
-    for (; t + 1 < end; t += 2) {
-      const std::size_t base = insert_bit(insert_bit(t, p0), p1);
-      double* const q[4] = {p + 2 * base, p + 2 * (base | ml),
-                            p + 2 * (base | mh), p + 2 * (base | mh | ml)};
-      for (int r = 0; r < 4; ++r) {
-        const __m256d x = _mm256_loadu_pd(q[r]);
-        const __m256d y = _mm256_addsub_pd(
-            _mm256_mul_pd(vr[r], x),
-            _mm256_mul_pd(vi[r], _mm256_permute_pd(x, 0x5)));
-        _mm256_storeu_pd(q[r], y);
-      }
-    }
-    if (t < end) {
-      diag2_one_quad(a, insert_bit(insert_bit(t, p0), p1), mh, ml, cu);
-    }
-    return;
-  }
-  for (std::size_t t = begin; t < end; ++t) {
-    diag2_one_quad(a, insert_bit(insert_bit(t, p0), p1), mh, ml, cu);
-  }
+  gate_range<Tag::kDiag2>(a, begin, end, mh, ml, p0, p1, cu);
 }
 
 void perm2_range_avx2(cx* a, std::size_t begin, std::size_t end,
                       std::size_t mh, std::size_t ml, int p0, int p1,
                       const CompiledUnitary& cu) {
-  double* const p = reinterpret_cast<double*>(a);
-  if (p0 >= 1) {
-    // Same contiguous two-quad layout as diag2, but rows permute their
-    // source offset: load all four offsets first (stores may alias a later
-    // row's source), then scale x[src[r]] into offset r.
-    __m256d vr[4], vi[4];
-    for (int r = 0; r < 4; ++r) {
-      vr[r] = _mm256_set1_pd(cu.re[r]);
-      vi[r] = _mm256_set1_pd(cu.im[r]);
-    }
-    std::size_t t = begin;
-    if ((t & 1U) != 0 && t < end) {
-      perm2_one_quad(a, insert_bit(insert_bit(t, p0), p1), mh, ml, cu);
-      ++t;
-    }
-    for (; t + 1 < end; t += 2) {
-      const std::size_t base = insert_bit(insert_bit(t, p0), p1);
-      double* const q[4] = {p + 2 * base, p + 2 * (base | ml),
-                            p + 2 * (base | mh), p + 2 * (base | mh | ml)};
-      const __m256d x[4] = {_mm256_loadu_pd(q[0]), _mm256_loadu_pd(q[1]),
-                            _mm256_loadu_pd(q[2]), _mm256_loadu_pd(q[3])};
-      for (int r = 0; r < 4; ++r) {
-        const __m256d s = x[cu.src[r]];
-        const __m256d y = _mm256_addsub_pd(
-            _mm256_mul_pd(vr[r], s),
-            _mm256_mul_pd(vi[r], _mm256_permute_pd(s, 0x5)));
-        _mm256_storeu_pd(q[r], y);
-      }
-    }
-    if (t < end) {
-      perm2_one_quad(a, insert_bit(insert_bit(t, p0), p1), mh, ml, cu);
-    }
-    return;
-  }
-  for (std::size_t t = begin; t < end; ++t) {
-    perm2_one_quad(a, insert_bit(insert_bit(t, p0), p1), mh, ml, cu);
-  }
+  gate_range<Tag::kPerm2>(a, begin, end, mh, ml, p0, p1, cu);
 }
 
-namespace {
-
-/// One quad of the fused depolarizing (k = 1) update, for heads/tails.
-inline void depol1_one(cx* rho, std::size_t base, std::size_t mc,
-                       std::size_t mr, double c1, double fill_scale) {
-  const cx p00 = rho[base];
-  const cx p11 = rho[base | mr | mc];
-  const cx fill = fill_scale * (p00 + p11);
-  rho[base] = c1 * p00 + fill;
-  rho[base | mc] *= c1;
-  rho[base | mr] *= c1;
-  rho[base | mr | mc] = c1 * p11 + fill;
-}
-
-/// One quad of the fused relaxation update, for heads/tails.
-inline void relax1_one(cx* rho, std::size_t base, std::size_t mc,
-                       std::size_t mr, double gamma, double decay,
-                       double keep) {
-  const cx p11 = rho[base | mr | mc];
-  rho[base] += gamma * p11;
-  rho[base | mc] *= decay;
-  rho[base | mr] *= decay;
-  rho[base | mr | mc] = keep * p11;
-}
-
-/// One 16-element block of the fused depolarizing (k = 2) update.
-inline void depol2_one(cx* rho, std::size_t base, const std::size_t* row_off,
-                       const std::size_t* col_off, double c1,
-                       double fill_scale) {
-  cx traced{0.0, 0.0};
-  for (std::size_t s = 0; s < 4; ++s) {
-    traced += rho[base + row_off[s] + col_off[s]];
-  }
-  const cx fill = fill_scale * traced;
-  for (std::size_t sr = 0; sr < 4; ++sr) {
-    for (std::size_t sc = 0; sc < 4; ++sc) {
-      cx& v = rho[base + row_off[sr] + col_off[sc]];
-      v *= c1;
-      if (sr == sc) v += fill;
-    }
-  }
-}
-
-}  // namespace
-
-void depol1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
-                       int pr, double c1, double fill_scale) {
+void relax1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
+                       int pr, const RelaxCoeffs& c) {
   const std::size_t mc = std::size_t{1} << pc;
   const std::size_t mr = std::size_t{1} << pr;
   double* const p = reinterpret_cast<double*>(rho);
-  const __m256d c1v = _mm256_set1_pd(c1);
-  const __m256d fsv = _mm256_set1_pd(fill_scale);
-  if (pc >= 1) {
-    // Bases with both target bits clear come in contiguous runs of
-    // 2^pc >= 2: an even t and its successor map to adjacent quads, so
-    // every offset is a full-width two-complex access scaled elementwise.
-    std::size_t t = begin;
-    if ((t & 1U) != 0 && t < end) {
-      depol1_one(rho, insert_bit(insert_bit(t, pc), pr), mc, mr, c1,
-                 fill_scale);
-      ++t;
+  const RelaxVecs v = relax_vecs(c);
+  for (std::size_t t = begin; t < end; t += pc >= 1 ? 2 : 1) {
+    const std::size_t base = insert_bit(insert_bit(t, pc), pr);
+    if (pc >= 1) {
+      double* const q[4] = {p + 2 * base, p + 2 * (base | mc),
+                            p + 2 * (base | mr), p + 2 * (base | mr | mc)};
+      __m256d x[4] = {_mm256_loadu_pd(q[0]), _mm256_loadu_pd(q[1]),
+                      _mm256_loadu_pd(q[2]), _mm256_loadu_pd(q[3])};
+      relax_pair(x[0], x[1], x[2], x[3], v);
+      for (int i = 0; i < 4; ++i) _mm256_storeu_pd(q[i], x[i]);
+    } else {
+      __m256d r0 = _mm256_loadu_pd(p + 2 * base);
+      __m256d r1 = _mm256_loadu_pd(p + 2 * (base | mr));
+      relax_rows(r0, r1, v);
+      _mm256_storeu_pd(p + 2 * base, r0);
+      _mm256_storeu_pd(p + 2 * (base | mr), r1);
     }
-    for (; t + 1 < end; t += 2) {
-      const std::size_t base = insert_bit(insert_bit(t, pc), pr);
-      double* const q00 = p + 2 * base;
-      double* const q01 = p + 2 * (base | mc);
-      double* const q10 = p + 2 * (base | mr);
-      double* const q11 = p + 2 * (base | mr | mc);
-      const __m256d v00 = _mm256_loadu_pd(q00);
-      const __m256d v11 = _mm256_loadu_pd(q11);
-      const __m256d fill = _mm256_mul_pd(fsv, _mm256_add_pd(v00, v11));
-      _mm256_storeu_pd(q00, _mm256_add_pd(_mm256_mul_pd(c1v, v00), fill));
-      _mm256_storeu_pd(q01, _mm256_mul_pd(c1v, _mm256_loadu_pd(q01)));
-      _mm256_storeu_pd(q10, _mm256_mul_pd(c1v, _mm256_loadu_pd(q10)));
-      _mm256_storeu_pd(q11, _mm256_add_pd(_mm256_mul_pd(c1v, v11), fill));
-    }
-    if (t < end) {
-      depol1_one(rho, insert_bit(insert_bit(t, pc), pr), mc, mr, c1,
-                 fill_scale);
-    }
-    return;
   }
-  // pc == 0 (pr = pc + n >= 1): the (p00, p01) pair is contiguous at base
-  // and (p10, p11) at base | mr, so one register holds each row of the
-  // quad. Build the fill in the p00 lanes, mirror it into the p11 lanes.
-  const __m256d zero = _mm256_setzero_pd();
-  for (std::size_t t = begin; t < end; ++t) {
-    const std::size_t base = insert_bit(insert_bit(t, 0), pr);
-    double* const q0 = p + 2 * base;
-    double* const q1 = p + 2 * (base | mr);
-    const __m256d v0 = _mm256_loadu_pd(q0);  // [p00, p01]
-    const __m256d v1 = _mm256_loadu_pd(q1);  // [p10, p11]
-    const __m256d v1sw = _mm256_permute2f128_pd(v1, v1, 0x01);  // [p11, p10]
-    // Lanes {0,1} hold p00 + p11 — the only lanes the blends keep.
-    const __m256d fillv = _mm256_mul_pd(fsv, _mm256_add_pd(v0, v1sw));
-    const __m256d out0 = _mm256_add_pd(_mm256_mul_pd(c1v, v0),
-                                       _mm256_blend_pd(zero, fillv, 0x3));
-    const __m256d fillsw = _mm256_permute2f128_pd(fillv, fillv, 0x01);
-    const __m256d out1 = _mm256_add_pd(_mm256_mul_pd(c1v, v1),
-                                       _mm256_blend_pd(zero, fillsw, 0xC));
-    _mm256_storeu_pd(q0, out0);
-    _mm256_storeu_pd(q1, out1);
+}
+
+void depol1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
+                       int pr, const DepolCoeffs& c) {
+  const std::size_t mc = std::size_t{1} << pc;
+  const std::size_t mr = std::size_t{1} << pr;
+  double* const p = reinterpret_cast<double*>(rho);
+  const DepolVecs v = depol_vecs(c);
+  for (std::size_t t = begin; t < end; t += pc >= 1 ? 2 : 1) {
+    const std::size_t base = insert_bit(insert_bit(t, pc), pr);
+    if (pc >= 1) {
+      double* const q[4] = {p + 2 * base, p + 2 * (base | mc),
+                            p + 2 * (base | mr), p + 2 * (base | mr | mc)};
+      __m256d x[4] = {_mm256_loadu_pd(q[0]), _mm256_loadu_pd(q[1]),
+                      _mm256_loadu_pd(q[2]), _mm256_loadu_pd(q[3])};
+      depol1_pair(x[0], x[1], x[2], x[3], v);
+      for (int i = 0; i < 4; ++i) _mm256_storeu_pd(q[i], x[i]);
+    } else {
+      __m256d r0 = _mm256_loadu_pd(p + 2 * base);
+      __m256d r1 = _mm256_loadu_pd(p + 2 * (base | mr));
+      depol1_rows(r0, r1, v);
+      _mm256_storeu_pd(p + 2 * base, r0);
+      _mm256_storeu_pd(p + 2 * (base | mr), r1);
+    }
   }
 }
 
 void depol2_range_avx2(cx* rho, std::size_t begin, std::size_t end,
-                       const int* positions, const std::size_t* row_off,
-                       const std::size_t* col_off, double c1,
-                       double fill_scale) {
-  double* const p = reinterpret_cast<double*>(rho);
-  if (positions[0] < 1) {
-    // The lowest target bit sits at position 0: bases are never adjacent,
-    // so full-width loads would straddle block boundaries. Keep the
-    // scalar body (still inside this TU so the caller's dispatch is one
-    // branch either way).
-    for (std::size_t t = begin; t < end; ++t) {
-      std::size_t base = t;
-      for (int j = 0; j < 4; ++j) base = insert_bit(base, positions[j]);
-      depol2_one(rho, base, row_off, col_off, c1, fill_scale);
-    }
-    return;
-  }
-  const __m256d c1v = _mm256_set1_pd(c1);
-  const __m256d fsv = _mm256_set1_pd(fill_scale);
-  auto expand = [&](std::size_t t) {
-    for (int j = 0; j < 4; ++j) t = insert_bit(t, positions[j]);
-    return t;
-  };
-  std::size_t t = begin;
-  if ((t & 1U) != 0 && t < end) {
-    depol2_one(rho, expand(t), row_off, col_off, c1, fill_scale);
-    ++t;
-  }
-  for (; t + 1 < end; t += 2) {
-    const std::size_t base = expand(t);
-    // Trace of the local diagonal across both blocks, then one scaled
-    // (+ diagonal fill) pass over all 16 offsets.
-    __m256d sum = _mm256_loadu_pd(p + 2 * (base + row_off[0] + col_off[0]));
-    for (std::size_t s = 1; s < 4; ++s) {
-      sum = _mm256_add_pd(
-          sum, _mm256_loadu_pd(p + 2 * (base + row_off[s] + col_off[s])));
-    }
-    const __m256d fill = _mm256_mul_pd(fsv, sum);
-    for (std::size_t sr = 0; sr < 4; ++sr) {
-      for (std::size_t sc = 0; sc < 4; ++sc) {
-        double* const q = p + 2 * (base + row_off[sr] + col_off[sc]);
-        __m256d v = _mm256_mul_pd(c1v, _mm256_loadu_pd(q));
-        if (sr == sc) v = _mm256_add_pd(v, fill);
-        _mm256_storeu_pd(q, v);
-      }
-    }
-  }
-  if (t < end) {
-    depol2_one(rho, expand(t), row_off, col_off, c1, fill_scale);
-  }
+                       const NoisyPlan& plan, const DepolCoeffs& c) {
+  const DepolVecs v = depol_vecs(c);
+  with_layout(layout_of(plan), [&](auto l) {
+    depol2_blocks<decltype(l)::value>(rho, begin, end, plan, v);
+  });
 }
 
-void relax1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
-                       int pr, double gamma, double decay, double keep) {
-  const std::size_t mc = std::size_t{1} << pc;
-  const std::size_t mr = std::size_t{1} << pr;
-  double* const p = reinterpret_cast<double*>(rho);
-  if (pc >= 1) {
-    const __m256d gv = _mm256_set1_pd(gamma);
-    const __m256d dv = _mm256_set1_pd(decay);
-    const __m256d kv = _mm256_set1_pd(keep);
-    std::size_t t = begin;
-    if ((t & 1U) != 0 && t < end) {
-      relax1_one(rho, insert_bit(insert_bit(t, pc), pr), mc, mr, gamma, decay,
-                 keep);
-      ++t;
+void noisy_range_avx2(cx* rho, std::size_t begin, std::size_t end,
+                      const NoisyPlan& plan) {
+  with_tag2(plan.gate.col->tag, [&](auto tag) {
+    constexpr Tag T = decltype(tag)::value;
+    if (plan.k == 1) {
+      noisy_quads<T>(rho, begin, end, plan);
+      return;
     }
-    for (; t + 1 < end; t += 2) {
-      const std::size_t base = insert_bit(insert_bit(t, pc), pr);
-      double* const q00 = p + 2 * base;
-      double* const q01 = p + 2 * (base | mc);
-      double* const q10 = p + 2 * (base | mr);
-      double* const q11 = p + 2 * (base | mr | mc);
-      const __m256d v11 = _mm256_loadu_pd(q11);
-      _mm256_storeu_pd(
-          q00, _mm256_add_pd(_mm256_loadu_pd(q00), _mm256_mul_pd(gv, v11)));
-      _mm256_storeu_pd(q01, _mm256_mul_pd(dv, _mm256_loadu_pd(q01)));
-      _mm256_storeu_pd(q10, _mm256_mul_pd(dv, _mm256_loadu_pd(q10)));
-      _mm256_storeu_pd(q11, _mm256_mul_pd(kv, v11));
-    }
-    if (t < end) {
-      relax1_one(rho, insert_bit(insert_bit(t, pc), pr), mc, mr, gamma, decay,
-                 keep);
-    }
-    return;
-  }
-  // pc == 0: rows of the quad are contiguous pairs; per-lane coefficient
-  // vectors apply (1, decay) to the top row and (decay, keep) to the
-  // bottom, with the gamma*p11 term mirrored into the p00 lanes.
-  const __m256d top = _mm256_setr_pd(1.0, 1.0, decay, decay);
-  const __m256d bot = _mm256_setr_pd(decay, decay, keep, keep);
-  const __m256d gsel = _mm256_setr_pd(gamma, gamma, 0.0, 0.0);
-  for (std::size_t t = begin; t < end; ++t) {
-    const std::size_t base = insert_bit(insert_bit(t, 0), pr);
-    double* const q0 = p + 2 * base;
-    double* const q1 = p + 2 * (base | mr);
-    const __m256d v0 = _mm256_loadu_pd(q0);  // [p00, p01]
-    const __m256d v1 = _mm256_loadu_pd(q1);  // [p10, p11]
-    const __m256d v1sw = _mm256_permute2f128_pd(v1, v1, 0x01);  // [p11, p10]
-    const __m256d out0 =
-        _mm256_add_pd(_mm256_mul_pd(v0, top), _mm256_mul_pd(v1sw, gsel));
-    const __m256d out1 = _mm256_mul_pd(v1, bot);
-    _mm256_storeu_pd(q0, out0);
-    _mm256_storeu_pd(q1, out1);
-  }
+    with_layout(layout_of(plan), [&](auto l) {
+      noisy_blocks<T, decltype(l)::value>(rho, begin, end, plan);
+    });
+  });
 }
 
 namespace {

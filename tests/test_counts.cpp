@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -110,6 +111,57 @@ TEST(Counts, SampleConservesShotsOnLopsidedDistribution) {
   for (const auto& [outcome, n] : c.data()) {
     EXPECT_LT(outcome, 10u);
     EXPECT_GT(n, 0);
+  }
+}
+
+TEST(Counts, SampleMatchesPerShotDiscreteReference) {
+  // sample_counts (prefix sums + branchless search) must give exactly the
+  // counts a per-shot Rng::discrete over the same probabilities draws from
+  // the same stream, for supports of 1-64 outcomes and 1-4096 shots.
+  Rng gen(2024);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t outcomes = 1 + gen.index(64);
+    std::vector<Distribution::Entry> entries;
+    for (std::size_t o = 0; o < outcomes; ++o) {
+      // Lopsided weights, including tiny ones, over sparse outcomes.
+      const double w = gen.bernoulli(0.2) ? gen.uniform(1e-9, 1e-6)
+                                          : gen.uniform(0.0, 1.0) + 1e-12;
+      entries.push_back({3 * o + gen.index(3), w});
+    }
+    const Distribution d(8, std::move(entries));
+    const int shots = trial == 0 ? 1 : 1 + static_cast<int>(gen.index(4096));
+    std::vector<double> weights;
+    for (const auto& [outcome, p] : d.probs()) weights.push_back(p);
+
+    Rng fast(700 + static_cast<std::uint64_t>(trial));
+    Rng slow = fast;
+    const Counts got = sample_counts(d, shots, fast);
+    std::vector<int> hits(weights.size(), 0);
+    for (int s = 0; s < shots; ++s) ++hits[slow.discrete(weights)];
+    std::vector<Counts::Entry> want;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      if (hits[i] > 0) want.push_back({d.probs()[i].first, hits[i]});
+    }
+    EXPECT_EQ(got.data(), want) << "trial " << trial << ", " << outcomes
+                                << " outcomes, " << shots << " shots";
+    // Both consumed one draw per shot.
+    EXPECT_EQ(fast.next_u64(), slow.next_u64());
+  }
+}
+
+TEST(Counts, CdfIndexIsFirstEntryAboveDraw) {
+  // Every size 1-17 with repeated entries: the first cdf[i] > r, clamped
+  // to the last bucket — std::upper_bound's answer.
+  for (std::size_t n = 1; n <= 17; ++n) {
+    std::vector<double> cdf;
+    for (std::size_t i = 0; i < n; ++i) cdf.push_back(0.5 * ((i + 1) / 2));
+    for (double r = -0.25; r <= cdf.back() + 0.5; r += 0.25) {
+      const auto ub = std::upper_bound(cdf.begin(), cdf.end(), r);
+      const std::size_t want =
+          std::min<std::size_t>(static_cast<std::size_t>(ub - cdf.begin()),
+                                n - 1);
+      EXPECT_EQ(detail::cdf_index(cdf, r), want) << "n=" << n << " r=" << r;
+    }
   }
 }
 

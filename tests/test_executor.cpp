@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "metrics/metrics.hpp"
+#include "sim/kernels.hpp"
 #include "sim/statevector.hpp"
 
 namespace qucp {
@@ -234,6 +240,114 @@ TEST(Executor, MeasurementClbitMapping) {
   opts.idle_noise = false;
   const ProgramOutcome out = execute_single(d, c, opts);
   EXPECT_NEAR(out.distribution.prob(0b001), 1.0, 1e-9);
+}
+
+// --- Bit-level golden of one noisy batch, recorded before gate ops ran
+// their channels in a single density sweep: the fused sweep and the
+// sampler must reproduce every probability and count bit for bit.
+
+/// Fixed three-program noisy batch: idle windows (ALAP alignment of
+/// unequal depths), a crosstalk-amplified CX pair, every superket tag
+/// (diag, perm, dense) and CX in both operand orders, on local qubit 0
+/// and above.
+ParallelRunReport run_golden_batch() {
+  Topology topo(9, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7},
+                    {7, 8}});
+  Rng rng(11);
+  Calibration cal = synthesize_calibration(topo, CalibrationProfile{}, rng);
+  CrosstalkModel xtalk;
+  xtalk.add_pair(4, 6, 3.0);  // edges (4,5) and (6,7) are one-hop
+  const Device d("golden9", std::move(topo), std::move(cal), std::move(xtalk));
+
+  Circuit p0(9, 3);
+  p0.ry(0.7, 0);
+  p0.rz(0.4, 1);
+  p0.h(2);
+  p0.cx(0, 1);
+  p0.cx(2, 1);
+  p0.x(0);
+  p0.h(0);  // mixes qubit 0's idle-decayed coherence into populations
+  p0.ry(1.9, 2);
+  p0.cx(1, 2);
+  p0.measure(0, 0);
+  p0.measure(1, 1);
+  p0.measure(2, 2);
+
+  Circuit p1(9, 2);
+  p1.h(4);
+  p1.cx(5, 4);
+  p1.t(5);
+  p1.cx(4, 5);
+  p1.measure(4, 0);
+  p1.measure(5, 1);
+
+  Circuit p2(9, 3);
+  p2.sx(6);
+  p2.cx(6, 7);
+  p2.y(8);
+  p2.swap(7, 8);
+  p2.cx(7, 6);
+  p2.rx(0.3, 8);
+  p2.h(6);
+  for (int i = 0; i < 3; ++i) p2.cx(6, 7);
+  p2.measure(6, 0);
+  p2.measure(7, 1);
+  p2.measure(8, 2);
+
+  std::vector<PhysicalProgram> progs;
+  progs.push_back({p0, "p0"});
+  progs.push_back({p1, "p1"});
+  progs.push_back({p2, "p2"});
+  ExecOptions opts;
+  opts.shots = 2048;
+  opts.seed = 99;
+  return execute_parallel(d, std::move(progs), opts);
+}
+
+struct GoldenProgram {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> dist;  ///< p bits
+  std::vector<Counts::Entry> counts;
+};
+
+void expect_golden(const ParallelRunReport& r,
+                   const std::vector<GoldenProgram>& want, const char* mode) {
+  EXPECT_EQ(r.crosstalk_events, 5) << mode;
+  ASSERT_EQ(r.programs.size(), want.size()) << mode;
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> dist;
+    for (const auto& [outcome, prob] : r.programs[p].distribution.probs()) {
+      dist.emplace_back(outcome, std::bit_cast<std::uint64_t>(prob));
+    }
+    EXPECT_EQ(dist, want[p].dist) << mode << " program " << p;
+    EXPECT_EQ(r.programs[p].counts.data(), want[p].counts)
+        << mode << " program " << p;
+  }
+}
+
+TEST(Executor, NoisyBatchMatchesRecordedBits) {
+  // Scalar kernels, and (where they run) the AVX2 kernels, whose FMAs
+  // round differently and so carry their own recording.
+  const std::vector<GoldenProgram> scalar = {
+      {{{0, 0x3fa6fa8f324f7d4aull}, {1, 0x3fc3c2e2e9f54a06ull}, {2, 0x3fc3beecbdb1bfd8ull}, {3, 0x3fa6f59c58b45dacull}, {4, 0x3fca43f5a4c149b6ull}, {5, 0x3fb87f6d0ebfbe09ull}, {6, 0x3fb87cf3a1f22e3cull}, {7, 0x3fca3fff787dbf88ull}},
+       {{0, 97}, {1, 311}, {2, 342}, {3, 108}, {4, 391}, {5, 180}, {6, 185}, {7, 434}}},
+      {{{0, 0x3fdbe2f147673aa9ull}, {1, 0x3fb07f3dbd80f3daull}, {2, 0x3fb07ed71f520644ull}, {3, 0x3fdbdd89816406cfull}},
+       {{0, 917}, {1, 122}, {2, 123}, {3, 886}}},
+      {{{0, 0x3f9e3a13a18c2438ull}, {1, 0x3fd1e577e450bf82ull}, {2, 0x3fc59e260755d502ull}, {3, 0x3f9bac629e0a1293ull}, {4, 0x3f9b17cec69038edull}, {5, 0x3fc50ad3ea5af55bull}, {6, 0x3fd19bced5d34fadull}, {7, 0x3f9da57fca124a90ull}},
+       {{0, 76}, {1, 547}, {2, 356}, {3, 54}, {4, 39}, {5, 318}, {6, 603}, {7, 55}}},
+  };
+  const std::vector<GoldenProgram> native = {
+      {{{0, 0x3fa6fa8f324f7d4bull}, {1, 0x3fc3c2e2e9f54a06ull}, {2, 0x3fc3beecbdb1bfd8ull}, {3, 0x3fa6f59c58b45dadull}, {4, 0x3fca43f5a4c149b8ull}, {5, 0x3fb87f6d0ebfbe0aull}, {6, 0x3fb87cf3a1f22e3bull}, {7, 0x3fca3fff787dbf89ull}},
+       {{0, 97}, {1, 311}, {2, 342}, {3, 108}, {4, 391}, {5, 180}, {6, 185}, {7, 434}}},
+      {{{0, 0x3fdbe2f147673aa8ull}, {1, 0x3fb07f3dbd80f3daull}, {2, 0x3fb07ed71f520644ull}, {3, 0x3fdbdd89816406cfull}},
+       {{0, 917}, {1, 122}, {2, 123}, {3, 886}}},
+      {{{0, 0x3f9e3a13a18c2438ull}, {1, 0x3fd1e577e450bf82ull}, {2, 0x3fc59e260755d502ull}, {3, 0x3f9bac629e0a1293ull}, {4, 0x3f9b17cec69038edull}, {5, 0x3fc50ad3ea5af55aull}, {6, 0x3fd19bced5d34fadull}, {7, 0x3f9da57fca124a90ull}},
+       {{0, 76}, {1, 547}, {2, 356}, {3, 54}, {4, 39}, {5, 318}, {6, 603}, {7, 55}}},
+  };
+  const bool native_active = kern::native_kernels_active();
+  kern::set_native_kernels(false);
+  expect_golden(run_golden_batch(), scalar, "scalar");
+  kern::set_native_kernels(true);
+  if (native_active) expect_golden(run_golden_batch(), native, "native");
 }
 
 TEST(Executor, ValidatesOptions) {

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
 #include "sim/density.hpp"
+#include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
 
 namespace qucp {
@@ -487,6 +489,195 @@ TEST(KernelGolden, InsertBitEnumeratesBases) {
     }
     EXPECT_EQ(got, want) << "bit=" << bit;
   }
+}
+
+// --- Fused noisy-gate sweep: bitwise equal to the channel sequence. ---
+
+/// Random mixed state: a weighted sum of three random pure projectors.
+std::vector<cx> random_mixed_rho(int n, Rng& rng) {
+  const std::size_t dim = std::size_t{1} << n;
+  std::vector<cx> rho(dim * dim, cx{0.0, 0.0});
+  double total = 0.0;
+  for (int k = 0; k < 3; ++k) {
+    std::vector<cx> psi(dim);
+    for (cx& v : psi) v = cx{rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
+    const double w = rng.uniform(0.1, 1.0);
+    total += w;
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t c = 0; c < dim; ++c) {
+        rho[r * dim + c] += w * psi[r] * std::conj(psi[c]);
+      }
+    }
+  }
+  for (cx& v : rho) v /= total * static_cast<double>(dim);
+  return rho;
+}
+
+/// The multi-pass channel sequence the fused sweep replaces: relaxation per
+/// operand, the compiled gate (row pass, then column pass), depolarizing —
+/// each a full sweep.
+void channel_sequence(std::vector<cx>& rho, int n, const FusedOp& op,
+                      std::span<const int> q, const kern::NoisyGate& g) {
+  for (std::size_t j = 0; j < q.size(); ++j) {
+    if (g.relax[j] != nullptr) kern::relax1(rho, n, q[j], *g.relax[j]);
+  }
+  if (q.size() == 1) {
+    const int t[2] = {q[0] + n, q[0]};
+    kern::apply_compiled(rho, 2 * n, t, op.dm);
+  } else {
+    const int row[2] = {q[0] + n, q[1] + n};
+    kern::apply_compiled(rho, 2 * n, row, op.sv);
+    kern::apply_compiled(rho, 2 * n, q, op.dm);
+  }
+  if (g.depol != nullptr) kern::depolarize(rho, n, q, *g.depol);
+}
+
+bool same_bits(const std::vector<cx>& a, const std::vector<cx>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cx)) == 0;
+}
+
+/// FusedOps of every tag the executor's density replay emits, on `q`.
+std::vector<FusedOp> noisy_test_ops(std::span<const int> q) {
+  Circuit c(8);
+  if (q.size() == 1) {
+    c.rz(0.37, q[0]);  // superket diag
+    c.x(q[0]);         // superket perm
+    c.ry(1.1, q[0]);   // superket dense
+    c.h(q[0]);
+    return compile_ops(c);
+  }
+  c.cx(q[0], q[1]);
+  c.swap(q[0], q[1]);
+  c.cz(q[0], q[1]);
+  std::vector<FusedOp> ops = compile_ops(c);
+  // A fused entangling block: dense 4x4 row and column passes.
+  Circuit block(8);
+  block.ry(0.7, q[0]);
+  block.cx(q[0], q[1]);
+  block.rz(0.3, q[1]);
+  block.ry(1.3, q[1]);
+  const CompiledProgram fused = CompiledProgram::compile(block);
+  for (const FusedOp& op : fused.ops()) {
+    if (op.k() == 2) ops.push_back(op);
+  }
+  return ops;
+}
+
+TEST(NoisyGateSweep, BitIdenticalToChannelSequence) {
+  using Tag = kern::CompiledUnitary::Tag;
+  const bool native = kern::native_kernels_active();
+  const kern::RelaxCoeffs relax_c[2] = {{0.013, 0.981, 0.987},
+                                        {0.021, 0.962, 0.979}};
+  std::vector<bool> modes{false};
+  if (native) modes.push_back(true);
+  std::vector<Tag> seen;
+  int cases = 0;
+  for (const bool mode : modes) {
+    kern::set_native_kernels(mode);
+    for (int n = 1; n <= 7; ++n) {
+      Rng rng(7000 + static_cast<std::uint64_t>(n));
+      const std::vector<cx> rho0 = random_mixed_rho(n, rng);
+      std::vector<std::vector<int>> operands{{0}, {n - 1}};
+      if (n >= 2) {
+        operands.push_back({0, n - 1});
+        operands.push_back({n - 1, 0});
+      }
+      if (n >= 3) {  // both operands off bit 0: the paired AVX2 bodies
+        operands.push_back({1, n - 1});
+        operands.push_back({n - 1, 1});
+      }
+      for (const std::vector<int>& q : operands) {
+        const int k = static_cast<int>(q.size());
+        const double pauli = k == 1 ? 4.0 : 16.0;
+        const double c2 = 0.02 * pauli / (pauli - 1.0);
+        const kern::DepolCoeffs depol_c{1.0 - c2, c2, k == 1 ? 0.5 : 0.25};
+        for (const FusedOp& op : noisy_test_ops(q)) {
+          seen.push_back(op.dm.tag);
+          for (int mask = 0; mask < (1 << (k + 1)); ++mask) {
+            kern::NoisyGate g;
+            g.qubits = q;
+            g.col = &op.dm;
+            g.row = k == 2 ? &op.sv : nullptr;
+            for (int j = 0; j < k; ++j) {
+              if ((mask >> j) & 1) g.relax[j] = &relax_c[j];
+            }
+            if ((mask >> k) & 1) g.depol = &depol_c;
+            std::vector<cx> want = rho0;
+            channel_sequence(want, n, op, q, g);
+            std::vector<cx> got = rho0;
+            kern::apply_noisy_gate(got, n, g);
+            EXPECT_TRUE(same_bits(got, want))
+                << "native=" << mode << " n=" << n << " q=" << q[0]
+                << (k == 2 ? "," + std::to_string(q[1]) : "")
+                << " tag=" << static_cast<int>(op.dm.tag)
+                << " mask=" << mask
+                << " max|diff|=" << max_abs_diff(got, want);
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  kern::set_native_kernels(true);
+  for (Tag t : {Tag::kDiag2, Tag::kPerm2, Tag::kDense2, Tag::kCxPerm,
+                Tag::kSwapPerm}) {
+    EXPECT_NE(std::find(seen.begin(), seen.end(), t), seen.end())
+        << "tag " << static_cast<int>(t) << " not covered";
+  }
+  EXPECT_GE(cases, 700 * static_cast<int>(modes.size()));
+}
+
+TEST(NoisyGateSweep, DensityEntryPointMatchesSequentialCalls) {
+  // DensityMatrix::apply_noisy_gate against the executor's former per-op
+  // calls: relaxation per operand, the compiled gate, depolarizing.
+  for (int n = 2; n <= 5; ++n) {
+    Circuit c(n);
+    c.h(0);
+    c.cx(0, n - 1);
+    c.ry(0.4, n - 1);
+    c.cx(n - 1, 0);
+    c.t(n / 2);
+    const std::vector<FusedOp> ops = compile_ops(c);
+    DensityMatrix fused(n);
+    DensityMatrix seq(n);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const FusedOp& op = ops[i];
+      const std::span<const int> q(op.q, static_cast<std::size_t>(op.k()));
+      const Relaxation idle[2] = {{35.0 * static_cast<double>(i % 3), 80.0,
+                                   70.0},
+                                  {20.0, 60.0, 140.0}};
+      const double p = 0.004 * static_cast<double>(op.k());
+      fused.apply_noisy_gate(op, q, std::span<const Relaxation>(idle, q.size()),
+                             p);
+      for (std::size_t j = 0; j < q.size(); ++j) {
+        seq.apply_relaxation(q[j], idle[j].duration_ns, idle[j].t1_us,
+                             idle[j].t2_us);
+      }
+      seq.apply_compiled(op, q);
+      seq.apply_depolarizing(p, q);
+    }
+    ASSERT_EQ(fused.data().size(), seq.data().size());
+    EXPECT_EQ(std::memcmp(fused.data().data(), seq.data().data(),
+                          fused.data().size() * sizeof(cx)),
+              0)
+        << "n=" << n;
+  }
+}
+
+TEST(NoisyGateSweep, RejectsMalformedInput) {
+  DensityMatrix dm(2);
+  Circuit c(2);
+  c.cx(0, 1);
+  const FusedOp op = compile_ops(c).front();
+  const int q[2] = {0, 1};
+  const Relaxation idle[2] = {{10.0, 50.0, 50.0}, {10.0, -1.0, 50.0}};
+  EXPECT_THROW(dm.apply_noisy_gate(op, q, idle, 0.0), std::invalid_argument);
+  EXPECT_THROW(dm.apply_noisy_gate(op, q, {}, 1.5), std::invalid_argument);
+  EXPECT_THROW(dm.apply_noisy_gate(op, std::span<const int>(q, 1), {}, 0.0),
+               std::invalid_argument);
+  const int bad[2] = {0, 2};
+  EXPECT_THROW(dm.apply_noisy_gate(op, bad, {}, 0.0), std::out_of_range);
 }
 
 /// RAII reset so a failing expectation cannot leak a cap into later tests.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <random>
 #include <numeric>
 #include <set>
 
@@ -47,6 +49,31 @@ TEST(Rng, UniformRangeRespected) {
     const double v = rng.uniform(-2.0, 5.0);
     EXPECT_GE(v, -2.0);
     EXPECT_LT(v, 5.0);
+  }
+}
+
+TEST(Rng, UniformMatchesStdUniformRealDistribution) {
+  // uniform() scales one raw draw by 2^-64; it must equal what
+  // std::uniform_real_distribution<double>(0, 1) yields on the same engine
+  // stream, draw for draw.
+  struct RawDraws {
+    using result_type = std::uint64_t;
+    Rng* rng;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()() { return rng->next_u64(); }
+  };
+  for (std::uint64_t seed : {1ULL, 42ULL, 104729ULL}) {
+    Rng fast(seed);
+    Rng raw(seed);
+    RawDraws src{&raw};
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < 200000; ++i) {
+      const double got = fast.uniform();
+      const double want = unit(src);
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+          << "seed " << seed << " draw " << i;
+    }
   }
 }
 
