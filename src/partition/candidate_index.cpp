@@ -1,6 +1,7 @@
 #include "partition/candidate_index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -101,12 +102,161 @@ std::vector<int> CandidateIndex::cached_sizes() const {
   return sizes;
 }
 
+void CandidateIndex::StateKey::allocate(std::span<const int> qubits) {
+  for (int q : qubits) {
+    assert(q >= 0 && static_cast<std::size_t>(q) / 64 < allocated.size());
+    allocated[static_cast<std::size_t>(q) / 64] |= std::uint64_t{1}
+                                                   << (q % 64);
+  }
+}
+
+std::size_t CandidateIndex::KeyHash::operator()(
+    const StateKey& key) const noexcept {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(key.k);
+  for (std::uint64_t word : key.allocated) {
+    h ^= word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  }
+  return static_cast<std::size_t>(h);
+}
+
+CandidateIndex::StateKey CandidateIndex::empty_key(int k) const {
+  const auto n = static_cast<std::size_t>(device_->topology().num_qubits());
+  return {std::vector<std::uint64_t>((n + 63) / 64, 0), k};
+}
+
+std::shared_ptr<const CandidateIndex::State> CandidateIndex::state(
+    const StateKey& key) const {
+  {
+    std::lock_guard<std::mutex> lock(states_mutex_);
+    if (auto it = states_.find(key); it != states_.end()) return it->second;
+  }
+  // Built outside the lock: a concurrent miss on the same key builds an
+  // identical state, and the first one published wins.
+  std::shared_ptr<const State> built = build_state(key);
+  std::lock_guard<std::mutex> lock(states_mutex_);
+  auto [it, inserted] = states_.emplace(key, std::move(built));
+  if (inserted) {
+    states_order_.push_back(key);
+    if (states_.size() > kMaxStates) {
+      states_.erase(states_order_.front());
+      states_order_.pop_front();
+    }
+  }
+  return it->second;
+}
+
+std::size_t CandidateIndex::states_cached() const {
+  std::lock_guard<std::mutex> lock(states_mutex_);
+  return states_.size();
+}
+
+std::shared_ptr<const CandidateIndex::State> CandidateIndex::build_state(
+    const StateKey& key) const {
+  const Device& device = *device_;
+  const Topology& topo = device.topology();
+  std::vector<int> allocated;
+  for (std::size_t w = 0; w < key.allocated.size(); ++w) {
+    for (std::uint64_t bits = key.allocated[w]; bits != 0; bits &= bits - 1) {
+      allocated.push_back(static_cast<int>(w * 64) + std::countr_zero(bits));
+    }
+  }
+  AllocationSession session(*this);
+  session.commit(allocated);
+  const auto& candidates = session.candidates(key.k);
+
+  // Edge-id order, exactly what efs_score's induced_edges(allocated) scan
+  // walks. A candidate edge can sit one hop from an allocated edge only
+  // when one of its endpoints neighbours an allocated qubit.
+  const std::vector<int> alloc_edges = topo.induced_edges(allocated);
+  std::vector<char> near1(static_cast<std::size_t>(topo.num_qubits()), 0);
+  for (int q : allocated) {
+    for (int nb : topo.neighbors(q)) near1[nb] = 1;
+  }
+
+  auto out = std::make_shared<State>();
+  out->device_ = &device;
+  out->k_ = key.k;
+  out->parts_.reserve(candidates.size() * static_cast<std::size_t>(key.k));
+  out->base_.reserve(candidates.size());
+  out->edge_begin_.push_back(0);
+  out->hop_begin_.push_back(0);
+  for (const AllocationSession::Candidate& cand : candidates) {
+    const std::vector<int>& part = *cand.part;
+    out->parts_.insert(out->parts_.end(), part.begin(), part.end());
+    const std::vector<int> edges =
+        cand.edges != nullptr ? *cand.edges : topo.induced_edges(part);
+    out->base_.push_back(cand.base != nullptr
+                             ? *cand.base
+                             : compute_base(device, part, edges));
+    for (int e : edges) {
+      out->edges_.push_back(e);
+      const Edge& ee = topo.edges()[e];
+      if (near1[ee.a] || near1[ee.b]) {
+        for (int f : alloc_edges) {
+          const Edge& fe = topo.edges()[f];
+          assert(!ee.shares_qubit(fe));
+          const int d = std::min(
+              {topo.distance(ee.a, fe.a), topo.distance(ee.a, fe.b),
+               topo.distance(ee.b, fe.a), topo.distance(ee.b, fe.b)});
+          if (d == 1) out->hops_.push_back(f);
+        }
+      }
+      out->hop_begin_.push_back(static_cast<std::uint32_t>(out->hops_.size()));
+    }
+    out->edge_begin_.push_back(static_cast<std::uint32_t>(out->edges_.size()));
+  }
+  return out;
+}
+
+EfsBreakdown CandidateIndex::State::score(std::size_t i,
+                                          const ProgramShape& shape,
+                                          const CrosstalkPolicy& policy,
+                                          bool with_edges) const {
+  if (shape.num_qubits != k_) {
+    throw std::invalid_argument("efs_score: partition size != program size");
+  }
+  if (shape.num_2q > 0 && k_ < 2) {
+    throw std::invalid_argument("efs_score: program needs an edge");
+  }
+  const BaseScore& base = base_[i];
+  const std::uint32_t e0 = edge_begin_[i];
+  const std::uint32_t e1 = edge_begin_[i + 1];
+  EfsBreakdown out;
+  if (hop_begin_[e0] == hop_begin_[e1]) {
+    // No edge one hop from the allocation: every multiplier is 1 and the
+    // cached base is efs_score's sum.
+    if (base.num_edges > 0) {
+      out.avg_2q = base.edge_error_total / static_cast<double>(base.num_edges);
+    }
+  } else {
+    // efs_score's edge loop, with the d == 1 scan precomputed.
+    const Calibration& cal = device_->calibration();
+    double total = 0.0;
+    for (std::uint32_t j = e0; j < e1; ++j) {
+      const int e = edges_[j];
+      double mult = 1.0;
+      for (std::uint32_t h = hop_begin_[j]; h < hop_begin_[j + 1]; ++h) {
+        mult = std::max(mult, policy.multiplier(e, hops_[h]));
+      }
+      if (with_edges && hop_begin_[j] != hop_begin_[j + 1]) {
+        out.crosstalk_edges.push_back(e);
+      }
+      total += std::min(1.0, cal.cx_error[e] * mult);
+    }
+    out.avg_2q = total / static_cast<double>(e1 - e0);
+  }
+  out.avg_1q = base.q1_total / static_cast<double>(k_);
+  out.readout_sum = base.readout_sum;
+  out.score = out.avg_2q * shape.num_2q + out.avg_1q * shape.num_1q +
+              out.readout_sum;
+  return out;
+}
+
 AllocationSession::AllocationSession(const CandidateIndex& index)
     : index_(&index) {
   const std::size_t n =
       static_cast<std::size_t>(index.device().topology().num_qubits());
   usable_.assign(n, 1);
-  near1_.assign(n, 0);
   near2_.assign(n, 0);
   in_part_.assign(n, 0);
 }
@@ -184,122 +334,18 @@ AllocationSession::candidates(int k) {
   return result_;
 }
 
-EfsBreakdown AllocationSession::score(const Candidate& cand,
-                                      const ProgramShape& shape,
-                                      const CrosstalkPolicy& policy) const {
-  const std::vector<int>& part = *cand.part;
-  if (static_cast<int>(part.size()) != shape.num_qubits) {
-    throw std::invalid_argument("efs_score: partition size != program size");
-  }
-  if (shape.num_2q > 0 && part.size() < 2) {
-    throw std::invalid_argument("efs_score: program needs an edge");
-  }
-  for (int q : part) {
-    if (near1_[q]) {
-      // Only a candidate touching the distance-1 fringe can pick up a
-      // crosstalk flag: replay efs_score's edge loop against the
-      // session-maintained allocated-edge list.
-      return fringe_score(cand, shape, policy);
-    }
-  }
-
-  // Clean candidate: every edge keeps multiplier 1 and no edge is flagged,
-  // so the score is the cached static base (recomputed on the spot for
-  // fringe-regrown parts).
-  const Device& device = index_->device();
-  CandidateIndex::BaseScore local;
-  const CandidateIndex::BaseScore* base = cand.base;
-  if (base == nullptr) {
-    local = compute_base(device, part, device.topology().induced_edges(part));
-    base = &local;
-  }
-  EfsBreakdown out;
-  if (base->num_edges > 0) {
-    out.avg_2q = base->edge_error_total / static_cast<double>(base->num_edges);
-  }
-  out.avg_1q = base->q1_total / static_cast<double>(part.size());
-  out.readout_sum = base->readout_sum;
-  out.score = out.avg_2q * shape.num_2q + out.avg_1q * shape.num_1q +
-              out.readout_sum;
-  return out;
-}
-
-EfsBreakdown AllocationSession::fringe_score(
-    const Candidate& cand, const ProgramShape& shape,
-    const CrosstalkPolicy& policy) const {
-  // efs_score's scoring loops verbatim (same accumulation order, same
-  // operations), minus the per-call validation scans whose outcomes are
-  // fixed for session-generated candidates: the partition is connected by
-  // construction, the allocation is in range, and the two sets are
-  // disjoint because candidates avoid allocated qubits.
-  const Device& device = index_->device();
-  const Topology& topo = device.topology();
-  const Calibration& cal = device.calibration();
-  const std::vector<int>& part = *cand.part;
-
-  std::vector<int> local_edges;
-  const std::vector<int>* part_edges = cand.edges;
-  if (part_edges == nullptr) {
-    local_edges = topo.induced_edges(part);
-    part_edges = &local_edges;
-  }
-
-  EfsBreakdown out;
-  if (!part_edges->empty()) {
-    double total = 0.0;
-    for (int e : *part_edges) {
-      double mult = 1.0;
-      bool flagged = false;
-      const Edge& ee = topo.edges()[e];
-      for (int f : alloc_edges_) {
-        const Edge& fe = topo.edges()[f];
-        assert(!ee.shares_qubit(fe));
-        const int d = std::min(
-            {topo.distance(ee.a, fe.a), topo.distance(ee.a, fe.b),
-             topo.distance(ee.b, fe.a), topo.distance(ee.b, fe.b)});
-        if (d == 1) {
-          mult = std::max(mult, policy.multiplier(e, f));
-          flagged = true;
-        }
-      }
-      if (flagged) out.crosstalk_edges.push_back(e);
-      total += std::min(1.0, cal.cx_error[e] * mult);
-    }
-    out.avg_2q = total / static_cast<double>(part_edges->size());
-  }
-
-  // The 1q/readout sums are allocation-independent: cached bases carry
-  // them from index-build time, regrown parts recompute them on the spot.
-  CandidateIndex::BaseScore local;
-  const CandidateIndex::BaseScore* base = cand.base;
-  if (base == nullptr) {
-    local = compute_base(device, part, *part_edges);
-    base = &local;
-  }
-  out.avg_1q = base->q1_total / static_cast<double>(part.size());
-  out.readout_sum = base->readout_sum;
-  out.score = out.avg_2q * shape.num_2q + out.avg_1q * shape.num_1q +
-              out.readout_sum;
-  return out;
-}
-
 void AllocationSession::commit(std::span<const int> partition) {
   const Topology& topo = index_->device().topology();
   for (int q : partition) {
     assert(q >= 0 && q < topo.num_qubits() && usable_[q]);
     allocated_.push_back(q);
     usable_[q] = 0;
-    near1_[q] = 1;
     near2_[q] = 1;
     for (int nb : topo.neighbors(q)) {
-      near1_[nb] = 1;
       near2_[nb] = 1;
       for (int nb2 : topo.neighbors(nb)) near2_[nb2] = 1;
     }
   }
-  // Edge-id order, exactly what efs_score's induced_edges(allocated) scan
-  // would produce for the grown allocation.
-  alloc_edges_ = topo.induced_edges(allocated_);
   quality_stale_ = true;
 }
 

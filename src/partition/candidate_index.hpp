@@ -17,25 +17,44 @@
 //     >= 2 from every allocated qubit scores exactly its static base:
 //     plain average CX error, average 1q error, readout sum.
 //
-// The index is built once per Device (a Backend owns one, like its
-// GateMatrixCache) and caches, per partition size k: the per-start
+// The index is built once per Device (a CalibrationEpoch owns one, like
+// its GateMatrixCache) and caches, per partition size k: the per-start
 // empty-mask growths, the deduplicated candidate list, and per-candidate
 // base scores accumulated in the same floating-point order efs_score uses.
-// An AllocationSession then replays one allocate() call: it tracks the
-// allocated set plus distance-1/-2 dirty masks, reuses cached growths and
-// base scores for the clean majority, and falls back to the reference
-// grow/score code only on the dirty fringe — producing results that are
-// bit-identical (same candidates, same order, same doubles) to the
-// non-indexed path, which tests/test_allocator_golden.cpp pins.
+// An AllocationSession derives the candidates of one allocation state: it
+// tracks the allocated set plus a distance-2 dirty mask, reuses cached
+// growths for the clean majority, and regrows only the dirty fringe.
 //
-// Thread-safety: per-k entries are built lazily under a mutex and
-// immutable afterwards, so concurrent service workers share one index;
-// each AllocationSession is single-caller scratch.
+// On top of that the index memoizes whole allocation states. state(key)
+// returns, for one (allocated-qubit set, k), the candidate parts in
+// partition_candidates order, each candidate's base score and induced
+// edges, and per candidate edge the allocated edges one hop away (in the
+// edge-id order efs_score walks them). Those are all policy-independent,
+// so State::score() rescores a candidate under any CrosstalkPolicy with
+// efs_score's exact accumulation order: QuCP at any sigma, QuMC, QuCloud
+// and MultiQC share entries and stay bit-identical to the non-indexed
+// path, which tests/test_allocator_golden.cpp pins. The greedy allocators
+// walk a qubit bitmask through states and build a session only on a miss.
+//
+// Key: the allocated set as a bitmask over device qubits plus k — values
+// only, never an address, so an entry cannot leak between indexes.
+// Lifetime: the memo lives and dies with its index (one per calibration
+// epoch, so a recalibration starts it cold); it holds at most
+// kMaxStates entries and evicts oldest-first. Entries are shared_ptr, so
+// eviction never frees a state a caller is still reading.
+//
+// Thread-safety: per-k entries and memo states are built under or
+// published through a mutex and immutable afterwards, so dispatch probes
+// and every lane's batch pipeline share one index; an AllocationSession
+// is single-caller scratch.
 
+#include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "partition/efs.hpp"
@@ -44,6 +63,9 @@ namespace qucp {
 
 class CandidateIndex {
  public:
+  /// Memo bound: distinct allocation states held at once (FIFO eviction).
+  static constexpr std::size_t kMaxStates = 1 << 12;
+
   /// Static (allocation-independent) EFS components of one candidate,
   /// accumulated in efs_score's exact summation order.
   struct BaseScore {
@@ -66,7 +88,51 @@ class CandidateIndex {
     std::vector<std::vector<int>> cand_edges;
   };
 
-  /// The device must outlive the index (a Backend owns both).
+  /// Memo key: the allocated-qubit set (bit q of word q / 64) and the
+  /// partition width k.
+  struct StateKey {
+    std::vector<std::uint64_t> allocated;
+    int k = 0;
+    bool operator==(const StateKey&) const = default;
+    /// Add `qubits` to the allocated set.
+    void allocate(std::span<const int> qubits);
+  };
+
+  /// Everything candidate generation and EFS scoring derive from one
+  /// allocation state, independent of the crosstalk policy. Candidates
+  /// are in partition_candidates order (sorted sets, lexicographic).
+  /// score() reads the index's device, so a State must not be used after
+  /// its index is gone.
+  class State {
+   public:
+    [[nodiscard]] std::size_t size() const noexcept { return base_.size(); }
+    /// Sorted qubits of candidate i.
+    [[nodiscard]] std::span<const int> part(std::size_t i) const noexcept {
+      return {parts_.data() + i * static_cast<std::size_t>(k_),
+              static_cast<std::size_t>(k_)};
+    }
+    /// efs_score(device, part(i), shape, allocated, policy), bit for bit.
+    /// `crosstalk_edges` is left empty unless `with_edges` is set.
+    [[nodiscard]] EfsBreakdown score(std::size_t i, const ProgramShape& shape,
+                                     const CrosstalkPolicy& policy,
+                                     bool with_edges = true) const;
+
+   private:
+    friend class CandidateIndex;
+    const Device* device_ = nullptr;
+    int k_ = 0;
+    std::vector<int> parts_;           ///< k qubits per candidate
+    std::vector<BaseScore> base_;      ///< per candidate
+    /// Candidate i's induced edges are edges_[edge_begin_[i]..[i + 1]).
+    std::vector<std::uint32_t> edge_begin_;
+    std::vector<int> edges_;
+    /// Allocated edges one hop from edges_[j] (efs_score's d == 1 test),
+    /// in edge-id order: hops_[hop_begin_[j]..[j + 1]).
+    std::vector<std::uint32_t> hop_begin_;
+    std::vector<int> hops_;
+  };
+
+  /// The device must outlive the index (a CalibrationEpoch owns both).
   explicit CandidateIndex(const Device& device) : device_(&device) {}
 
   CandidateIndex(const CandidateIndex&) = delete;
@@ -88,17 +154,38 @@ class CandidateIndex {
   /// dispatch cycle on a fresh calibration epoch pays no per_k builds.
   [[nodiscard]] std::vector<int> cached_sizes() const;
 
+  /// An empty allocation (no qubit allocated) at width k.
+  [[nodiscard]] StateKey empty_key(int k) const;
+
+  /// Memoized state for `key`, derived through an AllocationSession on a
+  /// miss. Throws std::invalid_argument for k <= 0.
+  [[nodiscard]] std::shared_ptr<const State> state(const StateKey& key) const;
+
+  /// Allocation states memoized right now (<= kMaxStates).
+  [[nodiscard]] std::size_t states_cached() const;
+
  private:
+  struct KeyHash {
+    std::size_t operator()(const StateKey& key) const noexcept;
+  };
+
+  [[nodiscard]] std::shared_ptr<const State> build_state(
+      const StateKey& key) const;
+
   const Device* device_;
   mutable std::mutex mutex_;
   mutable std::map<int, std::unique_ptr<PerK>> cache_;
+  mutable std::mutex states_mutex_;
+  mutable std::unordered_map<StateKey, std::shared_ptr<const State>, KeyHash>
+      states_;
+  mutable std::deque<StateKey> states_order_;  ///< FIFO eviction
 };
 
-/// Replays one allocate() call against a CandidateIndex: candidates() and
-/// score() are bit-identical to partition_candidates() / efs_score() under
-/// the allocation committed so far, but reuse the index for everything
-/// outside the dirty fringe of the allocated qubits. Cheap to construct;
-/// not thread-safe (one session per allocate call).
+/// Derives the candidates of one allocation state against a
+/// CandidateIndex: the same sets in the same order as
+/// partition_candidates(), reusing the index for everything outside the
+/// dirty fringe of the allocated qubits. Cheap to construct; not
+/// thread-safe (one session per caller).
 class AllocationSession {
  public:
   struct Candidate {
@@ -119,38 +206,14 @@ class AllocationSession {
   /// is invalidated by the next candidates() call.
   [[nodiscard]] const std::vector<Candidate>& candidates(int k);
 
-  /// EFS of `cand` in the current allocation context; bit-identical to
-  /// efs_score(device, *cand.part, shape, allocated(), policy).
-  [[nodiscard]] EfsBreakdown score(const Candidate& cand,
-                                   const ProgramShape& shape,
-                                   const CrosstalkPolicy& policy) const;
-
   /// Grant `partition` (disjoint from the current allocation) and dirty
-  /// its distance-1/-2 fringe.
+  /// its distance-2 fringe.
   void commit(std::span<const int> partition);
 
-  [[nodiscard]] std::span<const int> allocated() const noexcept {
-    return allocated_;
-  }
-
-  /// The index this session replays against (and through it the device).
-  [[nodiscard]] const CandidateIndex& index() const noexcept {
-    return *index_;
-  }
-
  private:
-  /// Fringe scoring: efs_score's exact arithmetic against the session's
-  /// incrementally-maintained allocated-edge list, skipping the per-call
-  /// mask/connectivity setup the reference recomputes per candidate.
-  [[nodiscard]] EfsBreakdown fringe_score(const Candidate& cand,
-                                          const ProgramShape& shape,
-                                          const CrosstalkPolicy& policy) const;
-
   const CandidateIndex* index_;
   std::vector<int> allocated_;   ///< committed qubits, commit order
-  std::vector<int> alloc_edges_; ///< induced_edges(allocated_), edge-id order
   std::vector<char> usable_;     ///< !allocated, per device qubit
-  std::vector<char> near1_;      ///< within hop distance 1 of allocation
   std::vector<char> near2_;      ///< within hop distance 2 of allocation
   std::vector<char> in_part_;    ///< grow_candidate scratch (all zero)
   /// Per-qubit frontier quality under usable_ (grow_candidate's conn/err

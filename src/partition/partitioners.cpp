@@ -45,51 +45,55 @@ std::optional<double> solo_efs_score(const Device& device,
 
 namespace {
 
-/// One grow step of the EFS-greedy allocation against a session: pick the
-/// lowest-EFS candidate in the current allocation context, without
-/// committing. The indexed allocate loop and Partitioner::grow_one both
-/// call this, so the incremental admission path replays the exact
-/// decision (and floating-point) stream of a fresh allocate by
-/// construction.
-std::optional<PartitionAssignment> efs_greedy_grow_one(
-    AllocationSession& session, const ProgramShape& shape,
-    const CrosstalkPolicy& policy) {
-  const auto& candidates = session.candidates(shape.num_qubits);
-  bool found = false;
-  PartitionAssignment current;
-  double best_score = 0.0;
-  for (const AllocationSession::Candidate& cand : candidates) {
-    EfsBreakdown efs = session.score(cand, shape, policy);
-    if (!found || efs.score < best_score) {
-      current = {*cand.part, std::move(efs)};
-      found = true;
-      best_score = current.efs.score;
+/// Indexed greedy allocation shared by every candidate-based partitioner:
+/// walk the allocated-qubit bitmask through the index's memoized states.
+/// `cost(state, i, shape)` is the partitioner's own ranking of candidate i
+/// (lowest wins, the first one on ties, as in the reference loops); the
+/// winner's EFS is then scored under `efs_policy`.
+template <typename Cost>
+std::optional<std::vector<PartitionAssignment>> memo_allocate(
+    const CandidateIndex& index, std::span<const ProgramShape> programs,
+    const CrosstalkPolicy& efs_policy, Cost cost) {
+  std::vector<PartitionAssignment> result(programs.size());
+  CandidateIndex::StateKey key = index.empty_key(0);
+  for (std::size_t idx = 0; idx < programs.size(); ++idx) {
+    const ProgramShape& shape = programs[idx];
+    key.k = shape.num_qubits;
+    const std::shared_ptr<const CandidateIndex::State> state = index.state(key);
+    std::size_t best = state->size();
+    double best_cost = 0.0;
+    for (std::size_t i = 0; i < state->size(); ++i) {
+      const double c = cost(*state, i, shape);
+      if (best == state->size() || c < best_cost) {
+        best = i;
+        best_cost = c;
+      }
     }
+    if (best == state->size()) return std::nullopt;
+    const std::span<const int> part = state->part(best);
+    result[idx] = {{part.begin(), part.end()},
+                   state->score(best, shape, efs_policy)};
+    key.allocate(part);
   }
-  if (!found) return std::nullopt;
-  return current;
+  return result;
 }
 
 /// Shared EFS-greedy allocation used by QuCP and QuMC. The reference
 /// (index == nullptr) path regenerates candidates and rescores everything
-/// per program; the indexed path replays the identical decisions through
-/// an AllocationSession, touching only the fringe of the allocation.
+/// per program; the indexed path makes the identical decisions from the
+/// index's memoized states.
 std::optional<std::vector<PartitionAssignment>> efs_greedy_allocate(
     const Device& device, std::span<const ProgramShape> programs,
     const CrosstalkPolicy& policy, const CandidateIndex* index) {
-  std::vector<PartitionAssignment> result(programs.size());
-
   if (index != nullptr) {
-    AllocationSession session(*index);
-    for (std::size_t idx = 0; idx < programs.size(); ++idx) {
-      auto current = efs_greedy_grow_one(session, programs[idx], policy);
-      if (!current) return std::nullopt;
-      session.commit(current->qubits);
-      result[idx] = std::move(*current);
-    }
-    return result;
+    return memo_allocate(*index, programs, policy,
+                         [&](const CandidateIndex::State& state,
+                             std::size_t i, const ProgramShape& shape) {
+                           return state.score(i, shape, policy, false).score;
+                         });
   }
 
+  std::vector<PartitionAssignment> result(programs.size());
   std::vector<int> allocated;
   for (std::size_t idx = 0; idx < programs.size(); ++idx) {
     const ProgramShape& shape = programs[idx];
@@ -115,55 +119,25 @@ std::optional<std::vector<PartitionAssignment>> efs_greedy_allocate(
 }
 
 /// Score-based allocation for calibration-aware, crosstalk-blind baselines.
-/// The index accelerates candidate generation only; each method's own
-/// ranking runs unchanged, and the chosen region's EFS breakdown comes
-/// from the reference efs_score either way.
-/// One grow step of the score-based allocation (QuCloud/MultiQC) against
-/// a session, without committing — shared with Partitioner::grow_one like
-/// efs_greedy_grow_one above.
-template <typename ScoreFn>
-std::optional<PartitionAssignment> score_greedy_grow_one(
-    AllocationSession& session, const ProgramShape& shape, ScoreFn score) {
-  const NoCrosstalkPolicy no_xtalk;
-  const Device& device = session.index().device();
-  const auto& candidates = session.candidates(shape.num_qubits);
-  bool found = false;
-  std::vector<int> best_cand;
-  double best_score = 0.0;
-  for (const AllocationSession::Candidate& cand : candidates) {
-    const double s = score(device, *cand.part);
-    if (!found || s > best_score) {
-      best_cand = *cand.part;
-      best_score = s;
-      found = true;
-    }
-  }
-  if (!found) return std::nullopt;
-  PartitionAssignment assignment;
-  assignment.qubits = best_cand;
-  assignment.efs =
-      efs_score(device, best_cand, shape, session.allocated(), no_xtalk);
-  return assignment;
-}
-
+/// Each method's own ranking runs unchanged over the candidates, and the
+/// chosen region's EFS breakdown is efs_score's under no crosstalk either
+/// way.
 template <typename ScoreFn>
 std::optional<std::vector<PartitionAssignment>> score_greedy_allocate(
     const Device& device, std::span<const ProgramShape> programs,
     ScoreFn score /* higher is better */, const CandidateIndex* index) {
   const NoCrosstalkPolicy no_xtalk;
-  std::vector<PartitionAssignment> result(programs.size());
-
   if (index != nullptr) {
-    AllocationSession session(*index);
-    for (std::size_t idx = 0; idx < programs.size(); ++idx) {
-      auto assignment = score_greedy_grow_one(session, programs[idx], score);
-      if (!assignment) return std::nullopt;
-      session.commit(assignment->qubits);
-      result[idx] = std::move(*assignment);
-    }
-    return result;
+    // Negated, so the highest score wins with the same first-on-ties rule
+    // (negation is exact).
+    return memo_allocate(*index, programs, no_xtalk,
+                         [&](const CandidateIndex::State& state,
+                             std::size_t i, const ProgramShape&) {
+                           return -score(device, state.part(i));
+                         });
   }
 
+  std::vector<PartitionAssignment> result(programs.size());
   std::vector<int> allocated;
   for (std::size_t idx = 0; idx < programs.size(); ++idx) {
     const ProgramShape& shape = programs[idx];
@@ -194,7 +168,7 @@ std::optional<std::vector<PartitionAssignment>> score_greedy_allocate(
 /// Fidelity degree of qubit q: sum over incident edges of (1 - cx error),
 /// penalized by readout error — QuCloud's CMR-style heuristic. Candidates
 /// arrive sorted, so membership is a binary search, not a per-call set.
-double qucloud_score(const Device& dev, const std::vector<int>& cand) {
+double qucloud_score(const Device& dev, std::span<const int> cand) {
   double total = 0.0;
   for (int q : cand) {
     double fd = 0.0;
@@ -210,7 +184,7 @@ double qucloud_score(const Device& dev, const std::vector<int>& cand) {
 
 /// Region utility: product of edge and readout survival probabilities
 /// (log-sum for numeric stability) — Das et al.'s reliability ranking.
-double multiqc_score(const Device& dev, const std::vector<int>& cand) {
+double multiqc_score(const Device& dev, std::span<const int> cand) {
   double log_survival = 0.0;
   for (int e : dev.topology().induced_edges(cand)) {
     log_survival += std::log1p(-dev.calibration().cx_error[e]);
@@ -223,23 +197,10 @@ double multiqc_score(const Device& dev, const std::vector<int>& cand) {
 
 }  // namespace
 
-std::optional<PartitionAssignment> Partitioner::grow_one(
-    AllocationSession& session, const ProgramShape& shape) const {
-  (void)session;
-  (void)shape;
-  throw std::logic_error("Partitioner::grow_one: " + name() +
-                         " does not support incremental allocation");
-}
-
 std::optional<std::vector<PartitionAssignment>> QucpPartitioner::do_allocate(
     const Device& device, std::span<const ProgramShape> programs,
     const CandidateIndex* index) const {
   return efs_greedy_allocate(device, programs, policy_, index);
-}
-
-std::optional<PartitionAssignment> QucpPartitioner::grow_one(
-    AllocationSession& session, const ProgramShape& shape) const {
-  return efs_greedy_grow_one(session, shape, policy_);
 }
 
 std::optional<std::vector<PartitionAssignment>> QumcPartitioner::do_allocate(
@@ -248,31 +209,16 @@ std::optional<std::vector<PartitionAssignment>> QumcPartitioner::do_allocate(
   return efs_greedy_allocate(device, programs, policy_, index);
 }
 
-std::optional<PartitionAssignment> QumcPartitioner::grow_one(
-    AllocationSession& session, const ProgramShape& shape) const {
-  return efs_greedy_grow_one(session, shape, policy_);
-}
-
 std::optional<std::vector<PartitionAssignment>> QucloudPartitioner::do_allocate(
     const Device& device, std::span<const ProgramShape> programs,
     const CandidateIndex* index) const {
   return score_greedy_allocate(device, programs, qucloud_score, index);
 }
 
-std::optional<PartitionAssignment> QucloudPartitioner::grow_one(
-    AllocationSession& session, const ProgramShape& shape) const {
-  return score_greedy_grow_one(session, shape, qucloud_score);
-}
-
 std::optional<std::vector<PartitionAssignment>> MultiqcPartitioner::do_allocate(
     const Device& device, std::span<const ProgramShape> programs,
     const CandidateIndex* index) const {
   return score_greedy_allocate(device, programs, multiqc_score, index);
-}
-
-std::optional<PartitionAssignment> MultiqcPartitioner::grow_one(
-    AllocationSession& session, const ProgramShape& shape) const {
-  return score_greedy_grow_one(session, shape, multiqc_score);
 }
 
 std::optional<std::vector<PartitionAssignment>> NaivePartitioner::do_allocate(

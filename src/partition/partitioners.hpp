@@ -19,7 +19,6 @@
 namespace qucp {
 
 class CandidateIndex;     // partition/candidate_index.hpp
-class AllocationSession;  // partition/candidate_index.hpp
 
 /// Derive a program's partition requirements from its circuit.
 [[nodiscard]] ProgramShape shape_of(const Circuit& circuit);
@@ -38,9 +37,10 @@ class Partitioner {
   /// with `allocation_order` first when emulating QuMC's largest-first
   /// policy). Returns nullopt when some program cannot be placed.
   ///
-  /// `index` (optional) is a persistent per-device CandidateIndex that
-  /// lets the candidate-based partitioners skip regenerating and rescoring
-  /// everything outside the fringe of the growing allocation. Results are
+  /// `index` (optional) is a persistent per-device CandidateIndex whose
+  /// memoized allocation states let the candidate-based partitioners skip
+  /// candidate generation and crosstalk scans for any (allocated set,
+  /// width) seen before, under any crosstalk policy. Results are
   /// bit-identical with and without it (same partitions, same order, same
   /// EFS doubles — pinned by tests/test_allocator_golden.cpp); the index
   /// must have been built for `device`.
@@ -49,24 +49,6 @@ class Partitioner {
       const CandidateIndex* index = nullptr) const {
     return do_allocate(device, programs, index);
   }
-
-  /// True when grow_one() can extend an indexed allocation one program at
-  /// a time with results bit-identical to a fresh allocate() over the
-  /// whole ordered batch (the candidate-based partitioners; Naive ignores
-  /// the index and stays from-scratch).
-  [[nodiscard]] virtual bool supports_incremental() const noexcept {
-    return false;
-  }
-
-  /// Allocate `shape` as the NEXT program of an ongoing indexed
-  /// allocation whose earlier commits live in `session`, without
-  /// committing — callers commit the returned qubits on admission. Given
-  /// a session that replayed commits for programs[0..n-1] in order, the
-  /// result is bit-identical (same partition, same EFS doubles) to entry
-  /// n of allocate(device, programs[0..n], index). Throws
-  /// std::logic_error when !supports_incremental().
-  [[nodiscard]] virtual std::optional<PartitionAssignment> grow_one(
-      AllocationSession& session, const ProgramShape& shape) const;
 
  protected:
   [[nodiscard]] virtual std::optional<std::vector<PartitionAssignment>>
@@ -97,11 +79,6 @@ class QucpPartitioner final : public Partitioner {
   [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
       const Device& device, std::span<const ProgramShape> programs,
       const CandidateIndex* index) const override;
-  [[nodiscard]] bool supports_incremental() const noexcept override {
-    return true;
-  }
-  [[nodiscard]] std::optional<PartitionAssignment> grow_one(
-      AllocationSession& session, const ProgramShape& shape) const override;
   [[nodiscard]] double sigma() const noexcept { return policy_.sigma(); }
 
  private:
@@ -117,11 +94,6 @@ class QumcPartitioner final : public Partitioner {
   [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
       const Device& device, std::span<const ProgramShape> programs,
       const CandidateIndex* index) const override;
-  [[nodiscard]] bool supports_incremental() const noexcept override {
-    return true;
-  }
-  [[nodiscard]] std::optional<PartitionAssignment> grow_one(
-      AllocationSession& session, const ProgramShape& shape) const override;
 
  private:
   CrosstalkModel estimates_;
@@ -136,11 +108,6 @@ class QucloudPartitioner final : public Partitioner {
   [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
       const Device& device, std::span<const ProgramShape> programs,
       const CandidateIndex* index) const override;
-  [[nodiscard]] bool supports_incremental() const noexcept override {
-    return true;
-  }
-  [[nodiscard]] std::optional<PartitionAssignment> grow_one(
-      AllocationSession& session, const ProgramShape& shape) const override;
 };
 
 /// MultiQC-style (Das et al.): picks the most reliable region by a
@@ -151,11 +118,6 @@ class MultiqcPartitioner final : public Partitioner {
   [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
       const Device& device, std::span<const ProgramShape> programs,
       const CandidateIndex* index) const override;
-  [[nodiscard]] bool supports_incremental() const noexcept override {
-    return true;
-  }
-  [[nodiscard]] std::optional<PartitionAssignment> grow_one(
-      AllocationSession& session, const ProgramShape& shape) const override;
 };
 
 /// First-fit connected region by BFS from the lowest free index,

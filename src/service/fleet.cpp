@@ -7,8 +7,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "partition/candidate_index.hpp"
-
 namespace qucp {
 
 namespace {
@@ -42,90 +40,28 @@ double modeled_exec_ns(const Device& device, const ProgramShape& shape) {
   return exec_ns_from_calibration(cal, shape, mean_cx_duration_ns(cal));
 }
 
-AdmissionProbe::AdmissionProbe(const FleetSlot& slot,
-                               const Partitioner& partitioner)
-    : slot_(&slot), partitioner_(&partitioner) {}
-
-AdmissionProbe::~AdmissionProbe() = default;
-AdmissionProbe::AdmissionProbe(AdmissionProbe&&) noexcept = default;
-AdmissionProbe& AdmissionProbe::operator=(AdmissionProbe&&) noexcept =
-    default;
-
-void AdmissionProbe::rebuild_session() {
-  // A session's future queries depend only on the committed set and
-  // commit order, so replaying assignments_ (already in allocation order)
-  // reproduces exactly the session state a fresh allocate() would have
-  // after the same prefix.
-  session_ = std::make_unique<AllocationSession>(*slot_->index);
-  for (const PartitionAssignment& a : assignments_) {
-    session_->commit(a.qubits);
-  }
-  session_valid_ = true;
-}
-
 const std::vector<PartitionAssignment>* AdmissionProbe::probe(
     const ProgramShape& shape) {
   has_pending_ = false;
   pending_shape_ = shape;
-
-  // allocation_order sorts (qubits desc, 2q desc, stable): the new shape
-  // — holding the highest original index — sorts last iff it does not
-  // strictly precede the currently-last ordered member.
-  const auto sorts_last = [&] {
-    if (shapes_.empty()) return true;
-    const ProgramShape& last = shapes_[order_.back()];
-    const bool precedes =
-        shape.num_qubits > last.num_qubits ||
-        (shape.num_qubits == last.num_qubits && shape.num_2q > last.num_2q);
-    return !precedes;
-  };
-
-  if (slot_->index != nullptr &&
-      partitioner_->supports_incremental() && sorts_last()) {
-    // Fast path: the grown batch's allocation order is the old order plus
-    // the new shape at the end, so the members' greedy prefix (and their
-    // context EFS scores, frozen at their own allocation step) is
-    // unchanged — only the new job needs an allocation, against the
-    // persistent session.
-    if (!session_valid_) rebuild_session();
-    auto grown = partitioner_->grow_one(*session_, shape);
-    if (!grown) return nullptr;
-    pending_assignments_ = assignments_;
-    pending_assignments_.push_back(std::move(*grown));
-    pending_order_ = order_;
-    pending_order_.push_back(shapes_.size());
-    pending_fast_ = true;
-  } else {
-    // From-scratch path: re-allocate the whole grown batch in the same
-    // largest-first order the execution pipeline will use.
-    std::vector<ProgramShape> tentative = shapes_;
-    tentative.push_back(shape);
-    pending_order_ = allocation_order(tentative);
-    std::vector<ProgramShape> ordered_shapes;
-    ordered_shapes.reserve(pending_order_.size());
-    for (std::size_t idx : pending_order_) {
-      ordered_shapes.push_back(tentative[idx]);
-    }
-    auto alloc =
-        partitioner_->allocate(*slot_->device, ordered_shapes, slot_->index);
-    if (!alloc) return nullptr;
-    pending_assignments_ = std::move(*alloc);
-    pending_fast_ = false;
+  std::vector<ProgramShape> tentative = shapes_;
+  tentative.push_back(shape);
+  pending_order_ = allocation_order(tentative);
+  std::vector<ProgramShape> ordered_shapes;
+  ordered_shapes.reserve(pending_order_.size());
+  for (std::size_t idx : pending_order_) {
+    ordered_shapes.push_back(tentative[idx]);
   }
+  auto alloc =
+      partitioner_->allocate(*slot_->device, ordered_shapes, slot_->index);
+  if (!alloc) return nullptr;
+  pending_assignments_ = std::move(*alloc);
   has_pending_ = true;
   return &pending_assignments_;
 }
 
 void AdmissionProbe::admit() {
   assert(has_pending_);
-  if (pending_fast_ && session_valid_) {
-    // Tail admission: the session extends by exactly the new commit.
-    session_->commit(pending_assignments_.back().qubits);
-  } else {
-    // Mid-order admission re-shuffled the commit order; rebuild lazily on
-    // the next fast probe.
-    session_valid_ = false;
-  }
   shapes_.push_back(pending_shape_);
   order_ = std::move(pending_order_);
   assignments_ = std::move(pending_assignments_);
@@ -148,8 +84,6 @@ void AdmissionProbe::reset() {
   shapes_.clear();
   order_.clear();
   assignments_.clear();
-  session_.reset();
-  session_valid_ = false;
   pending_order_.clear();
   pending_assignments_.clear();
   has_pending_ = false;
@@ -395,9 +329,12 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
   for (const PackJob& job : jobs) remaining.push_back(&job);
 
   // Per-round open batch state, slot-indexed. The probes carry the open
-  // batches' shapes and allocations across admissions (see AdmissionProbe)
-  // so each test grows one job instead of re-allocating the whole batch.
+  // batches' shapes and allocations across admissions (see AdmissionProbe).
+  // batch_solo[s] holds each member's solo EFS next to batch[s] (looked up
+  // once, when the member itself was probed with the threshold on), so a
+  // probe's §IV-B check reads it instead of the slot's solo-EFS map.
   std::vector<std::vector<const PackJob*>> batch(num_slots);
+  std::vector<std::vector<std::optional<double>>> batch_solo(num_slots);
   std::vector<AdmissionProbe> probes;
   probes.reserve(num_slots);
   for (std::size_t s = 0; s < num_slots; ++s) {
@@ -409,6 +346,7 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
   while (!remaining.empty()) {
     for (std::size_t s = 0; s < num_slots; ++s) {
       batch[s].clear();
+      batch_solo[s].clear();
       probes[s].reset();
       closed[s] = 0;
     }
@@ -468,6 +406,7 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
           }
           if (!view.solo_efs(s, *job)) continue;  // unfit alone on s
           batch[s].push_back(job);
+          batch_solo[s].emplace_back();  // closed: never probed again
           closed[s] = 1;
           placed = true;
           placed_slot = s;
@@ -489,15 +428,16 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
         }
         unfit_everywhere = false;
 
+        const std::optional<double> job_solo =
+            check_threshold ? view.solo_efs(s, *job) : std::nullopt;
         bool over_threshold = false;
         if (check_threshold && alloc->size() > 1) {
           const std::span<const std::size_t> order = probes[s].order();
           for (std::size_t pos = 0; pos < order.size() && !over_threshold;
                ++pos) {
-            const PackJob& member = order[pos] == probes[s].size()
-                                        ? *job
-                                        : *batch[s][order[pos]];
-            const auto solo = view.solo_efs(s, member);
+            const std::optional<double>& solo =
+                order[pos] == probes[s].size() ? job_solo
+                                               : batch_solo[s][order[pos]];
             if (!solo) continue;  // batch-placeable implies solo-placeable
             const double delta = (*alloc)[pos].efs.score - *solo;
             over_threshold = delta > options.efs_threshold;
@@ -510,6 +450,7 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
         }
         probes[s].admit();
         batch[s].push_back(job);
+        batch_solo[s].push_back(job_solo);
         placed = true;
         placed_slot = s;
         break;

@@ -85,30 +85,22 @@ struct FleetSlot {
 [[nodiscard]] double modeled_exec_ns(const Device& device,
                                      const ProgramShape& shape);
 
-/// Incremental grow-one-job admission probe for one slot's open batch.
+/// Grow-one-job admission probe for one slot's open batch.
 ///
 /// The packer's admission test asks "does job J fit in this device's open
-/// batch, and at what EFS?". The from-scratch answer re-allocates the
-/// whole grown batch per probe (O(batch) allocations x N devices x
-/// rounds). This probe keeps a persistent AllocationSession mirroring the
-/// open batch's commits and, when the probed shape sorts last in
-/// allocation_order (the common case: allocation order is
-/// largest-first, and the §IV-B spill stream tends to present jobs in
-/// shrinking shape order within a batch), extends it with a single
-/// Partitioner::grow_one step — the earlier members' assignments are the
-/// greedy prefix replay, which is bit-identical by construction, so only
-/// the new job is allocated. A probe that would land mid-order, a slot
-/// without a CandidateIndex, or a partitioner without grow_one takes the
-/// from-scratch allocation instead; either way the produced assignment
-/// vector and order are bit-identical, which tests/test_fleet.cpp pins
-/// golden-style (indexed vs index-less slots) over randomized streams on
-/// all bundled topologies.
+/// batch, and at what EFS?". The probe answers it by allocating the grown
+/// batch from scratch, in the same largest-first order the execution
+/// pipeline will use, so the EFS the packer thresholds against is the EFS
+/// the job will get. With the slot's CandidateIndex that allocation is a
+/// walk over memoized (allocated-qubit set, width) states — the open
+/// batch's prefix states recur probe after probe — so the from-scratch
+/// answer costs about as much as an incremental one without a second code
+/// path. tests/test_fleet.cpp pins indexed and index-less slots as
+/// bit-identical over randomized streams on all bundled topologies.
 class AdmissionProbe {
  public:
-  AdmissionProbe(const FleetSlot& slot, const Partitioner& partitioner);
-  ~AdmissionProbe();
-  AdmissionProbe(AdmissionProbe&&) noexcept;
-  AdmissionProbe& operator=(AdmissionProbe&&) noexcept;
+  AdmissionProbe(const FleetSlot& slot, const Partitioner& partitioner)
+      : slot_(&slot), partitioner_(&partitioner) {}
 
   /// Test admitting `shape` as the next member of the open batch. On
   /// success returns the assignments of the grown batch in allocation
@@ -139,22 +131,15 @@ class AdmissionProbe {
   [[nodiscard]] std::vector<std::vector<int>> admitted_partitions() const;
 
  private:
-  void rebuild_session();
-
   const FleetSlot* slot_;
   const Partitioner* partitioner_;
   std::vector<ProgramShape> shapes_;  ///< open batch, admission order
   std::vector<std::size_t> order_;    ///< == allocation_order(shapes_)
   std::vector<PartitionAssignment> assignments_;  ///< allocation order
-  /// Session mirroring assignments_ commits; rebuilt lazily after a
-  /// mid-order (from-scratch) admission invalidates it.
-  std::unique_ptr<AllocationSession> session_;
-  bool session_valid_ = false;
   // Last probe, pending until admit()/reset().
   std::vector<PartitionAssignment> pending_assignments_;
   std::vector<std::size_t> pending_order_;
   ProgramShape pending_shape_;
-  bool pending_fast_ = false;
   bool has_pending_ = false;
 };
 

@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -196,6 +199,253 @@ TEST(AllocatorGolden, OversizedProgramsYieldNoCandidates) {
   const std::vector<ProgramShape> programs{ProgramShape{5, 3, 3}};
   EXPECT_FALSE(partitioner.allocate(device, programs, &index).has_value());
   EXPECT_FALSE(partitioner.allocate(device, programs).has_value());
+}
+
+/// An allocate() outcome that also captures a thrown invalid_argument, so
+/// golden comparisons cover the error path too.
+struct Outcome {
+  std::optional<std::vector<PartitionAssignment>> result;
+  std::string error;
+};
+
+Outcome run_allocate(const Partitioner& partitioner, const Device& device,
+                     std::span<const ProgramShape> programs,
+                     const CandidateIndex* index) {
+  Outcome out;
+  try {
+    out.result = partitioner.allocate(device, programs, index);
+  } catch (const std::invalid_argument& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+void expect_same_outcome(const Outcome& reference, const Outcome& indexed,
+                         const std::string& context) {
+  EXPECT_EQ(reference.error, indexed.error) << context;
+  expect_identical(reference.result, indexed.result, context);
+}
+
+TEST(AllocatorGolden, MemoSharedAcrossPoliciesBitIdentical) {
+  // One index per topology serves QuCP at two sigmas, QuMC, QuCloud and
+  // MultiQC interleaved, so memoized states built under one policy are
+  // rescored under the others. Batches include widths that do not fit and
+  // 2q gates on a 1-qubit program (efs_score's "needs an edge" throw,
+  // which must still fire when the state comes from the memo).
+  Rng rng(20261017);
+  std::vector<Device> devices;
+  devices.push_back(make_melbourne16());
+  devices.push_back(make_toronto27());
+  devices.push_back(make_manhattan65());
+  for (const Device& device : devices) {
+    CandidateIndex index(device);
+    std::vector<std::unique_ptr<Partitioner>> partitioners;
+    partitioners.push_back(std::make_unique<QucpPartitioner>(4.0));
+    partitioners.push_back(std::make_unique<QucpPartitioner>(2.0));
+    CrosstalkModel estimates;
+    for (const auto& [e1, e2] : device.topology().one_hop_edge_pairs()) {
+      if (rng.bernoulli(0.5)) estimates.add_pair(e1, e2, rng.uniform(1.0, 8.0));
+    }
+    partitioners.push_back(
+        std::make_unique<QumcPartitioner>(std::move(estimates)));
+    partitioners.push_back(std::make_unique<QucloudPartitioner>());
+    partitioners.push_back(std::make_unique<MultiqcPartitioner>());
+
+    const int n = device.num_qubits();
+    for (int batch = 0; batch < 40; ++batch) {
+      std::vector<ProgramShape> shapes;
+      const int batch_size = static_cast<int>(rng.integer(1, 6));
+      for (int i = 0; i < batch_size; ++i) {
+        ProgramShape s;
+        s.num_qubits = rng.bernoulli(0.05)
+                           ? n + 1
+                           : static_cast<int>(rng.integer(1, 7));
+        s.num_2q = static_cast<int>(rng.integer(0, 30));
+        s.num_1q = static_cast<int>(rng.integer(0, 40));
+        if (s.num_qubits < 2 && rng.bernoulli(0.7)) s.num_2q = 0;
+        shapes.push_back(s);
+      }
+      const std::vector<std::size_t> order = allocation_order(shapes);
+      std::vector<ProgramShape> ordered;
+      for (std::size_t idx : order) ordered.push_back(shapes[idx]);
+      // Start from a different partitioner each batch.
+      const std::size_t first =
+          static_cast<std::size_t>(rng.integer(0, 4));
+      for (std::size_t p = 0; p < partitioners.size(); ++p) {
+        const Partitioner& partitioner =
+            *partitioners[(first + p) % partitioners.size()];
+        const std::string context = device.name() + "/" + partitioner.name() +
+                                    "/batch" + std::to_string(batch);
+        expect_same_outcome(
+            run_allocate(partitioner, device, ordered, nullptr),
+            run_allocate(partitioner, device, ordered, &index), context);
+      }
+    }
+
+    // The 1-qubit state is memoized by now; a 1-qubit program with 2q
+    // gates must still throw on the hit, for every partitioner.
+    const std::vector<ProgramShape> plain{ProgramShape{1, 0, 3}};
+    const std::vector<ProgramShape> needs_edge{ProgramShape{1, 2, 3}};
+    for (const auto& partitioner : partitioners) {
+      ASSERT_TRUE(partitioner->allocate(device, plain, &index).has_value());
+      const Outcome hit =
+          run_allocate(*partitioner, device, needs_edge, &index);
+      EXPECT_EQ(hit.error, "efs_score: program needs an edge")
+          << device.name() << "/" << partitioner->name();
+      expect_same_outcome(
+          run_allocate(*partitioner, device, needs_edge, nullptr), hit,
+          device.name() + "/" + partitioner->name() + "/needs_edge");
+    }
+    EXPECT_LE(index.states_cached(), CandidateIndex::kMaxStates);
+  }
+}
+
+TEST(AllocatorGolden, MemoStatesMatchReferenceOnArbitraryMasks) {
+  // Greedy allocations only reach unions of connected partitions; pin the
+  // memoized states on arbitrary allocated sets too (isolated qubits,
+  // scattered edges): the same candidates as partition_candidates and,
+  // per candidate, efs_score's breakdown under a flat sigma and under
+  // per-pair estimates.
+  Rng rng(5150);
+  std::vector<Device> devices;
+  devices.push_back(make_melbourne16());
+  devices.push_back(make_toronto27());
+  devices.push_back(make_manhattan65());
+  for (const Device& device : devices) {
+    CandidateIndex index(device);
+    const SigmaPolicy sigma(4.0);
+    CrosstalkModel estimates;
+    for (const auto& [e1, e2] : device.topology().one_hop_edge_pairs()) {
+      estimates.add_pair(e1, e2, rng.uniform(1.0, 8.0));
+    }
+    const EstimatePolicy measured(estimates);
+    for (int trial = 0; trial < 60; ++trial) {
+      const int k = static_cast<int>(rng.integer(1, 5));
+      CandidateIndex::StateKey key = index.empty_key(k);
+      std::vector<int> allocated;
+      for (int q = 0; q < device.num_qubits(); ++q) {
+        if (rng.bernoulli(0.25)) allocated.push_back(q);
+      }
+      key.allocate(allocated);
+      const auto state = index.state(key);
+      const auto reference = partition_candidates(device, k, allocated);
+      ASSERT_EQ(state->size(), reference.size()) << device.name();
+      ProgramShape shape{k, k >= 2 ? 5 : 0, 7};
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        const std::span<const int> part = state->part(i);
+        ASSERT_EQ(std::vector<int>(part.begin(), part.end()), reference[i]);
+        for (const CrosstalkPolicy* policy :
+             {static_cast<const CrosstalkPolicy*>(&sigma),
+              static_cast<const CrosstalkPolicy*>(&measured)}) {
+          const EfsBreakdown want =
+              efs_score(device, reference[i], shape, allocated, *policy);
+          const EfsBreakdown got = state->score(i, shape, *policy);
+          const std::string context = device.name() + "/trial" +
+                                      std::to_string(trial) + "/cand" +
+                                      std::to_string(i);
+          EXPECT_EQ(want.score, got.score) << context;
+          EXPECT_EQ(want.avg_2q, got.avg_2q) << context;
+          EXPECT_EQ(want.avg_1q, got.avg_1q) << context;
+          EXPECT_EQ(want.readout_sum, got.readout_sum) << context;
+          EXPECT_EQ(want.crosstalk_edges, got.crosstalk_edges) << context;
+        }
+      }
+    }
+  }
+}
+
+TEST(AllocatorGolden, ConcurrentAllocationMatchesSingleThreaded) {
+  // Dispatch probes and every lane's batch pipeline share one epoch index:
+  // four threads allocate overlapping batch lists on one cold index and
+  // must each reproduce the single-threaded reference results.
+  const Device device = make_toronto27();
+  const QucpPartitioner qucp(4.0);
+  const MultiqcPartitioner multiqc;
+  Rng rng(4242);
+  std::vector<std::vector<ProgramShape>> batches;
+  for (int b = 0; b < 24; ++b) {
+    std::vector<ProgramShape> shapes = random_batch(rng, 6);
+    const std::vector<std::size_t> order = allocation_order(shapes);
+    std::vector<ProgramShape> ordered;
+    for (std::size_t idx : order) ordered.push_back(shapes[idx]);
+    batches.push_back(std::move(ordered));
+  }
+  const auto partitioner_of = [&](std::size_t b) -> const Partitioner& {
+    return b % 3 == 0 ? static_cast<const Partitioner&>(multiqc) : qucp;
+  };
+  std::vector<std::optional<std::vector<PartitionAssignment>>> reference;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    reference.push_back(partitioner_of(b).allocate(device, batches[b]));
+  }
+
+  CandidateIndex index(device);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::optional<std::vector<PartitionAssignment>>>>
+      got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks every batch, starting at a different offset, so
+      // the threads race on the same memo keys.
+      got[t].resize(batches.size());
+      for (std::size_t i = 0; i < batches.size(); ++i) {
+        const std::size_t b = (i + static_cast<std::size_t>(t) * 5) %
+                              batches.size();
+        got[t][b] = partitioner_of(b).allocate(device, batches[b], &index);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      expect_identical(reference[b], got[t][b],
+                       "thread" + std::to_string(t) + "/batch" +
+                           std::to_string(b));
+    }
+  }
+}
+
+TEST(AllocatorGolden, MemoStaysBoundedAndResultsUnchanged) {
+  // Flood one index with more distinct (allocated set, k) states than its
+  // cap: the memo must stay within kMaxStates, a state handed out before
+  // its eviction must stay readable, and allocations must still match the
+  // reference afterwards.
+  const Device device = make_manhattan65();
+  CandidateIndex index(device);
+  const QucpPartitioner qucp(4.0);
+  const std::vector<ProgramShape> golden_batch = {
+      {5, 10, 10}, {4, 7, 8}, {3, 4, 6}, {2, 3, 3}};
+  const auto reference = qucp.allocate(device, golden_batch);
+  expect_identical(reference, qucp.allocate(device, golden_batch, &index),
+                   "before flood");
+  const std::shared_ptr<const CandidateIndex::State> early =
+      index.state(index.empty_key(3));
+  const std::size_t early_size = early->size();
+  const EfsBreakdown early_score =
+      early->score(0, ProgramShape{3, 2, 2}, SigmaPolicy(4.0));
+
+  Rng rng(31337);
+  std::set<std::pair<std::vector<std::uint64_t>, int>> distinct;
+  while (distinct.size() < CandidateIndex::kMaxStates + 200) {
+    CandidateIndex::StateKey key =
+        index.empty_key(static_cast<int>(rng.integer(1, 4)));
+    std::vector<int> qubits;
+    for (int q = 0; q < device.num_qubits(); ++q) {
+      if (rng.bernoulli(0.2)) qubits.push_back(q);
+    }
+    key.allocate(qubits);
+    distinct.insert({key.allocated, key.k});
+    (void)index.state(key);
+    ASSERT_LE(index.states_cached(), CandidateIndex::kMaxStates);
+  }
+  EXPECT_EQ(index.states_cached(), CandidateIndex::kMaxStates);
+
+  ASSERT_EQ(early->size(), early_size);
+  const EfsBreakdown again =
+      early->score(0, ProgramShape{3, 2, 2}, SigmaPolicy(4.0));
+  EXPECT_EQ(again.score, early_score.score);
+  expect_identical(reference, qucp.allocate(device, golden_batch, &index),
+                   "after flood");
 }
 
 }  // namespace

@@ -28,9 +28,9 @@ PackJob make_job(std::size_t index, ProgramShape shape,
 
 /// Slots + per-slot caches with stable addresses.
 struct TestFleet {
-  /// `indexed` gives every slot its own CandidateIndex, which lets the
-  /// admission probe take its incremental grow-one path; index-less slots
-  /// always re-allocate from scratch.
+  /// `indexed` gives every slot its own CandidateIndex, so admission
+  /// probes allocate through its memoized states; index-less slots
+  /// generate and score every candidate from scratch.
   explicit TestFleet(std::vector<Device> devs, bool indexed = false)
       : devices(std::move(devs)) {
     caches.resize(devices.size());
@@ -648,13 +648,13 @@ std::vector<PackJob> random_pack_jobs(Rng& rng, int max_qubits) {
 }
 
 TEST(PackFleet, IncrementalAdmissionBitIdenticalOnAllTopologies) {
-  // Golden A/B for the grow-one admission probe: a slot carrying the
-  // backend's CandidateIndex (incremental probes) must reproduce an
-  // index-less slot (from-scratch re-allocation per probe) bit for bit —
+  // Golden A/B for the admission probe: a slot carrying the backend's
+  // CandidateIndex (memoized allocation states) must reproduce an
+  // index-less slot (reference candidate generation per probe) bit for bit —
   // same batches, same spill stream, same modeled-seconds doubles, same
   // solo-EFS cache fills — over randomized job streams (exclusive jobs and
   // tight EFS thresholds included) on every bundled topology, for every
-  // candidate partitioner (with and without grow_one support).
+  // candidate partitioner.
   // test_allocator_golden pins indexed == index-less allocation itself.
   Rng rng(20260808);
   for (const Device& device : bundled_topologies()) {
@@ -722,6 +722,73 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalAcrossPoliciesAndBacklogs) {
         const FleetPlan incremental = run(true);
         expect_plans_identical(reference, incremental, context);
         if (!use_policy) break;  // the id-order arm has no policy kinds
+      }
+    }
+  }
+}
+
+TEST(PackFleet, ThresholdAdmissionFollowsTheDecisionRule) {
+  // Replays the §IV-B admission rule from scratch on a single slot (no
+  // policy, no exclusive jobs, so round r is batch r): a batch is
+  // admissible when it allocates and every member's EFS rises by at most
+  // the threshold over its solo EFS. Every planned batch must be
+  // admissible, and every job deferred to round r >= 1 must have been
+  // refused by the members of batch r - 1 admitted before it (or found
+  // that batch full).
+  Rng rng(1504);
+  const Device device = make_toronto27();
+  CandidateIndex index(device);
+  const QucpPartitioner partitioner;
+  for (int trial = 0; trial < 24; ++trial) {
+    std::vector<PackJob> jobs;
+    const int n = static_cast<int>(rng.integer(2, 12));
+    for (int i = 0; i < n; ++i) {
+      ProgramShape s;
+      s.num_qubits = static_cast<int>(rng.integer(1, 6));
+      s.num_2q = s.num_qubits >= 2 ? static_cast<int>(rng.integer(0, 20)) : 0;
+      s.num_1q = static_cast<int>(rng.integer(0, 20));
+      jobs.push_back(make_job(static_cast<std::size_t>(i), s, rng.next_u64()));
+    }
+    PackOptions opts;
+    opts.max_batch_size = static_cast<int>(rng.integer(2, 5));
+    opts.efs_threshold = rng.uniform(0.0, 0.3);
+    std::map<std::uint64_t, double> cache;
+    const FleetSlot slot{&device, &index, &cache};
+    const FleetPlan plan = pack_fleet(std::span<const FleetSlot>(&slot, 1),
+                                      jobs, partitioner, opts, nullptr);
+
+    const auto admissible = [&](const std::vector<std::size_t>& members) {
+      std::vector<ProgramShape> shapes;
+      for (std::size_t j : members) shapes.push_back(jobs[j].shape);
+      std::vector<ProgramShape> ordered;
+      for (std::size_t idx : allocation_order(shapes)) {
+        ordered.push_back(shapes[idx]);
+      }
+      const auto alloc = partitioner.allocate(device, ordered);
+      if (!alloc) return false;
+      for (std::size_t pos = 0; pos < ordered.size(); ++pos) {
+        const auto solo = solo_efs_score(device, partitioner, ordered[pos]);
+        if ((*alloc)[pos].efs.score - *solo > opts.efs_threshold) return false;
+      }
+      return true;
+    };
+
+    const std::vector<PackedBatch>& batches = plan.batches[0];
+    for (std::size_t r = 0; r < batches.size(); ++r) {
+      const std::string context =
+          "trial" + std::to_string(trial) + "/batch" + std::to_string(r);
+      EXPECT_TRUE(admissible(batches[r].jobs)) << context;
+      if (r == 0) continue;
+      for (std::size_t j : batches[r].jobs) {
+        std::vector<std::size_t> open;
+        for (std::size_t m : batches[r - 1].jobs) {
+          if (m < j) open.push_back(m);
+        }
+        if (open.size() >= static_cast<std::size_t>(opts.max_batch_size)) {
+          continue;  // the open batch was full
+        }
+        open.push_back(j);
+        EXPECT_FALSE(admissible(open)) << context << " job " << j;
       }
     }
   }
