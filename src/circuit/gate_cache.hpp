@@ -1,17 +1,15 @@
 #pragma once
-// Keyed memoization of per-gate artifacts.
+// Keys for memoizing per-gate artifacts.
 //
 // GateKey / GateKeyView key a gate by (kind, exact param bit patterns) —
 // cache identity, not numeric closeness — with transparent hashing so the
-// hit path never copies a params vector. GateMatrixCache is the
-// thread-safe gate_matrix() memo built on them; single-threaded callers
-// (e.g. the statevector's thread_local compiled-gate memo) reuse the key
-// types with their own unordered_map and skip the mutex.
+// hit path never copies a params vector (e.g. the statevector's
+// thread_local compiled-gate memo). kMaxGateMemoEntries bounds such a
+// memo so an endless rotation-angle sweep cannot grow it without limit.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -56,33 +54,7 @@ struct GateKeyEq {
   }
 };
 
-/// Thread-safe memo of gate_matrix() results keyed by (kind, params).
-///
-/// Entries are never evicted, so returned references stay valid for the
-/// cache's lifetime (node-based map: stable under later insertions). Meant
-/// for call sites that replay the same gates many times — a Backend keeps
-/// one across jobs so repeated shot-batches stop rebuilding CX/H/rotation
-/// matrices per op. The cache grows by one entry per distinct
-/// (kind, params) up to kMaxEntries, after which fresh keys are built into
-/// a per-thread spill slot instead (valid until the calling thread's next
-/// spilled get) so an endless rotation-angle sweep cannot grow the cache
-/// without bound.
-class GateMatrixCache {
- public:
-  static constexpr std::size_t kMaxEntries = 1 << 14;
-
-  /// The unitary of (kind, params), built on first use.
-  [[nodiscard]] const Matrix& get(GateKind kind,
-                                  std::span<const double> params = {});
-  [[nodiscard]] const Matrix& get(const Gate& g) {
-    return get(g.kind, g.params);
-  }
-
-  [[nodiscard]] std::size_t entries() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::unordered_map<GateKey, Matrix, GateKeyHash, GateKeyEq> cache_;
-};
+/// Entry cap for a (kind, params)-keyed memo.
+inline constexpr std::size_t kMaxGateMemoEntries = 1 << 14;
 
 }  // namespace qucp

@@ -1,8 +1,8 @@
 #include "metrics/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <stdexcept>
 
 namespace qucp {
@@ -11,12 +11,25 @@ namespace {
 
 double log2_safe(double x) { return std::log2(x); }
 
-std::set<std::uint64_t> support_union(const Distribution& p,
-                                      const Distribution& q) {
-  std::set<std::uint64_t> keys;
-  for (const auto& [k, v] : p.probs()) keys.insert(k);
-  for (const auto& [k, v] : q.probs()) keys.insert(k);
-  return keys;
+/// Calls f(pk, qk) for every outcome in the union of the two supports, in
+/// ascending outcome order, with 0 for an outcome a side lacks: one merge
+/// walk over the sorted probs() vectors, visiting keys in the same order
+/// (and so summing in the same order) as iterating a std::set union.
+template <typename F>
+void for_each_union(const Distribution& p, const Distribution& q, F&& f) {
+  const auto& ps = p.probs();
+  const auto& qs = q.probs();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < ps.size() || j < qs.size()) {
+    if (j == qs.size() || (i < ps.size() && ps[i].first < qs[j].first)) {
+      f(ps[i++].second, 0.0);
+    } else if (i == ps.size() || qs[j].first < ps[i].first) {
+      f(0.0, qs[j++].second);
+    } else {
+      f(ps[i++].second, qs[j++].second);
+    }
+  }
 }
 
 }  // namespace
@@ -42,31 +55,28 @@ double kl_divergence(const Distribution& p, const Distribution& q) {
 
 double jsd(const Distribution& p, const Distribution& q) {
   double d = 0.0;
-  for (std::uint64_t k : support_union(p, q)) {
-    const double pk = p.prob(k);
-    const double qk = q.prob(k);
+  for_each_union(p, q, [&d](double pk, double qk) {
     const double mk = 0.5 * (pk + qk);
     if (pk > 0.0) d += 0.5 * pk * log2_safe(pk / mk);
     if (qk > 0.0) d += 0.5 * qk * log2_safe(qk / mk);
-  }
+  });
   // Numerical guard: JSD in base 2 lies in [0, 1].
   return std::min(1.0, std::max(0.0, d));
 }
 
 double tvd(const Distribution& p, const Distribution& q) {
   double d = 0.0;
-  for (std::uint64_t k : support_union(p, q)) {
-    d += std::abs(p.prob(k) - q.prob(k));
-  }
+  for_each_union(p, q,
+                 [&d](double pk, double qk) { d += std::abs(pk - qk); });
   return 0.5 * d;
 }
 
 double hellinger(const Distribution& p, const Distribution& q) {
   double s = 0.0;
-  for (std::uint64_t k : support_union(p, q)) {
-    const double diff = std::sqrt(p.prob(k)) - std::sqrt(q.prob(k));
+  for_each_union(p, q, [&s](double pk, double qk) {
+    const double diff = std::sqrt(pk) - std::sqrt(qk);
     s += diff * diff;
-  }
+  });
   return std::sqrt(s / 2.0);
 }
 

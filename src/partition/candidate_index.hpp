@@ -18,7 +18,7 @@
 //     plain average CX error, average 1q error, readout sum.
 //
 // The index is built once per Device (a CalibrationEpoch owns one, like
-// its GateMatrixCache) and caches, per partition size k: the per-start
+// its CompiledProgramCache) and caches, per partition size k: the per-start
 // empty-mask growths, the deduplicated candidate list, and per-candidate
 // base scores accumulated in the same floating-point order efs_score uses.
 // An AllocationSession derives the candidates of one allocation state: it

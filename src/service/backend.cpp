@@ -11,8 +11,9 @@ CalibrationEpoch::CalibrationEpoch(std::uint64_t id, Device device,
     : id_(id),
       device_(std::move(device)),
       candidate_index_(device_),
-      derived_noise_(DerivedNoise::from(device_.calibration())),
-      capacity_(transpile_cache_capacity) {}
+      derived_noise_(DerivedNoise::from(device_)),
+      capacity_(transpile_cache_capacity),
+      program_cache_(device_) {}
 
 TranspiledProgram CalibrationEpoch::transpile(const Circuit& logical,
                                               std::span<const int> partition,
@@ -202,7 +203,7 @@ void CalibrationEpoch::transpile_sweep(std::span<const Circuit* const> circuits,
 
 ParallelRunReport CalibrationEpoch::execute(
     std::vector<PhysicalProgram> programs, const ExecOptions& options) const {
-  return execute_parallel(device_, std::move(programs), options, &gate_cache_,
+  return execute_parallel(device_, std::move(programs), options,
                           &program_cache_, &derived_noise_);
 }
 

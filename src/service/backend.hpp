@@ -4,7 +4,7 @@
 //
 // Everything a backend derives from its calibration — the Device snapshot
 // itself, the CandidateIndex, the transpile cache, the compiled-program
-// and gate-matrix caches, and the executor's derived noise constants —
+// cache, and the executor's derived noise constants —
 // lives inside an immutable CalibrationEpoch. The Backend owns a
 // shared_ptr to the current epoch and swaps it RCU-style on
 // recalibrate(): the replacement epoch's caches are warm-built on the
@@ -49,7 +49,6 @@
 #include <span>
 #include <vector>
 
-#include "circuit/gate_cache.hpp"
 #include "hardware/device.hpp"
 #include "mapping/parametric.hpp"
 #include "mapping/transpiler.hpp"
@@ -149,11 +148,6 @@ class CalibrationEpoch {
 
   [[nodiscard]] TranspileCacheStats cache_stats() const;
 
-  /// Distinct (kind, params) gate unitaries memoized by this epoch.
-  [[nodiscard]] std::size_t gate_cache_entries() const {
-    return gate_cache_.entries();
-  }
-
   /// Pre-build the candidate lists for `partition_sizes` (typically the
   /// predecessor epoch's working set) so the first dispatch cycle on this
   /// epoch pays no per_k builds. Part of recalibrate()'s off-lane work.
@@ -184,19 +178,15 @@ class CalibrationEpoch {
   std::uint64_t id_ = 0;
   Device device_;
   CandidateIndex candidate_index_;  ///< built against device_ (declared above)
-  DerivedNoise derived_noise_;      ///< derived from device_.calibration()
+  DerivedNoise derived_noise_;      ///< derived from device_
   std::size_t capacity_;
   mutable std::mutex mutex_;
   mutable std::map<CacheKey, CacheEntry> cache_;
   mutable std::deque<CacheKey> insertion_order_;  ///< FIFO eviction queue
   mutable TranspileCacheStats stats_;
-  /// Gate unitaries shared by every execution on this epoch (its own
-  /// mutex; never cleared, so references handed to the simulator stay
-  /// valid for the epoch's lifetime).
-  mutable GateMatrixCache gate_cache_;
-  /// Compiled (fused / lowered per-op) programs shared by every execution
-  /// on this epoch (its own mutex; shared_ptr entries, so eviction never
-  /// invalidates an in-flight replay).
+  /// Compiled programs (fused, and executables scheduled against device_)
+  /// shared by every execution on this epoch (its own mutex; shared_ptr
+  /// entries, so eviction never invalidates an in-flight replay).
   mutable CompiledProgramCache program_cache_;
 };
 

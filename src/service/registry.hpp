@@ -3,7 +3,7 @@
 // schedules over.
 //
 // Each registered Backend carries its own epoch-versioned cache set —
-// TranspileCache, CandidateIndex, GateMatrixCache, CompiledProgramCache,
+// TranspileCache, CandidateIndex, CompiledProgramCache,
 // all owned by the backend's current CalibrationEpoch (service/
 // backend.hpp) — so per-device memoization survives routing decisions: a
 // job bounced between devices warms each device's caches independently,

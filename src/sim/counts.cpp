@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -151,6 +152,22 @@ std::size_t cdf_index(std::span<const double> cdf, double r) noexcept {
   return idx == cdf.size() ? cdf.size() - 1 : idx;
 }
 
+GuideTable::GuideTable(std::span<const double> cdf)
+    : scale_(static_cast<double>(kBucketsPerEntry * cdf.size()) / cdf.back()),
+      last_bucket_(static_cast<double>(kBucketsPerEntry * cdf.size() - 1)),
+      start_(kBucketsPerEntry * cdf.size()) {
+  cdf_.reserve(cdf.size() + 2);
+  cdf_.push_back(-std::numeric_limits<double>::infinity());
+  cdf_.insert(cdf_.end(), cdf.begin(), cdf.end());
+  cdf_.push_back(std::numeric_limits<double>::infinity());
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < start_.size(); ++b) {
+    const double lo = boundary(b);
+    while (i + 1 < cdf.size() && cdf[i] <= lo) ++i;
+    start_[b] = static_cast<std::uint32_t>(i);
+  }
+}
+
 }  // namespace detail
 
 Counts sample_counts(const Distribution& dist, int shots, Rng& rng) {
@@ -164,7 +181,7 @@ Counts sample_counts(const Distribution& dist, int shots, Rng& rng) {
   // Prefix sums accumulated left to right — the identical summation and
   // strict r < cdf[i] comparison Rng::discrete performs, so the sampled
   // index stream is bit-for-bit the one a per-shot discrete() would give,
-  // at a binary search instead of a linear scan per shot.
+  // at a guide-table lookup instead of a linear scan per shot.
   std::vector<double> cdf;
   cdf.reserve(entries.size());
   double acc = 0.0;
@@ -173,9 +190,10 @@ Counts sample_counts(const Distribution& dist, int shots, Rng& rng) {
     cdf.push_back(acc);
   }
   const double total = acc;
+  const detail::GuideTable guide(cdf);
   std::vector<int> hits(entries.size(), 0);
   for (int s = 0; s < shots; ++s) {
-    ++hits[detail::cdf_index(cdf, rng.uniform() * total)];
+    ++hits[guide.index(rng.uniform() * total)];
   }
   Counts counts(dist.num_bits(), {});
   for (std::size_t i = 0; i < entries.size(); ++i) {

@@ -5,6 +5,7 @@
 // 0) to shot counts. Distribution is its normalized sibling and the common
 // currency of the fidelity metrics (PST, JSD).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -95,6 +96,49 @@ namespace detail {
 /// one past the end. Requires a non-empty, non-decreasing cdf.
 [[nodiscard]] std::size_t cdf_index(std::span<const double> cdf,
                                     double r) noexcept;
+
+/// Chen & Asau's guide table over the same CDF: the draw range
+/// [0, cdf.back()) is cut into equal buckets, and each bucket records the
+/// first entry with cdf[i] > its lower boundary, so a draw starts its
+/// search at most a step or two from the answer. index(r) equals
+/// cdf_index(cdf, r) for every r: when float rounding maps a draw to a
+/// bucket whose start already lies past its answer (cdf[start - 1] > r)
+/// it falls back to cdf_index. Requires a non-empty, non-decreasing cdf
+/// with cdf.back() > 0.
+class GuideTable {
+ public:
+  static constexpr std::size_t kBucketsPerEntry = 2;
+
+  explicit GuideTable(std::span<const double> cdf);
+
+  [[nodiscard]] std::size_t index(double r) const noexcept {
+    // Branch-free bucket and first step; the answer is almost always the
+    // bucket's start or the entry after it.
+    const double x = std::min(std::max(0.0, r * scale_), last_bucket_);
+    std::size_t i = start_[static_cast<std::size_t>(x)];
+    if (cdf_[i] > r) [[unlikely]] {
+      return cdf_index(
+          std::span<const double>(cdf_).subspan(1, cdf_.size() - 2), r);
+    }
+    i += static_cast<std::size_t>(cdf_[i + 1] <= r);
+    while (cdf_[i + 1] <= r) ++i;  // the +inf sentinel stops the walk
+    return std::min(i, cdf_.size() - 3);
+  }
+
+  [[nodiscard]] std::size_t buckets() const noexcept { return start_.size(); }
+  /// Lower boundary of bucket `b`: the draw its start was resolved for.
+  [[nodiscard]] double boundary(std::size_t b) const noexcept {
+    return static_cast<double>(b) / scale_;
+  }
+
+ private:
+  /// -inf, cdf..., +inf: cdf_[i] is the entry before answer i and
+  /// cdf_[i + 1] the answer itself, with no bounds checks on either end.
+  std::vector<double> cdf_;
+  double scale_ = 0.0;        ///< buckets per unit of draw
+  double last_bucket_ = 0.0;  ///< buckets() - 1
+  std::vector<std::uint32_t> start_;
+};
 
 }  // namespace detail
 

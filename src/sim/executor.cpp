@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
+#include <optional>
 #include <stdexcept>
 
-#include "circuit/decompose.hpp"
-#include "circuit/gate_cache.hpp"
 #include "sim/density.hpp"
 #include "sim/fusion.hpp"
 #include "sim/kernels.hpp"
@@ -14,87 +12,164 @@
 
 namespace qucp {
 
-namespace {
-
-struct CxEvent {
-  std::size_t program = 0;
-  std::size_t op = 0;       // op index in the lowered program circuit
-  int edge = -1;            // device edge id
-  double start_ns = 0.0;
-  double end_ns = 0.0;
-  double gamma = 1.0;       // accumulated crosstalk multiplier
-};
-
-}  // namespace
-
-DerivedNoise DerivedNoise::from(const Calibration& cal) {
+DerivedNoise DerivedNoise::from(const Device& device) {
+  const Calibration& cal = device.calibration();
   DerivedNoise d;
   d.cx_depol.reserve(cal.cx_error.size());
   for (double err : cal.cx_error) d.cx_depol.push_back(depolarizing_param(err));
   d.q1_depol.reserve(cal.q1_error.size());
   for (double err : cal.q1_error) d.q1_depol.push_back(depolarizing_param(err));
+  // Pairs naming an edge outside the topology can never see an event.
+  const auto edges = static_cast<std::size_t>(device.topology().num_edges());
+  const auto pairs = device.crosstalk_ground_truth().pairs();
+  auto listed = [&](int e1, int e2, double g) {
+    return g > 1.0 && e1 >= 0 && e2 >= 0 &&
+           static_cast<std::size_t>(e1) < edges &&
+           static_cast<std::size_t>(e2) < edges;
+  };
+  d.xtalk_begin.assign(edges + 1, 0);
+  for (const auto& [e1, e2, g] : pairs) {
+    if (!listed(e1, e2, g)) continue;
+    ++d.xtalk_begin[static_cast<std::size_t>(e1) + 1];
+    ++d.xtalk_begin[static_cast<std::size_t>(e2) + 1];
+  }
+  for (std::size_t e = 0; e < edges; ++e) {
+    d.xtalk_begin[e + 1] += d.xtalk_begin[e];
+  }
+  d.xtalk_partner.resize(d.xtalk_begin.back());
+  d.xtalk_gamma.resize(d.xtalk_begin.back());
+  std::vector<std::uint32_t> fill(d.xtalk_begin.begin(),
+                                  d.xtalk_begin.end() - 1);
+  for (const auto& [e1, e2, g] : pairs) {
+    if (!listed(e1, e2, g)) continue;
+    for (const auto& [from, to] : {std::pair{e1, e2}, std::pair{e2, e1}}) {
+      const std::uint32_t at = fill[static_cast<std::size_t>(from)]++;
+      d.xtalk_partner[at] = to;
+      d.xtalk_gamma[at] = g;
+    }
+  }
   return d;
 }
+
+namespace detail {
+
+CrosstalkTally amplify_crosstalk(std::span<CxEvent> events,
+                                 const DerivedNoise& derived) {
+  CrosstalkTally tally;
+  if (derived.xtalk_partner.empty()) return tally;
+  // Bucket the events by edge (ascending event index within a bucket),
+  // then visit, for each event, only the later events on its partner
+  // edges: exactly the overlapping pairs with gamma > 1 an all-pairs scan
+  // finds, same-program pairs included.
+  const std::size_t num_edges = derived.xtalk_begin.size() - 1;
+  std::vector<std::uint32_t> on_edge_begin(num_edges + 1, 0);
+  for (const CxEvent& ev : events) {
+    ++on_edge_begin[static_cast<std::size_t>(ev.edge) + 1];
+  }
+  for (std::size_t e = 0; e < num_edges; ++e) {
+    on_edge_begin[e + 1] += on_edge_begin[e];
+  }
+  std::vector<std::uint32_t> on_edge(events.size());
+  std::vector<std::uint32_t> fill(on_edge_begin.begin(),
+                                  on_edge_begin.end() - 1);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    on_edge[fill[static_cast<std::size_t>(events[i].edge)]++] =
+        static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    CxEvent& a = events[i];
+    const auto e = static_cast<std::size_t>(a.edge);
+    for (std::uint32_t t = derived.xtalk_begin[e];
+         t < derived.xtalk_begin[e + 1]; ++t) {
+      const auto partner = static_cast<std::size_t>(derived.xtalk_partner[t]);
+      const double g = derived.xtalk_gamma[t];
+      for (std::uint32_t k = on_edge_begin[partner];
+           k < on_edge_begin[partner + 1]; ++k) {
+        if (on_edge[k] <= i) continue;
+        CxEvent& b = events[on_edge[k]];
+        if (!intervals_overlap(a.start_ns, a.end_ns, b.start_ns, b.end_ns)) {
+          continue;
+        }
+        // Conditional-error semantics (Murali et al.): the CX error in the
+        // presence of any conflicting neighbor is gamma * base, so
+        // concurrent partners take the max rather than compounding.
+        a.gamma = std::max(a.gamma, g);
+        b.gamma = std::max(b.gamma, g);
+        ++tally.events;
+        tally.max_gamma = std::max(tally.max_gamma, g);
+      }
+    }
+  }
+  return tally;
+}
+
+}  // namespace detail
 
 ParallelRunReport execute_parallel(const Device& device,
                                    std::vector<PhysicalProgram> programs,
                                    const ExecOptions& options,
-                                   GateMatrixCache* gate_cache,
                                    const CompiledProgramCache* program_cache,
                                    const DerivedNoise* derived) {
   // Cap kernel-level threading for the whole run (scoped to this thread).
   const kern::ParallelThreadsGuard thread_cap(options.kernel_threads);
-  // Callers without a long-lived cache still deduplicate within the run.
-  GateMatrixCache local_cache;
-  GateMatrixCache& matrices = gate_cache != nullptr ? *gate_cache : local_cache;
   if (programs.empty()) {
     throw std::invalid_argument("execute_parallel: no programs");
   }
   if (options.shots <= 0) {
     throw std::invalid_argument("execute_parallel: shots <= 0");
   }
-  const Topology& topo = device.topology();
+  if (program_cache != nullptr && program_cache->device() != &device) {
+    throw std::invalid_argument(
+        "execute_parallel: program cache built for another device");
+  }
+  // Callers without an epoch derive the constants per run.
+  std::optional<DerivedNoise> local_derived;
+  if (derived == nullptr) {
+    derived = &local_derived.emplace(DerivedNoise::from(device));
+  }
   const Calibration& cal = device.calibration();
 
-  // Lower to CX basis and compile per-op kernels — through the Backend's
-  // persistent cache when given, else per call — then validate qubit usage
-  // and coupling against this device.
+  // Compile each program — through the epoch's persistent cache when
+  // given, else per call — then validate coupling and qubit usage
+  // against this device.
   std::vector<std::shared_ptr<const CompiledExecutable>> compiled;
   compiled.reserve(programs.size());
-  std::set<int> all_used;
+  std::vector<char> used(static_cast<std::size_t>(device.num_qubits()), 0);
+  int qubits_used = 0;
   for (const PhysicalProgram& prog : programs) {
     if (prog.circuit.num_qubits() > device.num_qubits()) {
       throw std::invalid_argument("execute_parallel: program wider than device");
     }
     std::shared_ptr<const CompiledExecutable> exe =
         program_cache != nullptr
-            ? program_cache->executable(prog.circuit, &matrices)
+            ? program_cache->executable(prog.circuit, options.schedule)
             : std::make_shared<const CompiledExecutable>(
-                  CompiledExecutable::compile(prog.circuit, &matrices));
-    for (const Gate& g : exe->lowered().ops()) {
-      if (is_two_qubit_gate(g.kind) &&
-          !topo.adjacent(g.qubits[0], g.qubits[1])) {
-        throw std::invalid_argument(
-            "execute_parallel: two-qubit gate on uncoupled qubits in " +
-            prog.name);
-      }
+                  CompiledExecutable::compile(prog.circuit, &device,
+                                              options.schedule));
+    if (!exe->structure().coupled()) {
+      throw std::invalid_argument(
+          "execute_parallel: two-qubit gate on uncoupled qubits in " +
+          prog.name);
     }
-    for (int q : exe->lowered().active_qubits()) {
-      if (!all_used.insert(q).second) {
+    for (int q : exe->structure().active_qubits()) {
+      if (used[static_cast<std::size_t>(q)] != 0) {
         throw std::invalid_argument(
             "execute_parallel: programs overlap on qubit " +
             std::to_string(q));
       }
+      used[static_cast<std::size_t>(q)] = 1;
+      ++qubits_used;
     }
     compiled.push_back(std::move(exe));
   }
 
-  // Schedule each program; align ALAP schedules to the common end time.
+  // Each program's cached schedule, aligned to the common end time under
+  // ALAP (shifted in place, so the times match a fresh schedule's).
   std::vector<Schedule> schedules;
+  schedules.reserve(compiled.size());
   double global_makespan = 0.0;
   for (const auto& exe : compiled) {
-    schedules.push_back(
-        schedule_circuit(exe->lowered(), device, options.schedule));
+    schedules.push_back(exe->structure().schedule());
     global_makespan = std::max(global_makespan, schedules.back().makespan_ns);
   }
   if (options.schedule == SchedulePolicy::ALAP) {
@@ -109,22 +184,16 @@ ParallelRunReport execute_parallel(const Device& device,
   }
 
   // Collect CX events and amplify overlapping one-hop pairs.
-  auto collect_events = [&] {
-    std::vector<CxEvent> events;
-    for (std::size_t p = 0; p < compiled.size(); ++p) {
-      const Circuit& low = compiled[p]->lowered();
-      for (std::size_t i = 0; i < low.size(); ++i) {
-        const Gate& g = low.ops()[i];
-        if (g.kind != GateKind::CX) continue;
-        const auto edge = topo.edge_index(g.qubits[0], g.qubits[1]);
-        events.push_back({p, i, *edge, schedules[p].ops[i].start_ns,
-                          schedules[p].ops[i].end_ns, 1.0});
-      }
+  using detail::CxEvent;
+  std::vector<CxEvent> events;
+  for (std::size_t p = 0; p < compiled.size(); ++p) {
+    const std::vector<int>& edges = compiled[p]->structure().cx_edges();
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (edges[i] < 0) continue;
+      events.push_back({p, i, edges[i], schedules[p].ops[i].start_ns,
+                        schedules[p].ops[i].end_ns, 1.0});
     }
-    return events;
-  };
-  std::vector<CxEvent> events = collect_events();
-
+  }
   if (options.serialize_crosstalk) {
     // Program-level serialization: shift the later program past the
     // earlier one whenever a (hinted) one-hop CX pair overlaps. Coarse but
@@ -138,6 +207,7 @@ ParallelRunReport execute_parallel(const Device& device,
     // at/after the shift position instead of restarting at index 0 —
     // pairs before that point without a victim event were already clean
     // and cannot have changed.
+    const Topology& topo = device.topology();
     auto statically_eligible = [&](const CxEvent& a, const CxEvent& b) {
       if (a.program == b.program || a.edge == b.edge) return false;
       const Edge& ea = topo.edges()[a.edge];
@@ -225,35 +295,14 @@ ParallelRunReport execute_parallel(const Device& device,
       global_makespan = std::max(global_makespan, s.makespan_ns);
     }
   }
-  int crosstalk_events = 0;
-  double max_gamma = 1.0;
-  const CrosstalkModel& xtalk = device.crosstalk_ground_truth();
-  if (options.crosstalk_noise && !xtalk.empty()) {
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      for (std::size_t j = i + 1; j < events.size(); ++j) {
-        CxEvent& a = events[i];
-        CxEvent& b = events[j];
-        if (a.edge == b.edge) continue;
-        if (!intervals_overlap(a.start_ns, a.end_ns, b.start_ns, b.end_ns)) {
-          continue;
-        }
-        const double g = xtalk.gamma(a.edge, b.edge);
-        if (g > 1.0) {
-          // Conditional-error semantics (Murali et al.): the CX error in
-          // the presence of any conflicting neighbor is gamma * base, so
-          // concurrent partners take the max rather than compounding.
-          a.gamma = std::max(a.gamma, g);
-          b.gamma = std::max(b.gamma, g);
-          ++crosstalk_events;
-          max_gamma = std::max(max_gamma, g);
-        }
-      }
-    }
+  detail::CrosstalkTally xtalk;
+  if (options.crosstalk_noise) {
+    xtalk = detail::amplify_crosstalk(events, *derived);
   }
   // Index the amplified gamma per (program, op): flat per-op vectors.
   std::vector<std::vector<double>> gamma_of(programs.size());
   for (std::size_t p = 0; p < compiled.size(); ++p) {
-    gamma_of[p].assign(compiled[p]->lowered().size(), 1.0);
+    gamma_of[p].assign(compiled[p]->structure().lowered().size(), 1.0);
   }
   for (const CxEvent& ev : events) gamma_of[ev.program][ev.op] = ev.gamma;
 
@@ -261,11 +310,10 @@ ParallelRunReport execute_parallel(const Device& device,
   Rng rng(options.seed);
   ParallelRunReport report;
   report.makespan_ns = global_makespan;
-  report.crosstalk_events = crosstalk_events;
-  report.max_gamma_applied = max_gamma;
-  report.qubits_used = static_cast<int>(all_used.size());
-  report.throughput =
-      static_cast<double>(all_used.size()) / device.num_qubits();
+  report.crosstalk_events = xtalk.events;
+  report.max_gamma_applied = xtalk.max_gamma;
+  report.qubits_used = qubits_used;
+  report.throughput = static_cast<double>(qubits_used) / device.num_qubits();
 
   // Flat device-indexed bookkeeping, reused across programs.
   std::vector<int> local_of(device.num_qubits(), -1);
@@ -281,10 +329,12 @@ ParallelRunReport execute_parallel(const Device& device,
   // tests/test_fusion.cpp.
   const bool fused_noiseless = !options.gate_noise && !options.idle_noise;
 
+  std::vector<std::uint32_t> order;
   for (std::size_t p = 0; p < compiled.size(); ++p) {
-    const Circuit& circ = compiled[p]->lowered();
-    const std::vector<FusedOp>& channels = compiled[p]->channels();
-    const std::vector<int> active = circ.active_qubits();
+    const CompiledExecutable& exe = *compiled[p];
+    const ExecutableStructure& st = exe.structure();
+    const Circuit& circ = st.lowered();
+    const std::vector<int>& active = st.active_qubits();
     for (std::size_t i = 0; i < active.size(); ++i) {
       local_of[active[i]] = static_cast<int>(i);
       busy_until[active[i]] = 0.0;
@@ -294,10 +344,11 @@ ParallelRunReport execute_parallel(const Device& device,
     std::vector<std::pair<int, int>> measurements;  // (device qubit, clbit)
 
     if (fused_noiseless) {
-      // Fused compilation of the compacted lowered circuit (active qubit i
-      // = local bit i — exactly the local_of mapping the measurement
-      // packing below relies on), through the Backend's cache when given.
-      const Circuit compact = circ.compacted();
+      // Fused compilation of the compacted lowered circuit with this
+      // binding's angles (active qubit i = local bit i — exactly the
+      // local_of mapping the measurement packing below relies on), through
+      // the epoch's cache when given.
+      const Circuit compact = st.lowered_for(programs[p].circuit).compacted();
       if (program_cache != nullptr) {
         dm.run(*program_cache->fused(compact));
       } else {
@@ -309,14 +360,27 @@ ParallelRunReport execute_parallel(const Device& device,
         }
       }
     } else {
-      // Process ops in time order (stable on op index for ties).
-      std::vector<std::size_t> order(circ.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t x, std::size_t y) {
-                         return schedules[p].ops[x].start_ns <
-                                schedules[p].ops[y].start_ns;
-                       });
+      // Process ops in time order (stable on op index for ties). The
+      // cached order sorts the unshifted schedule; a shift can only merge
+      // start times into ties, so keep it when it is still sorted by
+      // (start, index) and re-sort otherwise.
+      const std::vector<ScheduledOp>& sched = schedules[p].ops;
+      const std::vector<std::uint32_t>& cached = st.time_order();
+      const bool still_sorted = std::is_sorted(
+          cached.begin(), cached.end(), [&](std::uint32_t x, std::uint32_t y) {
+            return sched[x].start_ns < sched[y].start_ns ||
+                   (sched[x].start_ns == sched[y].start_ns && x < y);
+          });
+      const std::vector<std::uint32_t>* time_order = &cached;
+      if (!still_sorted) {
+        order = cached;
+        std::sort(order.begin(), order.end(),
+                  [&](std::uint32_t x, std::uint32_t y) {
+                    return sched[x].start_ns < sched[y].start_ns ||
+                           (sched[x].start_ns == sched[y].start_ns && x < y);
+                  });
+        time_order = &order;
+      }
 
       // Idle window of device qubit q up to until_ns (thermal relaxation
       // in the schedule gap), then mark it busy through busy_ns.
@@ -330,11 +394,12 @@ ParallelRunReport execute_parallel(const Device& device,
         return r;
       };
 
+      const std::vector<int>& cx_edges = st.cx_edges();
       int local[2];
       Relaxation idle[2];
-      for (std::size_t idx : order) {
+      for (std::uint32_t idx : *time_order) {
         const Gate& g = circ.ops()[idx];
-        const ScheduledOp& so = schedules[p].ops[idx];
+        const ScheduledOp& so = sched[idx];
         if (g.kind == GateKind::Barrier) continue;
         if (g.kind == GateKind::Measure) {
           const int q = g.qubits[0];
@@ -354,19 +419,17 @@ ParallelRunReport execute_parallel(const Device& device,
         double param = 0.0;
         if (options.gate_noise && g.kind == GateKind::CX) {
           const double gamma = gamma_of[p][idx];
-          const int edge = *topo.edge_index(g.qubits[0], g.qubits[1]);
+          const auto edge = static_cast<std::size_t>(cx_edges[idx]);
           // x * 1.0 == x bitwise for every finite error rate, so the
           // epoch-precomputed parameter is exact for unamplified gates.
-          param = (derived != nullptr && gamma == 1.0)
-                      ? derived->cx_depol[static_cast<std::size_t>(edge)]
+          param = gamma == 1.0
+                      ? derived->cx_depol[edge]
                       : depolarizing_param(cal.cx_error[edge] * gamma);
         } else if (options.gate_noise) {
-          param = derived != nullptr
-                      ? derived->q1_depol[static_cast<std::size_t>(g.qubits[0])]
-                      : depolarizing_param(cal.q1_error[g.qubits[0]]);
+          param = derived->q1_depol[static_cast<std::size_t>(g.qubits[0])];
         }
         // Idle relaxation, gate and depolarizing in one sweep over rho.
-        dm.apply_noisy_gate(channels[idx],
+        dm.apply_noisy_gate(exe.channel(idx),
                             std::span<const int>(local, width),
                             std::span<const Relaxation>(idle, width), param);
       }

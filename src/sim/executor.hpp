@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,8 +27,7 @@
 
 namespace qucp {
 
-class GateMatrixCache;        // circuit/gate_cache.hpp
-class CompiledProgramCache;   // sim/fusion.hpp
+class CompiledProgramCache;  // sim/fusion.hpp
 
 /// A program already mapped to physical qubits. The circuit spans the whole
 /// device index space but may only touch its partition's qubits; CX/CZ ops
@@ -72,16 +72,24 @@ struct ProgramOutcome {
 
 /// Calibration-derived noise constants, computed once per calibration
 /// snapshot instead of once per gate application: the per-edge CX
-/// depolarizing parameter at gamma = 1 and the per-qubit 1q depolarizing
-/// parameter. A CalibrationEpoch (service/backend.hpp) derives one table
-/// when it is built and hands it to every execution on that epoch;
-/// crosstalk-amplified CX events (gamma > 1) still derive their parameter
-/// on the fly. Purely a recompute-avoidance table — depolarizing_param is
+/// depolarizing parameter at gamma = 1, the per-qubit 1q depolarizing
+/// parameter, and the ground-truth crosstalk partners of every edge. A
+/// CalibrationEpoch (service/backend.hpp) derives one table when it is
+/// built and hands it to every execution on that epoch; crosstalk-
+/// amplified CX events (gamma > 1) still derive their parameter on the
+/// fly. Purely a recompute-avoidance table — depolarizing_param is
 /// deterministic, so results are bit-identical with or without it.
 struct DerivedNoise {
   std::vector<double> cx_depol;  ///< depolarizing_param(cx_error[e]) per edge
   std::vector<double> q1_depol;  ///< depolarizing_param(q1_error[q]) per qubit
-  [[nodiscard]] static DerivedNoise from(const Calibration& cal);
+  /// Edges with ground-truth gamma > 1 against edge e, in CSR form:
+  /// xtalk_partner[xtalk_begin[e] .. xtalk_begin[e + 1]), each with its
+  /// gamma at the same position of xtalk_gamma. Symmetric, like the
+  /// model's keys.
+  std::vector<std::uint32_t> xtalk_begin;
+  std::vector<int> xtalk_partner;
+  std::vector<double> xtalk_gamma;
+  [[nodiscard]] static DerivedNoise from(const Device& device);
 };
 
 struct ParallelRunReport {
@@ -95,15 +103,13 @@ struct ParallelRunReport {
 
 /// Execute programs simultaneously on the device. Programs must occupy
 /// pairwise-disjoint qubit sets and respect the coupling graph.
-/// `gate_cache` (optional) memoizes gate unitaries across calls — a Backend
-/// passes its own so repeated shot-batches stop rebuilding matrices per op;
-/// when null a run-local cache still deduplicates within the call.
-/// `program_cache` (optional) memoizes each program's CX lowering and
-/// per-op compiled kernels (sim/fusion.hpp) across calls; when null the
-/// compilation happens per call. `derived` (optional) supplies the
-/// calibration-derived depolarizing parameters precomputed for this
-/// device's calibration snapshot — it must have been built from exactly
-/// device.calibration(). Either way every gate replays through a
+/// `program_cache` (optional) memoizes each program's lowering, angle-free
+/// kernels, schedule and CX edge ids per structure, and its parametric
+/// kernels per binding (sim/fusion.hpp); it must have been built for
+/// `device`. When null the compilation happens per call. `derived`
+/// (optional) supplies the calibration-derived constants precomputed for
+/// this device — it must have been built from exactly `device`; when null
+/// they are derived per call. Either way every gate replays through a
 /// precompiled kernel. With noise on, each gate and its channels — idle
 /// relaxation on its operands since their last op, then depolarizing —
 /// run as one DensityMatrix::apply_noisy_gate sweep, bit-identical to
@@ -111,9 +117,36 @@ struct ParallelRunReport {
 /// measurements relax in a pass of their own.
 [[nodiscard]] ParallelRunReport execute_parallel(
     const Device& device, std::vector<PhysicalProgram> programs,
-    const ExecOptions& options = {}, GateMatrixCache* gate_cache = nullptr,
+    const ExecOptions& options = {},
     const CompiledProgramCache* program_cache = nullptr,
     const DerivedNoise* derived = nullptr);
+
+namespace detail {
+
+/// One CX of a batch in device time, for crosstalk accounting.
+struct CxEvent {
+  std::size_t program = 0;
+  std::size_t op = 0;  ///< op index in the program's lowered circuit
+  int edge = -1;       ///< device edge id
+  double start_ns = 0.0;
+  double end_ns = 0.0;
+  double gamma = 1.0;  ///< accumulated crosstalk multiplier
+};
+
+struct CrosstalkTally {
+  int events = 0;  ///< overlapping event pairs with gamma > 1
+  double max_gamma = 1.0;
+};
+
+/// Ground-truth crosstalk: raise each event's gamma to the largest
+/// multiplier of any event it overlaps in time on a partner edge of
+/// `derived` (built from the device the events ran on), counting every
+/// such pair once — the same pairs, counts and multipliers as checking all
+/// event pairs against the device's CrosstalkModel.
+CrosstalkTally amplify_crosstalk(std::span<CxEvent> events,
+                                 const DerivedNoise& derived);
+
+}  // namespace detail
 
 /// Convenience: execute a single program (no co-runners).
 [[nodiscard]] ProgramOutcome execute_single(const Device& device,

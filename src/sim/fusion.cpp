@@ -1,11 +1,11 @@
 #include "sim/fusion.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
 
 #include "circuit/decompose.hpp"
-#include "circuit/gate_cache.hpp"
 #include "sim/statevector.hpp"
 
 namespace qucp {
@@ -396,31 +396,134 @@ CompiledProgram CompiledProgram::materialize(const FusionPlan& plan,
   return out;
 }
 
-std::vector<FusedOp> compile_ops(const Circuit& circuit,
-                                 GateMatrixCache* matrices) {
+std::vector<FusedOp> compile_ops(const Circuit& circuit) {
   std::vector<FusedOp> out(circuit.size());
   for (std::size_t i = 0; i < circuit.size(); ++i) {
     const Gate& g = circuit.ops()[i];
     if (!is_unitary_gate(g.kind)) continue;
     const int k = static_cast<int>(g.qubits.size());
     assert(k == 1 || k == 2);
-    if (matrices != nullptr) {
-      out[i] = make_fused_op(matrices->get(g).data().data(), k, g.qubits[0],
-                             k == 2 ? g.qubits[1] : -1);
-    } else {
-      const Matrix u = gate_matrix(g);
-      out[i] = make_fused_op(u.data().data(), k, g.qubits[0],
-                             k == 2 ? g.qubits[1] : -1);
-    }
+    const Matrix u = gate_matrix(g);
+    out[i] = make_fused_op(u.data().data(), k, g.qubits[0],
+                           k == 2 ? g.qubits[1] : -1);
   }
   return out;
 }
 
+ExecutableStructure ExecutableStructure::build(const Circuit& physical,
+                                               const Device* device,
+                                               const SchedulePolicy policy) {
+  ExecutableStructure s;
+  s.source_size_ = physical.size();
+  // Copied rather than moved: lowering grows its op vector by appends, and
+  // a copy's capacity is exact — the structure stays cached.
+  const Circuit lowered = lower_to_cx_basis(physical);
+  s.lowered_ = lowered;
+  // Lowering expands SWAP and CZ into three angle-free ops each and passes
+  // every other op through unchanged, so walking the source alongside
+  // recovers the lowered -> source index of each parametric op.
+  std::size_t li = 0;
+  for (std::size_t si = 0; si < physical.size(); ++si) {
+    const Gate& g = physical.ops()[si];
+    if (g.kind == GateKind::SWAP || g.kind == GateKind::CZ) {
+      li += 3;
+      continue;
+    }
+    if (!g.params.empty()) {
+      s.parametric_.push_back(
+          {static_cast<std::uint32_t>(li), static_cast<std::uint32_t>(si)});
+    }
+    ++li;
+  }
+  assert(li == s.lowered_.size());
+  const std::size_t n = s.lowered_.size();
+  const auto angle_free = std::count_if(
+      s.lowered_.ops().begin(), s.lowered_.ops().end(),
+      [](const Gate& g) { return is_unitary_gate(g.kind) && g.params.empty(); });
+  s.fixed_.reserve(static_cast<std::size_t>(angle_free) + 1);
+  s.fixed_.resize(1);
+  s.slot_.assign(n, 0);
+  std::int32_t parametric = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Gate& g = s.lowered_.ops()[i];
+    if (!g.params.empty()) {
+      s.slot_[i] = ~parametric++;  // parametric_ is in lowered order too
+    } else if (is_unitary_gate(g.kind)) {
+      const int k = static_cast<int>(g.qubits.size());
+      s.slot_[i] = static_cast<std::int32_t>(s.fixed_.size());
+      s.fixed_.push_back(make_fused_op(
+          fixed_gate_matrix(g.kind)->data().data(), k, g.qubits[0],
+          k == 2 ? g.qubits[1] : -1));
+    }
+  }
+  s.active_ = s.lowered_.active_qubits();
+  if (device == nullptr) return s;
+
+  const Topology& topo = device->topology();
+  s.cx_edges_.assign(n, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Gate& g = s.lowered_.ops()[i];
+    if (!is_two_qubit_gate(g.kind)) continue;
+    const std::optional<int> edge = topo.edge_index(g.qubits[0], g.qubits[1]);
+    if (!edge) {
+      s.coupled_ = false;
+      s.cx_edges_.clear();
+      return s;
+    }
+    s.cx_edges_[i] = *edge;
+  }
+  s.schedule_ = schedule_circuit(s.lowered_, *device, policy);
+  s.time_order_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.time_order_[i] = static_cast<std::uint32_t>(i);
+  }
+  std::stable_sort(s.time_order_.begin(), s.time_order_.end(),
+                   [&](std::uint32_t x, std::uint32_t y) {
+                     return s.schedule_.ops[x].start_ns <
+                            s.schedule_.ops[y].start_ns;
+                   });
+  return s;
+}
+
+Circuit ExecutableStructure::lowered_for(const Circuit& physical) const {
+  Circuit out = lowered_;
+  for (const ParamOp& p : parametric_) {
+    const Gate& g = physical.ops()[p.source];
+    for (std::size_t k = 0; k < g.params.size(); ++k) {
+      out.patch_param(p.lowered, k, g.params[k]);
+    }
+  }
+  out.invalidate_fingerprints();
+  return out;
+}
+
 CompiledExecutable CompiledExecutable::compile(const Circuit& physical,
-                                               GateMatrixCache* matrices) {
+                                               const Device* device,
+                                               const SchedulePolicy policy) {
+  return materialize(std::make_shared<const ExecutableStructure>(
+                         ExecutableStructure::build(physical, device, policy)),
+                     physical);
+}
+
+CompiledExecutable CompiledExecutable::materialize(
+    std::shared_ptr<const ExecutableStructure> structure,
+    const Circuit& physical) {
+  if (physical.size() != structure->source_size() ||
+      physical.num_qubits() != structure->lowered().num_qubits()) {
+    throw std::invalid_argument(
+        "CompiledExecutable::materialize: circuit does not match structure");
+  }
   CompiledExecutable exe;
-  exe.lowered_ = lower_to_cx_basis(physical);
-  exe.channels_ = compile_ops(exe.lowered_, matrices);
+  exe.bound_.reserve(structure->parametric().size());
+  cx u[16];
+  for (const ExecutableStructure::ParamOp& p : structure->parametric()) {
+    const Gate& g = physical.ops()[p.source];
+    const int dim = gate_matrix_into(g.kind, g.params, u);
+    const Gate& low = structure->lowered().ops()[p.lowered];
+    exe.bound_.push_back(make_fused_op(u, dim == 2 ? 1 : 2, low.qubits[0],
+                                       dim == 2 ? -1 : low.qubits[1]));
+  }
+  exe.structure_ = std::move(structure);
   return exe;
 }
 
@@ -494,27 +597,43 @@ std::shared_ptr<const CompiledProgram> CompiledProgramCache::fused(
 }
 
 std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
-    const Circuit& physical, GateMatrixCache* matrices) const {
-  const std::uint64_t key = circuit_fingerprint(physical);
+    const Circuit& physical, const SchedulePolicy policy) const {
+  const CircuitFingerprints fp = circuit_fingerprints(physical);
+  const ExecutableKey key{fp.structural, policy};
+  std::shared_ptr<const ExecutableStructure> structure;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (auto it = executables_.find(key); it != executables_.end()) {
-      return it->second;
+      ++executable_hits_;
+      if (it->second.last_exact == fp.exact) return it->second.last;
+      structure = it->second.structure;
     }
   }
-  std::shared_ptr<const CompiledExecutable> exe =
-      std::make_shared<const CompiledExecutable>(
-          CompiledExecutable::compile(physical, matrices));
+  // Structure miss: lower, precompile and schedule once. Either way only
+  // the parametric kernels are materialized for this binding. Both run
+  // outside the lock; they are deterministic, so a racing duplicate
+  // insert just loses and its result is identical anyway.
+  const bool built = structure == nullptr;
+  if (built) {
+    structure = std::make_shared<const ExecutableStructure>(
+        ExecutableStructure::build(physical, device_, policy));
+  }
+  auto exe = std::make_shared<const CompiledExecutable>(
+      CompiledExecutable::materialize(structure, physical));
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = executables_.emplace(key, std::move(exe));
+  if (built) ++executable_builds_;
+  auto [it, inserted] = executables_.try_emplace(key);
   if (inserted) {
+    it->second.structure = std::move(structure);
     executables_order_.push_back(key);
-    if (executables_.size() > kMaxEntries) {
-      executables_.erase(executables_order_.front());
-      executables_order_.pop_front();
-    }
   }
-  return it->second;
+  it->second.last = exe;
+  it->second.last_exact = fp.exact;
+  if (inserted && executables_.size() > kMaxEntries) {
+    executables_.erase(executables_order_.front());
+    executables_order_.pop_front();
+  }
+  return exe;
 }
 
 std::size_t CompiledProgramCache::entries() const {
@@ -530,6 +649,16 @@ std::uint64_t CompiledProgramCache::plan_builds() const {
 std::uint64_t CompiledProgramCache::plan_hits() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return plan_hits_;
+}
+
+std::uint64_t CompiledProgramCache::executable_builds() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return executable_builds_;
+}
+
+std::uint64_t CompiledProgramCache::executable_hits() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return executable_hits_;
 }
 
 }  // namespace qucp

@@ -34,13 +34,21 @@
 // over one ansatz re-runs only the cheap matrix products per iteration,
 // never the fusion walk.
 //
-// CompiledExecutable is the unfused sibling for the noisy executor: the
-// CX-lowered circuit plus per-op precompiled kernels (including the
-// superket forms DensityMatrix needs), replayed gate by gate — each gate
-// in one density sweep together with its idle relaxation and
-// depolarizing — arithmetic identical to the uncompiled path bit for bit. CompiledProgramCache memoizes both per
-// circuit fingerprint and lives on a Backend next to GateMatrixCache and
-// CandidateIndex.
+// The noisy executor's unfused sibling is split the same way. An
+// ExecutableStructure is the structural half of a physical program: the
+// CX-lowered op skeleton with a lowered -> source index for every op whose
+// matrix depends on an angle (SWAP -> 3 CX and CZ -> H.CX.H carry none),
+// the precompiled kernels (including the superket forms DensityMatrix
+// needs) of every angle-free op, and — scheduled against the owning
+// epoch's device — the ALAP/ASAP schedule, its time order, the active
+// qubits and each CX's edge id. A CompiledExecutable is one binding of it:
+// materialize() rebuilds only the parametric ops' kernels from the
+// binding's angles. Replay is gate by gate, each gate in one density sweep
+// together with its idle relaxation and depolarizing, arithmetic
+// identical to the uncompiled path bit for bit. CompiledProgramCache
+// memoizes fused programs per circuit fingerprint and executables per
+// (structural fingerprint, schedule policy); it lives on a calibration
+// epoch next to CandidateIndex, so a recalibration starts it cold.
 
 #include <cstdint>
 #include <deque>
@@ -52,12 +60,12 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "hardware/device.hpp"
+#include "schedule/schedule.hpp"
 #include "sim/counts.hpp"
 #include "sim/kernels.hpp"
 
 namespace qucp {
-
-class GateMatrixCache;  // circuit/gate_cache.hpp
 
 /// One fused (or per-op compiled) unitary with every kernel form the
 /// simulators need, precompiled:
@@ -181,94 +189,210 @@ class CompiledProgram {
   std::size_t source_gates_ = 0;
 };
 
-/// A physical program compiled for the noisy executor: lowered to the CX
-/// basis once, with per-op kernels precompiled and aligned 1:1 with
-/// `lowered.ops()` (non-unitary positions hold placeholder entries).
-/// Replay is gate by gate — no fusion across gates — so the noise channels
-/// around each gate see exactly the state they saw before compilation
-/// existed; DensityMatrix::apply_noisy_gate runs each gate together with
-/// its own channels in one sweep. The executor's noiseless fast path
-/// (gate_noise and idle_noise both off) fetches the fused compilation of
-/// lowered().compacted() from the cache on demand instead.
+/// The structural half of a physical program compiled for the noisy
+/// executor: everything that depends only on its structural_fingerprint
+/// and, when scheduled, on the device it was scheduled against. It holds
+/// the kernels of the angle-free ops; a CompiledExecutable supplies the
+/// parametric ones per binding.
+class ExecutableStructure {
+ public:
+  /// A lowered op whose matrix depends on an angle, and the source op it
+  /// was copied from (lowering passes parametric gates through unchanged).
+  struct ParamOp {
+    std::uint32_t lowered = 0;
+    std::uint32_t source = 0;
+  };
+
+  /// Lower `physical` and precompile its angle-free ops. With a `device`,
+  /// also check every two-qubit op against the coupling map and, when all
+  /// are coupled, schedule under `policy` and record the time order and
+  /// CX edge ids. Without one, the timing accessors are empty.
+  [[nodiscard]] static ExecutableStructure build(const Circuit& physical,
+                                                 const Device* device,
+                                                 SchedulePolicy policy);
+
+  /// Lowered circuit of the binding the structure was built from.
+  [[nodiscard]] const Circuit& lowered() const noexcept { return lowered_; }
+  /// The lowered circuit with `physical`'s own angles (same structure).
+  [[nodiscard]] Circuit lowered_for(const Circuit& physical) const;
+  [[nodiscard]] const std::vector<ParamOp>& parametric() const noexcept {
+    return parametric_;
+  }
+  /// Op count of the source circuit (materialize guard).
+  [[nodiscard]] std::size_t source_size() const noexcept {
+    return source_size_;
+  }
+
+  /// False when some two-qubit op sits on an uncoupled pair of the device
+  /// (the structure is then unscheduled).
+  [[nodiscard]] bool coupled() const noexcept { return coupled_; }
+  /// Schedule of lowered(), before any cross-program alignment.
+  [[nodiscard]] const Schedule& schedule() const noexcept { return schedule_; }
+  /// Lowered op indices stably sorted by schedule start time.
+  [[nodiscard]] const std::vector<std::uint32_t>& time_order() const noexcept {
+    return time_order_;
+  }
+  /// Device qubits the lowered circuit touches, ascending.
+  [[nodiscard]] const std::vector<int>& active_qubits() const noexcept {
+    return active_;
+  }
+  /// Device edge id per lowered op: the CX's edge, -1 for every other op.
+  [[nodiscard]] const std::vector<int>& cx_edges() const noexcept {
+    return cx_edges_;
+  }
+
+ private:
+  friend class CompiledExecutable;
+
+  Circuit lowered_;
+  std::vector<ParamOp> parametric_;
+  /// Angle-free kernels; entry 0 is the placeholder non-unitary ops map to.
+  std::vector<FusedOp> fixed_;
+  /// Per lowered op: its fixed_ index, or ~(parametric index) when < 0.
+  std::vector<std::int32_t> slot_;
+  std::size_t source_size_ = 0;
+  bool coupled_ = true;
+  Schedule schedule_;
+  std::vector<std::uint32_t> time_order_;
+  std::vector<int> active_;
+  std::vector<int> cx_edges_;
+};
+
+/// One binding of an ExecutableStructure: the structure plus the kernels of
+/// its parametric ops, built from this binding's angles with
+/// gate_matrix_into — the same values gate_matrix gives, so replay is bit
+/// for bit the from-scratch lowering's.
 class CompiledExecutable {
  public:
+  /// From scratch: build the structure of `physical`, then materialize it.
   [[nodiscard]] static CompiledExecutable compile(
-      const Circuit& physical, GateMatrixCache* matrices = nullptr);
+      const Circuit& physical, const Device* device = nullptr,
+      SchedulePolicy policy = SchedulePolicy::ALAP);
 
-  [[nodiscard]] const Circuit& lowered() const noexcept { return lowered_; }
-  [[nodiscard]] const std::vector<FusedOp>& channels() const noexcept {
-    return channels_;
+  /// Bind `physical`'s angles into `structure`. `physical` must have the
+  /// structure it was built from (same structural_fingerprint); throws
+  /// std::invalid_argument on an op-count/qubit-count mismatch.
+  [[nodiscard]] static CompiledExecutable materialize(
+      std::shared_ptr<const ExecutableStructure> structure,
+      const Circuit& physical);
+
+  [[nodiscard]] const ExecutableStructure& structure() const noexcept {
+    return *structure_;
   }
+  /// Kernel of lowered op `i` for this binding (a placeholder with
+  /// is_unitary() == false at barrier/measure positions).
+  [[nodiscard]] const FusedOp& channel(std::size_t i) const noexcept {
+    const std::int32_t slot = structure_->slot_[i];
+    return slot >= 0 ? structure_->fixed_[static_cast<std::size_t>(slot)]
+                     : bound_[static_cast<std::size_t>(~slot)];
+  }
+
  private:
-  Circuit lowered_;
-  std::vector<FusedOp> channels_;
+  std::shared_ptr<const ExecutableStructure> structure_;
+  std::vector<FusedOp> bound_;  ///< parallel to structure().parametric()
 };
 
 /// Per-op (unfused) kernel compilation for an arbitrary circuit: entry i
 /// corresponds to circuit.ops()[i]; barrier/measure positions are
 /// placeholders with is_unitary() == false.
-[[nodiscard]] std::vector<FusedOp> compile_ops(const Circuit& circuit,
-                                               GateMatrixCache* matrices =
-                                                   nullptr);
+[[nodiscard]] std::vector<FusedOp> compile_ops(const Circuit& circuit);
 
 /// Exact outcome distribution of a compiled (fused) program under ideal
 /// execution — the cached-program fast path of
 /// ideal_distribution(const Circuit&).
 [[nodiscard]] Distribution ideal_distribution(const CompiledProgram& program);
 
-/// Thread-safe per-Backend memo of compiled programs, keyed by circuit
-/// fingerprint like the transpile cache. Entries are returned as
-/// shared_ptr so FIFO eviction can never invalidate a program a simulation
-/// is replaying. Bounded: an endless stream of distinct circuits evicts
-/// oldest-first instead of growing without limit.
+/// Thread-safe per-epoch memo of compiled programs. Fused programs are
+/// keyed by circuit fingerprint like the transpile cache; executables by
+/// (structural fingerprint, schedule policy), each entry also keeping the
+/// last binding it materialized so an exact repeat costs one lookup.
+/// Entries are returned as shared_ptr so FIFO eviction can never
+/// invalidate a program a simulation is replaying. Bounded: an endless
+/// stream of distinct circuits evicts oldest-first instead of growing
+/// without limit.
 class CompiledProgramCache {
  public:
   static constexpr std::size_t kMaxEntries = 1 << 10;
+
+  /// A cache whose executables are unscheduled (fused programs and plans
+  /// need no device).
+  CompiledProgramCache() = default;
+  /// Executables are scheduled against `device`, which must outlive the
+  /// cache (a CalibrationEpoch passes its own device snapshot).
+  explicit CompiledProgramCache(const Device& device) : device_(&device) {}
 
   /// Fused compilation of `circuit` (ideal pipeline).
   [[nodiscard]] std::shared_ptr<const CompiledProgram> fused(
       const Circuit& circuit) const;
 
-  /// Lowered + per-op compilation of `physical` (noisy pipeline).
-  /// `matrices` (optional) memoizes the gate unitaries built during
-  /// compilation.
+  /// Noisy-pipeline compilation of `physical`: the structure is built once
+  /// per (structural fingerprint, `policy`), then only the parametric
+  /// kernels are materialized per fresh binding.
   [[nodiscard]] std::shared_ptr<const CompiledExecutable> executable(
-      const Circuit& physical, GateMatrixCache* matrices = nullptr) const;
+      const Circuit& physical,
+      SchedulePolicy policy = SchedulePolicy::ALAP) const;
 
   /// Fusion plan for `circuit`'s structure, memoized per
-  /// structural_fingerprint. Exact-fingerprint misses in fused() and
-  /// executable() go through here, so a parameter sweep over one ansatz
-  /// runs the fusion walk once and only re-materializes matrices.
+  /// structural_fingerprint. Exact-fingerprint misses in fused() go
+  /// through here, so a parameter sweep over one ansatz runs the fusion
+  /// walk once and only re-materializes matrices.
   [[nodiscard]] std::shared_ptr<const FusionPlan> plan(
       const Circuit& circuit) const;
 
-  /// Distinct programs currently held (fused + executable).
+  /// Device the executables are scheduled against (null: unscheduled).
+  [[nodiscard]] const Device* device() const noexcept { return device_; }
+
+  /// Distinct programs currently held (fused + executable structures).
   [[nodiscard]] std::size_t entries() const;
 
   /// Fusion walks actually performed / avoided via the plan cache.
   [[nodiscard]] std::uint64_t plan_builds() const;
   [[nodiscard]] std::uint64_t plan_hits() const;
 
+  /// Executable structures built / reused (exact repeats included).
+  [[nodiscard]] std::uint64_t executable_builds() const;
+  [[nodiscard]] std::uint64_t executable_hits() const;
+
  private:
+  struct ExecutableKey {
+    std::uint64_t structural = 0;
+    SchedulePolicy policy = SchedulePolicy::ALAP;
+    [[nodiscard]] bool operator==(const ExecutableKey&) const = default;
+  };
+  struct ExecutableKeyHash {
+    std::size_t operator()(const ExecutableKey& k) const noexcept {
+      return static_cast<std::size_t>(
+          k.structural ^ (static_cast<std::uint64_t>(k.policy) + 1) *
+                             0x9E3779B97F4A7C15ull);
+    }
+  };
+  struct ExecutableEntry {
+    std::shared_ptr<const ExecutableStructure> structure;
+    std::shared_ptr<const CompiledExecutable> last;  ///< last binding seen
+    std::uint64_t last_exact = 0;  ///< circuit_fingerprint of `last`
+  };
+
   /// Plan lookup with the structural key already in hand (fused() computes
   /// both fingerprints in one circuit walk).
   [[nodiscard]] std::shared_ptr<const FusionPlan> plan_for(
       std::uint64_t structural_key, const Circuit& circuit) const;
 
+  const Device* device_ = nullptr;
   mutable std::mutex mutex_;
   mutable std::unordered_map<std::uint64_t,
                              std::shared_ptr<const CompiledProgram>>
       fused_;
-  mutable std::unordered_map<std::uint64_t,
-                             std::shared_ptr<const CompiledExecutable>>
+  mutable std::unordered_map<ExecutableKey, ExecutableEntry, ExecutableKeyHash>
       executables_;
   mutable std::unordered_map<std::uint64_t, std::shared_ptr<const FusionPlan>>
       plans_;  ///< keyed by structural_fingerprint
   mutable std::deque<std::uint64_t> fused_order_;        ///< FIFO eviction
-  mutable std::deque<std::uint64_t> executables_order_;  ///< FIFO eviction
+  mutable std::deque<ExecutableKey> executables_order_;  ///< FIFO eviction
   mutable std::deque<std::uint64_t> plans_order_;        ///< FIFO eviction
   mutable std::uint64_t plan_builds_ = 0;
   mutable std::uint64_t plan_hits_ = 0;
+  mutable std::uint64_t executable_builds_ = 0;
+  mutable std::uint64_t executable_hits_ = 0;
 };
 
 }  // namespace qucp

@@ -42,11 +42,10 @@ const kern::CompiledUnitary& compiled_for(const Gate& g) {
   if (auto it = memo.find(GateKeyView{g.kind, g.params}); it != memo.end()) {
     return it->second;
   }
-  // Bound the memo like GateMatrixCache: an endless rotation-angle sweep
-  // must not grow it without limit. Past the cap, rebuild into a
-  // per-thread spill slot.
+  // Bound the memo: an endless rotation-angle sweep must not grow it
+  // without limit. Past the cap, rebuild into a per-thread spill slot.
   const Matrix m = gate_matrix(g);
-  if (memo.size() >= GateMatrixCache::kMaxEntries) {
+  if (memo.size() >= kMaxGateMemoEntries) {
     thread_local kern::CompiledUnitary spill;
     spill = kern::compile_unitary(m.data());
     return spill;

@@ -165,6 +165,45 @@ TEST(Counts, CdfIndexIsFirstEntryAboveDraw) {
   }
 }
 
+TEST(Counts, GuideTableMatchesCdfIndexAtEveryBucketBoundary) {
+  // Draws exactly at, and one ULP either side of, every bucket boundary
+  // and every CDF entry — where float rounding can put a draw in a bucket
+  // whose start lies past its answer — must land where cdf_index puts
+  // them. Lopsided, flat (zero-weight) and boundary-aligned CDFs.
+  Rng gen(4711);
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t n = 1 + gen.index(80);
+    std::vector<double> cdf;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double w = 1.0 / static_cast<double>(n);  // entries on boundaries
+      if (trial % 3 == 1) {
+        w = gen.bernoulli(0.2) ? gen.uniform(1e-9, 1e-6) : gen.uniform();
+      } else if (trial % 3 == 2) {
+        w = gen.bernoulli(0.3) ? 0.0 : gen.uniform(0.0, 1.0) + 1e-12;
+      }
+      acc += w;
+      cdf.push_back(acc);
+    }
+    if (cdf.back() <= 0.0) continue;
+    const detail::GuideTable guide(cdf);
+    std::vector<double> draws{0.0, cdf.back(), 1.0, 2.0 * cdf.back()};
+    for (std::size_t b = 0; b <= guide.buckets(); ++b) {
+      draws.push_back(guide.boundary(b));
+    }
+    draws.insert(draws.end(), cdf.begin(), cdf.end());
+    const std::size_t exact = draws.size();
+    for (std::size_t k = 0; k < exact; ++k) {
+      draws.push_back(std::nextafter(draws[k], -1.0));
+      draws.push_back(std::nextafter(draws[k], 3.0));
+    }
+    for (const double r : draws) {
+      EXPECT_EQ(guide.index(r), detail::cdf_index(cdf, r))
+          << "trial " << trial << " n=" << n << " r=" << r;
+    }
+  }
+}
+
 TEST(Counts, SampleRejectsBadShots) {
   const Distribution d(1, {{0, 1.0}});
   Rng rng(1);

@@ -1,0 +1,377 @@
+// Tests for the noisy executor's two-half executables (sim/fusion.hpp) and
+// its partner-edge crosstalk scan (sim/executor.hpp).
+//
+// A structure built from one binding and materialized with another must
+// equal the from-scratch pipeline for the second binding bit for bit:
+// lowering, per-op kernels, schedule, time order, active qubits and CX
+// edge ids. The partner-edge scan must find exactly the pairs, counts and
+// multipliers of the all-pairs scan it replaced, which is kept here as
+// the reference.
+
+#include "sim/fusion.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "circuit/decompose.hpp"
+#include "common/rng.hpp"
+#include "hardware/device.hpp"
+#include "schedule/schedule.hpp"
+#include "sim/executor.hpp"
+
+namespace qucp {
+namespace {
+
+std::vector<Device> named_devices() {
+  std::vector<Device> devices;
+  devices.push_back(make_melbourne16());
+  devices.push_back(make_toronto27());
+  devices.push_back(make_manhattan65());
+  return devices;
+}
+
+/// Grow a random connected region of up to `want` qubits outside `taken`.
+std::vector<int> random_region(const Device& device, Rng& rng, int want,
+                               std::vector<char>& taken) {
+  const Topology& topo = device.topology();
+  std::vector<int> free;
+  for (int q = 0; q < device.num_qubits(); ++q) {
+    if (taken[static_cast<std::size_t>(q)] == 0) free.push_back(q);
+  }
+  if (free.empty()) return {};
+  std::vector<int> region{free[rng.index(free.size())]};
+  taken[static_cast<std::size_t>(region[0])] = 1;
+  while (static_cast<int>(region.size()) < want) {
+    std::vector<int> frontier;
+    for (const Edge& e : topo.edges()) {
+      const bool has_a = std::count(region.begin(), region.end(), e.a) > 0;
+      const bool has_b = std::count(region.begin(), region.end(), e.b) > 0;
+      const int other = has_a ? e.b : e.a;
+      if (has_a != has_b && taken[static_cast<std::size_t>(other)] == 0) {
+        frontier.push_back(other);
+      }
+    }
+    if (frontier.empty()) break;
+    region.push_back(frontier[rng.index(frontier.size())]);
+    taken[static_cast<std::size_t>(region.back())] = 1;
+  }
+  return region;
+}
+
+/// Random physical circuit on `region`: rotations (parametric and fixed),
+/// CX/CZ/SWAP on coupled pairs, region barriers, mid-circuit and final
+/// measurements.
+Circuit random_physical_circuit(const Device& device, Rng& rng,
+                                const std::vector<int>& region, int steps) {
+  static const GateKind k1q[] = {GateKind::H,  GateKind::X,  GateKind::S,
+                                 GateKind::T,  GateKind::SX, GateKind::RX,
+                                 GateKind::RY, GateKind::RZ, GateKind::U1,
+                                 GateKind::U2, GateKind::U3};
+  std::vector<std::pair<int, int>> pairs;
+  for (const Edge& e : device.topology().edges()) {
+    if (std::count(region.begin(), region.end(), e.a) > 0 &&
+        std::count(region.begin(), region.end(), e.b) > 0) {
+      pairs.emplace_back(e.a, e.b);
+    }
+  }
+  Circuit c(device.num_qubits(), static_cast<int>(region.size()));
+  int next_clbit = 0;
+  for (int s = 0; s < steps; ++s) {
+    const double roll = rng.uniform();
+    if (!pairs.empty() && roll < 0.45) {
+      auto [a, b] = pairs[rng.index(pairs.size())];
+      if (rng.bernoulli(0.5)) std::swap(a, b);
+      const double kind = rng.uniform();
+      if (kind < 0.6) {
+        c.cx(a, b);
+      } else if (kind < 0.8) {
+        c.cz(a, b);
+      } else {
+        c.swap(a, b);
+      }
+    } else if (roll < 0.9) {
+      Gate g;
+      g.kind = k1q[rng.index(std::size(k1q))];
+      g.qubits = {region[rng.index(region.size())]};
+      for (int i = 0; i < gate_param_count(g.kind); ++i) {
+        g.params.push_back(rng.uniform(-3.0, 3.0));
+      }
+      c.append(std::move(g));
+    } else if (roll < 0.95) {
+      c.barrier(region);
+    } else if (next_clbit < static_cast<int>(region.size())) {
+      c.measure(region[static_cast<std::size_t>(next_clbit)], next_clbit);
+      ++next_clbit;
+    }
+  }
+  for (; next_clbit < static_cast<int>(region.size()); ++next_clbit) {
+    c.measure(region[static_cast<std::size_t>(next_clbit)], next_clbit);
+  }
+  return c;
+}
+
+/// Same structure, fresh angles.
+Circuit rebind(const Circuit& c, Rng& rng) {
+  Circuit out = c;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    for (std::size_t k = 0; k < out.ops()[i].params.size(); ++k) {
+      out.set_param(i, k, rng.uniform(-3.0, 3.0));
+    }
+  }
+  return out;
+}
+
+void expect_same_kernel(const kern::CompiledUnitary& a,
+                        const kern::CompiledUnitary& b, std::size_t op) {
+  EXPECT_EQ(a.tag, b.tag) << "op " << op;
+  EXPECT_EQ(a.k, b.k) << "op " << op;
+  EXPECT_EQ(std::memcmp(a.src, b.src, sizeof(a.src)), 0) << "op " << op;
+  EXPECT_EQ(std::memcmp(a.re, b.re, sizeof(a.re)), 0) << "op " << op;
+  EXPECT_EQ(std::memcmp(a.im, b.im, sizeof(a.im)), 0) << "op " << op;
+}
+
+void expect_same_channel(const FusedOp& a, const FusedOp& b, std::size_t op) {
+  EXPECT_EQ(a.q[0], b.q[0]) << "op " << op;
+  EXPECT_EQ(a.q[1], b.q[1]) << "op " << op;
+  if (!a.is_unitary()) return;
+  expect_same_kernel(a.sv, b.sv, op);
+  expect_same_kernel(a.dm, b.dm, op);
+}
+
+TEST(ExecutableStructure, MaterializeMatchesFromScratchPipeline) {
+  Rng rng(1601);
+  for (const Device& device : named_devices()) {
+    for (const SchedulePolicy policy :
+         {SchedulePolicy::ALAP, SchedulePolicy::ASAP}) {
+      for (int trial = 0; trial < 8; ++trial) {
+        std::vector<char> taken(static_cast<std::size_t>(device.num_qubits()),
+                                0);
+        const std::vector<int> region = random_region(
+            device, rng, 2 + static_cast<int>(rng.index(5)), taken);
+        const Circuit first =
+            random_physical_circuit(device, rng, region, 20 + 10 * trial);
+        const Circuit second = rebind(first, rng);
+        const auto structure = std::make_shared<const ExecutableStructure>(
+            ExecutableStructure::build(first, &device, policy));
+        const CompiledExecutable bound =
+            CompiledExecutable::materialize(structure, second);
+        const CompiledExecutable fresh =
+            CompiledExecutable::compile(second, &device, policy);
+
+        // The from-scratch pipeline for the second binding.
+        const Circuit lowered = lower_to_cx_basis(second);
+        const std::vector<FusedOp> channels = compile_ops(lowered);
+        const Schedule sched = schedule_circuit(lowered, device, policy);
+        std::vector<std::uint32_t> order(lowered.size());
+        for (std::size_t i = 0; i < order.size(); ++i) {
+          order[i] = static_cast<std::uint32_t>(i);
+        }
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::uint32_t x, std::uint32_t y) {
+                           return sched.ops[x].start_ns < sched.ops[y].start_ns;
+                         });
+
+        ASSERT_TRUE(structure->coupled());
+        EXPECT_EQ(structure->lowered_for(second).ops(), lowered.ops());
+        EXPECT_EQ(structure->lowered().ops(), lower_to_cx_basis(first).ops());
+        ASSERT_EQ(structure->lowered().size(), lowered.size());
+        for (std::size_t i = 0; i < lowered.size(); ++i) {
+          expect_same_channel(bound.channel(i), channels[i], i);
+          expect_same_channel(fresh.channel(i), channels[i], i);
+          const Gate& g = lowered.ops()[i];
+          const int want_edge =
+              g.kind == GateKind::CX
+                  ? *device.topology().edge_index(g.qubits[0], g.qubits[1])
+                  : -1;
+          EXPECT_EQ(structure->cx_edges()[i], want_edge) << "op " << i;
+          EXPECT_EQ(structure->schedule().ops[i].op_index,
+                    sched.ops[i].op_index);
+          EXPECT_EQ(structure->schedule().ops[i].start_ns,
+                    sched.ops[i].start_ns);
+          EXPECT_EQ(structure->schedule().ops[i].end_ns, sched.ops[i].end_ns);
+        }
+        EXPECT_EQ(structure->schedule().makespan_ns, sched.makespan_ns);
+        EXPECT_EQ(structure->time_order(), order);
+        EXPECT_EQ(structure->active_qubits(), lowered.active_qubits());
+      }
+    }
+  }
+}
+
+TEST(ExecutableStructure, UncoupledProgramIsFlaggedUnscheduled) {
+  const Device device = make_line_device(4);
+  Circuit c(4, 2);
+  c.cx(0, 2);
+  c.measure(0, 0);
+  c.measure(2, 1);
+  const ExecutableStructure s =
+      ExecutableStructure::build(c, &device, SchedulePolicy::ALAP);
+  EXPECT_FALSE(s.coupled());
+  EXPECT_TRUE(s.schedule().ops.empty());
+}
+
+TEST(ExecutableStructure, MaterializeRejectsForeignStructure) {
+  Circuit a(2, 2);
+  a.rz(0.1, 0);
+  a.measure_all();
+  Circuit b = a;
+  b.h(1);
+  const auto structure = std::make_shared<const ExecutableStructure>(
+      ExecutableStructure::build(a, nullptr, SchedulePolicy::ALAP));
+  EXPECT_THROW((void)CompiledExecutable::materialize(structure, b),
+               std::invalid_argument);
+}
+
+TEST(CompiledProgramCache, BindingsOfOneAnsatzShareOneStructure) {
+  const Device device = make_toronto27();
+  const CompiledProgramCache cache(device);
+  Circuit ansatz(device.num_qubits(), 3);
+  for (int layer = 0; layer < 3; ++layer) {
+    for (int q : {0, 1, 2}) {
+      ansatz.ry(0.1, q);
+      ansatz.rz(0.2, q);
+    }
+    ansatz.cx(0, 1);
+    ansatz.cx(1, 2);
+  }
+  for (int q : {0, 1, 2}) ansatz.measure(q, q);
+
+  constexpr int kBindings = 8;
+  Rng rng(88);
+  std::vector<Circuit> bindings;
+  std::vector<std::shared_ptr<const CompiledExecutable>> exes;
+  for (int i = 0; i < kBindings; ++i) {
+    bindings.push_back(rebind(ansatz, rng));
+    exes.push_back(cache.executable(bindings.back()));
+  }
+  EXPECT_EQ(cache.executable_builds(), 1u);
+  EXPECT_EQ(cache.executable_hits(), static_cast<std::uint64_t>(kBindings - 1));
+  EXPECT_EQ(cache.entries(), 1u);
+  for (const auto& exe : exes) {
+    EXPECT_EQ(&exe->structure(), &exes.front()->structure());
+  }
+  // An exact repeat of the last binding is served as-is, no materialize.
+  EXPECT_EQ(cache.executable(bindings.back()).get(), exes.back().get());
+  EXPECT_EQ(cache.executable_hits(), static_cast<std::uint64_t>(kBindings));
+  // A later binding replays its own angles, not the first binding's.
+  const CompiledExecutable ref =
+      CompiledExecutable::compile(bindings.back(), &device);
+  for (std::size_t i = 0; i < ref.structure().lowered().size(); ++i) {
+    expect_same_channel(exes.back()->channel(i), ref.channel(i), i);
+  }
+  // Fusion plan counters are untouched by executables.
+  EXPECT_EQ(cache.plan_builds(), 0u);
+  EXPECT_EQ(cache.plan_hits(), 0u);
+  // The schedule policy is part of the key.
+  (void)cache.executable(bindings.front(), SchedulePolicy::ASAP);
+  EXPECT_EQ(cache.executable_builds(), 2u);
+}
+
+TEST(CompiledProgramCache, ExecutorRejectsCacheOfAnotherDevice) {
+  const Device device = make_line_device(3);
+  const Device other = make_line_device(3);
+  const CompiledProgramCache cache(other);
+  Circuit c(3, 2);
+  c.cx(0, 1);
+  c.measure(0, 0);
+  c.measure(1, 1);
+  EXPECT_THROW(
+      (void)execute_parallel(device, {{c, "p"}}, ExecOptions{}, &cache),
+      std::invalid_argument);
+}
+
+/// The all-pairs scan the partner-edge lists replaced.
+detail::CrosstalkTally reference_scan(std::vector<detail::CxEvent>& events,
+                                      const CrosstalkModel& xtalk) {
+  detail::CrosstalkTally tally;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    for (std::size_t j = i + 1; j < events.size(); ++j) {
+      detail::CxEvent& a = events[i];
+      detail::CxEvent& b = events[j];
+      if (a.edge == b.edge) continue;
+      if (!intervals_overlap(a.start_ns, a.end_ns, b.start_ns, b.end_ns)) {
+        continue;
+      }
+      const double g = xtalk.gamma(a.edge, b.edge);
+      if (g > 1.0) {
+        a.gamma = std::max(a.gamma, g);
+        b.gamma = std::max(b.gamma, g);
+        ++tally.events;
+        tally.max_gamma = std::max(tally.max_gamma, g);
+      }
+    }
+  }
+  return tally;
+}
+
+TEST(Crosstalk, PartnerScanMatchesAllPairsReference) {
+  Rng rng(2718);
+  int amplified_batches = 0;
+  std::vector<Device> devices;
+  devices.push_back(make_toronto27());
+  devices.push_back(make_manhattan65());
+  for (const Device& device : devices) {
+    const DerivedNoise derived = DerivedNoise::from(device);
+    for (int trial = 0; trial < 25; ++trial) {
+      // A batch of CX-dense programs on disjoint regions, ALAP-aligned to
+      // a common end time exactly as the executor aligns them.
+      std::vector<char> taken(static_cast<std::size_t>(device.num_qubits()), 0);
+      std::vector<PhysicalProgram> programs;
+      const int count = 2 + static_cast<int>(rng.index(6));
+      for (int p = 0; p < count; ++p) {
+        const std::vector<int> region = random_region(
+            device, rng, 2 + static_cast<int>(rng.index(4)), taken);
+        if (region.size() < 2) break;
+        programs.push_back(
+            {random_physical_circuit(device, rng, region, 40),
+             "p" + std::to_string(p)});
+      }
+      std::vector<CompiledExecutable> exes;
+      double makespan = 0.0;
+      for (const PhysicalProgram& prog : programs) {
+        exes.push_back(CompiledExecutable::compile(prog.circuit, &device));
+        makespan =
+            std::max(makespan, exes.back().structure().schedule().makespan_ns);
+      }
+      std::vector<detail::CxEvent> events;
+      for (std::size_t p = 0; p < exes.size(); ++p) {
+        const ExecutableStructure& s = exes[p].structure();
+        const double shift = makespan - s.schedule().makespan_ns;
+        for (std::size_t i = 0; i < s.cx_edges().size(); ++i) {
+          if (s.cx_edges()[i] < 0) continue;
+          events.push_back({p, i, s.cx_edges()[i],
+                            s.schedule().ops[i].start_ns + shift,
+                            s.schedule().ops[i].end_ns + shift, 1.0});
+        }
+      }
+      std::vector<detail::CxEvent> want = events;
+      const detail::CrosstalkTally ref =
+          reference_scan(want, device.crosstalk_ground_truth());
+      const detail::CrosstalkTally got =
+          detail::amplify_crosstalk(events, derived);
+      EXPECT_EQ(got.events, ref.events);
+      EXPECT_EQ(got.max_gamma, ref.max_gamma);
+      for (std::size_t e = 0; e < events.size(); ++e) {
+        EXPECT_EQ(events[e].gamma, want[e].gamma) << "event " << e;
+      }
+      // The executor reports the same tally for the same batch.
+      ExecOptions opts;
+      opts.shots = 16;
+      const ParallelRunReport report =
+          execute_parallel(device, programs, opts, nullptr, &derived);
+      EXPECT_EQ(report.crosstalk_events, ref.events);
+      EXPECT_EQ(report.max_gamma_applied, ref.max_gamma);
+      if (ref.events > 0) ++amplified_batches;
+    }
+  }
+  // The batches must actually exercise amplification.
+  EXPECT_GT(amplified_batches, 5);
+}
+
+}  // namespace
+}  // namespace qucp

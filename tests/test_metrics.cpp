@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <set>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace qucp {
 namespace {
@@ -106,6 +111,77 @@ TEST(Metrics, HardwareThroughput) {
   EXPECT_THROW((void)hardware_throughput(11, 10), std::invalid_argument);
   EXPECT_THROW((void)hardware_throughput(-1, 10), std::invalid_argument);
   EXPECT_THROW((void)hardware_throughput(1, 0), std::invalid_argument);
+}
+
+/// The set-union definitions the merge walk replaced: every outcome in
+/// either support, ascending, probabilities looked up per key.
+std::set<std::uint64_t> reference_union(const Distribution& p,
+                                        const Distribution& q) {
+  std::set<std::uint64_t> keys;
+  for (const auto& [k, v] : p.probs()) keys.insert(k);
+  for (const auto& [k, v] : q.probs()) keys.insert(k);
+  return keys;
+}
+
+double reference_jsd(const Distribution& p, const Distribution& q) {
+  double d = 0.0;
+  for (std::uint64_t k : reference_union(p, q)) {
+    const double pk = p.prob(k);
+    const double qk = q.prob(k);
+    const double mk = 0.5 * (pk + qk);
+    if (pk > 0.0) d += 0.5 * pk * std::log2(pk / mk);
+    if (qk > 0.0) d += 0.5 * qk * std::log2(qk / mk);
+  }
+  return std::min(1.0, std::max(0.0, d));
+}
+
+double reference_tvd(const Distribution& p, const Distribution& q) {
+  double d = 0.0;
+  for (std::uint64_t k : reference_union(p, q)) {
+    d += std::abs(p.prob(k) - q.prob(k));
+  }
+  return 0.5 * d;
+}
+
+double reference_hellinger(const Distribution& p, const Distribution& q) {
+  double s = 0.0;
+  for (std::uint64_t k : reference_union(p, q)) {
+    const double diff = std::sqrt(p.prob(k)) - std::sqrt(q.prob(k));
+    s += diff * diff;
+  }
+  return std::sqrt(s / 2.0);
+}
+
+Distribution random_sparse_distribution(Rng& rng, int bits) {
+  const std::size_t outcomes = 1 + rng.index(std::size_t{1} << bits);
+  std::vector<Distribution::Entry> entries;
+  for (std::size_t i = 0; i < outcomes; ++i) {
+    const double w = rng.bernoulli(0.2) ? rng.uniform(1e-12, 1e-6)
+                                        : rng.uniform(0.0, 1.0) + 1e-9;
+    entries.push_back({rng.index(std::size_t{1} << bits), w});
+  }
+  return Distribution(bits, std::move(entries));
+}
+
+TEST(Metrics, MergeWalkMatchesSetUnionReferenceBitwise) {
+  // Disjoint, nested and partially overlapping sparse supports (2-8 bits,
+  // duplicate draws merged), including a distribution against itself.
+  Rng rng(31337);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int bits = 2 + static_cast<int>(rng.index(7));
+    const Distribution p = random_sparse_distribution(rng, bits);
+    const Distribution q =
+        trial % 10 == 0 ? p : random_sparse_distribution(rng, bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(jsd(p, q)),
+              std::bit_cast<std::uint64_t>(reference_jsd(p, q)))
+        << "trial " << trial;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tvd(p, q)),
+              std::bit_cast<std::uint64_t>(reference_tvd(p, q)))
+        << "trial " << trial;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(hellinger(p, q)),
+              std::bit_cast<std::uint64_t>(reference_hellinger(p, q)))
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ TEST(CalibrationEpoch, ReplacementCachesAreWarmBuiltAndFresh) {
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(fresh->gate_cache_entries(), 0u);
+  EXPECT_EQ(fresh->program_cache().entries(), 0u);
 }
 
 TEST(CalibrationEpoch, InFlightBatchExecutesAgainstPinnedEpochBitIdentically) {
