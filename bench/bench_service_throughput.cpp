@@ -339,15 +339,16 @@ struct ParametricSection {
   ParametricRow on;
   ParametricRow on_scalar;  ///< per-job bind path, scalar materialize
   ParametricRow off;
-  ParametricRow batched;  ///< transpile_sweep: one probe + batched binds
+  ParametricRow batched;  ///< transpile_sweep: one probe per group + binds
 
   [[nodiscard]] double speedup() const {
     return on.ns_per_job() > 0.0 ? off.ns_per_job() / on.ns_per_job() : 0.0;
   }
   /// The sweep fast path's target: the full batched path (group-probed
-  /// cache + bind_many + plan-direct materialize on the AVX2 kernels) vs
-  /// the per-job bind path it replaces as previously shipped — per-job
-  /// cache round-trips and scalar materialize (`on_scalar`). In a build
+  /// cache, one bind() per job, plan-direct materialize on the AVX2
+  /// kernels) vs the per-job bind path it replaces as previously
+  /// shipped — per-job cache round-trips and scalar materialize
+  /// (`on_scalar`). In a build
   /// without native kernels both arms run the same scalar products and
   /// this reduces to the pure batching win.
   [[nodiscard]] double batched_speedup() const {
@@ -475,7 +476,7 @@ ParametricRow run_parametric_on(int iters, bool scalar_kernels = false) {
 /// The sweep_batched arm: the same stream, but grouped by structure and
 /// pushed through the submit_all() sweep fast path's two batched legs:
 /// CalibrationEpoch::transpile_sweep (one epoch pin and one cache probe
-/// per group, templates bound batch-at-a-time via bind_many) plus one
+/// per group, then one template bind() per job) plus one
 /// fusion-plan fetch per group with the ideal-reference program
 /// materialized directly per job (what run_batch_pipeline does for
 /// prebound sweep jobs, skipping the per-job fingerprint + cache lock).
@@ -565,9 +566,10 @@ ParametricSection run_parametric_section() {
       "every job is a fresh binding: the off arm re-places and re-routes\n"
       "per job, the on/on_scalar arms bind the structural template per job\n"
       "(native vs scalar materialize), and the sweep_batched arm probes\n"
-      "the cache + fusion plan once per structure group, binds the group\n"
-      "through bind_many and materializes each ideal reference straight\n"
-      "off the plan's AVX2 product chain (the submit_all sweep path).\n",
+      "the cache + fusion plan once per structure group, binds each job\n"
+      "against the group's template and materializes each ideal\n"
+      "reference straight off the plan's AVX2 product chain (the\n"
+      "submit_all sweep path).\n",
       section.speedup(), section.batched_speedup());
   return section;
 }

@@ -1,42 +1,11 @@
 #include "mapping/parametric.hpp"
 
-#include <bit>
-#include <cstdint>
-
 namespace qucp {
 
-namespace {
-
-/// Positional tag for (op, param) of the prepared circuit: small exact
-/// integers survive routing bit-for-bit and decode uniquely. Stride 4
-/// covers the widest parameter list in the gate set (U3's 3 angles).
-constexpr std::size_t kTagStride = 4;
-
-double encode_tag(std::size_t op, std::size_t param) {
-  return static_cast<double>(op * kTagStride + param + 1);
-}
-
-bool decode_tag(double tag, std::size_t num_ops, std::size_t& op,
-                std::size_t& param) {
-  if (!(tag >= 1.0) || tag > static_cast<double>(num_ops * kTagStride)) {
-    return false;
-  }
-  const auto t = static_cast<std::uint64_t>(tag);
-  if (static_cast<double>(t) != tag) return false;  // non-integer tag
-  op = static_cast<std::size_t>((t - 1) / kTagStride);
-  param = static_cast<std::size_t>((t - 1) % kTagStride);
-  return true;
-}
-
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-}  // namespace
-
-std::optional<TranspileTemplate> TranspileTemplate::build(
-    const Circuit& logical, const Device& device,
-    std::span<const int> partition, const TranspileOptions& options) {
+TranspileTemplate TranspileTemplate::build(const Circuit& logical,
+                                           const Device& device,
+                                           std::span<const int> partition,
+                                           const TranspileOptions& options) {
   TranspileTemplate tmpl;
   tmpl.binding0 = ParamBinding(logical).values;
 
@@ -66,51 +35,19 @@ std::optional<TranspileTemplate> TranspileTemplate::build(
     prepared_exprs = std::move(logical_exprs);
   }
 
-  // Stage B: placement + routing, both parameter-blind. Route the real
-  // prepared circuit for the result, and a positionally tagged copy to
-  // recover which prepared parameter each routed parameter came from
-  // (routing may reorder commuting layers relative to op index).
+  // Stage B: placement + routing, both parameter-blind. The router copies
+  // each prepared op verbatim and names its source, so every routed
+  // parameter inherits its prepared op's expression (inserted SWAPs have
+  // none).
   const std::vector<int> layout =
       initial_layout(prepared, device, partition, options.placement);
   RoutingResult routed = route_on_partition(prepared, device, partition,
                                             layout, options.router);
-  Circuit tagged = prepared;
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    for (std::size_t j = 0; j < prepared.ops()[i].params.size(); ++j) {
-      tagged.set_param(i, j, encode_tag(i, j));
-    }
-  }
-  const RoutingResult tagged_routed = route_on_partition(
-      tagged, device, partition, layout, options.router);
-
-  // Decode provenance, validating that the tagged route replayed the real
-  // one gate-for-gate. Any mismatch means the router was not actually
-  // parameter-blind on this input — refuse the template rather than risk a
-  // wrong bind.
-  const auto& real_ops = routed.physical.ops();
-  const auto& tag_ops = tagged_routed.physical.ops();
-  if (tag_ops.size() != real_ops.size()) return std::nullopt;
-  std::vector<std::vector<std::uint32_t>> routed_exprs(real_ops.size());
-  for (std::size_t i = 0; i < real_ops.size(); ++i) {
-    const Gate& r = real_ops[i];
-    const Gate& t = tag_ops[i];
-    if (t.kind != r.kind || t.qubits != r.qubits ||
-        t.params.size() != r.params.size()) {
-      return std::nullopt;
-    }
-    routed_exprs[i].reserve(r.params.size());
-    for (std::size_t j = 0; j < r.params.size(); ++j) {
-      std::size_t src_op = 0;
-      std::size_t src_param = 0;
-      if (!decode_tag(t.params[j], prepared.size(), src_op, src_param)) {
-        return std::nullopt;
-      }
-      if (src_op >= prepared.size() ||
-          src_param >= prepared.ops()[src_op].params.size() ||
-          !same_bits(r.params[j], prepared.ops()[src_op].params[src_param])) {
-        return std::nullopt;
-      }
-      routed_exprs[i].push_back(prepared_exprs[src_op][src_param]);
+  std::vector<std::vector<std::uint32_t>> routed_exprs(routed.source.size());
+  for (std::size_t i = 0; i < routed.source.size(); ++i) {
+    if (routed.source[i] >= 0) {
+      routed_exprs[i] =
+          prepared_exprs[static_cast<std::size_t>(routed.source[i])];
     }
   }
 
@@ -118,16 +55,32 @@ std::optional<TranspileTemplate> TranspileTemplate::build(
   tmpl.result.initial_layout = layout;
   tmpl.result.final_layout = std::move(routed.final_layout);
   tmpl.result.swaps_added = routed.swaps_added;
+  std::vector<std::vector<std::uint32_t>> phys_exprs;
   if (options.optimize_output) {
-    tmpl.result.physical = optimize_traced(routed.physical, routed_exprs,
-                                           trace);
-    tmpl.phys_exprs = std::move(trace.out_exprs);
+    tmpl.result.physical =
+        optimize_traced(routed.physical, routed_exprs, trace);
+    phys_exprs = std::move(trace.out_exprs);
   } else {
     tmpl.result.physical = std::move(routed.physical);
-    tmpl.phys_exprs = std::move(routed_exprs);
+    phys_exprs = std::move(routed_exprs);
   }
   tmpl.nodes = std::move(trace.nodes);
-  tmpl.checks = std::move(trace.checks);
+
+  // Flatten the ragged per-op expression lists into one patch list, and
+  // keep one verdict per checked node. Every recorded decision on a node
+  // was taken on that node's binding0 value, so repeats agree.
+  for (std::size_t i = 0; i < phys_exprs.size(); ++i) {
+    for (std::size_t j = 0; j < phys_exprs[i].size(); ++j) {
+      tmpl.patches.push_back({static_cast<std::uint32_t>(i),
+                              static_cast<std::uint32_t>(j), phys_exprs[i][j]});
+    }
+  }
+  std::vector<char> checked(tmpl.nodes.size(), 0);
+  for (const ParamCheck& c : trace.checks) {
+    if (checked[c.node]) continue;
+    checked[c.node] = 1;
+    tmpl.verdicts.push_back({c.node, c.identity});
+  }
   return tmpl;
 }
 
@@ -165,107 +118,16 @@ std::optional<TranspiledProgram> TranspileTemplate::bind(
   // The optimizer's control flow is structure plus these decisions; a new
   // binding must take every recorded branch the same way to reuse the
   // template's structure.
-  for (const ParamCheck& c : checks) {
-    if (angle_is_identity(vals[c.node]) != c.identity) return std::nullopt;
+  for (const Verdict& v : verdicts) {
+    if (angle_is_identity(vals[v.node]) != v.identity) return std::nullopt;
   }
 
-  TranspiledProgram out = result;
-  for (std::size_t i = 0; i < phys_exprs.size(); ++i) {
-    for (std::size_t j = 0; j < phys_exprs[i].size(); ++j) {
-      out.physical.patch_param(i, j, vals[phys_exprs[i][j]]);
-    }
+  std::optional<TranspiledProgram> out(result);
+  for (const Patch& p : patches) {
+    out->physical.patch_param(p.op, p.param, vals[p.node]);
   }
-  out.physical.invalidate_fingerprints();
+  out->physical.invalidate_fingerprints();
   return out;
-}
-
-void TranspileTemplate::bind_many(
-    std::span<const ParamBinding* const> bindings,
-    std::vector<std::optional<TranspiledProgram>>& out) const {
-  out.clear();
-  out.resize(bindings.size());
-  if (bindings.empty()) return;
-
-  // Hoist everything a single bind() recomputes that does not depend on
-  // the values: one evaluation arena reused across bindings, the ragged
-  // phys_exprs walk flattened into a linear patch list once, and the
-  // check list compressed to its distinct nodes (fan-out means several
-  // checks interrogate one node; angle_is_identity runs once per node).
-  std::vector<double> arena(nodes.size());
-  double* const vals = arena.data();
-  struct Patch {
-    std::uint32_t op;
-    std::uint32_t param;
-    std::uint32_t node;
-  };
-  std::vector<Patch> patches;
-  for (std::size_t i = 0; i < phys_exprs.size(); ++i) {
-    for (std::size_t j = 0; j < phys_exprs[i].size(); ++j) {
-      patches.push_back(Patch{static_cast<std::uint32_t>(i),
-                              static_cast<std::uint32_t>(j),
-                              phys_exprs[i][j]});
-    }
-  }
-  // expected[node]: the identity verdict every check on `node` recorded,
-  // or kUnchecked. Conflicting verdicts for one node can never both hold,
-  // so such a template rejects every binding — exactly what sequential
-  // bind() calls conclude by the second check on that node.
-  constexpr std::uint8_t kUnchecked = 2;
-  std::vector<std::uint8_t> expected(nodes.size(), kUnchecked);
-  bool contradictory = false;
-  std::vector<std::uint32_t> check_nodes;
-  for (const ParamCheck& c : checks) {
-    const std::uint8_t want = c.identity ? 1 : 0;
-    if (expected[c.node] == kUnchecked) {
-      expected[c.node] = want;
-      check_nodes.push_back(c.node);
-    } else if (expected[c.node] != want) {
-      contradictory = true;
-    }
-  }
-
-  for (std::size_t b = 0; b < bindings.size(); ++b) {
-    const std::vector<double>& binding = bindings[b]->values;
-    if (binding.size() != binding0.size()) continue;
-    // Same evaluation loop as bind(): creation order, identical additions,
-    // so each engaged result is bit-identical to bind(bindings[b]).
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const ParamExpr& e = nodes[i];
-      switch (e.kind) {
-        case ParamExpr::Kind::Slot:
-          vals[i] = binding[static_cast<std::size_t>(e.slot)];
-          break;
-        case ParamExpr::Kind::Add:
-          vals[i] = vals[e.a] + vals[e.b];
-          break;
-        case ParamExpr::Kind::Const:
-          vals[i] = e.value;
-          break;
-      }
-    }
-    bool flipped = contradictory;
-    for (const std::uint32_t node : check_nodes) {
-      if (flipped) break;
-      if (angle_is_identity(vals[node]) != (expected[node] != 0)) {
-        flipped = true;
-      }
-    }
-    if (flipped) continue;
-    TranspiledProgram& prog = out[b].emplace(result);
-    for (const Patch& p : patches) {
-      prog.physical.patch_param(p.op, p.param, vals[p.node]);
-    }
-    prog.physical.invalidate_fingerprints();
-  }
-}
-
-void TranspileTemplate::bind_many(
-    std::span<const ParamBinding> bindings,
-    std::vector<std::optional<TranspiledProgram>>& out) const {
-  std::vector<const ParamBinding*> ptrs;
-  ptrs.reserve(bindings.size());
-  for (const ParamBinding& b : bindings) ptrs.push_back(&b);
-  bind_many(ptrs, out);
 }
 
 }  // namespace qucp

@@ -13,21 +13,23 @@
 //   - the parameter-expression DAG tracing every physical-op parameter back
 //     to input slots through the optimizer's rotation merges (two traced
 //     optimize passes — input-side and post-routing — share one DAG, glued
-//     through routing by re-routing a positionally tagged copy of the
-//     prepared circuit and decoding where each routed parameter came from;
-//     safe precisely because the router never reads parameter values);
-//   - the ordered log of every identity decision both passes took.
+//     through routing by the router's per-op provenance, which names the
+//     prepared op each routed op was copied from), flattened at build time
+//     into one (op, param, node) patch list;
+//   - every identity decision both passes took, deduplicated to one
+//     (node, verdict) entry per checked node.
 //
-// bind() evaluates the DAG for a new slot binding, validates the decision
-// log, and patches the evaluated parameters into a copy of the stored
-// physical circuit. Because the DAG replays the optimizer's additions in
-// the original order and the structure is reused verbatim, a successful
-// bind is bit-identical to a from-scratch transpile_to_partition() of the
+// bind() evaluates the DAG for a new slot binding, validates the verdicts,
+// and patches the evaluated parameters into a copy of the stored physical
+// circuit. Because the DAG replays the optimizer's additions in the
+// original order and the structure is reused verbatim, a successful bind
+// is bit-identical to a from-scratch transpile_to_partition() of the
 // newly-bound circuit (golden-pinned in tests/test_parametric.cpp). A
 // binding that flips any recorded decision (an angle landing on an
 // identity the representative didn't have) is rejected and the caller
-// falls back to a from-scratch transpile.
+// falls back to a from-scratch build.
 
+#include <cstdint>
 #include <optional>
 #include <span>
 
@@ -37,43 +39,38 @@
 namespace qucp {
 
 struct TranspileTemplate {
+  /// One physical-op parameter and the DAG node that computes it.
+  struct Patch {
+    std::uint32_t op;
+    std::uint32_t param;
+    std::uint32_t node;
+  };
+  /// One checked DAG node and the angle_is_identity verdict every
+  /// recorded decision on it took.
+  struct Verdict {
+    std::uint32_t node;
+    bool identity;
+  };
+
   TranspiledProgram result;      ///< transpile of the binding0 circuit
   std::vector<double> binding0;  ///< slot values the template was built from
   std::vector<ParamExpr> nodes;  ///< shared expression DAG (both passes)
-  std::vector<ParamCheck> checks;  ///< identity decisions, evaluation order
-  /// Node id per (physical op, param), parallel to result.physical.ops().
-  std::vector<std::vector<std::uint32_t>> phys_exprs;
+  std::vector<Patch> patches;    ///< every parameter of result.physical
+  std::vector<Verdict> verdicts;  ///< one per checked node, first-seen order
 
-  /// Build a template from a representative logical circuit. Returns
-  /// nullopt when parameter provenance through routing cannot be decoded
-  /// (not expected for the supported gate set; callers fall back to plain
-  /// transpilation and cache the result without a template).
-  [[nodiscard]] static std::optional<TranspileTemplate> build(
-      const Circuit& logical, const Device& device,
-      std::span<const int> partition, const TranspileOptions& options);
+  /// Build a template from a representative logical circuit: one
+  /// placement, one routing pass. Its result is bit-identical to
+  /// transpile_to_partition(logical, ...); throws whatever that throws.
+  [[nodiscard]] static TranspileTemplate build(const Circuit& logical,
+                                               const Device& device,
+                                               std::span<const int> partition,
+                                               const TranspileOptions& options);
 
   /// Bind a new slot assignment (ParamBinding order of a circuit with the
   /// same structural_fingerprint). Returns nullopt when the binding flips
   /// a recorded optimizer decision or its slot count mismatches.
   [[nodiscard]] std::optional<TranspiledProgram> bind(
       std::span<const double> binding) const;
-
-  /// Batched bind() for sweep traffic: evaluate the DAG for every binding
-  /// against this one routed program. `out` is cleared and resized to
-  /// bindings.size(); entry i is engaged iff bind(bindings[i].values)
-  /// would succeed and is bit-identical to it. Binding-independent work —
-  /// the DAG evaluation arena and the flattened (op, param, node) patch
-  /// list — is hoisted out of the per-binding loop; a binding that flips a
-  /// recorded decision leaves its entry disengaged so the caller can fall
-  /// back for that binding alone.
-  void bind_many(std::span<const ParamBinding> bindings,
-                 std::vector<std::optional<TranspiledProgram>>& out) const;
-  /// Pointer-span form: lets callers bind a non-contiguous subset of a
-  /// binding set (e.g. transpile_sweep skipping exact-binding repeats)
-  /// without copying ParamBinding values. The value-span overload
-  /// forwards here.
-  void bind_many(std::span<const ParamBinding* const> bindings,
-                 std::vector<std::optional<TranspiledProgram>>& out) const;
 };
 
 }  // namespace qucp

@@ -1,10 +1,9 @@
 #include "mapping/router.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <limits>
-#include <map>
-#include <set>
 #include <stdexcept>
 
 #include "circuit/dag.hpp"
@@ -16,7 +15,8 @@ namespace {
 /// Hop distances inside the partition-induced subgraph.
 class PartitionDistances {
  public:
-  PartitionDistances(const Topology& topo, std::span<const int> partition) {
+  PartitionDistances(const Topology& topo, std::span<const int> partition)
+      : local_(static_cast<std::size_t>(topo.num_qubits()), -1) {
     int next = 0;
     for (int q : partition) local_[q] = next++;
     const int n = next;
@@ -29,10 +29,10 @@ class PartitionDistances {
         const int u = queue.front();
         queue.pop_front();
         for (int v : topo.neighbors(u)) {
-          const auto it = local_.find(v);
-          if (it == local_.end()) continue;
-          if (dist_[ls][it->second] < 0) {
-            dist_[ls][it->second] = dist_[ls][local_[u]] + 1;
+          const int lv = local_[v];
+          if (lv < 0) continue;
+          if (dist_[ls][lv] < 0) {
+            dist_[ls][lv] = dist_[ls][local_[u]] + 1;
             queue.push_back(v);
           }
         }
@@ -41,11 +41,11 @@ class PartitionDistances {
   }
 
   [[nodiscard]] int distance(int phys_a, int phys_b) const {
-    return dist_[local_.at(phys_a)][local_.at(phys_b)];
+    return dist_[local_[phys_a]][local_[phys_b]];
   }
 
  private:
-  std::map<int, int> local_;
+  std::vector<int> local_;  ///< physical qubit -> partition index, or -1
   std::vector<std::vector<int>> dist_;
 };
 
@@ -56,7 +56,7 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
                                  std::span<const int> initial_layout,
                                  const RouterOptions& options) {
   const Topology& topo = device.topology();
-  const std::set<int> part_set(partition.begin(), partition.end());
+  const auto num_phys = static_cast<std::size_t>(topo.num_qubits());
   if (!topo.is_connected_subset(partition)) {
     throw std::invalid_argument("route_on_partition: partition not connected");
   }
@@ -64,34 +64,47 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
     throw std::invalid_argument("route_on_partition: layout size mismatch");
   }
   {
-    std::set<int> seen;
+    // 0 = outside the partition, 1 = free partition qubit, 2 = laid out.
+    std::vector<char> slot(num_phys, 0);
+    for (int q : partition) slot[q] = 1;
     for (int phys : initial_layout) {
-      if (!part_set.count(phys) || !seen.insert(phys).second) {
+      if (phys < 0 || phys >= topo.num_qubits() || slot[phys] != 1) {
         throw std::invalid_argument(
             "route_on_partition: layout not injective into partition");
       }
+      slot[phys] = 2;
     }
   }
 
-  // Validate terminal measurements and separate them from the gate body.
-  std::vector<std::pair<int, int>> measurements;  // (logical qubit, clbit)
+  // Validate terminal measurements and separate them from the gate body,
+  // remembering which input op each body op and measurement came from.
+  struct Measurement {
+    int logical;
+    int clbit;
+    int src;
+  };
+  std::vector<Measurement> measurements;
   Circuit body(circuit.num_qubits(), circuit.num_clbits());
+  std::vector<int> body_src;
   {
-    std::set<int> measured;
-    for (const Gate& g : circuit.ops()) {
+    std::vector<char> measured(static_cast<std::size_t>(circuit.num_qubits()),
+                               0);
+    for (std::size_t i = 0; i < circuit.size(); ++i) {
+      const Gate& g = circuit.ops()[i];
       if (g.kind == GateKind::Measure) {
-        measurements.emplace_back(g.qubits[0], g.clbit);
-        measured.insert(g.qubits[0]);
+        measurements.push_back({g.qubits[0], g.clbit, static_cast<int>(i)});
+        measured[g.qubits[0]] = 1;
         continue;
       }
       if (g.kind == GateKind::Barrier) continue;
       for (int q : g.qubits) {
-        if (measured.count(q)) {
+        if (measured[q]) {
           throw std::invalid_argument(
               "route_on_partition: non-terminal measurement");
         }
       }
       body.append(g);
+      body_src.push_back(static_cast<int>(i));
     }
   }
 
@@ -99,14 +112,16 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
   const std::vector<int> part_edges = topo.induced_edges(partition);
 
   std::vector<int> layout(initial_layout.begin(), initial_layout.end());
-  std::map<int, int> log_of;  // physical -> logical
+  std::vector<int> log_of(num_phys, -1);  // physical -> logical
   for (int l = 0; l < circuit.num_qubits(); ++l) log_of[layout[l]] = l;
 
   const DagCircuit dag(body);
   FrontLayer front(dag);
   Circuit physical(device.num_qubits(), circuit.num_clbits(), circuit.name());
-  std::map<int, double> decay;
-  for (int q : partition) decay[q] = 0.0;
+  std::vector<int> source;
+  source.reserve(body.size() + measurements.size());
+  std::vector<double> decay(num_phys, 0.0);
+  std::vector<char> involved(num_phys, 0);
   int swaps_added = 0;
   int since_reset = 0;
 
@@ -117,16 +132,21 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
   };
 
   // Extended (look-ahead) set: the next few 2q gates past the front.
+  // `seen_at[node] == pass` marks a node visited by the current pass.
+  std::vector<std::uint32_t> seen_at(dag.num_nodes(), 0);
+  std::uint32_t pass = 0;
   auto extended_set = [&](const std::vector<std::size_t>& front_nodes) {
+    ++pass;
     std::vector<std::size_t> ext;
     std::deque<std::size_t> queue(front_nodes.begin(), front_nodes.end());
-    std::set<std::size_t> seen(front_nodes.begin(), front_nodes.end());
+    for (std::size_t n : front_nodes) seen_at[n] = pass;
     while (!queue.empty() &&
            static_cast<int>(ext.size()) < options.lookahead_depth) {
       const std::size_t n = queue.front();
       queue.pop_front();
       for (std::size_t s : dag.successors(n)) {
-        if (!seen.insert(s).second) continue;
+        if (seen_at[s] == pass) continue;
+        seen_at[s] = pass;
         if (is_two_qubit_gate(dag.gate(s).kind)) ext.push_back(s);
         queue.push_back(s);
       }
@@ -151,6 +171,7 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
           topo.adjacent(layout[g.qubits[0]], layout[g.qubits[1]]);
       if (!executable) continue;
       physical.append(phys_gate(g));
+      source.push_back(body_src[node]);
       front.complete(node);
       applied = true;
     }
@@ -161,15 +182,15 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
     const auto ext = extended_set(front_nodes);
 
     // Candidate swaps: partition edges touching a front gate's qubit.
-    std::set<int> involved;
+    std::fill(involved.begin(), involved.end(), 0);
     for (std::size_t node : front_nodes) {
-      for (int l : dag.gate(node).qubits) involved.insert(layout[l]);
+      for (int l : dag.gate(node).qubits) involved[layout[l]] = 1;
     }
     double best_score = std::numeric_limits<double>::infinity();
     int best_edge = -1;
     for (int e : part_edges) {
       const Edge& edge = topo.edges()[e];
-      if (!involved.count(edge.a) && !involved.count(edge.b)) continue;
+      if (!involved[edge.a] && !involved[edge.b]) continue;
 
       // Tentative layout after the swap.
       auto dist_after = [&](int l0, int l1) {
@@ -231,34 +252,33 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
     }
     const Edge& se = topo.edges()[best_edge];
     physical.swap(se.a, se.b);
+    source.push_back(-1);
     ++swaps_added;
     // Update layout maps.
-    const auto la = log_of.find(se.a);
-    const auto lb = log_of.find(se.b);
-    const int log_a = la == log_of.end() ? -1 : la->second;
-    const int log_b = lb == log_of.end() ? -1 : lb->second;
+    const int log_a = log_of[se.a];
+    const int log_b = log_of[se.b];
     if (log_a >= 0) layout[log_a] = se.b;
     if (log_b >= 0) layout[log_b] = se.a;
-    log_of.erase(se.a);
-    log_of.erase(se.b);
-    if (log_a >= 0) log_of[se.b] = log_a;
-    if (log_b >= 0) log_of[se.a] = log_b;
+    log_of[se.a] = log_b;
+    log_of[se.b] = log_a;
 
     decay[se.a] += options.decay;
     decay[se.b] += options.decay;
     if (++since_reset >= options.decay_reset_interval) {
-      for (auto& [q, d] : decay) d = 0.0;
+      std::fill(decay.begin(), decay.end(), 0.0);
       since_reset = 0;
     }
   }
 
-  for (const auto& [logical, clbit] : measurements) {
-    physical.measure(layout[logical], clbit);
+  for (const Measurement& m : measurements) {
+    physical.measure(layout[m.logical], m.clbit);
+    source.push_back(m.src);
   }
 
   RoutingResult result;
   result.physical = std::move(physical);
   result.final_layout = std::move(layout);
+  result.source = std::move(source);
   result.swaps_added = swaps_added;
   return result;
 }

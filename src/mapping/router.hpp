@@ -36,14 +36,19 @@ struct RouterOptions {
 struct RoutingResult {
   Circuit physical;              ///< over device-qubit indices
   std::vector<int> final_layout; ///< logical -> physical after routing
+  /// Provenance, parallel to physical.ops(): the index of the input op
+  /// each emitted op was copied from, or -1 for an inserted SWAP. Every
+  /// input op except barriers appears exactly once.
+  std::vector<int> source;
   int swaps_added = 0;
 };
 
 /// Route `circuit` (logical) onto the partition starting from
 /// `initial_layout` (logical -> physical). Measurements must be terminal;
 /// they are re-emitted on the final physical positions with their original
-/// clbits. Throws std::runtime_error if routing cannot progress (partition
-/// not connected).
+/// clbits; barriers are dropped. Gates are copied verbatim (parameters
+/// included — the router never reads them). Throws std::runtime_error if
+/// routing cannot progress (partition not connected).
 [[nodiscard]] RoutingResult route_on_partition(
     const Circuit& circuit, const Device& device,
     std::span<const int> partition, std::span<const int> initial_layout,

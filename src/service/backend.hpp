@@ -22,18 +22,20 @@
 // transpile — and because the cache lives inside the epoch, a hit can
 // never serve a result transpiled under a different calibration.
 //
-// The circuit key is the *structural* fingerprint: entries for
-// parameterized circuits store a TranspileTemplate (mapping/parametric.hpp)
-// alongside the transpiled program of the first binding seen. A job whose
-// structure matches but whose angles differ binds the template in one
-// cheap pass — bit-identical to a from-scratch transpile — instead of
-// re-placing and re-routing. Bindings the template rejects (an angle
-// flipping one of the optimizer's recorded identity decisions) fall back
-// to a from-scratch template rebuild, which also replaces the cached entry
-// so a degenerate first binding (e.g. an all-zero VQE start) does not pin
-// a fallback-prone template forever. A capacity-0 epoch caches nothing and
-// transpiles every call from scratch; that is the reference the template
-// path is pinned against (tests/test_parametric.cpp).
+// The circuit key is the *structural* fingerprint, and every entry is a
+// TranspileTemplate (mapping/parametric.hpp) built from the first binding
+// seen, holding that binding's transpiled program. A job whose structure
+// matches but whose angles differ binds the template in one cheap pass —
+// bit-identical to a from-scratch transpile — instead of re-placing and
+// re-routing. Bindings the template rejects (an angle flipping one of the
+// optimizer's recorded identity decisions) fall back to a from-scratch
+// template rebuild, which also replaces the cached entry so a degenerate
+// first binding (e.g. an all-zero VQE start) does not pin a
+// fallback-prone template forever. Parameterless circuits have an empty
+// binding, so after the first build they are always exact hits. A
+// capacity-0 epoch caches nothing and transpiles every call from scratch;
+// that is the reference the template path is pinned against
+// (tests/test_parametric.cpp).
 //
 // Backend itself only versions epochs: every device, cache and execution
 // query goes through a pinned epoch(), so a caller that reads the device,
@@ -66,7 +68,7 @@ struct TranspileCacheStats {
   /// Structure matched with different angles; served by template bind.
   std::uint64_t structural_hits = 0;
   /// Structure matched but the binding flipped a recorded optimizer
-  /// decision (or the entry had no template); rebuilt from scratch.
+  /// decision; rebuilt from scratch.
   std::uint64_t bind_fallbacks = 0;
   /// Total nanoseconds spent in successful template binds.
   std::uint64_t bind_ns = 0;
@@ -118,23 +120,23 @@ class CalibrationEpoch {
   }
 
   /// Transpile `logical` onto `partition`, consulting the epoch's cache
-  /// first. `options_fp` must fingerprint every TranspileOptions field
-  /// that can differ between calls. Thread-safe.
+  /// first: a transpile_sweep() of one. `options_fp` must fingerprint
+  /// every TranspileOptions field that can differ between calls.
+  /// Thread-safe.
   [[nodiscard]] TranspiledProgram transpile(const Circuit& logical,
                                             std::span<const int> partition,
                                             const TranspileOptions& options,
                                             std::uint64_t options_fp) const;
 
-  /// Batched sweep transpile: serve N circuits that share one structural
-  /// fingerprint on one partition with a single cache probe and one
-  /// bind_many pass — the per-circuit lock/lookup/bind round-trips of N
-  /// transpile() calls collapse to one. Results and every cache counter
-  /// are identical to calling transpile() on each circuit in order
-  /// (bind_ns aside — it is timing): the first unseen circuit still
-  /// counts the miss and builds the template, exact-binding repeats still
-  /// count hits, and a binding the template rejects still falls back
-  /// through the one-at-a-time path (replacing the entry, after which the
-  /// remaining circuits re-probe the replacement). `out` is cleared and
+  /// Sweep transpile: serve N circuits that share one structural
+  /// fingerprint on one partition with a single cache probe, then one
+  /// bind() per circuit whose binding differs from the entry's. Every
+  /// cache counter counts per circuit, exactly as N sequential
+  /// transpile() calls would (bind_ns aside — it is timing): an unseen
+  /// key counts one miss and builds the template, exact-binding repeats
+  /// count hits, successful binds count structural hits, and a binding
+  /// the template rejects counts a bind fallback and rebuilds, replacing
+  /// the entry the remaining circuits bind against. `out` is cleared and
   /// filled with one program per circuit. Thread-safe.
   void transpile_sweep(std::span<const Circuit* const> circuits,
                        std::span<const int> partition,
@@ -165,23 +167,15 @@ class CalibrationEpoch {
     }
   };
 
-  /// One cached transpilation. `tmpl` is non-null only for parameterized
-  /// entries that built a template; `binding0` is the parameter binding
-  /// `result` was transpiled from (empty for parameterless circuits, where
-  /// the key already pins exact values).
-  struct CacheEntry {
-    TranspiledProgram result;
-    std::vector<double> binding0;
-    std::shared_ptr<const TranspileTemplate> tmpl;
-  };
-
   std::uint64_t id_ = 0;
   Device device_;
   CandidateIndex candidate_index_;  ///< built against device_ (declared above)
   DerivedNoise derived_noise_;      ///< derived from device_
   std::size_t capacity_;
   mutable std::mutex mutex_;
-  mutable std::map<CacheKey, CacheEntry> cache_;
+  /// Shared so a sweep keeps binding against its probed template while
+  /// another thread replaces or evicts the entry.
+  mutable std::map<CacheKey, std::shared_ptr<const TranspileTemplate>> cache_;
   mutable std::deque<CacheKey> insertion_order_;  ///< FIFO eviction queue
   mutable TranspileCacheStats stats_;
   /// Compiled programs (fused, and executables scheduled against device_)

@@ -80,8 +80,9 @@ struct JobState {
   /// Marked by submit_all() when this job arrived as part of a parameter
   /// sweep (>= 2 jobs of one structural fingerprint, with parameters, in
   /// one submitted vector). Dispatch groups marked jobs per planned batch
-  /// and binds their transpile templates batch-at-a-time; single-shot
-  /// submit() never sets it, so that traffic is byte-for-byte untouched.
+  /// and binds them against one transpile-cache probe per group;
+  /// single-shot submit() never sets it, so that traffic is byte-for-byte
+  /// untouched.
   bool sweep = false;
 
   // Guarded by mutex.

@@ -134,7 +134,7 @@ BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
         prebound->programs[i].has_value() &&
         prebound->partitions[i] == assignment[i].qubits) {
       // Sweep fast path: dispatch already probed the epoch cache for this
-      // job's structure and bound its template batch-at-a-time against
+      // job's structure once per group and bound its template against
       // this exact partition, so the per-job cache round-trip is skipped
       // entirely. The partition equality check above makes this
       // unconditional-safe: any divergence between the pack-time
@@ -342,7 +342,7 @@ std::vector<JobHandle> ExecutionService::submit_all(
   // Sweep detection: >= 2 jobs of one structural fingerprint in a single
   // submitted vector, each with parameters to rebind, is parameter-sweep
   // traffic — mark it so dispatch can probe the transpile cache once per
-  // (structure, partition) group and bind templates batch-at-a-time.
+  // (structure, partition) group and bind every job against that probe.
   // Only submit_all() marks (the caller declared these jobs related);
   // single-shot submit() traffic stays byte-for-byte on the per-job path.
   {
@@ -509,9 +509,9 @@ void ExecutionService::dispatch_pending() {
 
   // Sweep fast path: group sweep-marked jobs in this plan by (slot,
   // structure, admitted partition), probe each epoch's transpile cache
-  // once per group and bind the group's templates batch-at-a-time
-  // (CalibrationEpoch::transpile_sweep — one epoch pin, one cache/lock
-  // acquisition, N binds). The prebound programs ride on the batches and
+  // once per group and bind every job against the group's template
+  // (CalibrationEpoch::transpile_sweep — one epoch pin, one cache probe,
+  // N binds). The prebound programs ride on the batches and
   // run_batch_pipeline re-verifies each recorded partition against its
   // own allocation before use, so results and cache counters are exactly
   // what the per-job path produces. CNA is excluded: its options

@@ -169,7 +169,7 @@ struct BackendStats {
   double realized_ratio = 1.0;
   /// Sweep fast path (see ExecutionService::submit_all): groups of
   /// same-structure jobs in this lane's planned batches whose templates
-  /// were probed once and bound batch-at-a-time at dispatch, and the
+  /// were probed once per group and bound at dispatch, and the
   /// number of jobs that received a prebound transpile that way.
   std::uint64_t sweep_groups = 0;
   std::uint64_t batched_binds = 0;
@@ -212,8 +212,8 @@ struct ServiceStats {
 
 /// Sweep fast-path payload for run_batch_pipeline: transpiles prebound at
 /// dispatch (ExecutionService::dispatch_pending groups same-structure
-/// sweep jobs per planned batch and binds their templates
-/// batch-at-a-time). Entries are parallel to the pipeline's programs;
+/// sweep jobs per planned batch and binds them against one cache probe
+/// per group). Entries are parallel to the pipeline's programs;
 /// a disengaged program means "transpile normally". `partitions[i]` is
 /// the partition prebind i was computed against — the pipeline uses a
 /// prebound program only after verifying its own allocation reproduced

@@ -314,62 +314,54 @@ TEST(ParametricTranspile, ConcurrentBindsAreRaceFreeAndExact) {
   EXPECT_GT(stats.structural_hits, 0u);
 }
 
-TEST(ParametricTranspile, BindManyBitIdenticalToSequentialBinds) {
-  // bind_many() is the sweep fast path's workhorse: N bindings evaluated
-  // against one routed program with the evaluation arena and patch list
-  // hoisted out of the loop. Every engaged entry must be bit-identical to
-  // the corresponding bind() call, and a binding that flips a recorded
-  // optimizer decision (an angle landing on an identity) must leave its
-  // entry disengaged exactly where bind() returns nullopt — without
-  // disturbing its neighbors.
+TEST(ParametricTranspile, BindSweepBitIdenticalToFromScratch) {
+  // A 12-binding sweep bound against one template: every accepted bind
+  // must be bit-identical to a from-scratch transpile_to_partition() of
+  // the bound circuit, and a binding that zeroes the first rotation (an
+  // identity the representative binding did not have, so it flips that
+  // rotation's recorded decision) must be rejected.
   std::uint64_t seed = 5200;
   const TranspileOptions topts = hardware_aware_options();
   for (const Device& device : bundled_devices()) {
     Rng rng(seed++);
     const std::vector<int> partition = random_region(device, rng, 3);
     const Circuit base = random_logical_circuit(3, rng, 30);
-    const std::optional<TranspileTemplate> tmpl =
+    const TranspileTemplate tmpl =
         TranspileTemplate::build(base, device, partition, topts);
-    ASSERT_TRUE(tmpl.has_value()) << device.name();
+    expect_programs_bit_identical(
+        tmpl.result, transpile_to_partition(base, device, partition, topts),
+        device.name() + " binding0");
 
-    std::vector<Circuit> sweep;
-    std::vector<ParamBinding> bindings;
+    // The first rotation's decision is checked on its own slot: no
+    // earlier same-axis rotation can have merged into it.
+    std::size_t first_rotation = base.ops().size();
+    for (std::size_t op = 0; op < base.ops().size(); ++op) {
+      const GateKind k = base.ops()[op].kind;
+      if (k == GateKind::RX || k == GateKind::RY || k == GateKind::RZ) {
+        first_rotation = op;
+        break;
+      }
+    }
+    ASSERT_LT(first_rotation, base.ops().size()) << device.name();
+
     for (int i = 0; i < 12; ++i) {
       Circuit c = rebound(base, rng, 0.1, 3.0);
-      if (i % 4 == 3) {
-        // Zero out the first parameterized rotation: lands on an identity
-        // the representative binding did not have, flipping a recorded
-        // decision for circuits where the optimizer logged one.
-        for (std::size_t op = 0; op < c.ops().size(); ++op) {
-          if (!c.ops()[op].params.empty()) {
-            c.set_param(op, 0, 0.0);
-            break;
-          }
-        }
+      const bool zeroed = i % 4 == 3;
+      if (zeroed) c.set_param(first_rotation, 0, 0.0);
+      const std::string label = device.name() + " binding " + std::to_string(i);
+      const std::optional<TranspiledProgram> bound =
+          tmpl.bind(ParamBinding(c).values);
+      if (zeroed) {
+        EXPECT_FALSE(bound.has_value()) << label;
+        continue;
       }
-      bindings.emplace_back(c);
-      sweep.push_back(std::move(c));
+      ASSERT_TRUE(bound.has_value()) << label;
+      expect_programs_bit_identical(
+          *bound, transpile_to_partition(c, device, partition, topts), label);
     }
-
-    std::vector<std::optional<TranspiledProgram>> batch;
-    tmpl->bind_many(bindings, batch);
-    ASSERT_EQ(batch.size(), sweep.size()) << device.name();
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const std::optional<TranspiledProgram> one =
-          tmpl->bind(bindings[i].values);
-      ASSERT_EQ(batch[i].has_value(), one.has_value())
-          << device.name() << " binding " << i;
-      if (one.has_value()) {
-        expect_programs_bit_identical(
-            *batch[i], *one, device.name() + " binding " + std::to_string(i));
-      }
-    }
-    // Slot-count mismatch disengages rather than evaluating garbage.
-    std::vector<ParamBinding> wrong(1);
-    wrong[0].values.assign(bindings[0].values.size() + 1, 0.5);
-    tmpl->bind_many(wrong, batch);
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_FALSE(batch[0].has_value()) << device.name();
+    // Slot-count mismatch is rejected rather than evaluating garbage.
+    const std::vector<double> wrong(tmpl.binding0.size() + 1, 0.5);
+    EXPECT_FALSE(tmpl.bind(wrong).has_value()) << device.name();
   }
 }
 

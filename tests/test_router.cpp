@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "benchmarks/suite.hpp"
 #include "common/rng.hpp"
@@ -83,6 +87,89 @@ TEST(Router, BenchmarksRouteOnToronto) {
     for (int i = 0; i < k; ++i) layout[i] = partition[i];
     const RoutingResult r =
         route_on_partition(spec.circuit, d, partition, layout);
+    expect_equivalent(spec.circuit, r);
+  }
+}
+
+/// Check RoutingResult::source against the routed input: one entry per
+/// physical op; each copied op keeps its input op's kind and bit-identical
+/// params; every non-barrier input op appears exactly once; every -1 is an
+/// inserted SWAP.
+void expect_provenance(const Circuit& input, const RoutingResult& r,
+                       const std::string& label) {
+  const auto& ops = r.physical.ops();
+  ASSERT_EQ(r.source.size(), ops.size()) << label;
+  std::vector<int> uses(input.size(), 0);
+  int swaps = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const int src = r.source[i];
+    if (src < 0) {
+      EXPECT_EQ(src, -1) << label << " op " << i;
+      EXPECT_EQ(ops[i].kind, GateKind::SWAP) << label << " op " << i;
+      ++swaps;
+      continue;
+    }
+    ASSERT_LT(static_cast<std::size_t>(src), input.size()) << label;
+    const Gate& want = input.ops()[static_cast<std::size_t>(src)];
+    EXPECT_EQ(ops[i].kind, want.kind) << label << " op " << i;
+    ASSERT_EQ(ops[i].params.size(), want.params.size()) << label;
+    for (std::size_t j = 0; j < want.params.size(); ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ops[i].params[j]),
+                std::bit_cast<std::uint64_t>(want.params[j]))
+          << label << " op " << i << " param " << j;
+    }
+    ++uses[static_cast<std::size_t>(src)];
+  }
+  EXPECT_EQ(swaps, r.swaps_added) << label;
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    const int want = input.ops()[i].kind == GateKind::Barrier ? 0 : 1;
+    EXPECT_EQ(uses[i], want) << label << " input op " << i;
+  }
+}
+
+TEST(Router, SourceTracesEveryRoutedOp) {
+  // Every bundled benchmark on a toronto27 path partition, and on a random
+  // connected partition of manhattan65 with a barrier spliced mid-circuit.
+  const Device toronto = make_toronto27();
+  const Device manhattan = make_manhattan65();
+  Rng rng(2022);
+  for (const BenchmarkSpec& spec : benchmark_suite()) {
+    const int k = spec.circuit.num_qubits();
+    std::vector<int> path;
+    for (int q = 0; q < toronto.num_qubits() &&
+                    static_cast<int>(path.size()) < k + 1;
+         ++q) {
+      path.push_back(q);
+    }
+    if (toronto.topology().is_connected_subset(path)) {
+      const std::vector<int> layout(path.begin(), path.begin() + k);
+      expect_provenance(spec.circuit,
+                        route_on_partition(spec.circuit, toronto, path, layout),
+                        spec.name + " on toronto27");
+    }
+
+    // Grow a random connected region of k + 1 qubits.
+    std::vector<int> region{static_cast<int>(
+        rng.index(static_cast<std::size_t>(manhattan.num_qubits())))};
+    while (static_cast<int>(region.size()) < k + 1) {
+      std::vector<int> frontier;
+      for (const Edge& e : manhattan.topology().edges()) {
+        const bool has_a = std::count(region.begin(), region.end(), e.a) > 0;
+        const bool has_b = std::count(region.begin(), region.end(), e.b) > 0;
+        if (has_a != has_b) frontier.push_back(has_a ? e.b : e.a);
+      }
+      region.push_back(frontier[rng.index(frontier.size())]);
+    }
+    Circuit with_barrier(k, spec.circuit.num_clbits());
+    const auto& ops = spec.circuit.ops();
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (i == ops.size() / 2) with_barrier.barrier();
+      with_barrier.append(ops[i]);
+    }
+    const std::vector<int> layout(region.begin(), region.begin() + k);
+    const RoutingResult r =
+        route_on_partition(with_barrier, manhattan, region, layout);
+    expect_provenance(with_barrier, r, spec.name + " on manhattan65");
     expect_equivalent(spec.circuit, r);
   }
 }
