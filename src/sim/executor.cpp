@@ -127,6 +127,15 @@ ParallelRunReport execute_parallel(const Device& device,
   if (derived == nullptr) {
     derived = &local_derived.emplace(DerivedNoise::from(device));
   }
+  const auto num_edges =
+      static_cast<std::size_t>(device.topology().num_edges());
+  if (derived->cx_depol.size() != num_edges ||
+      derived->q1_depol.size() !=
+          static_cast<std::size_t>(device.num_qubits()) ||
+      derived->xtalk_begin.size() != num_edges + 1) {
+    throw std::invalid_argument(
+        "execute_parallel: derived noise built for another device");
+  }
   const Calibration& cal = device.calibration();
 
   // Compile each program — through the epoch's persistent cache when
@@ -163,6 +172,20 @@ ParallelRunReport execute_parallel(const Device& device,
     compiled.push_back(std::move(exe));
   }
 
+  // Outcome-memo keys (sim/fusion.hpp): every input of a program's
+  // simulation below beyond its binding, the device and `derived`.
+  std::vector<OutcomeKey> keys(program_cache != nullptr ? programs.size() : 0);
+  for (OutcomeKey& key : keys) {
+    key.flags = (options.idle_noise ? 1U : 0U) |
+                (options.gate_noise ? 2U : 0U) |
+                (options.readout_noise ? 4U : 0U) |
+                (options.crosstalk_noise ? 8U : 0U) |
+                (kern::native_kernels_active() ? 16U : 0U);
+  }
+  auto note_shift = [&](std::size_t p, double delta) {
+    if (!keys.empty()) keys[p].shifts.push_back(delta);
+  };
+
   // Each program's cached schedule, aligned to the common end time under
   // ALAP (shifted in place, so the times match a fresh schedule's).
   std::vector<Schedule> schedules;
@@ -173,13 +196,15 @@ ParallelRunReport execute_parallel(const Device& device,
     global_makespan = std::max(global_makespan, schedules.back().makespan_ns);
   }
   if (options.schedule == SchedulePolicy::ALAP) {
-    for (Schedule& s : schedules) {
+    for (std::size_t p = 0; p < schedules.size(); ++p) {
+      Schedule& s = schedules[p];
       const double shift = global_makespan - s.makespan_ns;
       for (ScheduledOp& op : s.ops) {
         op.start_ns += shift;
         op.end_ns += shift;
       }
       s.makespan_ns = global_makespan;
+      note_shift(p, shift);
     }
   }
 
@@ -281,6 +306,7 @@ ParallelRunReport execute_parallel(const Device& device,
         op.end_ns += delta;
       }
       schedules[victim].makespan_ns += delta;
+      note_shift(victim, delta);
       for (CxEvent& ev : events) {
         if (ev.program == victim) {
           ev.start_ns += delta;
@@ -304,7 +330,14 @@ ParallelRunReport execute_parallel(const Device& device,
   for (std::size_t p = 0; p < compiled.size(); ++p) {
     gamma_of[p].assign(compiled[p]->structure().lowered().size(), 1.0);
   }
-  for (const CxEvent& ev : events) gamma_of[ev.program][ev.op] = ev.gamma;
+  for (const CxEvent& ev : events) {
+    gamma_of[ev.program][ev.op] = ev.gamma;
+    // Events are collected per program in op order, so each list ascends.
+    if (!keys.empty() && ev.gamma != 1.0) {
+      keys[ev.program].gammas.emplace_back(static_cast<std::uint32_t>(ev.op),
+                                           ev.gamma);
+    }
+  }
 
   // Simulate each program's partition.
   Rng rng(options.seed);
@@ -329,8 +362,9 @@ ParallelRunReport execute_parallel(const Device& device,
   // tests/test_fusion.cpp.
   const bool fused_noiseless = !options.gate_noise && !options.idle_noise;
 
+  // The exact noisy outcome distribution of program p.
   std::vector<std::uint32_t> order;
-  for (std::size_t p = 0; p < compiled.size(); ++p) {
+  auto simulate = [&](std::size_t p) {
     const CompiledExecutable& exe = *compiled[p];
     const ExecutableStructure& st = exe.structure();
     const Circuit& circ = st.lowered();
@@ -444,14 +478,16 @@ ParallelRunReport execute_parallel(const Device& device,
     std::sort(measurements.begin(), measurements.end(),
               [](const auto& a, const auto& b) { return a.second < b.second; });
     const std::size_t m = measurements.size();
+    std::vector<int> local_bit;
+    local_bit.reserve(m);
+    for (const auto& [q, c] : measurements) local_bit.push_back(local_of.at(q));
     std::vector<double> meas_probs(std::size_t{1} << m, 0.0);
     const std::vector<double> local_probs = dm.probabilities();
     for (std::size_t basis = 0; basis < local_probs.size(); ++basis) {
       if (local_probs[basis] < 1e-15) continue;
       std::size_t packed = 0;
       for (std::size_t j = 0; j < m; ++j) {
-        const int lq = local_of.at(measurements[j].first);
-        if ((basis >> lq) & 1U) packed |= std::size_t{1} << j;
+        if ((basis >> local_bit[j]) & 1U) packed |= std::size_t{1} << j;
       }
       meas_probs[packed] += local_probs[basis];
     }
@@ -476,9 +512,28 @@ ParallelRunReport execute_parallel(const Device& device,
       }
       dist_entries.emplace_back(outcome, meas_probs[packed]);
     }
+    return Distribution(num_bits, std::move(dist_entries));
+  };
+
+  // An exact repeat of a program's binding and key takes its memoized
+  // outcome; either way only this run's sampling is left.
+  for (std::size_t p = 0; p < compiled.size(); ++p) {
+    const Circuit& circuit = programs[p].circuit;
     ProgramOutcome outcome;
     outcome.name = programs[p].name;
-    outcome.distribution = Distribution(num_bits, std::move(dist_entries));
+    std::shared_ptr<const Distribution> memo =
+        program_cache != nullptr
+            ? program_cache->outcome(circuit, options.schedule, keys[p])
+            : nullptr;
+    if (memo != nullptr) {
+      outcome.distribution = *memo;
+    } else {
+      outcome.distribution = simulate(p);
+      if (program_cache != nullptr) {
+        program_cache->store_outcome(circuit, options.schedule,
+                                     std::move(keys[p]), outcome.distribution);
+      }
+    }
     Rng prog_rng = rng.derive(programs[p].name + "#" + std::to_string(p));
     outcome.counts = sample_counts(outcome.distribution, options.shots,
                                    prog_rng);

@@ -12,6 +12,15 @@
 // per-qubit single-qubit error, readout assignment error, idle thermal
 // relaxation (T1/T2) in schedule gaps, and crosstalk. A gate's idle
 // relaxation, the gate and its depolarizing share one sweep over rho.
+//
+// Each program's exact noisy distribution is a pure function of its exact
+// binding, the device, its time deltas (ALAP alignment shift, then any
+// crosstalk-serialization delays), the crosstalk gamma of each of its CXs,
+// the noise flags and the active kernel variant. With a program cache,
+// execute_parallel memoizes it under those inputs (CompiledProgramCache::
+// outcome, sim/fusion.hpp), so cloud traffic that resubmits a circuit into
+// the same timing and crosstalk skips the density-matrix walk and only
+// samples its shots: counts stay bit-identical.
 
 #include <cstdint>
 #include <optional>
@@ -104,12 +113,16 @@ struct ParallelRunReport {
 /// Execute programs simultaneously on the device. Programs must occupy
 /// pairwise-disjoint qubit sets and respect the coupling graph.
 /// `program_cache` (optional) memoizes each program's lowering, angle-free
-/// kernels, schedule and CX edge ids per structure, and its parametric
-/// kernels per binding (sim/fusion.hpp); it must have been built for
-/// `device`. When null the compilation happens per call. `derived`
-/// (optional) supplies the calibration-derived constants precomputed for
-/// this device — it must have been built from exactly `device`; when null
-/// they are derived per call. Either way every gate replays through a
+/// kernels, schedule and CX edge ids per structure, its parametric
+/// kernels per binding, and up to CompiledProgramCache::kMaxOutcomeVariants
+/// exact outcome distributions of its last binding keyed by OutcomeKey
+/// (sim/fusion.hpp); it must have been built for `device`, else
+/// std::invalid_argument. When null the compilation and simulation happen
+/// per call. `derived` (optional) supplies the calibration-derived
+/// constants precomputed for this device — it must have been built from
+/// exactly `device` (the outcome memo trusts it); a table sized for another
+/// topology throws std::invalid_argument. When null they are derived per
+/// call. Either way every gate replays through a
 /// precompiled kernel. With noise on, each gate and its channels — idle
 /// relaxation on its operands since their last op, then depolarizing —
 /// run as one DensityMatrix::apply_noisy_gate sweep, bit-identical to

@@ -1,6 +1,7 @@
 #include "sim/fusion.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -537,6 +538,19 @@ Distribution ideal_distribution(const CompiledProgram& program) {
       sv.amplitudes(), program.num_clbits(), program.measurements());
 }
 
+bool OutcomeKey::operator==(const OutcomeKey& other) const noexcept {
+  auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  return flags == other.flags &&
+         std::equal(shifts.begin(), shifts.end(), other.shifts.begin(),
+                    other.shifts.end(), same) &&
+         std::equal(gammas.begin(), gammas.end(), other.gammas.begin(),
+                    other.gammas.end(), [&](const auto& a, const auto& b) {
+                      return a.first == b.first && same(a.second, b.second);
+                    });
+}
+
 std::shared_ptr<const FusionPlan> CompiledProgramCache::plan(
     const Circuit& circuit) const {
   return plan_for(structural_fingerprint(circuit), circuit);
@@ -627,6 +641,7 @@ std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
     it->second.structure = std::move(structure);
     executables_order_.push_back(key);
   }
+  if (it->second.last_exact != fp.exact) it->second.outcomes.clear();
   it->second.last = exe;
   it->second.last_exact = fp.exact;
   if (inserted && executables_.size() > kMaxEntries) {
@@ -634,6 +649,41 @@ std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
     executables_order_.pop_front();
   }
   return exe;
+}
+
+std::shared_ptr<const Distribution> CompiledProgramCache::outcome(
+    const Circuit& physical, const SchedulePolicy policy,
+    const OutcomeKey& key) const {
+  const CircuitFingerprints fp = circuit_fingerprints(physical);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (auto it = executables_.find({fp.structural, policy});
+      it != executables_.end() && it->second.last_exact == fp.exact) {
+    for (const OutcomeVariant& v : it->second.outcomes) {
+      if (v.key == key) {
+        ++outcome_hits_;
+        return v.distribution;
+      }
+    }
+  }
+  ++outcome_builds_;
+  return nullptr;
+}
+
+void CompiledProgramCache::store_outcome(
+    const Circuit& physical, const SchedulePolicy policy, OutcomeKey key,
+    const Distribution& distribution) const {
+  const CircuitFingerprints fp = circuit_fingerprints(physical);
+  auto stored = std::make_shared<const Distribution>(distribution);
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = executables_.find({fp.structural, policy});
+  if (it == executables_.end() || it->second.last_exact != fp.exact) return;
+  std::vector<OutcomeVariant>& outcomes = it->second.outcomes;
+  // A racing simulation of the same key may have stored it already.
+  for (const OutcomeVariant& v : outcomes) {
+    if (v.key == key) return;
+  }
+  if (outcomes.size() == kMaxOutcomeVariants) outcomes.erase(outcomes.begin());
+  outcomes.push_back({std::move(key), std::move(stored)});
 }
 
 std::size_t CompiledProgramCache::entries() const {
@@ -659,6 +709,16 @@ std::uint64_t CompiledProgramCache::executable_builds() const {
 std::uint64_t CompiledProgramCache::executable_hits() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return executable_hits_;
+}
+
+std::uint64_t CompiledProgramCache::outcome_hits() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return outcome_hits_;
+}
+
+std::uint64_t CompiledProgramCache::outcome_builds() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return outcome_builds_;
 }
 
 }  // namespace qucp

@@ -49,6 +49,16 @@
 // memoizes fused programs per circuit fingerprint and executables per
 // (structural fingerprint, schedule policy); it lives on a calibration
 // epoch next to CandidateIndex, so a recalibration starts it cold.
+//
+// Each executable entry also memoizes outcomes of its last binding: the
+// exact noisy Distribution execute_parallel computed for it, keyed by an
+// OutcomeKey — every input of that program's simulation beyond the binding
+// and the epoch's device: the time deltas applied to its cached schedule,
+// the crosstalk gamma of each amplified CX, the noise flags and whether
+// the native kernels are active. An exact repeat skips the density-matrix
+// walk; only sampling runs. At most kMaxOutcomeVariants keys are held per
+// entry (FIFO), and a new binding clears them, so the memo is bounded by
+// the executable cache's own entry bound.
 
 #include <cstdint>
 #include <deque>
@@ -292,6 +302,23 @@ class CompiledExecutable {
   std::vector<FusedOp> bound_;  ///< parallel to structure().parametric()
 };
 
+/// Everything a program's exact noisy distribution depends on in
+/// execute_parallel beyond its exact binding, the device and the device's
+/// DerivedNoise. Compared exactly: doubles bit for bit.
+struct OutcomeKey {
+  /// Noise flags and the native-kernel bit (the scalar and AVX2 kernels
+  /// round differently).
+  std::uint32_t flags = 0;
+  /// Time deltas added to the cached schedule, in the order applied: the
+  /// ALAP alignment shift, then each crosstalk-serialization delay.
+  std::vector<double> shifts;
+  /// (lowered op, gamma) of every CX whose crosstalk gamma is not 1,
+  /// ascending by op.
+  std::vector<std::pair<std::uint32_t, double>> gammas;
+
+  [[nodiscard]] bool operator==(const OutcomeKey& other) const noexcept;
+};
+
 /// Per-op (unfused) kernel compilation for an arbitrary circuit: entry i
 /// corresponds to circuit.ops()[i]; barrier/measure positions are
 /// placeholders with is_unitary() == false.
@@ -305,7 +332,8 @@ class CompiledExecutable {
 /// Thread-safe per-epoch memo of compiled programs. Fused programs are
 /// keyed by circuit fingerprint like the transpile cache; executables by
 /// (structural fingerprint, schedule policy), each entry also keeping the
-/// last binding it materialized so an exact repeat costs one lookup.
+/// last binding it materialized so an exact repeat costs one lookup, and
+/// up to kMaxOutcomeVariants noisy outcomes of that binding (outcome()).
 /// Entries are returned as shared_ptr so FIFO eviction can never
 /// invalidate a program a simulation is replaying. Bounded: an endless
 /// stream of distinct circuits evicts oldest-first instead of growing
@@ -313,6 +341,8 @@ class CompiledExecutable {
 class CompiledProgramCache {
  public:
   static constexpr std::size_t kMaxEntries = 1 << 10;
+  /// Outcomes held per executable entry; the oldest is replaced first.
+  static constexpr std::size_t kMaxOutcomeVariants = 8;
 
   /// A cache whose executables are unscheduled (fused programs and plans
   /// need no device).
@@ -331,6 +361,17 @@ class CompiledProgramCache {
   [[nodiscard]] std::shared_ptr<const CompiledExecutable> executable(
       const Circuit& physical,
       SchedulePolicy policy = SchedulePolicy::ALAP) const;
+
+  /// The outcome stored for `physical` under `key`, or null. Only the
+  /// entry's current binding (the last executable() materialized) holds
+  /// outcomes.
+  [[nodiscard]] std::shared_ptr<const Distribution> outcome(
+      const Circuit& physical, SchedulePolicy policy,
+      const OutcomeKey& key) const;
+  /// Remember `distribution` as `physical`'s outcome under `key`. Dropped
+  /// when the entry has moved on to another binding since executable().
+  void store_outcome(const Circuit& physical, SchedulePolicy policy,
+                     OutcomeKey key, const Distribution& distribution) const;
 
   /// Fusion plan for `circuit`'s structure, memoized per
   /// structural_fingerprint. Exact-fingerprint misses in fused() go
@@ -353,6 +394,11 @@ class CompiledProgramCache {
   [[nodiscard]] std::uint64_t executable_builds() const;
   [[nodiscard]] std::uint64_t executable_hits() const;
 
+  /// outcome() lookups served from the memo / that found nothing (each
+  /// miss is one density-matrix simulation).
+  [[nodiscard]] std::uint64_t outcome_hits() const;
+  [[nodiscard]] std::uint64_t outcome_builds() const;
+
  private:
   struct ExecutableKey {
     std::uint64_t structural = 0;
@@ -366,10 +412,16 @@ class CompiledProgramCache {
                              0x9E3779B97F4A7C15ull);
     }
   };
+  struct OutcomeVariant {
+    OutcomeKey key;
+    std::shared_ptr<const Distribution> distribution;
+  };
   struct ExecutableEntry {
     std::shared_ptr<const ExecutableStructure> structure;
     std::shared_ptr<const CompiledExecutable> last;  ///< last binding seen
     std::uint64_t last_exact = 0;  ///< circuit_fingerprint of `last`
+    /// Outcomes of `last`, oldest first, at most kMaxOutcomeVariants.
+    std::vector<OutcomeVariant> outcomes;
   };
 
   /// Plan lookup with the structural key already in hand (fused() computes
@@ -393,6 +445,8 @@ class CompiledProgramCache {
   mutable std::uint64_t plan_hits_ = 0;
   mutable std::uint64_t executable_builds_ = 0;
   mutable std::uint64_t executable_hits_ = 0;
+  mutable std::uint64_t outcome_hits_ = 0;
+  mutable std::uint64_t outcome_builds_ = 0;
 };
 
 }  // namespace qucp
