@@ -223,9 +223,9 @@ void write_json(const std::vector<SimRow>& rows,
               smoke_mode() ? ", smoke mode" : "");
 }
 
-constexpr SimPolicy kPolicies[] = {SimPolicy::RoundRobin,
-                                   SimPolicy::LeastLoaded, SimPolicy::BestEfs,
-                                   SimPolicy::ExpectedLatency};
+constexpr RoutePolicy kPolicies[] = {
+    RoutePolicy::RoundRobin, RoutePolicy::LeastLoaded, RoutePolicy::BestEfs,
+    RoutePolicy::ExpectedLatency};
 
 void print_fleetsim_tables() {
   const std::size_t jobs = smoke_mode() ? 10'000 : 1'000'000;
@@ -249,7 +249,7 @@ void print_fleetsim_tables() {
     bench::rule(8, 16);
 
     double p95[4] = {};
-    for (const SimPolicy policy : kPolicies) {
+    for (const RoutePolicy policy : kPolicies) {
       SimOptions sopts;
       sopts.policy = policy;
       sopts.max_batch_size = 4;
@@ -262,7 +262,7 @@ void print_fleetsim_tables() {
 
       SimRow row;
       row.scenario = scenario;
-      row.policy = std::string(sim_policy_name(policy));
+      row.policy = std::string(route_policy_name(policy));
       row.summary = summarize(trace, classes, fleet.size());
       row.wall_ms =
           std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -270,7 +270,7 @@ void print_fleetsim_tables() {
       // Determinism contract, re-checked while the artifact is produced:
       // the same arrivals replayed through a fresh simulator must give a
       // bit-identical trace.
-      if (policy == SimPolicy::ExpectedLatency) {
+      if (policy == RoutePolicy::ExpectedLatency) {
         const SimTrace replay = sim.run(arrivals);
         if (replay.hash() != trace.hash()) {
           std::fprintf(stderr,
@@ -302,9 +302,9 @@ void print_fleetsim_tables() {
     // for at least one traffic shape on this heterogeneous fleet. Past
     // saturation every work-conserving policy converges (the queue, not
     // the routing, dominates), so one clear win is the honest bar.
-    const double el = p95[static_cast<int>(SimPolicy::ExpectedLatency)];
-    if (el < p95[static_cast<int>(SimPolicy::LeastLoaded)] &&
-        el < p95[static_cast<int>(SimPolicy::BestEfs)]) {
+    const double el = p95[static_cast<int>(RoutePolicy::ExpectedLatency)];
+    if (el < p95[static_cast<int>(RoutePolicy::LeastLoaded)] &&
+        el < p95[static_cast<int>(RoutePolicy::BestEfs)]) {
       el_wins_somewhere = true;
     }
   }
@@ -327,7 +327,7 @@ void print_fleetsim_tables() {
 // google-benchmark timer: simulator throughput (jobs simulated per second
 // of wall clock) on a 10k-job Poisson stream per policy.
 void sim_throughput(benchmark::State& state) {
-  const auto policy = static_cast<SimPolicy>(state.range(0));
+  const auto policy = static_cast<RoutePolicy>(state.range(0));
   const std::vector<Device> fleet = make_fleet();
   const std::vector<SimJobClass> classes = build_classes(fleet);
   const std::vector<Arrival> arrivals =
@@ -344,8 +344,8 @@ void sim_throughput(benchmark::State& state) {
                           10'000);
 }
 BENCHMARK(sim_throughput)
-    ->Arg(static_cast<int>(SimPolicy::RoundRobin))
-    ->Arg(static_cast<int>(SimPolicy::ExpectedLatency))
+    ->Arg(static_cast<int>(RoutePolicy::RoundRobin))
+    ->Arg(static_cast<int>(RoutePolicy::ExpectedLatency))
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "fleetsim/events.hpp"
@@ -12,6 +14,31 @@
 namespace qucp::fleetsim {
 
 namespace {
+
+// Accumulated drift of one process at time `now`: zero outside the window,
+// else seconds since the window opened — wrapped by the scheduled
+// recalibration period, which models the daily cycle resetting the chip.
+double drift_elapsed(const DriftProcess& p, double now) {
+  if (now < p.start_s || now >= p.end_s) return 0.0;
+  double elapsed = now - p.start_s;
+  if (p.recalibration_period_s > 0.0) {
+    elapsed = std::fmod(elapsed, p.recalibration_period_s);
+  }
+  return elapsed;
+}
+
+// Drifted per-device estimate (`ramp` selects EFS or makespan). With no
+// drift configured it returns its input untouched (no arithmetic), keeping
+// the frozen-calibration simulator bit-identical; unfit stays unfit.
+double drifted(std::span<const DriftProcess> drift, double DriftProcess::*ramp,
+               std::size_t d, double base, double now) {
+  if (base < 0.0) return base;
+  for (const DriftProcess& p : drift) {
+    if (p.device != static_cast<int>(d)) continue;
+    base *= 1.0 + p.*ramp * drift_elapsed(p, now);
+  }
+  return base;
+}
 
 /// Open/queued batch as the lane models it: member count and the running
 /// max makespan, which fixes the batch's modeled runtime. Only the tail
@@ -31,20 +58,58 @@ struct Lane {
   double busy_until_s = 0.0;
   double busy_total_s = 0.0;
   std::uint64_t dispatched_batches = 0;
-  std::uint64_t routed_load = 0;        ///< cumulative qubit load (LL)
+};
+
+/// The simulator's lanes at time `now`, as the service's routing policies
+/// see a fleet. A routed job's PackJob::fingerprint is its class id.
+class LaneView final : public RouteView {
+ public:
+  LaneView(const FleetSimulator& sim, const std::vector<Lane>& lanes, int cap)
+      : sim_(sim), lanes_(lanes), cap_(cap) {}
+
+  double now = 0.0;
+
+  std::size_t size() const noexcept override { return lanes_.size(); }
+
+  /// Drifted EFS; nullopt when the drifted makespan marks the slot unfit.
+  [[nodiscard]] std::optional<double> solo_efs(
+      std::size_t slot, const PackJob& job) const override {
+    if (exec_ns(slot, job) < 0.0) return std::nullopt;
+    return drifted(sim_.options().drift, &DriftProcess::efs_ramp_per_s, slot,
+                   sim_.classes()[job.fingerprint].efs[slot], now);
+  }
+
+  /// The shared formula. The running batch's remaining time is the
+  /// backlog, and the tail batch is the open batch while it has room; a
+  /// full tail stays closed work, as a full open batch would re-add its
+  /// runtime in a different order.
+  [[nodiscard]] double expected_latency_s(std::size_t slot,
+                                          const PackJob& job) const override {
+    const Lane& lane = lanes_[slot];
+    const bool open = !lane.batches.empty() && lane.batches.back().count < cap_;
+    const ModeledBatch tail = open ? lane.batches.back() : ModeledBatch{};
+    const LaneEstimate estimate{
+        lane.busy ? std::max(0.0, lane.busy_until_s - now) : 0.0,
+        lane.queued_work_s - tail.runtime_s, tail.count, tail.max_ns};
+    return qucp::expected_latency_s(estimate, exec_ns(slot, job),
+                                    sim_.options().model,
+                                    sim_.options().max_batch_size);
+  }
+
+  /// Drifted makespan of `job` on `slot`; < 0 when unfit.
+  [[nodiscard]] double exec_ns(std::size_t slot, const PackJob& job) const {
+    return drifted(sim_.options().drift, &DriftProcess::makespan_ramp_per_s,
+                   slot, sim_.classes()[job.fingerprint].makespan_ns[slot],
+                   now);
+  }
+
+ private:
+  const FleetSimulator& sim_;
+  const std::vector<Lane>& lanes_;
+  int cap_;
 };
 
 }  // namespace
-
-std::string_view sim_policy_name(SimPolicy policy) noexcept {
-  switch (policy) {
-    case SimPolicy::RoundRobin: return "RoundRobin";
-    case SimPolicy::LeastLoaded: return "LeastLoaded";
-    case SimPolicy::BestEfs: return "BestEfs";
-    case SimPolicy::ExpectedLatency: return "ExpectedLatency";
-  }
-  return "?";
-}
 
 std::uint64_t SimTrace::hash() const {
   std::uint64_t h = kFnv1aBasis;
@@ -104,37 +169,6 @@ SimTrace FleetSimulator::run(std::span<const Arrival> arrivals) const {
                       ? std::numeric_limits<int>::max()
                       : options_.max_batch_size;
 
-  // Accumulated drift of one process at time `now`: zero outside the
-  // window, else seconds since the window opened — wrapped by the
-  // scheduled recalibration period, which models the daily cycle
-  // resetting the chip.
-  const auto drift_elapsed = [](const DriftProcess& p, double now) {
-    if (now < p.start_s || now >= p.end_s) return 0.0;
-    double elapsed = now - p.start_s;
-    if (p.recalibration_period_s > 0.0) {
-      elapsed = std::fmod(elapsed, p.recalibration_period_s);
-    }
-    return elapsed;
-  };
-  // Drifted per-device estimates. With no drift configured these return
-  // their input untouched (no arithmetic), keeping the frozen-calibration
-  // simulator bit-identical.
-  const auto drifted_efs = [&](std::size_t d, double base, double now) {
-    for (const DriftProcess& p : options_.drift) {
-      if (p.device != static_cast<int>(d)) continue;
-      base *= 1.0 + p.efs_ramp_per_s * drift_elapsed(p, now);
-    }
-    return base;
-  };
-  const auto drifted_ns = [&](std::size_t d, double base, double now) {
-    if (base < 0.0) return base;  // unfit stays unfit
-    for (const DriftProcess& p : options_.drift) {
-      if (p.device != static_cast<int>(d)) continue;
-      base *= 1.0 + p.makespan_ramp_per_s * drift_elapsed(p, now);
-    }
-    return base;
-  };
-
   SimTrace trace;
   trace.jobs.resize(arrivals.size());
   trace.busy_s.assign(num_devices_, 0.0);
@@ -142,19 +176,9 @@ SimTrace FleetSimulator::run(std::span<const Arrival> arrivals) const {
 
   std::vector<Lane> lanes(num_devices_);
 
-  // Enqueue `job` on `lane`, maintaining the modeled batch grouping the
-  // dispatcher will consume (see ModeledBatch). The makespan is read at
-  // enqueue time under the drift in force *now* — a job admitted to a
-  // degraded chip carries the degraded estimate even if the chip
-  // recalibrates before the batch dispatches, mirroring the service's
-  // pack-time-epoch rule.
-  const auto enqueue = [&](Lane& lane, std::size_t job, double now) {
-    const SimJobClass& cls = classes_[static_cast<std::size_t>(
-        trace.jobs[job].job_class)];
-    const int device = trace.jobs[job].device;
-    const double ns = drifted_ns(
-        static_cast<std::size_t>(device),
-        cls.makespan_ns[static_cast<std::size_t>(device)], now);
+  // Enqueue `job`, of modeled makespan `ns`, on `lane`, maintaining the
+  // modeled batch grouping the dispatcher will consume (see ModeledBatch).
+  const auto enqueue = [&](Lane& lane, std::size_t job, double ns) {
     lane.queue.push_back(job);
     if (lane.batches.empty() || lane.batches.back().count >= cap) {
       ModeledBatch b;
@@ -177,7 +201,16 @@ SimTrace FleetSimulator::run(std::span<const Arrival> arrivals) const {
 
   EventQueue events;
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    events.push(EventKind::JobArrival, arrivals[i].time_s, i);
+    // Replayed traces come from outside the program.
+    const Arrival& a = arrivals[i];
+    if (a.job_class < 0 ||
+        static_cast<std::size_t>(a.job_class) >= classes_.size() ||
+        !std::isfinite(a.time_s) || a.time_s < 0.0) {
+      throw std::invalid_argument(
+          "FleetSimulator: arrival " + std::to_string(i) +
+          " has an unknown job class or a negative or non-finite time");
+    }
+    events.push(EventKind::JobArrival, a.time_s, i);
   }
 
   // Dispatch the head batch of `lane` (device `d`) at time `now`.
@@ -202,63 +235,11 @@ SimTrace FleetSimulator::run(std::span<const Arrival> arrivals) const {
     events.push(EventKind::DeviceFree, end, d);
   };
 
-  // Pick the device for arrival ordinal `job` of class `cls` at `now`.
-  const auto route = [&](std::size_t job, const SimJobClass& cls,
-                         double now) -> std::size_t {
-    std::size_t best = num_devices_;  // sentinel; ctor guarantees a fit
-    double best_score = 0.0;
-    std::size_t fit_count = 0;
-    // RoundRobin needs the job's ordinal among fitting devices, so it
-    // scans in id order like everything else; ties everywhere resolve to
-    // the lowest id via strict '<'.
-    for (std::size_t d = 0; d < num_devices_; ++d) {
-      const double ns = drifted_ns(d, cls.makespan_ns[d], now);
-      if (ns < 0.0) continue;
-      ++fit_count;
-      double score = 0.0;
-      switch (options_.policy) {
-        case SimPolicy::RoundRobin:
-          // Handled after the scan (needs fit_count); score unused.
-          break;
-        case SimPolicy::LeastLoaded:
-          score = static_cast<double>(lanes[d].routed_load);
-          break;
-        case SimPolicy::BestEfs:
-          score = drifted_efs(d, cls.efs[d], now);
-          break;
-        case SimPolicy::ExpectedLatency: {
-          const Lane& lane = lanes[d];
-          const double remaining =
-              lane.busy ? lane.busy_until_s - now : 0.0;
-          // Work queued ahead of the batch this job would join, plus that
-          // batch's runtime after joining: an open tail batch with room
-          // absorbs the job at the cost of only the makespan delta.
-          double ahead = lane.queued_work_s;
-          double own_batch = job_runtime_s(options_.model, ns);
-          if (!lane.batches.empty() && lane.batches.back().count < cap) {
-            ahead -= lane.batches.back().runtime_s;
-            own_batch = job_runtime_s(
-                options_.model, std::max(lane.batches.back().max_ns, ns));
-          }
-          score = std::max(0.0, remaining) + ahead + own_batch;
-          break;
-        }
-      }
-      if (options_.policy != SimPolicy::RoundRobin &&
-          (best == num_devices_ || score < best_score)) {
-        best = d;
-        best_score = score;
-      }
-    }
-    if (options_.policy == SimPolicy::RoundRobin) {
-      std::size_t target = job % fit_count;
-      for (std::size_t d = 0; d < num_devices_; ++d) {
-        if (cls.makespan_ns[d] < 0.0) continue;
-        if (target-- == 0) return d;
-      }
-    }
-    return best;
-  };
+  // Routing runs the service's own policy object over a view of the lanes.
+  const std::unique_ptr<RoutingPolicy> policy =
+      make_routing_policy(options_.policy);
+  LaneView view(*this, lanes, cap);
+  std::vector<std::size_t> prefs;
 
   while (!events.empty()) {
     const SimEvent event = events.pop();
@@ -266,17 +247,30 @@ SimTrace FleetSimulator::run(std::span<const Arrival> arrivals) const {
       case EventKind::JobArrival: {
         const std::size_t job = event.payload;
         const Arrival& arrival = arrivals[job];
-        const SimJobClass& cls =
-            classes_[static_cast<std::size_t>(arrival.job_class)];
         JobRecord& record = trace.jobs[job];
         record.job_class = arrival.job_class;
         record.arrival_s = arrival.time_s;
-        const std::size_t d = route(job, cls, event.time_s);
+        const std::size_t cls = static_cast<std::size_t>(arrival.job_class);
+        const PackJob routed{job, {classes_[cls].qubits, 0, 0}, cls};
+        view.now = event.time_s;
+        // The first device in preference order that the job fits on.
+        policy->preference(view, routed, prefs);
+        const auto fit = std::ranges::find_if(prefs, [&](std::size_t s) {
+          return view.exec_ns(s, routed) >= 0.0;
+        });
+        if (fit == prefs.end()) {
+          throw std::invalid_argument("FleetSimulator: arrival " +
+                                      std::to_string(job) + " fits nowhere");
+        }
+        const std::size_t d = *fit;
+        policy->on_placed(d, routed);
         record.device = static_cast<int>(d);
         Lane& lane = lanes[d];
-        lane.routed_load += static_cast<std::uint64_t>(
-            std::max(1, cls.qubits));
-        enqueue(lane, job, event.time_s);
+        // The makespan is read at enqueue time under the drift in force
+        // now: a job admitted to a degraded chip carries the degraded
+        // estimate even if the chip recalibrates before the batch
+        // dispatches, mirroring the service's pack-time-epoch rule.
+        enqueue(lane, job, view.exec_ns(d, routed));
         if (!lane.busy) start_batch(d, event.time_s);
         break;
       }

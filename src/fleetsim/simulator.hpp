@@ -18,16 +18,15 @@
 // fidelity scores; a negative makespan marks a device the class cannot be
 // placed on, and every routing policy excludes those.
 //
-// Routing policies mirror the online RoutingPolicy set by name and
-// decision rule, plus the queue-aware one this subsystem exists for:
-//   RoundRobin      — rotate over fitting devices by arrival ordinal.
-//   LeastLoaded     — ascending cumulative routed qubit load, ties low id.
-//   BestEfs         — ascending solo EFS (error), ties low id.
-//   ExpectedLatency — ascending modeled completion: remaining busy time
-//                     + drain of queued batches ahead + the runtime of the
-//                     batch the job would join (open-batch occupancy makes
-//                     joining an already-slow batch nearly free and
-//                     opening a fresh batch behind a backlog expensive).
+// Routing runs the service's own policies (service/fleet.hpp: the
+// RoutingPolicy objects make_routing_policy builds) over a RouteView of
+// the simulator's lanes, so offline evaluation checks the very rule the
+// service routes with. Each arrival goes to the first device in the
+// policy's preference order that it fits on. The view's solo EFS is the
+// drifted EFS, and its expected latency is the service's one
+// ExpectedLatency formula over the lane: the running batch's remaining
+// time as backlog, queued batches as closed work, and the tail batch as
+// the open batch while it has room.
 //
 // Determinism: the simulation is single-threaded pure logic over the
 // event queue (fleetsim/events.hpp); the same arrival stream produces a
@@ -40,11 +39,11 @@
 #include <deque>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/runtime.hpp"
 #include "fleetsim/arrivals.hpp"
+#include "service/fleet.hpp"
 
 namespace qucp::fleetsim {
 
@@ -60,10 +59,6 @@ struct SimJobClass {
   /// devices the class fits on.
   std::vector<double> efs;
 };
-
-enum class SimPolicy { RoundRobin, LeastLoaded, BestEfs, ExpectedLatency };
-
-[[nodiscard]] std::string_view sim_policy_name(SimPolicy policy) noexcept;
 
 /// Calibration drift applied to one device over a time window — the
 /// offline mirror of a chip degrading between live recalibrations
@@ -90,7 +85,7 @@ struct DriftProcess {
 };
 
 struct SimOptions {
-  SimPolicy policy = SimPolicy::ExpectedLatency;
+  RoutePolicy policy = RoutePolicy::ExpectedLatency;
   int max_batch_size = 4;  ///< jobs per dispatched batch; <= 0 unbounded
   /// Device-time model for batch runtimes (shots, per-job overhead). The
   /// queue_depth field is ignored — queueing is what the simulator models.
@@ -131,6 +126,8 @@ class FleetSimulator {
 
   /// Replay an arrival stream to completion. Pure: identical inputs give
   /// a bit-identical trace; the simulator's own state resets per run.
+  /// Throws std::invalid_argument naming the arrival whose job_class is
+  /// outside [0, classes) or whose time is NaN, infinite or negative.
   [[nodiscard]] SimTrace run(std::span<const Arrival> arrivals) const;
 
   [[nodiscard]] std::size_t num_devices() const noexcept {

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 namespace qucp {
@@ -31,6 +30,15 @@ double exec_ns_from_calibration(const Calibration& cal,
       static_cast<double>(shape.num_1q) * cal.q1_duration_ns +
       static_cast<double>(shape.num_2q) * avg_cx_ns;
   return serial * 2.0 / width + cal.readout_duration_ns;
+}
+
+/// Fill `order` with the slots of `scored` by ascending (score, slot), so
+/// ties go to the lowest id.
+void order_by_score(std::vector<std::pair<double, std::size_t>>& scored,
+                    std::vector<std::size_t>& order) {
+  std::sort(scored.begin(), scored.end());
+  order.resize(scored.size());
+  for (std::size_t i = 0; i < scored.size(); ++i) order[i] = scored[i].second;
 }
 
 }  // namespace
@@ -119,29 +127,32 @@ double FleetView::exec_estimate_ns(std::size_t slot,
                                   job.shape, avg_cx_ns_[slot]);
 }
 
+double expected_latency_s(const LaneEstimate& lane, double own_ns,
+                          const RuntimeModel& model, int max_batch_size) {
+  double wait = lane.initial_backlog_s + lane.planned_closed_s;
+  double batch_ns = own_ns;
+  const bool open_has_room =
+      lane.open_jobs > 0 &&
+      (max_batch_size <= 0 || lane.open_jobs < max_batch_size);
+  if (open_has_room) {
+    // Joining the open batch: the batch's runtime only grows by the
+    // makespan delta, which is zero when a slower co-runner already
+    // bounds it — the §II-A win batching exists for.
+    batch_ns = std::max(lane.open_max_ns, own_ns);
+  } else if (lane.open_jobs > 0) {
+    // Full open batch ahead: wait behind it, then run a fresh batch.
+    wait += job_runtime_s(model, lane.open_max_ns);
+  }
+  return wait + job_runtime_s(model, batch_ns);
+}
+
 double FleetView::expected_latency_s(std::size_t slot,
                                      const PackJob& job) const {
   static const RuntimeModel kDefaultModel{};
-  const RuntimeModel& model = model_ != nullptr ? *model_ : kDefaultModel;
-  const double own_ns = exec_estimate_ns(slot, job);
-  double wait = drain_estimate_s(slot);
-  double batch_ns = own_ns;
-  if (!lanes_.empty()) {
-    const LaneEstimate& lane = lanes_[slot];
-    const bool open_has_room =
-        lane.open_jobs > 0 &&
-        (max_batch_size_ <= 0 || lane.open_jobs < max_batch_size_);
-    if (open_has_room) {
-      // Joining the open batch: the batch's runtime only grows by the
-      // makespan delta, which is zero when a slower co-runner already
-      // bounds it — the §II-A win batching exists for.
-      batch_ns = std::max(lane.open_max_ns, own_ns);
-    } else if (lane.open_jobs > 0) {
-      // Full open batch ahead: wait behind it, then run a fresh batch.
-      wait += job_runtime_s(model, lane.open_max_ns);
-    }
-  }
-  return wait + job_runtime_s(model, batch_ns);
+  return qucp::expected_latency_s(
+      lanes_.empty() ? LaneEstimate{} : lanes_[slot],
+      exec_estimate_ns(slot, job), model_ != nullptr ? *model_ : kDefaultModel,
+      max_batch_size_);
 }
 
 std::optional<double> FleetView::solo_efs(std::size_t slot,
@@ -177,7 +188,7 @@ std::string_view route_policy_name(RoutePolicy policy) noexcept {
   return "?";
 }
 
-void RoundRobinPolicy::preference(const FleetView& fleet, const PackJob& job,
+void RoundRobinPolicy::preference(const RouteView& fleet, const PackJob& job,
                                   std::vector<std::size_t>& order) {
   // Rotate the starting slot by canonical queue position: stable across
   // packing rounds (a spilled job keeps its preference) and independent of
@@ -187,17 +198,16 @@ void RoundRobinPolicy::preference(const FleetView& fleet, const PackJob& job,
   for (std::size_t i = 0; i < n; ++i) order[i] = (job.index + i) % n;
 }
 
-void LeastLoadedPolicy::preference(const FleetView& fleet, const PackJob& job,
+void LeastLoadedPolicy::preference(const RouteView& fleet, const PackJob& job,
                                    std::vector<std::size_t>& order) {
   (void)job;
   const std::size_t n = fleet.size();
   if (load_.size() < n) load_.resize(n, 0);
-  order.resize(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return load_[a] < load_[b];
-                   });
+  scored_.clear();
+  for (std::size_t s = 0; s < n; ++s) {
+    scored_.emplace_back(static_cast<double>(load_[s]), s);
+  }
+  order_by_score(scored_, order);
 }
 
 void LeastLoadedPolicy::on_placed(std::size_t slot, const PackJob& job) {
@@ -205,52 +215,31 @@ void LeastLoadedPolicy::on_placed(std::size_t slot, const PackJob& job) {
   load_[slot] += static_cast<std::uint64_t>(std::max(1, job.shape.num_qubits));
 }
 
-void BestEfsPolicy::preference(const FleetView& fleet, const PackJob& job,
+void BestEfsPolicy::preference(const RouteView& fleet, const PackJob& job,
                                std::vector<std::size_t>& order) {
   // Ascending best-solo-EFS (EFS accumulates *error*, so lowest is best);
   // devices the job cannot fit on are excluded, ties go to the lowest id.
-  struct Scored {
-    std::size_t slot;
-    double score;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(fleet.size());
-  for (std::size_t s = 0; s < fleet.size(); ++s) {
+  scored_.clear();
+  for (std::size_t s = 0, n = fleet.size(); s < n; ++s) {
     if (const auto score = fleet.solo_efs(s, job)) {
-      scored.push_back({s, *score});
+      scored_.emplace_back(*score, s);
     }
   }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const Scored& a, const Scored& b) {
-                     return a.score < b.score;
-                   });
-  order.clear();
-  for (const Scored& s : scored) order.push_back(s.slot);
+  order_by_score(scored_, order);
 }
 
-void ExpectedLatencyPolicy::preference(const FleetView& fleet,
+void ExpectedLatencyPolicy::preference(const RouteView& fleet,
                                        const PackJob& job,
                                        std::vector<std::size_t>& order) {
   // Ascending §II-A modeled completion time (waiting + execution); unfit
   // devices are excluded, ties go to the lowest id. All queue state lives
-  // in the lane estimates the packer maintains, so the policy itself is
-  // stateless and replayable.
-  struct Scored {
-    std::size_t slot;
-    double score;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(fleet.size());
-  for (std::size_t s = 0; s < fleet.size(); ++s) {
+  // in the view's lane estimates, so the policy itself is replayable.
+  scored_.clear();
+  for (std::size_t s = 0, n = fleet.size(); s < n; ++s) {
     if (!fleet.solo_efs(s, job)) continue;
-    scored.push_back({s, fleet.expected_latency_s(s, job)});
+    scored_.emplace_back(fleet.expected_latency_s(s, job), s);
   }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const Scored& a, const Scored& b) {
-                     return a.score < b.score;
-                   });
-  order.clear();
-  for (const Scored& s : scored) order.push_back(s.slot);
+  order_by_score(scored_, order);
 }
 
 std::unique_ptr<RoutingPolicy> make_routing_policy(RoutePolicy policy) {

@@ -34,9 +34,10 @@
 //                     the job is nearly free, while opening a fresh batch
 //                     behind a backlog is charged in full, so the policy
 //                     is queue-aware where BestEfs/LeastLoaded are time-
-//                     blind. Unfit devices are excluded. Validated
-//                     offline by the src/fleetsim/ discrete-event
-//                     simulator, whose ExpectedLatency mirrors this rule.
+//                     blind. Unfit devices are excluded. One formula,
+//                     expected_latency_s(), prices it here and in the
+//                     src/fleetsim/ simulator, which runs these very
+//                     policies through RouteView.
 //
 // pack_fleet() is the shared engine: with one slot and no policy it makes
 // exactly the decisions pack_batches() historically made — pack_batches()
@@ -54,6 +55,7 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -155,6 +157,29 @@ struct LaneEstimate {
   double open_max_ns = 0.0;        ///< max modeled makespan in the open batch
 };
 
+/// The ExpectedLatency formula: §II-A modeled completion time of a job of
+/// makespan `own_ns` admitted to `lane` — its drain, a full open batch's
+/// runtime, then the batch it joins (the open one while it has room, else
+/// a fresh one). `max_batch_size` <= 0 is unbounded.
+[[nodiscard]] double expected_latency_s(const LaneEstimate& lane,
+                                        double own_ns,
+                                        const RuntimeModel& model,
+                                        int max_batch_size);
+
+/// What a routing policy may ask of the fleet. FleetView implements it for
+/// the service's packer, and the fleet simulator over its modeled lanes.
+class RouteView {
+ public:
+  virtual ~RouteView() = default;
+  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
+  /// Best solo EFS of `job` on `slot`; nullopt = does not fit even alone.
+  [[nodiscard]] virtual std::optional<double> solo_efs(
+      std::size_t slot, const PackJob& job) const = 0;
+  /// §II-A modeled completion time were `job` admitted to `slot` now.
+  [[nodiscard]] virtual double expected_latency_s(std::size_t slot,
+                                                  const PackJob& job) const = 0;
+};
+
 /// Read-mostly view of the fleet handed to routing policies and used by
 /// the packer's threshold checks. Probes are memoized in each slot's
 /// solo-EFS map, so routing and spill checks share one score per
@@ -162,21 +187,18 @@ struct LaneEstimate {
 /// exposes the per-slot drain/occupancy estimators queue-aware policies
 /// score with; the two-argument form (tests, ad-hoc probing) reports an
 /// idle fleet.
-class FleetView {
+class FleetView final : public RouteView {
  public:
   FleetView(std::span<const FleetSlot> slots, const Partitioner& partitioner,
             std::span<const LaneEstimate> lanes = {},
             const RuntimeModel* model = nullptr, int max_batch_size = 0);
 
-  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
-  [[nodiscard]] const Device& device(std::size_t slot) const {
-    return *slots_[slot].device;
-  }
+  std::size_t size() const noexcept override { return slots_.size(); }
   /// Best solo EFS of `job` on `slot`'s device; nullopt = does not fit
   /// even alone. Memoized in the slot's map by structural fingerprint
   /// (exact fingerprint when the job carries none).
-  [[nodiscard]] std::optional<double> solo_efs(std::size_t slot,
-                                               const PackJob& job) const;
+  [[nodiscard]] std::optional<double> solo_efs(
+      std::size_t slot, const PackJob& job) const override;
 
   /// Modeled seconds until `slot` would start a batch opened now: initial
   /// backlog plus the batches planned earlier this cycle. This is also
@@ -188,11 +210,9 @@ class FleetView {
   /// averages are cached in the view).
   [[nodiscard]] double exec_estimate_ns(std::size_t slot,
                                         const PackJob& job) const;
-  /// §II-A modeled completion time were `job` admitted to `slot` now:
-  /// drain_estimate_s + the runtime of the batch it would join (the open
-  /// batch while it has room, else a fresh one behind it).
+  /// expected_latency_s() of the slot's lane (idle without lane estimates).
   [[nodiscard]] double expected_latency_s(std::size_t slot,
-                                          const PackJob& job) const;
+                                          const PackJob& job) const override;
 
  private:
   std::span<const FleetSlot> slots_;
@@ -217,9 +237,12 @@ enum class RoutePolicy { RoundRobin, LeastLoaded, BestEfs, ExpectedLatency };
 /// job order, for load accounting.
 class RoutingPolicy {
  public:
+  explicit RoutingPolicy(RoutePolicy kind) noexcept : kind_(kind) {}
   virtual ~RoutingPolicy() = default;
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  virtual void preference(const FleetView& fleet, const PackJob& job,
+  [[nodiscard]] std::string_view name() const noexcept {
+    return route_policy_name(kind_);
+  }
+  virtual void preference(const RouteView& fleet, const PackJob& job,
                           std::vector<std::size_t>& order) = 0;
   virtual void on_placed(std::size_t slot, const PackJob& job) {
     (void)slot;
@@ -233,23 +256,26 @@ class RoutingPolicy {
   /// is modeled slower than simply waiting. Time-blind policies keep the
   /// historical overflow behavior.
   [[nodiscard]] virtual bool queue_aware() const noexcept { return false; }
+
+ protected:
+  /// (score, slot) scratch the sorting policies reuse across calls.
+  std::vector<std::pair<double, std::size_t>> scored_;
+
+ private:
+  RoutePolicy kind_;
 };
 
 class RoundRobinPolicy final : public RoutingPolicy {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "RoundRobin";
-  }
-  void preference(const FleetView& fleet, const PackJob& job,
+  RoundRobinPolicy() : RoutingPolicy(RoutePolicy::RoundRobin) {}
+  void preference(const RouteView& fleet, const PackJob& job,
                   std::vector<std::size_t>& order) override;
 };
 
 class LeastLoadedPolicy final : public RoutingPolicy {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "LeastLoaded";
-  }
-  void preference(const FleetView& fleet, const PackJob& job,
+  LeastLoadedPolicy() : RoutingPolicy(RoutePolicy::LeastLoaded) {}
+  void preference(const RouteView& fleet, const PackJob& job,
                   std::vector<std::size_t>& order) override;
   void on_placed(std::size_t slot, const PackJob& job) override;
 
@@ -261,25 +287,19 @@ class LeastLoadedPolicy final : public RoutingPolicy {
 
 class BestEfsPolicy final : public RoutingPolicy {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "BestEfs";
-  }
-  void preference(const FleetView& fleet, const PackJob& job,
-                  std::vector<std::size_t>& order) override;
-};
+  BestEfsPolicy() : RoutingPolicy(RoutePolicy::BestEfs) {}
+  void preference(const RouteView& fleet, const PackJob& job,
+                  std::vector<std::size_t>& order) override;};
 
-/// Queue-aware routing: ascending FleetView::expected_latency_s, unfit
-/// devices excluded, ties to the lowest id. Stateless — all load state
-/// lives in the lane estimates pack_fleet maintains.
+/// Queue-aware routing: ascending RouteView::expected_latency_s, unfit
+/// devices excluded, ties to the lowest id. All load state lives in the
+/// view's lane estimates, so the policy keeps none of its own.
 class ExpectedLatencyPolicy final : public RoutingPolicy {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "ExpectedLatency";
-  }
-  void preference(const FleetView& fleet, const PackJob& job,
+  ExpectedLatencyPolicy() : RoutingPolicy(RoutePolicy::ExpectedLatency) {}
+  void preference(const RouteView& fleet, const PackJob& job,
                   std::vector<std::size_t>& order) override;
-  [[nodiscard]] bool queue_aware() const noexcept override { return true; }
-};
+  [[nodiscard]] bool queue_aware() const noexcept override { return true; }};
 
 [[nodiscard]] std::unique_ptr<RoutingPolicy> make_routing_policy(
     RoutePolicy policy);

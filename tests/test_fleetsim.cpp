@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "fleetsim/events.hpp"
@@ -147,7 +149,7 @@ TEST(Arrivals, ZeroWeightClassIsNeverDrawn) {
 /// Two job classes on one device whose batch runtimes are exactly 1s and
 /// 3s: shots * makespan with no overheads makes every modeled time
 /// hand-computable.
-FleetSimulator tiny_sim(SimPolicy policy, int max_batch_size,
+FleetSimulator tiny_sim(RoutePolicy policy, int max_batch_size,
                         std::size_t devices = 1) {
   SimOptions options;
   options.policy = policy;
@@ -171,7 +173,7 @@ TEST(FleetSimulator, HandCheckedBatchTimeline) {
   //   t=0.7 short  -> batch {1,2} full, opens batch {3}
   //   t=1.0 free   -> dispatch {1,2}: [1.0, 4.0)
   //   t=4.0 free   -> dispatch {3}:   [4.0, 5.0)
-  const FleetSimulator sim = tiny_sim(SimPolicy::ExpectedLatency, 2);
+  const FleetSimulator sim = tiny_sim(RoutePolicy::ExpectedLatency, 2);
   const std::vector<Arrival> arrivals = {
       {0.0, 0}, {0.5, 0}, {0.6, 1}, {0.7, 0}};
   const SimTrace trace = sim.run(arrivals);
@@ -213,9 +215,9 @@ TEST(FleetSimulator, ConstructorValidatesClassTables) {
 
 TEST(FleetSimulator, UnfitDevicesAreNeverRouted) {
   // Class 0 fits only on device 1; every policy must respect that.
-  for (const SimPolicy policy :
-       {SimPolicy::RoundRobin, SimPolicy::LeastLoaded, SimPolicy::BestEfs,
-        SimPolicy::ExpectedLatency}) {
+  for (const RoutePolicy policy :
+       {RoutePolicy::RoundRobin, RoutePolicy::LeastLoaded, RoutePolicy::BestEfs,
+        RoutePolicy::ExpectedLatency}) {
     SimOptions options;
     options.policy = policy;
     std::vector<SimJobClass> classes = {
@@ -230,10 +232,53 @@ TEST(FleetSimulator, UnfitDevicesAreNeverRouted) {
     const SimTrace trace = sim.run(arrivals);
     for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
       if (trace.jobs[i].job_class == 0) {
-        EXPECT_EQ(trace.jobs[i].device, 1) << sim_policy_name(policy);
+        EXPECT_EQ(trace.jobs[i].device, 1) << route_policy_name(policy);
       }
     }
   }
+}
+
+TEST(FleetSimulator, RoundRobinFollowsTheServiceRule) {
+  // The simulator runs the service's RoundRobinPolicy: the starting device
+  // rotates over the whole fleet by arrival ordinal and the job takes the
+  // first device it fits on. A class unfit on device 0 therefore lands on
+  // device 1 for ordinals 0 and 1 of every three, and on device 2 for the
+  // third.
+  SimOptions options;
+  options.policy = RoutePolicy::RoundRobin;
+  const FleetSimulator sim(
+      {{"narrow", 2, {-1.0, 1000.0, 1000.0}, {0.0, 0.1, 0.1}}}, 3, options);
+  std::vector<Arrival> arrivals;
+  for (int i = 0; i < 6; ++i) arrivals.push_back({1.0 * i, 0});
+  std::vector<int> devices;
+  for (const JobRecord& r : sim.run(arrivals).jobs) devices.push_back(r.device);
+  EXPECT_EQ(devices, (std::vector<int>{1, 1, 2, 1, 1, 2}));
+}
+
+TEST(FleetSimulator, RejectsMalformedArrivals) {
+  // Replayed traces come from outside the program: an unknown class or a
+  // time that is NaN, infinite or negative is rejected, naming the index.
+  const FleetSimulator sim = tiny_sim(RoutePolicy::ExpectedLatency, 2);
+  const double inf = std::numeric_limits<double>::infinity();
+  const Arrival bad[] = {{1.0, -1},
+                         {1.0, 2},
+                         {std::numeric_limits<double>::quiet_NaN(), 0},
+                         {inf, 0},
+                         {-inf, 0},
+                         {-0.5, 1}};
+  for (const Arrival& a : bad) {
+    const std::vector<Arrival> arrivals = {{0.0, 0}, a};
+    try {
+      (void)sim.run(arrivals);
+      ADD_FAILURE() << "accepted time " << a.time_s << " class "
+                    << a.job_class;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("arrival 1 "), std::string::npos)
+          << e.what();
+    }
+  }
+  // The boundaries are valid: time 0 and the last class.
+  EXPECT_EQ(sim.run(std::vector<Arrival>{{0.0, 1}}).jobs.size(), 1u);
 }
 
 TEST(FleetSimulator, TraceIsBitIdenticalAcrossRerunsAndThreadCaps) {
@@ -244,7 +289,7 @@ TEST(FleetSimulator, TraceIsBitIdenticalAcrossRerunsAndThreadCaps) {
   config.kind = ArrivalKind::Bursty;
   config.rate_per_s = 1.2;
   config.class_weights = {2.0, 1.0};
-  const FleetSimulator sim = tiny_sim(SimPolicy::ExpectedLatency, 4, 2);
+  const FleetSimulator sim = tiny_sim(RoutePolicy::ExpectedLatency, 4, 2);
 
   std::uint64_t hashes[3] = {};
   const int caps[3] = {1, 2, 8};
@@ -267,7 +312,7 @@ TEST(FleetSimulator, ReplayedTraceIsBitIdentical) {
   config.rate_per_s = 1.0;
   config.diurnal_period_s = 600.0;
   config.class_weights = {1.0, 1.0};
-  const FleetSimulator sim = tiny_sim(SimPolicy::LeastLoaded, 3, 2);
+  const FleetSimulator sim = tiny_sim(RoutePolicy::LeastLoaded, 3, 2);
 
   const auto arrivals = generate_arrivals(config, 1500, 5);
   const SimTrace first = sim.run(arrivals);
@@ -306,19 +351,19 @@ TEST(FleetSimulator, ExpectedLatencyBeatsQueueBlindPoliciesOnBurstyStream) {
   const auto arrivals = generate_arrivals(config, 4000, 11);
 
   double p95[4] = {};
-  for (const SimPolicy policy :
-       {SimPolicy::RoundRobin, SimPolicy::LeastLoaded, SimPolicy::BestEfs,
-        SimPolicy::ExpectedLatency}) {
+  for (const RoutePolicy policy :
+       {RoutePolicy::RoundRobin, RoutePolicy::LeastLoaded, RoutePolicy::BestEfs,
+        RoutePolicy::ExpectedLatency}) {
     options.policy = policy;
     FleetSimulator sim(classes, 2, options);
     const TraceSummary summary =
         summarize(sim.run(arrivals), classes, 2);
     p95[static_cast<int>(policy)] = summary.p95_latency_s;
   }
-  const double el = p95[static_cast<int>(SimPolicy::ExpectedLatency)];
-  EXPECT_LT(el, p95[static_cast<int>(SimPolicy::LeastLoaded)]);
-  EXPECT_LT(el, p95[static_cast<int>(SimPolicy::BestEfs)]);
-  EXPECT_LT(el, p95[static_cast<int>(SimPolicy::RoundRobin)]);
+  const double el = p95[static_cast<int>(RoutePolicy::ExpectedLatency)];
+  EXPECT_LT(el, p95[static_cast<int>(RoutePolicy::LeastLoaded)]);
+  EXPECT_LT(el, p95[static_cast<int>(RoutePolicy::BestEfs)]);
+  EXPECT_LT(el, p95[static_cast<int>(RoutePolicy::RoundRobin)]);
 }
 
 TEST(Drift, ConstructorValidatesProcesses) {
@@ -341,9 +386,9 @@ TEST(Drift, InertProcessesLeaveTraceBitIdentical) {
   config.class_weights = {2.0, 1.0};
   const auto arrivals = generate_arrivals(config, 1000, 33);
   const std::uint64_t base =
-      tiny_sim(SimPolicy::ExpectedLatency, 4, 2).run(arrivals).hash();
+      tiny_sim(RoutePolicy::ExpectedLatency, 4, 2).run(arrivals).hash();
 
-  SimOptions options = tiny_sim(SimPolicy::ExpectedLatency, 4, 2).options();
+  SimOptions options = tiny_sim(RoutePolicy::ExpectedLatency, 4, 2).options();
   options.drift = {{0, 0.0, 1e9, /*efs_ramp=*/0.0, /*makespan_ramp=*/0.0,
                     0.0}};
   FleetSimulator zero_ramp({{"short", 2, {1000.0, 1000.0}, {0.1, 0.1}},
@@ -366,7 +411,7 @@ TEST(Drift, BestEfsRoutesAroundTheWindowAndRecalibrationResets) {
   // chip for good. BestEfs is queue-independent, so each arrival's route
   // is a pure function of the drifted EFS at its arrival time.
   SimOptions options;
-  options.policy = SimPolicy::BestEfs;
+  options.policy = RoutePolicy::BestEfs;
   options.max_batch_size = 1;
   options.model.job_overhead_s = 0.0;
   options.model.shot_overhead_ns = 0.0;
@@ -390,12 +435,32 @@ TEST(Drift, BestEfsRoutesAroundTheWindowAndRecalibrationResets) {
   }
 }
 
+TEST(Drift, ArrivalThatFitsNowhereUnderDriftIsRejected) {
+  // A negative makespan ramp can drive the drifted makespan of the only
+  // device a class fits on below zero. Every policy then rejects the
+  // arrival instead of routing it off the fleet.
+  for (const RoutePolicy policy :
+       {RoutePolicy::RoundRobin, RoutePolicy::LeastLoaded,
+        RoutePolicy::BestEfs, RoutePolicy::ExpectedLatency}) {
+    SimOptions options;
+    options.policy = policy;
+    options.drift = {{0, 0.0, 100.0, 0.0, /*makespan_ramp=*/-1.0, 0.0}};
+    FleetSimulator sim({{"job", 2, {1000.0, -1.0}, {0.1, 0.1}}}, 2, options);
+    // Factor 1 - 0.5 = 0.5 at t=0.5; 1 - 2 = -1 at t=2.
+    EXPECT_EQ(sim.run(std::vector<Arrival>{{0.5, 0}}).jobs[0].device, 0)
+        << route_policy_name(policy);
+    EXPECT_THROW((void)sim.run(std::vector<Arrival>{{2.0, 0}}),
+                 std::invalid_argument)
+        << route_policy_name(policy);
+  }
+}
+
 TEST(Drift, DegradedDeviceLosesTrafficShareAndRegainsIt) {
   // Under ExpectedLatency, a makespan ramp on device 0 mid-stream shifts
   // traffic share toward device 1 inside the window and hands it back
   // after the final recalibration at end_s.
   SimOptions options;
-  options.policy = SimPolicy::ExpectedLatency;
+  options.policy = RoutePolicy::ExpectedLatency;
   options.max_batch_size = 4;
   options.model.job_overhead_s = 0.0;
   options.model.shot_overhead_ns = 0.0;

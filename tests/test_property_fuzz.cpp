@@ -236,7 +236,7 @@ TEST_P(FuzzSeeds, FleetSimulatorInvariantsUnderRandomTraffic) {
   for (double& w : config.class_weights) w = rng.uniform(0.1, 3.0);
 
   fleetsim::SimOptions options;
-  options.policy = static_cast<fleetsim::SimPolicy>(rng.index(4));
+  options.policy = static_cast<RoutePolicy>(rng.index(4));
   options.max_batch_size = static_cast<int>(rng.index(5));  // 0 = unbounded
   const int cap = options.max_batch_size <= 0
                       ? std::numeric_limits<int>::max()
