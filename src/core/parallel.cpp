@@ -51,15 +51,23 @@ BatchReport run_parallel(const Device& device,
   if (programs.empty()) {
     throw std::invalid_argument("run_parallel: no programs");
   }
-  // Compatibility shim: one synchronous pass through the service's batch
-  // pipeline — the exact code path an ExecutionService worker runs for a
-  // batch, on a throwaway uncached calibration epoch. Input order and the
-  // caller's seed are preserved, so the output is bit-identical to the
-  // historical facade (asserted by tests/test_service.cpp), and pipeline
-  // exceptions (invalid_argument for config errors, runtime_error for an
-  // unplaceable batch) propagate with their original types.
+  // The service workers' batch pipeline on a throwaway uncached epoch,
+  // with the batch allocated as the fleet packer allocates it. Input order
+  // and the caller's seed are preserved, so the output is bit-identical to
+  // the historical facade (asserted by tests/test_service.cpp).
   const CalibrationEpoch epoch(0, device, /*transpile_cache_capacity=*/0);
-  return run_batch_pipeline(epoch, programs, {}, options);
+  const auto partitioner =
+      make_partitioner(options.method, options.sigma, options.srb_estimates);
+  std::vector<ProgramShape> shapes;
+  shapes.reserve(programs.size());
+  for (const Circuit& c : programs) shapes.push_back(shape_of(c));
+  auto assignments = allocate_batch(device, *partitioner, shapes,
+                                    &epoch.candidate_index());
+  if (!assignments) {
+    throw std::runtime_error("run_parallel: batch does not fit on " +
+                             device.name());
+  }
+  return run_batch_pipeline(epoch, programs, *assignments, {}, options);
 }
 
 }  // namespace qucp

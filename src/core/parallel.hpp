@@ -3,15 +3,17 @@
 //
 // NOTE: the primary public API now lives in service/service.hpp — an
 // asynchronous job-queue ExecutionService with submit()/flush()/shutdown(),
-// an online batch packer and a worker pool. run_parallel() remains as a
-// thin synchronous shim over the service (one FIFO single batch, seed
-// preserved bit for bit) for existing callers; new code should construct
+// an online batch packer and a worker pool. run_parallel() remains for
+// existing callers: it runs all its programs as one batch, synchronously,
+// with the caller's seed preserved bit for bit. New code should construct
 // an ExecutionService and submit jobs instead.
 //
 // run_parallel() takes logical circuits and a device and performs the full
 // multi-programming pipeline of the paper: partition allocation (per
-// method), per-partition transpilation, simultaneous ALAP execution on the
-// noisy simulator, and fidelity scoring (PST/JSD vs the ideal output).
+// method, largest-first via allocate_batch), then the service's
+// run_batch_pipeline on those partitions — per-partition transpilation,
+// simultaneous ALAP execution on the noisy simulator, and fidelity scoring
+// (PST/JSD vs the ideal output).
 //
 // Methods map to the paper's comparison set:
 //   QuCP    — EFS partitioning with sigma-emulated crosstalk (this paper)

@@ -33,6 +33,22 @@ std::vector<std::size_t> allocation_order(
   return order;
 }
 
+std::optional<std::vector<PartitionAssignment>> allocate_batch(
+    const Device& device, const Partitioner& partitioner,
+    std::span<const ProgramShape> shapes, const CandidateIndex* index) {
+  const std::vector<std::size_t> order = allocation_order(shapes);
+  std::vector<ProgramShape> ordered;
+  ordered.reserve(order.size());
+  for (std::size_t idx : order) ordered.push_back(shapes[idx]);
+  auto alloc = partitioner.allocate(device, ordered, index);
+  if (!alloc) return std::nullopt;
+  std::vector<PartitionAssignment> assignments(shapes.size());
+  for (std::size_t pos = 0; pos < order.size(); ++pos) {
+    assignments[order[pos]] = std::move((*alloc)[pos]);
+  }
+  return assignments;
+}
+
 std::optional<double> solo_efs_score(const Device& device,
                                      const Partitioner& partitioner,
                                      const ProgramShape& shape,

@@ -60,6 +60,17 @@ class Partitioner {
 [[nodiscard]] std::vector<std::size_t> allocation_order(
     std::span<const ProgramShape> programs);
 
+/// Partition a whole batch the QuMC way: allocate `shapes` in
+/// allocation_order (largest first) and return one assignment per shape
+/// in input order. nullopt when the batch cannot be placed. The fleet
+/// packer's admission probe and run_parallel() both allocate through this,
+/// so a batch's plan-time assignments are the ones it executes on.
+/// `index` as in Partitioner::allocate.
+[[nodiscard]] std::optional<std::vector<PartitionAssignment>> allocate_batch(
+    const Device& device, const Partitioner& partitioner,
+    std::span<const ProgramShape> shapes,
+    const CandidateIndex* index = nullptr);
+
 /// Best solo-partition EFS of one program shape on `device`: the score the
 /// shape gets when it is allocated alone on an otherwise-empty chip. This
 /// is the packer's §IV-B spill baseline and the fleet scheduler's

@@ -51,18 +51,12 @@ double modeled_exec_ns(const Device& device, const ProgramShape& shape) {
 const std::vector<PartitionAssignment>* AdmissionProbe::probe(
     const ProgramShape& shape) {
   has_pending_ = false;
-  pending_shape_ = shape;
-  std::vector<ProgramShape> tentative = shapes_;
-  tentative.push_back(shape);
-  pending_order_ = allocation_order(tentative);
-  std::vector<ProgramShape> ordered_shapes;
-  ordered_shapes.reserve(pending_order_.size());
-  for (std::size_t idx : pending_order_) {
-    ordered_shapes.push_back(tentative[idx]);
-  }
+  shapes_.push_back(shape);
   auto alloc =
-      partitioner_->allocate(*slot_->device, ordered_shapes, slot_->index);
+      allocate_batch(*slot_->device, *partitioner_, shapes_, slot_->index);
+  shapes_.pop_back();
   if (!alloc) return nullptr;
+  pending_shape_ = shape;
   pending_assignments_ = std::move(*alloc);
   has_pending_ = true;
   return &pending_assignments_;
@@ -71,28 +65,14 @@ const std::vector<PartitionAssignment>* AdmissionProbe::probe(
 void AdmissionProbe::admit() {
   assert(has_pending_);
   shapes_.push_back(pending_shape_);
-  order_ = std::move(pending_order_);
   assignments_ = std::move(pending_assignments_);
-  pending_order_.clear();
   pending_assignments_.clear();
   has_pending_ = false;
 }
 
-std::vector<std::vector<int>> AdmissionProbe::admitted_partitions() const {
-  // assignments_ is allocation-ordered; order_[pos] maps each allocation
-  // position back to the admission index of the job it places.
-  std::vector<std::vector<int>> parts(assignments_.size());
-  for (std::size_t pos = 0; pos < assignments_.size(); ++pos) {
-    parts[order_[pos]] = assignments_[pos].qubits;
-  }
-  return parts;
-}
-
 void AdmissionProbe::reset() {
   shapes_.clear();
-  order_.clear();
   assignments_.clear();
-  pending_order_.clear();
   pending_assignments_.clear();
   has_pending_ = false;
 }
@@ -275,26 +255,6 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
   RuntimeModel model = options.runtime;
   model.queue_depth = 0;
 
-  if (options.single_batch) {
-    // run_parallel() semantics: everything in exactly one batch on the
-    // first slot; the execution pipeline fails the whole batch when it
-    // does not fit.
-    PackedBatch batch;
-    const FleetView solo_view(slots, partitioner);
-    double max_ns = 0.0;
-    for (const PackJob& job : jobs) {
-      batch.jobs.push_back(job.index);
-      max_ns = std::max(max_ns, solo_view.exec_estimate_ns(0, job));
-    }
-    plan.batches[0].push_back(std::move(batch));
-    plan.batch_exec_s[0].push_back(job_runtime_s(model, max_ns));
-    const double wait =
-        initial_backlog_s.empty() ? 0.0 : initial_backlog_s[0];
-    plan.wait_sum_s[0] = wait * static_cast<double>(jobs.size());
-    plan.wait_max_s[0] = wait;
-    return plan;
-  }
-
   const std::size_t num_slots = slots.size();
   const std::size_t cap = options.max_batch_size <= 0
                               ? jobs.size()
@@ -321,7 +281,8 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
   // batches' shapes and allocations across admissions (see AdmissionProbe).
   // batch_solo[s] holds each member's solo EFS next to batch[s] (looked up
   // once, when the member itself was probed with the threshold on), so a
-  // probe's §IV-B check reads it instead of the slot's solo-EFS map.
+  // probe's §IV-B check reads it instead of the slot's solo-EFS map. Both
+  // are in admission order, like the probe's assignments.
   std::vector<std::vector<const PackJob*>> batch(num_slots);
   std::vector<std::vector<std::optional<double>>> batch_solo(num_slots);
   std::vector<AdmissionProbe> probes;
@@ -393,7 +354,8 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
             unfit_everywhere = false;
             continue;
           }
-          if (!view.solo_efs(s, *job)) continue;  // unfit alone on s
+          if (probes[s].probe(job->shape) == nullptr) continue;  // unfit
+          probes[s].admit();
           batch[s].push_back(job);
           batch_solo[s].emplace_back();  // closed: never probed again
           closed[s] = 1;
@@ -403,9 +365,8 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
         }
 
         // Grow slot s's open batch by this job through the slot's
-        // admission probe: assignments come back in the same largest-
-        // first order the execution pipeline will use, so the EFS we
-        // threshold against is the EFS the job will actually get.
+        // admission probe: the batch executes on the probe's assignments,
+        // so the EFS we threshold against is the EFS the job will get.
         const std::vector<PartitionAssignment>* alloc =
             probes[s].probe(job->shape);
         if (alloc == nullptr) {
@@ -421,14 +382,11 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
             check_threshold ? view.solo_efs(s, *job) : std::nullopt;
         bool over_threshold = false;
         if (check_threshold && alloc->size() > 1) {
-          const std::span<const std::size_t> order = probes[s].order();
-          for (std::size_t pos = 0; pos < order.size() && !over_threshold;
-               ++pos) {
+          for (std::size_t i = 0; i < alloc->size() && !over_threshold; ++i) {
             const std::optional<double>& solo =
-                order[pos] == probes[s].size() ? job_solo
-                                               : batch_solo[s][order[pos]];
+                i < batch_solo[s].size() ? batch_solo[s][i] : job_solo;
             if (!solo) continue;  // batch-placeable implies solo-placeable
-            const double delta = (*alloc)[pos].efs.score - *solo;
+            const double delta = (*alloc)[i].efs.score - *solo;
             over_threshold = delta > options.efs_threshold;
           }
         }
@@ -481,13 +439,8 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
       any_batch = true;
       PackedBatch packed;
       for (const PackJob* job : batch[s]) packed.jobs.push_back(job->index);
-      if (probes[s].size() == batch[s].size()) {
-        // Every member was admitted through the probe (exclusive jobs
-        // bypass it), so its committed assignments are exactly the
-        // partitions the execution pipeline will re-derive — export them
-        // as provenance for the service's sweep-bind fast path.
-        packed.partitions = probes[s].admitted_partitions();
-      }
+      assert(probes[s].size() == batch[s].size());
+      packed.assignments = probes[s].assignments();
       plan.batches[s].push_back(std::move(packed));
       // Close the round's open batch: its modeled runtime joins the lane's
       // planned drain, so the next round's admissions queue behind it.

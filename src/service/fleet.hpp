@@ -42,7 +42,9 @@
 // pack_fleet() is the shared engine: with one slot and no policy it makes
 // exactly the decisions pack_batches() historically made — pack_batches()
 // is now a thin wrapper over it — so the single-backend ExecutionService
-// and the run_parallel() shim stay bit-identical by construction.
+// stays bit-identical by construction. Each planned batch carries the
+// assignments its members were admitted on, and the service executes it
+// on them.
 //
 // Determinism: policies see only the canonical job order and per-device
 // state derived from it, so for a fixed fleet and fixed dispatch-cycle
@@ -91,32 +93,28 @@ struct FleetSlot {
 ///
 /// The packer's admission test asks "does job J fit in this device's open
 /// batch, and at what EFS?". The probe answers it by allocating the grown
-/// batch from scratch, in the same largest-first order the execution
-/// pipeline will use, so the EFS the packer thresholds against is the EFS
-/// the job will get. With the slot's CandidateIndex that allocation is a
-/// walk over memoized (allocated-qubit set, width) states — the open
-/// batch's prefix states recur probe after probe — so the from-scratch
-/// answer costs about as much as an incremental one without a second code
-/// path. tests/test_fleet.cpp pins indexed and index-less slots as
-/// bit-identical over randomized streams on all bundled topologies.
+/// batch from scratch with allocate_batch() (largest-first), and the
+/// assignments of the committed batch are exported on its PackedBatch —
+/// the service executes on exactly them, so the EFS the packer thresholds
+/// against is the EFS the job gets. Every member, exclusive jobs included,
+/// enters through probe() + admit(). With the slot's CandidateIndex the
+/// allocation is a walk over memoized (allocated-qubit set, width) states
+/// — the open batch's prefix states recur probe after probe — so the
+/// from-scratch answer costs about as much as an incremental one without a
+/// second code path. tests/test_fleet.cpp pins indexed and index-less
+/// slots as bit-identical over randomized streams on all bundled
+/// topologies.
 class AdmissionProbe {
  public:
   AdmissionProbe(const FleetSlot& slot, const Partitioner& partitioner)
       : slot_(&slot), partitioner_(&partitioner) {}
 
   /// Test admitting `shape` as the next member of the open batch. On
-  /// success returns the assignments of the grown batch in allocation
-  /// order (use order() to map positions back to admission order); null
-  /// when the grown batch cannot be placed. The pointer is valid until
-  /// the next probe()/admit()/reset().
+  /// success returns the assignments of the grown batch in admission
+  /// order (the probed shape last); null when the grown batch cannot be
+  /// placed. The pointer is valid until the next probe()/admit()/reset().
   [[nodiscard]] const std::vector<PartitionAssignment>* probe(
       const ProgramShape& shape);
-
-  /// Admission-order index of each ordered assignment from the last
-  /// successful probe; the value size() marks the probed shape itself.
-  [[nodiscard]] std::span<const std::size_t> order() const noexcept {
-    return pending_order_;
-  }
 
   /// Commit the last successful probe into the open batch.
   void admit();
@@ -127,20 +125,19 @@ class AdmissionProbe {
   /// Jobs admitted to the open batch so far.
   [[nodiscard]] std::size_t size() const noexcept { return shapes_.size(); }
 
-  /// Qubit partition of each admitted job, in admission order (the
-  /// allocation-order assignments mapped back through order()). Used by
-  /// pack_fleet to export per-job partition provenance on closed batches.
-  [[nodiscard]] std::vector<std::vector<int>> admitted_partitions() const;
+  /// Assignment of each admitted job, in admission order.
+  [[nodiscard]] const std::vector<PartitionAssignment>& assignments()
+      const noexcept {
+    return assignments_;
+  }
 
  private:
   const FleetSlot* slot_;
   const Partitioner* partitioner_;
   std::vector<ProgramShape> shapes_;  ///< open batch, admission order
-  std::vector<std::size_t> order_;    ///< == allocation_order(shapes_)
-  std::vector<PartitionAssignment> assignments_;  ///< allocation order
+  std::vector<PartitionAssignment> assignments_;  ///< admission order
   // Last probe, pending until admit()/reset().
   std::vector<PartitionAssignment> pending_assignments_;
-  std::vector<std::size_t> pending_order_;
   ProgramShape pending_shape_;
   bool has_pending_ = false;
 };

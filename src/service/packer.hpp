@@ -12,6 +12,10 @@
 // the batch size — partial tail batches are first-class (the bug the old
 // examples/cloud_queue.cpp slicing had).
 //
+// Every batch carries the assignments its members were admitted on
+// (PackedBatch::assignments): packing is the only partition allocation a
+// batch gets, and the execution pipeline runs on its result.
+//
 // pack_batches() is the single-device entry point; the general N-device
 // engine (one open batch per device, policy-routed preference order,
 // cross-device spill) lives in service/fleet.hpp, and this function is its
@@ -46,15 +50,11 @@ struct PackJob {
 
 struct PackedBatch {
   std::vector<std::size_t> jobs;  ///< PackJob::index values, queue order
-  /// Partition each member was admitted on (parallel to `jobs`), exported
-  /// from the admission probe when every member went through it —
-  /// whichever path (incremental grow-one or from-scratch re-allocation)
-  /// served each probe; both yield the same assignments. Empty when
-  /// unavailable (single_batch packing; batches holding an exclusive job,
-  /// which bypasses the probe). The service uses these only to key its
-  /// sweep prebinds, and run_batch_pipeline re-verifies them against its
-  /// own allocation before trusting a prebound transpile.
-  std::vector<std::vector<int>> partitions;
+  /// Partition and EFS of each member (parallel to `jobs`), exported from
+  /// the admission probe that admitted the batch: the plan's allocation.
+  /// The service executes the batch on exactly these assignments, so the
+  /// EFS the §IV-B threshold checked is the EFS each job reports.
+  std::vector<PartitionAssignment> assignments;
 };
 
 struct PackResult {
@@ -72,10 +72,6 @@ struct PackOptions {
   /// co-placement is rejected. EFS measures accumulated *error*, so larger
   /// thresholds admit noisier packings. infinity() disables the check.
   double efs_threshold = std::numeric_limits<double>::infinity();
-  /// Pack everything into exactly one batch with no feasibility checks;
-  /// the execution pipeline then reports failure for the whole batch when
-  /// it does not fit. This is run_parallel()'s historical contract.
-  bool single_batch = false;
   /// Device-time model for the fleet packer's drain estimates (queue-aware
   /// routing, modeled-wait accounting). The service sets shots from its
   /// ExecOptions; queue_depth is ignored — queueing is what the estimates

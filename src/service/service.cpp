@@ -75,42 +75,24 @@ ParallelOptions pipeline_options(const ServiceOptions& options) {
 
 }  // namespace
 
-BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
-                               const std::vector<Circuit>& programs,
-                               const std::vector<std::string>& names,
-                               const ParallelOptions& options,
-                               PreboundTranspiles* prebound) {
+BatchReport run_batch_pipeline(
+    const CalibrationEpoch& epoch, const std::vector<Circuit>& programs,
+    const std::vector<PartitionAssignment>& assignments,
+    const std::vector<std::string>& names, const ParallelOptions& options,
+    PreboundTranspiles* prebound) {
   if (programs.empty()) {
     throw std::invalid_argument("run_batch_pipeline: no programs");
+  }
+  if (assignments.size() != programs.size()) {
+    throw std::invalid_argument(
+        "run_batch_pipeline: " + std::to_string(assignments.size()) +
+        " assignments for " + std::to_string(programs.size()) + " programs");
   }
   // Cap kernel threading for the whole pipeline, not just the noisy
   // executor: the ideal_distribution() statevector passes below also
   // engage parallel_for on wide programs.
   const kern::ParallelThreadsGuard thread_cap(options.exec.kernel_threads);
   const Device& device = epoch.device();
-
-  // Partition in QuMC's largest-first order.
-  std::vector<ProgramShape> shapes;
-  shapes.reserve(programs.size());
-  for (const Circuit& c : programs) shapes.push_back(shape_of(c));
-  const std::vector<std::size_t> order = allocation_order(shapes);
-  std::vector<ProgramShape> ordered_shapes;
-  ordered_shapes.reserve(shapes.size());
-  for (std::size_t idx : order) ordered_shapes.push_back(shapes[idx]);
-
-  const auto partitioner =
-      make_partitioner(options.method, options.sigma, options.srb_estimates);
-  const auto allocations = partitioner->allocate(
-      device, ordered_shapes, &epoch.candidate_index());
-  if (!allocations) {
-    throw std::runtime_error("run_batch_pipeline: batch does not fit on " +
-                             device.name());
-  }
-  // Assignment per original program index.
-  std::vector<PartitionAssignment> assignment(programs.size());
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    assignment[order[pos]] = (*allocations)[pos];
-  }
 
   // Transpile each program onto its partition, through the backend's
   // cache. CNA builds its gate-level crosstalk context from all co-runner
@@ -124,25 +106,22 @@ BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
       for (std::size_t j = 0; j < programs.size(); ++j) {
         if (j == i) continue;
         const auto edges =
-            device.topology().induced_edges(assignment[j].qubits);
+            device.topology().induced_edges(assignments[j].qubits);
         context.insert(context.end(), edges.begin(), edges.end());
       }
     }
     const TranspileSetup setup = transpile_setup(options, std::move(context));
     TranspiledProgram tp;
     if (prebound != nullptr && i < prebound->programs.size() &&
-        prebound->programs[i].has_value() &&
-        prebound->partitions[i] == assignment[i].qubits) {
+        prebound->programs[i].has_value()) {
       // Sweep fast path: dispatch already probed the epoch cache for this
       // job's structure once per group and bound its template against
-      // this exact partition, so the per-job cache round-trip is skipped
-      // entirely. The partition equality check above makes this
-      // unconditional-safe: any divergence between the pack-time
-      // allocation and this pipeline's falls through to the normal path.
+      // this job's planned partition, so the per-job cache round-trip is
+      // skipped entirely.
       tp = *std::move(prebound->programs[i]);
     } else {
-      tp = epoch.transpile(programs[i], assignment[i].qubits, setup.options,
-                           setup.fp);
+      tp = epoch.transpile(programs[i], assignments[i].qubits,
+                           setup.options, setup.fp);
     }
     swaps[i] = tp.swaps_added;
     layouts[i] = tp.final_layout;
@@ -163,9 +142,9 @@ BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
   for (std::size_t i = 0; i < programs.size(); ++i) {
     ProgramReport& pr = report.programs[i];
     pr.name = run.programs[i].name;
-    pr.partition = assignment[i].qubits;
+    pr.partition = assignments[i].qubits;
     pr.final_layout = layouts[i];
-    pr.efs = assignment[i].efs.score;
+    pr.efs = assignments[i].efs.score;
     pr.swaps_added = swaps[i];
     // Fused, backend-cached ideal pipeline: repeated submissions of the
     // same circuit replay a precompiled kernel stream (sim/fusion.hpp).
@@ -290,6 +269,18 @@ class SubmitGate {
   std::atomic<std::size_t>& active_;
 };
 
+/// Why the batch pipeline cannot run `circuit`, or nullptr when it can.
+/// submit() and submit_all() reject such a circuit at the call that
+/// brought it: one with no active qubit has no partition to allocate (it
+/// would throw out of the cycle's plan), and one with no measurement has
+/// no output to score (it would fail every job of its batch).
+const char* malformed_reason(const Circuit& circuit) {
+  // A measurement acts on a qubit, so a measured circuit is never empty.
+  if (circuit.has_measurements()) return nullptr;
+  return circuit.active_qubits().empty() ? "acts on no qubit"
+                                         : "has no measurements";
+}
+
 }  // namespace
 
 void ExecutionService::maybe_auto_flush(std::size_t pending_now) {
@@ -312,6 +303,10 @@ void ExecutionService::enqueue_job(const JobPtr& state, std::size_t shard) {
 }
 
 JobHandle ExecutionService::submit(Circuit circuit, JobOptions options) {
+  if (const char* why = malformed_reason(circuit)) {
+    throw std::invalid_argument("ExecutionService::submit: circuit '" +
+                                circuit.name() + "' " + why);
+  }
   auto state = std::make_shared<detail::JobState>();
   state->fingerprint = circuit_fingerprint(circuit);
   state->structural_fp = structural_fingerprint(circuit);
@@ -325,6 +320,15 @@ JobHandle ExecutionService::submit(Circuit circuit, JobOptions options) {
 
 std::vector<JobHandle> ExecutionService::submit_all(
     std::vector<Circuit> circuits) {
+  // All or nothing: a malformed circuit rejects the whole vector before
+  // any job is enqueued.
+  for (std::size_t i = 0; i < circuits.size(); ++i) {
+    if (const char* why = malformed_reason(circuits[i])) {
+      throw std::invalid_argument("ExecutionService::submit_all: circuit " +
+                                  std::to_string(i) + " ('" +
+                                  circuits[i].name() + "') " + why);
+    }
+  }
   std::vector<JobPtr> states;
   states.reserve(circuits.size());
   for (Circuit& c : circuits) {
@@ -458,7 +462,6 @@ void ExecutionService::dispatch_pending() {
   PackOptions popts;
   popts.max_batch_size = options_.max_batch_size;
   popts.efs_threshold = options_.efs_threshold;
-  popts.single_batch = options_.single_batch;
   popts.runtime.shots = options_.exec.shots;
   // Snapshot each lane's modeled backlog so queue-aware routing and the
   // wait accounting see work dispatched in earlier cycles. Read under the
@@ -475,8 +478,7 @@ void ExecutionService::dispatch_pending() {
       backlogs[i] *= lanes_[i]->realized_ratio;
     }
   }
-  const FleetPlan plan =
-      scheduler_->plan(pack_jobs, *partitioner_, popts, backlogs);
+  FleetPlan plan = scheduler_->plan(pack_jobs, *partitioner_, popts, backlogs);
 
   for (std::size_t idx : plan.unplaceable) {
     const std::string where =
@@ -508,22 +510,19 @@ void ExecutionService::dispatch_pending() {
   }
 
   // Sweep fast path: group sweep-marked jobs in this plan by (slot,
-  // structure, admitted partition), probe each epoch's transpile cache
+  // structure, planned partition), probe each epoch's transpile cache
   // once per group and bind every job against the group's template
   // (CalibrationEpoch::transpile_sweep — one epoch pin, one cache probe,
-  // N binds). The prebound programs ride on the batches and
-  // run_batch_pipeline re-verifies each recorded partition against its
-  // own allocation before use, so results and cache counters are exactly
-  // what the per-job path produces. CNA is excluded: its options
-  // fingerprint folds in per-batch co-runner context, so there is no
-  // batch-independent key to group under; single_batch plans carry no
-  // partition provenance and skip naturally.
+  // N binds). The prebound programs ride on the batches, whose pipeline
+  // executes on those same planned partitions, so results and cache
+  // counters are exactly what the per-job path produces. CNA is excluded:
+  // its options fingerprint folds in per-batch co-runner context, so
+  // there is no batch-independent key to group under.
   std::vector<std::vector<PreboundTranspiles>> prebound(plan.batches.size());
   std::vector<std::uint64_t> slot_sweep_groups(plan.batches.size(), 0);
   std::vector<std::uint64_t> slot_batched_binds(plan.batches.size(), 0);
   const bool sweep_eligible = options_.transpile_cache_capacity > 0 &&
-                              options_.method != Method::CNA &&
-                              !options_.single_batch;
+                              options_.method != Method::CNA;
   if (sweep_eligible) {
     const TranspileSetup setup =
         transpile_setup(pipeline_options(options_), {});
@@ -537,11 +536,10 @@ void ExecutionService::dispatch_pending() {
           groups;
       for (std::size_t b = 0; b < plan.batches[s].size(); ++b) {
         const PackedBatch& pb = plan.batches[s][b];
-        if (pb.partitions.size() != pb.jobs.size()) continue;
         for (std::size_t pos = 0; pos < pb.jobs.size(); ++pos) {
           const JobPtr& job = jobs[pb.jobs[pos]];
           if (!job->sweep) continue;
-          groups[{job->structural_fp, pb.partitions[pos]}].push_back(
+          groups[{job->structural_fp, pb.assignments[pos].qubits}].push_back(
               Target{b, pos, pb.jobs[pos]});
         }
       }
@@ -575,11 +573,9 @@ void ExecutionService::dispatch_pending() {
           PreboundTranspiles& pre = prebound[s][targets[t].batch];
           if (pre.empty()) {
             pre.programs.resize(plan.batches[s][targets[t].batch].jobs.size());
-            pre.partitions.resize(pre.programs.size());
             pre.plans.resize(pre.programs.size());
           }
           pre.programs[targets[t].pos] = std::move(bound[t]);
-          pre.partitions[targets[t].pos] = group_key.second;
           pre.plans[targets[t].pos] = fusion_plan;
         }
       }
@@ -593,7 +589,7 @@ void ExecutionService::dispatch_pending() {
     {
       std::lock_guard<std::mutex> lane_lock(lane.mutex);
       for (std::size_t b = 0; b < plan.batches[s].size(); ++b) {
-        const PackedBatch& pb = plan.batches[s][b];
+        PackedBatch& pb = plan.batches[s][b];
         Batch batch;
         batch.index = lane.next_ordinal++ * num_lanes +
                       static_cast<std::uint64_t>(lane.id);
@@ -605,6 +601,7 @@ void ExecutionService::dispatch_pending() {
         batch.epoch = plan.epochs[s];
         batch.jobs.reserve(pb.jobs.size());
         for (std::size_t idx : pb.jobs) batch.jobs.push_back(jobs[idx]);
+        batch.assignments = std::move(pb.assignments);
         if (b < prebound[s].size()) {
           batch.prebound = std::move(prebound[s][b]);
         }
@@ -685,7 +682,7 @@ void ExecutionService::execute_batch(Lane& lane, Batch batch,
   std::size_t failed = 0;
   try {
     const BatchReport report = run_batch_pipeline(
-        *batch.epoch, circuits, names, popts,
+        *batch.epoch, circuits, batch.assignments, names, popts,
         batch.prebound.empty() ? nullptr : &batch.prebound);
     BatchStats stats;
     stats.batch_index = batch.index;

@@ -36,8 +36,9 @@
 // run_parallel() shim and the single-backend constructor bit-identical to
 // their historical output.
 //
-// run_parallel() in core/parallel.hpp is a compatibility shim over this
-// service (single backend, single batch, FIFO order, synchronous).
+// run_parallel() in core/parallel.hpp allocates one batch itself and runs
+// it synchronously through run_batch_pipeline, the same pipeline the
+// service workers execute planned batches with.
 
 #include <atomic>
 #include <cstdint>
@@ -87,9 +88,6 @@ struct ServiceOptions {
   /// Fleet routing policy (see service/fleet.hpp). Ignored on a
   /// single-backend service, where routing is trivial.
   RoutePolicy route_policy = RoutePolicy::BestEfs;
-  /// Pack all queued jobs into exactly one batch and let the pipeline
-  /// fail the whole batch when it does not fit (run_parallel semantics).
-  bool single_batch = false;
   /// When > 0, submit() packs and dispatches as soon as this many jobs
   /// are pending, without waiting for flush(). Note: with concurrent
   /// submitters the batch boundaries then depend on arrival interleaving.
@@ -212,20 +210,19 @@ struct ServiceStats {
 
 /// Sweep fast-path payload for run_batch_pipeline: transpiles prebound at
 /// dispatch (ExecutionService::dispatch_pending groups same-structure
-/// sweep jobs per planned batch and binds them against one cache probe
-/// per group). Entries are parallel to the pipeline's programs;
-/// a disengaged program means "transpile normally". `partitions[i]` is
-/// the partition prebind i was computed against — the pipeline uses a
-/// prebound program only after verifying its own allocation reproduced
-/// that exact partition, so the fast path can never change results.
-/// `plans[i]` (when set) is the group's shared fusion plan, fetched once
-/// per sweep group from the epoch's program cache; the scoring pass
-/// materializes the ideal-reference program straight from it instead of
-/// paying a per-job fingerprint + cache round-trip. materialize() is
-/// bit-identical to the cached fused() compile, so results don't change.
+/// sweep jobs per planned batch by their planned partition and binds them
+/// against one cache probe per group). Entries are parallel to the
+/// pipeline's programs; a disengaged program means "transpile normally".
+/// Each prebind was computed against the partition the pipeline executes
+/// that program on — the batch's planned assignment — so using it gives
+/// exactly the per-job result. `plans[i]` (when set) is the group's shared
+/// fusion plan, fetched once per sweep group from the epoch's program
+/// cache; the scoring pass materializes the ideal-reference program
+/// straight from it instead of paying a per-job fingerprint + cache
+/// round-trip. materialize() is bit-identical to the cached fused()
+/// compile, so results don't change.
 struct PreboundTranspiles {
   std::vector<std::optional<TranspiledProgram>> programs;
-  std::vector<std::vector<int>> partitions;
   std::vector<std::shared_ptr<const FusionPlan>> plans;
   [[nodiscard]] bool empty() const noexcept { return programs.empty(); }
 };
@@ -248,7 +245,8 @@ class ExecutionService {
   /// Enqueue a circuit. Cheap, thread-safe and lock-free on the hot path
   /// (sharded MPSC intake, see service/intake.hpp); nothing executes
   /// until a batch is dispatched (flush(), shutdown() or auto-flush).
-  /// Throws std::runtime_error after shutdown().
+  /// Throws std::invalid_argument for a circuit with no measurement (or
+  /// no active qubit at all), and std::runtime_error after shutdown().
   JobHandle submit(Circuit circuit, JobOptions options = {});
 
   /// Batch submission: one handle per circuit. The whole vector is
@@ -258,7 +256,9 @@ class ExecutionService {
   /// vectors larger than the shard capacity, which reserve a multi-lap
   /// ticket span up front and publish through it, backpressure-draining
   /// as the consumer frees cells (no chunk seam another producer could
-  /// land inside).
+  /// land inside). Validates every circuit as submit() does before
+  /// enqueuing any: a malformed one throws std::invalid_argument naming
+  /// its index, and nothing is submitted.
   std::vector<JobHandle> submit_all(std::vector<Circuit> circuits);
 
   /// Fail every not-yet-dispatched job ("cancelled before dispatch") and
@@ -306,6 +306,9 @@ class ExecutionService {
     /// batch's results or invalidate its partition/EFS decisions.
     std::shared_ptr<const CalibrationEpoch> epoch;
     std::vector<JobPtr> jobs;
+    /// Planned partition + EFS per job (parallel to `jobs`), moved from
+    /// the plan's PackedBatch; the pipeline executes on them.
+    std::vector<PartitionAssignment> assignments;
     /// Sweep fast path: transpiles already bound at dispatch, parallel to
     /// `jobs` (empty when the batch has none).
     PreboundTranspiles prebound;
@@ -403,23 +406,24 @@ class ExecutionService {
   std::vector<std::unique_ptr<Lane>> lanes_;  ///< one per registry backend
 };
 
-/// The one true batch pipeline (partition -> transpile-with-cache ->
-/// simultaneous execution -> fidelity metrics -> runtime model), shared by
-/// the service workers and the run_parallel() compatibility shim. It runs
+/// The one true batch pipeline (transpile-with-cache onto the given
+/// partitions -> simultaneous execution -> fidelity metrics -> runtime
+/// model), shared by the service workers and run_parallel(). It runs
 /// entirely against one calibration epoch (device snapshot + caches +
 /// derived noise constants): the service workers pass each batch's
 /// pack-time epoch so execution matches planning even across a live
 /// recalibration, and run_parallel() passes a throwaway capacity-0 epoch.
-/// `names` overrides per-program report names; empty entries (or an empty
-/// vector) fall back to the circuit name / "program<i>". `prebound`
-/// (optional) carries dispatch-time batch-bound transpiles; each entry is
-/// consumed (moved from) only when its recorded partition matches the
-/// allocation this pipeline derives, otherwise that program transpiles
-/// through the epoch cache as usual — results are identical either way.
-/// Throws std::invalid_argument for config errors and std::runtime_error
-/// when the batch cannot be placed.
+/// `assignments` (one per program, e.g. from allocate_batch() or the fleet
+/// plan's PackedBatch) are the partitions the programs execute on; the
+/// pipeline allocates nothing itself. `names` overrides per-program report
+/// names; empty entries (or an empty vector) fall back to the circuit name
+/// / "program<i>". `prebound` (optional) carries dispatch-time batch-bound
+/// transpiles, each consumed (moved from) in place of that program's
+/// epoch-cache transpile. Throws std::invalid_argument when there are no
+/// programs or `assignments` does not have one entry per program.
 [[nodiscard]] BatchReport run_batch_pipeline(
     const CalibrationEpoch& epoch, const std::vector<Circuit>& programs,
+    const std::vector<PartitionAssignment>& assignments,
     const std::vector<std::string>& names, const ParallelOptions& options,
     PreboundTranspiles* prebound = nullptr);
 

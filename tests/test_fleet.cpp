@@ -794,6 +794,68 @@ TEST(PackFleet, ThresholdAdmissionFollowsTheDecisionRule) {
   }
 }
 
+TEST(FleetScheduler, EveryBatchCarriesTheAssignmentsItWasAdmittedOn) {
+  // Plan once: the service executes each batch on the assignments its
+  // plan exported, so every batch (exclusive ones included) must carry one
+  // per member, equal to allocate_batch of the batch's shapes on the
+  // slot's pinned epoch — same qubits, bit-identical EFS.
+  Rng rng(20261017);
+  const QucpPartitioner partitioner;
+  const std::vector<RoutePolicy> kinds = {
+      RoutePolicy::RoundRobin, RoutePolicy::LeastLoaded, RoutePolicy::BestEfs,
+      RoutePolicy::ExpectedLatency};
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<PackJob> jobs;
+    const int n = static_cast<int>(rng.integer(20, 60));
+    for (int i = 0; i < n; ++i) {
+      ProgramShape s;
+      s.num_qubits = static_cast<int>(rng.integer(1, 6));
+      s.num_2q = s.num_qubits >= 2 ? static_cast<int>(rng.integer(0, 20)) : 0;
+      s.num_1q = static_cast<int>(rng.integer(0, 20));
+      jobs.push_back(make_job(static_cast<std::size_t>(i), s, rng.next_u64(),
+                              rng.bernoulli(0.05)));
+    }
+    PackOptions opts;
+    opts.max_batch_size = static_cast<int>(rng.integer(2, 5));
+    opts.efs_threshold = rng.uniform(0.05, 0.3);
+    // kinds.size() is the single-slot arm (policy bypassed).
+    for (std::size_t k = 0; k <= kinds.size(); ++k) {
+      const bool single = k == kinds.size();
+      const std::string context =
+          "trial" + std::to_string(trial) + "/" +
+          (single ? std::string("single-slot")
+                  : std::string(route_policy_name(kinds[k])));
+      BackendRegistry registry(
+          single ? std::vector<Device>{make_toronto27()}
+                 : std::vector<Device>{make_toronto27(), make_manhattan65()});
+      FleetScheduler scheduler(registry,
+                               single ? RoutePolicy::BestEfs : kinds[k]);
+      const FleetPlan plan = scheduler.plan(jobs, partitioner, opts);
+      std::size_t placed = 0;
+      for (std::size_t s = 0; s < plan.batches.size(); ++s) {
+        const CalibrationEpoch& epoch = *plan.epochs[s];
+        for (const PackedBatch& batch : plan.batches[s]) {
+          placed += batch.jobs.size();
+          ASSERT_EQ(batch.assignments.size(), batch.jobs.size()) << context;
+          std::vector<ProgramShape> shapes;
+          for (std::size_t j : batch.jobs) shapes.push_back(jobs[j].shape);
+          const auto expected =
+              allocate_batch(epoch.device(), partitioner, shapes,
+                             &epoch.candidate_index());
+          ASSERT_TRUE(expected.has_value()) << context;
+          for (std::size_t i = 0; i < shapes.size(); ++i) {
+            EXPECT_EQ(batch.assignments[i].qubits, (*expected)[i].qubits)
+                << context << " slot " << s;
+            EXPECT_EQ(batch.assignments[i].efs.score, (*expected)[i].efs.score)
+                << context << " slot " << s;
+          }
+        }
+      }
+      EXPECT_EQ(placed + plan.unplaceable.size(), jobs.size()) << context;
+    }
+  }
+}
+
 TEST(FleetScheduler, SingleBackendBypassesPolicy) {
   BackendRegistry single(std::vector<Device>{make_toronto27()});
   FleetScheduler scheduler(single, RoutePolicy::BestEfs);

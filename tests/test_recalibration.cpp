@@ -27,6 +27,20 @@
 namespace qucp {
 namespace {
 
+/// The partitions run_batch_pipeline executes `programs` on: allocate_batch
+/// on the epoch's candidate index, as the fleet plan and run_parallel() do.
+std::vector<PartitionAssignment> batch_assignments(
+    const CalibrationEpoch& epoch, const std::vector<Circuit>& programs,
+    const ParallelOptions& opts) {
+  const auto partitioner =
+      make_partitioner(opts.method, opts.sigma, opts.srb_estimates);
+  std::vector<ProgramShape> shapes;
+  for (const Circuit& c : programs) shapes.push_back(shape_of(c));
+  return allocate_batch(epoch.device(), *partitioner, shapes,
+                        &epoch.candidate_index())
+      .value();
+}
+
 /// A copy of `device`'s calibration with every CX error and duration
 /// scaled — the "chip drifted" snapshot recalibrate() swaps in. Errors
 /// clamp below 1 to stay valid.
@@ -127,12 +141,14 @@ TEST(CalibrationEpoch, InFlightBatchExecutesAgainstPinnedEpochBitIdentically) {
   opts.exec.shots = 256;
 
   const auto pinned = backend.epoch();
-  const BatchReport before = run_batch_pipeline(*pinned, programs, {}, opts);
+  const BatchReport before = run_batch_pipeline(
+      *pinned, programs, batch_assignments(*pinned, programs, opts), {}, opts);
 
   (void)backend.recalibrate(
       scaled_calibration(backend.epoch()->device(), 8.0, 4.0));
 
-  const BatchReport after = run_batch_pipeline(*pinned, programs, {}, opts);
+  const BatchReport after = run_batch_pipeline(
+      *pinned, programs, batch_assignments(*pinned, programs, opts), {}, opts);
   ASSERT_EQ(after.programs.size(), before.programs.size());
   for (std::size_t i = 0; i < after.programs.size(); ++i) {
     EXPECT_EQ(after.programs[i].partition, before.programs[i].partition);
@@ -146,8 +162,9 @@ TEST(CalibrationEpoch, InFlightBatchExecutesAgainstPinnedEpochBitIdentically) {
   // The current epoch sees the degraded chip: the same batch on the
   // backend's current epoch reports a worse makespan, since every CX now
   // takes 4x as long.
-  const BatchReport degraded =
-      run_batch_pipeline(*backend.epoch(), programs, {}, opts);
+  const BatchReport degraded = run_batch_pipeline(
+      *backend.epoch(), programs,
+      batch_assignments(*backend.epoch(), programs, opts), {}, opts);
   EXPECT_GT(degraded.makespan_ns, before.makespan_ns);
 }
 

@@ -27,6 +27,20 @@ Circuit mix_circuit(std::size_t i) {
   return get_benchmark(kMix[i % std::size(kMix)]).circuit;
 }
 
+/// The partitions run_batch_pipeline executes `programs` on: allocate_batch
+/// on the epoch's candidate index, as the fleet plan and run_parallel() do.
+std::vector<PartitionAssignment> batch_assignments(
+    const CalibrationEpoch& epoch, const std::vector<Circuit>& programs,
+    const ParallelOptions& opts) {
+  const auto partitioner =
+      make_partitioner(opts.method, opts.sigma, opts.srb_estimates);
+  std::vector<ProgramShape> shapes;
+  for (const Circuit& c : programs) shapes.push_back(shape_of(c));
+  return allocate_batch(epoch.device(), *partitioner, shapes,
+                        &epoch.candidate_index())
+      .value();
+}
+
 ServiceOptions fast_service_options() {
   ServiceOptions opts;
   opts.exec.shots = 128;
@@ -134,8 +148,9 @@ TEST(ExecutionService, ShimIsBitIdenticalToDirectPipeline) {
   opts.exec.shots = 256;
 
   Backend backend(d);
-  const BatchReport direct =
-      run_batch_pipeline(*backend.epoch(), programs, {}, opts);
+  const BatchReport direct = run_batch_pipeline(
+      *backend.epoch(), programs,
+      batch_assignments(*backend.epoch(), programs, opts), {}, opts);
   const BatchReport shim = run_parallel(d, programs, opts);
 
   ASSERT_EQ(shim.programs.size(), direct.programs.size());
@@ -520,18 +535,42 @@ TEST(ExecutionService, SweepWhoseRoutingFailsFailsItsJobs) {
   delete service;
 }
 
-TEST(Packer, SingleBatchModeNeverSplits) {
-  const Device d = make_line_device(6);
-  const QucpPartitioner partitioner;
-  const ProgramShape shape = shape_of(get_benchmark("adder").circuit);
-  std::vector<PackJob> jobs;
-  for (std::size_t i = 0; i < 3; ++i) jobs.push_back({i, shape, i, false});
-  PackOptions opts;
-  opts.single_batch = true;
-  std::map<std::uint64_t, double> cache;
-  const PackResult packed = pack_batches(d, jobs, partitioner, opts, cache);
-  ASSERT_EQ(packed.batches.size(), 1u);
-  EXPECT_EQ(packed.batches[0].jobs.size(), 3u);
+TEST(ExecutionService, SubmitRejectsCircuitsThePipelineCannotRun) {
+  // A circuit with no active qubit used to throw out of the next flush()'s
+  // plan, stranding every drained handle in Queued; one with no
+  // measurement used to fail its whole batch, co-runners included, with
+  // its own error. Both are now refused at submit(), and a valid job
+  // submitted next to them runs normally.
+  ExecutionService service(make_toronto27(), fast_service_options());
+  Circuit unmeasured(2, std::nullopt, "unmeasured");
+  unmeasured.h(0);
+  unmeasured.cx(0, 1);
+  EXPECT_THROW((void)service.submit(Circuit(3)), std::invalid_argument);
+  EXPECT_THROW((void)service.submit(unmeasured), std::invalid_argument);
+  const JobHandle ok = service.submit(mix_circuit(0));
+  service.flush();
+  EXPECT_EQ(ok.status(), JobStatus::Done) << ok.error();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.jobs_submitted, 1u);
+  EXPECT_EQ(stats.jobs_completed, 1u);
+  EXPECT_EQ(stats.jobs_failed, 0u);
+}
+
+TEST(ExecutionService, SubmitAllRejectsAMalformedCircuitAndEnqueuesNothing) {
+  ExecutionService service(make_toronto27(), fast_service_options());
+  Circuit unmeasured(2);
+  unmeasured.h(0);
+  for (const Circuit& bad : {Circuit(3), unmeasured}) {
+    try {
+      (void)service.submit_all({mix_circuit(0), mix_circuit(1), bad});
+      ADD_FAILURE() << "submit_all accepted a malformed circuit";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("circuit 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(service.pending_jobs(), 0u);
+  EXPECT_EQ(service.stats().jobs_submitted, 0u);
 }
 
 TEST(FleetService, DrainsAcrossBackendsWithPerBackendBreakdown) {
@@ -786,7 +825,6 @@ TEST(FleetService, WaitAccountingIsAuditableAgainstAnIndependentPlan) {
   PackOptions popts;
   popts.max_batch_size = opts.max_batch_size;
   popts.efs_threshold = opts.efs_threshold;
-  popts.single_batch = opts.single_batch;
   popts.runtime.shots = opts.exec.shots;
   BackendRegistry audit(devices);
   FleetScheduler scheduler(audit, opts.route_policy);
