@@ -79,7 +79,7 @@ std::vector<SimJobClass> build_classes(const std::vector<Device>& fleet) {
   // One epoch per device; epochs own mutexes and a deque never moves them.
   std::deque<CalibrationEpoch> epochs;
   for (const Device& d : fleet) {
-    epochs.emplace_back(0, d, /*transpile_cache_capacity=*/1024);
+    epochs.emplace_back(0, d, kDefaultCacheBudgetBytes);
   }
 
   std::vector<SimJobClass> classes;

@@ -680,7 +680,7 @@ void noiseless_executor(benchmark::State& state, bool fuse) {
   const CalibrationEpoch epoch(
       0, Device(device.name(), device.topology(), std::move(cal),
                 device.crosstalk_ground_truth()),
-      /*transpile_cache_capacity=*/0);
+      /*cache_budget_bytes=*/0);
   const BenchmarkSpec& spec =
       benchmark_suite()[static_cast<std::size_t>(state.range(0))];
   const TranspiledProgram tp = transpile_to_partition(

@@ -448,7 +448,7 @@ ParametricRow run_parametric_on(int iters, bool scalar_kernels = false) {
   const bool native_before = kern::native_kernels_active();
   if (scalar_kernels) kern::set_native_kernels(false);
   const Device device = make_toronto27();
-  const CalibrationEpoch epoch(0, device, /*transpile_cache_capacity=*/1024);
+  const CalibrationEpoch epoch(0, device, kDefaultCacheBudgetBytes);
   const std::vector<int> partition = bfs_partition(device, kSweepQubits);
   const TranspileOptions topts = hardware_aware_options();
   const std::vector<Circuit> stream = build_sweep_stream(iters);
@@ -482,7 +482,7 @@ ParametricRow run_parametric_on(int iters, bool scalar_kernels = false) {
 /// prebound sweep jobs, skipping the per-job fingerprint + cache lock).
 ParametricRow run_parametric_batched(int iters) {
   const Device device = make_toronto27();
-  const CalibrationEpoch epoch(0, device, /*transpile_cache_capacity=*/1024);
+  const CalibrationEpoch epoch(0, device, kDefaultCacheBudgetBytes);
   const std::vector<int> partition = bfs_partition(device, kSweepQubits);
   const TranspileOptions topts = hardware_aware_options();
   const std::vector<Circuit> stream = build_sweep_stream(iters);
@@ -696,13 +696,13 @@ BENCHMARK(BM_DrainWorkers1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DrainWorkers2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DrainWorkers4)->Unit(benchmark::kMillisecond);
 
-void transpile_cache(benchmark::State& state, std::size_t capacity) {
+void transpile_cache(benchmark::State& state, std::size_t budget_bytes) {
   for (auto _ : state) {
     ServiceOptions opts;
     opts.exec.shots = 64;
     opts.max_batch_size = 4;
     opts.num_workers = 2;
-    opts.transpile_cache_capacity = capacity;
+    opts.cache_budget_bytes = budget_bytes;
     ExecutionService service(make_toronto27(), opts);
     const auto handles = submit_queue(service, 16);
     service.flush();
@@ -714,7 +714,7 @@ void BM_TranspileCacheOff(benchmark::State& state) {
   transpile_cache(state, 0);
 }
 void BM_TranspileCacheOn(benchmark::State& state) {
-  transpile_cache(state, 1024);
+  transpile_cache(state, kDefaultCacheBudgetBytes);
 }
 BENCHMARK(BM_TranspileCacheOff)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TranspileCacheOn)->Unit(benchmark::kMillisecond);

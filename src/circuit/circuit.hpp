@@ -90,6 +90,12 @@ class Circuit {
 
   [[nodiscard]] const std::vector<Gate>& ops() const noexcept { return ops_; }
   [[nodiscard]] std::size_t size() const noexcept { return ops_.size(); }
+  /// Heap footprint estimate: the op buffer and the name (operand and
+  /// parameter lists live inline in each Gate up to their small sizes).
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return sizeof(Circuit) + ops_.capacity() * sizeof(Gate) +
+           name_.capacity();
+  }
   [[nodiscard]] bool empty() const noexcept { return ops_.empty(); }
 
   /// Append an op after validating operand counts and index ranges.

@@ -55,7 +55,7 @@ BatchReport run_parallel(const Device& device,
   // with the batch allocated as the fleet packer allocates it. Input order
   // and the caller's seed are preserved, so the output is bit-identical to
   // the historical facade (asserted by tests/test_service.cpp).
-  const CalibrationEpoch epoch(0, device, /*transpile_cache_capacity=*/0);
+  const CalibrationEpoch epoch(0, device, /*cache_budget_bytes=*/0);
   const auto partitioner =
       make_partitioner(options.method, options.sigma, options.srb_estimates);
   std::vector<ProgramShape> shapes;

@@ -1,5 +1,7 @@
 #include "mapping/parametric.hpp"
 
+#include "common/bounded_cache.hpp"
+
 namespace qucp {
 
 TranspileTemplate TranspileTemplate::build(const Circuit& logical,
@@ -128,6 +130,13 @@ std::optional<TranspiledProgram> TranspileTemplate::bind(
   }
   out->physical.invalidate_fingerprints();
   return out;
+}
+
+std::size_t TranspileTemplate::bytes() const noexcept {
+  return sizeof(TranspileTemplate) + result.physical.bytes() +
+         heap_bytes(result.initial_layout) + heap_bytes(result.final_layout) +
+         heap_bytes(binding0) + heap_bytes(nodes) + heap_bytes(patches) +
+         heap_bytes(verdicts);
 }
 
 }  // namespace qucp

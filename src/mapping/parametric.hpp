@@ -71,6 +71,9 @@ struct TranspileTemplate {
   /// a recorded optimizer decision or its slot count mismatches.
   [[nodiscard]] std::optional<TranspiledProgram> bind(
       std::span<const double> binding) const;
+
+  /// Heap footprint estimate (cache budget charge).
+  [[nodiscard]] std::size_t bytes() const noexcept;
 };
 
 }  // namespace qucp

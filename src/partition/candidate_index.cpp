@@ -126,28 +126,19 @@ CandidateIndex::StateKey CandidateIndex::empty_key(int k) const {
 
 std::shared_ptr<const CandidateIndex::State> CandidateIndex::state(
     const StateKey& key) const {
-  {
-    std::lock_guard<std::mutex> lock(states_mutex_);
-    if (auto it = states_.find(key); it != states_.end()) return it->second;
-  }
-  // Built outside the lock: a concurrent miss on the same key builds an
+  if (auto hit = states_.find(key)) return hit;
+  // Built outside any lock: a concurrent miss on the same key builds an
   // identical state, and the first one published wins.
   std::shared_ptr<const State> built = build_state(key);
-  std::lock_guard<std::mutex> lock(states_mutex_);
-  auto [it, inserted] = states_.emplace(key, std::move(built));
-  if (inserted) {
-    states_order_.push_back(key);
-    if (states_.size() > kMaxStates) {
-      states_.erase(states_order_.front());
-      states_order_.pop_front();
-    }
-  }
-  return it->second;
+  const std::size_t bytes =
+      built->bytes() + key.allocated.capacity() * sizeof(std::uint64_t);
+  return states_.insert(key, std::move(built), bytes);
 }
 
-std::size_t CandidateIndex::states_cached() const {
-  std::lock_guard<std::mutex> lock(states_mutex_);
-  return states_.size();
+std::size_t CandidateIndex::State::bytes() const noexcept {
+  return sizeof(State) + heap_bytes(parts_) + heap_bytes(base_) +
+         heap_bytes(edge_begin_) + heap_bytes(edges_) + heap_bytes(hop_begin_) +
+         heap_bytes(hops_);
 }
 
 std::shared_ptr<const CandidateIndex::State> CandidateIndex::build_state(

@@ -39,9 +39,12 @@
 // Key: the allocated set as a bitmask over device qubits plus k — values
 // only, never an address, so an entry cannot leak between indexes.
 // Lifetime: the memo lives and dies with its index (one per calibration
-// epoch, so a recalibration starts it cold); it holds at most
-// kMaxStates entries and evicts oldest-first. Entries are shared_ptr, so
-// eviction never frees a state a caller is still reading.
+// epoch, so a recalibration starts it cold). It is a BoundedCache
+// (common/bounded_cache.hpp) holding at most the bytes it is given — the
+// epoch's share for it — and evicts least recently used states first, so
+// the hot ones (the empty allocation of each width) survive a stream of
+// one-use ones. Entries are shared_ptr, so eviction never frees a state a
+// caller is still reading.
 //
 // Thread-safety: per-k entries and memo states are built under or
 // published through a mutex and immutable afterwards, so dispatch probes
@@ -49,23 +52,19 @@
 // is single-caller scratch.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/bounded_cache.hpp"
 #include "partition/efs.hpp"
 
 namespace qucp {
 
 class CandidateIndex {
  public:
-  /// Memo bound: distinct allocation states held at once (FIFO eviction).
-  static constexpr std::size_t kMaxStates = 1 << 12;
-
   /// Static (allocation-independent) EFS components of one candidate,
   /// accumulated in efs_score's exact summation order.
   struct BaseScore {
@@ -116,6 +115,8 @@ class CandidateIndex {
     [[nodiscard]] EfsBreakdown score(std::size_t i, const ProgramShape& shape,
                                      const CrosstalkPolicy& policy,
                                      bool with_edges = true) const;
+    /// Heap footprint estimate (cache budget charge).
+    [[nodiscard]] std::size_t bytes() const noexcept;
 
    private:
     friend class CandidateIndex;
@@ -133,7 +134,10 @@ class CandidateIndex {
   };
 
   /// The device must outlive the index (a CalibrationEpoch owns both).
-  explicit CandidateIndex(const Device& device) : device_(&device) {}
+  /// The state memo holds at most `state_cache_bytes`.
+  explicit CandidateIndex(const Device& device,
+                          std::size_t state_cache_bytes = kDefaultCacheBytes)
+      : device_(&device), states_(state_cache_bytes) {}
 
   CandidateIndex(const CandidateIndex&) = delete;
   CandidateIndex& operator=(const CandidateIndex&) = delete;
@@ -161,8 +165,8 @@ class CandidateIndex {
   /// miss. Throws std::invalid_argument for k <= 0.
   [[nodiscard]] std::shared_ptr<const State> state(const StateKey& key) const;
 
-  /// Allocation states memoized right now (<= kMaxStates).
-  [[nodiscard]] std::size_t states_cached() const;
+  /// Counters of the state memo.
+  [[nodiscard]] CacheStats state_stats() const { return states_.stats(); }
 
  private:
   struct KeyHash {
@@ -175,10 +179,7 @@ class CandidateIndex {
   const Device* device_;
   mutable std::mutex mutex_;
   mutable std::map<int, std::unique_ptr<PerK>> cache_;
-  mutable std::mutex states_mutex_;
-  mutable std::unordered_map<StateKey, std::shared_ptr<const State>, KeyHash>
-      states_;
-  mutable std::deque<StateKey> states_order_;  ///< FIFO eviction
+  mutable BoundedCache<StateKey, State, KeyHash> states_;
 };
 
 /// Derives the candidates of one allocation state against a

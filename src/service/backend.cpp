@@ -4,16 +4,27 @@
 #include <chrono>
 #include <utility>
 
+#include "common/rng.hpp"
+
 namespace qucp {
 
 CalibrationEpoch::CalibrationEpoch(std::uint64_t id, Device device,
-                                   std::size_t transpile_cache_capacity)
+                                   std::size_t cache_budget_bytes)
     : id_(id),
       device_(std::move(device)),
-      candidate_index_(device_),
+      cache_budget_bytes_(cache_budget_bytes),
+      candidate_index_(device_, cache_budget_bytes / kEpochCaches),
       derived_noise_(DerivedNoise::from(device_)),
-      capacity_(transpile_cache_capacity),
-      program_cache_(device_) {}
+      cache_(cache_budget_bytes / kEpochCaches),
+      program_cache_(device_, cache_budget_bytes / kEpochCaches) {}
+
+std::size_t CalibrationEpoch::CacheKeyHash::operator()(
+    const CacheKey& key) const noexcept {
+  std::uint64_t h = fnv1a_mix(kFnv1aBasis, key.circuit_fp);
+  h = fnv1a_mix(h, key.options_fp);
+  for (int q : key.partition) h = fnv1a_mix(h, static_cast<std::uint64_t>(q));
+  return static_cast<std::size_t>(h);
+}
 
 TranspiledProgram CalibrationEpoch::transpile(const Circuit& logical,
                                               std::span<const int> partition,
@@ -33,7 +44,7 @@ void CalibrationEpoch::transpile_sweep(std::span<const Circuit* const> circuits,
   out.clear();
   out.reserve(circuits.size());
   if (circuits.empty()) return;
-  if (capacity_ == 0) {
+  if (cache_budget_bytes_ == 0) {
     for (const Circuit* c : circuits) {
       out.push_back(transpile_to_partition(*c, device_, partition, options));
     }
@@ -45,15 +56,7 @@ void CalibrationEpoch::transpile_sweep(std::span<const Circuit* const> circuits,
   // probed template, or against the one this loop rebuilt in its place.
   // Hits and binds are tallied locally and committed under the next lock
   // this call takes.
-  std::shared_ptr<const TranspileTemplate> tmpl;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = cache_.find(key); it != cache_.end()) {
-      tmpl = it->second;
-    } else {
-      ++stats_.misses;
-    }
-  }
+  std::shared_ptr<const TranspileTemplate> tmpl = cache_.find(key);
   std::uint64_t hits = 0;
   std::uint64_t structural_hits = 0;
   std::uint64_t bind_ns = 0;
@@ -86,9 +89,9 @@ void CalibrationEpoch::transpile_sweep(std::span<const Circuit* const> circuits,
       }
     }
 
-    // First sighting of the key (the miss is already counted), or a
+    // First sighting of the key (the cache counted the miss), or a
     // binding that flipped a recorded optimizer decision: count the
-    // fallback, then build from scratch outside the lock (routing is the
+    // fallback, then build from scratch outside any lock (routing is the
     // expensive part, and two threads racing on one key build identical
     // templates).
     if (tmpl != nullptr) {
@@ -99,20 +102,10 @@ void CalibrationEpoch::transpile_sweep(std::span<const Circuit* const> circuits,
     tmpl = std::make_shared<const TranspileTemplate>(
         TranspileTemplate::build(*c, device_, partition, options));
     out.push_back(tmpl->result);
-    std::lock_guard<std::mutex> lock(mutex_);
-    // insert_or_assign so a fallback *replaces* the entry: the cache adapts
-    // to the binding actually in flight instead of pinning a template whose
+    // assign so a fallback *replaces* the entry: the cache adapts to the
+    // binding actually in flight instead of pinning a template whose
     // representative binding was degenerate.
-    auto [it, inserted] = cache_.insert_or_assign(key, tmpl);
-    if (inserted) {
-      insertion_order_.push_back(key);
-      if (cache_.size() > capacity_) {
-        cache_.erase(insertion_order_.front());
-        insertion_order_.pop_front();
-        ++stats_.evictions;
-      }
-    }
-    stats_.entries = cache_.size();
+    cache_.assign(key, tmpl, tmpl->bytes());
   }
   if (hits != 0 || structural_hits != 0) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -127,9 +120,24 @@ ParallelRunReport CalibrationEpoch::execute(
 }
 
 TranspileCacheStats CalibrationEpoch::cache_stats() const {
+  const CacheStats cache = cache_.stats();
   std::lock_guard<std::mutex> lock(mutex_);
   TranspileCacheStats stats = stats_;
-  stats.entries = cache_.size();
+  stats.misses = cache.misses;
+  stats.evictions = cache.evictions;
+  stats.entries = cache.entries;
+  return stats;
+}
+
+EpochCacheStats CalibrationEpoch::cache_memory() const {
+  const CompiledProgramCache::Stats programs = program_cache_.stats();
+  EpochCacheStats stats{cache_budget_bytes_,     0,
+                        cache_.stats(),          candidate_index_.state_stats(),
+                        programs.fused,          programs.plans,
+                        programs.executables};
+  stats.used_bytes = stats.transpile.bytes + stats.allocation_states.bytes +
+                     stats.fused.bytes + stats.plans.bytes +
+                     stats.executables.bytes;
   return stats;
 }
 
@@ -140,10 +148,10 @@ void CalibrationEpoch::warm(std::span<const int> partition_sizes) const {
   }
 }
 
-Backend::Backend(Device device, std::size_t transpile_cache_capacity)
-    : capacity_(transpile_cache_capacity),
+Backend::Backend(Device device, std::size_t cache_budget_bytes)
+    : cache_budget_bytes_(cache_budget_bytes),
       epoch_(std::make_shared<CalibrationEpoch>(0, std::move(device),
-                                                transpile_cache_capacity)) {}
+                                                cache_budget_bytes)) {}
 
 std::shared_ptr<const CalibrationEpoch> Backend::epoch() const {
   std::lock_guard<std::mutex> lock(epoch_mutex_);
@@ -164,7 +172,7 @@ double Backend::recalibrate(Calibration cal) {
   Device next(old->device().name(), old->device().topology(), std::move(cal),
               old->device().crosstalk_ground_truth());
   auto fresh = std::make_shared<const CalibrationEpoch>(
-      old->id() + 1, std::move(next), capacity_);
+      old->id() + 1, std::move(next), cache_budget_bytes_);
   // Off-lane warm build: reproduce the candidate working set the retiring
   // epoch accumulated, so the first pack cycle on the new epoch routes at
   // full speed. Runs entirely on this thread — no lane or worker waits.

@@ -32,10 +32,16 @@
 // template rebuild, which also replaces the cached entry so a degenerate
 // first binding (e.g. an all-zero VQE start) does not pin a
 // fallback-prone template forever. Parameterless circuits have an empty
-// binding, so after the first build they are always exact hits. A
-// capacity-0 epoch caches nothing and transpiles every call from scratch;
-// that is the reference the template path is pinned against
-// (tests/test_parametric.cpp).
+// binding, so after the first build they are always exact hits.
+//
+// All five caches of an epoch — transpile templates, CandidateIndex
+// states, and the CompiledProgramCache's fused programs, fusion plans and
+// executables — are BoundedCaches (common/bounded_cache.hpp) splitting one
+// byte budget evenly; each evicts only its own least recently used
+// entries. cache_memory() reports entries, bytes, hits, misses and
+// evictions per cache. A budget-0 epoch caches nothing and transpiles
+// every call from scratch; that is the reference the template path is
+// pinned against (tests/test_parametric.cpp).
 //
 // Backend itself only versions epochs: every device, cache and execution
 // query goes through a pinned epoch(), so a caller that reads the device,
@@ -44,8 +50,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -74,6 +78,17 @@ struct TranspileCacheStats {
   std::uint64_t bind_ns = 0;
 };
 
+/// Per-cache counters of one calibration epoch and the budget they share.
+struct EpochCacheStats {
+  std::size_t budget_bytes = 0;  ///< the epoch's cache budget
+  std::size_t used_bytes = 0;    ///< held by all five caches together
+  CacheStats transpile;          ///< transpile templates
+  CacheStats allocation_states;  ///< CandidateIndex state memo
+  CacheStats fused;              ///< fused programs (ideal pipeline)
+  CacheStats plans;              ///< fusion plans
+  CacheStats executables;        ///< noisy executables and their outcomes
+};
+
 /// One immutable calibration snapshot plus every cache derived from it.
 /// Construction is cheap (the caches fill lazily); warm() optionally
 /// pre-builds the candidate lists a predecessor epoch had accumulated.
@@ -83,9 +98,10 @@ struct TranspileCacheStats {
 /// building a successor epoch, not by touching this one.
 class CalibrationEpoch {
  public:
-  /// `transpile_cache_capacity` = 0 disables transpile caching.
+  /// The epoch's five caches split `cache_budget_bytes` evenly; 0
+  /// disables caching.
   CalibrationEpoch(std::uint64_t id, Device device,
-                   std::size_t transpile_cache_capacity);
+                   std::size_t cache_budget_bytes);
 
   CalibrationEpoch(const CalibrationEpoch&) = delete;
   CalibrationEpoch& operator=(const CalibrationEpoch&) = delete;
@@ -150,6 +166,9 @@ class CalibrationEpoch {
 
   [[nodiscard]] TranspileCacheStats cache_stats() const;
 
+  /// Entries, bytes, hits, misses and evictions of each cache.
+  [[nodiscard]] EpochCacheStats cache_memory() const;
+
   /// Pre-build the candidate lists for `partition_sizes` (typically the
   /// predecessor epoch's working set) so the first dispatch cycle on this
   /// epoch pays no per_k builds. Part of recalibrate()'s off-lane work.
@@ -160,35 +179,34 @@ class CalibrationEpoch {
     std::uint64_t circuit_fp = 0;
     std::uint64_t options_fp = 0;
     std::vector<int> partition;
-    [[nodiscard]] bool operator<(const CacheKey& o) const {
-      if (circuit_fp != o.circuit_fp) return circuit_fp < o.circuit_fp;
-      if (options_fp != o.options_fp) return options_fp < o.options_fp;
-      return partition < o.partition;
-    }
+    [[nodiscard]] bool operator==(const CacheKey&) const = default;
+  };
+  struct CacheKeyHash {
+    std::size_t operator()(const CacheKey& key) const noexcept;
   };
 
   std::uint64_t id_ = 0;
   Device device_;
+  std::size_t cache_budget_bytes_;
   CandidateIndex candidate_index_;  ///< built against device_ (declared above)
   DerivedNoise derived_noise_;      ///< derived from device_
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
   /// Shared so a sweep keeps binding against its probed template while
   /// another thread replaces or evicts the entry.
-  mutable std::map<CacheKey, std::shared_ptr<const TranspileTemplate>> cache_;
-  mutable std::deque<CacheKey> insertion_order_;  ///< FIFO eviction queue
+  mutable BoundedCache<CacheKey, TranspileTemplate, CacheKeyHash> cache_;
+  mutable std::mutex mutex_;  ///< guards stats_
   mutable TranspileCacheStats stats_;
   /// Compiled programs (fused, and executables scheduled against device_)
-  /// shared by every execution on this epoch (its own mutex; shared_ptr
-  /// entries, so eviction never invalidates an in-flight replay).
-  mutable CompiledProgramCache program_cache_;
+  /// shared by every execution on this epoch (shared_ptr entries, so
+  /// eviction never invalidates an in-flight replay).
+  CompiledProgramCache program_cache_;
 };
 
 class Backend {
  public:
-  /// `transpile_cache_capacity` = 0 disables transpile caching; it
-  /// applies to every epoch this backend ever builds.
-  explicit Backend(Device device, std::size_t transpile_cache_capacity = 1024);
+  /// Each epoch this backend ever builds gets a cache budget of
+  /// `cache_budget_bytes`; 0 disables caching.
+  explicit Backend(Device device,
+                   std::size_t cache_budget_bytes = kDefaultCacheBudgetBytes);
 
   /// Pin the current calibration epoch. The returned shared_ptr keeps the
   /// epoch (device, caches, derived constants) alive across any number of
@@ -221,7 +239,7 @@ class Backend {
   }
 
  private:
-  std::size_t capacity_;
+  std::size_t cache_budget_bytes_;
   mutable std::mutex epoch_mutex_;  ///< guards the epoch_ pointer swap
   std::shared_ptr<const CalibrationEpoch> epoch_;
   std::mutex recal_mutex_;  ///< serializes concurrent recalibrate() calls

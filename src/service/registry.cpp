@@ -7,11 +7,11 @@
 namespace qucp {
 
 BackendRegistry::BackendRegistry(std::vector<Device> devices,
-                                 std::size_t transpile_cache_capacity) {
+                                 std::size_t cache_budget_bytes) {
   backends_.reserve(devices.size());
   for (Device& device : devices) {
     backends_.push_back(
-        std::make_shared<Backend>(std::move(device), transpile_cache_capacity));
+        std::make_shared<Backend>(std::move(device), cache_budget_bytes));
   }
 }
 
@@ -39,9 +39,9 @@ std::size_t BackendRegistry::add(std::shared_ptr<Backend> backend) {
 }
 
 std::size_t BackendRegistry::add(Device device,
-                                 std::size_t transpile_cache_capacity) {
+                                 std::size_t cache_budget_bytes) {
   return add(
-      std::make_shared<Backend>(std::move(device), transpile_cache_capacity));
+      std::make_shared<Backend>(std::move(device), cache_budget_bytes));
 }
 
 Backend& BackendRegistry::at(std::size_t id) {

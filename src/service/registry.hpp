@@ -31,11 +31,12 @@ class BackendRegistry {
   BackendRegistry() = default;
 
   /// One Backend per device, in order; ids are the vector positions.
-  /// `transpile_cache_capacity` applies to every constructed backend.
-  explicit BackendRegistry(std::vector<Device> devices,
-                           std::size_t transpile_cache_capacity = 1024);
+  /// `cache_budget_bytes` applies to every constructed backend.
+  explicit BackendRegistry(
+      std::vector<Device> devices,
+      std::size_t cache_budget_bytes = kDefaultCacheBudgetBytes);
 
-  /// Adopt pre-built backends (shared caches, custom capacities). Throws
+  /// Adopt pre-built backends (shared caches, custom budgets). Throws
   /// std::invalid_argument on a null entry.
   explicit BackendRegistry(std::vector<std::shared_ptr<Backend>> backends);
 
@@ -43,7 +44,8 @@ class BackendRegistry {
   /// the registry is handed to an ExecutionService (the service sizes its
   /// lanes at construction).
   std::size_t add(std::shared_ptr<Backend> backend);
-  std::size_t add(Device device, std::size_t transpile_cache_capacity = 1024);
+  std::size_t add(Device device,
+                  std::size_t cache_budget_bytes = kDefaultCacheBudgetBytes);
 
   [[nodiscard]] std::size_t size() const noexcept { return backends_.size(); }
   [[nodiscard]] bool empty() const noexcept { return backends_.empty(); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -182,7 +183,7 @@ BatchReport run_batch_pipeline(
 ExecutionService::ExecutionService(Device device, ServiceOptions options)
     : ExecutionService(
           std::make_shared<Backend>(std::move(device),
-                                    options.transpile_cache_capacity),
+                                    options.cache_budget_bytes),
           std::move(options)) {}
 
 ExecutionService::ExecutionService(std::shared_ptr<Backend> backend,
@@ -269,14 +270,23 @@ class SubmitGate {
   std::atomic<std::size_t>& active_;
 };
 
-/// Why the batch pipeline cannot run `circuit`, or nullptr when it can.
-/// submit() and submit_all() reject such a circuit at the call that
-/// brought it: one with no active qubit has no partition to allocate (it
-/// would throw out of the cycle's plan), and one with no measurement has
-/// no output to score (it would fail every job of its batch).
-const char* malformed_reason(const Circuit& circuit) {
+/// Why the batch pipeline cannot run `circuit`, or an empty string when
+/// it can. submit() and submit_all() reject such a circuit at the call
+/// that brought it: a NaN or infinite angle has no gate matrix (it would
+/// poison every kernel and distribution of its batch), one with no active
+/// qubit has no partition to allocate (it would throw out of the cycle's
+/// plan), and one with no measurement has no output to score (it would
+/// fail every job of its batch).
+std::string malformed_reason(const Circuit& circuit) {
+  for (std::size_t i = 0; i < circuit.size(); ++i) {
+    const auto& params = circuit.ops()[i].params;
+    if (!std::all_of(params.begin(), params.end(),
+                     [](double p) { return std::isfinite(p); })) {
+      return "has a non-finite angle at op " + std::to_string(i);
+    }
+  }
   // A measurement acts on a qubit, so a measured circuit is never empty.
-  if (circuit.has_measurements()) return nullptr;
+  if (circuit.has_measurements()) return {};
   return circuit.active_qubits().empty() ? "acts on no qubit"
                                          : "has no measurements";
 }
@@ -303,7 +313,7 @@ void ExecutionService::enqueue_job(const JobPtr& state, std::size_t shard) {
 }
 
 JobHandle ExecutionService::submit(Circuit circuit, JobOptions options) {
-  if (const char* why = malformed_reason(circuit)) {
+  if (const std::string why = malformed_reason(circuit); !why.empty()) {
     throw std::invalid_argument("ExecutionService::submit: circuit '" +
                                 circuit.name() + "' " + why);
   }
@@ -323,7 +333,7 @@ std::vector<JobHandle> ExecutionService::submit_all(
   // All or nothing: a malformed circuit rejects the whole vector before
   // any job is enqueued.
   for (std::size_t i = 0; i < circuits.size(); ++i) {
-    if (const char* why = malformed_reason(circuits[i])) {
+    if (const std::string why = malformed_reason(circuits[i]); !why.empty()) {
       throw std::invalid_argument("ExecutionService::submit_all: circuit " +
                                   std::to_string(i) + " ('" +
                                   circuits[i].name() + "') " + why);
@@ -521,7 +531,7 @@ void ExecutionService::dispatch_pending() {
   std::vector<std::vector<PreboundTranspiles>> prebound(plan.batches.size());
   std::vector<std::uint64_t> slot_sweep_groups(plan.batches.size(), 0);
   std::vector<std::uint64_t> slot_batched_binds(plan.batches.size(), 0);
-  const bool sweep_eligible = options_.transpile_cache_capacity > 0 &&
+  const bool sweep_eligible = options_.cache_budget_bytes > 0 &&
                               options_.method != Method::CNA;
   if (sweep_eligible) {
     const TranspileSetup setup =
@@ -808,6 +818,7 @@ ServiceStats ExecutionService::stats() const {
     const auto epoch = lane->backend->epoch();
     bs.device = epoch->device().name();
     bs.transpile_cache = epoch->cache_stats();
+    bs.caches = epoch->cache_memory();
     bs.calibration_epoch = epoch->id();
     bs.recalibrations = lane->backend->recalibrations();
     bs.recalibration_build_s = lane->backend->recalibration_build_s();

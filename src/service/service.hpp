@@ -92,10 +92,13 @@ struct ServiceOptions {
   /// are pending, without waiting for flush(). Note: with concurrent
   /// submitters the batch boundaries then depend on arrival interleaving.
   std::size_t auto_flush_batch_size = 0;
-  /// Per-epoch transpile cache entries (service/backend.hpp); 0 disables
-  /// caching, so every job transpiles from scratch and submit_all() sweeps
-  /// take the per-job path.
-  std::size_t transpile_cache_capacity = 1024;
+  /// Bytes all caches of one calibration epoch may hold together
+  /// (service/backend.hpp): transpile templates, allocation states, fused
+  /// programs, fusion plans and executables. Applies to the backend the
+  /// single-device constructor builds; a BackendRegistry's backends carry
+  /// their own. 0 disables caching, so every job transpiles from scratch
+  /// and submit_all() sweeps take the per-job path.
+  std::size_t cache_budget_bytes = kDefaultCacheBudgetBytes;
   /// Sharded MPSC intake (service/intake.hpp): number of submission
   /// shards. Each submitter thread homes on shard (thread ordinal mod
   /// shards), so up to this many producers publish without touching the
@@ -172,6 +175,9 @@ struct BackendStats {
   std::uint64_t sweep_groups = 0;
   std::uint64_t batched_binds = 0;
   TranspileCacheStats transpile_cache;
+  /// Entries, bytes, hits, misses and evictions of each cache of the
+  /// current epoch, and the byte budget they share.
+  EpochCacheStats caches;
 };
 
 struct ServiceStats {
@@ -245,8 +251,9 @@ class ExecutionService {
   /// Enqueue a circuit. Cheap, thread-safe and lock-free on the hot path
   /// (sharded MPSC intake, see service/intake.hpp); nothing executes
   /// until a batch is dispatched (flush(), shutdown() or auto-flush).
-  /// Throws std::invalid_argument for a circuit with no measurement (or
-  /// no active qubit at all), and std::runtime_error after shutdown().
+  /// Throws std::invalid_argument for a circuit with a NaN or infinite
+  /// angle (naming the op index), with no measurement, or with no active
+  /// qubit at all, and std::runtime_error after shutdown().
   JobHandle submit(Circuit circuit, JobOptions options = {});
 
   /// Batch submission: one handle per circuit. The whole vector is
@@ -258,7 +265,8 @@ class ExecutionService {
   /// as the consumer frees cells (no chunk seam another producer could
   /// land inside). Validates every circuit as submit() does before
   /// enqueuing any: a malformed one throws std::invalid_argument naming
-  /// its index, and nothing is submitted.
+  /// its index (and, for a non-finite angle, the op), and nothing is
+  /// submitted.
   std::vector<JobHandle> submit_all(std::vector<Circuit> circuits);
 
   /// Fail every not-yet-dispatched job ("cancelled before dispatch") and

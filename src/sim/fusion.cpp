@@ -248,6 +248,24 @@ class PlanFuser {
 
 }  // namespace
 
+const FusedOp& fixed_kernel(GateKind kind) {
+  static constexpr std::size_t kKinds =
+      static_cast<std::size_t>(GateKind::Measure) + 1;
+  // Immutable after the (thread-safe) first-use initialization.
+  static const std::array<FusedOp, kKinds> table = [] {
+    std::array<FusedOp, kKinds> t{};
+    for (std::size_t i = 0; i < kKinds; ++i) {
+      const auto g = static_cast<GateKind>(i);
+      if (const Matrix* m = fixed_gate_matrix(g)) {
+        const int k = gate_arity(g);
+        t[i] = make_fused_op(m->data().data(), k, 0, k == 2 ? 1 : -1);
+      }
+    }
+    return t;
+  }();
+  return table[static_cast<std::size_t>(kind)];
+}
+
 FusionPlan FusionPlan::build(const Circuit& circuit) {
   FusionPlan plan;
   plan.num_qubits_ = circuit.num_qubits();
@@ -438,24 +456,13 @@ ExecutableStructure ExecutableStructure::build(const Circuit& physical,
   }
   assert(li == s.lowered_.size());
   const std::size_t n = s.lowered_.size();
-  const auto angle_free = std::count_if(
-      s.lowered_.ops().begin(), s.lowered_.ops().end(),
-      [](const Gate& g) { return is_unitary_gate(g.kind) && g.params.empty(); });
-  s.fixed_.reserve(static_cast<std::size_t>(angle_free) + 1);
-  s.fixed_.resize(1);
-  s.slot_.assign(n, 0);
+  s.slot_.resize(n);
   std::int32_t parametric = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Gate& g = s.lowered_.ops()[i];
-    if (!g.params.empty()) {
-      s.slot_[i] = ~parametric++;  // parametric_ is in lowered order too
-    } else if (is_unitary_gate(g.kind)) {
-      const int k = static_cast<int>(g.qubits.size());
-      s.slot_[i] = static_cast<std::int32_t>(s.fixed_.size());
-      s.fixed_.push_back(make_fused_op(
-          fixed_gate_matrix(g.kind)->data().data(), k, g.qubits[0],
-          k == 2 ? g.qubits[1] : -1));
-    }
+    // parametric_ is in lowered order too.
+    s.slot_[i] = g.params.empty() ? static_cast<std::int32_t>(g.kind)
+                                  : ~parametric++;
   }
   s.active_ = s.lowered_.active_qubits();
   if (device == nullptr) return s;
@@ -551,6 +558,37 @@ bool OutcomeKey::operator==(const OutcomeKey& other) const noexcept {
                     });
 }
 
+std::size_t FusionPlan::bytes() const noexcept {
+  return sizeof(FusionPlan) + heap_bytes(steps_) + heap_bytes(blocks_) +
+         heap_bytes(measurements_);
+}
+
+std::size_t CompiledProgram::bytes() const noexcept {
+  return sizeof(CompiledProgram) + heap_bytes(ops_) +
+         heap_bytes(measurements_);
+}
+
+std::size_t ExecutableStructure::bytes() const noexcept {
+  return sizeof(ExecutableStructure) + lowered_.bytes() +
+         heap_bytes(parametric_) + heap_bytes(slot_) +
+         heap_bytes(schedule_.ops) + heap_bytes(time_order_) +
+         heap_bytes(active_) + heap_bytes(cx_edges_);
+}
+
+std::size_t CompiledExecutable::bytes() const noexcept {
+  return sizeof(CompiledExecutable) + heap_bytes(bound_);
+}
+
+std::size_t CompiledProgramCache::ExecutableEntry::bytes() const noexcept {
+  std::size_t total = sizeof(ExecutableEntry) + structure->bytes() +
+                      last->bytes() + heap_bytes(outcomes);
+  for (const OutcomeVariant& v : outcomes) {
+    total += heap_bytes(v.key.shifts) + heap_bytes(v.key.gammas) +
+             sizeof(Distribution) + heap_bytes(v.distribution->probs());
+  }
+  return total;
+}
+
 std::shared_ptr<const FusionPlan> CompiledProgramCache::plan(
     const Circuit& circuit) const {
   return plan_for(structural_fingerprint(circuit), circuit);
@@ -558,96 +596,52 @@ std::shared_ptr<const FusionPlan> CompiledProgramCache::plan(
 
 std::shared_ptr<const FusionPlan> CompiledProgramCache::plan_for(
     const std::uint64_t key, const Circuit& circuit) const {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = plans_.find(key); it != plans_.end()) {
-      ++plan_hits_;
-      return it->second;
-    }
-  }
-  // Build outside the lock: deterministic, so a racing duplicate insert
+  if (auto hit = plans_.find(key)) return hit;
+  // Built outside any lock: deterministic, so a racing duplicate insert
   // just loses and its result is identical anyway.
   auto built = std::make_shared<const FusionPlan>(FusionPlan::build(circuit));
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++plan_builds_;
-  auto [it, inserted] = plans_.emplace(key, std::move(built));
-  if (inserted) {
-    plans_order_.push_back(key);
-    if (plans_.size() > kMaxEntries) {
-      plans_.erase(plans_order_.front());
-      plans_order_.pop_front();
-    }
-  }
-  return it->second;
+  const std::size_t bytes = built->bytes();
+  return plans_.insert(key, std::move(built), bytes);
 }
 
 std::shared_ptr<const CompiledProgram> CompiledProgramCache::fused(
     const Circuit& circuit) const {
   const CircuitFingerprints fp = circuit_fingerprints(circuit);
-  const std::uint64_t key = fp.exact;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = fused_.find(key); it != fused_.end()) return it->second;
-  }
+  if (auto hit = fused_.find(fp.exact)) return hit;
   // Exact-fingerprint miss: fetch (or build) the structural plan, then
   // materialize this circuit's matrices against it. A parameter sweep
   // over one ansatz pays the fusion walk once — every later binding is a
-  // plan hit plus the cheap matrix products. Both halves run outside the
-  // lock; materialize() is bit-identical to CompiledProgram::compile()
-  // (pinned by tests/test_parametric.cpp).
+  // plan hit plus the cheap matrix products. materialize() is
+  // bit-identical to CompiledProgram::compile() (pinned by
+  // tests/test_parametric.cpp).
   const std::shared_ptr<const FusionPlan> p = plan_for(fp.structural, circuit);
   auto program = std::make_shared<const CompiledProgram>(
       CompiledProgram::materialize(*p, circuit));
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = fused_.emplace(key, std::move(program));
-  if (inserted) {
-    fused_order_.push_back(key);
-    if (fused_.size() > kMaxEntries) {
-      fused_.erase(fused_order_.front());
-      fused_order_.pop_front();
-    }
-  }
-  return it->second;
+  const std::size_t bytes = program->bytes();
+  return fused_.insert(fp.exact, std::move(program), bytes);
 }
 
 std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
     const Circuit& physical, const SchedulePolicy policy) const {
   const CircuitFingerprints fp = circuit_fingerprints(physical);
   const ExecutableKey key{fp.structural, policy};
-  std::shared_ptr<const ExecutableStructure> structure;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = executables_.find(key); it != executables_.end()) {
-      ++executable_hits_;
-      if (it->second.last_exact == fp.exact) return it->second.last;
-      structure = it->second.structure;
-    }
-  }
-  // Structure miss: lower, precompile and schedule once. Either way only
-  // the parametric kernels are materialized for this binding. Both run
-  // outside the lock; they are deterministic, so a racing duplicate
-  // insert just loses and its result is identical anyway.
-  const bool built = structure == nullptr;
-  if (built) {
-    structure = std::make_shared<const ExecutableStructure>(
-        ExecutableStructure::build(physical, device_, policy));
-  }
+  const std::shared_ptr<const ExecutableEntry> entry = executables_.find(key);
+  if (entry != nullptr && entry->last_exact == fp.exact) return entry->last;
+  // Structure miss: lower and schedule once. Either way only the
+  // parametric kernels are materialized for this binding. Both are
+  // deterministic, so a racing duplicate build is identical anyway.
+  std::shared_ptr<const ExecutableStructure> structure =
+      entry != nullptr
+          ? entry->structure
+          : std::make_shared<const ExecutableStructure>(
+                ExecutableStructure::build(physical, device_, policy));
   auto exe = std::make_shared<const CompiledExecutable>(
       CompiledExecutable::materialize(structure, physical));
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (built) ++executable_builds_;
-  auto [it, inserted] = executables_.try_emplace(key);
-  if (inserted) {
-    it->second.structure = std::move(structure);
-    executables_order_.push_back(key);
-  }
-  if (it->second.last_exact != fp.exact) it->second.outcomes.clear();
-  it->second.last = exe;
-  it->second.last_exact = fp.exact;
-  if (inserted && executables_.size() > kMaxEntries) {
-    executables_.erase(executables_order_.front());
-    executables_order_.pop_front();
-  }
+  // The new binding replaces the entry, dropping the old one's outcomes.
+  auto next = std::make_shared<const ExecutableEntry>(
+      ExecutableEntry{std::move(structure), exe, fp.exact, {}});
+  const std::size_t bytes = next->bytes();
+  executables_.assign(key, std::move(next), bytes);
   return exe;
 }
 
@@ -655,17 +649,16 @@ std::shared_ptr<const Distribution> CompiledProgramCache::outcome(
     const Circuit& physical, const SchedulePolicy policy,
     const OutcomeKey& key) const {
   const CircuitFingerprints fp = circuit_fingerprints(physical);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (auto it = executables_.find({fp.structural, policy});
-      it != executables_.end() && it->second.last_exact == fp.exact) {
-    for (const OutcomeVariant& v : it->second.outcomes) {
+  if (const auto entry = executables_.peek({fp.structural, policy});
+      entry != nullptr && entry->last_exact == fp.exact) {
+    for (const OutcomeVariant& v : entry->outcomes) {
       if (v.key == key) {
-        ++outcome_hits_;
+        outcome_hits_.fetch_add(1, std::memory_order_relaxed);
         return v.distribution;
       }
     }
   }
-  ++outcome_builds_;
+  outcome_builds_.fetch_add(1, std::memory_order_relaxed);
   return nullptr;
 }
 
@@ -673,52 +666,43 @@ void CompiledProgramCache::store_outcome(
     const Circuit& physical, const SchedulePolicy policy, OutcomeKey key,
     const Distribution& distribution) const {
   const CircuitFingerprints fp = circuit_fingerprints(physical);
-  auto stored = std::make_shared<const Distribution>(distribution);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = executables_.find({fp.structural, policy});
-  if (it == executables_.end() || it->second.last_exact != fp.exact) return;
-  std::vector<OutcomeVariant>& outcomes = it->second.outcomes;
+  const ExecutableKey ekey{fp.structural, policy};
+  const auto entry = executables_.peek(ekey);
+  if (entry == nullptr || entry->last_exact != fp.exact) return;
   // A racing simulation of the same key may have stored it already.
-  for (const OutcomeVariant& v : outcomes) {
+  for (const OutcomeVariant& v : entry->outcomes) {
     if (v.key == key) return;
   }
+  // Copy on write: readers holding the old entry keep a consistent view.
+  // A racing replacement of the entry may be overwritten here; the memo
+  // then just misses once more, since every outcome is exact.
+  auto next = std::make_shared<ExecutableEntry>(*entry);
+  std::vector<OutcomeVariant>& outcomes = next->outcomes;
   if (outcomes.size() == kMaxOutcomeVariants) outcomes.erase(outcomes.begin());
-  outcomes.push_back({std::move(key), std::move(stored)});
+  outcomes.push_back(
+      {std::move(key), std::make_shared<const Distribution>(distribution)});
+  const std::size_t bytes = next->bytes();
+  executables_.assign(ekey, std::move(next), bytes);
 }
 
-std::size_t CompiledProgramCache::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return fused_.size() + executables_.size();
+CompiledProgramCache::Stats CompiledProgramCache::stats() const {
+  return {fused_.stats(), plans_.stats(), executables_.stats()};
 }
 
 std::uint64_t CompiledProgramCache::plan_builds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return plan_builds_;
+  return plans_.stats().misses;
 }
 
 std::uint64_t CompiledProgramCache::plan_hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return plan_hits_;
-}
-
-std::uint64_t CompiledProgramCache::executable_builds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return executable_builds_;
-}
-
-std::uint64_t CompiledProgramCache::executable_hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return executable_hits_;
+  return plans_.stats().hits;
 }
 
 std::uint64_t CompiledProgramCache::outcome_hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return outcome_hits_;
+  return outcome_hits_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t CompiledProgramCache::outcome_builds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return outcome_builds_;
+  return outcome_builds_.load(std::memory_order_relaxed);
 }
 
 }  // namespace qucp

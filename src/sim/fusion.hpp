@@ -38,17 +38,25 @@
 // ExecutableStructure is the structural half of a physical program: the
 // CX-lowered op skeleton with a lowered -> source index for every op whose
 // matrix depends on an angle (SWAP -> 3 CX and CZ -> H.CX.H carry none),
-// the precompiled kernels (including the superket forms DensityMatrix
-// needs) of every angle-free op, and — scheduled against the owning
-// epoch's device — the ALAP/ASAP schedule, its time order, the active
-// qubits and each CX's edge id. A CompiledExecutable is one binding of it:
-// materialize() rebuilds only the parametric ops' kernels from the
-// binding's angles. Replay is gate by gate, each gate in one density sweep
-// together with its idle relaxation and depolarizing, arithmetic
-// identical to the uncompiled path bit for bit. CompiledProgramCache
-// memoizes fused programs per circuit fingerprint and executables per
-// (structural fingerprint, schedule policy); it lives on a calibration
-// epoch next to CandidateIndex, so a recalibration starts it cold.
+// and — scheduled against the owning epoch's device — the ALAP/ASAP
+// schedule, its time order, the active qubits and each CX's edge id. A
+// CompiledExecutable is one binding of it: materialize() builds only the
+// parametric ops' kernels from the binding's angles.
+//
+// Angle-free ops (CX, H, X, SX, ... — including the CX/H that SWAP and CZ
+// lower to) hold no kernel of their own. Their kernels, superket forms
+// included, depend on the gate kind alone, so fixed_kernel() compiles each
+// once per process and every structure points its angle-free ops into
+// that table. A shared kernel's `q` names operand positions, not device
+// qubits: replay takes the operands from the lowered gate, so it stays
+// bit for bit the per-op compile's. That keeps a cached structure down to
+// its skeleton and schedule, and a structure build compiles nothing.
+// Replay is gate by gate, each gate in one density sweep together with its
+// idle relaxation and depolarizing, arithmetic identical to the
+// uncompiled path bit for bit. CompiledProgramCache memoizes fused
+// programs per circuit fingerprint and executables per (structural
+// fingerprint, schedule policy); it lives on a calibration epoch next to
+// CandidateIndex, so a recalibration starts it cold.
 //
 // Each executable entry also memoizes outcomes of its last binding: the
 // exact noisy Distribution execute_parallel computed for it, keyed by an
@@ -57,19 +65,19 @@
 // the crosstalk gamma of each amplified CX, the noise flags and whether
 // the native kernels are active. An exact repeat skips the density-matrix
 // walk; only sampling runs. At most kMaxOutcomeVariants keys are held per
-// entry (FIFO), and a new binding clears them, so the memo is bounded by
-// the executable cache's own entry bound.
+// entry (oldest replaced first), a new binding clears them, and the
+// entry's byte charge follows them, so the memo counts against the
+// executable cache's byte bound like everything else.
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "common/bounded_cache.hpp"
 #include "hardware/device.hpp"
 #include "schedule/schedule.hpp"
 #include "sim/counts.hpp"
@@ -94,6 +102,14 @@ struct FusedOp {
   /// barrier/measure positions.
   [[nodiscard]] bool is_unitary() const noexcept { return q[0] >= 0; }
 };
+
+/// The process-wide kernel of an angle-free unitary kind (the kinds
+/// fixed_gate_matrix() covers), compiled once on first use from its fixed
+/// matrix exactly as a per-op compile would; `q` holds the operand
+/// positions {0, -1} or {0, 1}. Any other kind maps to a placeholder with
+/// is_unitary() == false. Thread-safe; the reference stays valid for the
+/// process lifetime.
+[[nodiscard]] const FusedOp& fixed_kernel(GateKind kind);
 
 /// The structural half of fusion: the block layout and the exact ordered
 /// sequence of matrix operations the fusion state machine performs on a
@@ -148,6 +164,8 @@ class FusionPlan {
   }
   /// FusedOps an emit pass produces (kEmit step count).
   [[nodiscard]] std::size_t emitted() const noexcept { return emitted_; }
+  /// Heap footprint estimate (cache budget charge).
+  [[nodiscard]] std::size_t bytes() const noexcept;
 
  private:
   int num_qubits_ = 0;
@@ -190,6 +208,8 @@ class CompiledProgram {
   [[nodiscard]] std::size_t source_gate_count() const noexcept {
     return source_gates_;
   }
+  /// Heap footprint estimate (cache budget charge).
+  [[nodiscard]] std::size_t bytes() const noexcept;
 
  private:
   int num_qubits_ = 0;
@@ -201,9 +221,9 @@ class CompiledProgram {
 
 /// The structural half of a physical program compiled for the noisy
 /// executor: everything that depends only on its structural_fingerprint
-/// and, when scheduled, on the device it was scheduled against. It holds
-/// the kernels of the angle-free ops; a CompiledExecutable supplies the
-/// parametric ones per binding.
+/// and, when scheduled, on the device it was scheduled against. Its
+/// angle-free ops use the shared fixed_kernel() table; a
+/// CompiledExecutable supplies the parametric kernels per binding.
 class ExecutableStructure {
  public:
   /// A lowered op whose matrix depends on an angle, and the source op it
@@ -213,7 +233,7 @@ class ExecutableStructure {
     std::uint32_t source = 0;
   };
 
-  /// Lower `physical` and precompile its angle-free ops. With a `device`,
+  /// Lower `physical` and index its parametric ops. With a `device`,
   /// also check every two-qubit op against the coupling map and, when all
   /// are coupled, schedule under `policy` and record the time order and
   /// CX edge ids. Without one, the timing accessors are empty.
@@ -250,15 +270,16 @@ class ExecutableStructure {
   [[nodiscard]] const std::vector<int>& cx_edges() const noexcept {
     return cx_edges_;
   }
+  /// Heap footprint estimate (cache budget charge).
+  [[nodiscard]] std::size_t bytes() const noexcept;
 
  private:
   friend class CompiledExecutable;
 
   Circuit lowered_;
   std::vector<ParamOp> parametric_;
-  /// Angle-free kernels; entry 0 is the placeholder non-unitary ops map to.
-  std::vector<FusedOp> fixed_;
-  /// Per lowered op: its fixed_ index, or ~(parametric index) when < 0.
+  /// Per lowered op: its GateKind (a fixed_kernel() index), or
+  /// ~(parametric index) when < 0.
   std::vector<std::int32_t> slot_;
   std::size_t source_size_ = 0;
   bool coupled_ = true;
@@ -291,11 +312,14 @@ class CompiledExecutable {
   }
   /// Kernel of lowered op `i` for this binding (a placeholder with
   /// is_unitary() == false at barrier/measure positions).
-  [[nodiscard]] const FusedOp& channel(std::size_t i) const noexcept {
+  [[nodiscard]] const FusedOp& channel(std::size_t i) const {
     const std::int32_t slot = structure_->slot_[i];
-    return slot >= 0 ? structure_->fixed_[static_cast<std::size_t>(slot)]
+    return slot >= 0 ? fixed_kernel(static_cast<GateKind>(slot))
                      : bound_[static_cast<std::size_t>(~slot)];
   }
+  /// Heap footprint estimate of this binding's own kernels (the structure
+  /// is charged separately).
+  [[nodiscard]] std::size_t bytes() const noexcept;
 
  private:
   std::shared_ptr<const ExecutableStructure> structure_;
@@ -334,22 +358,36 @@ struct OutcomeKey {
 /// (structural fingerprint, schedule policy), each entry also keeping the
 /// last binding it materialized so an exact repeat costs one lookup, and
 /// up to kMaxOutcomeVariants noisy outcomes of that binding (outcome()).
-/// Entries are returned as shared_ptr so FIFO eviction can never
-/// invalidate a program a simulation is replaying. Bounded: an endless
-/// stream of distinct circuits evicts oldest-first instead of growing
-/// without limit.
+/// Fused programs, fusion plans and executables are three BoundedCaches of
+/// `bytes_per_cache` each (a fifth of the epoch's budget), so an endless
+/// stream of distinct circuits evicts least-recently-used entries instead
+/// of growing without limit, and each cache evicts only its own. Entries are returned as
+/// shared_ptr, so eviction can never invalidate a program a simulation is
+/// replaying.
 class CompiledProgramCache {
  public:
-  static constexpr std::size_t kMaxEntries = 1 << 10;
   /// Outcomes held per executable entry; the oldest is replaced first.
   static constexpr std::size_t kMaxOutcomeVariants = 8;
 
+  /// Per-cache counters (BoundedCache::stats of each).
+  struct Stats {
+    CacheStats fused;
+    CacheStats plans;
+    CacheStats executables;
+  };
+
   /// A cache whose executables are unscheduled (fused programs and plans
-  /// need no device).
-  CompiledProgramCache() = default;
+  /// need no device). Fused programs, plans and executables may each hold
+  /// `bytes_per_cache`.
+  explicit CompiledProgramCache(
+      std::size_t bytes_per_cache = kDefaultCacheBytes)
+      : CompiledProgramCache(nullptr, bytes_per_cache) {}
   /// Executables are scheduled against `device`, which must outlive the
   /// cache (a CalibrationEpoch passes its own device snapshot).
-  explicit CompiledProgramCache(const Device& device) : device_(&device) {}
+  explicit CompiledProgramCache(
+      const Device& device,
+      std::size_t bytes_per_cache = kDefaultCacheBytes)
+      : CompiledProgramCache(&device, bytes_per_cache) {}
 
   /// Fused compilation of `circuit` (ideal pipeline).
   [[nodiscard]] std::shared_ptr<const CompiledProgram> fused(
@@ -368,8 +406,9 @@ class CompiledProgramCache {
   [[nodiscard]] std::shared_ptr<const Distribution> outcome(
       const Circuit& physical, SchedulePolicy policy,
       const OutcomeKey& key) const;
-  /// Remember `distribution` as `physical`'s outcome under `key`. Dropped
-  /// when the entry has moved on to another binding since executable().
+  /// Remember `distribution` as `physical`'s outcome under `key`, growing
+  /// the entry's byte charge. Dropped when the entry has moved on to
+  /// another binding since executable().
   void store_outcome(const Circuit& physical, SchedulePolicy policy,
                      OutcomeKey key, const Distribution& distribution) const;
 
@@ -383,16 +422,13 @@ class CompiledProgramCache {
   /// Device the executables are scheduled against (null: unscheduled).
   [[nodiscard]] const Device* device() const noexcept { return device_; }
 
-  /// Distinct programs currently held (fused + executable structures).
-  [[nodiscard]] std::size_t entries() const;
+  /// Counters of each cache. An executable miss is one structure build;
+  /// its hits include exact repeats.
+  [[nodiscard]] Stats stats() const;
 
   /// Fusion walks actually performed / avoided via the plan cache.
   [[nodiscard]] std::uint64_t plan_builds() const;
   [[nodiscard]] std::uint64_t plan_hits() const;
-
-  /// Executable structures built / reused (exact repeats included).
-  [[nodiscard]] std::uint64_t executable_builds() const;
-  [[nodiscard]] std::uint64_t executable_hits() const;
 
   /// outcome() lookups served from the memo / that found nothing (each
   /// miss is one density-matrix simulation).
@@ -416,13 +452,22 @@ class CompiledProgramCache {
     OutcomeKey key;
     std::shared_ptr<const Distribution> distribution;
   };
+  /// Immutable once cached: a new binding or outcome replaces the entry.
   struct ExecutableEntry {
     std::shared_ptr<const ExecutableStructure> structure;
     std::shared_ptr<const CompiledExecutable> last;  ///< last binding seen
     std::uint64_t last_exact = 0;  ///< circuit_fingerprint of `last`
     /// Outcomes of `last`, oldest first, at most kMaxOutcomeVariants.
     std::vector<OutcomeVariant> outcomes;
+
+    [[nodiscard]] std::size_t bytes() const noexcept;
   };
+
+  CompiledProgramCache(const Device* device, std::size_t bytes_per_cache)
+      : device_(device),
+        fused_(bytes_per_cache),
+        plans_(bytes_per_cache),
+        executables_(bytes_per_cache) {}
 
   /// Plan lookup with the structural key already in hand (fused() computes
   /// both fingerprints in one circuit walk).
@@ -430,23 +475,12 @@ class CompiledProgramCache {
       std::uint64_t structural_key, const Circuit& circuit) const;
 
   const Device* device_ = nullptr;
-  mutable std::mutex mutex_;
-  mutable std::unordered_map<std::uint64_t,
-                             std::shared_ptr<const CompiledProgram>>
-      fused_;
-  mutable std::unordered_map<ExecutableKey, ExecutableEntry, ExecutableKeyHash>
+  mutable BoundedCache<std::uint64_t, CompiledProgram> fused_;
+  mutable BoundedCache<std::uint64_t, FusionPlan> plans_;  ///< structural key
+  mutable BoundedCache<ExecutableKey, ExecutableEntry, ExecutableKeyHash>
       executables_;
-  mutable std::unordered_map<std::uint64_t, std::shared_ptr<const FusionPlan>>
-      plans_;  ///< keyed by structural_fingerprint
-  mutable std::deque<std::uint64_t> fused_order_;        ///< FIFO eviction
-  mutable std::deque<ExecutableKey> executables_order_;  ///< FIFO eviction
-  mutable std::deque<std::uint64_t> plans_order_;        ///< FIFO eviction
-  mutable std::uint64_t plan_builds_ = 0;
-  mutable std::uint64_t plan_hits_ = 0;
-  mutable std::uint64_t executable_builds_ = 0;
-  mutable std::uint64_t executable_hits_ = 0;
-  mutable std::uint64_t outcome_hits_ = 0;
-  mutable std::uint64_t outcome_builds_ = 0;
+  mutable std::atomic<std::uint64_t> outcome_hits_{0};
+  mutable std::atomic<std::uint64_t> outcome_builds_{0};
 };
 
 }  // namespace qucp

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -296,7 +297,7 @@ TEST(AllocatorGolden, MemoSharedAcrossPoliciesBitIdentical) {
           run_allocate(*partitioner, device, needs_edge, nullptr), hit,
           device.name() + "/" + partitioner->name() + "/needs_edge");
     }
-    EXPECT_LE(index.states_cached(), CandidateIndex::kMaxStates);
+    EXPECT_LE(index.state_stats().bytes, kDefaultCacheBytes);
   }
 }
 
@@ -407,11 +408,12 @@ TEST(AllocatorGolden, ConcurrentAllocationMatchesSingleThreaded) {
 
 TEST(AllocatorGolden, MemoStaysBoundedAndResultsUnchanged) {
   // Flood one index with more distinct (allocated set, k) states than its
-  // cap: the memo must stay within kMaxStates, a state handed out before
-  // its eviction must stay readable, and allocations must still match the
-  // reference afterwards.
+  // byte capacity holds: the memo must stay within its capacity after every
+  // insert and fill it, a state handed out before its eviction must stay
+  // readable, and allocations must still match the reference afterwards.
   const Device device = make_manhattan65();
-  CandidateIndex index(device);
+  constexpr std::size_t kCapacity = std::size_t{256} << 10;
+  CandidateIndex index(device, kCapacity);
   const QucpPartitioner qucp(4.0);
   const std::vector<ProgramShape> golden_batch = {
       {5, 10, 10}, {4, 7, 8}, {3, 4, 6}, {2, 3, 3}};
@@ -426,7 +428,8 @@ TEST(AllocatorGolden, MemoStaysBoundedAndResultsUnchanged) {
 
   Rng rng(31337);
   std::set<std::pair<std::vector<std::uint64_t>, int>> distinct;
-  while (distinct.size() < CandidateIndex::kMaxStates + 200) {
+  std::size_t largest = 0;  // largest per-state charge seen
+  while (index.state_stats().evictions < 200) {
     CandidateIndex::StateKey key =
         index.empty_key(static_cast<int>(rng.integer(1, 4)));
     std::vector<int> qubits;
@@ -434,11 +437,19 @@ TEST(AllocatorGolden, MemoStaysBoundedAndResultsUnchanged) {
       if (rng.bernoulli(0.2)) qubits.push_back(q);
     }
     key.allocate(qubits);
-    distinct.insert({key.allocated, key.k});
+    const bool fresh = distinct.insert({key.allocated, key.k}).second;
+    const CacheStats before = index.state_stats();
     (void)index.state(key);
-    ASSERT_LE(index.states_cached(), CandidateIndex::kMaxStates);
+    const CacheStats after = index.state_stats();
+    if (fresh && after.evictions == before.evictions) {
+      ASSERT_EQ(after.entries, before.entries + 1);
+      largest = std::max(largest, after.bytes - before.bytes);
+    }
+    ASSERT_LE(after.bytes, kCapacity);
   }
-  EXPECT_EQ(index.states_cached(), CandidateIndex::kMaxStates);
+  // Full: the memo evicted only to make room, so what is left of its
+  // capacity cannot hold another state.
+  EXPECT_LT(kCapacity - index.state_stats().bytes, largest);
 
   ASSERT_EQ(early->size(), early_size);
   const EfsBreakdown again =

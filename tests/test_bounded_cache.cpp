@@ -1,0 +1,342 @@
+// Tests for BoundedCache (common/bounded_cache.hpp) and the byte budget a
+// calibration epoch splits across its five caches.
+//
+// A cache never holds more bytes than its capacity, evicts its own least
+// recently used entries first, and a value it handed out survives the
+// entry's eviction. Through an epoch: a stream of distinct circuits keeps
+// every cache within its share of the budget after every batch, one
+// cache's churn never evicts another cache's entries, and the service
+// reports entries, bytes, hits, misses and evictions per cache.
+
+#include "common/bounded_cache.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "core/parallel.hpp"
+#include "hardware/device.hpp"
+#include "mapping/transpiler.hpp"
+#include "partition/partitioners.hpp"
+#include "service/backend.hpp"
+#include "service/service.hpp"
+
+namespace qucp {
+namespace {
+
+using Cache = BoundedCache<int, std::string>;
+
+std::shared_ptr<const std::string> value(const std::string& s) {
+  return std::make_shared<const std::string>(s);
+}
+
+/// The charge of one entry of `bytes`: what a cache holding only it holds.
+std::size_t charge_of(std::size_t bytes) {
+  Cache probe(std::size_t{1} << 20);
+  probe.insert(0, value("x"), bytes);
+  return probe.stats().bytes;
+}
+
+TEST(BoundedCache, EvictsItsLeastRecentlyUsedEntriesToFit) {
+  const std::size_t entry = charge_of(100);
+  Cache cache(3 * entry);
+  for (int k = 0; k < 3; ++k) cache.insert(k, value(std::to_string(k)), 100);
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.stats().bytes, 3 * entry);
+
+  // A hit makes 0 the most recently used, so 1 goes first.
+  ASSERT_NE(cache.find(0), nullptr);
+  cache.insert(3, value("3"), 100);
+  EXPECT_EQ(cache.peek(1), nullptr);
+  EXPECT_NE(cache.peek(0), nullptr);
+  // An entry twice the size evicts the two least recently used: 2, then 0.
+  cache.insert(4, value("4"), 100 + entry);
+  EXPECT_EQ(cache.peek(2), nullptr);
+  EXPECT_EQ(cache.peek(0), nullptr);
+  EXPECT_NE(cache.peek(3), nullptr);
+
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.capacity, 3 * entry);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, 3 * entry);
+  EXPECT_EQ(stats.evictions, 3u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 0u);  // peek counts nothing
+  EXPECT_EQ(cache.find(1), nullptr);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(BoundedCache, BytesNeverExceedCapacityAfterAnyInsert) {
+  Rng rng(99);
+  const std::size_t capacity = 20 * charge_of(1000);
+  Cache cache(capacity);
+  for (int k = 0; k < 500; ++k) {
+    cache.insert(k, value("v"), static_cast<std::size_t>(rng.integer(0, 3000)));
+    ASSERT_LE(cache.stats().bytes, capacity) << "insert " << k;
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+TEST(BoundedCache, HandedOutValueSurvivesEviction) {
+  Cache cache(charge_of(10));
+  cache.insert(1, value("first"), 10);
+  const std::shared_ptr<const std::string> held = cache.find(1);
+  ASSERT_NE(held, nullptr);
+  cache.insert(2, value("second"), 10);  // evicts 1
+  EXPECT_EQ(cache.peek(1), nullptr);
+  EXPECT_EQ(*held, "first");
+}
+
+TEST(BoundedCache, EntryLargerThanCapacityIsServedButNotStored) {
+  Cache cache(3 * charge_of(100));
+  cache.insert(1, value("small"), 100);
+  const auto big = value("big");
+  // Returned to the caller, not stored, and nothing else is evicted for it.
+  EXPECT_EQ(cache.insert(2, big, 4 * charge_of(100)), big);
+  EXPECT_EQ(cache.peek(2), nullptr);
+  EXPECT_NE(cache.peek(1), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  // Capacity 0 stores nothing at all.
+  Cache none(0);
+  const auto v = value("v");
+  EXPECT_EQ(none.insert(1, v, 0), v);
+  EXPECT_EQ(none.find(1), nullptr);
+  EXPECT_EQ(none.stats().entries, 0u);
+}
+
+TEST(BoundedCache, InsertKeepsTheResidentValueAndAssignReplacesIt) {
+  Cache cache(std::size_t{1} << 20);
+  const auto first = value("first");
+  EXPECT_EQ(cache.insert(1, first, 10), first);
+  EXPECT_EQ(cache.insert(1, value("racer"), 10), first);  // lost the race
+  cache.assign(1, value("replaced"), 500);
+  EXPECT_EQ(*cache.peek(1), "replaced");
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().bytes, charge_of(500));
+  EXPECT_EQ(cache.stats().evictions, 0u);  // a replacement is no eviction
+}
+
+/// Random logical circuit on k qubits: H, CX, RZ and RY, then measure all.
+Circuit random_logical(Rng& rng, int k, int gates) {
+  Circuit c(k, k);
+  for (int i = 0; i < gates; ++i) {
+    const int a = static_cast<int>(rng.index(static_cast<std::size_t>(k)));
+    const int b =
+        (a + 1 + static_cast<int>(rng.index(static_cast<std::size_t>(k - 1)))) %
+        k;
+    switch (rng.index(4)) {
+      case 0:
+        c.h(a);
+        break;
+      case 1:
+        c.cx(a, b);
+        break;
+      case 2:
+        c.rz(rng.uniform(-3.0, 3.0), a);
+        break;
+      default:
+        c.ry(rng.uniform(-3.0, 3.0), a);
+        break;
+    }
+  }
+  for (int q = 0; q < k; ++q) c.measure(q, q);
+  return c;
+}
+
+/// Allocate and run one batch of `programs` on `epoch`, as run_parallel
+/// does but through the epoch's caches.
+void run_batch(const CalibrationEpoch& epoch, const Partitioner& partitioner,
+               const std::vector<Circuit>& programs) {
+  std::vector<ProgramShape> shapes;
+  for (const Circuit& c : programs) shapes.push_back(shape_of(c));
+  const auto assignments = allocate_batch(epoch.device(), partitioner, shapes,
+                                          &epoch.candidate_index());
+  ASSERT_TRUE(assignments.has_value());
+  ParallelOptions options;
+  options.exec.shots = 16;
+  (void)run_batch_pipeline(epoch, programs, *assignments, {}, options);
+}
+
+void expect_within_budget(const EpochCacheStats& s, const std::string& at) {
+  const std::size_t share = s.budget_bytes / kEpochCaches;
+  for (const CacheStats* c : {&s.transpile, &s.allocation_states, &s.fused,
+                              &s.plans, &s.executables}) {
+    EXPECT_EQ(c->capacity, share) << at;
+    EXPECT_LE(c->bytes, share) << at;
+  }
+  EXPECT_EQ(s.used_bytes, s.transpile.bytes + s.allocation_states.bytes +
+                              s.fused.bytes + s.plans.bytes +
+                              s.executables.bytes)
+      << at;
+  EXPECT_LE(s.used_bytes, s.budget_bytes) << at;
+}
+
+TEST(EpochCaches, DistinctCircuitStreamStaysWithinTheBudget) {
+  // Each step below inserts into one cache of the epoch (allocation
+  // states, transpile templates, fusion plans and fused programs,
+  // executables and their outcomes); the budget is checked after each.
+  constexpr std::size_t kBudget = std::size_t{160} << 10;
+  const CalibrationEpoch epoch(0, make_toronto27(), kBudget);
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
+  const TranspileOptions topts = hardware_aware_options();
+  ExecOptions exec;
+  exec.shots = 16;
+  Rng rng(2024);
+  for (int job = 0; job < 120; ++job) {
+    const std::string at = "job " + std::to_string(job);
+    const Circuit c =
+        random_logical(rng, 2 + static_cast<int>(rng.index(3)), 24);
+    const auto assignment = allocate_batch(epoch.device(), *partitioner,
+                                           std::vector{shape_of(c)},
+                                           &epoch.candidate_index());
+    ASSERT_TRUE(assignment.has_value()) << at;
+    expect_within_budget(epoch.cache_memory(), at + " allocate");
+    TranspiledProgram tp =
+        epoch.transpile(c, assignment->front().qubits, topts, 1);
+    expect_within_budget(epoch.cache_memory(), at + " transpile");
+    (void)epoch.compiled_program(c);
+    expect_within_budget(epoch.cache_memory(), at + " fuse");
+    (void)epoch.execute({{std::move(tp.physical), "p"}}, exec);
+    expect_within_budget(epoch.cache_memory(), at + " execute");
+  }
+  // The budget binds: the one-use caches evicted, and every cache holds
+  // entries.
+  const EpochCacheStats s = epoch.cache_memory();
+  EXPECT_GT(s.transpile.evictions, 0u);
+  EXPECT_GT(s.fused.evictions, 0u);
+  EXPECT_GT(s.plans.evictions, 0u);
+  EXPECT_GT(s.executables.evictions, 0u);
+  for (const CacheStats* c : {&s.transpile, &s.allocation_states, &s.fused,
+                              &s.plans, &s.executables}) {
+    EXPECT_GT(c->entries, 0u);
+  }
+}
+
+TEST(EpochCaches, FusedChurnNeverEvictsAnExecutable) {
+  const Device device = make_toronto27();
+  const CompiledProgramCache cache(device, std::size_t{64} << 10);
+  Circuit physical(device.num_qubits(), 2);
+  physical.h(0);
+  physical.cx(0, 1);
+  physical.rz(0.3, 1);
+  physical.measure(0, 0);
+  physical.measure(1, 1);
+  const auto exe = cache.executable(physical);
+
+  // One-use churn: every fused program is distinct.
+  Rng rng(7);
+  for (int i = 0; i < 400; ++i) (void)cache.fused(random_logical(rng, 3, 20));
+  const CompiledProgramCache::Stats s = cache.stats();
+  ASSERT_GT(s.fused.evictions, 0u);
+  EXPECT_EQ(s.executables.evictions, 0u);
+  EXPECT_EQ(cache.executable(physical), exe);  // still the cached binding
+  EXPECT_EQ(cache.stats().executables.misses, 1u);
+}
+
+TEST(EpochCaches, OutcomeMemoIsChargedToItsExecutable) {
+  const Device device = make_toronto27();
+  const CompiledProgramCache cache(device);
+  Circuit physical(device.num_qubits(), 2);
+  physical.h(0);
+  physical.cx(0, 1);
+  physical.rz(0.3, 1);
+  physical.measure(0, 0);
+  physical.measure(1, 1);
+  (void)cache.executable(physical);
+  const std::size_t bare = cache.stats().executables.bytes;
+
+  const Distribution dist(2, {{0, 0.5}, {3, 0.5}});
+  cache.store_outcome(physical, SchedulePolicy::ALAP, OutcomeKey{}, dist);
+  const std::size_t with_one = cache.stats().executables.bytes;
+  EXPECT_GT(with_one, bare);
+  OutcomeKey shifted;
+  shifted.shifts = {1.0, 2.0};
+  cache.store_outcome(physical, SchedulePolicy::ALAP, shifted, dist);
+  EXPECT_GT(cache.stats().executables.bytes, with_one);
+  ASSERT_NE(cache.outcome(physical, SchedulePolicy::ALAP, shifted), nullptr);
+
+  // A new binding drops the outcomes and their charge.
+  Circuit rebound = physical;
+  rebound.set_param(2, 0, 0.7);
+  (void)cache.executable(rebound);
+  EXPECT_EQ(cache.stats().executables.bytes, bare);
+  EXPECT_EQ(cache.outcome(physical, SchedulePolicy::ALAP, shifted), nullptr);
+  EXPECT_EQ(cache.stats().executables.misses, 1u);
+}
+
+TEST(EpochCaches, ConcurrentLanesStayWithinTheBudget) {
+  // Lanes of one backend share its epoch: stream distinct batches from
+  // several threads at once (TSan and ASan run this in CI).
+  constexpr std::size_t kBudget = std::size_t{192} << 10;
+  const CalibrationEpoch epoch(0, make_toronto27(), kBudget);
+  constexpr int kThreads = 4;
+  std::vector<std::thread> lanes;
+  for (int t = 0; t < kThreads; ++t) {
+    lanes.emplace_back([&epoch, t] {
+      const auto partitioner =
+          make_partitioner(Method::QuCP, 4.0, std::nullopt);
+      Rng rng(1000 + static_cast<std::uint64_t>(t));
+      for (int batch = 0; batch < 12; ++batch) {
+        std::vector<Circuit> programs;
+        for (int p = 0; p < 2; ++p) {
+          programs.push_back(
+              random_logical(rng, 2 + static_cast<int>(rng.index(3)), 16));
+        }
+        // Every lane also re-runs one shared batch, so lanes hit each
+        // other's entries as well as inserting their own.
+        Rng shared(77);
+        programs.push_back(random_logical(shared, 3, 16));
+        run_batch(epoch, *partitioner, programs);
+        const EpochCacheStats s = epoch.cache_memory();
+        EXPECT_LE(s.used_bytes, s.budget_bytes);
+      }
+    });
+  }
+  for (std::thread& lane : lanes) lane.join();
+  const EpochCacheStats s = epoch.cache_memory();
+  expect_within_budget(s, "after join");
+  EXPECT_GT(s.executables.hits + s.fused.hits, 0u);
+}
+
+TEST(EpochCaches, ServiceStatsReportEveryCachePerBackend) {
+  ServiceOptions opts;
+  opts.exec.shots = 32;
+  opts.num_workers = 1;
+  opts.cache_budget_bytes = std::size_t{1} << 20;
+  ExecutionService service(make_toronto27(), opts);
+  Rng rng(5);
+  std::vector<JobHandle> handles;
+  for (int i = 0; i < 8; ++i) {
+    Circuit c = random_logical(rng, 3, 12);
+    handles.push_back(service.submit(c));
+    handles.push_back(service.submit(c));  // an exact repeat
+  }
+  service.flush();
+  for (const JobHandle& h : handles) {
+    ASSERT_EQ(h.status(), JobStatus::Done) << h.error();
+  }
+  const ServiceStats stats = service.stats();
+  ASSERT_EQ(stats.backends.size(), 1u);
+  const EpochCacheStats& s = stats.backends[0].caches;
+  EXPECT_EQ(s.budget_bytes, opts.cache_budget_bytes);
+  expect_within_budget(s, "service");
+  for (const CacheStats* c : {&s.transpile, &s.allocation_states, &s.fused,
+                              &s.plans, &s.executables}) {
+    EXPECT_GT(c->entries, 0u);
+    EXPECT_GT(c->bytes, 0u);
+    EXPECT_GT(c->misses, 0u);
+  }
+  EXPECT_GT(s.allocation_states.hits, 0u);
+  EXPECT_GT(s.fused.hits, 0u);  // the exact repeats
+  EXPECT_EQ(s.transpile.misses, stats.backends[0].transpile_cache.misses);
+  EXPECT_EQ(s.transpile.entries, stats.backends[0].transpile_cache.entries);
+}
+
+}  // namespace
+}  // namespace qucp

@@ -4,15 +4,18 @@
 // A structure built from one binding and materialized with another must
 // equal the from-scratch pipeline for the second binding bit for bit:
 // lowering, per-op kernels, schedule, time order, active qubits and CX
-// edge ids. The partner-edge scan must find exactly the pairs, counts and
-// multipliers of the all-pairs scan it replaced, which is kept here as
-// the reference.
+// edge ids. Angle-free ops replay the process-wide fixed_kernel() table,
+// and a corpus replayed through it must give the distributions the
+// per-structure kernels gave. The partner-edge scan must find exactly the
+// pairs, counts and multipliers of the all-pairs scan it replaced, which
+// is kept here as the reference.
 
 #include "sim/fusion.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -24,6 +27,7 @@
 #include "random_programs.hpp"
 #include "schedule/schedule.hpp"
 #include "sim/executor.hpp"
+#include "sim/kernels.hpp"
 
 namespace qucp {
 namespace {
@@ -53,6 +57,21 @@ void expect_same_channel(const FusedOp& a, const FusedOp& b, std::size_t op) {
   EXPECT_EQ(a.q[0], b.q[0]) << "op " << op;
   EXPECT_EQ(a.q[1], b.q[1]) << "op " << op;
   if (!a.is_unitary()) return;
+  expect_same_kernel(a.sv, b.sv, op);
+  expect_same_kernel(a.dm, b.dm, op);
+}
+
+/// `a` is an executable's channel for lowered gate `g`, `b` the per-op
+/// compile of `g`. An angle-free gate replays the process-wide kernel of
+/// its kind, whose operands come from `g` rather than the kernel; every
+/// other channel carries its own operands.
+void expect_same_replay(const FusedOp& a, const FusedOp& b, const Gate& g,
+                        std::size_t op) {
+  if (!g.params.empty() || !is_unitary_gate(g.kind)) {
+    expect_same_channel(a, b, op);
+    return;
+  }
+  EXPECT_EQ(&a, &fixed_kernel(g.kind)) << "op " << op;
   expect_same_kernel(a.sv, b.sv, op);
   expect_same_kernel(a.dm, b.dm, op);
 }
@@ -95,9 +114,9 @@ TEST(ExecutableStructure, MaterializeMatchesFromScratchPipeline) {
         EXPECT_EQ(structure->lowered().ops(), lower_to_cx_basis(first).ops());
         ASSERT_EQ(structure->lowered().size(), lowered.size());
         for (std::size_t i = 0; i < lowered.size(); ++i) {
-          expect_same_channel(bound.channel(i), channels[i], i);
-          expect_same_channel(fresh.channel(i), channels[i], i);
           const Gate& g = lowered.ops()[i];
+          expect_same_replay(bound.channel(i), channels[i], g, i);
+          expect_same_replay(fresh.channel(i), channels[i], g, i);
           const int want_edge =
               g.kind == GateKind::CX
                   ? *device.topology().edge_index(g.qubits[0], g.qubits[1])
@@ -163,15 +182,18 @@ TEST(CompiledProgramCache, BindingsOfOneAnsatzShareOneStructure) {
     bindings.push_back(rebind(ansatz, rng));
     exes.push_back(cache.executable(bindings.back()));
   }
-  EXPECT_EQ(cache.executable_builds(), 1u);
-  EXPECT_EQ(cache.executable_hits(), static_cast<std::uint64_t>(kBindings - 1));
-  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.stats().executables.misses, 1u);  // one structure build
+  EXPECT_EQ(cache.stats().executables.hits,
+            static_cast<std::uint64_t>(kBindings - 1));
+  EXPECT_EQ(cache.stats().executables.entries, 1u);
+  EXPECT_EQ(cache.stats().fused.entries, 0u);
   for (const auto& exe : exes) {
     EXPECT_EQ(&exe->structure(), &exes.front()->structure());
   }
   // An exact repeat of the last binding is served as-is, no materialize.
   EXPECT_EQ(cache.executable(bindings.back()).get(), exes.back().get());
-  EXPECT_EQ(cache.executable_hits(), static_cast<std::uint64_t>(kBindings));
+  EXPECT_EQ(cache.stats().executables.hits,
+            static_cast<std::uint64_t>(kBindings));
   // A later binding replays its own angles, not the first binding's.
   const CompiledExecutable ref =
       CompiledExecutable::compile(bindings.back(), &device);
@@ -183,7 +205,7 @@ TEST(CompiledProgramCache, BindingsOfOneAnsatzShareOneStructure) {
   EXPECT_EQ(cache.plan_hits(), 0u);
   // The schedule policy is part of the key.
   (void)cache.executable(bindings.front(), SchedulePolicy::ASAP);
-  EXPECT_EQ(cache.executable_builds(), 2u);
+  EXPECT_EQ(cache.stats().executables.misses, 2u);
 }
 
 TEST(CompiledProgramCache, ExecutorRejectsCacheOfAnotherDevice) {
@@ -197,6 +219,136 @@ TEST(CompiledProgramCache, ExecutorRejectsCacheOfAnotherDevice) {
   EXPECT_THROW(
       (void)execute_parallel(device, {{c, "p"}}, ExecOptions{}, &cache),
       std::invalid_argument);
+}
+
+/// FNV-1a over the exact noisy distribution (outcome and probability bits)
+/// of every program of a corpus of random batches, replayed by
+/// execute_parallel with gate noise and crosstalk on and the scalar
+/// kernels. Also returns the crosstalk events the corpus triggered.
+std::pair<std::uint64_t, std::uint64_t> corpus_distribution_hash() {
+  const bool native = kern::native_kernels_active();
+  kern::set_native_kernels(false);
+  std::uint64_t h = kFnv1aBasis;
+  std::uint64_t crosstalk_events = 0;
+  Rng rng(4861);
+  for (const Device& device : named_devices()) {
+    const CompiledProgramCache cache(device);
+    for (int batch = 0; batch < 6; ++batch) {
+      std::vector<char> taken(static_cast<std::size_t>(device.num_qubits()),
+                              0);
+      std::vector<PhysicalProgram> programs;
+      for (int p = 0; p < 3; ++p) {
+        const std::vector<int> region = random_region(
+            device, rng, 2 + static_cast<int>(rng.index(3)), taken);
+        if (region.size() < 2) break;
+        programs.push_back(
+            {random_physical_circuit(device, rng, region, 24), "p"});
+      }
+      ExecOptions opts;
+      opts.shots = 32;
+      const ParallelRunReport run =
+          execute_parallel(device, programs, opts, &cache);
+      crosstalk_events += run.crosstalk_events;
+      for (const ProgramOutcome& out : run.programs) {
+        for (const auto& [outcome, p] : out.distribution.probs()) {
+          h = fnv1a_mix(h, outcome);
+          h = fnv1a_mix(h, std::bit_cast<std::uint64_t>(p));
+        }
+      }
+    }
+  }
+  kern::set_native_kernels(native);
+  return {h, crosstalk_events};
+}
+
+TEST(SharedKernels, CorpusReplayMatchesPerStructureKernels) {
+  // Pinned from the per-structure kernels (each ExecutableStructure
+  // compiling its own copy of every angle-free op) on the same corpus:
+  // sharing one kernel per gate kind must not move a single bit.
+  const auto [hash, crosstalk_events] = corpus_distribution_hash();
+  EXPECT_GT(crosstalk_events, 0u);
+  EXPECT_EQ(hash, 0xfe35c72a903f27b3ull);
+}
+
+TEST(SharedKernels, AngleFreeOpsShareOneKernelPerKind) {
+  // 48 ops: 8 parametric rotations and 40 angle-free ones.
+  Circuit c(4, 4);
+  for (int layer = 0; layer < 4; ++layer) {
+    for (int q = 0; q < 4; ++q) {
+      c.h(q);
+      c.sx(q);
+    }
+    c.cx(0, 1);
+    c.cx(1, 2);
+    c.ry(0.1 * (layer + 1), 3);
+    c.rz(0.2 * (layer + 1), 0);
+  }
+  ASSERT_EQ(c.size(), 48u);
+  Circuit other = c;
+  other.x(2);  // a second structure
+  for (int q = 0; q < 4; ++q) {
+    c.measure(q, q);
+    other.measure(q, q);
+  }
+  const CompiledExecutable a = CompiledExecutable::compile(c);
+  const CompiledExecutable b = CompiledExecutable::compile(other);
+  std::size_t angle_free = 0;
+  for (std::size_t i = 0; i < 48; ++i) {
+    const Gate& g = a.structure().lowered().ops()[i];
+    if (!g.params.empty()) {
+      EXPECT_NE(&a.channel(i), &b.channel(i)) << "op " << i;
+      continue;
+    }
+    ++angle_free;
+    EXPECT_EQ(&a.channel(i), &fixed_kernel(g.kind)) << "op " << i;
+    EXPECT_EQ(&a.channel(i), &b.channel(i)) << "op " << i;
+    EXPECT_TRUE(a.channel(i).is_unitary()) << "op " << i;
+  }
+  EXPECT_EQ(angle_free, 40u);
+  EXPECT_FALSE(a.channel(48).is_unitary());  // a measurement
+  // The structure holds no kernel: it reports less than the 40 angle-free
+  // kernels alone used to cost it.
+  EXPECT_GE(a.structure().bytes(), a.structure().lowered().bytes());
+  EXPECT_LT(a.structure().bytes(), 40 * sizeof(FusedOp));
+  EXPECT_EQ(a.bytes(), sizeof(CompiledExecutable) + 8 * sizeof(FusedOp));
+}
+
+TEST(ExecutableStructure, CachedMakespanMatchesPhysicalOnlyWithoutLowering) {
+  // run_batch_pipeline models a program's solo runtime from the makespan
+  // of its physical circuit. The structure's cached schedule times the
+  // CX-lowered circuit instead, which agrees bit for bit only when
+  // lowering changes nothing: a CZ gains two 1q gates and a SWAP's three
+  // CX round their start times one at a time. So the pipeline keeps
+  // scheduling the physical circuit.
+  Rng rng(77);
+  int lowered_differs = 0;
+  for (const Device& device : named_devices()) {
+    for (const SchedulePolicy policy :
+         {SchedulePolicy::ALAP, SchedulePolicy::ASAP}) {
+      for (int trial = 0; trial < 12; ++trial) {
+        std::vector<char> taken(static_cast<std::size_t>(device.num_qubits()),
+                                0);
+        const std::vector<int> region = random_region(
+            device, rng, 2 + static_cast<int>(rng.index(5)), taken);
+        const Circuit c =
+            random_physical_circuit(device, rng, region, 10 + trial);
+        const double physical = schedule_circuit(c, device, policy).makespan_ns;
+        const double cached =
+            ExecutableStructure::build(c, &device, policy).schedule()
+                .makespan_ns;
+        const bool lowers = std::any_of(
+            c.ops().begin(), c.ops().end(), [](const Gate& g) {
+              return g.kind == GateKind::SWAP || g.kind == GateKind::CZ;
+            });
+        if (!lowers) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(cached),
+                    std::bit_cast<std::uint64_t>(physical));
+        }
+        lowered_differs += cached != physical ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(lowered_differs, 0);
 }
 
 /// The all-pairs scan the partner-edge lists replaced.

@@ -423,7 +423,8 @@ TEST(CompiledProgramCache, MemoizesByFingerprint) {
   const auto exe1 = cache.executable(c);
   const auto exe2 = cache.executable(c);
   EXPECT_EQ(exe1.get(), exe2.get());
-  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_EQ(cache.stats().fused.entries, 1u);
+  EXPECT_EQ(cache.stats().executables.entries, 1u);
 }
 
 TEST(NativeKernels, ScalarAndNativeDenseKernelsAgree) {

@@ -9,7 +9,7 @@
 // Likewise FusionPlan::materialize() replayed against a re-bound circuit
 // must equal CompiledProgram::compile() of that circuit coefficient for
 // coefficient. Service-level tests pin that the structural cache is a
-// pure performance path: a cached service and an uncached one (capacity 0,
+// pure performance path: a cached service and an uncached one (budget 0,
 // every job transpiled from scratch) yield identical reports.
 
 #include "mapping/parametric.hpp"
@@ -463,8 +463,8 @@ std::map<std::string, Digest> sweep_through_service(bool cached) {
   opts.exec.shots = 128;
   opts.num_workers = 2;
   opts.max_batch_size = 4;
-  // Capacity 0 is the reference arm: every job transpiles from scratch.
-  opts.transpile_cache_capacity = cached ? 1024 : 0;
+  // Budget 0 is the reference arm: every job transpiles from scratch.
+  opts.cache_budget_bytes = cached ? kDefaultCacheBudgetBytes : 0;
   ExecutionService service(make_toronto27(), opts);
   Rng rng(5150);
   std::vector<JobHandle> handles;
@@ -558,19 +558,19 @@ TEST(ParametricService, SubmitAllSweepBitIdenticalToSingles) {
   // circuits one at a time — same job ids, names, partitions, counts,
   // metrics, and the same epoch-cache counter totals. Run with the cache
   // on (fast path engaged) and off (fast path self-disables).
-  for (const std::size_t capacity : {std::size_t{1024}, std::size_t{0}}) {
+  for (const std::size_t budget : {kDefaultCacheBudgetBytes, std::size_t{0}}) {
     const auto make_opts = [&] {
       ServiceOptions opts;
       opts.exec.shots = 96;
       opts.num_workers = 1;  // single worker: cache counter totals are
                              // deterministic (no racing first-sight misses)
       opts.max_batch_size = 4;
-      opts.transpile_cache_capacity = capacity;
+      opts.cache_budget_bytes = budget;
       return opts;
     };
     Rng rng_a(424242);
     Rng rng_b(424242);
-    const std::string label = "capacity=" + std::to_string(capacity);
+    const std::string label = "budget=" + std::to_string(budget);
 
     ExecutionService sweep_svc(make_toronto27(), make_opts());
     std::vector<JobHandle> sweep_handles =
@@ -601,7 +601,7 @@ TEST(ParametricService, SubmitAllSweepBitIdenticalToSingles) {
     const ServiceStats sa = sweep_svc.stats();
     const ServiceStats sb = single_svc.stats();
     expect_cache_stats_equal(sa, sb, label);
-    if (capacity > 0) {
+    if (budget > 0) {
       EXPECT_GT(sa.sweep_groups, 0u) << label;
       EXPECT_GE(sa.batched_binds, 2 * sa.sweep_groups) << label;
     } else {

@@ -127,7 +127,7 @@ TEST(CalibrationEpoch, ReplacementCachesAreWarmBuiltAndFresh) {
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(fresh->program_cache().entries(), 0u);
+  EXPECT_EQ(fresh->cache_memory().used_bytes, 0u);  // every cache empty
 }
 
 TEST(CalibrationEpoch, InFlightBatchExecutesAgainstPinnedEpochBitIdentically) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
 #include <memory>
 #include <thread>
@@ -573,6 +574,45 @@ TEST(ExecutionService, SubmitAllRejectsAMalformedCircuitAndEnqueuesNothing) {
   EXPECT_EQ(service.stats().jobs_submitted, 0u);
 }
 
+TEST(ExecutionService, SubmitRejectsNonFiniteAnglesNamingTheOp) {
+  // A NaN or infinite angle used to be accepted and poison its batch's
+  // kernels. submit() now names the op, submit_all() the circuit and the
+  // op, and submit_all() enqueues nothing.
+  ExecutionService service(make_toronto27(), fast_service_options());
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Circuit c(2, std::nullopt, "poisoned");
+    c.h(0);
+    c.cx(0, 1);
+    c.rz(bad, 1);
+    c.measure(0, 0);
+    c.measure(1, 1);
+    try {
+      (void)service.submit(c);
+      ADD_FAILURE() << "submit accepted angle " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite angle at op 2"),
+                std::string::npos)
+          << e.what();
+    }
+    try {
+      (void)service.submit_all({mix_circuit(0), c, mix_circuit(1)});
+      ADD_FAILURE() << "submit_all accepted angle " << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("circuit 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("non-finite angle at op 2"), std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_EQ(service.pending_jobs(), 0u);
+  EXPECT_EQ(service.stats().jobs_submitted, 0u);
+  const JobHandle ok = service.submit(mix_circuit(0));
+  service.flush();
+  EXPECT_EQ(ok.status(), JobStatus::Done) << ok.error();
+}
+
 TEST(FleetService, DrainsAcrossBackendsWithPerBackendBreakdown) {
   // Two-backend fleet with load balancing: every job completes, both
   // lanes execute batches, and the per-backend stats breakdown sums to
@@ -909,11 +949,22 @@ TEST(ExecutionService, RealizedDurationFeedbackPopulatesLaneStats) {
 }
 
 TEST(Backend, TranspileCacheHitsAndEviction) {
-  Backend backend(make_toronto27(), /*transpile_cache_capacity=*/2);
-  const auto epoch = backend.epoch();
   const Circuit bell = get_benchmark("bell").circuit;
   const std::vector<int> partition{0, 1, 2, 4};
   const TranspileOptions topts = hardware_aware_options();
+  // The byte charge of one bell template, measured on a roomy epoch; a
+  // transpile cache of 2.5 templates (a fifth of the epoch budget) holds
+  // exactly two.
+  std::size_t entry_bytes = 0;
+  {
+    const Backend probe(make_toronto27());
+    (void)probe.epoch()->transpile(bell, partition, topts, 7);
+    entry_bytes = probe.epoch()->cache_memory().transpile.bytes;
+  }
+  ASSERT_GT(entry_bytes, 0u);
+  Backend backend(make_toronto27(),
+                  kEpochCaches * (2 * entry_bytes + entry_bytes / 2));
+  const auto epoch = backend.epoch();
 
   const TranspiledProgram first =
       epoch->transpile(bell, partition, topts, 7);
@@ -925,12 +976,17 @@ TEST(Backend, TranspileCacheHitsAndEviction) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
 
-  // Distinct keys evict FIFO once capacity is exceeded.
+  // Distinct keys evict the least recently used once the budget is full.
   (void)epoch->transpile(bell, partition, topts, 8);
   (void)epoch->transpile(bell, partition, topts, 9);
   stats = epoch->cache_stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
+  const EpochCacheStats memory = epoch->cache_memory();
+  EXPECT_EQ(memory.transpile.bytes, 2 * entry_bytes);
+  EXPECT_EQ(memory.used_bytes, memory.transpile.bytes);
+  EXPECT_LE(memory.transpile.bytes, memory.transpile.capacity);
+  EXPECT_EQ(memory.transpile.capacity, memory.budget_bytes / kEpochCaches);
 }
 
 TEST(CircuitFingerprint, SensitiveToContentNotName) {
