@@ -8,9 +8,9 @@
 //
 // Three arms per case:
 //   reference — no index: candidates generated and scored from scratch;
-//   memo_cold — a fresh index per call whose per-k candidate caches are
-//               built outside the timed region, so every allocation state
-//               misses the memo (the first batch after a recalibration);
+//   memo_cold — a fresh index per call, so every allocation state misses
+//               the memo and is built from partition_candidates (the
+//               first batch of a width after a recalibration);
 //   memo_warm — one index reused across calls, so every state is a memo
 //               hit (the steady state of admission probes and lanes).
 //
@@ -71,18 +71,15 @@ double time_us_per_call(int reps, F&& body) {
   return elapsed_us(t0, Clock::now()) / std::max(1, reps);
 }
 
-/// Memo-cold allocation: a fresh index per call with the per-k caches of
-/// the batch's widths prebuilt, so only the allocation-state misses are
-/// timed (index construction, per_k and teardown are not).
+/// Memo-cold allocation: a fresh index per call, so every allocation
+/// state misses and is built from scratch (index construction and
+/// teardown are not timed).
 double time_memo_cold_us(int reps, const Device& device,
                          const Partitioner& partitioner,
                          std::span<const ProgramShape> shapes) {
   double total = 0.0;
   for (int r = 0; r < reps; ++r) {
     const CandidateIndex index(device);
-    for (const ProgramShape& shape : shapes) {
-      (void)index.per_k(shape.num_qubits);
-    }
     const auto t0 = Clock::now();
     benchmark::DoNotOptimize(partitioner.allocate(device, shapes, &index));
     total += elapsed_us(t0, Clock::now());
@@ -238,9 +235,6 @@ void BM_AllocateBatchMemoCold(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     auto index = std::make_unique<CandidateIndex>(device);
-    for (const ProgramShape& shape : shapes) {
-      (void)index->per_k(shape.num_qubits);
-    }
     state.ResumeTiming();
     benchmark::DoNotOptimize(qucp.allocate(device, shapes, index.get()));
     state.PauseTiming();

@@ -163,25 +163,6 @@ bool angle_is_identity(double theta) noexcept {
   return m < kEps || kTau - m < kEps;
 }
 
-void OptimizeTrace::eval(std::span<const double> binding,
-                         std::vector<double>& out) const {
-  out.resize(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const ParamExpr& e = nodes[i];
-    switch (e.kind) {
-      case ParamExpr::Kind::Slot:
-        out[i] = binding[static_cast<std::size_t>(e.slot)];
-        break;
-      case ParamExpr::Kind::Add:
-        out[i] = out[e.a] + out[e.b];
-        break;
-      case ParamExpr::Kind::Const:
-        out[i] = e.value;
-        break;
-    }
-  }
-}
-
 Circuit optimize(const Circuit& circuit, OptimizeStats* stats) {
   return optimize_impl(circuit, stats, nullptr, nullptr);
 }

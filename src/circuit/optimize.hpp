@@ -20,7 +20,6 @@
 // templates in mapping/parametric.hpp.
 
 #include <cstdint>
-#include <span>
 
 #include "circuit/circuit.hpp"
 
@@ -77,10 +76,6 @@ struct OptimizeTrace {
     nodes.push_back({ParamExpr::Kind::Add, a, b, 0, 0.0});
     return static_cast<std::uint32_t>(nodes.size() - 1);
   }
-  /// Evaluate every node under `binding` into `out` (resized), replaying
-  /// the recorded additions in creation order — bitwise identical to what
-  /// the traced optimize computed for that binding.
-  void eval(std::span<const double> binding, std::vector<double>& out) const;
 };
 
 /// Angle equivalent to zero mod 2*pi (identity up to an unobservable global

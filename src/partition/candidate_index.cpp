@@ -13,9 +13,8 @@ namespace {
 
 /// Static EFS components of a candidate, accumulated in efs_score's exact
 /// summation order: edge errors (with the mult == 1 cap) in induced-edge
-/// order, 1q and readout errors in partition order. Single definition on
-/// purpose — the bit-identity contract with efs.cpp depends on every
-/// cached/recomputed base using the identical float operations.
+/// order, 1q and readout errors in partition order. The bit-identity
+/// contract with efs.cpp depends on these exact float operations.
 CandidateIndex::BaseScore compute_base(const Device& device,
                                        const std::vector<int>& part,
                                        const std::vector<int>& part_edges) {
@@ -34,72 +33,9 @@ CandidateIndex::BaseScore compute_base(const Device& device,
 
 }  // namespace
 
-const CandidateIndex::PerK& CandidateIndex::per_k(int k) const {
-  if (k <= 0) throw std::invalid_argument("CandidateIndex::per_k: k <= 0");
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = cache_.find(k);
-  if (it != cache_.end()) return *it->second;
-
-  const Device& device = *device_;
-  const Topology& topo = device.topology();
-  const int n = topo.num_qubits();
-
-  auto entry = std::make_unique<PerK>();
-  entry->growth_of_start.assign(static_cast<std::size_t>(n), -1);
-
-  // Empty-mask growths, deduplicated exactly like partition_candidates.
-  const std::vector<char> usable(static_cast<std::size_t>(n), 1);
-  std::vector<char> in_part(static_cast<std::size_t>(n), 0);
-  std::vector<std::vector<int>> grown(static_cast<std::size_t>(n));
-  for (int start = 0; start < n; ++start) {
-    std::vector<int> part =
-        detail::grow_candidate(device, k, start, usable, in_part);
-    if (static_cast<int>(part.size()) == k) {
-      std::sort(part.begin(), part.end());
-      grown[start] = std::move(part);
-    }
-  }
-  std::vector<std::vector<int>> dedup;
-  for (const auto& part : grown) {
-    if (!part.empty()) dedup.push_back(part);
-  }
-  std::sort(dedup.begin(), dedup.end());
-  dedup.erase(std::unique(dedup.begin(), dedup.end()), dedup.end());
-  for (int start = 0; start < n; ++start) {
-    if (grown[start].empty()) continue;  // component < k: fails always
-    const auto it2 =
-        std::lower_bound(dedup.begin(), dedup.end(), grown[start]);
-    entry->growth_of_start[start] = static_cast<int>(it2 - dedup.begin());
-  }
-  entry->candidates = std::move(dedup);
-
-  // Base scores, accumulated in efs_score's exact summation order: edge
-  // errors in induced_edges (edge-id) order with the mult == 1 cap, 1q and
-  // readout errors in partition (sorted) order.
-  entry->base.resize(entry->candidates.size());
-  entry->cand_edges.resize(entry->candidates.size());
-  for (std::size_t i = 0; i < entry->candidates.size(); ++i) {
-    entry->cand_edges[i] = topo.induced_edges(entry->candidates[i]);
-    entry->base[i] =
-        compute_base(device, entry->candidates[i], entry->cand_edges[i]);
-  }
-
-  auto [pos, inserted] = cache_.emplace(k, std::move(entry));
-  assert(inserted);
-  return *pos->second;
-}
-
-std::size_t CandidateIndex::sizes_cached() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return cache_.size();
-}
-
 std::vector<int> CandidateIndex::cached_sizes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<int> sizes;
-  sizes.reserve(cache_.size());
-  for (const auto& [k, entry] : cache_) sizes.push_back(k);
-  return sizes;
+  std::lock_guard<std::mutex> lock(sizes_mutex_);
+  return {sizes_.begin(), sizes_.end()};
 }
 
 void CandidateIndex::StateKey::allocate(std::span<const int> qubits) {
@@ -126,6 +62,7 @@ CandidateIndex::StateKey CandidateIndex::empty_key(int k) const {
 
 std::shared_ptr<const CandidateIndex::State> CandidateIndex::state(
     const StateKey& key) const {
+  if (key.k <= 0) throw std::invalid_argument("CandidateIndex::state: k <= 0");
   if (auto hit = states_.find(key)) return hit;
   // Built outside any lock: a concurrent miss on the same key builds an
   // identical state, and the first one published wins.
@@ -151,9 +88,8 @@ std::shared_ptr<const CandidateIndex::State> CandidateIndex::build_state(
       allocated.push_back(static_cast<int>(w * 64) + std::countr_zero(bits));
     }
   }
-  AllocationSession session(*this);
-  session.commit(allocated);
-  const auto& candidates = session.candidates(key.k);
+  const std::vector<std::vector<int>> candidates =
+      partition_candidates(device, key.k, allocated);
 
   // Edge-id order, exactly what efs_score's induced_edges(allocated) scan
   // walks. A candidate edge can sit one hop from an allocated edge only
@@ -171,14 +107,10 @@ std::shared_ptr<const CandidateIndex::State> CandidateIndex::build_state(
   out->base_.reserve(candidates.size());
   out->edge_begin_.push_back(0);
   out->hop_begin_.push_back(0);
-  for (const AllocationSession::Candidate& cand : candidates) {
-    const std::vector<int>& part = *cand.part;
+  for (const std::vector<int>& part : candidates) {
     out->parts_.insert(out->parts_.end(), part.begin(), part.end());
-    const std::vector<int> edges =
-        cand.edges != nullptr ? *cand.edges : topo.induced_edges(part);
-    out->base_.push_back(cand.base != nullptr
-                             ? *cand.base
-                             : compute_base(device, part, edges));
+    const std::vector<int> edges = topo.induced_edges(part);
+    out->base_.push_back(compute_base(device, part, edges));
     for (int e : edges) {
       out->edges_.push_back(e);
       const Edge& ee = topo.edges()[e];
@@ -195,6 +127,10 @@ std::shared_ptr<const CandidateIndex::State> CandidateIndex::build_state(
       out->hop_begin_.push_back(static_cast<std::uint32_t>(out->hops_.size()));
     }
     out->edge_begin_.push_back(static_cast<std::uint32_t>(out->edges_.size()));
+  }
+  {
+    std::lock_guard<std::mutex> lock(sizes_mutex_);
+    sizes_.insert(key.k);
   }
   return out;
 }
@@ -241,103 +177,6 @@ EfsBreakdown CandidateIndex::State::score(std::size_t i,
   out.score = out.avg_2q * shape.num_2q + out.avg_1q * shape.num_1q +
               out.readout_sum;
   return out;
-}
-
-AllocationSession::AllocationSession(const CandidateIndex& index)
-    : index_(&index) {
-  const std::size_t n =
-      static_cast<std::size_t>(index.device().topology().num_qubits());
-  usable_.assign(n, 1);
-  near2_.assign(n, 0);
-  in_part_.assign(n, 0);
-}
-
-const std::vector<AllocationSession::Candidate>&
-AllocationSession::candidates(int k) {
-  const CandidateIndex::PerK& pk = index_->per_k(k);
-  result_.clear();
-
-  if (allocated_.empty()) {
-    // Fast path: every cached growth is clean, and the cached candidate
-    // list is already the deduplicated sorted answer.
-    result_.reserve(pk.candidates.size());
-    for (std::size_t i = 0; i < pk.candidates.size(); ++i) {
-      result_.push_back({&pk.candidates[i], &pk.base[i], &pk.cand_edges[i]});
-    }
-    return result_;
-  }
-
-  const Device& device = index_->device();
-  const int n = device.topology().num_qubits();
-  if (quality_stale_) {
-    detail::frontier_quality(device, usable_, conn_, err_);
-    quality_stale_ = false;
-  }
-  regrown_.clear();
-  regrown_.reserve(static_cast<std::size_t>(n));
-  for (int start = 0; start < n; ++start) {
-    if (!usable_[start]) continue;
-    const int cached = pk.growth_of_start[start];
-    if (cached < 0) continue;  // component < k under the empty mask
-    const std::vector<int>& part = pk.candidates[cached];
-    bool clean = true;
-    for (int q : part) {
-      if (near2_[q]) {
-        clean = false;
-        break;
-      }
-    }
-    if (clean) {
-      // No allocated qubit within the growth's radius-2 influence ball:
-      // the greedy walk replays its empty-mask decisions verbatim.
-      result_.push_back({&part, &pk.base[cached], &pk.cand_edges[cached]});
-      continue;
-    }
-    std::vector<int> grown = detail::grow_candidate(
-        device, k, start, usable_, in_part_, conn_.data(), err_.data());
-    if (static_cast<int>(grown.size()) != k) continue;
-    std::sort(grown.begin(), grown.end());
-    regrown_.push_back(std::move(grown));  // reserved: pointers stay stable
-    result_.push_back({&regrown_.back(), nullptr, nullptr});
-  }
-
-  std::sort(result_.begin(), result_.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return *a.part < *b.part;
-            });
-  // Dedup runs of equal parts, preferring an entry that carries a cached
-  // base (the base is a pure function of the part, so any survivor gives
-  // identical scores).
-  std::size_t unique = 0;
-  for (std::size_t i = 0; i < result_.size();) {
-    std::size_t j = i;
-    std::size_t keep = i;
-    while (j < result_.size() && *result_[j].part == *result_[i].part) {
-      if (result_[j].base != nullptr && result_[keep].base == nullptr) {
-        keep = j;
-      }
-      ++j;
-    }
-    result_[unique++] = result_[keep];
-    i = j;
-  }
-  result_.resize(unique);
-  return result_;
-}
-
-void AllocationSession::commit(std::span<const int> partition) {
-  const Topology& topo = index_->device().topology();
-  for (int q : partition) {
-    assert(q >= 0 && q < topo.num_qubits() && usable_[q]);
-    allocated_.push_back(q);
-    usable_[q] = 0;
-    near2_[q] = 1;
-    for (int nb : topo.neighbors(q)) {
-      near2_[nb] = 1;
-      for (int nb2 : topo.neighbors(nb)) near2_[nb2] = 1;
-    }
-  }
-  quality_stale_ = true;
 }
 
 }  // namespace qucp

@@ -1,40 +1,26 @@
 #pragma once
-// CandidateIndex: persistent, incremental EFS candidate cache.
+// CandidateIndex: memoized allocation states for the EFS allocators.
 //
-// Candidate generation + EFS scoring used to be recomputed from scratch by
-// every efs_greedy_allocate / solo_efs call, which made the allocator the
-// per-batch floor of the ExecutionService (~55 us/batch on toronto27).
-// Both computations are almost entirely allocation-independent:
+// A greedy allocator (efs_greedy_allocate, solo_efs) places a batch one
+// program at a time, and each placement generates the candidate parts of
+// the current allocation state and scores them by EFS. Dispatch probes
+// and lane pipelines replay the same prefixes batch after batch, so the
+// index memoizes whole allocation states: state(key) returns, for one
+// (allocated-qubit set, k), the candidate parts in partition_candidates
+// order, each candidate's static EFS base (plain average CX error, 1q
+// errors, readout sum, accumulated in efs_score's exact order) and
+// induced edges, and per candidate edge the allocated edges one hop away
+// (in the edge-id order efs_score walks them). Those are all
+// policy-independent, so State::score() rescores a candidate under any
+// CrosstalkPolicy with efs_score's exact accumulation order: QuCP at any
+// sigma, QuMC, QuCloud and MultiQC share entries and stay bit-identical
+// to the non-indexed path, which tests/test_allocator_golden.cpp pins.
 //
-//   * The greedy growth from a start qubit reads the usable mask only
-//     within hop distance 2 of the part it grows (frontier membership at
-//     distance 1; connectivity counts and local edge errors at distance 2).
-//     A growth whose radius-2 ball avoids every allocated qubit therefore
-//     reproduces its empty-mask result verbatim, and a growth that failed
-//     under the empty mask (connected component < k) fails under any mask.
-//   * An EFS crosstalk flag needs a partition edge within hop distance 1
-//     of an allocated edge. A candidate whose qubits all sit at distance
-//     >= 2 from every allocated qubit scores exactly its static base:
-//     plain average CX error, average 1q error, readout sum.
-//
-// The index is built once per Device (a CalibrationEpoch owns one, like
-// its CompiledProgramCache) and caches, per partition size k: the per-start
-// empty-mask growths, the deduplicated candidate list, and per-candidate
-// base scores accumulated in the same floating-point order efs_score uses.
-// An AllocationSession derives the candidates of one allocation state: it
-// tracks the allocated set plus a distance-2 dirty mask, reuses cached
-// growths for the clean majority, and regrows only the dirty fringe.
-//
-// On top of that the index memoizes whole allocation states. state(key)
-// returns, for one (allocated-qubit set, k), the candidate parts in
-// partition_candidates order, each candidate's base score and induced
-// edges, and per candidate edge the allocated edges one hop away (in the
-// edge-id order efs_score walks them). Those are all policy-independent,
-// so State::score() rescores a candidate under any CrosstalkPolicy with
-// efs_score's exact accumulation order: QuCP at any sigma, QuMC, QuCloud
-// and MultiQC share entries and stay bit-identical to the non-indexed
-// path, which tests/test_allocator_golden.cpp pins. The greedy allocators
-// walk a qubit bitmask through states and build a session only on a miss.
+// A miss builds its state from partition_candidates(device, k, allocated)
+// — the one candidate generator — so the memo cannot drift from the
+// reference. Misses are rare on service traffic (a fraction of a percent
+// of lookups on e2ebench's workloads), since every batch walks states its
+// predecessors already built.
 //
 // Key: the allocated set as a bitmask over device qubits plus k — values
 // only, never an address, so an entry cannot leak between indexes.
@@ -44,17 +30,18 @@
 // epoch's share for it — and evicts least recently used states first, so
 // the hot ones (the empty allocation of each width) survive a stream of
 // one-use ones. Entries are shared_ptr, so eviction never frees a state a
-// caller is still reading.
+// caller is still reading. The index also records the widths it has
+// built states for; Backend::recalibrate warm-builds the empty state of
+// each on the successor epoch's index off-lane.
 //
-// Thread-safety: per-k entries and memo states are built under or
-// published through a mutex and immutable afterwards, so dispatch probes
-// and every lane's batch pipeline share one index; an AllocationSession
-// is single-caller scratch.
+// Thread-safety: memo states are published through the BoundedCache and
+// immutable afterwards, and the width set has its own mutex, so dispatch
+// probes and every lane's batch pipeline share one index.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -72,19 +59,6 @@ class CandidateIndex {
     int num_edges = 0;              ///< induced partition-internal edges
     double q1_total = 0.0;          ///< sum of 1q errors over the qubits
     double readout_sum = 0.0;       ///< sum of readout errors
-  };
-
-  /// Immutable per-partition-size cache entry.
-  struct PerK {
-    /// candidates[] index of the completed empty-mask growth per start
-    /// qubit, -1 when the start's connected component has < k qubits (in
-    /// which case the growth fails under every allocation mask).
-    std::vector<int> growth_of_start;
-    std::vector<std::vector<int>> candidates;  ///< sorted parts, set order
-    std::vector<BaseScore> base;               ///< parallel to candidates
-    /// Induced internal edge ids per candidate (edge-id order, exactly
-    /// what topology().induced_edges returns), parallel to candidates.
-    std::vector<std::vector<int>> cand_edges;
   };
 
   /// Memo key: the allocated-qubit set (bit q of word q / 64) and the
@@ -142,27 +116,17 @@ class CandidateIndex {
   CandidateIndex(const CandidateIndex&) = delete;
   CandidateIndex& operator=(const CandidateIndex&) = delete;
 
-  [[nodiscard]] const Device& device() const noexcept { return *device_; }
-
-  /// Per-size cache entry, built on first use. The reference stays valid
-  /// for the index's lifetime. Throws std::invalid_argument for k <= 0
-  /// (mirroring partition_candidates).
-  [[nodiscard]] const PerK& per_k(int k) const;
-
-  /// Partition sizes cached so far (for stats/tests).
-  [[nodiscard]] std::size_t sizes_cached() const;
-
-  /// The cached partition sizes themselves, ascending. Used by
-  /// Backend::recalibrate to warm-build a replacement index off-lane with
-  /// the same working set the retiring index accumulated, so the first
-  /// dispatch cycle on a fresh calibration epoch pays no per_k builds.
+  /// Widths the index has built states for, ascending. Backend::
+  /// recalibrate warm-builds the empty state of each on the successor
+  /// epoch (CalibrationEpoch::warm), so its first dispatch cycle misses no
+  /// single-program allocation.
   [[nodiscard]] std::vector<int> cached_sizes() const;
 
   /// An empty allocation (no qubit allocated) at width k.
   [[nodiscard]] StateKey empty_key(int k) const;
 
-  /// Memoized state for `key`, derived through an AllocationSession on a
-  /// miss. Throws std::invalid_argument for k <= 0.
+  /// Memoized state for `key`, built from partition_candidates on a miss.
+  /// Throws std::invalid_argument for k <= 0.
   [[nodiscard]] std::shared_ptr<const State> state(const StateKey& key) const;
 
   /// Counters of the state memo.
@@ -177,53 +141,9 @@ class CandidateIndex {
       const StateKey& key) const;
 
   const Device* device_;
-  mutable std::mutex mutex_;
-  mutable std::map<int, std::unique_ptr<PerK>> cache_;
   mutable BoundedCache<StateKey, State, KeyHash> states_;
-};
-
-/// Derives the candidates of one allocation state against a
-/// CandidateIndex: the same sets in the same order as
-/// partition_candidates(), reusing the index for everything outside the
-/// dirty fringe of the allocated qubits. Cheap to construct; not
-/// thread-safe (one session per caller).
-class AllocationSession {
- public:
-  struct Candidate {
-    /// Sorted qubit set; points into the shared index or session scratch,
-    /// valid until the next candidates() call.
-    const std::vector<int>* part = nullptr;
-    /// Cached base score; null for fringe candidates regrown this session.
-    const CandidateIndex::BaseScore* base = nullptr;
-    /// Cached induced internal edges; null for regrown candidates.
-    const std::vector<int>* edges = nullptr;
-  };
-
-  explicit AllocationSession(const CandidateIndex& index);
-
-  /// Candidate partitions of size k avoiding the committed allocation —
-  /// the same sets in the same (lexicographic) order as
-  /// partition_candidates(device, k, allocated()). The returned reference
-  /// is invalidated by the next candidates() call.
-  [[nodiscard]] const std::vector<Candidate>& candidates(int k);
-
-  /// Grant `partition` (disjoint from the current allocation) and dirty
-  /// its distance-2 fringe.
-  void commit(std::span<const int> partition);
-
- private:
-  const CandidateIndex* index_;
-  std::vector<int> allocated_;   ///< committed qubits, commit order
-  std::vector<char> usable_;     ///< !allocated, per device qubit
-  std::vector<char> near2_;      ///< within hop distance 2 of allocation
-  std::vector<char> in_part_;    ///< grow_candidate scratch (all zero)
-  /// Per-qubit frontier quality under usable_ (grow_candidate's conn/err
-  /// terms, pure functions of the mask), rebuilt lazily after commits.
-  std::vector<int> conn_;
-  std::vector<double> err_;
-  bool quality_stale_ = true;
-  std::vector<std::vector<int>> regrown_;  ///< fringe growths, this query
-  std::vector<Candidate> result_;
+  mutable std::mutex sizes_mutex_;
+  mutable std::set<int> sizes_;  ///< widths built, under sizes_mutex_
 };
 
 }  // namespace qucp

@@ -1,6 +1,7 @@
 #include "partition/candidates.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 
@@ -24,60 +25,9 @@ double local_edge_error(const Device& device, int q,
   return count == 0 ? 1.0 : total / count;
 }
 
-}  // namespace
-
-namespace detail {
-
-std::vector<int> grow_candidate(const Device& device, int k, int start,
-                                const std::vector<char>& usable,
-                                std::vector<char>& in_part,
-                                const int* conn_cache,
-                                const double* err_cache) {
-  const Topology& topo = device.topology();
-  std::vector<int> part{start};
-  in_part[start] = 1;
-  while (static_cast<int>(part.size()) < k) {
-    // Frontier: usable neighbors of the current subgraph.
-    int best = -1;
-    int best_conn = -1;
-    double best_err = 2.0;
-    for (int q : part) {
-      for (int nb : topo.neighbors(q)) {
-        if (in_part[nb] || !usable[nb]) continue;
-        // Quality: connections into the usable region (descending), then
-        // local error (ascending), then index for determinism. Both terms
-        // are pure functions of the usable mask, so a caller-provided
-        // cache yields the identical comparison sequence.
-        int conn;
-        double err;
-        if (conn_cache != nullptr) {
-          conn = conn_cache[nb];
-          err = err_cache[nb];
-        } else {
-          conn = 0;
-          for (int nb2 : topo.neighbors(nb)) {
-            if (usable[nb2]) ++conn;
-          }
-          err = local_edge_error(device, nb, usable);
-        }
-        if (conn > best_conn ||
-            (conn == best_conn && err < best_err - 1e-15) ||
-            (conn == best_conn && std::abs(err - best_err) <= 1e-15 &&
-             nb < best)) {
-          best = nb;
-          best_conn = conn;
-          best_err = err;
-        }
-      }
-    }
-    if (best < 0) break;  // region exhausted; candidate unusable
-    part.push_back(best);
-    in_part[best] = 1;
-  }
-  for (int q : part) in_part[q] = 0;
-  return part;
-}
-
+/// Per-qubit frontier quality under `usable`: the usable-neighbor count
+/// and local_edge_error. Both depend only on the mask, not on the part
+/// being grown, so one table serves every growth of a call.
 void frontier_quality(const Device& device, const std::vector<char>& usable,
                       std::vector<int>& conn, std::vector<double>& err) {
   const Topology& topo = device.topology();
@@ -94,7 +44,47 @@ void frontier_quality(const Device& device, const std::vector<char>& usable,
   }
 }
 
-}  // namespace detail
+/// One greedy growth from `start` under the usable mask. Returns the part
+/// in growth order (not sorted); size < k means the region around `start`
+/// was exhausted. `in_part` is scratch of num_qubits() zeros, restored to
+/// all-zero before returning.
+std::vector<int> grow_candidate(const Device& device, int k, int start,
+                                const std::vector<char>& usable,
+                                std::vector<char>& in_part,
+                                const std::vector<int>& conn,
+                                const std::vector<double>& err) {
+  const Topology& topo = device.topology();
+  std::vector<int> part{start};
+  in_part[start] = 1;
+  while (static_cast<int>(part.size()) < k) {
+    // Frontier: usable neighbors of the current subgraph.
+    int best = -1;
+    int best_conn = -1;
+    double best_err = 2.0;
+    for (int q : part) {
+      for (int nb : topo.neighbors(q)) {
+        if (in_part[nb] || !usable[nb]) continue;
+        // Quality: connections into the usable region (descending), then
+        // local error (ascending), then index for determinism.
+        if (conn[nb] > best_conn ||
+            (conn[nb] == best_conn && err[nb] < best_err - 1e-15) ||
+            (conn[nb] == best_conn && std::abs(err[nb] - best_err) <= 1e-15 &&
+             nb < best)) {
+          best = nb;
+          best_conn = conn[nb];
+          best_err = err[nb];
+        }
+      }
+    }
+    if (best < 0) break;  // region exhausted; candidate unusable
+    part.push_back(best);
+    in_part[best] = 1;
+  }
+  for (int q : part) in_part[q] = 0;
+  return part;
+}
+
+}  // namespace
 
 std::vector<std::vector<int>> partition_candidates(
     const Device& device, int k, std::span<const int> allocated) {
@@ -108,18 +98,25 @@ std::vector<std::vector<int>> partition_candidates(
     }
     usable[q] = 0;
   }
+  std::vector<int> conn;
+  std::vector<double> err;
+  frontier_quality(device, usable, conn, err);
   std::vector<char> in_part(n, 0);
-  std::set<std::vector<int>> dedup;
+  std::vector<std::vector<int>> parts;
+  parts.reserve(static_cast<std::size_t>(n));
   for (int start = 0; start < n; ++start) {
     if (!usable[start]) continue;
-    std::vector<int> part = detail::grow_candidate(device, k, start, usable,
-                                                   in_part);
+    std::vector<int> part =
+        grow_candidate(device, k, start, usable, in_part, conn, err);
     if (static_cast<int>(part.size()) == k) {
       std::sort(part.begin(), part.end());
-      dedup.insert(std::move(part));
+      parts.push_back(std::move(part));
     }
   }
-  return {dedup.begin(), dedup.end()};
+  // Lexicographic and duplicate-free: the order of a std::set of the parts.
+  std::sort(parts.begin(), parts.end());
+  parts.erase(std::unique(parts.begin(), parts.end()), parts.end());
+  return parts;
 }
 
 std::vector<std::vector<int>> enumerate_connected_subsets(

@@ -6,6 +6,12 @@
 // best quality (connectivity into the available region first, then lower
 // local error). Deduplicated candidate sets are then ranked by EFS by the
 // partitioners. An exhaustive enumerator (bounded) backs property tests.
+//
+// partition_candidates is the only candidate generator: the partitioners
+// call it directly, and CandidateIndex (partition/candidate_index.hpp)
+// calls it once per allocation state it memoizes. A frontier qubit's
+// quality depends only on the available set, so it is computed once per
+// call and shared by every growth.
 
 #include <span>
 #include <vector>
@@ -18,34 +24,6 @@ namespace qucp {
 /// each a sorted connected qubit set of size k avoiding `allocated`.
 [[nodiscard]] std::vector<std::vector<int>> partition_candidates(
     const Device& device, int k, std::span<const int> allocated);
-
-namespace detail {
-
-/// One greedy growth from `start` under the usable mask — the exact
-/// per-start step of partition_candidates, exposed so CandidateIndex can
-/// regrow single starts without rerunning the whole sweep. Returns the
-/// part in growth order (not sorted); size < k means the region around
-/// `start` was exhausted. `in_part` is caller-owned scratch of
-/// num_qubits() zeros; it is restored to all-zero before returning.
-///
-/// `conn_cache` / `err_cache` (optional, both or neither) hold the
-/// per-qubit frontier quality under `usable` — usable-neighbor count and
-/// local_edge_error — which depend only on the mask, not on the growing
-/// part. AllocationSession precomputes them once per allocation state so
-/// regrowth makes O(1) lookups; passing nullptr recomputes inline. The
-/// grown part is identical either way.
-[[nodiscard]] std::vector<int> grow_candidate(
-    const Device& device, int k, int start, const std::vector<char>& usable,
-    std::vector<char>& in_part, const int* conn_cache = nullptr,
-    const double* err_cache = nullptr);
-
-/// Fill `conn` / `err` (resized to num_qubits()) with the per-qubit
-/// frontier quality grow_candidate computes under `usable`: the usable
-/// neighbor count and the average usable-incident CX error.
-void frontier_quality(const Device& device, const std::vector<char>& usable,
-                      std::vector<int>& conn, std::vector<double>& err);
-
-}  // namespace detail
 
 /// All connected subsets of size k avoiding `allocated`, up to `max_count`
 /// (throws std::runtime_error if the bound is exceeded). For tests and

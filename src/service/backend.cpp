@@ -144,7 +144,7 @@ EpochCacheStats CalibrationEpoch::cache_memory() const {
 void CalibrationEpoch::warm(std::span<const int> partition_sizes) const {
   for (int k : partition_sizes) {
     if (k <= 0 || k > device_.num_qubits()) continue;
-    (void)candidate_index_.per_k(k);
+    (void)candidate_index_.state(candidate_index_.empty_key(k));
   }
 }
 
@@ -173,9 +173,10 @@ double Backend::recalibrate(Calibration cal) {
               old->device().crosstalk_ground_truth());
   auto fresh = std::make_shared<const CalibrationEpoch>(
       old->id() + 1, std::move(next), cache_budget_bytes_);
-  // Off-lane warm build: reproduce the candidate working set the retiring
-  // epoch accumulated, so the first pack cycle on the new epoch routes at
-  // full speed. Runs entirely on this thread — no lane or worker waits.
+  // Off-lane warm build: the empty allocation state of every width the
+  // retiring epoch served, so the first pack cycle on the new epoch finds
+  // its single-program probes memoized. Runs entirely on this thread — no
+  // lane or worker waits.
   fresh->warm(old->candidate_index().cached_sizes());
   const double build_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

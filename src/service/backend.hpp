@@ -91,7 +91,8 @@ struct EpochCacheStats {
 
 /// One immutable calibration snapshot plus every cache derived from it.
 /// Construction is cheap (the caches fill lazily); warm() optionally
-/// pre-builds the candidate lists a predecessor epoch had accumulated.
+/// pre-builds the empty allocation states of the widths a predecessor
+/// epoch served.
 /// All methods are const and internally synchronized, so concurrent
 /// service workers share one epoch exactly as they shared the old
 /// Backend. An epoch never mutates its calibration — drift is modeled by
@@ -169,9 +170,11 @@ class CalibrationEpoch {
   /// Entries, bytes, hits, misses and evictions of each cache.
   [[nodiscard]] EpochCacheStats cache_memory() const;
 
-  /// Pre-build the candidate lists for `partition_sizes` (typically the
-  /// predecessor epoch's working set) so the first dispatch cycle on this
-  /// epoch pays no per_k builds. Part of recalibrate()'s off-lane work.
+  /// Pre-build the empty allocation state of each width in
+  /// `partition_sizes` (typically the widths the predecessor epoch's
+  /// CandidateIndex served), so the first dispatch cycle on this epoch
+  /// finds every single-program allocation memoized. Widths outside
+  /// [1, num_qubits] are skipped. Part of recalibrate()'s off-lane work.
   void warm(std::span<const int> partition_sizes) const;
 
  private:
@@ -219,14 +222,15 @@ class Backend {
 
   /// Swap in a new calibration without draining anything: validates
   /// `cal` against the device topology, builds a successor epoch with a
-  /// fresh cache set on the calling thread (warm-building the candidate
-  /// sizes the retiring epoch had accumulated), then atomically publishes
-  /// it. Dispatch cycles pick the new epoch up at their next pack
-  /// boundary; batches already packed complete against their pinned
-  /// epoch. Returns the off-lane build time in seconds (the "stall" a
-  /// drain-the-world design would have imposed on the lane). Concurrent
-  /// recalibrate() calls serialize; throws std::invalid_argument (leaving
-  /// the current epoch untouched) when `cal` fails validation.
+  /// fresh cache set on the calling thread (warm-building the empty
+  /// allocation state of each width the retiring epoch served), then
+  /// atomically publishes it. Dispatch cycles pick the new epoch up at
+  /// their next pack boundary; batches already packed complete against
+  /// their pinned epoch. Returns the off-lane build time in seconds (the
+  /// "stall" a drain-the-world design would have imposed on the lane).
+  /// Concurrent recalibrate() calls serialize; throws
+  /// std::invalid_argument (leaving the current epoch untouched) when
+  /// `cal` fails validation.
   double recalibrate(Calibration cal);
 
   /// Epochs published by recalibrate() so far.

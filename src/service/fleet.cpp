@@ -328,7 +328,7 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
       // A job is terminally unplaceable only when every preferred slot
       // proved it cannot host the job even alone; a slot that merely had a
       // full/closed/occupied batch defers the decision to a later round
-      // (normal queueing — exactly the historical pack_batches rule).
+      // (normal queueing — the single-device packer's rule).
       bool unfit_everywhere = true;
       // True once an earlier-preferred slot rejected the job for fit or
       // the §IV-B threshold: a subsequent placement is a cross-device
@@ -470,9 +470,9 @@ FleetScheduler::FleetScheduler(const BackendRegistry& fleet,
   if (fleet.empty()) {
     throw std::invalid_argument("FleetScheduler: empty fleet");
   }
-  // Single-backend fleets route trivially; bypassing the policy keeps the
-  // packing decision stream bit-identical to the historical pack_batches
-  // path (including spill-event accounting).
+  // Single-backend fleets route trivially; bypassing the policy keeps them
+  // on the policy-free single-device packing path (including spill-event
+  // accounting).
   if (fleet.size() > 1) policy_ = make_routing_policy(policy);
 }
 

@@ -39,12 +39,11 @@
 //                     src/fleetsim/ simulator, which runs these very
 //                     policies through RouteView.
 //
-// pack_fleet() is the shared engine: with one slot and no policy it makes
-// exactly the decisions pack_batches() historically made — pack_batches()
-// is now a thin wrapper over it — so the single-backend ExecutionService
-// stays bit-identical by construction. Each planned batch carries the
-// assignments its members were admitted on, and the service executes it
-// on them.
+// pack_fleet() is the one packing engine: with one slot and no policy it
+// is the single-device packer of service/packer.hpp, so the single-backend
+// ExecutionService stays bit-identical by construction. Each planned
+// batch carries the assignments its members were admitted on, and the
+// service executes it on them.
 //
 // Determinism: policies see only the canonical job order and per-device
 // state derived from it, so for a fixed fleet and fixed dispatch-cycle
@@ -306,7 +305,9 @@ class ExpectedLatencyPolicy final : public RoutingPolicy {
 struct FleetPlan {
   std::vector<std::vector<PackedBatch>> batches;  ///< [slot][dispatch order]
   std::vector<std::size_t> unplaceable;  ///< fits on no fleet device, alone
-  /// Fidelity/fit co-placement rejections (same semantics as PackResult).
+  /// Co-placement rejections: the allocation failed or the EFS threshold
+  /// tripped with co-runners present, deferring the job to a later batch.
+  /// Waiting behind a batch that is simply full is not counted.
   std::uint64_t spill_events = 0;
   /// Placements that followed a fit/threshold rejection on an
   /// earlier-preferred device — the cross-device spills that kept the
@@ -343,8 +344,8 @@ struct FleetPlan {
 };
 
 /// Pack `jobs` (already in the desired queue order) across `slots`.
-/// `policy` == nullptr routes every job through slots in id order (the
-/// single-slot instantiation of this engine IS pack_batches).
+/// `policy` == nullptr routes every job through slots in id order (with
+/// one slot, the single-device packer).
 /// `initial_backlog_s` (empty, or one modeled-seconds entry per slot)
 /// seeds each lane's drain estimate with work already dispatched to it.
 /// Not thread-safe — callers serialize packing.
@@ -357,8 +358,8 @@ struct FleetPlan {
 /// The service-side orchestrator: owns the routing policy and the
 /// per-backend solo-EFS memos for a BackendRegistry, and turns a pending
 /// job list into a FleetPlan. Single-backend fleets bypass the policy
-/// (routing is trivial and must stay decision-identical to the historical
-/// pack_batches path). Not thread-safe — the ExecutionService serializes
+/// (routing is trivial, and the policy-free path is the single-device
+/// packer). Not thread-safe — the ExecutionService serializes
 /// planning under its pack mutex.
 class FleetScheduler {
  public:

@@ -16,18 +16,16 @@
 // (PackedBatch::assignments): packing is the only partition allocation a
 // batch gets, and the execution pipeline runs on its result.
 //
-// pack_batches() is the single-device entry point; the general N-device
-// engine (one open batch per device, policy-routed preference order,
-// cross-device spill) lives in service/fleet.hpp, and this function is its
-// one-slot instantiation — decision-identical to the historical packer.
+// This header holds the packer's vocabulary (jobs, batches, options). The
+// engine itself is pack_fleet() in service/fleet.hpp: one open batch per
+// device, policy-routed preference order, cross-device spill. With one
+// FleetSlot and no policy it is the single-device packer described above.
 //
 // Pure logic, no threads: the ExecutionService drives it under its own
 // locking, and tests exercise it directly.
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <span>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -57,15 +55,6 @@ struct PackedBatch {
   std::vector<PartitionAssignment> assignments;
 };
 
-struct PackResult {
-  std::vector<PackedBatch> batches;      ///< dispatch order
-  std::vector<std::size_t> unplaceable;  ///< jobs that do not fit even alone
-  /// Co-placement rejections: the allocation failed or the EFS threshold
-  /// tripped with co-runners present, deferring the job to a later batch.
-  /// Waiting behind a batch that is simply full is not counted.
-  std::uint64_t spill_events = 0;
-};
-
 struct PackOptions {
   int max_batch_size = 4;  ///< <= 0 means unbounded
   /// Max allowed (EFS in batch context) - (best solo EFS) before a
@@ -78,20 +67,5 @@ struct PackOptions {
   /// model. Does not influence packing decisions for time-blind policies.
   RuntimeModel runtime;
 };
-
-class CandidateIndex;  // partition/candidate_index.hpp
-
-/// Pack `jobs` (already in the desired queue order) into batches.
-/// `solo_efs_cache` memoizes best-solo-partition EFS per circuit
-/// fingerprint across calls; pass a service-owned map. `index` (optional,
-/// must match `device`) reuses the backend's persistent candidate cache
-/// for the tentative allocations and solo-EFS probes; packing decisions
-/// are identical with and without it. Not thread-safe — callers serialize
-/// packing.
-[[nodiscard]] PackResult pack_batches(
-    const Device& device, std::span<const PackJob> jobs,
-    const Partitioner& partitioner, const PackOptions& options,
-    std::map<std::uint64_t, double>& solo_efs_cache,
-    const CandidateIndex* index = nullptr);
 
 }  // namespace qucp

@@ -11,29 +11,18 @@ namespace qucp {
 
 namespace {
 
-/// Per-thread memo of compiled gate kernels: a flat array for
-/// parameterless kinds, a (kind, params)-keyed hash map for rotations.
-/// thread_local, so no locks anywhere on the replay path.
+/// Compiled gate kernel: the process-wide fixed_kernel() for
+/// parameterless kinds, a per-thread (kind, params)-keyed memo for
+/// rotations. No locks anywhere on the replay path.
 const kern::CompiledUnitary& compiled_for(const Gate& g) {
-  const auto kind_idx = static_cast<std::size_t>(g.kind);
   if (gate_param_count(g.kind) == 0) {
-    const Matrix* m = fixed_gate_matrix(g.kind);
-    if (m == nullptr) {
+    const FusedOp& fixed = fixed_kernel(g.kind);
+    if (!fixed.is_unitary()) {
       // Barrier/Measure also have zero params but no unitary; surface the
-      // same error gate_matrix raises instead of dereferencing null.
+      // same error gate_matrix raises instead of applying a placeholder.
       throw std::invalid_argument("compiled_for: non-unitary op");
     }
-    struct Slot {
-      bool ready = false;
-      kern::CompiledUnitary cu;
-    };
-    thread_local Slot fixed[32];
-    Slot& slot = fixed[kind_idx];
-    if (!slot.ready) {
-      slot.cu = kern::compile_unitary(m->data());
-      slot.ready = true;
-    }
-    return slot.cu;
+    return fixed.sv;
   }
   thread_local std::unordered_map<GateKey, kern::CompiledUnitary, GateKeyHash,
                                   GateKeyEq>

@@ -1,7 +1,7 @@
 // Tests for the fleet layer (service/fleet.hpp + service/registry.hpp):
 // BackendRegistry construction, routing policies, the generalized fleet
-// packer (accounting exactness, cross-device spill, determinism) and its
-// single-slot equivalence with pack_batches.
+// packer (accounting exactness, cross-device spill, determinism). The
+// single-slot packer's own decision rules are pinned in test_service.cpp.
 
 #include "service/fleet.hpp"
 
@@ -91,52 +91,6 @@ TEST(RoutingPolicy, FactoryNamesMatch) {
                               RoutePolicy::BestEfs,
                               RoutePolicy::ExpectedLatency}) {
     EXPECT_EQ(make_routing_policy(p)->name(), route_policy_name(p));
-  }
-}
-
-TEST(PackFleet, SingleSlotMatchesPackBatchesExactly) {
-  // The engine's one-slot instantiation must reproduce pack_batches
-  // decision for decision: batches, unplaceable set, spill-event count and
-  // solo-EFS cache fills, over randomized job streams (including shapes
-  // larger than the device and exclusive jobs).
-  const Device device = make_line_device(10);
-  const QucpPartitioner partitioner;
-  Rng rng(515);
-  for (int trial = 0; trial < 12; ++trial) {
-    std::vector<PackJob> jobs;
-    const int n = static_cast<int>(rng.integer(1, 14));
-    for (int i = 0; i < n; ++i) {
-      ProgramShape s;
-      s.num_qubits = static_cast<int>(rng.integer(1, 12));
-      s.num_2q = s.num_qubits >= 2 ? static_cast<int>(rng.integer(0, 9)) : 0;
-      s.num_1q = static_cast<int>(rng.integer(0, 9));
-      jobs.push_back(make_job(static_cast<std::size_t>(i), s, rng.next_u64(),
-                              rng.bernoulli(0.2)));
-    }
-    PackOptions opts;
-    opts.max_batch_size = static_cast<int>(rng.integer(1, 4));
-    if (rng.bernoulli(0.5)) opts.efs_threshold = rng.uniform(0.0, 0.4);
-
-    std::map<std::uint64_t, double> cache_batches;
-    const PackResult expected =
-        pack_batches(device, jobs, partitioner, opts, cache_batches);
-
-    std::map<std::uint64_t, double> cache_fleet;
-    const FleetSlot slot{&device, nullptr, &cache_fleet};
-    const FleetPlan plan =
-        pack_fleet(std::span<const FleetSlot>(&slot, 1), jobs, partitioner,
-                   opts, nullptr);
-
-    ASSERT_EQ(plan.batches.size(), 1u) << trial;
-    ASSERT_EQ(plan.batches[0].size(), expected.batches.size()) << trial;
-    for (std::size_t b = 0; b < expected.batches.size(); ++b) {
-      EXPECT_EQ(plan.batches[0][b].jobs, expected.batches[b].jobs)
-          << trial << " batch " << b;
-    }
-    EXPECT_EQ(plan.unplaceable, expected.unplaceable) << trial;
-    EXPECT_EQ(plan.spill_events, expected.spill_events) << trial;
-    EXPECT_EQ(plan.cross_device_spills, 0u) << trial;
-    EXPECT_EQ(cache_fleet, cache_batches) << trial;
   }
 }
 

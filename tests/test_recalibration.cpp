@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "benchmarks/suite.hpp"
+#include "partition/partitioners.hpp"
 #include "service/service.hpp"
 
 namespace qucp {
@@ -101,33 +102,59 @@ TEST(CalibrationEpoch, InvalidCalibrationThrowsAndLeavesEpochUntouched) {
 
 TEST(CalibrationEpoch, ReplacementCachesAreWarmBuiltAndFresh) {
   Backend backend(make_toronto27());
-  // Accumulate a candidate-index working set and transpile-cache traffic
-  // on epoch 0.
+  // Serve allocations at widths 2 and 4 (a batch of both, so non-empty
+  // states are memoized too) and transpile-cache traffic on epoch 0.
   const auto old_epoch = backend.epoch();
-  (void)old_epoch->candidate_index().per_k(2);
-  (void)old_epoch->candidate_index().per_k(4);
+  const QucpPartitioner partitioner;
+  const std::vector<ProgramShape> batch{{4, 3, 2}, {2, 1, 1}};
+  ASSERT_TRUE(partitioner
+                  .allocate(old_epoch->device(), batch,
+                            &old_epoch->candidate_index())
+                  .has_value());
   const Circuit bell = get_benchmark("bell").circuit;
   const std::vector<int> partition{0, 1, 2, 4};
   (void)old_epoch->transpile(bell, partition, hardware_aware_options(), 7);
   (void)old_epoch->transpile(bell, partition, hardware_aware_options(), 7);
   EXPECT_EQ(old_epoch->cache_stats().hits, 1u);
 
-  const auto old_sizes = old_epoch->candidate_index().cached_sizes();
+  const std::vector<int> old_sizes =
+      old_epoch->candidate_index().cached_sizes();
   EXPECT_EQ(old_sizes, (std::vector<int>{2, 4}));
 
   (void)backend.recalibrate(scaled_calibration(old_epoch->device(), 1.5));
 
-  // The successor's candidate index was warm-built with the predecessor's
-  // working set (no lazy per_k builds on the first dispatch), and every
-  // result cache starts empty — nothing transpiled under the old
-  // calibration can leak through.
+  // The successor's candidate index was warm-built with the empty state of
+  // each width the predecessor served — one build per width, nothing
+  // else — and every result cache starts empty: nothing transpiled under
+  // the old calibration can leak through.
   const auto fresh = backend.epoch();
-  EXPECT_EQ(fresh->candidate_index().cached_sizes(), old_sizes);
+  const CandidateIndex& index = fresh->candidate_index();
+  EXPECT_EQ(index.cached_sizes(), old_sizes);
+  const EpochCacheStats warmed = fresh->cache_memory();
+  EXPECT_EQ(warmed.allocation_states.entries, old_sizes.size());
+  EXPECT_EQ(warmed.allocation_states.misses, old_sizes.size());
+  EXPECT_EQ(warmed.allocation_states.hits, 0u);
+  EXPECT_EQ(warmed.used_bytes, warmed.allocation_states.bytes);
   const TranspileCacheStats stats = fresh->cache_stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(fresh->cache_memory().used_bytes, 0u);  // every cache empty
+
+  // The first allocation at each warmed width is served from the memo:
+  // it reads no allocation_states miss, and the state it uses was built
+  // from the new calibration (bit-identical to the index-less path).
+  for (const int k : old_sizes) {
+    const std::vector<ProgramShape> solo{{k, 1, 1}};
+    const auto got = partitioner.allocate(fresh->device(), solo, &index);
+    const auto want = partitioner.allocate(fresh->device(), solo);
+    ASSERT_TRUE(got.has_value()) << k;
+    ASSERT_TRUE(want.has_value()) << k;
+    EXPECT_EQ(got->front().qubits, want->front().qubits) << k;
+    EXPECT_EQ(got->front().efs.score, want->front().efs.score) << k;
+  }
+  const CacheStats after = index.state_stats();
+  EXPECT_EQ(after.misses - warmed.allocation_states.misses, 0u);
+  EXPECT_EQ(after.hits, old_sizes.size());
 }
 
 TEST(CalibrationEpoch, InFlightBatchExecutesAgainstPinnedEpochBitIdentically) {

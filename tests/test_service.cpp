@@ -292,11 +292,13 @@ TEST(Packer, PartialTailBatchAndOrder) {
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 5; ++i) jobs.push_back({i, shape, i, false});
   std::map<std::uint64_t, double> cache;
-  const PackResult packed =
-      pack_batches(d, jobs, partitioner, PackOptions{}, cache);
-  ASSERT_EQ(packed.batches.size(), 2u);
-  EXPECT_EQ(packed.batches[0].jobs, (std::vector<std::size_t>{0, 1, 2, 3}));
-  EXPECT_EQ(packed.batches[1].jobs, (std::vector<std::size_t>{4}));
+  const FleetSlot slot{&d, nullptr, &cache};
+  const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
+                                      jobs, partitioner, PackOptions{});
+  const std::vector<PackedBatch>& batches = packed.batches[0];
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(batches[1].jobs, (std::vector<std::size_t>{4}));
   EXPECT_TRUE(packed.unplaceable.empty());
 }
 
@@ -312,11 +314,13 @@ TEST(Packer, SpillsWhatDoesNotFitTogether) {
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 3; ++i) jobs.push_back({i, shape, i, false});
   std::map<std::uint64_t, double> cache;
-  const PackResult packed =
-      pack_batches(d, jobs, partitioner, PackOptions{}, cache);
-  ASSERT_EQ(packed.batches.size(), 2u);
-  EXPECT_EQ(packed.batches[0].jobs.size(), 2u);
-  EXPECT_EQ(packed.batches[1].jobs.size(), 1u);
+  const FleetSlot slot{&d, nullptr, &cache};
+  const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
+                                      jobs, partitioner, PackOptions{});
+  const std::vector<PackedBatch>& batches = packed.batches[0];
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(batches[0].jobs.size(), 2u);
+  EXPECT_EQ(batches[1].jobs.size(), 1u);
   EXPECT_GT(packed.spill_events, 0u);
 }
 
@@ -332,12 +336,14 @@ TEST(Packer, SpilledJobsKeepFifoOrderBehindRepeatedlyFullBatches) {
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 5; ++i) jobs.push_back({i, shape, i, false});
   std::map<std::uint64_t, double> cache;
-  const PackResult packed =
-      pack_batches(d, jobs, partitioner, PackOptions{}, cache);
-  ASSERT_EQ(packed.batches.size(), 3u);
-  EXPECT_EQ(packed.batches[0].jobs, (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(packed.batches[1].jobs, (std::vector<std::size_t>{2, 3}));
-  EXPECT_EQ(packed.batches[2].jobs, (std::vector<std::size_t>{4}));
+  const FleetSlot slot{&d, nullptr, &cache};
+  const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
+                                      jobs, partitioner, PackOptions{});
+  const std::vector<PackedBatch>& batches = packed.batches[0];
+  ASSERT_EQ(batches.size(), 3u);
+  EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(batches[1].jobs, (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(batches[2].jobs, (std::vector<std::size_t>{4}));
   EXPECT_TRUE(packed.unplaceable.empty());
   // Job 2, 3, 4 each spill from batch 1; job 4 spills again from batch 2.
   EXPECT_EQ(packed.spill_events, 4u);
@@ -358,11 +364,13 @@ TEST(Packer, LateSmallJobMayOvertakeButSpilledJobsStayOrdered) {
                             {2, big, 12, false},
                             {3, small, 13, false}};
   std::map<std::uint64_t, double> cache;
-  const PackResult packed =
-      pack_batches(d, jobs, partitioner, PackOptions{}, cache);
-  ASSERT_EQ(packed.batches.size(), 2u);
-  EXPECT_EQ(packed.batches[0].jobs, (std::vector<std::size_t>{0, 1, 3}));
-  EXPECT_EQ(packed.batches[1].jobs, (std::vector<std::size_t>{2}));
+  const FleetSlot slot{&d, nullptr, &cache};
+  const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
+                                      jobs, partitioner, PackOptions{});
+  const std::vector<PackedBatch>& batches = packed.batches[0];
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 1, 3}));
+  EXPECT_EQ(batches[1].jobs, (std::vector<std::size_t>{2}));
   EXPECT_EQ(packed.spill_events, 1u);
 }
 
@@ -386,10 +394,12 @@ TEST(Packer, AccountingIsExactOverRandomizedStreams) {
     PackOptions opts;
     opts.max_batch_size = static_cast<int>(rng.integer(1, 4));
     std::map<std::uint64_t, double> cache;
-    const PackResult packed =
-        pack_batches(d, jobs, partitioner, opts, cache);
+    const FleetSlot slot{&d, nullptr, &cache};
+    const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
+                                        jobs, partitioner, opts);
+    const std::vector<PackedBatch>& batches = packed.batches[0];
     std::vector<std::size_t> seen;
-    for (const PackedBatch& batch : packed.batches) {
+    for (const PackedBatch& batch : batches) {
       EXPECT_FALSE(batch.jobs.empty()) << trial;
       EXPECT_LE(batch.jobs.size(),
                 static_cast<std::size_t>(opts.max_batch_size))
@@ -419,12 +429,14 @@ TEST(Packer, ExclusiveJobThatCannotFitAloneIsUnplaceableNotSpilled) {
                             {1, huge, 2, true},  // exclusive, cannot fit
                             {2, small, 3, false}};
   std::map<std::uint64_t, double> cache;
-  const PackResult packed =
-      pack_batches(d, jobs, partitioner, PackOptions{}, cache);
+  const FleetSlot slot{&d, nullptr, &cache};
+  const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
+                                      jobs, partitioner, PackOptions{});
+  const std::vector<PackedBatch>& batches = packed.batches[0];
   EXPECT_EQ(packed.unplaceable, (std::vector<std::size_t>{1}));
   EXPECT_EQ(packed.spill_events, 0u);
-  ASSERT_EQ(packed.batches.size(), 1u);
-  EXPECT_EQ(packed.batches[0].jobs, (std::vector<std::size_t>{0, 2}));
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 2}));
 }
 
 TEST(Packer, MidQueueExclusiveJobDefersWithoutSpillAccounting) {
@@ -438,11 +450,13 @@ TEST(Packer, MidQueueExclusiveJobDefersWithoutSpillAccounting) {
                             {1, small, 2, true},  // exclusive
                             {2, small, 3, false}};
   std::map<std::uint64_t, double> cache;
-  const PackResult packed =
-      pack_batches(d, jobs, partitioner, PackOptions{}, cache);
-  ASSERT_EQ(packed.batches.size(), 2u);
-  EXPECT_EQ(packed.batches[0].jobs, (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(packed.batches[1].jobs, (std::vector<std::size_t>{1}));
+  const FleetSlot slot{&d, nullptr, &cache};
+  const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
+                                      jobs, partitioner, PackOptions{});
+  const std::vector<PackedBatch>& batches = packed.batches[0];
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(batches[1].jobs, (std::vector<std::size_t>{1}));
   EXPECT_EQ(packed.spill_events, 0u);
   EXPECT_TRUE(packed.unplaceable.empty());
 }
