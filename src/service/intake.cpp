@@ -1,8 +1,8 @@
 #include "service/intake.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <thread>
 
 namespace qucp::detail {
 
@@ -49,64 +49,6 @@ bool SubmitRing::try_push(const JobPtr& job) {
       pos = enqueue_pos_.load(std::memory_order_relaxed);
     }
   }
-}
-
-bool SubmitRing::try_push_block(std::span<const JobPtr> jobs) {
-  const std::uint64_t n = jobs.size();
-  if (n == 0) return true;
-  if (n > capacity_) return false;
-  std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    // The consumer frees cells in ticket order, so "the last cell of the
-    // block is writable" implies every earlier cell of the block has been
-    // consumed too (any producer holding an older unpublished ticket would
-    // have stalled the consumer before it could free our last cell).
-    Cell& last = cells_[(pos + n - 1) & mask_];
-    const std::uint64_t seq = last.seq.load(std::memory_order_acquire);
-    const auto diff = static_cast<std::int64_t>(seq) -
-                      static_cast<std::int64_t>(pos + n - 1);
-    if (diff == 0) {
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + n,
-                                             std::memory_order_relaxed)) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-          Cell& cell = cells_[(pos + i) & mask_];
-          // Immediate by the argument above; the acquire load (re)checks
-          // it per cell and orders our write after the consumer's read of
-          // the previous lap's value.
-          while (cell.seq.load(std::memory_order_acquire) != pos + i) {
-            std::this_thread::yield();
-          }
-          cell.value = jobs[i];
-          cell.seq.store(pos + i + 1, std::memory_order_release);
-        }
-        return true;
-      }
-    } else if (diff < 0) {
-      return false;  // not enough consumed room for the whole block
-    } else {
-      pos = enqueue_pos_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-std::uint64_t SubmitRing::reserve_span(std::uint64_t count) {
-  // Unconditional ticket claim: same counter try_push CASes on, so the
-  // span is totally ordered against every concurrent push. Concurrent
-  // try_push/try_push_block calls that land on a reserved-but-unpublished
-  // cell observe seq < pos (an unconsumed lap) and report full — normal
-  // backpressure, no special case.
-  return enqueue_pos_.fetch_add(count, std::memory_order_relaxed);
-}
-
-bool SubmitRing::try_publish_at(std::uint64_t ticket, const JobPtr& job) {
-  Cell& cell = cells_[ticket & mask_];
-  // The cell is ours to write only once the consumer has freed every
-  // earlier lap of this slot (seq reaches the ticket value). The acquire
-  // load orders our write after the consumer's read of the old value.
-  if (cell.seq.load(std::memory_order_acquire) != ticket) return false;
-  cell.value = job;
-  cell.seq.store(ticket + 1, std::memory_order_release);
-  return true;
 }
 
 bool SubmitRing::try_pop(JobPtr& out) {

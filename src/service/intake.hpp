@@ -7,18 +7,18 @@
 // simulator became the bottleneck. The intake splits the pending queue
 // into S independent fixed-capacity ring buffers (shards). A producer
 // thread picks its home shard once (thread ordinal mod S) and then
-// publishes jobs with two atomic operations — a bounded MPMC-style
-// ticket claim and a per-cell sequence release (Vyukov's bounded queue,
-// producer side) — so unrelated submitter threads never touch the same
-// shard, and same-shard producers contend only on one fetch-like CAS.
+// publishes each job with one push protocol, the producer side of
+// Vyukov's bounded queue: a ticket CAS that succeeds only when the
+// ticket's cell is free, then a per-cell sequence release. Unrelated
+// submitter threads never touch the same shard, and same-shard producers
+// contend only on that one CAS. Nothing is claimed before there is room,
+// so a producer that stops (or throws) between pushes leaves no hole.
 //
 // The consumer side is single-threaded by construction: only the pack
 // cycle drains, under the service's pack mutex, walking shards in id
-// order and each shard in ticket (FIFO) order. That drain order is
-// deterministic given the shard contents, and the service sorts the
-// drained jobs canonically (or by submission id) before packing, so for
-// a single-submitter stream the dispatched batches are bit-identical to
-// the historical mutex-guarded queue.
+// order and each shard in ticket (FIFO) order. The service then sorts the
+// drained jobs totally (canonically or by submission id) before packing,
+// so the ring layout never changes a plan.
 //
 // Capacity is fixed at construction (rounded up to a power of two). A
 // full shard makes try_push return false; the service reacts by draining
@@ -29,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 namespace qucp::detail {
@@ -51,38 +50,16 @@ class SubmitRing {
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Publish one job. False when the ring is full (the job is untouched).
+  /// Publish one job. The ticket is claimed only once its cell is free,
+  /// so a false return (ring full) leaves both the ring and the job
+  /// untouched.
   [[nodiscard]] bool try_push(const JobPtr& job);
 
-  /// Publish `jobs` as one contiguous ticket block — consumers see the
-  /// whole vector in order, with no interleaved jobs from other producers
-  /// on this shard. All-or-nothing; false when the ring lacks room for the
-  /// whole block or the block exceeds the capacity (jobs are untouched).
-  [[nodiscard]] bool try_push_block(std::span<const JobPtr> jobs);
-
   /// Pop the oldest job in ticket order. False when empty, or when the
-  /// head ticket was claimed but not yet published (the job stays queued
-  /// for the next drain — nothing is ever lost or reordered). Single
-  /// consumer at a time.
+  /// head ticket was claimed by a producer that has not released its cell
+  /// yet (the job stays queued for the next drain — nothing is ever lost
+  /// or reordered). Single consumer at a time.
   [[nodiscard]] bool try_pop(JobPtr& out);
-
-  /// Reserve `count` contiguous tickets unconditionally (the span may
-  /// exceed the ring capacity) and return the first ticket. This is the
-  /// oversized-batch path of submit_all: the whole vector claims one
-  /// contiguous id span up front, then publishes cell by cell with
-  /// try_publish_at, so a drain sees the block contiguous in ticket order
-  /// with no chunk seam — at the cost of the reserver being obliged to
-  /// keep publishing (an abandoned reservation stalls the shard at its
-  /// first unpublished ticket, exactly like a producer dying between
-  /// ticket claim and publish).
-  [[nodiscard]] std::uint64_t reserve_span(std::uint64_t count);
-
-  /// Publish `job` at `ticket` (previously returned by reserve_span, plus
-  /// an offset). False when the ticket's cell still holds an unconsumed
-  /// earlier lap — the reserver must let the consumer drain (the service
-  /// backpressures into dispatch_pending) and retry. Tickets of one span
-  /// must be published in ascending order.
-  [[nodiscard]] bool try_publish_at(std::uint64_t ticket, const JobPtr& job);
 
  private:
   struct Cell {
@@ -98,19 +75,12 @@ class SubmitRing {
 };
 
 /// The service-facing intake: S independent SubmitRings plus the
-/// thread-to-shard mapping. Producers address their home shard (stable
-/// per thread for FIFO-per-producer ordering); the pack cycle drains all
-/// shards in shard-then-ticket order.
+/// thread-to-shard mapping. Producers push one job at a time to their
+/// home shard (stable per thread for FIFO-per-producer ordering); the pack
+/// cycle drains all shards in shard-then-ticket order.
 class ShardedIntake {
  public:
   ShardedIntake(std::size_t num_shards, std::size_t shard_capacity);
-
-  [[nodiscard]] std::size_t num_shards() const noexcept {
-    return shards_.size();
-  }
-  [[nodiscard]] std::size_t shard_capacity() const noexcept {
-    return shards_.front()->capacity();
-  }
 
   /// Stable home shard of the calling thread: thread ordinal (order of
   /// first intake use, process-wide) mod num_shards. Keeps one submitter
@@ -119,18 +89,6 @@ class ShardedIntake {
 
   [[nodiscard]] bool try_push(const JobPtr& job, std::size_t shard) {
     return shards_[shard]->try_push(job);
-  }
-  [[nodiscard]] bool try_push_block(std::span<const JobPtr> jobs,
-                                    std::size_t shard) {
-    return shards_[shard]->try_push_block(jobs);
-  }
-  [[nodiscard]] std::uint64_t reserve_span(std::uint64_t count,
-                                           std::size_t shard) {
-    return shards_[shard]->reserve_span(count);
-  }
-  [[nodiscard]] bool try_publish_at(std::uint64_t ticket, const JobPtr& job,
-                                    std::size_t shard) {
-    return shards_[shard]->try_publish_at(ticket, job);
   }
 
   /// Drain every shard into `out` (appended), shard 0..S-1, each in FIFO

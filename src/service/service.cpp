@@ -270,13 +270,44 @@ class SubmitGate {
   std::atomic<std::size_t>& active_;
 };
 
+/// Index of the first gate (not a barrier or measurement) that acts on an
+/// already-measured qubit — a non-terminal measurement, which
+/// route_on_partition cannot route — or circuit.size() when there is none.
+std::size_t first_gate_on_measured_qubit(const Circuit& circuit) {
+  const auto& ops = circuit.ops();
+  const auto is_gate = [](const Gate& g) {
+    return g.kind != GateKind::Measure && g.kind != GateKind::Barrier;
+  };
+  const auto first_measure =
+      std::find_if(ops.begin(), ops.end(), [](const Gate& g) {
+        return g.kind == GateKind::Measure;
+      });
+  // Measurements nearly always end the circuit; skip the per-qubit walk
+  // then, since its allocation shows in the submit path's ns/job.
+  if (std::none_of(first_measure, ops.end(), is_gate)) return ops.size();
+  std::vector<char> measured(static_cast<std::size_t>(circuit.num_qubits()),
+                             0);
+  for (auto it = first_measure; it != ops.end(); ++it) {
+    if (it->kind == GateKind::Measure) {
+      measured[static_cast<std::size_t>(it->qubits[0])] = 1;
+    } else if (is_gate(*it) &&
+               std::any_of(it->qubits.begin(), it->qubits.end(), [&](int q) {
+                 return measured[static_cast<std::size_t>(q)] != 0;
+               })) {
+      return static_cast<std::size_t>(it - ops.begin());
+    }
+  }
+  return ops.size();
+}
+
 /// Why the batch pipeline cannot run `circuit`, or an empty string when
 /// it can. submit() and submit_all() reject such a circuit at the call
 /// that brought it: a NaN or infinite angle has no gate matrix (it would
-/// poison every kernel and distribution of its batch), one with no active
-/// qubit has no partition to allocate (it would throw out of the cycle's
-/// plan), and one with no measurement has no output to score (it would
-/// fail every job of its batch).
+/// poison every kernel and distribution of its batch), a non-terminal
+/// measurement cannot be routed (it would fail every job of its batch),
+/// one with no active qubit has no partition to allocate (it would throw
+/// out of the cycle's plan), and one with no measurement has no output to
+/// score (it would fail every job of its batch).
 std::string malformed_reason(const Circuit& circuit) {
   for (std::size_t i = 0; i < circuit.size(); ++i) {
     const auto& params = circuit.ops()[i].params;
@@ -285,10 +316,26 @@ std::string malformed_reason(const Circuit& circuit) {
       return "has a non-finite angle at op " + std::to_string(i);
     }
   }
+  if (const std::size_t i = first_gate_on_measured_qubit(circuit);
+      i < circuit.size()) {
+    return "has a non-terminal measurement: op " + std::to_string(i) +
+           " acts on a measured qubit";
+  }
   // A measurement acts on a qubit, so a measured circuit is never empty.
   if (circuit.has_measurements()) return {};
   return circuit.active_qubits().empty() ? "acts on no qubit"
                                          : "has no measurements";
+}
+
+/// The queued state of one job; publish() gives it its id.
+detail::JobPtr make_state(Circuit circuit, JobOptions options) {
+  auto state = std::make_shared<detail::JobState>();
+  state->fingerprint = circuit_fingerprint(circuit);
+  state->structural_fp = structural_fingerprint(circuit);
+  state->name = options.name.empty() ? circuit.name() : options.name;
+  state->exclusive = options.exclusive;
+  state->circuit = std::move(circuit);
+  return state;
 }
 
 }  // namespace
@@ -300,16 +347,25 @@ void ExecutionService::maybe_auto_flush(std::size_t pending_now) {
   }
 }
 
-void ExecutionService::enqueue_job(const JobPtr& state, std::size_t shard) {
-  state->id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
-  while (!intake_->try_push(state, shard)) {
-    // Ring full: backpressure. Drain the rings ourselves (one pack/
-    // dispatch cycle) and retry — producers never block on a lock and
-    // jobs are never dropped.
-    dispatch_pending();
+void ExecutionService::publish(std::span<const JobPtr> states) {
+  const SubmitGate gate(accepting_, active_submits_);
+  // Ids are taken past the gate, so a rejected call counts nothing in
+  // jobs_submitted, and by one fetch_add, so one call's ids are contiguous.
+  const std::uint64_t first_id =
+      next_job_id_.fetch_add(states.size(), std::memory_order_relaxed);
+  const std::size_t shard = intake_->home_shard();
+  std::size_t pending_now = 0;
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    states[i]->id = first_id + i;
+    while (!intake_->try_push(states[i], shard)) {
+      // Ring full: backpressure. Drain the rings ourselves (one pack/
+      // dispatch cycle, our published prefix included) and retry —
+      // producers never block on a lock and jobs are never dropped.
+      dispatch_pending();
+    }
+    pending_now = pending_count_.fetch_add(1, std::memory_order_acq_rel) + 1;
   }
-  maybe_auto_flush(pending_count_.fetch_add(1, std::memory_order_acq_rel) +
-                   1);
+  maybe_auto_flush(pending_now);
 }
 
 JobHandle ExecutionService::submit(Circuit circuit, JobOptions options) {
@@ -317,14 +373,8 @@ JobHandle ExecutionService::submit(Circuit circuit, JobOptions options) {
     throw std::invalid_argument("ExecutionService::submit: circuit '" +
                                 circuit.name() + "' " + why);
   }
-  auto state = std::make_shared<detail::JobState>();
-  state->fingerprint = circuit_fingerprint(circuit);
-  state->structural_fp = structural_fingerprint(circuit);
-  state->name = options.name.empty() ? circuit.name() : options.name;
-  state->exclusive = options.exclusive;
-  state->circuit = std::move(circuit);
-  const SubmitGate gate(accepting_, active_submits_);
-  enqueue_job(state, intake_->home_shard());
+  const JobPtr state = make_state(std::move(circuit), std::move(options));
+  publish({&state, 1});
   return JobHandle(state);
 }
 
@@ -341,24 +391,15 @@ std::vector<JobHandle> ExecutionService::submit_all(
   }
   std::vector<JobPtr> states;
   states.reserve(circuits.size());
-  for (Circuit& c : circuits) {
-    auto state = std::make_shared<detail::JobState>();
-    state->fingerprint = circuit_fingerprint(c);
-    state->structural_fp = structural_fingerprint(c);
-    state->name = c.name();
-    state->circuit = std::move(c);
-    // Construction order = id order for this producer, so the contiguous
-    // ticket blocks below publish in id order like a submit() loop would.
-    state->id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
-    states.push_back(std::move(state));
-  }
+  for (Circuit& c : circuits) states.push_back(make_state(std::move(c), {}));
 
   // Sweep detection: >= 2 jobs of one structural fingerprint in a single
   // submitted vector, each with parameters to rebind, is parameter-sweep
   // traffic — mark it so dispatch can probe the transpile cache once per
   // (structure, partition) group and bind every job against that probe.
-  // Only submit_all() marks (the caller declared these jobs related);
-  // single-shot submit() traffic stays byte-for-byte on the per-job path.
+  // Only submit_all() marks (the caller declared these jobs related), and a
+  // vector of one is never a sweep, so single-shot submit() traffic stays
+  // byte-for-byte on the per-job path.
   {
     std::map<std::uint64_t, std::size_t> structure_counts;
     for (const JobPtr& state : states) ++structure_counts[state->structural_fp];
@@ -372,44 +413,7 @@ std::vector<JobHandle> ExecutionService::submit_all(
     }
   }
 
-  const SubmitGate gate(accepting_, active_submits_);
-  const std::size_t shard = intake_->home_shard();
-  if (states.size() <= intake_->shard_capacity()) {
-    // Fits in one lap: the all-or-nothing block push either publishes the
-    // whole vector or backpressures without touching the ring.
-    const std::span<const JobPtr> block(states);
-    while (!intake_->try_push_block(block, shard)) {
-      dispatch_pending();  // backpressure, as in enqueue_job
-    }
-    maybe_auto_flush(pending_count_.fetch_add(states.size(),
-                                              std::memory_order_acq_rel) +
-                     states.size());
-  } else {
-    // Oversized batch: reserve the whole multi-lap ticket span up front —
-    // ids stay contiguous with no chunk seam another same-shard producer
-    // could land inside — then publish cell by cell. A cell whose earlier
-    // lap has not been consumed yet backpressures us into draining the
-    // rings ourselves (we publish in ascending ticket order, so our own
-    // published prefix is always drainable and frees the cells we need).
-    const std::uint64_t base =
-        intake_->reserve_span(states.size(), shard);
-    std::size_t published_unflushed = 0;
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      while (!intake_->try_publish_at(base + i, states[i], shard)) {
-        // Make our published prefix visible to pending_jobs()/auto-flush
-        // accounting before draining it.
-        pending_count_.fetch_add(published_unflushed,
-                                 std::memory_order_acq_rel);
-        published_unflushed = 0;
-        dispatch_pending();
-      }
-      ++published_unflushed;
-    }
-    maybe_auto_flush(pending_count_.fetch_add(published_unflushed,
-                                              std::memory_order_acq_rel) +
-                     published_unflushed);
-  }
-
+  publish(states);
   std::vector<JobHandle> handles;
   handles.reserve(states.size());
   for (JobPtr& state : states) handles.push_back(JobHandle(std::move(state)));

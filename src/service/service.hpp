@@ -252,21 +252,25 @@ class ExecutionService {
   /// (sharded MPSC intake, see service/intake.hpp); nothing executes
   /// until a batch is dispatched (flush(), shutdown() or auto-flush).
   /// Throws std::invalid_argument for a circuit with a NaN or infinite
-  /// angle (naming the op index), with no measurement, or with no active
-  /// qubit at all, and std::runtime_error after shutdown().
+  /// angle or a gate after a measurement on the same qubit (naming the op
+  /// index), with no measurement, or with no active qubit at all, and
+  /// std::runtime_error after shutdown().
   JobHandle submit(Circuit circuit, JobOptions options = {});
 
-  /// Batch submission: one handle per circuit. The whole vector is
-  /// published to the caller's home shard as a single contiguous ticket
-  /// block (one reservation, not one per job), so a drain sees it in
-  /// order with no interleaved jobs from same-shard producers — including
-  /// vectors larger than the shard capacity, which reserve a multi-lap
-  /// ticket span up front and publish through it, backpressure-draining
-  /// as the consumer frees cells (no chunk seam another producer could
-  /// land inside). Validates every circuit as submit() does before
-  /// enqueuing any: a malformed one throws std::invalid_argument naming
-  /// its index (and, for a non-finite angle, the op), and nothing is
-  /// submitted.
+  /// Batch submission: one handle per circuit, in order. Validates every
+  /// circuit as submit() does before enqueuing any: a malformed one
+  /// throws std::invalid_argument naming its index (and, for a bad op,
+  /// the op), and nothing is submitted. The jobs then take contiguous ids
+  /// and are pushed one by one, in order, to the caller's home shard —
+  /// the same push as submit(). A drain may see the vector interleaved
+  /// with other same-shard producers (a plan sorts its drained set, so
+  /// this never changes one) or split across pack cycles. While the shard
+  /// is full, as it is for any vector larger than its capacity, the call
+  /// backpressure-dispatches its published prefix. If that dispatch
+  /// throws, the exception propagates: the published prefix stays with
+  /// the service (queued, or drained by the cycle that threw), the rest is
+  /// never enqueued, and the shard stays usable — no ticket is claimed
+  /// before its cell is free.
   std::vector<JobHandle> submit_all(std::vector<Circuit> circuits);
 
   /// Fail every not-yet-dispatched job ("cancelled before dispatch") and
@@ -364,9 +368,11 @@ class ExecutionService {
   };
 
   void start_workers();
-  /// Assign an id and publish `state` to `shard`, backpressure-dispatching
-  /// while the ring is full; throws std::runtime_error once shut down.
-  void enqueue_job(const JobPtr& state, std::size_t shard);
+  /// The one intake path of submit() and submit_all(): pass the submit
+  /// gate (std::runtime_error once shut down), give `states` contiguous
+  /// ids, and push them in order to the caller's home shard,
+  /// backpressure-dispatching while it is full; then auto-flush once.
+  void publish(std::span<const JobPtr> states);
   void maybe_auto_flush(std::size_t pending_now);
   void worker_loop(Lane& lane);
   /// Pack current pending jobs through the fleet scheduler and enqueue

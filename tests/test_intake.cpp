@@ -87,82 +87,6 @@ TEST(SubmitRing, FullRingRejectsUntilPopped) {
   EXPECT_EQ(pop_all_ids(ring), (std::vector<std::uint64_t>{1, 2, 3, 4}));
 }
 
-TEST(SubmitRing, BlockReservationIsAllOrNothing) {
-  SubmitRing ring(8);
-  std::vector<JobPtr> first;
-  for (std::uint64_t i = 0; i < 5; ++i) first.push_back(make_job(i));
-  ASSERT_TRUE(ring.try_push_block(first));
-
-  // 3 free cells: a 4-job block must be rejected without touching the ring.
-  std::vector<JobPtr> second;
-  for (std::uint64_t i = 10; i < 14; ++i) second.push_back(make_job(i));
-  EXPECT_FALSE(ring.try_push_block(second));
-  EXPECT_EQ(pop_all_ids(ring), (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
-
-  // A block larger than the whole ring can never fit.
-  std::vector<JobPtr> oversized;
-  for (std::uint64_t i = 0; i < 9; ++i) oversized.push_back(make_job(i));
-  EXPECT_FALSE(ring.try_push_block(oversized));
-
-  // After the drain the rejected block fits (wrapped positions) and keeps
-  // its internal order, interleaved correctly with single pushes.
-  ASSERT_TRUE(ring.try_push_block(second));
-  ASSERT_TRUE(ring.try_push(make_job(20)));
-  EXPECT_EQ(pop_all_ids(ring),
-            (std::vector<std::uint64_t>{10, 11, 12, 13, 20}));
-}
-
-TEST(SubmitRing, ReserveSpanPublishesOversizedBlockContiguously) {
-  // The submit_all oversized path: a 10-ticket span on a 4-cell ring. The
-  // whole span claims one contiguous ticket block up front, so other
-  // producers are locked out (ring reads as full) until the span drains —
-  // the no-chunk-seam property — and the reserver publishes through the
-  // laps as the consumer frees cells.
-  SubmitRing ring(4);
-  const std::uint64_t base = ring.reserve_span(10);
-  EXPECT_EQ(base, 0u);
-  EXPECT_FALSE(ring.try_push(make_job(99)));
-
-  std::vector<std::uint64_t> drained;
-  JobPtr out;
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    // A cell whose earlier lap is unconsumed rejects the publish; draining
-    // our own published prefix frees it (what the service's backpressure
-    // dispatch does).
-    while (!ring.try_publish_at(base + i, make_job(i))) {
-      ASSERT_TRUE(ring.try_pop(out)) << "ticket " << i;
-      drained.push_back(out->id);
-    }
-    // Mid-span the ring still reads as full to other producers.
-    EXPECT_FALSE(ring.try_push(make_job(99)));
-  }
-  while (ring.try_pop(out)) drained.push_back(out->id);
-  EXPECT_EQ(drained, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8,
-                                                 9}));
-
-  // With the span fully consumed the ring is a normal empty ring again.
-  EXPECT_TRUE(ring.try_push(make_job(42)));
-  EXPECT_EQ(pop_all_ids(ring), (std::vector<std::uint64_t>{42}));
-}
-
-TEST(SubmitRing, UnpublishedSpanHeadStallsPopWithoutLosingJobs) {
-  // try_pop at a reserved-but-unpublished head ticket returns false (the
-  // job is not lost, the shard just waits for the reserver) and resumes in
-  // ticket order once the hole is published.
-  SubmitRing ring(4);
-  const std::uint64_t base = ring.reserve_span(3);
-  ASSERT_TRUE(ring.try_publish_at(base + 0, make_job(0)));
-  // Publish out of order is not allowed by the contract; simulate the
-  // reserver pausing after ticket 0 instead.
-  JobPtr out;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out->id, 0u);
-  EXPECT_FALSE(ring.try_pop(out)) << "popped an unpublished ticket";
-  ASSERT_TRUE(ring.try_publish_at(base + 1, make_job(1)));
-  ASSERT_TRUE(ring.try_publish_at(base + 2, make_job(2)));
-  EXPECT_EQ(pop_all_ids(ring), (std::vector<std::uint64_t>{1, 2}));
-}
-
 TEST(ShardedIntake, DrainsShardThenTicketOrder) {
   ShardedIntake intake(2, 4);
   // Chronological publish order crosses shards; the drain reads shard 0
@@ -456,12 +380,12 @@ TEST(ServiceIntake, CancelPendingFailsQueuedJobsOnly) {
   EXPECT_EQ(survivor.status(), JobStatus::Done);
 }
 
-TEST(ServiceIntake, SubmitAllPublishesOversizedBatchAsOneContiguousSpan) {
+TEST(ServiceIntake, SubmitAllLargerThanTheShardCompletesWithContiguousIds) {
   ServiceOptions opts;
   opts.exec.shots = 1;
   opts.order = JobOrder::Fifo;
   opts.max_batch_size = 4;
-  opts.submit_shard_capacity = 8;  // 20 circuits -> one multi-lap span
+  opts.submit_shard_capacity = 8;  // 20 circuits backpressure twice
   ExecutionService service(make_toronto27(), opts);
   std::vector<Circuit> circuits;
   for (int i = 0; i < 20; ++i) {
@@ -481,15 +405,16 @@ TEST(ServiceIntake, SubmitAllPublishesOversizedBatchAsOneContiguousSpan) {
 }
 
 TEST(ServiceIntake, OversizedSubmitAllSurvivesConcurrentSubmitters) {
-  // The multi-lap span publish backpressure-drains the rings while other
-  // producers keep submitting singles to their own shards: nothing is
-  // lost, duplicated, or wedged.
+  // A vector larger than its shard backpressure-drains the rings while
+  // other producers keep submitting singles, some to the same shard:
+  // nothing is lost, duplicated, or wedged, and the vector's ids stay
+  // contiguous.
   ServiceOptions opts;
   opts.exec.shots = 1;
   opts.num_workers = 2;
   opts.max_batch_size = 8;
   opts.submit_shards = 2;
-  opts.submit_shard_capacity = 8;  // 64-circuit submit_all spans 8 laps
+  opts.submit_shard_capacity = 8;  // 64-circuit submit_all: 8 ring laps
   ExecutionService service(make_toronto27(), opts);
   const Circuit circuit = get_benchmark("bell").circuit;
 
@@ -525,8 +450,10 @@ TEST(ServiceIntake, OversizedSubmitAllSurvivesConcurrentSubmitters) {
   EXPECT_EQ(stats.jobs_failed, 0u);
 
   std::set<std::uint64_t> ids;
-  for (const JobHandle& h : bulk_handles) {
+  for (std::size_t i = 0; i < bulk_handles.size(); ++i) {
+    const JobHandle& h = bulk_handles[i];
     EXPECT_EQ(h.status(), JobStatus::Done);
+    EXPECT_EQ(h.id(), bulk_handles.front().id() + i);
     EXPECT_TRUE(ids.insert(h.id()).second);
   }
   for (const auto& per_thread : single_handles) {
@@ -545,7 +472,12 @@ TEST(ServiceIntake, SubmitAfterShutdownThrows) {
   const Circuit circuit = get_benchmark("bell").circuit;
   service.shutdown();
   EXPECT_THROW((void)service.submit(circuit), std::runtime_error);
-  EXPECT_THROW((void)service.submit_all({circuit}), std::runtime_error);
+  EXPECT_THROW((void)service.submit_all({circuit, circuit}),
+               std::runtime_error);
+  // A rejected call takes no id, so the counters stay conserved.
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.jobs_submitted, 0u);
+  EXPECT_EQ(service.pending_jobs(), 0u);
 }
 
 }  // namespace

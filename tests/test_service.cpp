@@ -550,24 +550,52 @@ TEST(ExecutionService, SweepWhoseRoutingFailsFailsItsJobs) {
   delete service;
 }
 
+/// h(0); measure(0,0); cx(0,1); measure(1,1): op 2 acts on a qubit that
+/// is already measured, which route_on_partition cannot route.
+Circuit mid_measured_circuit() {
+  Circuit c(2, std::nullopt, "mid_measured");
+  c.h(0);
+  c.measure(0, 0);
+  c.cx(0, 1);
+  c.measure(1, 1);
+  return c;
+}
+
 TEST(ExecutionService, SubmitRejectsCircuitsThePipelineCannotRun) {
   // A circuit with no active qubit used to throw out of the next flush()'s
   // plan, stranding every drained handle in Queued; one with no
-  // measurement used to fail its whole batch, co-runners included, with
-  // its own error. Both are now refused at submit(), and a valid job
-  // submitted next to them runs normally.
+  // measurement, or with a gate after a measurement, used to fail its
+  // whole batch, co-runners included, with its own error. All are now
+  // refused at submit(), and a valid job submitted next to them runs
+  // normally.
   ExecutionService service(make_toronto27(), fast_service_options());
   Circuit unmeasured(2, std::nullopt, "unmeasured");
   unmeasured.h(0);
   unmeasured.cx(0, 1);
   EXPECT_THROW((void)service.submit(Circuit(3)), std::invalid_argument);
   EXPECT_THROW((void)service.submit(unmeasured), std::invalid_argument);
+  try {
+    (void)service.submit(mid_measured_circuit());
+    ADD_FAILURE() << "submit accepted a non-terminal measurement";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("non-terminal measurement: op 2"),
+              std::string::npos)
+        << e.what();
+  }
+  // A gate after a measurement of another qubit is routable and accepted.
+  Circuit measured_early(2, std::nullopt, "measured_early");
+  measured_early.h(0);
+  measured_early.measure(0, 0);
+  measured_early.x(1);
+  measured_early.measure(1, 1);
   const JobHandle ok = service.submit(mix_circuit(0));
+  const JobHandle early = service.submit(measured_early);
   service.flush();
   EXPECT_EQ(ok.status(), JobStatus::Done) << ok.error();
+  EXPECT_EQ(early.status(), JobStatus::Done) << early.error();
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.jobs_submitted, 1u);
-  EXPECT_EQ(stats.jobs_completed, 1u);
+  EXPECT_EQ(stats.jobs_submitted, 2u);
+  EXPECT_EQ(stats.jobs_completed, 2u);
   EXPECT_EQ(stats.jobs_failed, 0u);
 }
 
@@ -575,7 +603,7 @@ TEST(ExecutionService, SubmitAllRejectsAMalformedCircuitAndEnqueuesNothing) {
   ExecutionService service(make_toronto27(), fast_service_options());
   Circuit unmeasured(2);
   unmeasured.h(0);
-  for (const Circuit& bad : {Circuit(3), unmeasured}) {
+  for (const Circuit& bad : {Circuit(3), unmeasured, mid_measured_circuit()}) {
     try {
       (void)service.submit_all({mix_circuit(0), mix_circuit(1), bad});
       ADD_FAILURE() << "submit_all accepted a malformed circuit";
