@@ -1,5 +1,7 @@
 // Kernel microbenchmark: ns/gate for the density-matrix and statevector
-// simulation kernels by kernel type and qubit count. The artifact writes
+// simulation kernels by kernel type and qubit count, plus ns per
+// 1024-shot sample_counts call (the per-job sampling cost). The artifact
+// writes
 // BENCH_kernels.json (schema qucp-bench-kernels-v1) so the perf trajectory
 // of the simulator hot path is pinned across PRs; CI runs it in smoke mode
 // (QUCP_BENCH_SMOKE=1, reduced repetitions) so regressions show up in PR
@@ -20,6 +22,8 @@
 #include "circuit/gate.hpp"
 #include "common/strings.hpp"
 #include "circuit/circuit.hpp"
+#include "common/rng.hpp"
+#include "sim/counts.hpp"
 #include "sim/density.hpp"
 #include "sim/fusion.hpp"
 #include "sim/kernels.hpp"
@@ -40,6 +44,7 @@ struct KernelResult {
   double ns_per_op = 0.0;
   std::string bundle;  ///< density_noisy_op rows: gate of the bundle
   std::string form;    ///< density_noisy_op rows: "sequence" or "sweep"
+  int shots = 0;       ///< sample_counts rows: shots per call
 };
 
 /// Time `body` over enough repetitions to amortize clock overhead. The
@@ -204,6 +209,32 @@ std::vector<KernelResult> run_statevector_suite(int n) {
   return out;
 }
 
+/// One 1024-shot sample_counts call over a lopsided distribution of all
+/// 2^n outcomes of n clbits, from a freshly derived Rng per call — what
+/// the executor pays per job, derivation included.
+KernelResult run_sampling(int n) {
+  constexpr int kShots = 1024;
+  std::vector<Distribution::Entry> entries;
+  for (std::uint64_t o = 0; o < (std::uint64_t{1} << n); ++o) {
+    entries.push_back({o, 1.0 + static_cast<double>((o * 7) % 5)});
+  }
+  const Distribution dist(n, std::move(entries));
+  const Rng root(2022);
+  std::vector<std::string> tags;
+  for (int t = 0; t < 64; ++t) tags.push_back("job#" + std::to_string(t));
+  const int reps = smoke_mode() ? 200 : 20000;
+  int total = 0;
+  int r = 0;
+  const double ns = time_ns_per_op(reps, [&] {
+    Rng rng = root.derive(tags[static_cast<std::size_t>(r++ % 64)]);
+    total += sample_counts(dist, kShots, rng).total();
+  });
+  if (total != reps * kShots) std::abort();  // keeps the calls live
+  KernelResult result{"sample_counts", n, ns};
+  result.shots = kShots;
+  return result;
+}
+
 void write_json(const std::vector<KernelResult>& results) {
   const char* env = std::getenv("QUCP_BENCH_OUT");
   const std::string path = (env != nullptr && *env != '\0')
@@ -226,6 +257,7 @@ void write_json(const std::vector<KernelResult>& results) {
       variant = ", \"bundle\": \"" + r.bundle + "\", \"form\": \"" +
                 r.form + "\"";
     }
+    if (r.shots > 0) variant = ", \"shots\": " + std::to_string(r.shots);
     std::fprintf(f,
                  "    {\"kernel\": \"%s\"%s, \"qubits\": %d, "
                  "\"ns_per_op\": %.1f}%s\n",
@@ -259,12 +291,14 @@ void print_kernel_grid() {
     const auto rs = run_statevector_suite(n);
     all.insert(all.end(), rs.begin(), rs.end());
   }
+  for (int n : {2, 4, 6}) all.push_back(run_sampling(n));
 
   bench::row({"kernel", "qubits", "ns/op"}, 26);
   bench::rule(3, 26);
   for (const KernelResult& r : all) {
-    const std::string name =
-        r.bundle.empty() ? r.kernel : r.kernel + ":" + r.bundle + ":" + r.form;
+    std::string name = r.kernel;
+    if (!r.bundle.empty()) name += ":" + r.bundle + ":" + r.form;
+    if (r.shots > 0) name += ":" + std::to_string(r.shots) + "shots";
     bench::row({name, std::to_string(r.qubits), fmt_double(r.ns_per_op, 1)},
                26);
   }

@@ -3,8 +3,52 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <random>
 
 namespace qucp {
+
+Mt19937_64::Mt19937_64(result_type seed) {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kStateWords; ++i) {
+    const result_type prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+void Mt19937_64::twist() noexcept {
+  constexpr std::size_t kShift = 156;  // the recurrence's middle word
+  constexpr result_type kUpper = ~result_type{0} << 31;
+  const auto mix = [](result_type word, result_type next, result_type far) {
+    const result_type y = (word & kUpper) | (next & ~kUpper);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xB5026F5AA96619E9ULL);
+  };
+  result_type* x = state_.data();
+  std::size_t k = 0;
+  for (; k < kStateWords - kShift; ++k) {
+    x[k] = mix(x[k], x[k + 1], x[k + kShift]);
+  }
+  for (; k < kStateWords - 1; ++k) {
+    x[k] = mix(x[k], x[k + 1], x[k + kShift - kStateWords]);
+  }
+  x[k] = mix(x[k], x[0], x[kShift - 1]);
+  next_ = 0;
+}
+
+void Mt19937_64::fill_uniform(std::span<double> out, double scale) {
+  double* dst = out.data();
+  std::size_t left = out.size();
+  while (left > 0) {
+    if (next_ == kStateWords) twist();
+    const std::size_t take = std::min(left, kStateWords - next_);
+    const result_type* src = state_.data() + next_;
+    for (std::size_t i = 0; i < take; ++i) {
+      dst[i] = unit(temper(src[i])) * scale;
+    }
+    next_ += take;
+    dst += take;
+    left -= take;
+  }
+}
 
 std::uint64_t fnv1a(std::string_view s) noexcept {
   std::uint64_t h = 1469598103934665603ULL;

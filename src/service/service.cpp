@@ -206,6 +206,13 @@ ExecutionService::ExecutionService(BackendRegistry fleet,
                                   options_.srb_estimates);
   scheduler_ =
       std::make_unique<FleetScheduler>(fleet_, options_.route_policy);
+  for (std::size_t i = 0; i < fleet_.size(); ++i) {
+    const int qubits = fleet_.at(i).epoch()->device().num_qubits();
+    if (qubits > widest_qubits_) {
+      widest_backend_ = i;
+      widest_qubits_ = qubits;
+    }
+  }
   options_.num_workers = std::max(1, options_.num_workers);
   if (options_.submit_shards == 0) {
     // Adaptive intake sharding: one shard per hardware thread, rounded up
@@ -368,11 +375,32 @@ void ExecutionService::publish(std::span<const JobPtr> states) {
   maybe_auto_flush(pending_now);
 }
 
-JobHandle ExecutionService::submit(Circuit circuit, JobOptions options) {
+void ExecutionService::validate(const Circuit& circuit,
+                                std::optional<std::size_t> index) const {
+  const auto label = [&] {
+    return index ? "ExecutionService::submit_all: circuit " +
+                       std::to_string(*index) + " ('" + circuit.name() + "')"
+                 : "ExecutionService::submit: circuit '" + circuit.name() +
+                       "'";
+  };
   if (const std::string why = malformed_reason(circuit); !why.empty()) {
-    throw std::invalid_argument("ExecutionService::submit: circuit '" +
-                                circuit.name() + "' " + why);
+    throw std::invalid_argument(label() + " " + why);
   }
+  // The transpiler lays out every qubit of the register, idle ones too,
+  // so the register's width is what a partition must hold.
+  const int width = circuit.num_qubits();
+  if (width <= widest_qubits_) return;
+  const std::string device =
+      fleet_.at(widest_backend_).epoch()->device().name();
+  throw CircuitTooWide(label() + " is " + std::to_string(width) +
+                           " qubits wide, wider than the largest fleet "
+                           "device (" + device + ", " +
+                           std::to_string(widest_qubits_) + " qubits)",
+                       width, device, widest_qubits_, index);
+}
+
+JobHandle ExecutionService::submit(Circuit circuit, JobOptions options) {
+  validate(circuit, std::nullopt);
   const JobPtr state = make_state(std::move(circuit), std::move(options));
   publish({&state, 1});
   return JobHandle(state);
@@ -380,15 +408,8 @@ JobHandle ExecutionService::submit(Circuit circuit, JobOptions options) {
 
 std::vector<JobHandle> ExecutionService::submit_all(
     std::vector<Circuit> circuits) {
-  // All or nothing: a malformed circuit rejects the whole vector before
-  // any job is enqueued.
-  for (std::size_t i = 0; i < circuits.size(); ++i) {
-    if (const std::string why = malformed_reason(circuits[i]); !why.empty()) {
-      throw std::invalid_argument("ExecutionService::submit_all: circuit " +
-                                  std::to_string(i) + " ('" +
-                                  circuits[i].name() + "') " + why);
-    }
-  }
+  // All or nothing: every circuit is validated before any job is enqueued.
+  for (std::size_t i = 0; i < circuits.size(); ++i) validate(circuits[i], i);
   std::vector<JobPtr> states;
   states.reserve(circuits.size());
   for (Circuit& c : circuits) states.push_back(make_state(std::move(c), {}));

@@ -45,7 +45,10 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -214,6 +217,23 @@ struct ServiceStats {
   std::vector<BackendStats> backends;
 };
 
+/// Thrown by submit() and submit_all() for a circuit whose register is
+/// wider than the widest fleet device, so no plan could place it.
+struct CircuitTooWide : std::invalid_argument {
+  CircuitTooWide(const std::string& what, int width, std::string device,
+                 int device_qubits, std::optional<std::size_t> index)
+      : std::invalid_argument(what),
+        width(width),
+        device(std::move(device)),
+        device_qubits(device_qubits),
+        index(index) {}
+
+  int width;                         ///< the circuit's register width
+  std::string device;                ///< name of the widest fleet device
+  int device_qubits;                 ///< its qubit count
+  std::optional<std::size_t> index;  ///< position in submit_all's vector
+};
+
 /// Sweep fast-path payload for run_batch_pipeline: transpiles prebound at
 /// dispatch (ExecutionService::dispatch_pending groups same-structure
 /// sweep jobs per planned batch by their planned partition and binds them
@@ -253,8 +273,9 @@ class ExecutionService {
   /// until a batch is dispatched (flush(), shutdown() or auto-flush).
   /// Throws std::invalid_argument for a circuit with a NaN or infinite
   /// angle or a gate after a measurement on the same qubit (naming the op
-  /// index), with no measurement, or with no active qubit at all, and
-  /// std::runtime_error after shutdown().
+  /// index), with no measurement, or with no active qubit at all;
+  /// CircuitTooWide (a std::invalid_argument) for one wider than every
+  /// fleet device; and std::runtime_error after shutdown().
   JobHandle submit(Circuit circuit, JobOptions options = {});
 
   /// Batch submission: one handle per circuit, in order. Validates every
@@ -368,6 +389,11 @@ class ExecutionService {
   };
 
   void start_workers();
+  /// Throw, before anything is enqueued, for a circuit the batch pipeline
+  /// cannot run (see submit()); `index` is its place in submit_all's
+  /// vector.
+  void validate(const Circuit& circuit,
+                std::optional<std::size_t> index) const;
   /// The one intake path of submit() and submit_all(): pass the submit
   /// gate (std::runtime_error once shut down), give `states` contiguous
   /// ids, and push them in order to the caller's home shard,
@@ -389,6 +415,8 @@ class ExecutionService {
   ServiceOptions options_;
   std::unique_ptr<Partitioner> partitioner_;    ///< drives the packer
   std::unique_ptr<FleetScheduler> scheduler_;  ///< guarded by pack_mutex_
+  std::size_t widest_backend_ = 0;  ///< first backend of the most qubits
+  int widest_qubits_ = 0;           ///< its qubit count
 
   /// Sharded MPSC submission queues; drained only under pack_mutex_.
   std::unique_ptr<detail::ShardedIntake> intake_;

@@ -1,6 +1,7 @@
 #include "sim/counts.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -192,8 +193,15 @@ Counts sample_counts(const Distribution& dist, int shots, Rng& rng) {
   const double total = acc;
   const detail::GuideTable guide(cdf);
   std::vector<int> hits(entries.size(), 0);
-  for (int s = 0; s < shots; ++s) {
-    ++hits[guide.index(rng.uniform() * total)];
+  // Draws come a state block at a time: fill_uniform gives exactly the
+  // rng.uniform() * total a per-shot loop would, one draw per shot.
+  std::array<double, Mt19937_64::kStateWords> draws{};
+  for (int done = 0; done < shots;) {
+    const std::size_t n = std::min<std::size_t>(
+        draws.size(), static_cast<std::size_t>(shots - done));
+    rng.fill_uniform(std::span<double>(draws.data(), n), total);
+    for (std::size_t i = 0; i < n; ++i) ++hits[guide.index(draws[i])];
+    done += static_cast<int>(n);
   }
   Counts counts(dist.num_bits(), {});
   for (std::size_t i = 0; i < entries.size(); ++i) {

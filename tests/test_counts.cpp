@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -114,38 +115,67 @@ TEST(Counts, SampleConservesShotsOnLopsidedDistribution) {
   }
 }
 
+/// A distribution of 1-64 lopsided weights, including tiny ones, over
+/// sparse 8-bit outcomes.
+Distribution lopsided_distribution(Rng& gen) {
+  const std::size_t outcomes = 1 + gen.index(64);
+  std::vector<Distribution::Entry> entries;
+  for (std::size_t o = 0; o < outcomes; ++o) {
+    const double w = gen.bernoulli(0.2) ? gen.uniform(1e-9, 1e-6)
+                                        : gen.uniform(0.0, 1.0) + 1e-12;
+    entries.push_back({3 * o + gen.index(3), w});
+  }
+  return Distribution(8, std::move(entries));
+}
+
+/// sample_counts on `fast` must give exactly the counts a per-shot
+/// Rng::discrete over the same probabilities draws from a copy of it, and
+/// leave both at the same point of the stream (one draw per shot).
+void expect_matches_per_shot_reference(const Distribution& d, int shots,
+                                       Rng fast, const std::string& what) {
+  std::vector<double> weights;
+  for (const auto& [outcome, p] : d.probs()) weights.push_back(p);
+  Rng slow = fast;
+  const Counts got = sample_counts(d, shots, fast);
+  std::vector<int> hits(weights.size(), 0);
+  for (int s = 0; s < shots; ++s) ++hits[slow.discrete(weights)];
+  std::vector<Counts::Entry> want;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    if (hits[i] > 0) want.push_back({d.probs()[i].first, hits[i]});
+  }
+  EXPECT_EQ(got.data(), want) << what << ", " << weights.size()
+                              << " outcomes, " << shots << " shots";
+  EXPECT_EQ(fast.next_u64(), slow.next_u64()) << what;
+}
+
 TEST(Counts, SampleMatchesPerShotDiscreteReference) {
-  // sample_counts (prefix sums + branchless search) must give exactly the
-  // counts a per-shot Rng::discrete over the same probabilities draws from
-  // the same stream, for supports of 1-64 outcomes and 1-4096 shots.
+  // sample_counts (block draws + guide-table search) must give exactly the
+  // counts a per-shot Rng::discrete draws from the same stream, for
+  // supports of 1-64 outcomes and 1-4096 shots.
   Rng gen(2024);
   for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t outcomes = 1 + gen.index(64);
-    std::vector<Distribution::Entry> entries;
-    for (std::size_t o = 0; o < outcomes; ++o) {
-      // Lopsided weights, including tiny ones, over sparse outcomes.
-      const double w = gen.bernoulli(0.2) ? gen.uniform(1e-9, 1e-6)
-                                          : gen.uniform(0.0, 1.0) + 1e-12;
-      entries.push_back({3 * o + gen.index(3), w});
-    }
-    const Distribution d(8, std::move(entries));
+    const Distribution d = lopsided_distribution(gen);
     const int shots = trial == 0 ? 1 : 1 + static_cast<int>(gen.index(4096));
-    std::vector<double> weights;
-    for (const auto& [outcome, p] : d.probs()) weights.push_back(p);
+    expect_matches_per_shot_reference(
+        d, shots, Rng(700 + static_cast<std::uint64_t>(trial)),
+        "trial " + std::to_string(trial));
+  }
+}
 
-    Rng fast(700 + static_cast<std::uint64_t>(trial));
-    Rng slow = fast;
-    const Counts got = sample_counts(d, shots, fast);
-    std::vector<int> hits(weights.size(), 0);
-    for (int s = 0; s < shots; ++s) ++hits[slow.discrete(weights)];
-    std::vector<Counts::Entry> want;
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      if (hits[i] > 0) want.push_back({d.probs()[i].first, hits[i]});
+TEST(Counts, SampleMatchesPerShotReferenceAcrossStateBlocks) {
+  // Shot counts on either side of the engine's 312-word state block and
+  // its multiples, each from a fresh stream and from streams that already
+  // used part of their current block (so the first chunk of draws ends
+  // mid-block and later chunks straddle a twist).
+  Rng gen(4051);
+  for (const int shots : {1, 311, 312, 313, 624, 625, 1024, 4096}) {
+    for (const int used : {0, 1, 100, 311, 312, 313}) {
+      const Distribution d = lopsided_distribution(gen);
+      Rng rng(9000 + static_cast<std::uint64_t>(shots));
+      for (int i = 0; i < used; ++i) (void)rng.next_u64();
+      expect_matches_per_shot_reference(
+          d, shots, rng, std::to_string(used) + " draws used");
     }
-    EXPECT_EQ(got.data(), want) << "trial " << trial << ", " << outcomes
-                                << " outcomes, " << shots << " shots";
-    // Both consumed one draw per shot.
-    EXPECT_EQ(fast.next_u64(), slow.next_u64());
   }
 }
 

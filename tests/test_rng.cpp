@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <concepts>
 #include <cstring>
-#include <random>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <set>
+#include <vector>
 
 namespace qucp {
 namespace {
@@ -73,6 +76,124 @@ TEST(Rng, UniformMatchesStdUniformRealDistribution) {
       const double want = unit(src);
       ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
           << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+
+/// The engine seed Rng(seed) uses: SplitMix64's finalizer, written out here
+/// so the reference stream below is built without Rng.
+std::uint64_t split_mix64(std::uint64_t x) {
+  x += 0x9E3779B97f4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+/// The seeds the engine tests pin: edge values, the benchmark seeds and
+/// a few derived substreams.
+std::vector<std::uint64_t> pinned_seeds() {
+  std::vector<std::uint64_t> seeds{0, 1, 42, 104729,
+                                   std::numeric_limits<std::uint64_t>::max()};
+  for (const char* tag : {"alpha", "shots", "lane-3"}) {
+    seeds.push_back(Rng(1).derive(tag).seed());
+    seeds.push_back(Rng(104729).derive(tag).seed());
+  }
+  return seeds;
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  // The engine's raw words equal std::mt19937_64's for the same seed, past
+  // several twists.
+  for (const std::uint64_t seed : pinned_seeds()) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 5000; ++i) {
+      ASSERT_EQ(engine(), reference()) << "seed " << seed << " word " << i;
+    }
+  }
+}
+
+TEST(Rng, ScalarAndBulkDrawsMatchStdMt19937_64) {
+  // Scalar next_u64/uniform draws interleaved with fill_uniform runs of
+  // 1-1000 draws (so runs start and end anywhere in a 312-word block and
+  // straddle twists): every value equals the one std::mt19937_64 and
+  // std::uniform_real_distribution give, bit for bit, over >= 10^6 draws
+  // per stream.
+  std::minstd_rand driver(17);
+  std::vector<double> bulk(1000);
+  for (const std::uint64_t seed : pinned_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 reference(split_mix64(seed));
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    long draws = 0;
+    while (draws < 1'000'000) {
+      switch (driver() % 3) {
+        case 0:
+          ASSERT_EQ(rng.next_u64(), reference())
+              << "seed " << seed << " draw " << draws;
+          ++draws;
+          break;
+        case 1: {
+          const double got = rng.uniform();
+          const double want = unit(reference);
+          ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+              << "seed " << seed << " draw " << draws;
+          ++draws;
+          break;
+        }
+        default: {
+          const std::size_t n = 1 + driver() % 1000;
+          const double scale = (driver() % 2) ? 1.0 : 0.5 + driver() * 1e-9;
+          rng.fill_uniform(std::span<double>(bulk.data(), n), scale);
+          for (std::size_t i = 0; i < n; ++i) {
+            const double want = unit(reference) * scale;
+            ASSERT_EQ(std::memcmp(&bulk[i], &want, sizeof want), 0)
+                << "seed " << seed << " draw " << draws << " + " << i
+                << " of a run of " << n;
+          }
+          draws += static_cast<long>(n);
+        }
+      }
+    }
+    // An empty fill draws nothing.
+    rng.fill_uniform({}, 1.0);
+    EXPECT_EQ(rng.next_u64(), reference());
+  }
+}
+
+TEST(Rng, DistributionsMatchStdDistributionsOnStdMt19937_64) {
+  // index, integer and normal run the standard distributions on the
+  // engine, so they must equal those distributions on std::mt19937_64,
+  // including ranges whose rejection sampling redraws.
+  using Lim = std::numeric_limits<std::int64_t>;
+  const std::size_t sizes[] = {1, 2, 7, 1000, (1ULL << 40) + 3,
+                               (1ULL << 63) + 1, ~std::size_t{0}};
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {-2, 2}, {0, 0}, {-1'000'000'007, 5}, {Lim::min(), Lim::max()},
+      {Lim::min() / 2 - 9, Lim::max() / 2 + 9}};
+  for (const std::uint64_t seed : pinned_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 reference(split_mix64(seed));
+    for (int round = 0; round < 2000; ++round) {
+      for (const std::size_t n : sizes) {
+        ASSERT_EQ(rng.index(n),
+                  std::uniform_int_distribution<std::size_t>(0, n - 1)(
+                      reference))
+            << "seed " << seed << " round " << round << " n " << n;
+      }
+      for (const auto& [lo, hi] : ranges) {
+        ASSERT_EQ(rng.integer(lo, hi),
+                  std::uniform_int_distribution<std::int64_t>(lo, hi)(
+                      reference))
+            << "seed " << seed << " round " << round;
+      }
+      const double got = rng.normal(1.5, 2.0);
+      const double want =
+          std::normal_distribution<double>(1.5, 2.0)(reference);
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+          << "seed " << seed << " round " << round;
     }
   }
 }

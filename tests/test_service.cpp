@@ -42,6 +42,19 @@ std::vector<PartitionAssignment> batch_assignments(
       .value();
 }
 
+/// Two disconnected 4-qubit lines. A 5-qubit circuit passes submit()'s
+/// width check (8 qubits), but no connected 5-qubit partition exists, so
+/// only the fleet plan finds that it does not fit.
+Device make_split_device(std::uint64_t seed) {
+  Topology topo(8, {{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}});
+  CalibrationProfile profile;
+  profile.bad_edge_fraction = 0.0;
+  profile.bad_readout_fraction = 0.0;
+  Calibration cal =
+      synthesize_calibration(topo, profile, Rng(seed).derive("split-cal"));
+  return Device("split8", std::move(topo), std::move(cal), CrosstalkModel{});
+}
+
 ServiceOptions fast_service_options() {
   ServiceOptions opts;
   opts.exec.shots = 128;
@@ -228,9 +241,9 @@ TEST(ExecutionService, ExclusiveJobRunsAlone) {
 
 TEST(ExecutionService, UnplaceableJobFailsOthersSurvive) {
   ServiceOptions opts = fast_service_options();
-  ExecutionService service(make_line_device(4), opts);
+  ExecutionService service(make_split_device(7), opts);
   const JobHandle big =
-      service.submit(get_benchmark("alu").circuit);  // 5 qubits > 4
+      service.submit(get_benchmark("alu").circuit);  // 5 qubits > 4 + 4
   const JobHandle small = service.submit(get_benchmark("bell").circuit);
   service.flush();
   EXPECT_EQ(big.status(), JobStatus::Failed);
@@ -463,12 +476,12 @@ TEST(Packer, MidQueueExclusiveJobDefersWithoutSpillAccounting) {
 
 TEST(ExecutionService, ExclusiveUnplaceableJobFailsCleanly) {
   // Service-level pin of the exclusive solo-allocation-failure path.
-  ExecutionService service(make_line_device(4), fast_service_options());
+  ExecutionService service(make_split_device(7), fast_service_options());
   JobOptions exclusive;
   exclusive.name = "solo-too-big";
   exclusive.exclusive = true;
   const JobHandle big =
-      service.submit(get_benchmark("alu").circuit, exclusive);  // 5q > 4
+      service.submit(get_benchmark("alu").circuit, exclusive);  // 5q > 4 + 4
   const JobHandle small = service.submit(get_benchmark("bell").circuit);
   service.flush();
   EXPECT_EQ(big.status(), JobStatus::Failed);
@@ -614,6 +627,54 @@ TEST(ExecutionService, SubmitAllRejectsAMalformedCircuitAndEnqueuesNothing) {
   }
   EXPECT_EQ(service.pending_jobs(), 0u);
   EXPECT_EQ(service.stats().jobs_submitted, 0u);
+}
+
+TEST(FleetService, SubmitRejectsACircuitWiderThanEveryDevice) {
+  // A circuit wider than the widest fleet device used to be accepted and
+  // failed only by the plan. submit() and submit_all() now throw
+  // CircuitTooWide naming the width and the widest device (and, for
+  // submit_all, the index), and enqueue nothing.
+  BackendRegistry fleet(
+      std::vector<Device>{make_line_device(3), make_line_device(4)});
+  ExecutionService service(std::move(fleet), fast_service_options());
+  const Circuit alu = get_benchmark("alu").circuit;  // 5 qubits
+  try {
+    (void)service.submit(alu);
+    ADD_FAILURE() << "submit accepted a 5-qubit circuit on a 4-qubit fleet";
+  } catch (const CircuitTooWide& e) {
+    EXPECT_EQ(e.width, 5);
+    EXPECT_EQ(e.device, "line4");
+    EXPECT_EQ(e.device_qubits, 4);
+    EXPECT_FALSE(e.index.has_value());
+    EXPECT_NE(std::string(e.what()).find("5 qubits wide"), std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)service.submit_all({get_benchmark("bell").circuit, alu});
+    ADD_FAILURE() << "submit_all accepted a 5-qubit circuit";
+  } catch (const CircuitTooWide& e) {
+    EXPECT_EQ(e.index, std::optional<std::size_t>(1));
+    EXPECT_NE(std::string(e.what()).find("circuit 1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)service.submit(alu), std::invalid_argument);
+  EXPECT_EQ(service.pending_jobs(), 0u);
+  EXPECT_EQ(service.stats().jobs_submitted, 0u);
+
+  // The register's width counts, not its active qubits: the layout
+  // places every qubit of the register.
+  Circuit wide_register(5, std::nullopt, "wide_register");
+  wide_register.h(0);
+  wide_register.cx(0, 1);
+  wide_register.measure(0, 0);
+  wide_register.measure(1, 1);
+  EXPECT_THROW((void)service.submit(wide_register), CircuitTooWide);
+  EXPECT_EQ(service.stats().jobs_submitted, 0u);
+
+  // A circuit as wide as the widest device is accepted and runs.
+  const JobHandle ok = service.submit(get_benchmark("bell").circuit);
+  service.flush();
+  EXPECT_EQ(ok.status(), JobStatus::Done) << ok.error();
 }
 
 TEST(ExecutionService, SubmitRejectsNonFiniteAnglesNamingTheOp) {
@@ -799,10 +860,10 @@ TEST(FleetService, UnplaceableOnEveryDeviceFailsWithFleetMessage) {
   ServiceOptions opts = fast_service_options();
   opts.route_policy = RoutePolicy::BestEfs;
   BackendRegistry fleet(
-      std::vector<Device>{make_line_device(4), make_line_device(4, 11)});
+      std::vector<Device>{make_split_device(7), make_split_device(11)});
   ExecutionService service(std::move(fleet), opts);
   const JobHandle big =
-      service.submit(get_benchmark("alu").circuit);  // 5 qubits > both
+      service.submit(get_benchmark("alu").circuit);  // fits neither split
   const JobHandle small = service.submit(get_benchmark("bell").circuit);
   service.flush();
   EXPECT_EQ(big.status(), JobStatus::Failed);
