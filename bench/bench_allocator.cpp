@@ -1,22 +1,25 @@
 // Allocator microbenchmark: per-batch partition-allocation time with and
-// without the persistent CandidateIndex, per device. This is the
+// without a persistent CandidateIndex, per device. This is the
 // ExecutionService's per-batch floor (candidate generation + EFS scoring
 // runs before any transpilation cache or simulation kernel can help), so
 // the artifact pins the allocator's perf trajectory across PRs the same
 // way BENCH_kernels.json pins the simulator's. Writes BENCH_allocator.json
-// (schema qucp-bench-allocator-v2); CI runs it in smoke mode.
+// (schema qucp-bench-allocator-v3); CI runs it in smoke mode.
 //
-// Three arms per case:
-//   reference — no index: candidates generated and scored from scratch;
-//   memo_cold — a fresh index per call, so every allocation state misses
-//               the memo and is built from partition_candidates (the
-//               first batch of a width after a recalibration);
-//   memo_warm — one index reused across calls, so every state is a memo
-//               hit (the steady state of admission probes and lanes).
+// Three arms per case, all through the one indexed allocator:
+//   zero_budget — no index passed: the call walks a zero-budget index of
+//                 its own (built inside the timed call), which memoizes
+//                 nothing, so every state is built from
+//                 partition_candidates (run_parallel, the threshold walk);
+//   memo_cold   — a fresh default-budget index per call (construction not
+//                 timed): every state misses the memo, as on the first
+//                 batch of a width after a recalibration;
+//   memo_warm   — one index reused across calls, so every state is a memo
+//                 hit (the steady state of admission probes and lanes).
 //
-// The indexed paths are only a valid optimization because they are
-// bit-identical to the reference (tests/test_allocator_golden.cpp); this
-// binary re-checks equality of the produced partitions while warming up.
+// tests/test_allocator_golden.cpp pins all three against the index-less
+// reference loops; this binary re-checks that the zero-budget and warm
+// arms produce the same partitions while warming up.
 
 #include <algorithm>
 #include <chrono>
@@ -49,13 +52,13 @@ std::vector<ProgramShape> batch_shapes() {
 struct AllocatorResult {
   std::string device;
   std::string scenario;
-  double us_reference = 0.0;
+  double us_zero_budget = 0.0;
   double us_memo_cold = 0.0;
   double us_memo_warm = 0.0;
 };
 
-double speedup(double reference, double other) {
-  return other > 0.0 ? reference / other : 0.0;
+double speedup(double base, double other) {
+  return other > 0.0 ? base / other : 0.0;
 }
 
 using Clock = std::chrono::steady_clock;
@@ -91,19 +94,19 @@ AllocatorResult run_batch_case(const Device& device,
                                const Partitioner& partitioner,
                                std::span<const ProgramShape> shapes,
                                const std::string& scenario) {
-  // Warm the index and verify the two paths agree before timing.
+  // Warm the index and verify the two arms agree before timing.
   const CandidateIndex index(device);
-  const auto reference = partitioner.allocate(device, shapes);
+  const auto zero_budget = partitioner.allocate(device, shapes);
   const auto indexed = partitioner.allocate(device, shapes, &index);
-  if (reference.has_value() != indexed.has_value()) {
+  if (zero_budget.has_value() != indexed.has_value()) {
     std::fprintf(stderr, "bench_allocator: paths disagree on %s/%s\n",
                  device.name().c_str(), scenario.c_str());
     std::exit(1);
   }
-  if (reference) {
-    for (std::size_t i = 0; i < reference->size(); ++i) {
-      if ((*reference)[i].qubits != (*indexed)[i].qubits ||
-          (*reference)[i].efs.score != (*indexed)[i].efs.score) {
+  if (zero_budget) {
+    for (std::size_t i = 0; i < zero_budget->size(); ++i) {
+      if ((*zero_budget)[i].qubits != (*indexed)[i].qubits ||
+          (*zero_budget)[i].efs.score != (*indexed)[i].efs.score) {
         std::fprintf(stderr,
                      "bench_allocator: allocation mismatch on %s/%s[%zu]\n",
                      device.name().c_str(), scenario.c_str(), i);
@@ -119,14 +122,16 @@ AllocatorResult run_batch_case(const Device& device,
   result.device = device.name();
   result.scenario = scenario;
   for (int round = 0; round < rounds; ++round) {
-    const double ref = time_us_per_call(reps, [&] {
+    const double zero = time_us_per_call(reps, [&] {
       benchmark::DoNotOptimize(partitioner.allocate(device, shapes));
     });
     const double cold = time_memo_cold_us(reps, device, partitioner, shapes);
     const double warm = time_us_per_call(reps, [&] {
       benchmark::DoNotOptimize(partitioner.allocate(device, shapes, &index));
     });
-    if (round == 0 || ref < result.us_reference) result.us_reference = ref;
+    if (round == 0 || zero < result.us_zero_budget) {
+      result.us_zero_budget = zero;
+    }
     if (round == 0 || cold < result.us_memo_cold) result.us_memo_cold = cold;
     if (round == 0 || warm < result.us_memo_warm) result.us_memo_warm = warm;
   }
@@ -144,7 +149,7 @@ void write_json(const std::vector<AllocatorResult>& results) {
                  path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"schema\": \"qucp-bench-allocator-v2\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"qucp-bench-allocator-v3\",\n");
   bench::write_meta_json(f);
   std::fprintf(f, "  \"smoke\": %s,\n", smoke_mode() ? "true" : "false");
   std::fprintf(f, "  \"unit\": \"us_per_batch\",\n  \"results\": [\n");
@@ -152,13 +157,13 @@ void write_json(const std::vector<AllocatorResult>& results) {
     const AllocatorResult& r = results[i];
     std::fprintf(f,
                  "    {\"device\": \"%s\", \"scenario\": \"%s\", "
-                 "\"us_reference\": %.2f, \"us_memo_cold\": %.2f, "
+                 "\"us_zero_budget\": %.2f, \"us_memo_cold\": %.2f, "
                  "\"us_memo_warm\": %.2f, \"speedup_cold\": %.1f, "
                  "\"speedup_warm\": %.1f}%s\n",
-                 r.device.c_str(), r.scenario.c_str(), r.us_reference,
+                 r.device.c_str(), r.scenario.c_str(), r.us_zero_budget,
                  r.us_memo_cold, r.us_memo_warm,
-                 speedup(r.us_reference, r.us_memo_cold),
-                 speedup(r.us_reference, r.us_memo_warm),
+                 speedup(r.us_zero_budget, r.us_memo_cold),
+                 speedup(r.us_zero_budget, r.us_memo_warm),
                  i + 1 == results.size() ? "" : ",");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -169,8 +174,8 @@ void write_json(const std::vector<AllocatorResult>& results) {
 
 void print_allocator_table() {
   bench::heading(
-      "Partition allocation: us/batch, reference vs CandidateIndex memo "
-      "cold/warm");
+      "Partition allocation: us/batch, zero-budget index vs CandidateIndex "
+      "memo cold/warm");
   std::vector<Device> devices;
   devices.push_back(make_melbourne16());
   devices.push_back(make_toronto27());
@@ -192,22 +197,23 @@ void print_allocator_table() {
         run_batch_case(device, multiqc, ordered, "multiqc_batch4"));
   }
 
-  bench::row({"device", "scenario", "ref us", "memo cold us", "memo warm us",
+  bench::row({"device", "scenario", "zero-budget us", "memo cold us",
+              "memo warm us",
               "cold x", "warm x"},
              16);
   bench::rule(7, 16);
   for (const AllocatorResult& r : results) {
-    bench::row({r.device, r.scenario, fmt_double(r.us_reference, 2),
+    bench::row({r.device, r.scenario, fmt_double(r.us_zero_budget, 2),
                 fmt_double(r.us_memo_cold, 2), fmt_double(r.us_memo_warm, 2),
-                fmt_double(speedup(r.us_reference, r.us_memo_cold), 1),
-                fmt_double(speedup(r.us_reference, r.us_memo_warm), 1)},
+                fmt_double(speedup(r.us_zero_budget, r.us_memo_cold), 1),
+                fmt_double(speedup(r.us_zero_budget, r.us_memo_warm), 1)},
                16);
   }
   write_json(results);
 }
 
 // google-benchmark timers over the same hot path for perf-diff output.
-void BM_AllocateBatchReference(benchmark::State& state) {
+void BM_AllocateBatchZeroBudget(benchmark::State& state) {
   const Device device = make_toronto27();
   const QucpPartitioner qucp(4.0);
   const std::vector<ProgramShape> shapes = batch_shapes();
@@ -215,7 +221,7 @@ void BM_AllocateBatchReference(benchmark::State& state) {
     benchmark::DoNotOptimize(qucp.allocate(device, shapes));
   }
 }
-BENCHMARK(BM_AllocateBatchReference);
+BENCHMARK(BM_AllocateBatchZeroBudget);
 
 void BM_AllocateBatchMemoWarm(benchmark::State& state) {
   const Device device = make_toronto27();

@@ -49,11 +49,7 @@
 #include "benchmarks/suite.hpp"
 #include "common/strings.hpp"
 #include "hardware/device.hpp"
-#include "mapping/transpiler.hpp"
-#include "partition/candidates.hpp"
-#include "service/backend.hpp"
 #include "sim/density.hpp"
-#include "sim/executor.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
 
@@ -663,48 +659,6 @@ void BM_IdealFused(benchmark::State& state) {
   state.SetLabel(spec.name);
 }
 BENCHMARK(BM_IdealFused)->Arg(1)->Arg(7);
-
-// Noiseless density executor: per-op channel replay vs the fused
-// CompiledProgram stream the executor consumes when gate and idle noise
-// are both off. The per-op arm is the noisy path (gate noise on) against a
-// zero-gate-error copy of the calibration, i.e. the same unitary
-// evolution. Warm epoch caches on both sides so the timer isolates the
-// replay itself.
-void noiseless_executor(benchmark::State& state, bool fuse) {
-  const Device device = make_toronto27();
-  Calibration cal = device.calibration();
-  if (!fuse) {
-    std::fill(cal.q1_error.begin(), cal.q1_error.end(), 0.0);
-    std::fill(cal.cx_error.begin(), cal.cx_error.end(), 0.0);
-  }
-  const CalibrationEpoch epoch(
-      0, Device(device.name(), device.topology(), std::move(cal),
-                device.crosstalk_ground_truth()),
-      /*cache_budget_bytes=*/0);
-  const BenchmarkSpec& spec =
-      benchmark_suite()[static_cast<std::size_t>(state.range(0))];
-  const TranspiledProgram tp = transpile_to_partition(
-      spec.circuit, device,
-      partition_candidates(device, spec.circuit.num_qubits(), {}).front());
-  std::vector<PhysicalProgram> progs;
-  progs.push_back({tp.physical, spec.short_name});
-  ExecOptions opts;
-  opts.shots = 64;
-  opts.gate_noise = !fuse;
-  opts.idle_noise = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(epoch.execute(progs, opts));
-  }
-  state.SetLabel(spec.name);
-}
-void BM_NoiselessExecutorPerOp(benchmark::State& state) {
-  noiseless_executor(state, false);
-}
-void BM_NoiselessExecutorFused(benchmark::State& state) {
-  noiseless_executor(state, true);
-}
-BENCHMARK(BM_NoiselessExecutorPerOp)->Arg(1)->Arg(7);
-BENCHMARK(BM_NoiselessExecutorFused)->Arg(1)->Arg(7);
 
 }  // namespace
 

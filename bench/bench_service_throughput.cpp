@@ -417,8 +417,9 @@ std::vector<Circuit> build_sweep_stream(int iters) {
   return stream;
 }
 
-/// The off arm: no caches at all. Every job transpiles from scratch and
-/// runs its own fusion walk, which is what an uncached service pays.
+/// The off arm: no caches at all. Every job builds its transpile template
+/// from scratch (transpile_to_partition) and runs its own fusion walk,
+/// which is what a budget-0 service pays.
 ParametricRow run_parametric_off(int iters) {
   const Device device = make_toronto27();
   const std::vector<int> partition = bfs_partition(device, kSweepQubits);

@@ -51,7 +51,7 @@ BatchReport run_parallel(const Device& device,
   if (programs.empty()) {
     throw std::invalid_argument("run_parallel: no programs");
   }
-  // The service workers' batch pipeline on a throwaway uncached epoch,
+  // The service workers' batch pipeline on a throwaway zero-budget epoch,
   // with the batch allocated as the fleet packer allocates it. Input order
   // and the caller's seed are preserved, so the output is bit-identical to
   // the historical facade (asserted by tests/test_service.cpp).

@@ -25,7 +25,7 @@ TranspileTemplate TranspileTemplate::build(const Circuit& logical,
     logical_exprs.push_back(std::move(ids));
   }
 
-  // Stage A: input peephole (traced — mirrors transpile_to_partition).
+  // Stage A: input peephole (traced).
   Circuit prepared;
   std::vector<std::vector<std::uint32_t>> prepared_exprs;
   if (options.optimize_input) {

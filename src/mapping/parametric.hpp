@@ -23,8 +23,11 @@
 // and patches the evaluated parameters into a copy of the stored physical
 // circuit. Because the DAG replays the optimizer's additions in the
 // original order and the structure is reused verbatim, a successful bind
-// is bit-identical to a from-scratch transpile_to_partition() of the
-// newly-bound circuit (golden-pinned in tests/test_parametric.cpp). A
+// is bit-identical to a from-scratch build from the newly-bound circuit,
+// and both equal the untraced pipeline (optimize, place, route, optimize)
+// that tests/reference_transpile.hpp keeps as the oracle (golden-pinned in
+// tests/test_parametric.cpp). build() is the library's one transpile
+// pipeline: transpile_to_partition() returns a fresh build's result. A
 // binding that flips any recorded decision (an angle landing on an
 // identity the representative didn't have) is rejected and the caller
 // falls back to a from-scratch build.
@@ -59,8 +62,8 @@ struct TranspileTemplate {
   std::vector<Verdict> verdicts;  ///< one per checked node, first-seen order
 
   /// Build a template from a representative logical circuit: one
-  /// placement, one routing pass. Its result is bit-identical to
-  /// transpile_to_partition(logical, ...); throws whatever that throws.
+  /// placement, one routing pass. Throws std::invalid_argument or
+  /// std::runtime_error when placement or routing fails.
   [[nodiscard]] static TranspileTemplate build(const Circuit& logical,
                                                const Device& device,
                                                std::span<const int> partition,

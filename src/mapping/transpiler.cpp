@@ -1,6 +1,6 @@
 #include "mapping/transpiler.hpp"
 
-#include "circuit/optimize.hpp"
+#include "mapping/parametric.hpp"
 
 namespace qucp {
 
@@ -27,19 +27,7 @@ TranspiledProgram transpile_to_partition(const Circuit& logical,
                                          const Device& device,
                                          std::span<const int> partition,
                                          const TranspileOptions& options) {
-  const Circuit prepared =
-      options.optimize_input ? optimize(logical) : logical;
-  const std::vector<int> layout =
-      initial_layout(prepared, device, partition, options.placement);
-  RoutingResult routed = route_on_partition(prepared, device, partition,
-                                            layout, options.router);
-  TranspiledProgram out;
-  out.initial_layout = layout;
-  out.final_layout = std::move(routed.final_layout);
-  out.swaps_added = routed.swaps_added;
-  out.physical = options.optimize_output ? optimize(routed.physical)
-                                         : std::move(routed.physical);
-  return out;
+  return TranspileTemplate::build(logical, device, partition, options).result;
 }
 
 }  // namespace qucp

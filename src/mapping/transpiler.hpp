@@ -3,7 +3,9 @@
 //
 // Pipeline (the library's stand-in for Qiskit's optimization_level=3 +
 // layout + routing): peephole optimize -> initial placement -> SABRE-style
-// routing -> re-optimize -> terminal measurements on final positions.
+// routing -> re-optimize -> terminal measurements on final positions. It
+// has one implementation, TranspileTemplate::build (mapping/parametric.hpp),
+// which also records how each parameter flows through it.
 // Styles package the mapper configurations the paper compares: the
 // QuCP/QuMC hardware-aware mapper [18], and CNA's noise-adaptive,
 // gate-level crosstalk-aware mapper [16][20].
@@ -40,7 +42,10 @@ struct TranspiledProgram {
 };
 
 /// Transpile `logical` (k qubits + terminal measurements) onto the given
-/// partition of the device.
+/// partition of the device: the result of a TranspileTemplate built from
+/// it (mapping/parametric.hpp), so a one-off transpile and the service's
+/// cached one run one pipeline. tests/reference_transpile.hpp keeps the
+/// untraced pipeline as the oracle both are pinned against.
 [[nodiscard]] TranspiledProgram transpile_to_partition(
     const Circuit& logical, const Device& device,
     std::span<const int> partition, const TranspileOptions& options = {});

@@ -1,25 +1,29 @@
 #pragma once
 // CandidateIndex: memoized allocation states for the EFS allocators.
 //
-// A greedy allocator (efs_greedy_allocate, solo_efs) places a batch one
-// program at a time, and each placement generates the candidate parts of
-// the current allocation state and scores them by EFS. Dispatch probes
-// and lane pipelines replay the same prefixes batch after batch, so the
-// index memoizes whole allocation states: state(key) returns, for one
-// (allocated-qubit set, k), the candidate parts in partition_candidates
-// order, each candidate's static EFS base (plain average CX error, 1q
-// errors, readout sum, accumulated in efs_score's exact order) and
-// induced edges, and per candidate edge the allocated edges one hop away
-// (in the edge-id order efs_score walks them). Those are all
-// policy-independent, so State::score() rescores a candidate under any
-// CrosstalkPolicy with efs_score's exact accumulation order: QuCP at any
-// sigma, QuMC, QuCloud and MultiQC share entries and stay bit-identical
-// to the non-indexed path, which tests/test_allocator_golden.cpp pins.
+// A greedy allocator (Partitioner::allocate, solo_efs_score) places a
+// batch one program at a time, and each placement generates the candidate
+// parts of the current allocation state and scores them. Every
+// candidate-based partitioner walks those states through an index: the
+// caller's persistent one, or a zero-budget one of its own that memoizes
+// nothing. Dispatch probes and lane pipelines replay the same prefixes
+// batch after batch, so the index memoizes whole allocation states:
+// state(key) returns, for one (allocated-qubit set, k), the candidate
+// parts in partition_candidates order, each candidate's static EFS base
+// (plain average CX error, 1q errors, readout sum, accumulated in
+// efs_score's exact order) and induced edges, and per candidate edge the
+// allocated edges one hop away (in the edge-id order efs_score walks
+// them). Those are all policy-independent, so State::score() rescores a
+// candidate under any CrosstalkPolicy with efs_score's exact accumulation
+// order: QuCP at any sigma, QuMC, QuCloud and MultiQC share entries and
+// stay bit-identical to the index-less greedy loops (regenerate and
+// rescore every candidate per program) that tests/reference_allocator.hpp
+// keeps and tests/test_allocator_golden.cpp compares against.
 //
 // A miss builds its state from partition_candidates(device, k, allocated)
-// — the one candidate generator — so the memo cannot drift from the
-// reference. Misses are rare on service traffic (a fraction of a percent
-// of lookups on e2ebench's workloads), since every batch walks states its
+// — the one candidate generator — so the memo cannot drift from it.
+// Misses are rare on service traffic (a fraction of a percent of lookups
+// on e2ebench's workloads), since every batch walks states its
 // predecessors already built.
 //
 // Key: the allocated set as a bitmask over device qubits plus k — values
@@ -108,7 +112,8 @@ class CandidateIndex {
   };
 
   /// The device must outlive the index (a CalibrationEpoch owns both).
-  /// The state memo holds at most `state_cache_bytes`.
+  /// The state memo holds at most `state_cache_bytes`; 0 stores nothing,
+  /// so every state() builds its state afresh.
   explicit CandidateIndex(const Device& device,
                           std::size_t state_cache_bytes = kDefaultCacheBytes)
       : device_(&device), states_(state_cache_bytes) {}

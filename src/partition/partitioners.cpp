@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "partition/candidate_index.hpp"
-#include "partition/candidates.hpp"
 
 namespace qucp {
 
@@ -31,6 +30,14 @@ std::vector<std::size_t> allocation_order(
                      return programs[a].num_2q > programs[b].num_2q;
                    });
   return order;
+}
+
+std::optional<std::vector<PartitionAssignment>> Partitioner::allocate(
+    const Device& device, std::span<const ProgramShape> programs,
+    const CandidateIndex* index) const {
+  if (index != nullptr) return do_allocate(device, programs, *index);
+  const CandidateIndex local(device, 0);
+  return do_allocate(device, programs, local);
 }
 
 std::optional<std::vector<PartitionAssignment>> allocate_batch(
@@ -61,11 +68,11 @@ std::optional<double> solo_efs_score(const Device& device,
 
 namespace {
 
-/// Indexed greedy allocation shared by every candidate-based partitioner:
-/// walk the allocated-qubit bitmask through the index's memoized states.
+/// Greedy allocation shared by every candidate-based partitioner: walk the
+/// allocated-qubit bitmask through the index's allocation states.
 /// `cost(state, i, shape)` is the partitioner's own ranking of candidate i
-/// (lowest wins, the first one on ties, as in the reference loops); the
-/// winner's EFS is then scored under `efs_policy`.
+/// (lowest wins, the first one on ties); the winner's EFS is then scored
+/// under `efs_policy`.
 template <typename Cost>
 std::optional<std::vector<PartitionAssignment>> memo_allocate(
     const CandidateIndex& index, std::span<const ProgramShape> programs,
@@ -94,91 +101,34 @@ std::optional<std::vector<PartitionAssignment>> memo_allocate(
   return result;
 }
 
-/// Shared EFS-greedy allocation used by QuCP and QuMC. The reference
-/// (index == nullptr) path regenerates candidates and rescores everything
-/// per program; the indexed path makes the identical decisions from the
-/// index's memoized states.
+/// EFS-greedy allocation shared by QuCP and QuMC: each program takes the
+/// candidate of lowest EFS under `policy`.
 std::optional<std::vector<PartitionAssignment>> efs_greedy_allocate(
-    const Device& device, std::span<const ProgramShape> programs,
-    const CrosstalkPolicy& policy, const CandidateIndex* index) {
-  if (index != nullptr) {
-    return memo_allocate(*index, programs, policy,
-                         [&](const CandidateIndex::State& state,
-                             std::size_t i, const ProgramShape& shape) {
-                           return state.score(i, shape, policy, false).score;
-                         });
-  }
-
-  std::vector<PartitionAssignment> result(programs.size());
-  std::vector<int> allocated;
-  for (std::size_t idx = 0; idx < programs.size(); ++idx) {
-    const ProgramShape& shape = programs[idx];
-    const auto candidates =
-        partition_candidates(device, shape.num_qubits, allocated);
-    const PartitionAssignment* best = nullptr;
-    PartitionAssignment current;
-    double best_score = 0.0;
-    for (const auto& cand : candidates) {
-      EfsBreakdown efs = efs_score(device, cand, shape, allocated, policy);
-      if (best == nullptr || efs.score < best_score) {
-        current = {cand, std::move(efs)};
-        best = &current;
-        best_score = current.efs.score;
-      }
-    }
-    if (best == nullptr) return std::nullopt;
-    allocated.insert(allocated.end(), current.qubits.begin(),
-                     current.qubits.end());
-    result[idx] = std::move(current);
-  }
-  return result;
+    const CandidateIndex& index, std::span<const ProgramShape> programs,
+    const CrosstalkPolicy& policy) {
+  return memo_allocate(index, programs, policy,
+                       [&](const CandidateIndex::State& state, std::size_t i,
+                           const ProgramShape& shape) {
+                         return state.score(i, shape, policy, false).score;
+                       });
 }
 
 /// Score-based allocation for calibration-aware, crosstalk-blind baselines.
-/// Each method's own ranking runs unchanged over the candidates, and the
-/// chosen region's EFS breakdown is efs_score's under no crosstalk either
-/// way.
+/// Each method's own ranking runs over the candidates, and the chosen
+/// region's EFS breakdown is efs_score's under no crosstalk.
 template <typename ScoreFn>
 std::optional<std::vector<PartitionAssignment>> score_greedy_allocate(
-    const Device& device, std::span<const ProgramShape> programs,
-    ScoreFn score /* higher is better */, const CandidateIndex* index) {
+    const Device& device, const CandidateIndex& index,
+    std::span<const ProgramShape> programs,
+    ScoreFn score /* higher is better */) {
   const NoCrosstalkPolicy no_xtalk;
-  if (index != nullptr) {
-    // Negated, so the highest score wins with the same first-on-ties rule
-    // (negation is exact).
-    return memo_allocate(*index, programs, no_xtalk,
-                         [&](const CandidateIndex::State& state,
-                             std::size_t i, const ProgramShape&) {
-                           return -score(device, state.part(i));
-                         });
-  }
-
-  std::vector<PartitionAssignment> result(programs.size());
-  std::vector<int> allocated;
-  for (std::size_t idx = 0; idx < programs.size(); ++idx) {
-    const ProgramShape& shape = programs[idx];
-    const auto candidates =
-        partition_candidates(device, shape.num_qubits, allocated);
-    bool found = false;
-    std::vector<int> best_cand;
-    double best_score = 0.0;
-    for (const auto& cand : candidates) {
-      const double s = score(device, cand);
-      if (!found || s > best_score) {
-        best_cand = cand;
-        best_score = s;
-        found = true;
-      }
-    }
-    if (!found) return std::nullopt;
-    PartitionAssignment assignment;
-    assignment.qubits = best_cand;
-    assignment.efs =
-        efs_score(device, best_cand, shape, allocated, no_xtalk);
-    allocated.insert(allocated.end(), best_cand.begin(), best_cand.end());
-    result[idx] = std::move(assignment);
-  }
-  return result;
+  // Negated, so the highest score wins with the same first-on-ties rule
+  // (negation is exact).
+  return memo_allocate(index, programs, no_xtalk,
+                       [&](const CandidateIndex::State& state, std::size_t i,
+                           const ProgramShape&) {
+                         return -score(device, state.part(i));
+                       });
 }
 
 /// Fidelity degree of qubit q: sum over incident edges of (1 - cx error),
@@ -214,32 +164,32 @@ double multiqc_score(const Device& dev, std::span<const int> cand) {
 }  // namespace
 
 std::optional<std::vector<PartitionAssignment>> QucpPartitioner::do_allocate(
-    const Device& device, std::span<const ProgramShape> programs,
-    const CandidateIndex* index) const {
-  return efs_greedy_allocate(device, programs, policy_, index);
+    const Device& /*device*/, std::span<const ProgramShape> programs,
+    const CandidateIndex& index) const {
+  return efs_greedy_allocate(index, programs, policy_);
 }
 
 std::optional<std::vector<PartitionAssignment>> QumcPartitioner::do_allocate(
-    const Device& device, std::span<const ProgramShape> programs,
-    const CandidateIndex* index) const {
-  return efs_greedy_allocate(device, programs, policy_, index);
+    const Device& /*device*/, std::span<const ProgramShape> programs,
+    const CandidateIndex& index) const {
+  return efs_greedy_allocate(index, programs, policy_);
 }
 
 std::optional<std::vector<PartitionAssignment>> QucloudPartitioner::do_allocate(
     const Device& device, std::span<const ProgramShape> programs,
-    const CandidateIndex* index) const {
-  return score_greedy_allocate(device, programs, qucloud_score, index);
+    const CandidateIndex& index) const {
+  return score_greedy_allocate(device, index, programs, qucloud_score);
 }
 
 std::optional<std::vector<PartitionAssignment>> MultiqcPartitioner::do_allocate(
     const Device& device, std::span<const ProgramShape> programs,
-    const CandidateIndex* index) const {
-  return score_greedy_allocate(device, programs, multiqc_score, index);
+    const CandidateIndex& index) const {
+  return score_greedy_allocate(device, index, programs, multiqc_score);
 }
 
 std::optional<std::vector<PartitionAssignment>> NaivePartitioner::do_allocate(
     const Device& device, std::span<const ProgramShape> programs,
-    const CandidateIndex* /*index*/) const {
+    const CandidateIndex& /*index*/) const {
   // First-fit BFS needs no candidate enumeration, so the index is unused.
   const Topology& topo = device.topology();
   const NoCrosstalkPolicy no_xtalk;

@@ -37,23 +37,24 @@ class Partitioner {
   /// with `allocation_order` first when emulating QuMC's largest-first
   /// policy). Returns nullopt when some program cannot be placed.
   ///
-  /// `index` (optional) is a persistent per-device CandidateIndex whose
-  /// memoized allocation states let the candidate-based partitioners skip
-  /// candidate generation and crosstalk scans for any (allocated set,
-  /// width) seen before, under any crosstalk policy. Results are
-  /// bit-identical with and without it (same partitions, same order, same
-  /// EFS doubles — pinned by tests/test_allocator_golden.cpp); the index
-  /// must have been built for `device`.
+  /// Every candidate-based partitioner walks allocation states through a
+  /// CandidateIndex (partition/candidate_index.hpp). `index` (optional) is
+  /// a persistent per-device index, built for `device`, whose memoized
+  /// states let the walk skip candidate generation and crosstalk scans for
+  /// any (allocated set, width) seen before, under any crosstalk policy.
+  /// Without one the call walks a zero-budget index of its own, which
+  /// memoizes nothing: the same code, every state built afresh. Results
+  /// are the same either way (same partitions, same order, same EFS
+  /// doubles), and equal to the index-less greedy loops that
+  /// tests/reference_allocator.hpp keeps as the oracle.
   [[nodiscard]] std::optional<std::vector<PartitionAssignment>> allocate(
       const Device& device, std::span<const ProgramShape> programs,
-      const CandidateIndex* index = nullptr) const {
-    return do_allocate(device, programs, index);
-  }
+      const CandidateIndex* index = nullptr) const;
 
  protected:
   [[nodiscard]] virtual std::optional<std::vector<PartitionAssignment>>
   do_allocate(const Device& device, std::span<const ProgramShape> programs,
-              const CandidateIndex* index) const = 0;
+              const CandidateIndex& index) const = 0;
 };
 
 /// Largest-first processing order (qubits desc, then 2q count desc, stable).
@@ -76,8 +77,7 @@ class Partitioner {
 /// is the packer's §IV-B spill baseline and the fleet scheduler's
 /// calibration-aware routing score (BestEfs routes a job to the device
 /// where this number is lowest). nullopt when the shape cannot be placed
-/// on the device at all. `index` (optional, must match `device`) reuses a
-/// persistent candidate cache; the score is bit-identical either way.
+/// on the device at all. `index` as in Partitioner::allocate.
 [[nodiscard]] std::optional<double> solo_efs_score(
     const Device& device, const Partitioner& partitioner,
     const ProgramShape& shape, const CandidateIndex* index = nullptr);
@@ -89,7 +89,7 @@ class QucpPartitioner final : public Partitioner {
   [[nodiscard]] std::string name() const override { return "QuCP"; }
   [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
       const Device& device, std::span<const ProgramShape> programs,
-      const CandidateIndex* index) const override;
+      const CandidateIndex& index) const override;
   [[nodiscard]] double sigma() const noexcept { return policy_.sigma(); }
 
  private:
@@ -104,7 +104,7 @@ class QumcPartitioner final : public Partitioner {
   [[nodiscard]] std::string name() const override { return "QuMC"; }
   [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
       const Device& device, std::span<const ProgramShape> programs,
-      const CandidateIndex* index) const override;
+      const CandidateIndex& index) const override;
 
  private:
   CrosstalkModel estimates_;
@@ -118,7 +118,7 @@ class QucloudPartitioner final : public Partitioner {
   [[nodiscard]] std::string name() const override { return "QuCloud"; }
   [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
       const Device& device, std::span<const ProgramShape> programs,
-      const CandidateIndex* index) const override;
+      const CandidateIndex& index) const override;
 };
 
 /// MultiQC-style (Das et al.): picks the most reliable region by a
@@ -128,7 +128,7 @@ class MultiqcPartitioner final : public Partitioner {
   [[nodiscard]] std::string name() const override { return "MultiQC"; }
   [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
       const Device& device, std::span<const ProgramShape> programs,
-      const CandidateIndex* index) const override;
+      const CandidateIndex& index) const override;
 };
 
 /// First-fit connected region by BFS from the lowest free index,
@@ -138,7 +138,7 @@ class NaivePartitioner final : public Partitioner {
   [[nodiscard]] std::string name() const override { return "Naive"; }
   [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
       const Device& device, std::span<const ProgramShape> programs,
-      const CandidateIndex* index) const override;
+      const CandidateIndex& index) const override;
 };
 
 }  // namespace qucp

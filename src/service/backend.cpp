@@ -44,12 +44,6 @@ void CalibrationEpoch::transpile_sweep(std::span<const Circuit* const> circuits,
   out.clear();
   out.reserve(circuits.size());
   if (circuits.empty()) return;
-  if (cache_budget_bytes_ == 0) {
-    for (const Circuit* c : circuits) {
-      out.push_back(transpile_to_partition(*c, device_, partition, options));
-    }
-    return;
-  }
   CacheKey key{structural_fingerprint(*circuits[0]), options_fp,
                std::vector<int>(partition.begin(), partition.end())};
   // One probe serves the whole sweep: every circuit binds against the

@@ -14,8 +14,7 @@
 // cycle mid-plan) keep executing against the calibration they were packed
 // under; the old epoch retires when its last shared_ptr drops.
 //
-// The transpile cache key covers everything transpile_to_partition()
-// reads: the circuit's fingerprint, the target partition, and an options
+// The transpile cache key covers everything a transpile reads: the circuit's fingerprint, the target partition, and an options
 // fingerprint the caller derives from the method configuration (placement
 // style, optimize flags, CNA crosstalk context). Transpilation is
 // deterministic, so a cache hit is observationally identical to a fresh
@@ -39,9 +38,11 @@
 // executables — are BoundedCaches (common/bounded_cache.hpp) splitting one
 // byte budget evenly; each evicts only its own least recently used
 // entries. cache_memory() reports entries, bytes, hits, misses and
-// evictions per cache. A budget-0 epoch caches nothing and transpiles
-// every call from scratch; that is the reference the template path is
-// pinned against (tests/test_parametric.cpp).
+// evictions per cache. A budget-0 epoch stores nothing but runs the same
+// code: every lookup misses, so each transpile call builds its template
+// (one counted miss per call), each allocation builds its states and each
+// execution its executables. tests/test_parametric.cpp pins its
+// transpiles against the untraced pipeline of tests/reference_transpile.hpp.
 //
 // Backend itself only versions epochs: every device, cache and execution
 // query goes through a pinned epoch(), so a caller that reads the device,
@@ -99,8 +100,8 @@ struct EpochCacheStats {
 /// building a successor epoch, not by touching this one.
 class CalibrationEpoch {
  public:
-  /// The epoch's five caches split `cache_budget_bytes` evenly; 0
-  /// disables caching.
+  /// The epoch's five caches split `cache_budget_bytes` evenly; with 0
+  /// they store nothing.
   CalibrationEpoch(std::uint64_t id, Device device,
                    std::size_t cache_budget_bytes);
 
@@ -207,7 +208,7 @@ class CalibrationEpoch {
 class Backend {
  public:
   /// Each epoch this backend ever builds gets a cache budget of
-  /// `cache_budget_bytes`; 0 disables caching.
+  /// `cache_budget_bytes`; with 0 its caches store nothing.
   explicit Backend(Device device,
                    std::size_t cache_budget_bytes = kDefaultCacheBudgetBytes);
 

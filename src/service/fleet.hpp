@@ -66,7 +66,8 @@
 namespace qucp {
 
 /// One schedulable device endpoint, as the fleet packer sees it. `index`
-/// (optional) must have been built for `device`; `solo_efs` (required) is
+/// (optional, as in Partitioner::allocate) must have been built for
+/// `device`; `solo_efs` (required) is
 /// the per-device memo of best-solo-EFS scores keyed by the job's
 /// structural fingerprint (falling back to the exact circuit fingerprint
 /// when the submitter leaves it zero) — the §IV-B spill baseline and the
@@ -96,12 +97,14 @@ struct FleetSlot {
 /// assignments of the committed batch are exported on its PackedBatch —
 /// the service executes on exactly them, so the EFS the packer thresholds
 /// against is the EFS the job gets. Every member, exclusive jobs included,
-/// enters through probe() + admit(). With the slot's CandidateIndex the
-/// allocation is a walk over memoized (allocated-qubit set, width) states
-/// — the open batch's prefix states recur probe after probe — so the
-/// from-scratch answer costs about as much as an incremental one without a
-/// second code path. tests/test_fleet.cpp pins indexed and index-less
-/// slots as bit-identical over randomized streams on all bundled
+/// enters through probe() + admit(). The allocation is a walk over the
+/// slot's CandidateIndex states (a zero-budget index per probe when the
+/// slot has none). With a persistent index those (allocated-qubit set,
+/// width) states are memoized — the open batch's prefix states recur
+/// probe after probe — so the from-scratch answer costs about as much as
+/// an incremental one without a second code path. tests/test_fleet.cpp
+/// pins indexed slots against the index-less reference allocator
+/// (tests/reference_allocator.hpp) over randomized streams on all bundled
 /// topologies.
 class AdmissionProbe {
  public:

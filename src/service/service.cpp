@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/rng.hpp"
+#include "common/small_vector.hpp"
 #include "core/runtime.hpp"
 #include "sim/kernels.hpp"
 #include "sim/statevector.hpp"
@@ -307,14 +308,40 @@ std::size_t first_gate_on_measured_qubit(const Circuit& circuit) {
   return ops.size();
 }
 
+/// The lowest register qubit no op but a barrier acts on, or num_qubits()
+/// when every one is active. The bitmask over the register stays inline up
+/// to 128 qubits, so the check allocates nothing on the submit path.
+int first_idle_qubit(const Circuit& circuit) {
+  const auto n = static_cast<std::size_t>(circuit.num_qubits());
+  SmallVector<std::uint64_t, 2> active;
+  active.resize((n + 63) / 64);
+  for (const Gate& g : circuit.ops()) {
+    if (g.kind == GateKind::Barrier) continue;
+    for (int q : g.qubits) {
+      active[static_cast<std::size_t>(q) / 64] |= std::uint64_t{1} << (q % 64);
+    }
+  }
+  for (std::size_t w = 0; w < active.size(); ++w) {
+    if (active[w] == ~std::uint64_t{0}) continue;
+    // The last word's bits past the register read idle; they are not qubits.
+    const std::size_t q = w * 64 + static_cast<std::size_t>(
+                                       std::countr_one(active[w]));
+    return static_cast<int>(std::min(q, n));
+  }
+  return circuit.num_qubits();
+}
+
 /// Why the batch pipeline cannot run `circuit`, or an empty string when
 /// it can. submit() and submit_all() reject such a circuit at the call
 /// that brought it: a NaN or infinite angle has no gate matrix (it would
 /// poison every kernel and distribution of its batch), a non-terminal
 /// measurement cannot be routed (it would fail every job of its batch),
 /// one with no active qubit has no partition to allocate (it would throw
-/// out of the cycle's plan), and one with no measurement has no output to
-/// score (it would fail every job of its batch).
+/// out of the cycle's plan), one with no measurement has no output to
+/// score (it would fail every job of its batch), and one with an idle
+/// register qubit is planned a partition of its active width while
+/// placement lays out the whole register (it would fail every job of its
+/// batch with "partition too small").
 std::string malformed_reason(const Circuit& circuit) {
   for (std::size_t i = 0; i < circuit.size(); ++i) {
     const auto& params = circuit.ops()[i].params;
@@ -329,9 +356,17 @@ std::string malformed_reason(const Circuit& circuit) {
            " acts on a measured qubit";
   }
   // A measurement acts on a qubit, so a measured circuit is never empty.
-  if (circuit.has_measurements()) return {};
-  return circuit.active_qubits().empty() ? "acts on no qubit"
-                                         : "has no measurements";
+  if (!circuit.has_measurements()) {
+    return circuit.active_qubits().empty() ? "acts on no qubit"
+                                           : "has no measurements";
+  }
+  if (const int q = first_idle_qubit(circuit); q < circuit.num_qubits()) {
+    return "leaves qubit " + std::to_string(q) + " of its " +
+           std::to_string(circuit.num_qubits()) +
+           "-qubit register idle: the register must be as wide as the "
+           "qubits it acts on";
+  }
+  return {};
 }
 
 /// The queued state of one job; publish() gives it its id.
@@ -383,20 +418,21 @@ void ExecutionService::validate(const Circuit& circuit,
                  : "ExecutionService::submit: circuit '" + circuit.name() +
                        "'";
   };
+  // The transpiler lays out every qubit of the register, idle ones too,
+  // so the register's width is what a partition must hold. Checked first:
+  // no plan places a register this wide, whatever else is wrong with it.
+  if (const int width = circuit.num_qubits(); width > widest_qubits_) {
+    const std::string device =
+        fleet_.at(widest_backend_).epoch()->device().name();
+    throw CircuitTooWide(label() + " is " + std::to_string(width) +
+                             " qubits wide, wider than the largest fleet "
+                             "device (" + device + ", " +
+                             std::to_string(widest_qubits_) + " qubits)",
+                         width, device, widest_qubits_, index);
+  }
   if (const std::string why = malformed_reason(circuit); !why.empty()) {
     throw std::invalid_argument(label() + " " + why);
   }
-  // The transpiler lays out every qubit of the register, idle ones too,
-  // so the register's width is what a partition must hold.
-  const int width = circuit.num_qubits();
-  if (width <= widest_qubits_) return;
-  const std::string device =
-      fleet_.at(widest_backend_).epoch()->device().name();
-  throw CircuitTooWide(label() + " is " + std::to_string(width) +
-                           " qubits wide, wider than the largest fleet "
-                           "device (" + device + ", " +
-                           std::to_string(widest_qubits_) + " qubits)",
-                       width, device, widest_qubits_, index);
 }
 
 JobHandle ExecutionService::submit(Circuit circuit, JobOptions options) {

@@ -99,8 +99,10 @@ struct ServiceOptions {
   /// (service/backend.hpp): transpile templates, allocation states, fused
   /// programs, fusion plans and executables. Applies to the backend the
   /// single-device constructor builds; a BackendRegistry's backends carry
-  /// their own. 0 disables caching, so every job transpiles from scratch
-  /// and submit_all() sweeps take the per-job path.
+  /// their own. With 0 the caches store nothing: every job builds its
+  /// transpile template, allocation states and executable afresh through
+  /// the same code a cached run uses, and submit_all() sweeps take the
+  /// per-job path.
   std::size_t cache_budget_bytes = kDefaultCacheBudgetBytes;
   /// Sharded MPSC intake (service/intake.hpp): number of submission
   /// shards. Each submitter thread homes on shard (thread ordinal mod
@@ -273,7 +275,8 @@ class ExecutionService {
   /// until a batch is dispatched (flush(), shutdown() or auto-flush).
   /// Throws std::invalid_argument for a circuit with a NaN or infinite
   /// angle or a gate after a measurement on the same qubit (naming the op
-  /// index), with no measurement, or with no active qubit at all;
+  /// index), with a register qubit no op acts on (naming the first), with
+  /// no measurement, or with no active qubit at all;
   /// CircuitTooWide (a std::invalid_argument) for one wider than every
   /// fleet device; and std::runtime_error after shutdown().
   JobHandle submit(Circuit circuit, JobOptions options = {});

@@ -118,7 +118,12 @@ ParallelRunReport execute_parallel(const Device& device,
   if (options.shots <= 0) {
     throw std::invalid_argument("execute_parallel: shots <= 0");
   }
-  if (program_cache != nullptr && program_cache->device() != &device) {
+  // Callers without an epoch compile through a zero-budget cache: the
+  // same code, nothing kept past this call.
+  std::optional<CompiledProgramCache> local_cache;
+  if (program_cache == nullptr) {
+    program_cache = &local_cache.emplace(device, 0);
+  } else if (program_cache->device() != &device) {
     throw std::invalid_argument(
         "execute_parallel: program cache built for another device");
   }
@@ -138,9 +143,8 @@ ParallelRunReport execute_parallel(const Device& device,
   }
   const Calibration& cal = device.calibration();
 
-  // Compile each program — through the epoch's persistent cache when
-  // given, else per call — then validate coupling and qubit usage
-  // against this device.
+  // Compile each program, then validate coupling and qubit usage against
+  // this device.
   std::vector<std::shared_ptr<const CompiledExecutable>> compiled;
   compiled.reserve(programs.size());
   std::vector<char> used(static_cast<std::size_t>(device.num_qubits()), 0);
@@ -150,11 +154,7 @@ ParallelRunReport execute_parallel(const Device& device,
       throw std::invalid_argument("execute_parallel: program wider than device");
     }
     std::shared_ptr<const CompiledExecutable> exe =
-        program_cache != nullptr
-            ? program_cache->executable(prog.circuit, options.schedule)
-            : std::make_shared<const CompiledExecutable>(
-                  CompiledExecutable::compile(prog.circuit, &device,
-                                              options.schedule));
+        program_cache->executable(prog.circuit, options.schedule);
     if (!exe->structure().coupled()) {
       throw std::invalid_argument(
           "execute_parallel: two-qubit gate on uncoupled qubits in " +
@@ -174,7 +174,7 @@ ParallelRunReport execute_parallel(const Device& device,
 
   // Outcome-memo keys (sim/fusion.hpp): every input of a program's
   // simulation below beyond its binding, the device and `derived`.
-  std::vector<OutcomeKey> keys(program_cache != nullptr ? programs.size() : 0);
+  std::vector<OutcomeKey> keys(programs.size());
   for (OutcomeKey& key : keys) {
     key.flags = (options.idle_noise ? 1U : 0U) |
                 (options.gate_noise ? 2U : 0U) |
@@ -182,9 +182,6 @@ ParallelRunReport execute_parallel(const Device& device,
                 (options.crosstalk_noise ? 8U : 0U) |
                 (kern::native_kernels_active() ? 16U : 0U);
   }
-  auto note_shift = [&](std::size_t p, double delta) {
-    if (!keys.empty()) keys[p].shifts.push_back(delta);
-  };
 
   // Each program's cached schedule, aligned to the common end time under
   // ALAP (shifted in place, so the times match a fresh schedule's).
@@ -204,7 +201,7 @@ ParallelRunReport execute_parallel(const Device& device,
         op.end_ns += shift;
       }
       s.makespan_ns = global_makespan;
-      note_shift(p, shift);
+      keys[p].shifts.push_back(shift);
     }
   }
 
@@ -306,7 +303,7 @@ ParallelRunReport execute_parallel(const Device& device,
         op.end_ns += delta;
       }
       schedules[victim].makespan_ns += delta;
-      note_shift(victim, delta);
+      keys[victim].shifts.push_back(delta);
       for (CxEvent& ev : events) {
         if (ev.program == victim) {
           ev.start_ns += delta;
@@ -333,7 +330,7 @@ ParallelRunReport execute_parallel(const Device& device,
   for (const CxEvent& ev : events) {
     gamma_of[ev.program][ev.op] = ev.gamma;
     // Events are collected per program in op order, so each list ascends.
-    if (!keys.empty() && ev.gamma != 1.0) {
+    if (ev.gamma != 1.0) {
       keys[ev.program].gammas.emplace_back(static_cast<std::uint32_t>(ev.op),
                                            ev.gamma);
     }
@@ -352,16 +349,6 @@ ParallelRunReport execute_parallel(const Device& device,
   std::vector<int> local_of(device.num_qubits(), -1);
   std::vector<double> busy_until(device.num_qubits(), 0.0);
 
-  // No gate channels and no idle channels means the evolution is purely
-  // unitary (crosstalk only amplifies gate depolarizing, and readout error
-  // applies to the measurement probabilities afterwards), so each program
-  // can replay its *fused* kernel stream instead of stepping gate by gate
-  // — ~2x on noiseless density runs. Readout error, sampling seeds and all
-  // reporting are unaffected. Agreement with the per-op walk (the noisy
-  // path, run against a zero-error calibration) is pinned at <= 1e-10 by
-  // tests/test_fusion.cpp.
-  const bool fused_noiseless = !options.gate_noise && !options.idle_noise;
-
   // The exact noisy outcome distribution of program p.
   std::vector<std::uint32_t> order;
   auto simulate = [&](std::size_t p) {
@@ -377,96 +364,78 @@ ParallelRunReport execute_parallel(const Device& device,
 
     std::vector<std::pair<int, int>> measurements;  // (device qubit, clbit)
 
-    if (fused_noiseless) {
-      // Fused compilation of the compacted lowered circuit with this
-      // binding's angles (active qubit i = local bit i — exactly the
-      // local_of mapping the measurement packing below relies on), through
-      // the epoch's cache when given.
-      const Circuit compact = st.lowered_for(programs[p].circuit).compacted();
-      if (program_cache != nullptr) {
-        dm.run(*program_cache->fused(compact));
-      } else {
-        dm.run(CompiledProgram::compile(compact));
-      }
-      for (const Gate& g : circ.ops()) {
-        if (g.kind == GateKind::Measure) {
-          measurements.emplace_back(g.qubits[0], g.clbit);
-        }
-      }
-    } else {
-      // Process ops in time order (stable on op index for ties). The
-      // cached order sorts the unshifted schedule; a shift can only merge
-      // start times into ties, so keep it when it is still sorted by
-      // (start, index) and re-sort otherwise.
-      const std::vector<ScheduledOp>& sched = schedules[p].ops;
-      const std::vector<std::uint32_t>& cached = st.time_order();
-      const bool still_sorted = std::is_sorted(
-          cached.begin(), cached.end(), [&](std::uint32_t x, std::uint32_t y) {
-            return sched[x].start_ns < sched[y].start_ns ||
-                   (sched[x].start_ns == sched[y].start_ns && x < y);
-          });
-      const std::vector<std::uint32_t>* time_order = &cached;
-      if (!still_sorted) {
-        order = cached;
-        std::sort(order.begin(), order.end(),
-                  [&](std::uint32_t x, std::uint32_t y) {
-                    return sched[x].start_ns < sched[y].start_ns ||
-                           (sched[x].start_ns == sched[y].start_ns && x < y);
-                  });
-        time_order = &order;
-      }
+    // Process ops in time order (stable on op index for ties). The
+    // cached order sorts the unshifted schedule; a shift can only merge
+    // start times into ties, so keep it when it is still sorted by
+    // (start, index) and re-sort otherwise.
+    const std::vector<ScheduledOp>& sched = schedules[p].ops;
+    const std::vector<std::uint32_t>& cached = st.time_order();
+    const bool still_sorted = std::is_sorted(
+        cached.begin(), cached.end(), [&](std::uint32_t x, std::uint32_t y) {
+          return sched[x].start_ns < sched[y].start_ns ||
+                 (sched[x].start_ns == sched[y].start_ns && x < y);
+        });
+    const std::vector<std::uint32_t>* time_order = &cached;
+    if (!still_sorted) {
+      order = cached;
+      std::sort(order.begin(), order.end(),
+                [&](std::uint32_t x, std::uint32_t y) {
+                  return sched[x].start_ns < sched[y].start_ns ||
+                         (sched[x].start_ns == sched[y].start_ns && x < y);
+                });
+      time_order = &order;
+    }
 
-      // Idle window of device qubit q up to until_ns (thermal relaxation
-      // in the schedule gap), then mark it busy through busy_ns.
-      auto take_idle = [&](int q, double until_ns, double busy_ns) {
-        Relaxation r;
-        const double gap = until_ns - busy_until[q];
-        if (options.idle_noise && gap > 1e-9) {
-          r = {gap, cal.t1_us[q], cal.t2_us[q]};
-        }
-        busy_until[q] = busy_ns;
-        return r;
-      };
-
-      const std::vector<int>& cx_edges = st.cx_edges();
-      int local[2];
-      Relaxation idle[2];
-      for (std::uint32_t idx : *time_order) {
-        const Gate& g = circ.ops()[idx];
-        const ScheduledOp& so = sched[idx];
-        if (g.kind == GateKind::Barrier) continue;
-        if (g.kind == GateKind::Measure) {
-          const int q = g.qubits[0];
-          const Relaxation r = take_idle(q, so.start_ns, so.end_ns);
-          if (r.duration_ns > 0.0) {
-            dm.apply_relaxation(local_of[q], r.duration_ns, r.t1_us, r.t2_us);
-          }
-          measurements.emplace_back(q, g.clbit);
-          continue;
-        }
-        // Lowered circuits hold only 1q gates and CX.
-        const std::size_t width = g.qubits.size();
-        for (std::size_t i = 0; i < width; ++i) {
-          local[i] = local_of[g.qubits[i]];
-          idle[i] = take_idle(g.qubits[i], so.start_ns, so.end_ns);
-        }
-        double param = 0.0;
-        if (options.gate_noise && g.kind == GateKind::CX) {
-          const double gamma = gamma_of[p][idx];
-          const auto edge = static_cast<std::size_t>(cx_edges[idx]);
-          // x * 1.0 == x bitwise for every finite error rate, so the
-          // epoch-precomputed parameter is exact for unamplified gates.
-          param = gamma == 1.0
-                      ? derived->cx_depol[edge]
-                      : depolarizing_param(cal.cx_error[edge] * gamma);
-        } else if (options.gate_noise) {
-          param = derived->q1_depol[static_cast<std::size_t>(g.qubits[0])];
-        }
-        // Idle relaxation, gate and depolarizing in one sweep over rho.
-        dm.apply_noisy_gate(exe.channel(idx),
-                            std::span<const int>(local, width),
-                            std::span<const Relaxation>(idle, width), param);
+    // Idle window of device qubit q up to until_ns (thermal relaxation
+    // in the schedule gap), then mark it busy through busy_ns.
+    auto take_idle = [&](int q, double until_ns, double busy_ns) {
+      Relaxation r;
+      const double gap = until_ns - busy_until[q];
+      if (options.idle_noise && gap > 1e-9) {
+        r = {gap, cal.t1_us[q], cal.t2_us[q]};
       }
+      busy_until[q] = busy_ns;
+      return r;
+    };
+
+    const std::vector<int>& cx_edges = st.cx_edges();
+    int local[2];
+    Relaxation idle[2];
+    for (std::uint32_t idx : *time_order) {
+      const Gate& g = circ.ops()[idx];
+      const ScheduledOp& so = sched[idx];
+      if (g.kind == GateKind::Barrier) continue;
+      if (g.kind == GateKind::Measure) {
+        const int q = g.qubits[0];
+        const Relaxation r = take_idle(q, so.start_ns, so.end_ns);
+        if (r.duration_ns > 0.0) {
+          dm.apply_relaxation(local_of[q], r.duration_ns, r.t1_us, r.t2_us);
+        }
+        measurements.emplace_back(q, g.clbit);
+        continue;
+      }
+      // Lowered circuits hold only 1q gates and CX.
+      const std::size_t width = g.qubits.size();
+      for (std::size_t i = 0; i < width; ++i) {
+        local[i] = local_of[g.qubits[i]];
+        idle[i] = take_idle(g.qubits[i], so.start_ns, so.end_ns);
+      }
+      double param = 0.0;
+      if (options.gate_noise && g.kind == GateKind::CX) {
+        const double gamma = gamma_of[p][idx];
+        const auto edge = static_cast<std::size_t>(cx_edges[idx]);
+        // x * 1.0 == x bitwise for every finite error rate, so the
+        // epoch-precomputed parameter is exact for unamplified gates.
+        param = gamma == 1.0
+                    ? derived->cx_depol[edge]
+                    : depolarizing_param(cal.cx_error[edge] * gamma);
+      } else if (options.gate_noise) {
+        param = derived->q1_depol[static_cast<std::size_t>(g.qubits[0])];
+      }
+      // Idle relaxation, gate and depolarizing in one sweep over rho.
+      dm.apply_noisy_gate(exe.channel(idx),
+                          std::span<const int>(local, width),
+                          std::span<const Relaxation>(idle, width), param);
     }
 
     if (measurements.empty()) {
@@ -521,18 +490,13 @@ ParallelRunReport execute_parallel(const Device& device,
     const Circuit& circuit = programs[p].circuit;
     ProgramOutcome outcome;
     outcome.name = programs[p].name;
-    std::shared_ptr<const Distribution> memo =
-        program_cache != nullptr
-            ? program_cache->outcome(circuit, options.schedule, keys[p])
-            : nullptr;
-    if (memo != nullptr) {
+    if (const std::shared_ptr<const Distribution> memo =
+            program_cache->outcome(circuit, options.schedule, keys[p])) {
       outcome.distribution = *memo;
     } else {
       outcome.distribution = simulate(p);
-      if (program_cache != nullptr) {
-        program_cache->store_outcome(circuit, options.schedule,
-                                     std::move(keys[p]), outcome.distribution);
-      }
+      program_cache->store_outcome(circuit, options.schedule,
+                                   std::move(keys[p]), outcome.distribution);
     }
     Rng prog_rng = rng.derive(programs[p].name + "#" + std::to_string(p));
     outcome.counts = sample_counts(outcome.distribution, options.shots,

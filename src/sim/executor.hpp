@@ -117,17 +117,18 @@ struct ParallelRunReport {
 /// kernels per binding, and up to CompiledProgramCache::kMaxOutcomeVariants
 /// exact outcome distributions of its last binding keyed by OutcomeKey
 /// (sim/fusion.hpp); it must have been built for `device`, else
-/// std::invalid_argument. When null the compilation and simulation happen
-/// per call. `derived` (optional) supplies the calibration-derived
+/// std::invalid_argument. When null the call compiles through a
+/// zero-budget cache of its own: the same code, nothing kept past the
+/// call. `derived` (optional) supplies the calibration-derived
 /// constants precomputed for this device — it must have been built from
 /// exactly `device` (the outcome memo trusts it); a table sized for another
 /// topology throws std::invalid_argument. When null they are derived per
-/// call. Either way every gate replays through a
-/// precompiled kernel. With noise on, each gate and its channels — idle
-/// relaxation on its operands since their last op, then depolarizing —
-/// run as one DensityMatrix::apply_noisy_gate sweep, bit-identical to
-/// applying the channels one full pass at a time; idle windows before
-/// measurements relax in a pass of their own.
+/// call. Every gate replays through a precompiled kernel, gate by gate in
+/// schedule order, whichever noise flags are set: each gate and its
+/// channels — idle relaxation on its operands since their last op, then
+/// depolarizing — run as one DensityMatrix::apply_noisy_gate sweep,
+/// bit-identical to applying the channels one full pass at a time; idle
+/// windows before measurements relax in a pass of their own.
 [[nodiscard]] ParallelRunReport execute_parallel(
     const Device& device, std::vector<PhysicalProgram> programs,
     const ExecOptions& options = {},

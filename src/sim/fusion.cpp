@@ -493,18 +493,6 @@ ExecutableStructure ExecutableStructure::build(const Circuit& physical,
   return s;
 }
 
-Circuit ExecutableStructure::lowered_for(const Circuit& physical) const {
-  Circuit out = lowered_;
-  for (const ParamOp& p : parametric_) {
-    const Gate& g = physical.ops()[p.source];
-    for (std::size_t k = 0; k < g.params.size(); ++k) {
-      out.patch_param(p.lowered, k, g.params[k]);
-    }
-  }
-  out.invalidate_fingerprints();
-  return out;
-}
-
 CompiledExecutable CompiledExecutable::compile(const Circuit& physical,
                                                const Device* device,
                                                const SchedulePolicy policy) {

@@ -53,10 +53,14 @@
 // its skeleton and schedule, and a structure build compiles nothing.
 // Replay is gate by gate, each gate in one density sweep together with its
 // idle relaxation and depolarizing, arithmetic identical to the
-// uncompiled path bit for bit. CompiledProgramCache memoizes fused
-// programs per circuit fingerprint and executables per (structural
-// fingerprint, schedule policy); it lives on a calibration epoch next to
-// CandidateIndex, so a recalibration starts it cold.
+// uncompiled path bit for bit. The executor replays this per-op stream
+// under every noise setting, noiseless runs included; fused programs serve
+// the ideal pipeline. CompiledProgramCache memoizes fused programs per
+// circuit fingerprint and executables per (structural fingerprint,
+// schedule policy); it lives on a calibration epoch next to
+// CandidateIndex, so a recalibration starts it cold. execute_parallel
+// without an epoch compiles through a zero-budget one, which keeps
+// nothing.
 //
 // Each executable entry also memoizes outcomes of its last binding: the
 // exact noisy Distribution execute_parallel computed for it, keyed by an
@@ -243,8 +247,6 @@ class ExecutableStructure {
 
   /// Lowered circuit of the binding the structure was built from.
   [[nodiscard]] const Circuit& lowered() const noexcept { return lowered_; }
-  /// The lowered circuit with `physical`'s own angles (same structure).
-  [[nodiscard]] Circuit lowered_for(const Circuit& physical) const;
   [[nodiscard]] const std::vector<ParamOp>& parametric() const noexcept {
     return parametric_;
   }

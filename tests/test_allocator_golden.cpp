@@ -1,11 +1,13 @@
 // Golden suite for the CandidateIndex-backed allocator: across randomized
-// batch streams on every bundled topology, the indexed path must produce
-// bit-identical results to the reference (non-indexed) path — the same
-// candidate partitions, chosen in the same order, with the same EFS
-// doubles — for every candidate-based partitioner, and the packer must
-// make identical packing decisions. This is the contract that lets the
-// service use the memoized allocator without a behavior flag. The
-// candidate generator itself is pinned by a hash of its output.
+// batch streams on every bundled topology, allocation through a persistent
+// index and through the zero-budget index an index-less call walks must
+// both produce bit-identical results to the index-less reference loops
+// (tests/reference_allocator.hpp) — the same candidate partitions, chosen
+// in the same order, with the same EFS doubles — for every candidate-based
+// partitioner, and the packer must make identical packing decisions. This
+// is the contract that lets the service use the memoized allocator without
+// a behavior flag. The candidate generator itself is pinned by a hash of
+// its output.
 
 #include "partition/candidate_index.hpp"
 
@@ -22,6 +24,7 @@
 #include "common/rng.hpp"
 #include "partition/candidates.hpp"
 #include "partition/partitioners.hpp"
+#include "reference_allocator.hpp"
 #include "service/fleet.hpp"
 
 namespace qucp {
@@ -37,19 +40,26 @@ std::vector<Device> bundled_devices() {
   return devices;
 }
 
-std::vector<std::unique_ptr<Partitioner>> candidate_partitioners(
-    const Device& device, Rng& rng) {
-  std::vector<std::unique_ptr<Partitioner>> out;
-  out.push_back(std::make_unique<QucpPartitioner>(4.0));
+using reference::PartitionerPair;
+
+/// Every candidate-based partitioner with its reference twin; QuMC gets
+/// random per-pair estimates.
+std::vector<PartitionerPair> candidate_partitioners(const Device& device,
+                                                    Rng& rng) {
+  std::vector<PartitionerPair> out;
+  out.push_back({std::make_unique<QucpPartitioner>(4.0), reference::qucp(4.0)});
   CrosstalkModel estimates;
   for (const auto& [e1, e2] : device.topology().one_hop_edge_pairs()) {
     if (rng.bernoulli(0.5)) {
       estimates.add_pair(e1, e2, rng.uniform(1.0, 8.0));
     }
   }
-  out.push_back(std::make_unique<QumcPartitioner>(std::move(estimates)));
-  out.push_back(std::make_unique<QucloudPartitioner>());
-  out.push_back(std::make_unique<MultiqcPartitioner>());
+  out.push_back({std::make_unique<QumcPartitioner>(estimates),
+                 reference::qumc(estimates)});
+  out.push_back(
+      {std::make_unique<QucloudPartitioner>(), reference::qucloud()});
+  out.push_back(
+      {std::make_unique<MultiqcPartitioner>(), reference::multiqc()});
   return out;
 }
 
@@ -102,13 +112,14 @@ TEST(AllocatorGolden, IndexedAllocationBitIdenticalOnAllTopologies) {
       const std::vector<std::size_t> order = allocation_order(shapes);
       std::vector<ProgramShape> ordered;
       for (std::size_t idx : order) ordered.push_back(shapes[idx]);
-      for (const auto& partitioner : partitioners) {
-        const std::string context = device.name() + "/" +
-                                    partitioner->name() + "/batch" +
-                                    std::to_string(batch);
-        const auto reference = partitioner->allocate(device, ordered);
-        const auto indexed = partitioner->allocate(device, ordered, &index);
-        expect_identical(reference, indexed, context);
+      for (const auto& [subject, oracle] : partitioners) {
+        const std::string context = device.name() + "/" + subject->name() +
+                                    "/batch" + std::to_string(batch);
+        const auto reference = oracle->allocate(device, ordered);
+        expect_identical(reference, subject->allocate(device, ordered, &index),
+                         context);
+        expect_identical(reference, subject->allocate(device, ordered),
+                         context + "/zero-budget");
       }
     }
   }
@@ -168,6 +179,7 @@ TEST(AllocatorGolden, PackerDecisionsIdenticalWithIndex) {
   const Device device = make_toronto27();
   CandidateIndex index(device);
   const QucpPartitioner partitioner;
+  const auto oracle = reference::qucp();
   Rng rng(99);
   for (int trial = 0; trial < 8; ++trial) {
     std::vector<PackJob> jobs;
@@ -189,7 +201,7 @@ TEST(AllocatorGolden, PackerDecisionsIdenticalWithIndex) {
     const FleetSlot slot_ref{&device, nullptr, &cache_ref};
     const FleetSlot slot_idx{&device, &index, &cache_idx};
     const FleetPlan reference = pack_fleet(
-        std::span<const FleetSlot>(&slot_ref, 1), jobs, partitioner, opts);
+        std::span<const FleetSlot>(&slot_ref, 1), jobs, *oracle, opts);
     const FleetPlan indexed = pack_fleet(
         std::span<const FleetSlot>(&slot_idx, 1), jobs, partitioner, opts);
     ASSERT_EQ(reference.batches[0].size(), indexed.batches[0].size()) << trial;
@@ -223,6 +235,7 @@ TEST(AllocatorGolden, OversizedProgramsYieldNoCandidates) {
   const std::vector<ProgramShape> programs{ProgramShape{5, 3, 3}};
   EXPECT_FALSE(partitioner.allocate(device, programs, &index).has_value());
   EXPECT_FALSE(partitioner.allocate(device, programs).has_value());
+  EXPECT_FALSE(reference::qucp()->allocate(device, programs).has_value());
 }
 
 /// An allocate() outcome that also captures a thrown invalid_argument, so
@@ -253,9 +266,10 @@ void expect_same_outcome(const Outcome& reference, const Outcome& indexed,
 TEST(AllocatorGolden, MemoSharedAcrossPoliciesBitIdentical) {
   // One index per topology serves QuCP at two sigmas, QuMC, QuCloud and
   // MultiQC interleaved, so memoized states built under one policy are
-  // rescored under the others. Batches include widths that do not fit and
-  // 2q gates on a 1-qubit program (efs_score's "needs an edge" throw,
-  // which must still fire when the state comes from the memo).
+  // rescored under the others; each must match its reference twin.
+  // Batches include widths that do not fit and 2q gates on a 1-qubit
+  // program (efs_score's "needs an edge" throw, which must still fire when
+  // the state comes from the memo).
   Rng rng(20261017);
   std::vector<Device> devices;
   devices.push_back(make_melbourne16());
@@ -263,17 +277,21 @@ TEST(AllocatorGolden, MemoSharedAcrossPoliciesBitIdentical) {
   devices.push_back(make_manhattan65());
   for (const Device& device : devices) {
     CandidateIndex index(device);
-    std::vector<std::unique_ptr<Partitioner>> partitioners;
-    partitioners.push_back(std::make_unique<QucpPartitioner>(4.0));
-    partitioners.push_back(std::make_unique<QucpPartitioner>(2.0));
+    std::vector<PartitionerPair> partitioners;
+    partitioners.push_back(
+        {std::make_unique<QucpPartitioner>(4.0), reference::qucp(4.0)});
+    partitioners.push_back(
+        {std::make_unique<QucpPartitioner>(2.0), reference::qucp(2.0)});
     CrosstalkModel estimates;
     for (const auto& [e1, e2] : device.topology().one_hop_edge_pairs()) {
       if (rng.bernoulli(0.5)) estimates.add_pair(e1, e2, rng.uniform(1.0, 8.0));
     }
+    partitioners.push_back({std::make_unique<QumcPartitioner>(estimates),
+                            reference::qumc(estimates)});
     partitioners.push_back(
-        std::make_unique<QumcPartitioner>(std::move(estimates)));
-    partitioners.push_back(std::make_unique<QucloudPartitioner>());
-    partitioners.push_back(std::make_unique<MultiqcPartitioner>());
+        {std::make_unique<QucloudPartitioner>(), reference::qucloud()});
+    partitioners.push_back(
+        {std::make_unique<MultiqcPartitioner>(), reference::multiqc()});
 
     const int n = device.num_qubits();
     for (int batch = 0; batch < 40; ++batch) {
@@ -296,13 +314,19 @@ TEST(AllocatorGolden, MemoSharedAcrossPoliciesBitIdentical) {
       const std::size_t first =
           static_cast<std::size_t>(rng.integer(0, 4));
       for (std::size_t p = 0; p < partitioners.size(); ++p) {
-        const Partitioner& partitioner =
-            *partitioners[(first + p) % partitioners.size()];
-        const std::string context = device.name() + "/" + partitioner.name() +
-                                    "/batch" + std::to_string(batch);
+        const PartitionerPair& pair =
+            partitioners[(first + p) % partitioners.size()];
+        const std::string context = device.name() + "/" +
+                                    pair.subject->name() + "/batch" +
+                                    std::to_string(batch);
+        const Outcome reference =
+            run_allocate(*pair.oracle, device, ordered, nullptr);
         expect_same_outcome(
-            run_allocate(partitioner, device, ordered, nullptr),
-            run_allocate(partitioner, device, ordered, &index), context);
+            reference, run_allocate(*pair.subject, device, ordered, &index),
+            context);
+        expect_same_outcome(
+            reference, run_allocate(*pair.subject, device, ordered, nullptr),
+            context + "/zero-budget");
       }
     }
 
@@ -310,15 +334,14 @@ TEST(AllocatorGolden, MemoSharedAcrossPoliciesBitIdentical) {
     // gates must still throw on the hit, for every partitioner.
     const std::vector<ProgramShape> plain{ProgramShape{1, 0, 3}};
     const std::vector<ProgramShape> needs_edge{ProgramShape{1, 2, 3}};
-    for (const auto& partitioner : partitioners) {
-      ASSERT_TRUE(partitioner->allocate(device, plain, &index).has_value());
-      const Outcome hit =
-          run_allocate(*partitioner, device, needs_edge, &index);
+    for (const auto& [subject, oracle] : partitioners) {
+      ASSERT_TRUE(subject->allocate(device, plain, &index).has_value());
+      const Outcome hit = run_allocate(*subject, device, needs_edge, &index);
       EXPECT_EQ(hit.error, "efs_score: program needs an edge")
-          << device.name() << "/" << partitioner->name();
+          << device.name() << "/" << subject->name();
       expect_same_outcome(
-          run_allocate(*partitioner, device, needs_edge, nullptr), hit,
-          device.name() + "/" + partitioner->name() + "/needs_edge");
+          run_allocate(*oracle, device, needs_edge, nullptr), hit,
+          device.name() + "/" + subject->name() + "/needs_edge");
     }
     EXPECT_LE(index.state_stats().bytes, kDefaultCacheBytes);
   }
@@ -385,6 +408,8 @@ TEST(AllocatorGolden, ConcurrentAllocationMatchesSingleThreaded) {
   const Device device = make_toronto27();
   const QucpPartitioner qucp(4.0);
   const MultiqcPartitioner multiqc;
+  const auto qucp_oracle = reference::qucp(4.0);
+  const auto multiqc_oracle = reference::multiqc();
   Rng rng(4242);
   std::vector<std::vector<ProgramShape>> batches;
   for (int b = 0; b < 24; ++b) {
@@ -399,7 +424,9 @@ TEST(AllocatorGolden, ConcurrentAllocationMatchesSingleThreaded) {
   };
   std::vector<std::optional<std::vector<PartitionAssignment>>> reference;
   for (std::size_t b = 0; b < batches.size(); ++b) {
-    reference.push_back(partitioner_of(b).allocate(device, batches[b]));
+    const Partitioner& oracle =
+        b % 3 == 0 ? *multiqc_oracle : *qucp_oracle;
+    reference.push_back(oracle.allocate(device, batches[b]));
   }
 
   CandidateIndex index(device);
@@ -440,8 +467,8 @@ TEST(AllocatorGolden, MemoStaysBoundedAndResultsUnchanged) {
   const QucpPartitioner qucp(4.0);
   const std::vector<ProgramShape> golden_batch = {
       {5, 10, 10}, {4, 7, 8}, {3, 4, 6}, {2, 3, 3}};
-  const auto reference = qucp.allocate(device, golden_batch);
-  expect_identical(reference, qucp.allocate(device, golden_batch, &index),
+  const auto want = reference::qucp(4.0)->allocate(device, golden_batch);
+  expect_identical(want, qucp.allocate(device, golden_batch, &index),
                    "before flood");
   const std::shared_ptr<const CandidateIndex::State> early =
       index.state(index.empty_key(3));
@@ -478,7 +505,7 @@ TEST(AllocatorGolden, MemoStaysBoundedAndResultsUnchanged) {
   const EfsBreakdown again =
       early->score(0, ProgramShape{3, 2, 2}, SigmaPolicy(4.0));
   EXPECT_EQ(again.score, early_score.score);
-  expect_identical(reference, qucp.allocate(device, golden_batch, &index),
+  expect_identical(want, qucp.allocate(device, golden_batch, &index),
                    "after flood");
 }
 

@@ -16,6 +16,7 @@
 #include "benchmarks/suite.hpp"
 #include "common/rng.hpp"
 #include "partition/candidate_index.hpp"
+#include "reference_allocator.hpp"
 #include "service/packer.hpp"
 
 namespace qucp {
@@ -29,8 +30,8 @@ PackJob make_job(std::size_t index, ProgramShape shape,
 /// Slots + per-slot caches with stable addresses.
 struct TestFleet {
   /// `indexed` gives every slot its own CandidateIndex, so admission
-  /// probes allocate through its memoized states; index-less slots
-  /// generate and score every candidate from scratch.
+  /// probes allocate through its memoized states; index-less slots walk a
+  /// zero-budget index per probe.
   explicit TestFleet(std::vector<Device> devs, bool indexed = false)
       : devices(std::move(devs)) {
     caches.resize(devices.size());
@@ -545,19 +546,24 @@ std::vector<Device> bundled_topologies() {
   return devices;
 }
 
-std::vector<std::unique_ptr<Partitioner>> candidate_partitioners(
+/// Every candidate-based partitioner with its index-less reference twin
+/// (tests/reference_allocator.hpp); QuMC gets random per-pair estimates.
+std::vector<reference::PartitionerPair> candidate_partitioners(
     const Device& device, Rng& rng) {
-  std::vector<std::unique_ptr<Partitioner>> out;
-  out.push_back(std::make_unique<QucpPartitioner>(4.0));
+  std::vector<reference::PartitionerPair> out;
+  out.push_back({std::make_unique<QucpPartitioner>(4.0), reference::qucp(4.0)});
   CrosstalkModel estimates;
   for (const auto& [e1, e2] : device.topology().one_hop_edge_pairs()) {
     if (rng.bernoulli(0.5)) {
       estimates.add_pair(e1, e2, rng.uniform(1.0, 8.0));
     }
   }
-  out.push_back(std::make_unique<QumcPartitioner>(std::move(estimates)));
-  out.push_back(std::make_unique<QucloudPartitioner>());
-  out.push_back(std::make_unique<MultiqcPartitioner>());
+  out.push_back({std::make_unique<QumcPartitioner>(estimates),
+                 reference::qumc(estimates)});
+  out.push_back(
+      {std::make_unique<QucloudPartitioner>(), reference::qucloud()});
+  out.push_back(
+      {std::make_unique<MultiqcPartitioner>(), reference::multiqc()});
   return out;
 }
 
@@ -603,13 +609,13 @@ std::vector<PackJob> random_pack_jobs(Rng& rng, int max_qubits) {
 
 TEST(PackFleet, IncrementalAdmissionBitIdenticalOnAllTopologies) {
   // Golden A/B for the admission probe: a slot carrying the backend's
-  // CandidateIndex (memoized allocation states) must reproduce an
-  // index-less slot (reference candidate generation per probe) bit for bit —
-  // same batches, same spill stream, same modeled-seconds doubles, same
-  // solo-EFS cache fills — over randomized job streams (exclusive jobs and
-  // tight EFS thresholds included) on every bundled topology, for every
-  // candidate partitioner.
-  // test_allocator_golden pins indexed == index-less allocation itself.
+  // CandidateIndex (memoized allocation states) must reproduce the
+  // index-less reference allocator (candidate generation per probe,
+  // tests/reference_allocator.hpp) bit for bit — same batches, same spill
+  // stream, same modeled-seconds doubles, same solo-EFS cache fills — over
+  // randomized job streams (exclusive jobs and tight EFS thresholds
+  // included) on every bundled topology, for every candidate partitioner.
+  // test_allocator_golden pins the allocation itself.
   Rng rng(20260808);
   for (const Device& device : bundled_topologies()) {
     CandidateIndex index(device);  // persists across trials, like Backend's
@@ -620,9 +626,8 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalOnAllTopologies) {
       PackOptions opts;
       opts.max_batch_size = static_cast<int>(rng.integer(1, 5));
       if (rng.bernoulli(0.5)) opts.efs_threshold = rng.uniform(0.0, 0.4);
-      for (const auto& partitioner : partitioners) {
-        const std::string context = device.name() + "/" +
-                                    std::string(partitioner->name()) +
+      for (const auto& [subject, oracle] : partitioners) {
+        const std::string context = device.name() + "/" + subject->name() +
                                     "/trial" + std::to_string(trial);
         std::map<std::uint64_t, double> cache_ref;
         std::map<std::uint64_t, double> cache_inc;
@@ -630,10 +635,10 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalOnAllTopologies) {
         const FleetSlot slot_inc{&device, &index, &cache_inc};
         const FleetPlan reference =
             pack_fleet(std::span<const FleetSlot>(&slot_ref, 1), jobs,
-                       *partitioner, opts, nullptr);
+                       *oracle, opts, nullptr);
         const FleetPlan incremental =
             pack_fleet(std::span<const FleetSlot>(&slot_inc, 1), jobs,
-                       *partitioner, opts, nullptr);
+                       *subject, opts, nullptr);
         expect_plans_identical(reference, incremental, context);
         EXPECT_EQ(cache_ref, cache_inc) << context;
       }
@@ -646,9 +651,10 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalAcrossPoliciesAndBacklogs) {
   // policy (and the policy-less id-order engine), with lopsided modeled
   // backlogs so the queue-aware path and the reservation lane are
   // exercised: the probe must not shift a single routing decision, spill,
-  // or wait/reservation double.
+  // or wait/reservation double, with persistent indexes or without.
   Rng rng(8088);
   const QucpPartitioner partitioner;
+  const auto oracle = reference::qucp();
   for (int trial = 0; trial < 5; ++trial) {
     const std::vector<PackJob> jobs = random_pack_jobs(rng, 6);
     PackOptions opts;
@@ -664,17 +670,18 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalAcrossPoliciesAndBacklogs) {
         const std::string context =
             "trial" + std::to_string(trial) + "/" +
             (use_policy ? std::string(route_policy_name(kind)) : "id-order");
-        auto run = [&](bool indexed) {
+        auto run = [&](const Partitioner& p, bool indexed) {
           TestFleet fleet({make_toronto27(), make_line_device(9),
                            make_grid_device(4, 5)},
                           indexed);
           const auto policy = use_policy ? make_routing_policy(kind) : nullptr;
-          return pack_fleet(fleet.slots, jobs, partitioner, opts, policy.get(),
+          return pack_fleet(fleet.slots, jobs, p, opts, policy.get(),
                             backlog);
         };
-        const FleetPlan reference = run(false);
-        const FleetPlan incremental = run(true);
-        expect_plans_identical(reference, incremental, context);
+        const FleetPlan reference = run(*oracle, false);
+        expect_plans_identical(reference, run(partitioner, true), context);
+        expect_plans_identical(reference, run(partitioner, false),
+                               context + "/zero-budget");
         if (!use_policy) break;  // the id-order arm has no policy kinds
       }
     }
@@ -693,6 +700,7 @@ TEST(PackFleet, ThresholdAdmissionFollowsTheDecisionRule) {
   const Device device = make_toronto27();
   CandidateIndex index(device);
   const QucpPartitioner partitioner;
+  const auto oracle = reference::qucp();
   for (int trial = 0; trial < 24; ++trial) {
     std::vector<PackJob> jobs;
     const int n = static_cast<int>(rng.integer(2, 12));
@@ -718,10 +726,10 @@ TEST(PackFleet, ThresholdAdmissionFollowsTheDecisionRule) {
       for (std::size_t idx : allocation_order(shapes)) {
         ordered.push_back(shapes[idx]);
       }
-      const auto alloc = partitioner.allocate(device, ordered);
+      const auto alloc = oracle->allocate(device, ordered);
       if (!alloc) return false;
       for (std::size_t pos = 0; pos < ordered.size(); ++pos) {
-        const auto solo = solo_efs_score(device, partitioner, ordered[pos]);
+        const auto solo = solo_efs_score(device, *oracle, ordered[pos]);
         if ((*alloc)[pos].efs.score - *solo > opts.efs_threshold) return false;
       }
       return true;

@@ -230,12 +230,10 @@ Device zero_gate_error_copy(const Device& device) {
                 device.crosstalk_ground_truth());
 }
 
-TEST(FusionGolden, NoiselessExecutorFusedStreamMatchesPerOpReplay) {
-  // With gate_noise and idle_noise both off, the executor consumes the
-  // fused CompiledProgram stream instead of replaying per-op channels.
-  // The reference is the per-op walk itself — the noisy path, with gate
-  // noise on against a zero-gate-error copy of the calibration and idle
-  // noise off. The distributions must agree to <= 1e-10 on every bundled
+TEST(FusionGolden, NoiseOffMatchesZeroGateErrorCalibration) {
+  // Turning gate_noise and idle_noise off must run the same evolution as
+  // gate noise on against a zero-gate-error copy of the calibration (idle
+  // noise off): the distributions must agree to <= 1e-10 on every bundled
   // topology — through the epoch caches and without them, readout noise
   // on and off — and the schedule-derived reporting must not move at all.
   std::uint64_t seed = 1300;
@@ -248,22 +246,22 @@ TEST(FusionGolden, NoiselessExecutorFusedStreamMatchesPerOpReplay) {
     std::vector<PhysicalProgram> progs;
     progs.push_back({c, "noiseless"});
     for (const bool readout : {true, false}) {
-      ExecOptions fused_opts;
-      fused_opts.shots = 128;
-      fused_opts.gate_noise = false;
-      fused_opts.idle_noise = false;
-      fused_opts.readout_noise = readout;
-      ExecOptions per_op_opts = fused_opts;
-      per_op_opts.gate_noise = true;
-      // Twice through the epoch: the second run replays the cached fused
-      // program. A third run goes through no cache at all.
-      const ParallelRunReport fused = epoch->execute(progs, fused_opts);
-      const ParallelRunReport fused2 = epoch->execute(progs, fused_opts);
+      ExecOptions off_opts;
+      off_opts.shots = 128;
+      off_opts.gate_noise = false;
+      off_opts.idle_noise = false;
+      off_opts.readout_noise = readout;
+      ExecOptions zero_error_opts = off_opts;
+      zero_error_opts.gate_noise = true;
+      // Twice through the epoch: the second run replays the cached
+      // executable and its outcome. A third run has no epoch.
+      const ParallelRunReport off = epoch->execute(progs, off_opts);
+      const ParallelRunReport off2 = epoch->execute(progs, off_opts);
       const ParallelRunReport uncached =
-          execute_parallel(device, progs, fused_opts);
+          execute_parallel(device, progs, off_opts);
       const ParallelRunReport per_op =
-          execute_parallel(zero_error, progs, per_op_opts);
-      for (const ParallelRunReport* run : {&fused, &fused2, &uncached}) {
+          execute_parallel(zero_error, progs, zero_error_opts);
+      for (const ParallelRunReport* run : {&off, &off2, &uncached}) {
         EXPECT_LT(dist_diff(run->programs[0].distribution,
                             per_op.programs[0].distribution),
                   kTol)
@@ -273,7 +271,7 @@ TEST(FusionGolden, NoiselessExecutorFusedStreamMatchesPerOpReplay) {
         EXPECT_EQ(run->crosstalk_events, per_op.crosstalk_events)
             << device.name();
       }
-      EXPECT_EQ(fused.programs[0].counts.total(), 128);
+      EXPECT_EQ(off.programs[0].counts.total(), 128);
     }
   }
 }

@@ -251,7 +251,7 @@ TEST(OutcomeMemo, EveryNoiseFlagIsPartOfTheKey) {
     h.options.*flag = true;
     EXPECT_EQ(h.run({{a, "a"}}), 0u);
   }
-  // Both gate and idle noise off: the fused noiseless replay.
+  // Both gate and idle noise off at once is a key of its own too.
   h.options.idle_noise = false;
   h.options.gate_noise = false;
   EXPECT_EQ(h.run({{a, "a"}}), 1u);

@@ -2,15 +2,17 @@
 // the structural transpile / fusion-plan caches).
 //
 // The load-bearing contract is BIT-identity: a template bind must produce
-// exactly the TranspiledProgram a from-scratch transpile_to_partition()
-// would, gate for gate and bit for bit in every parameter — including
+// exactly the TranspiledProgram the untraced pipeline
+// (tests/reference_transpile.hpp) would, gate for gate and bit for bit in
+// every parameter — including
 // bindings that flip one of the optimizer's recorded identity decisions,
 // which must fall back to a rebuild rather than serve a wrong program.
 // Likewise FusionPlan::materialize() replayed against a re-bound circuit
 // must equal CompiledProgram::compile() of that circuit coefficient for
 // coefficient. Service-level tests pin that the structural cache is a
-// pure performance path: a cached service and an uncached one (budget 0,
-// every job transpiled from scratch) yield identical reports.
+// pure performance path: a cached service and a budget-0 one (caches that
+// store nothing, so every job builds its template afresh) yield identical
+// reports.
 
 #include "mapping/parametric.hpp"
 
@@ -29,6 +31,7 @@
 #include "common/rng.hpp"
 #include "hardware/device.hpp"
 #include "mapping/transpiler.hpp"
+#include "reference_transpile.hpp"
 #include "service/backend.hpp"
 #include "service/service.hpp"
 #include "sim/density.hpp"
@@ -158,7 +161,7 @@ void expect_compiled_bit_identical(const CompiledProgram& got,
 TEST(ParametricTranspile, BindsBitIdenticalOnAllTopologies) {
   // Randomized parameterized circuits on every bundled topology: the first
   // transpile through the epoch cache seeds a template, every re-bound
-  // sweep iteration afterwards must reproduce transpile_to_partition()
+  // sweep iteration afterwards must reproduce the untraced pipeline
   // exactly — same ops (bit-equal params), layouts, and swap count.
   std::uint64_t seed = 4400;
   const TranspileOptions topts = hardware_aware_options();
@@ -174,7 +177,7 @@ TEST(ParametricTranspile, BindsBitIdenticalOnAllTopologies) {
       for (int iter = 0; iter < 8; ++iter) {
         const Circuit c = iter == 0 ? base : rebound(base, rng);
         const TranspiledProgram want =
-            transpile_to_partition(c, device, partition, topts);
+            reference::untraced_transpile(c, device, partition, topts);
         const TranspiledProgram got =
             epoch->transpile(c, partition, topts, /*options_fp=*/17);
         expect_programs_bit_identical(
@@ -218,7 +221,7 @@ TEST(ParametricTranspile, IdentityFlippingBindingsFallBackBitIdentical) {
   for (const auto& [a, b] : cases) {
     const Circuit c = make(a, b);
     const TranspiledProgram want =
-        transpile_to_partition(c, device, partition, topts);
+        reference::untraced_transpile(c, device, partition, topts);
     const TranspiledProgram got = epoch->transpile(c, partition, topts, 3);
     expect_programs_bit_identical(got, want,
                                   "a=" + std::to_string(a) +
@@ -231,7 +234,8 @@ TEST(ParametricTranspile, IdentityFlippingBindingsFallBackBitIdentical) {
   const Circuit again = make(0.4, 2.2);
   expect_programs_bit_identical(
       epoch->transpile(again, partition, topts, 3),
-      transpile_to_partition(again, device, partition, topts), "post-rebuild");
+      reference::untraced_transpile(again, device, partition, topts),
+      "post-rebuild");
   EXPECT_GT(epoch->cache_stats().structural_hits, stats.structural_hits);
 }
 
@@ -263,7 +267,7 @@ TEST(ParametricTranspile, MergedRotationChainsReplayExactSums) {
                            rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0));
     expect_programs_bit_identical(
         epoch->transpile(c, partition, topts, 5),
-        transpile_to_partition(c, device, partition, topts),
+        reference::untraced_transpile(c, device, partition, topts),
         "iter " + std::to_string(iter));
   }
   EXPECT_GT(epoch->cache_stats().structural_hits, 0u);
@@ -296,7 +300,7 @@ TEST(ParametricTranspile, ConcurrentBindsAreRaceFreeAndExact) {
         c.measure_all();
         const TranspiledProgram got = epoch->transpile(c, partition, topts, 9);
         const TranspiledProgram want =
-            transpile_to_partition(c, device, partition, topts);
+            reference::untraced_transpile(c, device, partition, topts);
         if (got.physical.ops() != want.physical.ops() ||
             got.final_layout != want.final_layout) {
           mismatches.fetch_add(1);
@@ -316,8 +320,8 @@ TEST(ParametricTranspile, ConcurrentBindsAreRaceFreeAndExact) {
 
 TEST(ParametricTranspile, BindSweepBitIdenticalToFromScratch) {
   // A 12-binding sweep bound against one template: every accepted bind
-  // must be bit-identical to a from-scratch transpile_to_partition() of
-  // the bound circuit, and a binding that zeroes the first rotation (an
+  // must be bit-identical to the untraced pipeline's transpile of the
+  // bound circuit, and a binding that zeroes the first rotation (an
   // identity the representative binding did not have, so it flips that
   // rotation's recorded decision) must be rejected.
   std::uint64_t seed = 5200;
@@ -329,7 +333,8 @@ TEST(ParametricTranspile, BindSweepBitIdenticalToFromScratch) {
     const TranspileTemplate tmpl =
         TranspileTemplate::build(base, device, partition, topts);
     expect_programs_bit_identical(
-        tmpl.result, transpile_to_partition(base, device, partition, topts),
+        tmpl.result,
+        reference::untraced_transpile(base, device, partition, topts),
         device.name() + " binding0");
 
     // The first rotation's decision is checked on its own slot: no
@@ -357,11 +362,95 @@ TEST(ParametricTranspile, BindSweepBitIdenticalToFromScratch) {
       }
       ASSERT_TRUE(bound.has_value()) << label;
       expect_programs_bit_identical(
-          *bound, transpile_to_partition(c, device, partition, topts), label);
+          *bound, reference::untraced_transpile(c, device, partition, topts),
+          label);
     }
     // Slot-count mismatch is rejected rather than evaluating garbage.
     const std::vector<double> wrong(tmpl.binding0.size() + 1, 0.5);
     EXPECT_FALSE(tmpl.bind(wrong).has_value()) << device.name();
+  }
+}
+
+TEST(ParametricTranspile, ZeroBudgetEpochMatchesUntracedPipeline) {
+  // A budget-0 epoch runs the cached code path with caches that store
+  // nothing: every transpile() and transpile_sweep() call probes, misses
+  // once, builds a template and binds the rest of its sweep against it.
+  // Over the random corpus, with bindings that flip a recorded identity
+  // decision mixed in, every program must equal the untraced pipeline, and
+  // the cache must count exactly one miss per call and keep no entry.
+  std::uint64_t seed = 6100;
+  const std::vector<int> no_context;
+  const TranspileOptions option_sets[] = {hardware_aware_options(),
+                                          cna_options(no_context, nullptr)};
+  for (const Device& device : bundled_devices()) {
+    const CalibrationEpoch epoch(0, device, /*cache_budget_bytes=*/0);
+    Rng rng(seed++);
+    std::uint64_t calls = 0;
+    std::uint64_t fallbacks = 0;
+    for (int trial = 0; trial < 3; ++trial) {
+      const int k = 2 + static_cast<int>(rng.index(3));  // 2..4 qubits
+      const std::vector<int> partition = random_region(device, rng, k);
+      const Circuit base = random_logical_circuit(k, rng, 25 + 10 * trial);
+      std::size_t first_rotation = base.ops().size();
+      for (std::size_t op = 0; op < base.ops().size(); ++op) {
+        const GateKind kind = base.ops()[op].kind;
+        if (kind == GateKind::RX || kind == GateKind::RY ||
+            kind == GateKind::RZ) {
+          first_rotation = op;
+          break;
+        }
+      }
+      std::vector<Circuit> corpus;
+      for (int i = 0; i < 6; ++i) {
+        Circuit c = i == 0 ? base : rebound(base, rng, 0.1, 3.0);
+        // Zeroing the first rotation flips its recorded decision against
+        // a template built from a nonzero binding, and back again.
+        if (i % 3 == 2 && first_rotation < base.ops().size()) {
+          c.set_param(first_rotation, 0, 0.0);
+        }
+        corpus.push_back(std::move(c));
+      }
+      for (std::size_t o = 0; o < std::size(option_sets); ++o) {
+        const TranspileOptions& topts = option_sets[o];
+        const std::string label = device.name() + " trial " +
+                                  std::to_string(trial) + " options " +
+                                  std::to_string(o);
+        std::vector<TranspiledProgram> want;
+        for (const Circuit& c : corpus) {
+          want.push_back(
+              reference::untraced_transpile(c, device, partition, topts));
+        }
+        for (std::size_t i = 0; i < corpus.size(); ++i) {
+          expect_programs_bit_identical(
+              epoch.transpile(corpus[i], partition, topts, 40 + o), want[i],
+              label + " call " + std::to_string(i));
+          ++calls;
+          EXPECT_EQ(epoch.cache_stats().misses, calls) << label;
+        }
+        std::vector<const Circuit*> circuits;
+        for (const Circuit& c : corpus) circuits.push_back(&c);
+        std::vector<TranspiledProgram> swept;
+        epoch.transpile_sweep(circuits, partition, topts, 40 + o, swept);
+        ++calls;
+        ASSERT_EQ(swept.size(), corpus.size()) << label;
+        for (std::size_t i = 0; i < corpus.size(); ++i) {
+          expect_programs_bit_identical(swept[i], want[i],
+                                        label + " sweep " + std::to_string(i));
+        }
+        const TranspileCacheStats stats = epoch.cache_stats();
+        EXPECT_EQ(stats.misses, calls) << label;
+        EXPECT_EQ(stats.entries, 0u) << label;
+        fallbacks = stats.bind_fallbacks;
+      }
+    }
+    // Single calls never bind: only sweeps count hits, binds or fallbacks,
+    // one for each circuit after a sweep's first.
+    const TranspileCacheStats stats = epoch.cache_stats();
+    EXPECT_EQ(stats.hits + stats.structural_hits + stats.bind_fallbacks,
+              3u * std::size(option_sets) * 5u)
+        << device.name();
+    EXPECT_GT(fallbacks, 0u) << device.name();
+    EXPECT_EQ(epoch.cache_memory().transpile.bytes, 0u) << device.name();
   }
 }
 
@@ -463,7 +552,7 @@ std::map<std::string, Digest> sweep_through_service(bool cached) {
   opts.exec.shots = 128;
   opts.num_workers = 2;
   opts.max_batch_size = 4;
-  // Budget 0 is the reference arm: every job transpiles from scratch.
+  // Budget 0 stores nothing: every job builds its template afresh.
   opts.cache_budget_bytes = cached ? kDefaultCacheBudgetBytes : 0;
   ExecutionService service(make_toronto27(), opts);
   Rng rng(5150);
@@ -495,8 +584,8 @@ std::map<std::string, Digest> sweep_through_service(bool cached) {
 
 TEST(ParametricService, SweepResultsIdenticalWithCacheOnAndOff) {
   // Template binding is a pure performance path: the exact same jobs
-  // through a structurally cached service and an uncached one (every job
-  // transpiled from scratch) must produce bit-identical partitions,
+  // through a structurally cached service and a budget-0 one (every job
+  // builds its template afresh) must produce bit-identical partitions,
   // counts, and metrics.
   const auto on = sweep_through_service(true);
   const auto off = sweep_through_service(false);

@@ -612,6 +612,58 @@ TEST(ExecutionService, SubmitRejectsCircuitsThePipelineCannotRun) {
   EXPECT_EQ(stats.jobs_failed, 0u);
 }
 
+TEST(ExecutionService, SubmitRejectsARegisterWiderThanItsActiveQubits) {
+  // A 5-qubit register acting on qubits 0-1 used to pass submit, be
+  // planned a 2-qubit partition, and fail its whole batch, bell included,
+  // with "initial_layout: partition too small". submit() and submit_all()
+  // now refuse it naming the first idle qubit, and bell runs alone.
+  ExecutionService service(make_toronto27(), fast_service_options());
+  Circuit idle(5, std::nullopt, "idle_register");
+  idle.h(0);
+  idle.cx(0, 1);
+  idle.measure(0, 0);
+  idle.measure(1, 1);
+  const Circuit bell = get_benchmark("bell").circuit;
+  try {
+    (void)service.submit_all({bell, idle});
+    ADD_FAILURE() << "submit_all accepted an idle register qubit";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("circuit 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("leaves qubit 2 of its 5-qubit register idle"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(service.pending_jobs(), 0u);
+  EXPECT_EQ(service.stats().jobs_submitted, 0u);
+
+  // The first idle qubit is named, not the first past the active ones; a
+  // qubit only a barrier touches is idle, and one only measured is not.
+  Circuit gap(4, std::nullopt, "gap");
+  gap.h(0);
+  gap.barrier();
+  gap.measure(0, 0);
+  gap.measure(2, 2);
+  gap.measure(3, 3);
+  try {
+    (void)service.submit(gap);
+    ADD_FAILURE() << "submit accepted an idle register qubit";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("leaves qubit 1 of"),
+              std::string::npos)
+        << e.what();
+  }
+
+  EXPECT_THROW((void)service.submit(idle), std::invalid_argument);
+  const JobHandle ok = service.submit(bell);
+  service.flush();
+  EXPECT_EQ(ok.status(), JobStatus::Done) << ok.error();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.jobs_submitted, 1u);
+  EXPECT_EQ(stats.jobs_completed, 1u);
+  EXPECT_EQ(stats.jobs_failed, 0u);
+}
+
 TEST(ExecutionService, SubmitAllRejectsAMalformedCircuitAndEnqueuesNothing) {
   ExecutionService service(make_toronto27(), fast_service_options());
   Circuit unmeasured(2);
