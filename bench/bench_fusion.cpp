@@ -57,6 +57,14 @@ namespace {
 
 using namespace qucp;
 
+/// Gate-only replay of a fused program on a density matrix: each op through
+/// apply_noisy_gate with no idle window and no depolarizing.
+void run_density(DensityMatrix& dm, const CompiledProgram& prog) {
+  for (const FusedOp& op : prog.ops()) {
+    dm.apply_noisy_gate(op, std::span<const int>(op.q, op.sv.k), {}, 0.0);
+  }
+}
+
 bool smoke_mode() {
   const char* env = std::getenv("QUCP_BENCH_SMOKE");
   return env != nullptr && *env != '\0' && *env != '0';
@@ -227,11 +235,11 @@ std::vector<FusionRow> run_dense_simd_section() {
         rounds, reps,
         [&] {
           kern::set_native_kernels(false);
-          dm.run(prog);
+          run_density(dm, prog);
         },
         [&] {
           kern::set_native_kernels(true);
-          dm.run(prog);
+          run_density(dm, prog);
         });
     row.ns_baseline = scalar_ns;
     row.ns_new = native_ns;
@@ -328,16 +336,18 @@ std::vector<FusionRow> run_channel_simd_section() {
 
   // One superket pass per channel application; the state content does not
   // affect the arithmetic path, so an H ladder is enough to avoid
-  // denormal-heavy all-zero sweeps.
+  // denormal-heavy all-zero sweeps. Depolarizing runs kern::depolarize on
+  // the superket (the executor's depolarizing rides in apply_noisy_gate's
+  // sweep), relaxation the executor's own apply_relaxation.
   const auto make_state = [](int n) {
     Circuit c(n);
     for (int q = 0; q < n; ++q) c.h(q);
     DensityMatrix dm(n);
-    dm.run(CompiledProgram::compile(c));
+    run_density(dm, CompiledProgram::compile(c));
     return dm;
   };
-  const auto channel_row = [&](int n, const char* name, auto&& apply) {
-    DensityMatrix dm = make_state(n);
+  const auto channel_row = [&](int n, const char* name, auto state,
+                               auto&& apply) {
     FusionRow row;
     row.section = "channel_simd";
     row.name = name;
@@ -346,37 +356,41 @@ std::vector<FusionRow> run_channel_simd_section() {
         rounds, reps,
         [&] {
           kern::set_native_kernels(false);
-          apply(dm);
+          apply(state);
         },
         [&] {
           kern::set_native_kernels(true);
-          apply(dm);
+          apply(state);
         });
     row.ns_baseline = scalar_ns;
     row.ns_new = native_ns;
     return row;
   };
-  const auto depol1_all = [](DensityMatrix& dm) {
-    for (int q = 0; q < dm.num_qubits(); ++q) {
-      const int one[] = {q};
-      dm.apply_depolarizing(0.01, one);
-    }
-  };
-  const auto depol2_chain = [](DensityMatrix& dm) {
-    for (int q = 0; q + 1 < dm.num_qubits(); ++q) {
-      const int two[] = {q, q + 1};
-      dm.apply_depolarizing(0.01, two);
-    }
-  };
-  const auto relax_all = [](DensityMatrix& dm) {
-    for (int q = 0; q < dm.num_qubits(); ++q) {
-      dm.apply_relaxation(q, 120.0, 85.0, 70.0);
-    }
-  };
+  const kern::DepolCoeffs depol1 = depolarizing_coeffs(0.01, 1);
+  const kern::DepolCoeffs depol2 = depolarizing_coeffs(0.01, 2);
   for (const int n : {5, smoke_mode() ? 6 : 7}) {
-    rows.push_back(channel_row(n, "dm_depol1_all_qubits", depol1_all));
-    rows.push_back(channel_row(n, "dm_depol2_chain", depol2_chain));
-    rows.push_back(channel_row(n, "dm_relax_all_qubits", relax_all));
+    const DensityMatrix dm = make_state(n);
+    const std::vector<cx> rho(dm.data().begin(), dm.data().end());
+    rows.push_back(channel_row(n, "dm_depol1_all_qubits", rho,
+                               [&](std::vector<cx>& r) {
+                                 for (int q = 0; q < n; ++q) {
+                                   const int one[] = {q};
+                                   kern::depolarize(r, n, one, depol1);
+                                 }
+                               }));
+    rows.push_back(channel_row(n, "dm_depol2_chain", rho,
+                               [&](std::vector<cx>& r) {
+                                 for (int q = 0; q + 1 < n; ++q) {
+                                   const int two[] = {q, q + 1};
+                                   kern::depolarize(r, n, two, depol2);
+                                 }
+                               }));
+    rows.push_back(channel_row(n, "dm_relax_all_qubits", dm,
+                               [&](DensityMatrix& d) {
+                                 for (int q = 0; q < n; ++q) {
+                                   d.apply_relaxation(q, 120.0, 85.0, 70.0);
+                                 }
+                               }));
   }
   return rows;
 }

@@ -66,58 +66,55 @@ int reps_for(std::size_t state_elems) {
   return static_cast<int>(std::clamp<std::size_t>(reps, 4, 200000));
 }
 
+/// The compiled kernel of `g` on an n-qubit register.
+FusedOp gate_op(int n, const Gate& g) {
+  Circuit c(n);
+  c.append(g);
+  return compile_ops(c).front();
+}
+
+/// Density rows through the entry points the executor runs: a gate-only
+/// DensityMatrix::apply_noisy_gate (compiled op, no idle window, no
+/// depolarizing), kern::depolarize on the superket, apply_relaxation.
 std::vector<KernelResult> run_density_suite(int n) {
   std::vector<KernelResult> out;
   const std::size_t dim2 = (std::size_t{1} << n) * (std::size_t{1} << n);
   const int reps = reps_for(dim2);
 
-  const Matrix h = gate_matrix(GateKind::H);
-  const Matrix cxm = gate_matrix(GateKind::CX);
   const std::vector<int> q1{n / 2};
   const std::vector<int> q2{0, n - 1};
+  const FusedOp h = gate_op(n, {GateKind::H, {n / 2}, {}});
+  DensityMatrix prepared(n);
+  prepared.apply_noisy_gate(h, q1, {}, 0.0);
 
   {
     DensityMatrix dm(n);
-    out.push_back({"density_unitary_1q", n, time_ns_per_op(reps, [&] {
-                     dm.apply_unitary(h, q1);
+    out.push_back({"density_gate_1q", n, time_ns_per_op(reps, [&] {
+                     dm.apply_noisy_gate(h, q1, {}, 0.0);
                    })});
   }
   if (n >= 2) {
+    const FusedOp cxop = gate_op(n, {GateKind::CX, {0, n - 1}, {}});
     DensityMatrix dm(n);
-    out.push_back({"density_unitary_2q", n, time_ns_per_op(reps, [&] {
-                     dm.apply_unitary(cxm, q2);
+    out.push_back({"density_gate_2q", n, time_ns_per_op(reps, [&] {
+                     dm.apply_noisy_gate(cxop, q2, {}, 0.0);
+                   })});
+  }
+  for (const std::vector<int>& q : {q1, q2}) {
+    const int k = static_cast<int>(q.size());
+    if (k > n) continue;
+    const kern::DepolCoeffs depol = depolarizing_coeffs(0.01, k);
+    std::vector<cx> rho(prepared.data().begin(), prepared.data().end());
+    out.push_back({k == 1 ? "density_depolarizing_1q"
+                          : "density_depolarizing_2q",
+                   n, time_ns_per_op(reps, [&] {
+                     kern::depolarize(rho, n, q, depol);
                    })});
   }
   {
-    DensityMatrix dm(n);
-    dm.apply_unitary(h, q1);
-    out.push_back({"density_depolarizing_1q", n, time_ns_per_op(reps, [&] {
-                     dm.apply_depolarizing(0.01, q1);
-                   })});
-  }
-  if (n >= 2) {
-    DensityMatrix dm(n);
-    dm.apply_unitary(h, q1);
-    out.push_back({"density_depolarizing_2q", n, time_ns_per_op(reps, [&] {
-                     dm.apply_depolarizing(0.01, q2);
-                   })});
-  }
-  {
-    DensityMatrix dm(n);
-    dm.apply_unitary(h, q1);
+    DensityMatrix dm = prepared;
     out.push_back({"density_relaxation", n, time_ns_per_op(reps, [&] {
                      dm.apply_relaxation(n / 2, 35.0, 80.0, 70.0);
-                   })});
-  }
-  {
-    DensityMatrix dm(n);
-    dm.apply_unitary(h, q1);
-    const double g = 0.02;
-    const Matrix k0(2, 2, {1, 0, 0, std::sqrt(1.0 - g)});
-    const Matrix k1(2, 2, {0, std::sqrt(g), 0, 0});
-    const Matrix kraus[] = {k0, k1};
-    out.push_back({"density_kraus_1q", n, time_ns_per_op(reps, [&] {
-                     dm.apply_kraus(kraus, q1);
                    })});
   }
   return out;
@@ -161,7 +158,8 @@ std::vector<KernelResult> run_noisy_op_suite(int n) {
     g.relax[1] = op.k() == 2 ? &relax : nullptr;
     g.depol = &depol;
     DensityMatrix init(n);
-    init.apply_unitary(gate_matrix(GateKind::H), std::vector<int>{0});
+    init.apply_noisy_gate(fixed_kernel(GateKind::H), std::vector<int>{0}, {},
+                          0.0);
     const std::vector<cx> rho0(init.data().begin(), init.data().end());
     std::vector<cx> rho = rho0;
     const int row[2] = {q[0] + n, op.k() == 2 ? q[1] + n : q[0]};
@@ -187,23 +185,27 @@ std::vector<KernelResult> run_noisy_op_suite(int n) {
   return out;
 }
 
+/// Statevector rows: one precompiled gate through apply_compiled, as
+/// Statevector::run replays a fused program.
 std::vector<KernelResult> run_statevector_suite(int n) {
   std::vector<KernelResult> out;
   const int reps = reps_for(std::size_t{1} << n);
-  const Matrix h = gate_matrix(GateKind::H);
-  const Matrix cxm = gate_matrix(GateKind::CX);
+  const kern::CompiledUnitary h =
+      kern::compile_unitary(gate_matrix(GateKind::H).data());
+  const kern::CompiledUnitary cxm =
+      kern::compile_unitary(gate_matrix(GateKind::CX).data());
   const std::vector<int> q1{n / 2};
   const std::vector<int> q2{0, n - 1};
   {
     Statevector sv(n);
-    out.push_back({"statevector_unitary_1q", n, time_ns_per_op(reps, [&] {
-                     sv.apply_unitary(h, q1);
+    out.push_back({"statevector_gate_1q", n, time_ns_per_op(reps, [&] {
+                     sv.apply_compiled(h, q1);
                    })});
   }
   if (n >= 2) {
     Statevector sv(n);
-    out.push_back({"statevector_unitary_2q", n, time_ns_per_op(reps, [&] {
-                     sv.apply_unitary(cxm, q2);
+    out.push_back({"statevector_gate_2q", n, time_ns_per_op(reps, [&] {
+                     sv.apply_compiled(cxm, q2);
                    })});
   }
   return out;
@@ -310,26 +312,26 @@ void print_kernel_grid() {
 void BM_DensityGate1q(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   DensityMatrix dm(n);
-  const Matrix h = gate_matrix(GateKind::H);
   const std::vector<int> q{n / 2};
-  for (auto _ : state) dm.apply_unitary(h, q);
+  const FusedOp h = gate_op(n, {GateKind::H, {n / 2}, {}});
+  for (auto _ : state) dm.apply_noisy_gate(h, q, {}, 0.0);
 }
 BENCHMARK(BM_DensityGate1q)->Arg(4)->Arg(8);
 
 void BM_DensityGate2q(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   DensityMatrix dm(n);
-  const Matrix cxm = gate_matrix(GateKind::CX);
   const std::vector<int> q{0, n - 1};
-  for (auto _ : state) dm.apply_unitary(cxm, q);
+  const FusedOp cxop = gate_op(n, {GateKind::CX, {0, n - 1}, {}});
+  for (auto _ : state) dm.apply_noisy_gate(cxop, q, {}, 0.0);
 }
 BENCHMARK(BM_DensityGate2q)->Arg(4)->Arg(8);
 
 void BM_DensityRelaxation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   DensityMatrix dm(n);
-  const Matrix h = gate_matrix(GateKind::H);
-  dm.apply_unitary(h, std::vector<int>{n / 2});
+  const std::vector<int> q{n / 2};
+  dm.apply_noisy_gate(gate_op(n, {GateKind::H, {n / 2}, {}}), q, {}, 0.0);
   for (auto _ : state) dm.apply_relaxation(n / 2, 35.0, 80.0, 70.0);
 }
 BENCHMARK(BM_DensityRelaxation)->Arg(4)->Arg(8);
@@ -337,9 +339,10 @@ BENCHMARK(BM_DensityRelaxation)->Arg(4)->Arg(8);
 void BM_StatevectorGate2q(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Statevector sv(n);
-  const Matrix cxm = gate_matrix(GateKind::CX);
+  const kern::CompiledUnitary cxm =
+      kern::compile_unitary(gate_matrix(GateKind::CX).data());
   const std::vector<int> q{0, n - 1};
-  for (auto _ : state) sv.apply_unitary(cxm, q);
+  for (auto _ : state) sv.apply_compiled(cxm, q);
 }
 BENCHMARK(BM_StatevectorGate2q)->Arg(4)->Arg(12);
 

@@ -144,17 +144,21 @@ ParallelRunReport execute_parallel(const Device& device,
   const Calibration& cal = device.calibration();
 
   // Compile each program, then validate coupling and qubit usage against
-  // this device.
+  // this device. Each program's fingerprints are taken once and serve the
+  // executable lookup and the outcome memo below.
   std::vector<std::shared_ptr<const CompiledExecutable>> compiled;
   compiled.reserve(programs.size());
+  std::vector<CircuitFingerprints> fingerprints;
+  fingerprints.reserve(programs.size());
   std::vector<char> used(static_cast<std::size_t>(device.num_qubits()), 0);
   int qubits_used = 0;
   for (const PhysicalProgram& prog : programs) {
     if (prog.circuit.num_qubits() > device.num_qubits()) {
       throw std::invalid_argument("execute_parallel: program wider than device");
     }
-    std::shared_ptr<const CompiledExecutable> exe =
-        program_cache->executable(prog.circuit, options.schedule);
+    fingerprints.push_back(circuit_fingerprints(prog.circuit));
+    std::shared_ptr<const CompiledExecutable> exe = program_cache->executable(
+        prog.circuit, fingerprints.back(), options.schedule);
     if (!exe->structure().coupled()) {
       throw std::invalid_argument(
           "execute_parallel: two-qubit gate on uncoupled qubits in " +
@@ -487,15 +491,15 @@ ParallelRunReport execute_parallel(const Device& device,
   // An exact repeat of a program's binding and key takes its memoized
   // outcome; either way only this run's sampling is left.
   for (std::size_t p = 0; p < compiled.size(); ++p) {
-    const Circuit& circuit = programs[p].circuit;
     ProgramOutcome outcome;
     outcome.name = programs[p].name;
     if (const std::shared_ptr<const Distribution> memo =
-            program_cache->outcome(circuit, options.schedule, keys[p])) {
+            program_cache->outcome(fingerprints[p], options.schedule,
+                                   keys[p])) {
       outcome.distribution = *memo;
     } else {
       outcome.distribution = simulate(p);
-      program_cache->store_outcome(circuit, options.schedule,
+      program_cache->store_outcome(fingerprints[p], options.schedule,
                                    std::move(keys[p]), outcome.distribution);
     }
     Rng prog_rng = rng.derive(programs[p].name + "#" + std::to_string(p));

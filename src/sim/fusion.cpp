@@ -83,9 +83,9 @@ void swap_operands(cx out[16], const cx u[16]) {
 }
 
 /// Build the compiled superket form of a 1q matrix: U (x) conj(U) as a 4x4
-/// on superket bits (q + n, q). The element expression mirrors
-/// DensityMatrix::transform_two_sided exactly so the compiled coefficients
-/// are bit-identical to what the uncompiled path computes per call.
+/// on superket bits (q + n, q). The element expression is the one
+/// tests/reference_density.hpp's Matrix transform uses, so compiled replay
+/// is pinned bit for bit against it (tests/test_fusion.cpp).
 kern::CompiledUnitary compile_superket1(const cx d[4]) {
   cx ku[16];
   for (int r = 0; r < 2; ++r) {
@@ -102,8 +102,8 @@ kern::CompiledUnitary compile_superket1(const cx d[4]) {
   return kern::compile_unitary(std::span<const cx>(ku, 16));
 }
 
-/// Compiled conj(U) for the density column pass of a 2q gate, built the
-/// same way kern::apply_unitary's conjugate branch builds it.
+/// Compiled conj(U) for the density column pass of a 2q gate: the
+/// elementwise conjugate, compiled like any other 4x4.
 kern::CompiledUnitary compile_conj4(const cx u[16]) {
   cx uc[16];
   for (int i = 0; i < 16; ++i) uc[i] = std::conj(u[i]);
@@ -610,8 +610,8 @@ std::shared_ptr<const CompiledProgram> CompiledProgramCache::fused(
 }
 
 std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
-    const Circuit& physical, const SchedulePolicy policy) const {
-  const CircuitFingerprints fp = circuit_fingerprints(physical);
+    const Circuit& physical, const CircuitFingerprints& fp,
+    const SchedulePolicy policy) const {
   const ExecutableKey key{fp.structural, policy};
   const std::shared_ptr<const ExecutableEntry> entry = executables_.find(key);
   if (entry != nullptr && entry->last_exact == fp.exact) return entry->last;
@@ -634,9 +634,8 @@ std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
 }
 
 std::shared_ptr<const Distribution> CompiledProgramCache::outcome(
-    const Circuit& physical, const SchedulePolicy policy,
+    const CircuitFingerprints& fp, const SchedulePolicy policy,
     const OutcomeKey& key) const {
-  const CircuitFingerprints fp = circuit_fingerprints(physical);
   if (const auto entry = executables_.peek({fp.structural, policy});
       entry != nullptr && entry->last_exact == fp.exact) {
     for (const OutcomeVariant& v : entry->outcomes) {
@@ -651,9 +650,8 @@ std::shared_ptr<const Distribution> CompiledProgramCache::outcome(
 }
 
 void CompiledProgramCache::store_outcome(
-    const Circuit& physical, const SchedulePolicy policy, OutcomeKey key,
-    const Distribution& distribution) const {
-  const CircuitFingerprints fp = circuit_fingerprints(physical);
+    const CircuitFingerprints& fp, const SchedulePolicy policy,
+    OutcomeKey key, const Distribution& distribution) const {
   const ExecutableKey ekey{fp.structural, policy};
   const auto entry = executables_.peek(ekey);
   if (entry == nullptr || entry->last_exact != fp.exact) return;

@@ -52,8 +52,8 @@
 // bit for bit the per-op compile's. That keeps a cached structure down to
 // its skeleton and schedule, and a structure build compiles nothing.
 // Replay is gate by gate, each gate in one density sweep together with its
-// idle relaxation and depolarizing, arithmetic identical to the
-// uncompiled path bit for bit. The executor replays this per-op stream
+// idle relaxation and depolarizing, arithmetic identical bit for bit to
+// the Matrix-taking transform in tests/reference_density.hpp. The executor replays this per-op stream
 // under every noise setting, noiseless runs included; fused programs serve
 // the ideal pipeline. CompiledProgramCache memoizes fused programs per
 // circuit fingerprint and executables per (structural fingerprint,
@@ -395,23 +395,25 @@ class CompiledProgramCache {
   [[nodiscard]] std::shared_ptr<const CompiledProgram> fused(
       const Circuit& circuit) const;
 
-  /// Noisy-pipeline compilation of `physical`: the structure is built once
-  /// per (structural fingerprint, `policy`), then only the parametric
-  /// kernels are materialized per fresh binding.
+  /// Noisy-pipeline compilation of `physical`, whose fingerprints `fp`
+  /// (circuit_fingerprints(physical)) the caller computes once for this
+  /// call and the outcome memo's: the structure is built once per
+  /// (structural fingerprint, `policy`), then only the parametric kernels
+  /// are materialized per fresh binding.
   [[nodiscard]] std::shared_ptr<const CompiledExecutable> executable(
-      const Circuit& physical,
+      const Circuit& physical, const CircuitFingerprints& fp,
       SchedulePolicy policy = SchedulePolicy::ALAP) const;
 
-  /// The outcome stored for `physical` under `key`, or null. Only the
-  /// entry's current binding (the last executable() materialized) holds
-  /// outcomes.
+  /// The outcome stored for the program of fingerprints `fp` under `key`,
+  /// or null. Only the entry's current binding (the last executable()
+  /// materialized) holds outcomes.
   [[nodiscard]] std::shared_ptr<const Distribution> outcome(
-      const Circuit& physical, SchedulePolicy policy,
+      const CircuitFingerprints& fp, SchedulePolicy policy,
       const OutcomeKey& key) const;
-  /// Remember `distribution` as `physical`'s outcome under `key`, growing
-  /// the entry's byte charge. Dropped when the entry has moved on to
-  /// another binding since executable().
-  void store_outcome(const Circuit& physical, SchedulePolicy policy,
+  /// Remember `distribution` as the outcome of the program of fingerprints
+  /// `fp` under `key`, growing the entry's byte charge. Dropped when the
+  /// entry has moved on to another binding since executable().
+  void store_outcome(const CircuitFingerprints& fp, SchedulePolicy policy,
                      OutcomeKey key, const Distribution& distribution) const;
 
   /// Fusion plan for `circuit`'s structure, memoized per

@@ -103,29 +103,6 @@ ParallelThreadsGuard::~ParallelThreadsGuard() {
 
 namespace {
 
-/// Sorted copy of up to 2 * 12 + 4 target bit positions (stack-only).
-struct SortedBits {
-  int bits[32];
-  int count = 0;
-
-  explicit SortedBits(std::span<const int> targets) {
-    assert(targets.size() <= std::size(bits));
-    count = static_cast<int>(targets.size());
-    std::copy(targets.begin(), targets.end(), bits);
-    std::sort(bits, bits + count);
-  }
-};
-
-/// Spread a dense counter over the non-target bit positions: insert a zero
-/// bit at each (ascending) target position.
-[[nodiscard]] inline std::size_t expand(std::size_t counter,
-                                        const SortedBits& sorted) noexcept {
-  for (int j = 0; j < sorted.count; ++j) {
-    counter = insert_bit(counter, sorted.bits[j]);
-  }
-  return counter;
-}
-
 /// A gate matrix with exactly one nonzero per row is a generalized
 /// permutation (CX, CZ, SWAP, Z, S, T, RZ, U1, X, Y, ...): each output
 /// amplitude is one scaled input amplitude. Detecting it once per compile
@@ -588,95 +565,6 @@ void apply_noisy_gate(std::span<cx> rho, int n, const NoisyGate& g) {
       noisy_range_scalar<decltype(tag)::value>(r, begin, end, p);
     });
   });
-}
-
-void apply1(std::span<cx> amps, [[maybe_unused]] int n, int target,
-            const cx u[4]) {
-  assert(amps.size() == (std::size_t{1} << n));
-  assert(target >= 0 && target < n);
-  const CompiledUnitary cu = compile_unitary(std::span<const cx>(u, 4));
-  apply_compiled(amps, n, std::span<const int>(&target, 1), cu);
-}
-
-void apply2(std::span<cx> amps, [[maybe_unused]] int n, int bit_hi, int bit_lo,
-            const cx u[16]) {
-  assert(amps.size() == (std::size_t{1} << n));
-  assert(bit_hi != bit_lo);
-  const CompiledUnitary cu = compile_unitary(std::span<const cx>(u, 16));
-  const int targets[2] = {bit_hi, bit_lo};
-  apply_compiled(amps, n, std::span<const int>(targets, 2), cu);
-}
-
-void apply_generic(std::span<cx> amps, [[maybe_unused]] int n,
-                   std::span<const int> targets,
-                   const cx* u, std::vector<cx>& scratch) {
-  const int k = static_cast<int>(targets.size());
-  assert(k >= 1 && k <= n);
-  const std::size_t ldim = std::size_t{1} << k;
-  const SortedBits sorted(targets);
-
-  // Offset of each local basis value from a base index; targets[0] is the
-  // HIGH local bit, matching gate_matrix's operand convention.
-  thread_local std::vector<std::size_t> offsets;
-  offsets.assign(ldim, 0);
-  for (std::size_t li = 0; li < ldim; ++li) {
-    std::size_t off = 0;
-    for (int j = 0; j < k; ++j) {
-      if ((li >> (k - 1 - j)) & 1U) off |= std::size_t{1} << targets[j];
-    }
-    offsets[li] = off;
-  }
-
-  if (scratch.size() < ldim) scratch.resize(ldim);
-  const std::size_t bases = amps.size() >> k;
-  cx* a = amps.data();
-  cx* local = scratch.data();
-  // The shared scratch keeps this loop serial; generic k >= 3 never shows
-  // up in the executor hot path (gates are lowered to 1q/2q).
-  for (std::size_t t = 0; t < bases; ++t) {
-    const std::size_t base = expand(t, sorted);
-    for (std::size_t li = 0; li < ldim; ++li) local[li] = a[base + offsets[li]];
-    for (std::size_t lr = 0; lr < ldim; ++lr) {
-      const cx* row = u + lr * ldim;
-      cx acc{0.0, 0.0};
-      for (std::size_t lc = 0; lc < ldim; ++lc) acc += row[lc] * local[lc];
-      a[base + offsets[lr]] = acc;
-    }
-  }
-}
-
-void apply_unitary(std::span<cx> amps, int n, std::span<const int> targets,
-                   std::span<const cx> u, bool conjugate,
-                   std::vector<cx>& scratch) {
-  const int k = static_cast<int>(targets.size());
-  if (k == 1) {
-    if (conjugate) {
-      const cx uc[4] = {std::conj(u[0]), std::conj(u[1]), std::conj(u[2]),
-                        std::conj(u[3])};
-      apply1(amps, n, targets[0], uc);
-    } else {
-      apply1(amps, n, targets[0], u.data());
-    }
-    return;
-  }
-  if (k == 2) {
-    if (conjugate) {
-      cx uc[16];
-      for (int i = 0; i < 16; ++i) uc[i] = std::conj(u[i]);
-      apply2(amps, n, targets[0], targets[1], uc);
-    } else {
-      apply2(amps, n, targets[0], targets[1], u.data());
-    }
-    return;
-  }
-  if (conjugate) {
-    thread_local std::vector<cx> conj_buf;
-    conj_buf.assign(u.begin(), u.end());
-    for (cx& v : conj_buf) v = std::conj(v);
-    apply_generic(amps, n, targets, conj_buf.data(), scratch);
-  } else {
-    apply_generic(amps, n, targets, u.data(), scratch);
-  }
 }
 
 }  // namespace qucp::kern

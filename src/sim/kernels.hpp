@@ -1,19 +1,20 @@
 #pragma once
 // Statevector-style update kernels shared by Statevector and DensityMatrix.
 //
-// A k-qubit unitary on an n-qubit amplitude vector touches each amplitude
-// once: the 2^(n-k) "base" indices (target bits clear) are enumerated
-// directly by bit-insertion — spread a dense counter across the non-target
-// bit positions — instead of skip-scanning all 2^n indices and discarding
-// the ones with a target bit set. The k = 1 and k = 2 cases (the only
-// sizes the executor ever emits) are hand-specialized with the amplitudes
-// held in registers; larger k falls back to a gather/apply/scatter loop
-// over a caller-owned scratch buffer, so no kernel allocates.
+// A compiled 1- or 2-qubit unitary on an n-qubit amplitude vector touches
+// each amplitude once: the 2^(n-k) "base" indices (target bits clear) are
+// enumerated directly by bit-insertion — spread a dense counter across the
+// non-target bit positions — instead of skip-scanning all 2^n indices and
+// discarding the ones with a target bit set. Gates reach the kernels only
+// in compiled form (compile_unitary, hoisted to program-compile time by
+// sim/fusion.hpp), with the amplitudes of each pair or quad held in
+// registers; the executor lowers every gate to k <= 2, so there is no
+// larger-k path.
 //
 // DensityMatrix reuses these kernels by treating rho as a superket of
-// length dim^2: rho -> U rho U^dag is (U (x) conj(U)) |rho>, i.e. one
-// statevector pass with U on the row bits (q + n) and one with conj(U) on
-// the column bits (q).
+// length dim^2: rho -> U rho U^dag is (U (x) conj(U)) |rho>. A 1q gate is
+// one 4x4 pass on bits (q + n, q); a 2q gate is a pass of U on the row
+// bits (q + n) and one of conj(U) on the column bits (q).
 //
 // A noisy executor op — idle relaxation on each operand, the gate,
 // depolarizing — touches only the 2^k x 2^k local blocks over its
@@ -164,30 +165,6 @@ struct CompiledUnitary {
 void apply_compiled(std::span<cx> amps, int n, std::span<const int> targets,
                     const CompiledUnitary& cu);
 
-/// Apply the 1-qubit matrix u (row-major, u[0]=u00 u[1]=u01 ...) to bit
-/// `target` of `amps` (size 2^n).
-void apply1(std::span<cx> amps, int n, int target, const cx u[4]);
-
-/// Apply the 2-qubit matrix u (row-major 4x4; local basis index is
-/// (bit_hi << 1) | bit_lo) to bits `bit_hi`/`bit_lo` of `amps`.
-void apply2(std::span<cx> amps, int n, int bit_hi, int bit_lo,
-            const cx u[16]);
-
-/// Generic k-qubit kernel. `targets` lists bit positions with targets[0]
-/// the HIGH local bit (gate_matrix convention); u is row-major 2^k x 2^k.
-/// `scratch` is resized to 2^k + k bookkeeping slots and reused.
-void apply_generic(std::span<cx> amps, int n, std::span<const int> targets,
-                   const cx* u, std::vector<cx>& scratch);
-
-/// Dispatch on targets.size(): specialized k=1/k=2 kernels, generic
-/// fallback otherwise. `u` must be a 2^k x 2^k row-major matrix given as a
-/// flat span (Matrix::data()). When `conjugate` is set the complex
-/// conjugate of u is applied (used for the superket column pass) without
-/// materializing a conjugated matrix for k <= 2.
-void apply_unitary(std::span<cx> amps, int n, std::span<const int> targets,
-                   std::span<const cx> u, bool conjugate,
-                   std::vector<cx>& scratch);
-
 /// Closed-form coefficients of one qubit's thermal-relaxation channel
 /// (DensityMatrix::apply_relaxation): on each 2x2 sub-block over the
 /// qubit's (row, column) bits, rho00 += gamma rho11, the coherences scale
@@ -198,8 +175,8 @@ struct RelaxCoeffs {
   double keep = 1.0;
 };
 
-/// Coefficients of the k-qubit uniform depolarizing channel
-/// (DensityMatrix::apply_depolarizing): rho -> c1 rho + c2 [ptrace(rho)
+/// Coefficients of the k-qubit uniform depolarizing channel (the depol_p
+/// of DensityMatrix::apply_noisy_gate): rho -> c1 rho + c2 [ptrace(rho)
 /// (x) I] * inv_ldim, with inv_ldim = 2^-k.
 struct DepolCoeffs {
   double c1 = 1.0;
@@ -212,7 +189,10 @@ struct DepolCoeffs {
 void relax1(std::span<cx> rho, int n, int q, const RelaxCoeffs& c);
 
 /// Depolarizing on one or two qubits (qubits[0] = high local bit) of an
-/// n-qubit superket rho: one sweep over its 2^k x 2^k local blocks.
+/// n-qubit superket rho: one sweep over its 2^k x 2^k local blocks. The
+/// executor depolarizes inside apply_noisy_gate's sweep; this standalone
+/// pass is the single-channel form that sweep is pinned against bit for
+/// bit.
 void depolarize(std::span<cx> rho, int n, std::span<const int> qubits,
                 const DepolCoeffs& c);
 

@@ -2,50 +2,10 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "circuit/gate_cache.hpp"
 #include "sim/fusion.hpp"
 
 namespace qucp {
-
-namespace {
-
-/// Compiled gate kernel: the process-wide fixed_kernel() for
-/// parameterless kinds, a per-thread (kind, params)-keyed memo for
-/// rotations. No locks anywhere on the replay path.
-const kern::CompiledUnitary& compiled_for(const Gate& g) {
-  if (gate_param_count(g.kind) == 0) {
-    const FusedOp& fixed = fixed_kernel(g.kind);
-    if (!fixed.is_unitary()) {
-      // Barrier/Measure also have zero params but no unitary; surface the
-      // same error gate_matrix raises instead of applying a placeholder.
-      throw std::invalid_argument("compiled_for: non-unitary op");
-    }
-    return fixed.sv;
-  }
-  thread_local std::unordered_map<GateKey, kern::CompiledUnitary, GateKeyHash,
-                                  GateKeyEq>
-      memo;
-  // Transparent lookup: no params copy (and no allocation) on the hit path.
-  if (auto it = memo.find(GateKeyView{g.kind, g.params}); it != memo.end()) {
-    return it->second;
-  }
-  // Bound the memo: an endless rotation-angle sweep must not grow it
-  // without limit. Past the cap, rebuild into a per-thread spill slot.
-  const Matrix m = gate_matrix(g);
-  if (memo.size() >= kMaxGateMemoEntries) {
-    thread_local kern::CompiledUnitary spill;
-    spill = kern::compile_unitary(m.data());
-    return spill;
-  }
-  return memo
-      .emplace(GateKey{g.kind, {g.params.begin(), g.params.end()}},
-               kern::compile_unitary(m.data()))
-      .first->second;
-}
-
-}  // namespace
 
 Statevector::Statevector(int num_qubits) : num_qubits_(num_qubits) {
   if (num_qubits < 0 || num_qubits > 24) {
@@ -53,25 +13,6 @@ Statevector::Statevector(int num_qubits) : num_qubits_(num_qubits) {
   }
   amps_.assign(std::size_t{1} << num_qubits, cx{0.0, 0.0});
   amps_[0] = 1.0;
-}
-
-void Statevector::apply_unitary(const Matrix& u, std::span<const int> qubits) {
-  const int k = static_cast<int>(qubits.size());
-  const std::size_t ldim = std::size_t{1} << k;
-  if (u.rows() != ldim || u.cols() != ldim) {
-    throw std::invalid_argument("Statevector: matrix/operand mismatch");
-  }
-  for (int q : qubits) {
-    if (q < 0 || q >= num_qubits_) {
-      throw std::out_of_range("Statevector: qubit out of range");
-    }
-  }
-  if (k == 0) {
-    for (cx& a : amps_) a *= u(0, 0);
-    return;
-  }
-  kern::apply_unitary(amps_, num_qubits_, qubits, u.data(),
-                      /*conjugate=*/false, scratch_);
 }
 
 void Statevector::apply_compiled(const kern::CompiledUnitary& cu,
@@ -96,7 +37,7 @@ void Statevector::apply_circuit(const Circuit& circuit) {
     if (g.kind == GateKind::Measure) {
       throw std::logic_error("Statevector: measurement not supported");
     }
-    apply_compiled(compiled_for(g), g.qubits);
+    apply_compiled(kern::compile_unitary(gate_matrix(g).data()), g.qubits);
   }
 }
 
@@ -145,7 +86,8 @@ Distribution ideal_distribution(const Circuit& circuit) {
       measurements.emplace_back(g.qubits[0], g.clbit);
       continue;
     }
-    sv.apply_compiled(compiled_for(g), g.qubits);
+    sv.apply_compiled(kern::compile_unitary(gate_matrix(g).data()),
+                      g.qubits);
   }
   if (measurements.empty()) {
     throw std::logic_error("ideal_distribution: circuit has no measurements");

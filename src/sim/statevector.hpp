@@ -5,6 +5,12 @@
 // reference distributions (JSD baselines, PST targets), exact expectation
 // values, and RB recovery-unitary construction. Practical up to ~20 qubits;
 // all the paper's programs are <= 5.
+//
+// Every gate enters as a compiled kernel (kern::CompiledUnitary): a
+// CompiledProgram's fused stream via run(), or one gate at a time via
+// apply_compiled(). Tests that hold a bare Matrix compile it with
+// kern::compile_unitary first, as tests/reference_density.hpp does for the
+// density-matrix oracle.
 
 #include <span>
 #include <utility>
@@ -29,18 +35,16 @@ class Statevector {
     return amps_;
   }
 
-  /// Apply a 1- or 2-qubit unitary (first operand = high local bit,
-  /// matching gate_matrix's convention).
-  void apply_unitary(const Matrix& u, std::span<const int> qubits);
-
-  /// Apply a pre-compiled 1q/2q kernel (kern::compile_unitary): the hot
-  /// path for replayed gates — structure detection and coefficient
-  /// unpacking were paid once at compile time.
+  /// Apply a compiled 1q/2q kernel (kern::compile_unitary; first operand
+  /// = high local bit, matching gate_matrix's convention). Every gate
+  /// enters here: replayed programs pay structure detection and
+  /// coefficient unpacking once at compile time.
   void apply_compiled(const kern::CompiledUnitary& cu,
                       std::span<const int> qubits);
 
-  /// Apply all unitary ops of a circuit (barriers skipped; measurements
-  /// rejected — use ideal_distribution for measured circuits).
+  /// Apply all unitary ops of a circuit, each compiled from its gate
+  /// matrix (barriers skipped; measurements rejected — use
+  /// ideal_distribution for measured circuits).
   void apply_circuit(const Circuit& circuit);
 
   /// Replay a fused, precompiled program (sim/fusion.hpp): the cached hot
@@ -59,11 +63,12 @@ class Statevector {
  private:
   int num_qubits_;
   std::vector<cx> amps_;
-  std::vector<cx> scratch_;  ///< generic-kernel gather buffer, reused
 };
 
 /// Exact outcome distribution of a measured circuit under ideal execution.
-/// Only measured clbits contribute; unmeasured clbits read 0.
+/// Only measured clbits contribute; unmeasured clbits read 0. Compiles each
+/// gate afresh; repeated programs take the fused, cached
+/// ideal_distribution(const CompiledProgram&) (sim/fusion.hpp).
 [[nodiscard]] Distribution ideal_distribution(const Circuit& circuit);
 
 namespace detail {

@@ -227,7 +227,8 @@ TEST(EpochCaches, FusedChurnNeverEvictsAnExecutable) {
   physical.rz(0.3, 1);
   physical.measure(0, 0);
   physical.measure(1, 1);
-  const auto exe = cache.executable(physical);
+  const CircuitFingerprints fp = circuit_fingerprints(physical);
+  const auto exe = cache.executable(physical, fp);
 
   // One-use churn: every fused program is distinct.
   Rng rng(7);
@@ -235,7 +236,7 @@ TEST(EpochCaches, FusedChurnNeverEvictsAnExecutable) {
   const CompiledProgramCache::Stats s = cache.stats();
   ASSERT_GT(s.fused.evictions, 0u);
   EXPECT_EQ(s.executables.evictions, 0u);
-  EXPECT_EQ(cache.executable(physical), exe);  // still the cached binding
+  EXPECT_EQ(cache.executable(physical, fp), exe);  // still the cached binding
   EXPECT_EQ(cache.stats().executables.misses, 1u);
 }
 
@@ -248,25 +249,26 @@ TEST(EpochCaches, OutcomeMemoIsChargedToItsExecutable) {
   physical.rz(0.3, 1);
   physical.measure(0, 0);
   physical.measure(1, 1);
-  (void)cache.executable(physical);
+  const CircuitFingerprints fp = circuit_fingerprints(physical);
+  (void)cache.executable(physical, fp);
   const std::size_t bare = cache.stats().executables.bytes;
 
   const Distribution dist(2, {{0, 0.5}, {3, 0.5}});
-  cache.store_outcome(physical, SchedulePolicy::ALAP, OutcomeKey{}, dist);
+  cache.store_outcome(fp, SchedulePolicy::ALAP, OutcomeKey{}, dist);
   const std::size_t with_one = cache.stats().executables.bytes;
   EXPECT_GT(with_one, bare);
   OutcomeKey shifted;
   shifted.shifts = {1.0, 2.0};
-  cache.store_outcome(physical, SchedulePolicy::ALAP, shifted, dist);
+  cache.store_outcome(fp, SchedulePolicy::ALAP, shifted, dist);
   EXPECT_GT(cache.stats().executables.bytes, with_one);
-  ASSERT_NE(cache.outcome(physical, SchedulePolicy::ALAP, shifted), nullptr);
+  ASSERT_NE(cache.outcome(fp, SchedulePolicy::ALAP, shifted), nullptr);
 
   // A new binding drops the outcomes and their charge.
   Circuit rebound = physical;
   rebound.set_param(2, 0, 0.7);
-  (void)cache.executable(rebound);
+  (void)cache.executable(rebound, circuit_fingerprints(rebound));
   EXPECT_EQ(cache.stats().executables.bytes, bare);
-  EXPECT_EQ(cache.outcome(physical, SchedulePolicy::ALAP, shifted), nullptr);
+  EXPECT_EQ(cache.outcome(fp, SchedulePolicy::ALAP, shifted), nullptr);
   EXPECT_EQ(cache.stats().executables.misses, 1u);
 }
 

@@ -2,10 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_density.hpp"
+#include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
 
 namespace qucp {
 namespace {
+
+using reference::apply_gate;
+
+double trace(const DensityMatrix& dm) {
+  return reference::trace(dm.data(), dm.dim());
+}
+
+double purity(const DensityMatrix& dm) {
+  return reference::purity(dm.data());
+}
 
 TEST(DensityMatrix, PureEvolutionMatchesStatevector) {
   Circuit c(3);
@@ -17,9 +29,7 @@ TEST(DensityMatrix, PureEvolutionMatchesStatevector) {
 
   DensityMatrix dm(3);
   Statevector sv(3);
-  for (const Gate& g : c.ops()) {
-    dm.apply_unitary(gate_matrix(g), g.qubits);
-  }
+  reference::apply_ops(dm, compile_ops(c));
   sv.apply_circuit(c);
 
   const auto dp = dm.probabilities();
@@ -27,64 +37,50 @@ TEST(DensityMatrix, PureEvolutionMatchesStatevector) {
   for (std::size_t i = 0; i < dp.size(); ++i) {
     EXPECT_NEAR(dp[i], sp[i], 1e-12) << i;
   }
-  EXPECT_NEAR(dm.purity(), 1.0, 1e-12);
-  EXPECT_NEAR(dm.trace_real(), 1.0, 1e-12);
+  EXPECT_NEAR(purity(dm), 1.0, 1e-12);
+  EXPECT_NEAR(trace(dm), 1.0, 1e-12);
 }
 
 TEST(DensityMatrix, FullDepolarizingGivesUniform) {
   DensityMatrix dm(1);
-  const int q = 0;
-  dm.apply_depolarizing(0.75, std::span<const int>(&q, 1));
+  apply_gate(dm, {GateKind::I, {0}, {}}, 0.75);
   // p = 0.75 with the uniform-Pauli convention is the fully depolarizing
   // channel on one qubit: rho -> I/2.
   const auto probs = dm.probabilities();
   EXPECT_NEAR(probs[0], 0.5, 1e-12);
   EXPECT_NEAR(probs[1], 0.5, 1e-12);
-  EXPECT_NEAR(dm.purity(), 0.5, 1e-12);
+  EXPECT_NEAR(purity(dm), 0.5, 1e-12);
 }
 
 TEST(DensityMatrix, DepolarizingPreservesTrace) {
   DensityMatrix dm(2);
-  Circuit c(2);
-  c.h(0);
-  c.cx(0, 1);
-  for (const Gate& g : c.ops()) dm.apply_unitary(gate_matrix(g), g.qubits);
-  const std::vector<int> both{0, 1};
-  dm.apply_depolarizing(0.1, both);
-  EXPECT_NEAR(dm.trace_real(), 1.0, 1e-12);
-  EXPECT_LT(dm.purity(), 1.0);
+  apply_gate(dm, {GateKind::H, {0}, {}});
+  apply_gate(dm, {GateKind::CX, {0, 1}, {}}, 0.1);
+  EXPECT_NEAR(trace(dm), 1.0, 1e-12);
+  EXPECT_LT(purity(dm), 1.0);
 }
 
 TEST(DensityMatrix, DepolarizingZeroIsNoOp) {
   DensityMatrix dm(2);
-  Circuit c(2);
-  c.h(0);
-  c.cx(0, 1);
-  for (const Gate& g : c.ops()) dm.apply_unitary(gate_matrix(g), g.qubits);
-  const double purity_before = dm.purity();
-  const std::vector<int> both{0, 1};
-  dm.apply_depolarizing(0.0, both);
-  EXPECT_NEAR(dm.purity(), purity_before, 1e-12);
+  apply_gate(dm, {GateKind::H, {0}, {}});
+  apply_gate(dm, {GateKind::CX, {0, 1}, {}}, 0.0);
+  EXPECT_NEAR(purity(dm), 1.0, 1e-12);
 }
 
 TEST(DensityMatrix, DepolarizingValidatesP) {
   DensityMatrix dm(1);
-  const int q = 0;
-  EXPECT_THROW(dm.apply_depolarizing(-0.1, std::span<const int>(&q, 1)),
+  EXPECT_THROW(apply_gate(dm, {GateKind::I, {0}, {}}, -0.1),
                std::invalid_argument);
-  EXPECT_THROW(dm.apply_depolarizing(1.1, std::span<const int>(&q, 1)),
+  EXPECT_THROW(apply_gate(dm, {GateKind::I, {0}, {}}, 1.1),
                std::invalid_argument);
 }
 
 TEST(DensityMatrix, DepolarizingOnSubsetOnly) {
   // Depolarize qubit 0 of |+>|1>: qubit 1 stays deterministic.
   DensityMatrix dm(2);
-  Circuit c(2);
-  c.h(0);
-  c.x(1);
-  for (const Gate& g : c.ops()) dm.apply_unitary(gate_matrix(g), g.qubits);
-  const int q0 = 0;
-  dm.apply_depolarizing(0.75, std::span<const int>(&q0, 1));
+  apply_gate(dm, {GateKind::H, {0}, {}});
+  apply_gate(dm, {GateKind::X, {1}, {}});
+  apply_gate(dm, {GateKind::I, {0}, {}}, 0.75);
   const auto probs = dm.probabilities();
   // q1 = 1 always: outcomes 2 (10) and 3 (11) each 0.5.
   EXPECT_NEAR(probs[0] + probs[1], 0.0, 1e-12);
@@ -100,47 +96,57 @@ TEST(DensityMatrix, KrausAmplitudeDampingFixesGround) {
 
 TEST(DensityMatrix, RelaxationDecaysExcitedState) {
   DensityMatrix dm(1);
-  dm.apply_unitary(gate_matrix(GateKind::X), std::vector<int>{0});
+  apply_gate(dm, {GateKind::X, {0}, {}});
   // t = T1: survival should be exp(-1).
   dm.apply_relaxation(0, 50.0 * 1000.0, 50.0, 40.0);
   EXPECT_NEAR(dm.probabilities()[1], std::exp(-1.0), 1e-9);
-  EXPECT_NEAR(dm.trace_real(), 1.0, 1e-12);
+  EXPECT_NEAR(trace(dm), 1.0, 1e-12);
 }
 
 TEST(DensityMatrix, DephasingKillsCoherence) {
   DensityMatrix dm(1);
-  dm.apply_unitary(gate_matrix(GateKind::H), std::vector<int>{0});
-  const double purity_before = dm.purity();
+  apply_gate(dm, {GateKind::H, {0}, {}});
+  const double purity_before = purity(dm);
   dm.apply_relaxation(0, 1e6, 1e9, 10.0);  // pure dephasing regime
-  EXPECT_LT(dm.purity(), purity_before);
+  EXPECT_LT(purity(dm), purity_before);
   // Populations (almost) unchanged: amplitude damping at T1 = 1e9 us
   // contributes only ~1e-6 over this idle window.
   EXPECT_NEAR(dm.probabilities()[0], 0.5, 1e-5);
   EXPECT_NEAR(dm.probabilities()[1], 0.5, 1e-5);
 }
 
-TEST(DensityMatrix, KrausValidatesCompleteness) {
+TEST(DensityMatrix, RelaxationValidatesT1T2) {
   DensityMatrix dm(1);
-  const Matrix bad(2, 2, {0.5, 0, 0, 0.5});
-  const Matrix kraus[] = {bad};
-  EXPECT_THROW(dm.apply_kraus(kraus, std::vector<int>{0}),
+  EXPECT_THROW(dm.apply_relaxation(0, 100.0, 0.0, 40.0),
                std::invalid_argument);
+  EXPECT_THROW(dm.apply_relaxation(0, 100.0, 50.0, -1.0),
+               std::invalid_argument);
+  // A non-positive window is no relaxation, whatever T1/T2 say.
+  EXPECT_NO_THROW(dm.apply_relaxation(0, 0.0, 0.0, 0.0));
 }
 
 TEST(DensityMatrix, ExpectationOfZ) {
+  // <Z> = p(0) - p(1), read off the diagonal.
+  const auto z = [](const DensityMatrix& dm) {
+    const auto probs = dm.probabilities();
+    return probs[0] - probs[1];
+  };
   DensityMatrix dm(1);
-  const Matrix z = gate_matrix(GateKind::Z);
-  EXPECT_NEAR(dm.expectation(z), 1.0, 1e-12);
-  dm.apply_unitary(gate_matrix(GateKind::X), std::vector<int>{0});
-  EXPECT_NEAR(dm.expectation(z), -1.0, 1e-12);
-  dm.apply_depolarizing(0.75, std::vector<int>{0});
-  EXPECT_NEAR(dm.expectation(z), 0.0, 1e-12);
+  EXPECT_NEAR(z(dm), 1.0, 1e-12);
+  apply_gate(dm, {GateKind::X, {0}, {}});
+  EXPECT_NEAR(z(dm), -1.0, 1e-12);
+  apply_gate(dm, {GateKind::I, {0}, {}}, 0.75);
+  EXPECT_NEAR(z(dm), 0.0, 1e-12);
 }
 
 TEST(DensityMatrix, QubitRangeChecked) {
   DensityMatrix dm(2);
-  EXPECT_THROW(dm.apply_unitary(gate_matrix(GateKind::X), std::vector<int>{5}),
+  const int out_of_range = 5;
+  EXPECT_THROW(dm.apply_noisy_gate(fixed_kernel(GateKind::X),
+                                   std::span<const int>(&out_of_range, 1), {},
+                                   0.0),
                std::out_of_range);
+  EXPECT_THROW(dm.apply_relaxation(2, 10.0, 50.0, 40.0), std::out_of_range);
   EXPECT_THROW(DensityMatrix(-1), std::invalid_argument);
   EXPECT_THROW(DensityMatrix(20), std::invalid_argument);
 }
@@ -148,8 +154,8 @@ TEST(DensityMatrix, QubitRangeChecked) {
 TEST(DensityMatrix, TwoQubitGateConvention) {
   // CX with control = first operand, matching the statevector simulator.
   DensityMatrix dm(2);
-  dm.apply_unitary(gate_matrix(GateKind::X), std::vector<int>{0});
-  dm.apply_unitary(gate_matrix(GateKind::CX), std::vector<int>{0, 1});
+  apply_gate(dm, {GateKind::X, {0}, {}});
+  apply_gate(dm, {GateKind::CX, {0, 1}, {}});
   EXPECT_NEAR(dm.probabilities()[3], 1.0, 1e-12);
 }
 

@@ -179,7 +179,8 @@ TEST(CompiledProgramCache, BindingsOfOneAnsatzShareOneStructure) {
   std::vector<std::shared_ptr<const CompiledExecutable>> exes;
   for (int i = 0; i < kBindings; ++i) {
     bindings.push_back(rebind(ansatz, rng));
-    exes.push_back(cache.executable(bindings.back()));
+    exes.push_back(
+        cache.executable(bindings.back(), circuit_fingerprints(bindings.back())));
   }
   EXPECT_EQ(cache.stats().executables.misses, 1u);  // one structure build
   EXPECT_EQ(cache.stats().executables.hits,
@@ -190,7 +191,11 @@ TEST(CompiledProgramCache, BindingsOfOneAnsatzShareOneStructure) {
     EXPECT_EQ(&exe->structure(), &exes.front()->structure());
   }
   // An exact repeat of the last binding is served as-is, no materialize.
-  EXPECT_EQ(cache.executable(bindings.back()).get(), exes.back().get());
+  EXPECT_EQ(cache
+                .executable(bindings.back(),
+                            circuit_fingerprints(bindings.back()))
+                .get(),
+            exes.back().get());
   EXPECT_EQ(cache.stats().executables.hits,
             static_cast<std::uint64_t>(kBindings));
   // A later binding replays its own angles, not the first binding's.
@@ -203,7 +208,9 @@ TEST(CompiledProgramCache, BindingsOfOneAnsatzShareOneStructure) {
   EXPECT_EQ(cache.plan_builds(), 0u);
   EXPECT_EQ(cache.plan_hits(), 0u);
   // The schedule policy is part of the key.
-  (void)cache.executable(bindings.front(), SchedulePolicy::ASAP);
+  (void)cache.executable(bindings.front(),
+                        circuit_fingerprints(bindings.front()),
+                        SchedulePolicy::ASAP);
   EXPECT_EQ(cache.stats().executables.misses, 2u);
 }
 

@@ -3,9 +3,10 @@
 // Fused replay must agree with gate-by-gate replay to <= 1e-10 on both the
 // statevector (ideal_distribution) and density-matrix pipelines, over
 // randomized circuits shaped for every bundled topology. The executor's
-// per-op compiled channels must be BIT-identical to the uncompiled
-// apply_unitary path (the compilation only hoists work, it must not change
-// a single rounding), which in turn pins the sample_counts RNG streams.
+// per-op compiled channels must be BIT-identical to the Matrix transform
+// of tests/reference_density.hpp (the compilation only hoists work, it
+// must not change a single rounding), which in turn pins the sample_counts
+// RNG streams.
 // Structural tests assert fusion never merges across barriers or
 // measurements.
 
@@ -15,13 +16,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "benchmarks/suite.hpp"
-#include "circuit/gate_cache.hpp"
 #include "common/rng.hpp"
 #include "hardware/device.hpp"
+#include "reference_density.hpp"
 #include "service/backend.hpp"
 #include "sim/density.hpp"
 #include "sim/executor.hpp"
@@ -65,10 +67,14 @@ double state_diff(std::span<const cx> a, std::span<const cx> b) {
 /// Gate-by-gate density replay of a circuit's unitary stream.
 DensityMatrix density_reference(const Circuit& c) {
   DensityMatrix dm(c.num_qubits());
-  for (const Gate& g : c.ops()) {
-    if (g.kind == GateKind::Barrier || g.kind == GateKind::Measure) continue;
-    dm.apply_unitary(gate_matrix(g), g.qubits);
-  }
+  reference::apply_ops(dm, compile_ops(c));
+  return dm;
+}
+
+/// Gate-only density replay of a fused program.
+DensityMatrix density_run(const CompiledProgram& prog) {
+  DensityMatrix dm(prog.num_qubits());
+  reference::apply_ops(dm, prog.ops());
   return dm;
 }
 
@@ -79,9 +85,9 @@ void expect_fused_matches_unfused(const Circuit& c, const char* label) {
         << label;
   }
   if (c.num_qubits() <= 6) {
-    DensityMatrix fused(c.num_qubits());
-    fused.run(prog);
-    EXPECT_LT(state_diff(fused.data(), density_reference(c).data()), kTol)
+    EXPECT_LT(state_diff(density_run(prog).data(),
+                         density_reference(c).data()),
+              kTol)
         << label;
   }
 }
@@ -276,20 +282,15 @@ TEST(FusionGolden, NoiseOffMatchesZeroGateErrorCalibration) {
   }
 }
 
-TEST(FusionGolden, CompiledChannelBitIdenticalToApplyUnitary) {
-  // apply_compiled must be the same arithmetic as apply_unitary — the
-  // superket compilation is hoisted, not altered — so the executor's
-  // switch to compiled channels cannot move a single bit.
+TEST(FusionGolden, CompiledChannelBitIdenticalToMatrixTransform) {
+  // A compiled op through DensityMatrix::apply_noisy_gate must be the same
+  // arithmetic as the reference Matrix transform — the superket
+  // compilation is hoisted, not altered — so compiled channels cannot move
+  // a single bit.
   Rng rng(77);
   for (int n = 1; n <= 4; ++n) {
-    DensityMatrix a(n);
-    DensityMatrix b(n);
-    for (int q = 0; q < n; ++q) {
-      const Gate g = random_1q_gate(rng, q);
-      a.apply_unitary(gate_matrix(g), g.qubits);
-      b.apply_unitary(gate_matrix(g), g.qubits);
-    }
     Circuit c(n);
+    for (int q = 0; q < n; ++q) c.append(random_1q_gate(rng, q));
     for (int step = 0; step < 12; ++step) {
       if (n >= 2 && rng.bernoulli(0.5)) {
         const int x = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
@@ -301,16 +302,16 @@ TEST(FusionGolden, CompiledChannelBitIdenticalToApplyUnitary) {
             rng, static_cast<int>(rng.index(static_cast<std::size_t>(n)))));
       }
     }
-    const std::vector<FusedOp> channels = compile_ops(c);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      const Gate& g = c.ops()[i];
-      a.apply_unitary(gate_matrix(g), g.qubits);
-      b.apply_compiled(channels[i], g.qubits);
+    const DensityMatrix b = density_reference(c);
+    const DensityMatrix ground(n);
+    std::vector<cx> a(ground.data().begin(), ground.data().end());
+    for (const Gate& g : c.ops()) {
+      reference::apply_matrix(a, n, gate_matrix(g), g.qubits);
     }
-    for (std::size_t i = 0; i < a.data().size(); ++i) {
-      EXPECT_EQ(a.data()[i].real(), b.data()[i].real()) << "n=" << n;
-      EXPECT_EQ(a.data()[i].imag(), b.data()[i].imag()) << "n=" << n;
-    }
+    ASSERT_EQ(a.size(), b.data().size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data().data(), a.size() * sizeof(cx)),
+              0)
+        << "n=" << n;
   }
 }
 
@@ -418,8 +419,8 @@ TEST(CompiledProgramCache, MemoizesByFingerprint) {
   renamed.set_name("other-name");
   // The fingerprint ignores names, so a rename hits the same entry.
   EXPECT_EQ(cache.fused(renamed).get(), first.get());
-  const auto exe1 = cache.executable(c);
-  const auto exe2 = cache.executable(c);
+  const auto exe1 = cache.executable(c, circuit_fingerprints(c));
+  const auto exe2 = cache.executable(c, circuit_fingerprints(c));
   EXPECT_EQ(exe1.get(), exe2.get());
   EXPECT_EQ(cache.stats().fused.entries, 1u);
   EXPECT_EQ(cache.stats().executables.entries, 1u);
@@ -451,13 +452,11 @@ TEST(NativeKernels, ScalarAndNativeDenseKernelsAgree) {
     kern::set_native_kernels(false);
     Statevector scalar_sv(n);
     scalar_sv.run(prog);
-    DensityMatrix scalar_dm(n);
-    scalar_dm.run(prog);
+    const DensityMatrix scalar_dm = density_run(prog);
     kern::set_native_kernels(true);
     Statevector native_sv(n);
     native_sv.run(prog);
-    DensityMatrix native_dm(n);
-    native_dm.run(prog);
+    const DensityMatrix native_dm = density_run(prog);
     EXPECT_LT(state_diff(scalar_sv.amplitudes(), native_sv.amplitudes()), kTol)
         << "n=" << n;
     EXPECT_LT(state_diff(scalar_dm.data(), native_dm.data()), kTol)
@@ -510,13 +509,11 @@ TEST(NativeKernels, ScalarAndNativeDiagPermKernelsAgree) {
       kern::set_native_kernels(false);
       Statevector scalar_sv(n);
       scalar_sv.run(prog);
-      DensityMatrix scalar_dm(n);
-      scalar_dm.run(prog);
+      const DensityMatrix scalar_dm = density_run(prog);
       kern::set_native_kernels(true);
       Statevector native_sv(n);
       native_sv.run(prog);
-      DensityMatrix native_dm(n);
-      native_dm.run(prog);
+      const DensityMatrix native_dm = density_run(prog);
       EXPECT_LT(state_diff(scalar_sv.amplitudes(), native_sv.amplitudes()),
                 kTol)
           << "n=" << n << " twoq=" << static_cast<int>(twoq);
@@ -554,19 +551,21 @@ TEST(NativeKernels, ScalarAndNativeChannelKernelsAgree) {
     const CompiledProgram prog = CompiledProgram::compile(c);
     const auto run_channels = [&](bool native) {
       kern::set_native_kernels(native);
-      DensityMatrix dm(n);
-      dm.run(prog);  // non-trivial state so every superket element matters
+      // Non-trivial state so every superket element matters.
+      const DensityMatrix dm = density_run(prog);
+      std::vector<cx> rho(dm.data().begin(), dm.data().end());
       for (int q = 0; q < n; ++q) {
         const int one[] = {q};
-        dm.apply_depolarizing(0.015 + 0.004 * q, one);
-        dm.apply_relaxation(q, 120.0 + 15.0 * q, 85.0, 70.0);
+        kern::depolarize(rho, n, one,
+                         depolarizing_coeffs(0.015 + 0.004 * q, 1));
+        kern::relax1(rho, n, q,
+                     relaxation_coeffs({120.0 + 15.0 * q, 85.0, 70.0}));
       }
       for (int q = 0; q + 1 < n; ++q) {
         const int two[] = {q, q + 1};
-        dm.apply_depolarizing(0.02, two);
+        kern::depolarize(rho, n, two, depolarizing_coeffs(0.02, 2));
       }
-      std::vector<cx> snapshot(dm.data().begin(), dm.data().end());
-      return snapshot;
+      return rho;
     };
     const std::vector<cx> scalar = run_channels(false);
     const std::vector<cx> native = run_channels(true);

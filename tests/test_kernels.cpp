@@ -3,9 +3,11 @@
 // The reference implementations below are verbatim ports of the seed
 // (pre-kernel-rewrite) DensityMatrix and Statevector update loops:
 // skip-scan base enumeration, per-call scratch, four-Kraus relaxation,
-// copy-based depolarizing. Every channel of the new kernel layer is pinned
-// against them elementwise to 1e-10 over random circuits on 1-8 qubits,
-// plus trace/purity/hermiticity invariants.
+// copy-based depolarizing. Every production entry point of the kernel
+// layer — compiled gates, DensityMatrix::apply_noisy_gate and
+// apply_relaxation, kern::depolarize — is pinned against them elementwise
+// to 1e-10 over random circuits on 1-8 qubits, plus
+// trace/purity/hermiticity invariants.
 
 #include "sim/kernels.hpp"
 
@@ -21,6 +23,7 @@
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
+#include "reference_density.hpp"
 #include "sim/density.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
@@ -199,19 +202,21 @@ double max_abs_diff(std::span<const cx> a, std::span<const cx> b) {
   return worst;
 }
 
-void check_density_invariants(const DensityMatrix& dm) {
-  EXPECT_NEAR(dm.trace_real(), 1.0, 1e-9);
-  EXPECT_LE(dm.purity(), 1.0 + 1e-9);
-  EXPECT_GE(dm.purity(), 0.0);
+void check_density_invariants(std::span<const cx> rho, std::size_t dim) {
+  EXPECT_NEAR(reference::trace(rho, dim), 1.0, 1e-9);
+  EXPECT_LE(reference::purity(rho), 1.0 + 1e-9);
+  EXPECT_GE(reference::purity(rho), 0.0);
   // Hermiticity of the stored matrix.
-  const std::span<const cx> rho = dm.data();
-  const std::size_t dim = dm.dim();
   for (std::size_t r = 0; r < dim; ++r) {
     for (std::size_t c = r; c < dim; ++c) {
       EXPECT_NEAR(std::abs(rho[r * dim + c] - std::conj(rho[c * dim + r])),
                   0.0, 1e-9);
     }
   }
+}
+
+void check_density_invariants(const DensityMatrix& dm) {
+  check_density_invariants(dm.data(), dm.dim());
 }
 
 Gate random_1q_gate(Rng& rng, int qubit) {
@@ -255,7 +260,7 @@ TEST(KernelGolden, StatevectorRandomCircuits) {
             rng, static_cast<int>(rng.index(static_cast<std::size_t>(n))));
       }
       const Matrix u = gate_matrix(g);
-      sv.apply_unitary(u, g.qubits);
+      sv.apply_compiled(kern::compile_unitary(u.data()), g.qubits);
       ref_sv_apply(ref, u, g.qubits);
     }
     EXPECT_LT(max_abs_diff(sv.amplitudes(), ref), kTol) << "n=" << n;
@@ -280,48 +285,16 @@ TEST(KernelGolden, DensityUnitaryRandomCircuits) {
         g = random_1q_gate(
             rng, static_cast<int>(rng.index(static_cast<std::size_t>(n))));
       }
-      const Matrix u = gate_matrix(g);
-      dm.apply_unitary(u, g.qubits);
-      ref.apply_unitary(u, g.qubits);
+      reference::apply_gate(dm, g);
+      ref.apply_unitary(gate_matrix(g), g.qubits);
     }
-    EXPECT_LT(max_abs_diff(dm.data(), ref.rho), kTol) << "n=" << n;
-    check_density_invariants(dm);
-  }
-}
-
-TEST(KernelGolden, DensityGenericKernelThreeQubitUnitary) {
-  // An entangling 8x8 unitary exercises the generic (k >= 3) fallback.
-  Rng rng(31);
-  Circuit block(3);
-  block.h(0);
-  block.cx(0, 1);
-  block.t(1);
-  block.cx(1, 2);
-  block.ry(0.7, 2);
-  block.cx(2, 0);
-  const Matrix u8 = block.to_unitary();
-  for (int n = 3; n <= 6; ++n) {
-    DensityMatrix dm(n);
-    RefDensity ref(n);
-    // Scramble first so the state is non-trivial.
-    for (int q = 0; q < n; ++q) {
-      const Gate g = random_1q_gate(rng, q);
-      const Matrix u = gate_matrix(g);
-      dm.apply_unitary(u, g.qubits);
-      ref.apply_unitary(u, g.qubits);
-    }
-    std::vector<int> qs(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) qs[static_cast<std::size_t>(i)] = i;
-    rng.shuffle(qs);
-    qs.resize(3);
-    dm.apply_unitary(u8, qs);
-    ref.apply_unitary(u8, qs);
     EXPECT_LT(max_abs_diff(dm.data(), ref.rho), kTol) << "n=" << n;
     check_density_invariants(dm);
   }
 }
 
 TEST(KernelGolden, DepolarizingRandomSubsets) {
+  // One- and two-qubit subsets: the only depolarizing the executor emits.
   for (int n = 1; n <= 8; ++n) {
     Rng rng(3000 + static_cast<std::uint64_t>(n));
     DensityMatrix dm(n);
@@ -329,24 +302,24 @@ TEST(KernelGolden, DepolarizingRandomSubsets) {
     // Non-trivial state first.
     for (int q = 0; q < n; ++q) {
       const Gate g = random_1q_gate(rng, q);
-      const Matrix u = gate_matrix(g);
-      dm.apply_unitary(u, g.qubits);
-      ref.apply_unitary(u, g.qubits);
+      reference::apply_gate(dm, g);
+      ref.apply_unitary(gate_matrix(g), g.qubits);
     }
+    std::vector<cx> rho(dm.data().begin(), dm.data().end());
     for (int trial = 0; trial < 6; ++trial) {
       const int k = 1 + static_cast<int>(
                             rng.index(static_cast<std::size_t>(
-                                std::min(n, 3))));
+                                std::min(n, 2))));
       std::vector<int> qs(static_cast<std::size_t>(n));
       for (int i = 0; i < n; ++i) qs[static_cast<std::size_t>(i)] = i;
       rng.shuffle(qs);
       qs.resize(static_cast<std::size_t>(k));
       const double p = rng.uniform(0.0, 0.75);
-      dm.apply_depolarizing(p, qs);
+      kern::depolarize(rho, n, qs, depolarizing_coeffs(p, k));
       ref.apply_depolarizing(p, qs);
     }
-    EXPECT_LT(max_abs_diff(dm.data(), ref.rho), kTol) << "n=" << n;
-    check_density_invariants(dm);
+    EXPECT_LT(max_abs_diff(rho, ref.rho), kTol) << "n=" << n;
+    check_density_invariants(rho, dm.dim());
   }
 }
 
@@ -357,9 +330,8 @@ TEST(KernelGolden, RelaxationMatchesFourKrausReference) {
     RefDensity ref(n);
     for (int q = 0; q < n; ++q) {
       const Gate g = random_1q_gate(rng, q);
-      const Matrix u = gate_matrix(g);
-      dm.apply_unitary(u, g.qubits);
-      ref.apply_unitary(u, g.qubits);
+      reference::apply_gate(dm, g);
+      ref.apply_unitary(gate_matrix(g), g.qubits);
     }
     for (int trial = 0; trial < 8; ++trial) {
       const int q = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
@@ -373,71 +345,6 @@ TEST(KernelGolden, RelaxationMatchesFourKrausReference) {
     EXPECT_LT(max_abs_diff(dm.data(), ref.rho), kTol) << "n=" << n;
     check_density_invariants(dm);
   }
-}
-
-TEST(KernelGolden, KrausChannelsMatchReference) {
-  for (int n = 1; n <= 6; ++n) {
-    Rng rng(5000 + static_cast<std::uint64_t>(n));
-    DensityMatrix dm(n);
-    RefDensity ref(n);
-    for (int q = 0; q < n; ++q) {
-      const Gate g = random_1q_gate(rng, q);
-      const Matrix u = gate_matrix(g);
-      dm.apply_unitary(u, g.qubits);
-      ref.apply_unitary(u, g.qubits);
-    }
-    // Amplitude damping on a random qubit.
-    {
-      const double g = rng.uniform(0.05, 0.6);
-      const Matrix k0(2, 2, {1, 0, 0, std::sqrt(1.0 - g)});
-      const Matrix k1(2, 2, {0, std::sqrt(g), 0, 0});
-      const Matrix ks[] = {k0, k1};
-      const int q = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
-      const std::vector<int> qs{q};
-      dm.apply_kraus(ks, qs);
-      ref.apply_kraus(ks, qs);
-    }
-    // Single-operator channel (unitary as Kraus) hits the in-place path.
-    {
-      const Matrix h = gate_matrix(GateKind::H);
-      const Matrix ks[] = {h};
-      const int q = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
-      const std::vector<int> qs{q};
-      dm.apply_kraus(ks, qs);
-      ref.apply_kraus(ks, qs);
-    }
-    // Two-qubit Pauli-mix channel.
-    if (n >= 2) {
-      const double p = 0.2;
-      Matrix k0 = Matrix::identity(4);
-      k0 *= std::sqrt(1.0 - p);
-      Matrix k1 = gate_matrix(GateKind::CZ);
-      k1 *= std::sqrt(p);
-      const Matrix ks[] = {k0, k1};
-      const int a = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
-      int b = static_cast<int>(rng.index(static_cast<std::size_t>(n) - 1));
-      if (b >= a) ++b;
-      const std::vector<int> qs{a, b};
-      dm.apply_kraus(ks, qs);
-      ref.apply_kraus(ks, qs);
-    }
-    EXPECT_LT(max_abs_diff(dm.data(), ref.rho), kTol) << "n=" << n;
-    check_density_invariants(dm);
-  }
-}
-
-TEST(KernelGolden, KrausValidateFlagContract) {
-  DensityMatrix dm(1);
-  const Matrix bad(2, 2, {0.5, 0, 0, 0.5});
-  const Matrix ks[] = {bad};
-  const std::vector<int> qs{0};
-  // Default (validate=true): incomplete sets are rejected.
-  EXPECT_THROW(dm.apply_kraus(ks, qs), std::invalid_argument);
-  EXPECT_THROW(dm.apply_kraus(ks, qs, /*validate=*/true),
-               std::invalid_argument);
-  // validate=false skips the completeness check (hot-path contract for
-  // callers that construct provably complete sets).
-  EXPECT_NO_THROW(dm.apply_kraus(ks, qs, /*validate=*/false));
 }
 
 TEST(KernelGolden, CompiledUnitaryClassification) {
@@ -461,14 +368,14 @@ TEST(KernelGolden, CompiledUnitaryClassification) {
 TEST(KernelGolden, NonInjectiveOneNonzeroPerRowMatrixStaysDense) {
   // [[s,0],[s,0]] has one nonzero per row but both rows read column 0 —
   // not a generalized permutation. It must classify dense and apply
-  // correctly (the kernels explicitly support non-unitary matrices via
-  // apply_kraus).
+  // correctly (compile_unitary assumes no unitarity).
   const double s = 1.0 / std::sqrt(2.0);
   const cx u[4] = {s, 0.0, s, 0.0};
-  EXPECT_EQ(kern::compile_unitary(std::span<const cx>(u, 4)).tag,
-            kern::CompiledUnitary::Tag::kDense1);
+  const kern::CompiledUnitary cu = kern::compile_unitary(u);
+  EXPECT_EQ(cu.tag, kern::CompiledUnitary::Tag::kDense1);
   std::vector<cx> amps{cx{0.0, 0.0}, cx{1.0, 0.0}};  // |1>
-  kern::apply1(amps, 1, 0, u);
+  const int target = 0;
+  kern::apply_compiled(amps, 1, std::span<const int>(&target, 1), cu);
   // M|1> = column 1 of M = (0, 0).
   EXPECT_NEAR(std::abs(amps[0]), 0.0, 1e-15);
   EXPECT_NEAR(std::abs(amps[1]), 0.0, 1e-15);
@@ -629,8 +536,9 @@ TEST(NoisyGateSweep, BitIdenticalToChannelSequence) {
 }
 
 TEST(NoisyGateSweep, DensityEntryPointMatchesSequentialCalls) {
-  // DensityMatrix::apply_noisy_gate against the executor's former per-op
-  // calls: relaxation per operand, the compiled gate, depolarizing.
+  // DensityMatrix::apply_noisy_gate against the single-channel kernels on
+  // a superket, each fed the coefficients the entry point derives:
+  // relaxation per operand, the compiled gate, depolarizing.
   for (int n = 2; n <= 5; ++n) {
     Circuit c(n);
     c.h(0);
@@ -640,7 +548,7 @@ TEST(NoisyGateSweep, DensityEntryPointMatchesSequentialCalls) {
     c.t(n / 2);
     const std::vector<FusedOp> ops = compile_ops(c);
     DensityMatrix fused(n);
-    DensityMatrix seq(n);
+    std::vector<cx> seq(fused.data().begin(), fused.data().end());
     for (std::size_t i = 0; i < ops.size(); ++i) {
       const FusedOp& op = ops[i];
       const std::span<const int> q(op.q, static_cast<std::size_t>(op.k()));
@@ -650,16 +558,20 @@ TEST(NoisyGateSweep, DensityEntryPointMatchesSequentialCalls) {
       const double p = 0.004 * static_cast<double>(op.k());
       fused.apply_noisy_gate(op, q, std::span<const Relaxation>(idle, q.size()),
                              p);
+      kern::RelaxCoeffs relax[2];
+      kern::NoisyGate g;
       for (std::size_t j = 0; j < q.size(); ++j) {
-        seq.apply_relaxation(q[j], idle[j].duration_ns, idle[j].t1_us,
-                             idle[j].t2_us);
+        if (idle[j].duration_ns <= 0.0) continue;
+        relax[j] = relaxation_coeffs(idle[j]);
+        g.relax[j] = &relax[j];
       }
-      seq.apply_compiled(op, q);
-      seq.apply_depolarizing(p, q);
+      const kern::DepolCoeffs depol = depolarizing_coeffs(p, op.k());
+      g.depol = &depol;
+      channel_sequence(seq, n, op, q, g);
     }
-    ASSERT_EQ(fused.data().size(), seq.data().size());
-    EXPECT_EQ(std::memcmp(fused.data().data(), seq.data().data(),
-                          fused.data().size() * sizeof(cx)),
+    ASSERT_EQ(fused.data().size(), seq.size());
+    EXPECT_EQ(std::memcmp(fused.data().data(), seq.data(),
+                          seq.size() * sizeof(cx)),
               0)
         << "n=" << n;
   }

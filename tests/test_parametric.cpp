@@ -27,10 +27,10 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "circuit/gate_cache.hpp"
 #include "common/rng.hpp"
 #include "hardware/device.hpp"
 #include "mapping/transpiler.hpp"
+#include "reference_density.hpp"
 #include "reference_transpile.hpp"
 #include "service/backend.hpp"
 #include "service/service.hpp"
@@ -496,12 +496,9 @@ TEST(ParametricFusion, MaterializedReplayMatchesUnfusedWithinTolerance) {
       EXPECT_NEAR(fused.prob(key), p, kTol) << "iter " << iter;
     }
     DensityMatrix dm(c.num_qubits());
-    dm.run(prog);
+    reference::apply_ops(dm, prog.ops());
     DensityMatrix dref(c.num_qubits());
-    for (const Gate& g : c.ops()) {
-      if (g.kind == GateKind::Barrier || g.kind == GateKind::Measure) continue;
-      dref.apply_unitary(gate_matrix(g), g.qubits);
-    }
+    reference::apply_ops(dref, compile_ops(c));
     double worst = 0.0;
     for (std::size_t i = 0; i < dm.data().size(); ++i) {
       worst = std::max(worst, std::abs(dm.data()[i] - dref.data()[i]));

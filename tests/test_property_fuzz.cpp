@@ -22,9 +22,11 @@
 #include "fleetsim/simulator.hpp"
 #include "mapping/transpiler.hpp"
 #include "partition/candidates.hpp"
+#include "reference_density.hpp"
 #include "service/service.hpp"
 #include "sim/density.hpp"
 #include "sim/executor.hpp"
+#include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
 #include "zne/folding.hpp"
 
@@ -90,10 +92,7 @@ TEST_P(FuzzSeeds, StatevectorAndDensityAgree) {
   Statevector sv(4);
   sv.apply_circuit(c);
   DensityMatrix dm(4);
-  for (const Gate& g : c.ops()) {
-    if (g.kind == GateKind::Barrier) continue;
-    dm.apply_unitary(gate_matrix(g), g.qubits);
-  }
+  reference::apply_ops(dm, compile_ops(c));
   const auto sp = sv.probabilities();
   const auto dp = dm.probabilities();
   for (std::size_t i = 0; i < sp.size(); ++i) {

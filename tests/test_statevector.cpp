@@ -41,7 +41,8 @@ TEST(Statevector, XFlipsTargetBitOnly) {
   Statevector sv(3);
   const Matrix x = gate_matrix(GateKind::X);
   const int q = 1;
-  sv.apply_unitary(x, std::span<const int>(&q, 1));
+  sv.apply_compiled(kern::compile_unitary(x.data()),
+                    std::span<const int>(&q, 1));
   EXPECT_DOUBLE_EQ(sv.probabilities()[2], 1.0);
 }
 
