@@ -26,6 +26,7 @@
 // Everything lands in BENCH_service.json (schema qucp-bench-service-v1)
 // with the shared meta block, like the other BENCH_*.json artifacts.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdlib>
@@ -338,15 +339,17 @@ struct ParametricRow {
   }
 };
 
+/// Each speedup is the median over rounds of the per-round ratio, and each
+/// pair of rows is the round behind that median, so dividing the rows
+/// gives the speedup (see run_parametric_section).
 struct ParametricSection {
   ParametricRow on;
   ParametricRow on_scalar;  ///< per-job bind path, scalar materialize
   ParametricRow off;
   ParametricRow batched;  ///< transpile_sweep: one probe per group + binds
 
-  [[nodiscard]] double speedup() const {
-    return on.ns_per_job() > 0.0 ? off.ns_per_job() / on.ns_per_job() : 0.0;
-  }
+  /// off / on: the structural-template bind path's amortized win.
+  double speedup = 0.0;
   /// The sweep fast path's target: the full batched path (group-probed
   /// cache, one bind() per job, plan-direct materialize on the AVX2
   /// kernels) vs the per-job bind path it replaces as previously
@@ -354,11 +357,7 @@ struct ParametricSection {
   /// (`on_scalar`). In a build
   /// without native kernels both arms run the same scalar products and
   /// this reduces to the pure batching win.
-  [[nodiscard]] double batched_speedup() const {
-    return batched.ns_per_job() > 0.0
-               ? on_scalar.ns_per_job() / batched.ns_per_job()
-               : 0.0;
-  }
+  double batched_speedup = 0.0;
 };
 
 constexpr int kSweepQubits = 8;
@@ -528,25 +527,49 @@ ParametricSection run_parametric_section() {
               "fallbacks", "bind ns/hit", "plan builds"});
   bench::rule(9);
   ParametricSection section;
-  // Every arm is deterministic (fresh backend + identical stream per
-  // round), so cache stats are round-invariant and best-of-rounds only
-  // strips scheduler noise from the timings — the arms are compared at
-  // their capability, not at whatever the machine was doing that second.
-  const int rounds = smoke_mode() ? 2 : 3;
-  const auto best_of = [&](auto&& run) {
-    auto best = run();
-    for (int r = 1; r < rounds; ++r) {
-      auto next = run();
-      if (next.total_s < best.total_s) best = std::move(next);
-    }
-    return best;
+  // The four arms run interleaved, one round of each at a time, so load
+  // that drifts on a shared host hits every arm of a round alike, and the
+  // speedups are medians of the per-round ratios: one slow round cannot
+  // flip a gate, as it could when each arm ran its rounds back to back.
+  // Each pair of rows shows the round behind its median (rounds is odd),
+  // so the rows divide to the speedups. Every arm is deterministic (fresh
+  // backend + identical stream per round), so cache stats are
+  // round-invariant.
+  const int rounds = smoke_mode() ? 3 : 5;
+  struct Round {
+    ParametricRow off, on, on_scalar, batched;
   };
-  // Off first so the on-arm's speedup column can print in its row.
-  section.off = best_of([&] { return run_parametric_off(iters); });
-  section.on = best_of([&] { return run_parametric_on(iters); });
-  section.on_scalar =
-      best_of([&] { return run_parametric_on(iters, /*scalar=*/true); });
-  section.batched = best_of([&] { return run_parametric_batched(iters); });
+  std::vector<Round> runs;
+  for (int r = 0; r < rounds; ++r) {
+    Round round;
+    round.off = run_parametric_off(iters);
+    round.on = run_parametric_on(iters);
+    round.on_scalar = run_parametric_on(iters, /*scalar=*/true);
+    round.batched = run_parametric_batched(iters);
+    runs.push_back(std::move(round));
+  }
+  const auto median_round = [&](double (*ratio)(const Round&)) {
+    std::vector<const Round*> order;
+    for (const Round& r : runs) order.push_back(&r);
+    std::sort(order.begin(), order.end(),
+              [&](const Round* a, const Round* b) {
+                return ratio(*a) < ratio(*b);
+              });
+    return order[order.size() / 2];
+  };
+  const Round* bind = median_round([](const Round& r) {
+    return r.off.ns_per_job() / r.on.ns_per_job();
+  });
+  const Round* sweep = median_round([](const Round& r) {
+    return r.on_scalar.ns_per_job() / r.batched.ns_per_job();
+  });
+  section.off = bind->off;
+  section.on = bind->on;
+  section.speedup = section.off.ns_per_job() / section.on.ns_per_job();
+  section.on_scalar = sweep->on_scalar;
+  section.batched = sweep->batched;
+  section.batched_speedup =
+      section.on_scalar.ns_per_job() / section.batched.ns_per_job();
   const auto mode_name = [&](const ParametricRow* r) {
     if (r == &section.batched) return "sweep_batched";
     if (r == &section.on_scalar) return "on_scalar";
@@ -573,8 +596,9 @@ ParametricSection run_parametric_section() {
       "the cache + fusion plan once per structure group, binds each job\n"
       "against the group's template and materializes each ideal\n"
       "reference straight off the plan's AVX2 product chain (the\n"
-      "submit_all sweep path).\n",
-      section.speedup(), section.batched_speedup());
+      "submit_all sweep path). Speedups are medians of per-round ratios\n"
+      "over %d interleaved rounds.\n",
+      section.speedup, section.batched_speedup, rounds);
   return section;
 }
 
@@ -660,10 +684,10 @@ void write_json(const std::vector<IntakeRow>& intake,
                "\"speedup\": %.2f, \"meets_target\": %s, "
                "\"sweep_batched_speedup\": %.2f, "
                "\"sweep_batched_meets_target\": %s}",
-               sep(), parametric.speedup(),
-               parametric.speedup() >= 5.0 ? "true" : "false",
-               parametric.batched_speedup(),
-               parametric.batched_speedup() >= 1.8 ? "true" : "false");
+               sep(), parametric.speedup,
+               parametric.speedup >= 5.0 ? "true" : "false",
+               parametric.batched_speedup,
+               parametric.batched_speedup >= 1.8 ? "true" : "false");
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s (%zu rows%s)\n", path.c_str(),

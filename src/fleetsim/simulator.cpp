@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -60,8 +59,8 @@ struct Lane {
   std::uint64_t dispatched_batches = 0;
 };
 
-/// The simulator's lanes at time `now`, as the service's routing policies
-/// see a fleet. A routed job's PackJob::fingerprint is its class id.
+/// The simulator's lanes at time `now`, as the service's RoutingPolicy
+/// sees a fleet. A routed job's PackJob::fingerprint is its class id.
 class LaneView final : public RouteView {
  public:
   LaneView(const FleetSimulator& sim, const std::vector<Lane>& lanes, int cap)
@@ -235,9 +234,8 @@ SimTrace FleetSimulator::run(std::span<const Arrival> arrivals) const {
     events.push(EventKind::DeviceFree, end, d);
   };
 
-  // Routing runs the service's own policy object over a view of the lanes.
-  const std::unique_ptr<RoutingPolicy> policy =
-      make_routing_policy(options_.policy);
+  // Routing runs the service's own policy class over a view of the lanes.
+  RoutingPolicy policy(options_.policy);
   LaneView view(*this, lanes, cap);
   std::vector<std::size_t> prefs;
 
@@ -254,7 +252,7 @@ SimTrace FleetSimulator::run(std::span<const Arrival> arrivals) const {
         const PackJob routed{job, {classes_[cls].qubits, 0, 0}, cls};
         view.now = event.time_s;
         // The first device in preference order that the job fits on.
-        policy->preference(view, routed, prefs);
+        policy.preference(view, routed, prefs);
         const auto fit = std::ranges::find_if(prefs, [&](std::size_t s) {
           return view.exec_ns(s, routed) >= 0.0;
         });
@@ -263,7 +261,7 @@ SimTrace FleetSimulator::run(std::span<const Arrival> arrivals) const {
                                       std::to_string(job) + " fits nowhere");
         }
         const std::size_t d = *fit;
-        policy->on_placed(d, routed);
+        policy.on_placed(d, routed);
         record.device = static_cast<int>(d);
         Lane& lane = lanes[d];
         // The makespan is read at enqueue time under the drift in force

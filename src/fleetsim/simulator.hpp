@@ -18,10 +18,9 @@
 // fidelity scores; a negative makespan marks a device the class cannot be
 // placed on, and every routing policy excludes those.
 //
-// Routing runs the service's own policies (service/fleet.hpp: the
-// RoutingPolicy objects make_routing_policy builds) over a RouteView of
-// the simulator's lanes, so offline evaluation checks the very rule the
-// service routes with. Each arrival goes to the first device in the
+// Routing runs the service's own RoutingPolicy class (service/fleet.hpp)
+// over a RouteView of the simulator's lanes, so offline evaluation checks
+// the very rule the service routes with. Each arrival goes to the first device in the
 // policy's preference order that it fits on. The view's solo EFS is the
 // drifted EFS, and its expected latency is the service's one
 // ExpectedLatency formula over the lane: the running batch's remaining

@@ -48,43 +48,14 @@ double modeled_exec_ns(const Device& device, const ProgramShape& shape) {
   return exec_ns_from_calibration(cal, shape, mean_cx_duration_ns(cal));
 }
 
-const std::vector<PartitionAssignment>* AdmissionProbe::probe(
-    const ProgramShape& shape) {
-  has_pending_ = false;
-  shapes_.push_back(shape);
-  auto alloc =
-      allocate_batch(*slot_->device, *partitioner_, shapes_, slot_->index);
-  shapes_.pop_back();
-  if (!alloc) return nullptr;
-  pending_shape_ = shape;
-  pending_assignments_ = std::move(*alloc);
-  has_pending_ = true;
-  return &pending_assignments_;
-}
-
-void AdmissionProbe::admit() {
-  assert(has_pending_);
-  shapes_.push_back(pending_shape_);
-  assignments_ = std::move(pending_assignments_);
-  pending_assignments_.clear();
-  has_pending_ = false;
-}
-
-void AdmissionProbe::reset() {
-  shapes_.clear();
-  assignments_.clear();
-  pending_assignments_.clear();
-  has_pending_ = false;
-}
-
 FleetView::FleetView(std::span<const FleetSlot> slots,
                      const Partitioner& partitioner,
                      std::span<const LaneEstimate> lanes,
-                     const RuntimeModel* model, int max_batch_size)
+                     const RuntimeModel& model, int max_batch_size)
     : slots_(slots),
       partitioner_(&partitioner),
       lanes_(lanes),
-      model_(model),
+      model_(&model),
       max_batch_size_(max_batch_size) {
   avg_cx_ns_.reserve(slots_.size());
   for (const FleetSlot& slot : slots_) {
@@ -93,12 +64,7 @@ FleetView::FleetView(std::span<const FleetSlot> slots,
 }
 
 double FleetView::drain_estimate_s(std::size_t slot) const {
-  if (lanes_.empty()) return 0.0;
   return lanes_[slot].initial_backlog_s + lanes_[slot].planned_closed_s;
-}
-
-int FleetView::open_jobs(std::size_t slot) const {
-  return lanes_.empty() ? 0 : lanes_[slot].open_jobs;
 }
 
 double FleetView::exec_estimate_ns(std::size_t slot,
@@ -128,11 +94,8 @@ double expected_latency_s(const LaneEstimate& lane, double own_ns,
 
 double FleetView::expected_latency_s(std::size_t slot,
                                      const PackJob& job) const {
-  static const RuntimeModel kDefaultModel{};
-  return qucp::expected_latency_s(
-      lanes_.empty() ? LaneEstimate{} : lanes_[slot],
-      exec_estimate_ns(slot, job), model_ != nullptr ? *model_ : kDefaultModel,
-      max_batch_size_);
+  return qucp::expected_latency_s(lanes_[slot], exec_estimate_ns(slot, job),
+                                  *model_, max_batch_size_);
 }
 
 std::optional<double> FleetView::solo_efs(std::size_t slot,
@@ -168,76 +131,65 @@ std::string_view route_policy_name(RoutePolicy policy) noexcept {
   return "?";
 }
 
-void RoundRobinPolicy::preference(const RouteView& fleet, const PackJob& job,
-                                  std::vector<std::size_t>& order) {
-  // Rotate the starting slot by canonical queue position: stable across
-  // packing rounds (a spilled job keeps its preference) and independent of
-  // submission interleaving.
-  const std::size_t n = fleet.size();
-  order.resize(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = (job.index + i) % n;
-}
-
-void LeastLoadedPolicy::preference(const RouteView& fleet, const PackJob& job,
-                                   std::vector<std::size_t>& order) {
-  (void)job;
-  const std::size_t n = fleet.size();
-  if (load_.size() < n) load_.resize(n, 0);
-  scored_.clear();
-  for (std::size_t s = 0; s < n; ++s) {
-    scored_.emplace_back(static_cast<double>(load_[s]), s);
+void RoutingPolicy::preference(const RouteView& fleet, const PackJob& job,
+                               std::vector<std::size_t>& order) {
+  switch (kind_) {
+    case RoutePolicy::RoundRobin: {
+      // Rotate the starting slot by canonical queue position: stable across
+      // packing rounds (a spilled job keeps its preference) and independent
+      // of submission interleaving.
+      const std::size_t n = fleet.size();
+      order.resize(n);
+      for (std::size_t i = 0; i < n; ++i) order[i] = (job.index + i) % n;
+      return;
+    }
+    case RoutePolicy::LeastLoaded: {
+      const std::size_t n = fleet.size();
+      if (load_.size() < n) load_.resize(n, 0);
+      scored_.clear();
+      for (std::size_t s = 0; s < n; ++s) {
+        scored_.emplace_back(static_cast<double>(load_[s]), s);
+      }
+      order_by_score(scored_, order);
+      return;
+    }
+    case RoutePolicy::BestEfs:
+      // Ascending best-solo-EFS (EFS accumulates *error*, so lowest is
+      // best); devices the job cannot fit on are excluded, ties go to the
+      // lowest id.
+      scored_.clear();
+      for (std::size_t s = 0, n = fleet.size(); s < n; ++s) {
+        if (const auto score = fleet.solo_efs(s, job)) {
+          scored_.emplace_back(*score, s);
+        }
+      }
+      order_by_score(scored_, order);
+      return;
+    case RoutePolicy::ExpectedLatency:
+      // Ascending §II-A modeled completion time (waiting + execution);
+      // unfit devices are excluded, ties go to the lowest id. All queue
+      // state lives in the view's lane estimates, so the rule keeps none of
+      // its own and is replayable.
+      scored_.clear();
+      for (std::size_t s = 0, n = fleet.size(); s < n; ++s) {
+        if (!fleet.solo_efs(s, job)) continue;
+        scored_.emplace_back(fleet.expected_latency_s(s, job), s);
+      }
+      order_by_score(scored_, order);
+      return;
   }
-  order_by_score(scored_, order);
 }
 
-void LeastLoadedPolicy::on_placed(std::size_t slot, const PackJob& job) {
+void RoutingPolicy::on_placed(std::size_t slot, const PackJob& job) {
+  if (kind_ != RoutePolicy::LeastLoaded) return;
   if (load_.size() <= slot) load_.resize(slot + 1, 0);
   load_[slot] += static_cast<std::uint64_t>(std::max(1, job.shape.num_qubits));
-}
-
-void BestEfsPolicy::preference(const RouteView& fleet, const PackJob& job,
-                               std::vector<std::size_t>& order) {
-  // Ascending best-solo-EFS (EFS accumulates *error*, so lowest is best);
-  // devices the job cannot fit on are excluded, ties go to the lowest id.
-  scored_.clear();
-  for (std::size_t s = 0, n = fleet.size(); s < n; ++s) {
-    if (const auto score = fleet.solo_efs(s, job)) {
-      scored_.emplace_back(*score, s);
-    }
-  }
-  order_by_score(scored_, order);
-}
-
-void ExpectedLatencyPolicy::preference(const RouteView& fleet,
-                                       const PackJob& job,
-                                       std::vector<std::size_t>& order) {
-  // Ascending §II-A modeled completion time (waiting + execution); unfit
-  // devices are excluded, ties go to the lowest id. All queue state lives
-  // in the view's lane estimates, so the policy itself is replayable.
-  scored_.clear();
-  for (std::size_t s = 0, n = fleet.size(); s < n; ++s) {
-    if (!fleet.solo_efs(s, job)) continue;
-    scored_.emplace_back(fleet.expected_latency_s(s, job), s);
-  }
-  order_by_score(scored_, order);
-}
-
-std::unique_ptr<RoutingPolicy> make_routing_policy(RoutePolicy policy) {
-  switch (policy) {
-    case RoutePolicy::RoundRobin: return std::make_unique<RoundRobinPolicy>();
-    case RoutePolicy::LeastLoaded:
-      return std::make_unique<LeastLoadedPolicy>();
-    case RoutePolicy::BestEfs: return std::make_unique<BestEfsPolicy>();
-    case RoutePolicy::ExpectedLatency:
-      return std::make_unique<ExpectedLatencyPolicy>();
-  }
-  throw std::logic_error("make_routing_policy: unhandled policy");
 }
 
 FleetPlan pack_fleet(std::span<const FleetSlot> slots,
                      std::span<const PackJob> jobs,
                      const Partitioner& partitioner,
-                     const PackOptions& options, RoutingPolicy* policy,
+                     const PackOptions& options, RoutingPolicy& policy,
                      std::span<const double> initial_backlog_s) {
   if (!initial_backlog_s.empty() && initial_backlog_s.size() != slots.size()) {
     throw std::invalid_argument(
@@ -269,27 +221,35 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
   for (std::size_t s = 0; s < initial_backlog_s.size(); ++s) {
     lanes[s].initial_backlog_s = initial_backlog_s[s];
   }
-  const FleetView view(slots, partitioner, lanes, &model,
+  const FleetView view(slots, partitioner, lanes, model,
                        options.max_batch_size);
-  const bool queue_aware = policy != nullptr && policy->queue_aware();
+  // One slot leaves nothing to route: its order is {0} under every rule
+  // (consulting BestEfs or ExpectedLatency would drop an unfit slot and
+  // stop a never-fitting job's spills from being counted).
+  const bool route = num_slots > 1;
+  const bool queue_aware = policy.kind() == RoutePolicy::ExpectedLatency;
 
   std::vector<const PackJob*> remaining;
   remaining.reserve(jobs.size());
   for (const PackJob& job : jobs) remaining.push_back(&job);
 
-  // Per-round open batch state, slot-indexed. The probes carry the open
-  // batches' shapes and allocations across admissions (see AdmissionProbe).
-  // batch_solo[s] holds each member's solo EFS next to batch[s] (looked up
-  // once, when the member itself was probed with the threshold on), so a
-  // probe's §IV-B check reads it instead of the slot's solo-EFS map. Both
-  // are in admission order, like the probe's assignments.
+  // Per-round open batch state, slot-indexed, all in admission order.
+  // The admission test "does job J fit in slot s's open batch, and at what
+  // EFS?" allocates the grown batch from scratch with allocate_batch()
+  // (largest-first) over shapes[s] plus J, and the committed batch's
+  // allocation stays in assignments[s] — the service executes on exactly
+  // those, so the EFS the packer thresholds against is the EFS the job
+  // gets. With a persistent CandidateIndex the open batch's prefix states
+  // are memoized, so the from-scratch answer costs about as much as an
+  // incremental one (tests/test_fleet.cpp pins indexed slots against the
+  // index-less reference allocator). batch_solo[s] holds each member's
+  // solo EFS (looked up once, when the member itself was probed with the
+  // threshold on), so the §IV-B check reads it instead of the slot's
+  // solo-EFS map.
   std::vector<std::vector<const PackJob*>> batch(num_slots);
   std::vector<std::vector<std::optional<double>>> batch_solo(num_slots);
-  std::vector<AdmissionProbe> probes;
-  probes.reserve(num_slots);
-  for (std::size_t s = 0; s < num_slots; ++s) {
-    probes.emplace_back(slots[s], partitioner);
-  }
+  std::vector<std::vector<ProgramShape>> shapes(num_slots);
+  std::vector<std::vector<PartitionAssignment>> assignments(num_slots);
   std::vector<char> closed(num_slots, 0);
   std::vector<std::size_t> prefs;
 
@@ -297,17 +257,17 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
     for (std::size_t s = 0; s < num_slots; ++s) {
       batch[s].clear();
       batch_solo[s].clear();
-      probes[s].reset();
+      shapes[s].clear();
+      assignments[s].clear();
       closed[s] = 0;
     }
     std::vector<const PackJob*> spilled;
 
     for (const PackJob* job : remaining) {
-      prefs.clear();
-      if (policy != nullptr) {
-        policy->preference(view, *job, prefs);
+      if (route) {
+        policy.preference(view, *job, prefs);
       } else {
-        for (std::size_t s = 0; s < num_slots; ++s) prefs.push_back(s);
+        prefs.assign(1, 0);
       }
       if (job->exclusive) {
         // Reservation lane: an exclusive job idles a whole chip for its
@@ -337,6 +297,7 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
       bool rejected_earlier = false;
 
       for (const std::size_t s : prefs) {
+        const FleetSlot& slot = slots[s];
         // Waiting behind a full batch is queueing, not a spill.
         if (closed[s] || batch[s].size() >= cap) {
           unfit_everywhere = false;
@@ -349,27 +310,19 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
           if (queue_aware && view.solo_efs(s, *job)) break;
           continue;
         }
-        if (job->exclusive) {
-          if (!batch[s].empty()) {
-            unfit_everywhere = false;
-            continue;
-          }
-          if (probes[s].probe(job->shape) == nullptr) continue;  // unfit
-          probes[s].admit();
-          batch[s].push_back(job);
-          batch_solo[s].emplace_back();  // closed: never probed again
-          closed[s] = 1;
-          placed = true;
-          placed_slot = s;
-          break;
+        // An exclusive job only opens an empty batch, which it then closes.
+        if (job->exclusive && !batch[s].empty()) {
+          unfit_everywhere = false;
+          continue;
         }
 
-        // Grow slot s's open batch by this job through the slot's
-        // admission probe: the batch executes on the probe's assignments,
-        // so the EFS we threshold against is the EFS the job will get.
-        const std::vector<PartitionAssignment>* alloc =
-            probes[s].probe(job->shape);
-        if (alloc == nullptr) {
+        // Grow slot s's open batch by this job; it stays in shapes[s] only
+        // when admitted.
+        shapes[s].push_back(job->shape);
+        auto alloc =
+            allocate_batch(*slot.device, partitioner, shapes[s], slot.index);
+        if (!alloc) {
+          shapes[s].pop_back();
           if (batch[s].empty()) continue;  // cannot fit even alone on s
           ++plan.spill_events;
           rejected_earlier = true;
@@ -378,8 +331,11 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
         }
         unfit_everywhere = false;
 
+        // A closed batch is never probed again, so an exclusive member's
+        // solo EFS is never read.
         const std::optional<double> job_solo =
-            check_threshold ? view.solo_efs(s, *job) : std::nullopt;
+            check_threshold && !job->exclusive ? view.solo_efs(s, *job)
+                                               : std::nullopt;
         bool over_threshold = false;
         if (check_threshold && alloc->size() > 1) {
           for (std::size_t i = 0; i < alloc->size() && !over_threshold; ++i) {
@@ -391,13 +347,15 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
           }
         }
         if (over_threshold) {
+          shapes[s].pop_back();
           ++plan.spill_events;
           rejected_earlier = true;
           continue;
         }
-        probes[s].admit();
+        assignments[s] = std::move(*alloc);
         batch[s].push_back(job);
         batch_solo[s].push_back(job_solo);
+        closed[s] = job->exclusive;  // an exclusive job closes its batch
         placed = true;
         placed_slot = s;
         break;
@@ -421,7 +379,7 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
         lane.open_jobs += 1;
         lane.open_max_ns = std::max(
             lane.open_max_ns, view.exec_estimate_ns(placed_slot, *job));
-        if (policy != nullptr) policy->on_placed(placed_slot, *job);
+        policy.on_placed(placed_slot, *job);
         continue;
       }
       if (unfit_everywhere) {
@@ -439,8 +397,8 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
       any_batch = true;
       PackedBatch packed;
       for (const PackJob* job : batch[s]) packed.jobs.push_back(job->index);
-      assert(probes[s].size() == batch[s].size());
-      packed.assignments = probes[s].assignments();
+      assert(assignments[s].size() == batch[s].size());
+      packed.assignments = std::move(assignments[s]);
       plan.batches[s].push_back(std::move(packed));
       // Close the round's open batch: its modeled runtime joins the lane's
       // planned drain, so the next round's admissions queue behind it.
@@ -466,14 +424,10 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
 
 FleetScheduler::FleetScheduler(const BackendRegistry& fleet,
                                RoutePolicy policy)
-    : fleet_(&fleet), solo_cache_(fleet.size()) {
+    : fleet_(&fleet), policy_(policy), solo_cache_(fleet.size()) {
   if (fleet.empty()) {
     throw std::invalid_argument("FleetScheduler: empty fleet");
   }
-  // Single-backend fleets route trivially; bypassing the policy keeps them
-  // on the policy-free single-device packing path (including spill-event
-  // accounting).
-  if (fleet.size() > 1) policy_ = make_routing_policy(policy);
 }
 
 FleetPlan FleetScheduler::plan(std::span<const PackJob> jobs,
@@ -500,8 +454,8 @@ FleetPlan FleetScheduler::plan(std::span<const PackJob> jobs,
     slots.push_back({&epoch.device(), &epoch.candidate_index(),
                      &solo_cache_[i].scores});
   }
-  FleetPlan plan = pack_fleet(slots, jobs, partitioner, options, policy_.get(),
-                              initial_backlog_s);
+  FleetPlan plan =
+      pack_fleet(slots, jobs, partitioner, options, policy_, initial_backlog_s);
   plan.epochs = std::move(epochs);
   return plan;
 }

@@ -12,7 +12,8 @@
 // its second choice in the same round — and only defers when every open
 // batch rejects it.
 //
-// Routing policies (pluggable, deterministic):
+// Routing rules (one RoutingPolicy class switching on its RoutePolicy
+// kind; deterministic):
 //   RoundRobin      — rotate the starting device by canonical queue
 //                     position; throughput-first, calibration-blind.
 //   LeastLoaded     — ascending routed-qubit load (cumulative per
@@ -36,14 +37,15 @@
 //                     is queue-aware where BestEfs/LeastLoaded are time-
 //                     blind. Unfit devices are excluded. One formula,
 //                     expected_latency_s(), prices it here and in the
-//                     src/fleetsim/ simulator, which runs these very
-//                     policies through RouteView.
+//                     src/fleetsim/ simulator, which runs this very
+//                     class through RouteView.
 //
-// pack_fleet() is the one packing engine: with one slot and no policy it
-// is the single-device packer of service/packer.hpp, so the single-backend
-// ExecutionService stays bit-identical by construction. Each planned
-// batch carries the assignments its members were admitted on, and the
-// service executes it on them.
+// pack_fleet() is the one packing engine. A one-slot plan never consults
+// the policy (its order is {0} whatever the rule), so it is the
+// single-device packer of service/packer.hpp and the single-backend
+// ExecutionService plans the same batches under every policy. Each
+// planned batch carries the assignments its members were admitted on,
+// and the service executes it on them.
 //
 // Determinism: policies see only the canonical job order and per-device
 // state derived from it, so for a fixed fleet and fixed dispatch-cycle
@@ -89,61 +91,6 @@ struct FleetSlot {
 [[nodiscard]] double modeled_exec_ns(const Device& device,
                                      const ProgramShape& shape);
 
-/// Grow-one-job admission probe for one slot's open batch.
-///
-/// The packer's admission test asks "does job J fit in this device's open
-/// batch, and at what EFS?". The probe answers it by allocating the grown
-/// batch from scratch with allocate_batch() (largest-first), and the
-/// assignments of the committed batch are exported on its PackedBatch —
-/// the service executes on exactly them, so the EFS the packer thresholds
-/// against is the EFS the job gets. Every member, exclusive jobs included,
-/// enters through probe() + admit(). The allocation is a walk over the
-/// slot's CandidateIndex states (a zero-budget index per probe when the
-/// slot has none). With a persistent index those (allocated-qubit set,
-/// width) states are memoized — the open batch's prefix states recur
-/// probe after probe — so the from-scratch answer costs about as much as
-/// an incremental one without a second code path. tests/test_fleet.cpp
-/// pins indexed slots against the index-less reference allocator
-/// (tests/reference_allocator.hpp) over randomized streams on all bundled
-/// topologies.
-class AdmissionProbe {
- public:
-  AdmissionProbe(const FleetSlot& slot, const Partitioner& partitioner)
-      : slot_(&slot), partitioner_(&partitioner) {}
-
-  /// Test admitting `shape` as the next member of the open batch. On
-  /// success returns the assignments of the grown batch in admission
-  /// order (the probed shape last); null when the grown batch cannot be
-  /// placed. The pointer is valid until the next probe()/admit()/reset().
-  [[nodiscard]] const std::vector<PartitionAssignment>* probe(
-      const ProgramShape& shape);
-
-  /// Commit the last successful probe into the open batch.
-  void admit();
-
-  /// Forget the open batch (the round closed it / a new round starts).
-  void reset();
-
-  /// Jobs admitted to the open batch so far.
-  [[nodiscard]] std::size_t size() const noexcept { return shapes_.size(); }
-
-  /// Assignment of each admitted job, in admission order.
-  [[nodiscard]] const std::vector<PartitionAssignment>& assignments()
-      const noexcept {
-    return assignments_;
-  }
-
- private:
-  const FleetSlot* slot_;
-  const Partitioner* partitioner_;
-  std::vector<ProgramShape> shapes_;  ///< open batch, admission order
-  std::vector<PartitionAssignment> assignments_;  ///< admission order
-  // Last probe, pending until admit()/reset().
-  std::vector<PartitionAssignment> pending_assignments_;
-  ProgramShape pending_shape_;
-  bool has_pending_ = false;
-};
-
 /// Modeled drain state of one slot's lane during a packing cycle: the
 /// backlog already dispatched to the lane when the cycle started, the
 /// batches closed by earlier rounds of this cycle, and the open batch
@@ -179,18 +126,16 @@ class RouteView {
                                                   const PackJob& job) const = 0;
 };
 
-/// Read-mostly view of the fleet handed to routing policies and used by
+/// Read-mostly view of the fleet handed to the routing policy and used by
 /// the packer's threshold checks. Probes are memoized in each slot's
 /// solo-EFS map, so routing and spill checks share one score per
-/// (device, circuit) pair. When constructed by pack_fleet the view also
-/// exposes the per-slot drain/occupancy estimators queue-aware policies
-/// score with; the two-argument form (tests, ad-hoc probing) reports an
-/// idle fleet.
+/// (device, circuit) pair. `lanes` (one per slot) are the drain/occupancy
+/// estimates pack_fleet maintains and ExpectedLatency scores with.
 class FleetView final : public RouteView {
  public:
   FleetView(std::span<const FleetSlot> slots, const Partitioner& partitioner,
-            std::span<const LaneEstimate> lanes = {},
-            const RuntimeModel* model = nullptr, int max_batch_size = 0);
+            std::span<const LaneEstimate> lanes, const RuntimeModel& model,
+            int max_batch_size);
 
   std::size_t size() const noexcept override { return slots_.size(); }
   /// Best solo EFS of `job` on `slot`'s device; nullopt = does not fit
@@ -203,13 +148,11 @@ class FleetView final : public RouteView {
   /// backlog plus the batches planned earlier this cycle. This is also
   /// the modeled wait a job admitted to the slot's open batch incurs.
   [[nodiscard]] double drain_estimate_s(std::size_t slot) const;
-  /// Jobs in the slot's open batch this packing round.
-  [[nodiscard]] int open_jobs(std::size_t slot) const;
   /// modeled_exec_ns() of `job` on the slot's device (per-slot duration
   /// averages are cached in the view).
   [[nodiscard]] double exec_estimate_ns(std::size_t slot,
                                         const PackJob& job) const;
-  /// expected_latency_s() of the slot's lane (idle without lane estimates).
+  /// expected_latency_s() of the slot's lane.
   [[nodiscard]] double expected_latency_s(std::size_t slot,
                                           const PackJob& job) const override;
 
@@ -217,8 +160,8 @@ class FleetView final : public RouteView {
   std::span<const FleetSlot> slots_;
   const Partitioner* partitioner_;
   std::span<const LaneEstimate> lanes_;
-  const RuntimeModel* model_ = nullptr;
-  int max_batch_size_ = 0;  ///< <= 0 means unbounded
+  const RuntimeModel* model_;
+  int max_batch_size_;  ///< <= 0 means unbounded
   /// Per-slot mean CX duration (ns), computed once per view.
   std::vector<double> avg_cx_ns_;
 };
@@ -228,80 +171,36 @@ enum class RoutePolicy { RoundRobin, LeastLoaded, BestEfs, ExpectedLatency };
 
 [[nodiscard]] std::string_view route_policy_name(RoutePolicy policy) noexcept;
 
-/// Pluggable routing strategy. `preference` fills `order` with slot ids in
-/// try order (a strict subset excludes devices the policy rules out — an
-/// empty order marks the job unplaceable); it is called once per job per
-/// packing round and must be deterministic in (its own state, the fleet,
-/// the job). `on_placed` observes every successful placement, in canonical
-/// job order, for load accounting.
+/// The routing rule of one RoutePolicy kind. `preference` fills `order`
+/// with slot ids in try order (a strict subset excludes devices the rule
+/// rules out — an empty order marks the job unplaceable); it is called
+/// once per job per packing round and is deterministic in (the policy's
+/// own state, the fleet, the job). `on_placed` observes every successful
+/// placement, in canonical job order, for LeastLoaded's load accounting.
+///
+/// ExpectedLatency is the queue-aware rule: its order already prices
+/// queueing (waiting behind full batches and backlogs), so pack_fleet
+/// DEFERS a job to the next round when its preferred fitting slot's batch
+/// is full, instead of overflowing onto a worse-ranked (possibly
+/// catastrophically backlogged) lane — for a queue-aware order, every
+/// later preference is modeled slower than simply waiting. The time-blind
+/// rules overflow onto the next-ranked slot within the round.
 class RoutingPolicy {
  public:
   explicit RoutingPolicy(RoutePolicy kind) noexcept : kind_(kind) {}
-  virtual ~RoutingPolicy() = default;
-  [[nodiscard]] std::string_view name() const noexcept {
-    return route_policy_name(kind_);
-  }
-  virtual void preference(const RouteView& fleet, const PackJob& job,
-                          std::vector<std::size_t>& order) = 0;
-  virtual void on_placed(std::size_t slot, const PackJob& job) {
-    (void)slot;
-    (void)job;
-  }
-  /// True when the preference order already prices queueing (waiting
-  /// behind full batches and backlogs). The packer then DEFERS a job to
-  /// the next round when its preferred fitting slot's batch is full,
-  /// instead of overflowing onto a worse-ranked (possibly catastrophically
-  /// backlogged) lane — for a queue-aware order, every later preference
-  /// is modeled slower than simply waiting. Time-blind policies keep the
-  /// historical overflow behavior.
-  [[nodiscard]] virtual bool queue_aware() const noexcept { return false; }
-
- protected:
-  /// (score, slot) scratch the sorting policies reuse across calls.
-  std::vector<std::pair<double, std::size_t>> scored_;
+  [[nodiscard]] RoutePolicy kind() const noexcept { return kind_; }
+  void preference(const RouteView& fleet, const PackJob& job,
+                  std::vector<std::size_t>& order);
+  void on_placed(std::size_t slot, const PackJob& job);
 
  private:
   RoutePolicy kind_;
-};
-
-class RoundRobinPolicy final : public RoutingPolicy {
- public:
-  RoundRobinPolicy() : RoutingPolicy(RoutePolicy::RoundRobin) {}
-  void preference(const RouteView& fleet, const PackJob& job,
-                  std::vector<std::size_t>& order) override;
-};
-
-class LeastLoadedPolicy final : public RoutingPolicy {
- public:
-  LeastLoadedPolicy() : RoutingPolicy(RoutePolicy::LeastLoaded) {}
-  void preference(const RouteView& fleet, const PackJob& job,
-                  std::vector<std::size_t>& order) override;
-  void on_placed(std::size_t slot, const PackJob& job) override;
-
- private:
-  /// Cumulative routed qubit load per slot (qubit-weighted so one wide job
-  /// counts like several narrow ones). Grown on first use.
+  /// LeastLoaded: cumulative routed qubit load per slot (qubit-weighted so
+  /// one wide job counts like several narrow ones). Grown on first use.
   std::vector<std::uint64_t> load_;
+  /// (score, slot) scratch the sorting rules reuse across calls.
+  std::vector<std::pair<double, std::size_t>> scored_;
 };
-
-class BestEfsPolicy final : public RoutingPolicy {
- public:
-  BestEfsPolicy() : RoutingPolicy(RoutePolicy::BestEfs) {}
-  void preference(const RouteView& fleet, const PackJob& job,
-                  std::vector<std::size_t>& order) override;};
-
-/// Queue-aware routing: ascending RouteView::expected_latency_s, unfit
-/// devices excluded, ties to the lowest id. All load state lives in the
-/// view's lane estimates, so the policy keeps none of its own.
-class ExpectedLatencyPolicy final : public RoutingPolicy {
- public:
-  ExpectedLatencyPolicy() : RoutingPolicy(RoutePolicy::ExpectedLatency) {}
-  void preference(const RouteView& fleet, const PackJob& job,
-                  std::vector<std::size_t>& order) override;
-  [[nodiscard]] bool queue_aware() const noexcept override { return true; }};
-
-[[nodiscard]] std::unique_ptr<RoutingPolicy> make_routing_policy(
-    RoutePolicy policy);
 
 /// A fleet packing plan: per-slot batches in dispatch order, plus the
 /// terminal failures and spill accounting.
@@ -346,24 +245,21 @@ struct FleetPlan {
   std::vector<std::shared_ptr<const CalibrationEpoch>> epochs;
 };
 
-/// Pack `jobs` (already in the desired queue order) across `slots`.
-/// `policy` == nullptr routes every job through slots in id order (with
-/// one slot, the single-device packer).
+/// Pack `jobs` (already in the desired queue order) across `slots`,
+/// routing by `policy`. A one-slot plan tries slot 0 without consulting
+/// the policy, so it is the single-device packer under every kind.
 /// `initial_backlog_s` (empty, or one modeled-seconds entry per slot)
 /// seeds each lane's drain estimate with work already dispatched to it.
 /// Not thread-safe — callers serialize packing.
 [[nodiscard]] FleetPlan pack_fleet(
     std::span<const FleetSlot> slots, std::span<const PackJob> jobs,
     const Partitioner& partitioner, const PackOptions& options,
-    RoutingPolicy* policy = nullptr,
-    std::span<const double> initial_backlog_s = {});
+    RoutingPolicy& policy, std::span<const double> initial_backlog_s = {});
 
 /// The service-side orchestrator: owns the routing policy and the
 /// per-backend solo-EFS memos for a BackendRegistry, and turns a pending
-/// job list into a FleetPlan. Single-backend fleets bypass the policy
-/// (routing is trivial, and the policy-free path is the single-device
-/// packer). Not thread-safe — the ExecutionService serializes
-/// planning under its pack mutex.
+/// job list into a FleetPlan. Not thread-safe — the ExecutionService
+/// serializes planning under its pack mutex.
 class FleetScheduler {
  public:
   FleetScheduler(const BackendRegistry& fleet, RoutePolicy policy);
@@ -375,9 +271,6 @@ class FleetScheduler {
                                const Partitioner& partitioner,
                                const PackOptions& options,
                                std::span<const double> initial_backlog_s = {});
-
-  /// Active policy; nullptr on single-backend fleets.
-  [[nodiscard]] RoutingPolicy* policy() noexcept { return policy_.get(); }
 
  private:
   /// Per-backend solo-EFS memo, keyed by the calibration epoch it was
@@ -391,7 +284,7 @@ class FleetScheduler {
   };
 
   const BackendRegistry* fleet_;
-  std::unique_ptr<RoutingPolicy> policy_;
+  RoutingPolicy policy_;
   std::vector<SoloCache> solo_cache_;  ///< per backend
 };
 

@@ -123,7 +123,7 @@ ParallelRunReport execute_parallel(const Device& device,
   std::optional<CompiledProgramCache> local_cache;
   if (program_cache == nullptr) {
     program_cache = &local_cache.emplace(device, 0);
-  } else if (program_cache->device() != &device) {
+  } else if (&program_cache->device() != &device) {
     throw std::invalid_argument(
         "execute_parallel: program cache built for another device");
   }

@@ -430,7 +430,7 @@ std::vector<FusedOp> compile_ops(const Circuit& circuit) {
 }
 
 ExecutableStructure ExecutableStructure::build(const Circuit& physical,
-                                               const Device* device,
+                                               const Device& device,
                                                const SchedulePolicy policy) {
   ExecutableStructure s;
   s.source_size_ = physical.size();
@@ -465,9 +465,8 @@ ExecutableStructure ExecutableStructure::build(const Circuit& physical,
                                   : ~parametric++;
   }
   s.active_ = s.lowered_.active_qubits();
-  if (device == nullptr) return s;
 
-  const Topology& topo = device->topology();
+  const Topology& topo = device.topology();
   s.cx_edges_.assign(n, -1);
   for (std::size_t i = 0; i < n; ++i) {
     const Gate& g = s.lowered_.ops()[i];
@@ -480,7 +479,7 @@ ExecutableStructure ExecutableStructure::build(const Circuit& physical,
     }
     s.cx_edges_[i] = *edge;
   }
-  s.schedule_ = schedule_circuit(s.lowered_, *device, policy);
+  s.schedule_ = schedule_circuit(s.lowered_, device, policy);
   s.time_order_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     s.time_order_[i] = static_cast<std::uint32_t>(i);
@@ -491,14 +490,6 @@ ExecutableStructure ExecutableStructure::build(const Circuit& physical,
                             s.schedule_.ops[y].start_ns;
                    });
   return s;
-}
-
-CompiledExecutable CompiledExecutable::compile(const Circuit& physical,
-                                               const Device* device,
-                                               const SchedulePolicy policy) {
-  return materialize(std::make_shared<const ExecutableStructure>(
-                         ExecutableStructure::build(physical, device, policy)),
-                     physical);
 }
 
 CompiledExecutable CompiledExecutable::materialize(
@@ -622,7 +613,7 @@ std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
       entry != nullptr
           ? entry->structure
           : std::make_shared<const ExecutableStructure>(
-                ExecutableStructure::build(physical, device_, policy));
+                ExecutableStructure::build(physical, *device_, policy));
   auto exe = std::make_shared<const CompiledExecutable>(
       CompiledExecutable::materialize(structure, physical));
   // The new binding replaces the entry, dropping the old one's outcomes.

@@ -225,9 +225,9 @@ class CompiledProgram {
 
 /// The structural half of a physical program compiled for the noisy
 /// executor: everything that depends only on its structural_fingerprint
-/// and, when scheduled, on the device it was scheduled against. Its
-/// angle-free ops use the shared fixed_kernel() table; a
-/// CompiledExecutable supplies the parametric kernels per binding.
+/// and on the device it was scheduled against. Its angle-free ops use the
+/// shared fixed_kernel() table; a CompiledExecutable supplies the
+/// parametric kernels per binding.
 class ExecutableStructure {
  public:
   /// A lowered op whose matrix depends on an angle, and the source op it
@@ -237,12 +237,11 @@ class ExecutableStructure {
     std::uint32_t source = 0;
   };
 
-  /// Lower `physical` and index its parametric ops. With a `device`,
-  /// also check every two-qubit op against the coupling map and, when all
-  /// are coupled, schedule under `policy` and record the time order and
-  /// CX edge ids. Without one, the timing accessors are empty.
+  /// Lower `physical`, index its parametric ops and check every
+  /// two-qubit op against `device`'s coupling map; when all are coupled,
+  /// schedule under `policy` and record the time order and CX edge ids.
   [[nodiscard]] static ExecutableStructure build(const Circuit& physical,
-                                                 const Device* device,
+                                                 const Device& device,
                                                  SchedulePolicy policy);
 
   /// Lowered circuit of the binding the structure was built from.
@@ -297,11 +296,6 @@ class ExecutableStructure {
 /// for bit the from-scratch lowering's.
 class CompiledExecutable {
  public:
-  /// From scratch: build the structure of `physical`, then materialize it.
-  [[nodiscard]] static CompiledExecutable compile(
-      const Circuit& physical, const Device* device = nullptr,
-      SchedulePolicy policy = SchedulePolicy::ALAP);
-
   /// Bind `physical`'s angles into `structure`. `physical` must have the
   /// structure it was built from (same structural_fingerprint); throws
   /// std::invalid_argument on an op-count/qubit-count mismatch.
@@ -378,18 +372,16 @@ class CompiledProgramCache {
     CacheStats executables;
   };
 
-  /// A cache whose executables are unscheduled (fused programs and plans
-  /// need no device). Fused programs, plans and executables may each hold
-  /// `bytes_per_cache`.
-  explicit CompiledProgramCache(
-      std::size_t bytes_per_cache = kDefaultCacheBytes)
-      : CompiledProgramCache(nullptr, bytes_per_cache) {}
   /// Executables are scheduled against `device`, which must outlive the
-  /// cache (a CalibrationEpoch passes its own device snapshot).
+  /// cache (a CalibrationEpoch passes its own device snapshot). Fused
+  /// programs, plans and executables may each hold `bytes_per_cache`.
   explicit CompiledProgramCache(
       const Device& device,
       std::size_t bytes_per_cache = kDefaultCacheBytes)
-      : CompiledProgramCache(&device, bytes_per_cache) {}
+      : device_(&device),
+        fused_(bytes_per_cache),
+        plans_(bytes_per_cache),
+        executables_(bytes_per_cache) {}
 
   /// Fused compilation of `circuit` (ideal pipeline).
   [[nodiscard]] std::shared_ptr<const CompiledProgram> fused(
@@ -423,8 +415,8 @@ class CompiledProgramCache {
   [[nodiscard]] std::shared_ptr<const FusionPlan> plan(
       const Circuit& circuit) const;
 
-  /// Device the executables are scheduled against (null: unscheduled).
-  [[nodiscard]] const Device* device() const noexcept { return device_; }
+  /// Device the executables are scheduled against.
+  [[nodiscard]] const Device& device() const noexcept { return *device_; }
 
   /// Counters of each cache. An executable miss is one structure build;
   /// its hits include exact repeats.
@@ -467,18 +459,12 @@ class CompiledProgramCache {
     [[nodiscard]] std::size_t bytes() const noexcept;
   };
 
-  CompiledProgramCache(const Device* device, std::size_t bytes_per_cache)
-      : device_(device),
-        fused_(bytes_per_cache),
-        plans_(bytes_per_cache),
-        executables_(bytes_per_cache) {}
-
   /// Plan lookup with the structural key already in hand (fused() computes
   /// both fingerprints in one circuit walk).
   [[nodiscard]] std::shared_ptr<const FusionPlan> plan_for(
       std::uint64_t structural_key, const Circuit& circuit) const;
 
-  const Device* device_ = nullptr;
+  const Device* device_;
   mutable BoundedCache<std::uint64_t, CompiledProgram> fused_;
   mutable BoundedCache<std::uint64_t, FusionPlan> plans_;  ///< structural key
   mutable BoundedCache<ExecutableKey, ExecutableEntry, ExecutableKeyHash>

@@ -200,10 +200,12 @@ TEST(AllocatorGolden, PackerDecisionsIdenticalWithIndex) {
     std::map<std::uint64_t, double> cache_idx;
     const FleetSlot slot_ref{&device, nullptr, &cache_ref};
     const FleetSlot slot_idx{&device, &index, &cache_idx};
+    RoutingPolicy policy(RoutePolicy::BestEfs);  // one slot: not consulted
     const FleetPlan reference = pack_fleet(
-        std::span<const FleetSlot>(&slot_ref, 1), jobs, *oracle, opts);
+        std::span<const FleetSlot>(&slot_ref, 1), jobs, *oracle, opts, policy);
     const FleetPlan indexed = pack_fleet(
-        std::span<const FleetSlot>(&slot_idx, 1), jobs, partitioner, opts);
+        std::span<const FleetSlot>(&slot_idx, 1), jobs, partitioner, opts,
+        policy);
     ASSERT_EQ(reference.batches[0].size(), indexed.batches[0].size()) << trial;
     for (std::size_t b = 0; b < reference.batches[0].size(); ++b) {
       EXPECT_EQ(reference.batches[0][b].jobs, indexed.batches[0][b].jobs)

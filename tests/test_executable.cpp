@@ -36,6 +36,17 @@ using test_programs::random_physical_circuit;
 using test_programs::random_region;
 using test_programs::rebind;
 
+/// From scratch: the structure of `physical` built against `device`, then
+/// materialized with `physical`'s own angles.
+CompiledExecutable compile_executable(
+    const Circuit& physical, const Device& device,
+    SchedulePolicy policy = SchedulePolicy::ALAP) {
+  return CompiledExecutable::materialize(
+      std::make_shared<const ExecutableStructure>(
+          ExecutableStructure::build(physical, device, policy)),
+      physical);
+}
+
 std::vector<Device> named_devices() {
   std::vector<Device> devices;
   devices.push_back(make_melbourne16());
@@ -90,11 +101,11 @@ TEST(ExecutableStructure, MaterializeMatchesFromScratchPipeline) {
             random_physical_circuit(device, rng, region, 20 + 10 * trial);
         const Circuit second = rebind(first, rng);
         const auto structure = std::make_shared<const ExecutableStructure>(
-            ExecutableStructure::build(first, &device, policy));
+            ExecutableStructure::build(first, device, policy));
         const CompiledExecutable bound =
             CompiledExecutable::materialize(structure, second);
         const CompiledExecutable fresh =
-            CompiledExecutable::compile(second, &device, policy);
+            compile_executable(second, device, policy);
 
         // The from-scratch pipeline for the second binding.
         const Circuit lowered = lower_to_cx_basis(second);
@@ -142,7 +153,7 @@ TEST(ExecutableStructure, UncoupledProgramIsFlaggedUnscheduled) {
   c.measure(0, 0);
   c.measure(2, 1);
   const ExecutableStructure s =
-      ExecutableStructure::build(c, &device, SchedulePolicy::ALAP);
+      ExecutableStructure::build(c, device, SchedulePolicy::ALAP);
   EXPECT_FALSE(s.coupled());
   EXPECT_TRUE(s.schedule().ops.empty());
 }
@@ -153,8 +164,9 @@ TEST(ExecutableStructure, MaterializeRejectsForeignStructure) {
   a.measure_all();
   Circuit b = a;
   b.h(1);
+  const Device device = make_line_device(2);
   const auto structure = std::make_shared<const ExecutableStructure>(
-      ExecutableStructure::build(a, nullptr, SchedulePolicy::ALAP));
+      ExecutableStructure::build(a, device, SchedulePolicy::ALAP));
   EXPECT_THROW((void)CompiledExecutable::materialize(structure, b),
                std::invalid_argument);
 }
@@ -199,8 +211,7 @@ TEST(CompiledProgramCache, BindingsOfOneAnsatzShareOneStructure) {
   EXPECT_EQ(cache.stats().executables.hits,
             static_cast<std::uint64_t>(kBindings));
   // A later binding replays its own angles, not the first binding's.
-  const CompiledExecutable ref =
-      CompiledExecutable::compile(bindings.back(), &device);
+  const CompiledExecutable ref = compile_executable(bindings.back(), device);
   for (std::size_t i = 0; i < ref.structure().lowered().size(); ++i) {
     expect_same_channel(exes.back()->channel(i), ref.channel(i), i);
   }
@@ -296,8 +307,9 @@ TEST(SharedKernels, AngleFreeOpsShareOneKernelPerKind) {
     c.measure(q, q);
     other.measure(q, q);
   }
-  const CompiledExecutable a = CompiledExecutable::compile(c);
-  const CompiledExecutable b = CompiledExecutable::compile(other);
+  const Device device = make_line_device(4);
+  const CompiledExecutable a = compile_executable(c, device);
+  const CompiledExecutable b = compile_executable(other, device);
   std::size_t angle_free = 0;
   for (std::size_t i = 0; i < 48; ++i) {
     const Gate& g = a.structure().lowered().ops()[i];
@@ -340,7 +352,7 @@ TEST(ExecutableStructure, CachedMakespanMatchesPhysicalOnlyWithoutLowering) {
             random_physical_circuit(device, rng, region, 10 + trial);
         const double physical = schedule_circuit(c, device, policy).makespan_ns;
         const double cached =
-            ExecutableStructure::build(c, &device, policy).schedule()
+            ExecutableStructure::build(c, device, policy).schedule()
                 .makespan_ns;
         const bool lowers = std::any_of(
             c.ops().begin(), c.ops().end(), [](const Gate& g) {
@@ -406,7 +418,7 @@ TEST(Crosstalk, PartnerScanMatchesAllPairsReference) {
       std::vector<CompiledExecutable> exes;
       double makespan = 0.0;
       for (const PhysicalProgram& prog : programs) {
-        exes.push_back(CompiledExecutable::compile(prog.circuit, &device));
+        exes.push_back(compile_executable(prog.circuit, device));
         makespan =
             std::max(makespan, exes.back().structure().schedule().makespan_ns);
       }

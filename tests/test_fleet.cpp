@@ -1,7 +1,8 @@
 // Tests for the fleet layer (service/fleet.hpp + service/registry.hpp):
-// BackendRegistry construction, routing policies, the generalized fleet
-// packer (accounting exactness, cross-device spill, determinism). The
-// single-slot packer's own decision rules are pinned in test_service.cpp.
+// BackendRegistry construction, the routing rules of RoutingPolicy, the
+// generalized fleet packer (accounting exactness, cross-device spill,
+// determinism, one-slot plans independent of the policy). The single-slot
+// packer's own decision rules are pinned in test_service.cpp.
 
 #include "service/fleet.hpp"
 
@@ -86,15 +87,6 @@ TEST(MakeNamedDevice, ResolvesBundledNamesAndRejectsUnknown) {
   EXPECT_THROW((void)make_named_device("osaka127"), std::invalid_argument);
 }
 
-TEST(RoutingPolicy, FactoryNamesMatch) {
-  for (const RoutePolicy p : {RoutePolicy::RoundRobin,
-                              RoutePolicy::LeastLoaded,
-                              RoutePolicy::BestEfs,
-                              RoutePolicy::ExpectedLatency}) {
-    EXPECT_EQ(make_routing_policy(p)->name(), route_policy_name(p));
-  }
-}
-
 TEST(PackFleet, AccountingIsExactAcrossSlotsAndPolicies) {
   // Property: every job lands in exactly one batch on exactly one slot, or
   // in unplaceable — under every policy, no matter how spills interleave.
@@ -117,9 +109,9 @@ TEST(PackFleet, AccountingIsExactAcrossSlotsAndPolicies) {
       }
       PackOptions opts;
       opts.max_batch_size = static_cast<int>(rng.integer(1, 4));
-      const auto policy = make_routing_policy(policy_kind);
+      RoutingPolicy policy(policy_kind);
       const FleetPlan plan =
-          pack_fleet(fleet.slots, jobs, partitioner, opts, policy.get());
+          pack_fleet(fleet.slots, jobs, partitioner, opts, policy);
 
       std::vector<std::size_t> seen;
       for (const auto& slot_batches : plan.batches) {
@@ -154,9 +146,8 @@ TEST(PackFleet, PlansAreDeterministic) {
     }
     auto run = [&] {
       TestFleet fleet({make_toronto27(), make_manhattan65()});
-      const auto policy = make_routing_policy(policy_kind);
-      return pack_fleet(fleet.slots, jobs, partitioner, PackOptions{},
-                        policy.get());
+      RoutingPolicy policy(policy_kind);
+      return pack_fleet(fleet.slots, jobs, partitioner, PackOptions{}, policy);
     };
     const FleetPlan a = run();
     const FleetPlan b = run();
@@ -180,11 +171,11 @@ TEST(PackFleet, RoundRobinSpreadsIdenticalJobsAcrossSlots) {
   for (std::size_t i = 0; i < 8; ++i) {
     jobs.push_back(make_job(i, {2, 1, 2}, 500 + i));
   }
-  RoundRobinPolicy policy;
+  RoutingPolicy policy(RoutePolicy::RoundRobin);
   PackOptions opts;
   opts.max_batch_size = 2;
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, opts, &policy);
+      pack_fleet(fleet.slots, jobs, partitioner, opts, policy);
   std::size_t per_slot[2] = {0, 0};
   for (std::size_t s = 0; s < 2; ++s) {
     for (const PackedBatch& batch : plan.batches[s]) {
@@ -208,11 +199,11 @@ TEST(PackFleet, LeastLoadedBalancesQubitLoad) {
   for (std::size_t i = 4; i < 8; ++i) {
     jobs.push_back(make_job(i, {2, 1, 2}, 900 + i));
   }
-  LeastLoadedPolicy policy;
+  RoutingPolicy policy(RoutePolicy::LeastLoaded);
   PackOptions opts;
   opts.max_batch_size = 2;
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, opts, &policy);
+      pack_fleet(fleet.slots, jobs, partitioner, opts, policy);
   std::uint64_t load[2] = {0, 0};
   for (std::size_t s = 0; s < 2; ++s) {
     for (const PackedBatch& batch : plan.batches[s]) {
@@ -240,11 +231,11 @@ TEST(PackFleet, BestEfsRoutesEveryJobToItsLowestErrorDevice) {
     jobs.push_back(make_job(jobs.size(), shape,
                             circuit_fingerprint(get_benchmark(name).circuit)));
   }
-  BestEfsPolicy policy;
+  RoutingPolicy policy(RoutePolicy::BestEfs);
   PackOptions opts;
   opts.max_batch_size = 0;  // unbounded: nothing spills for capacity
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, opts, &policy);
+      pack_fleet(fleet.slots, jobs, partitioner, opts, policy);
   ASSERT_TRUE(plan.unplaceable.empty());
 
   std::vector<int> slot_of(jobs.size(), -1);
@@ -276,9 +267,9 @@ TEST(PackFleet, BestEfsExcludesDevicesTheJobCannotFitOn) {
   jobs.push_back(make_job(0, {5, 4, 4}, 1));   // only fits the grid
   jobs.push_back(make_job(1, {2, 1, 1}, 2));   // fits both
   jobs.push_back(make_job(2, {12, 6, 6}, 3));  // fits neither
-  BestEfsPolicy policy;
+  RoutingPolicy policy(RoutePolicy::BestEfs);
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, PackOptions{}, &policy);
+      pack_fleet(fleet.slots, jobs, partitioner, PackOptions{}, policy);
   EXPECT_EQ(plan.unplaceable, (std::vector<std::size_t>{2}));
   bool wide_on_grid = false;
   for (const PackedBatch& batch : plan.batches[1]) {
@@ -300,11 +291,11 @@ TEST(PackFleet, ThresholdSpillsCrossDeviceBeforeDeferring) {
   for (std::size_t i = 0; i < 2; ++i) {
     jobs.push_back(make_job(i, {4, 6, 4}, 77));  // same circuit fingerprint
   }
-  BestEfsPolicy policy;
+  RoutingPolicy policy(RoutePolicy::BestEfs);
   PackOptions opts;
   opts.efs_threshold = 0.0;
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, opts, &policy);
+      pack_fleet(fleet.slots, jobs, partitioner, opts, policy);
   // One batch per device, one job each, in a single round.
   ASSERT_EQ(plan.batches[0].size(), 1u);
   ASSERT_EQ(plan.batches[1].size(), 1u);
@@ -319,13 +310,14 @@ TEST(PackFleet, InitialBacklogSizeIsValidated) {
   TestFleet fleet({make_line_device(8, 3), make_line_device(8, 3)});
   const QucpPartitioner partitioner;
   const std::vector<PackJob> jobs = {make_job(0, {2, 1, 2}, 1)};
+  RoutingPolicy policy(RoutePolicy::RoundRobin);
   const std::vector<double> short_backlog = {1.0};
   EXPECT_THROW((void)pack_fleet(fleet.slots, jobs, partitioner, PackOptions{},
-                                nullptr, short_backlog),
+                                policy, short_backlog),
                std::invalid_argument);
   const std::vector<double> exact = {1.0, 2.0};
   EXPECT_NO_THROW((void)pack_fleet(fleet.slots, jobs, partitioner,
-                                   PackOptions{}, nullptr, exact));
+                                   PackOptions{}, policy, exact));
 }
 
 TEST(PackFleet, WaitAccountingMatchesHandComputation) {
@@ -344,9 +336,10 @@ TEST(PackFleet, WaitAccountingMatchesHandComputation) {
   PackOptions opts;
   opts.max_batch_size = 2;
   const std::vector<double> backlog = {5.0};
+  RoutingPolicy policy(RoutePolicy::BestEfs);
   const FleetPlan plan =
       pack_fleet(std::span<const FleetSlot>(&slot, 1), jobs, partitioner,
-                 opts, nullptr, backlog);
+                 opts, policy, backlog);
 
   RuntimeModel model = opts.runtime;
   model.queue_depth = 0;  // queueing is what the estimates model
@@ -363,7 +356,7 @@ TEST(PackFleet, WaitAccountingMatchesHandComputation) {
   // Without a backlog the first batch's jobs wait zero.
   const FleetPlan idle =
       pack_fleet(std::span<const FleetSlot>(&slot, 1), jobs, partitioner,
-                 opts, nullptr);
+                 opts, policy);
   EXPECT_DOUBLE_EQ(idle.wait_sum_s[0], exec_s);
   EXPECT_DOUBLE_EQ(idle.wait_max_s[0], exec_s);
 }
@@ -386,11 +379,10 @@ TEST(FleetView, ExpectedLatencyScoresMatchHandComputation) {
   lanes[0].open_max_ns = 4 * own_ns;
   lanes[1].open_jobs = 1;  // room for one more
   lanes[1].open_max_ns = 3 * own_ns;
-  const FleetView view(fleet.slots, partitioner, lanes, &model, 2);
+  const FleetView view(fleet.slots, partitioner, lanes, model, 2);
 
   EXPECT_DOUBLE_EQ(view.drain_estimate_s(0), 50.0);
   EXPECT_DOUBLE_EQ(view.drain_estimate_s(1), 0.0);
-  EXPECT_EQ(view.open_jobs(0), 2);
   // Slot 0: wait behind backlog AND the full open batch, then run alone.
   EXPECT_DOUBLE_EQ(view.expected_latency_s(0, job),
                    50.0 + job_runtime_s(model, 4 * own_ns) +
@@ -399,13 +391,14 @@ TEST(FleetView, ExpectedLatencyScoresMatchHandComputation) {
   EXPECT_DOUBLE_EQ(view.expected_latency_s(1, job),
                    job_runtime_s(model, 3 * own_ns));
 
-  ExpectedLatencyPolicy policy;
+  RoutingPolicy policy(RoutePolicy::ExpectedLatency);
   std::vector<std::size_t> order;
   policy.preference(view, job, order);
   EXPECT_EQ(order, (std::vector<std::size_t>{1, 0}));
 
-  // An idle view (no lanes) reports zero queues and ties to slot id.
-  const FleetView idle(fleet.slots, partitioner);
+  // Idle lanes report zero queues and tie to slot id.
+  const std::vector<LaneEstimate> idle_lanes(2);
+  const FleetView idle(fleet.slots, partitioner, idle_lanes, model, 2);
   EXPECT_DOUBLE_EQ(idle.drain_estimate_s(0), 0.0);
   policy.preference(idle, job, order);
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1}));
@@ -415,7 +408,7 @@ TEST(PackFleet, ExpectedLatencyRoutesAroundBacklog) {
   // Identical devices, lane 0 pre-loaded with 1000 modeled seconds: the
   // queue-aware policy prefers lane 1 for every job, so the first open
   // batch fills there and lane 0 stays empty. The THIRD job finds its
-  // preferred batch full — because the policy is queue_aware(), the round
+  // preferred batch full — because ExpectedLatency is queue-aware, the round
   // engine DEFERS it to the next round instead of overflowing onto the
   // catastrophically backlogged lane (for a queue-aware order every later
   // preference is modeled slower than waiting), so it opens lane 1's
@@ -426,12 +419,12 @@ TEST(PackFleet, ExpectedLatencyRoutesAroundBacklog) {
   for (std::size_t i = 0; i < 3; ++i) {
     jobs.push_back(make_job(i, {2, 1, 2}, 700 + i));
   }
-  ExpectedLatencyPolicy policy;
+  RoutingPolicy policy(RoutePolicy::ExpectedLatency);
   PackOptions opts;
   opts.max_batch_size = 2;
   const std::vector<double> backlog = {1000.0, 0.0};
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, opts, &policy, backlog);
+      pack_fleet(fleet.slots, jobs, partitioner, opts, policy, backlog);
   EXPECT_TRUE(plan.batches[0].empty());
   ASSERT_EQ(plan.batches[1].size(), 2u);
   EXPECT_EQ(plan.batches[1][0].jobs, (std::vector<std::size_t>{0, 1}));
@@ -444,11 +437,11 @@ TEST(PackFleet, ExpectedLatencyRoutesAroundBacklog) {
   // Same stream under a time-blind policy on identical devices: BestEfs
   // ties to slot 0, jobs 0-1 fill its batch, and job 2 — no deferral
   // semantics — overflows to slot 1 within the round (queueing, not a
-  // spill). Pins that queue_aware() alone gates the new behavior.
+  // spill). Pins that the queue-aware kind alone gates the new behavior.
   TestFleet blind_fleet({make_line_device(8, 3), make_line_device(8, 3)});
-  BestEfsPolicy blind;
+  RoutingPolicy blind(RoutePolicy::BestEfs);
   const FleetPlan blind_plan = pack_fleet(blind_fleet.slots, jobs, partitioner,
-                                          opts, &blind, backlog);
+                                          opts, blind, backlog);
   ASSERT_EQ(blind_plan.batches[0].size(), 1u);
   EXPECT_EQ(blind_plan.batches[0][0].jobs, (std::vector<std::size_t>{0, 1}));
   ASSERT_EQ(blind_plan.batches[1].size(), 1u);
@@ -470,12 +463,12 @@ TEST(PackFleet, ReservationLaneClaimsTheEmptiestChip) {
   jobs.push_back(make_job(0, {2, 1, 2}, 900, true));   // exclusive
   jobs.push_back(make_job(1, {2, 1, 2}, 901, false));
   jobs.push_back(make_job(2, {2, 1, 2}, 902, false));
-  BestEfsPolicy policy;
+  RoutingPolicy policy(RoutePolicy::BestEfs);
   PackOptions opts;
   opts.max_batch_size = 4;
   const std::vector<double> backlog = {50.0, 0.0};
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, opts, &policy, backlog);
+      pack_fleet(fleet.slots, jobs, partitioner, opts, policy, backlog);
   // Reservation on the idle chip, alone; the rest share backlogged lane 0
   // (BestEfs is time-blind, ties to the lowest id).
   ASSERT_EQ(plan.batches[1].size(), 1u);
@@ -489,11 +482,11 @@ TEST(PackFleet, ReservationLaneClaimsTheEmptiestChip) {
   // Both lanes backlogged: the reservation waits behind the smaller drain
   // and the accounting records exactly that wait.
   TestFleet busy({make_line_device(8, 3), make_line_device(8, 3)});
-  BestEfsPolicy policy2;
+  RoutingPolicy policy2(RoutePolicy::BestEfs);
   const std::vector<double> both = {50.0, 20.0};
   const std::vector<PackJob> solo = {make_job(0, {2, 1, 2}, 900, true)};
   const FleetPlan busy_plan =
-      pack_fleet(busy.slots, solo, partitioner, opts, &policy2, both);
+      pack_fleet(busy.slots, solo, partitioner, opts, policy2, both);
   ASSERT_EQ(busy_plan.batches[1].size(), 1u);
   EXPECT_EQ(busy_plan.reservation_jobs, 1u);
   EXPECT_DOUBLE_EQ(busy_plan.reservation_wait_sum_s, 20.0);
@@ -516,12 +509,12 @@ TEST(PackFleet, TimeBlindPoliciesIgnoreBacklog) {
   for (const RoutePolicy kind : {RoutePolicy::RoundRobin,
                                  RoutePolicy::LeastLoaded,
                                  RoutePolicy::BestEfs}) {
-    const auto without = make_routing_policy(kind);
+    RoutingPolicy without(kind);
     const FleetPlan a =
-        pack_fleet(fleet.slots, jobs, partitioner, opts, without.get());
-    const auto with = make_routing_policy(kind);
+        pack_fleet(fleet.slots, jobs, partitioner, opts, without);
+    RoutingPolicy with(kind);
     const FleetPlan b =
-        pack_fleet(fleet.slots, jobs, partitioner, opts, with.get(), backlog);
+        pack_fleet(fleet.slots, jobs, partitioner, opts, with, backlog);
     ASSERT_EQ(a.batches.size(), b.batches.size());
     for (std::size_t s = 0; s < a.batches.size(); ++s) {
       ASSERT_EQ(a.batches[s].size(), b.batches[s].size())
@@ -633,12 +626,13 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalOnAllTopologies) {
         std::map<std::uint64_t, double> cache_inc;
         const FleetSlot slot_ref{&device, nullptr, &cache_ref};
         const FleetSlot slot_inc{&device, &index, &cache_inc};
+        RoutingPolicy policy(RoutePolicy::BestEfs);
         const FleetPlan reference =
             pack_fleet(std::span<const FleetSlot>(&slot_ref, 1), jobs,
-                       *oracle, opts, nullptr);
+                       *oracle, opts, policy);
         const FleetPlan incremental =
             pack_fleet(std::span<const FleetSlot>(&slot_inc, 1), jobs,
-                       *subject, opts, nullptr);
+                       *subject, opts, policy);
         expect_plans_identical(reference, incremental, context);
         EXPECT_EQ(cache_ref, cache_inc) << context;
       }
@@ -648,10 +642,10 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalOnAllTopologies) {
 
 TEST(PackFleet, IncrementalAdmissionBitIdenticalAcrossPoliciesAndBacklogs) {
   // Same A/B over a heterogeneous multi-slot fleet under every routing
-  // policy (and the policy-less id-order engine), with lopsided modeled
-  // backlogs so the queue-aware path and the reservation lane are
-  // exercised: the probe must not shift a single routing decision, spill,
-  // or wait/reservation double, with persistent indexes or without.
+  // policy, with lopsided modeled backlogs so the queue-aware path and the
+  // reservation lane are exercised: the probe must not shift a single
+  // routing decision, spill, or wait/reservation double, with persistent
+  // indexes or without.
   Rng rng(8088);
   const QucpPartitioner partitioner;
   const auto oracle = reference::qucp();
@@ -662,35 +656,30 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalAcrossPoliciesAndBacklogs) {
     if (rng.bernoulli(0.5)) opts.efs_threshold = rng.uniform(0.0, 0.4);
     const std::vector<double> backlog = {rng.uniform(0.0, 100.0),
                                          rng.uniform(0.0, 100.0), 0.0};
-    for (const bool use_policy : {false, true}) {
-      for (const RoutePolicy kind : {RoutePolicy::RoundRobin,
-                                     RoutePolicy::LeastLoaded,
-                                     RoutePolicy::BestEfs,
-                                     RoutePolicy::ExpectedLatency}) {
-        const std::string context =
-            "trial" + std::to_string(trial) + "/" +
-            (use_policy ? std::string(route_policy_name(kind)) : "id-order");
-        auto run = [&](const Partitioner& p, bool indexed) {
-          TestFleet fleet({make_toronto27(), make_line_device(9),
-                           make_grid_device(4, 5)},
-                          indexed);
-          const auto policy = use_policy ? make_routing_policy(kind) : nullptr;
-          return pack_fleet(fleet.slots, jobs, p, opts, policy.get(),
-                            backlog);
-        };
-        const FleetPlan reference = run(*oracle, false);
-        expect_plans_identical(reference, run(partitioner, true), context);
-        expect_plans_identical(reference, run(partitioner, false),
-                               context + "/zero-budget");
-        if (!use_policy) break;  // the id-order arm has no policy kinds
-      }
+    for (const RoutePolicy kind : {RoutePolicy::RoundRobin,
+                                   RoutePolicy::LeastLoaded,
+                                   RoutePolicy::BestEfs,
+                                   RoutePolicy::ExpectedLatency}) {
+      const std::string context = "trial" + std::to_string(trial) + "/" +
+                                  std::string(route_policy_name(kind));
+      auto run = [&](const Partitioner& p, bool indexed) {
+        TestFleet fleet({make_toronto27(), make_line_device(9),
+                         make_grid_device(4, 5)},
+                        indexed);
+        RoutingPolicy policy(kind);
+        return pack_fleet(fleet.slots, jobs, p, opts, policy, backlog);
+      };
+      const FleetPlan reference = run(*oracle, false);
+      expect_plans_identical(reference, run(partitioner, true), context);
+      expect_plans_identical(reference, run(partitioner, false),
+                             context + "/zero-budget");
     }
   }
 }
 
 TEST(PackFleet, ThresholdAdmissionFollowsTheDecisionRule) {
   // Replays the §IV-B admission rule from scratch on a single slot (no
-  // policy, no exclusive jobs, so round r is batch r): a batch is
+  // routing, no exclusive jobs, so round r is batch r): a batch is
   // admissible when it allocates and every member's EFS rises by at most
   // the threshold over its solo EFS. Every planned batch must be
   // admissible, and every job deferred to round r >= 1 must have been
@@ -716,8 +705,9 @@ TEST(PackFleet, ThresholdAdmissionFollowsTheDecisionRule) {
     opts.efs_threshold = rng.uniform(0.0, 0.3);
     std::map<std::uint64_t, double> cache;
     const FleetSlot slot{&device, &index, &cache};
+    RoutingPolicy policy(RoutePolicy::BestEfs);
     const FleetPlan plan = pack_fleet(std::span<const FleetSlot>(&slot, 1),
-                                      jobs, partitioner, opts, nullptr);
+                                      jobs, partitioner, opts, policy);
 
     const auto admissible = [&](const std::vector<std::size_t>& members) {
       std::vector<ProgramShape> shapes;
@@ -756,6 +746,58 @@ TEST(PackFleet, ThresholdAdmissionFollowsTheDecisionRule) {
   }
 }
 
+TEST(PackFleet, OneSlotPlanIsTheSameUnderEveryPolicy) {
+  // A one-slot plan has nothing to route, so pack_fleet never consults the
+  // policy: its order is {0} under every kind. Consulting BestEfs or
+  // ExpectedLatency would drop the unfit slot for job 1 (wider than the
+  // chip) and fail it at once, so the spill it records when it meets the
+  // occupied first batch would go uncounted. Batches, assignments,
+  // unplaceable and spill accounting must all match RoundRobin's plan.
+  const Device device = make_line_device(8, 3);
+  CandidateIndex index(device);
+  const QucpPartitioner partitioner;
+  std::vector<PackJob> jobs;
+  jobs.push_back(make_job(0, {3, 4, 4}, 10));
+  jobs.push_back(make_job(1, {12, 6, 6}, 11));  // fits no slot
+  jobs.push_back(make_job(2, {3, 4, 4}, 12));
+  jobs.push_back(make_job(3, {2, 1, 2}, 13, true));  // exclusive
+  jobs.push_back(make_job(4, {4, 6, 4}, 14));
+  jobs.push_back(make_job(5, {2, 1, 2}, 15));
+  PackOptions opts;
+  opts.max_batch_size = 3;
+  opts.efs_threshold = 0.05;
+  const std::vector<double> backlog = {7.0};
+  auto run = [&](RoutePolicy kind) {
+    std::map<std::uint64_t, double> cache;
+    const FleetSlot slot{&device, &index, &cache};
+    RoutingPolicy policy(kind);
+    return pack_fleet(std::span<const FleetSlot>(&slot, 1), jobs, partitioner,
+                      opts, policy, backlog);
+  };
+  const FleetPlan reference = run(RoutePolicy::RoundRobin);
+  EXPECT_EQ(reference.unplaceable, (std::vector<std::size_t>{1}));
+  EXPECT_GE(reference.spill_events, 1u);
+  for (const RoutePolicy kind : {RoutePolicy::LeastLoaded,
+                                 RoutePolicy::BestEfs,
+                                 RoutePolicy::ExpectedLatency}) {
+    const std::string context(route_policy_name(kind));
+    const FleetPlan plan = run(kind);
+    expect_plans_identical(reference, plan, context);
+    ASSERT_EQ(plan.batches[0].size(), reference.batches[0].size()) << context;
+    for (std::size_t b = 0; b < plan.batches[0].size(); ++b) {
+      const PackedBatch& got = plan.batches[0][b];
+      const PackedBatch& want = reference.batches[0][b];
+      ASSERT_EQ(got.assignments.size(), want.assignments.size()) << context;
+      for (std::size_t i = 0; i < got.assignments.size(); ++i) {
+        EXPECT_EQ(got.assignments[i].qubits, want.assignments[i].qubits)
+            << context << " batch " << b;
+        EXPECT_EQ(got.assignments[i].efs.score, want.assignments[i].efs.score)
+            << context << " batch " << b;
+      }
+    }
+  }
+}
+
 TEST(FleetScheduler, EveryBatchCarriesTheAssignmentsItWasAdmittedOn) {
   // Plan once: the service executes each batch on the assignments its
   // plan exported, so every batch (exclusive ones included) must carry one
@@ -780,7 +822,7 @@ TEST(FleetScheduler, EveryBatchCarriesTheAssignmentsItWasAdmittedOn) {
     PackOptions opts;
     opts.max_batch_size = static_cast<int>(rng.integer(2, 5));
     opts.efs_threshold = rng.uniform(0.05, 0.3);
-    // kinds.size() is the single-slot arm (policy bypassed).
+    // kinds.size() is the single-slot arm (the policy is never consulted).
     for (std::size_t k = 0; k <= kinds.size(); ++k) {
       const bool single = k == kinds.size();
       const std::string context =
@@ -818,17 +860,7 @@ TEST(FleetScheduler, EveryBatchCarriesTheAssignmentsItWasAdmittedOn) {
   }
 }
 
-TEST(FleetScheduler, SingleBackendBypassesPolicy) {
-  BackendRegistry single(std::vector<Device>{make_toronto27()});
-  FleetScheduler scheduler(single, RoutePolicy::BestEfs);
-  EXPECT_EQ(scheduler.policy(), nullptr);
-
-  BackendRegistry pair(
-      std::vector<Device>{make_toronto27(), make_manhattan65()});
-  FleetScheduler fleet_scheduler(pair, RoutePolicy::BestEfs);
-  ASSERT_NE(fleet_scheduler.policy(), nullptr);
-  EXPECT_EQ(fleet_scheduler.policy()->name(), "BestEfs");
-
+TEST(FleetScheduler, RejectsAnEmptyFleet) {
   const BackendRegistry empty;
   EXPECT_THROW(FleetScheduler(empty, RoutePolicy::RoundRobin),
                std::invalid_argument);

@@ -407,7 +407,8 @@ TEST(FusionStructure, MeasurementsKeepProgramOrderAndClbits) {
 }
 
 TEST(CompiledProgramCache, MemoizesByFingerprint) {
-  CompiledProgramCache cache;
+  const Device device = make_line_device(2);
+  CompiledProgramCache cache(device);
   Circuit c(2, 2);
   c.h(0);
   c.cx(0, 1);

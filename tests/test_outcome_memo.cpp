@@ -159,8 +159,7 @@ CrosstalkPair crosstalk_pair(const Device& device, int lead) {
 }
 
 double makespan(const Device& device, const Circuit& c) {
-  return CompiledExecutable::compile(c, &device)
-      .structure()
+  return ExecutableStructure::build(c, device, SchedulePolicy::ALAP)
       .schedule()
       .makespan_ns;
 }

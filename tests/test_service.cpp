@@ -296,6 +296,16 @@ TEST(ExecutionService, QumcWithoutEstimatesThrowsAtConstruction) {
                std::invalid_argument);
 }
 
+/// The single-device packer: a one-slot pack_fleet, which never consults
+/// its routing policy.
+FleetPlan pack_one_slot(const FleetSlot& slot, std::span<const PackJob> jobs,
+                        const Partitioner& partitioner,
+                        const PackOptions& options) {
+  RoutingPolicy policy(RoutePolicy::BestEfs);
+  return pack_fleet(std::span<const FleetSlot>(&slot, 1), jobs, partitioner,
+                    options, policy);
+}
+
 TEST(Packer, PartialTailBatchAndOrder) {
   // 5 equal jobs, batches of 4: the tail batch has 1 job — the non-multiple
   // case the old examples/cloud_queue.cpp slicing read past the end on.
@@ -306,8 +316,8 @@ TEST(Packer, PartialTailBatchAndOrder) {
   for (std::size_t i = 0; i < 5; ++i) jobs.push_back({i, shape, i, false});
   std::map<std::uint64_t, double> cache;
   const FleetSlot slot{&d, nullptr, &cache};
-  const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
-                                      jobs, partitioner, PackOptions{});
+  const FleetPlan packed =
+      pack_one_slot(slot, jobs, partitioner, PackOptions{});
   const std::vector<PackedBatch>& batches = packed.batches[0];
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 1, 2, 3}));
@@ -328,8 +338,8 @@ TEST(Packer, SpillsWhatDoesNotFitTogether) {
   for (std::size_t i = 0; i < 3; ++i) jobs.push_back({i, shape, i, false});
   std::map<std::uint64_t, double> cache;
   const FleetSlot slot{&d, nullptr, &cache};
-  const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
-                                      jobs, partitioner, PackOptions{});
+  const FleetPlan packed =
+      pack_one_slot(slot, jobs, partitioner, PackOptions{});
   const std::vector<PackedBatch>& batches = packed.batches[0];
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].jobs.size(), 2u);
@@ -350,8 +360,8 @@ TEST(Packer, SpilledJobsKeepFifoOrderBehindRepeatedlyFullBatches) {
   for (std::size_t i = 0; i < 5; ++i) jobs.push_back({i, shape, i, false});
   std::map<std::uint64_t, double> cache;
   const FleetSlot slot{&d, nullptr, &cache};
-  const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
-                                      jobs, partitioner, PackOptions{});
+  const FleetPlan packed =
+      pack_one_slot(slot, jobs, partitioner, PackOptions{});
   const std::vector<PackedBatch>& batches = packed.batches[0];
   ASSERT_EQ(batches.size(), 3u);
   EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 1}));
@@ -378,8 +388,8 @@ TEST(Packer, LateSmallJobMayOvertakeButSpilledJobsStayOrdered) {
                             {3, small, 13, false}};
   std::map<std::uint64_t, double> cache;
   const FleetSlot slot{&d, nullptr, &cache};
-  const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
-                                      jobs, partitioner, PackOptions{});
+  const FleetPlan packed =
+      pack_one_slot(slot, jobs, partitioner, PackOptions{});
   const std::vector<PackedBatch>& batches = packed.batches[0];
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 1, 3}));
@@ -408,8 +418,7 @@ TEST(Packer, AccountingIsExactOverRandomizedStreams) {
     opts.max_batch_size = static_cast<int>(rng.integer(1, 4));
     std::map<std::uint64_t, double> cache;
     const FleetSlot slot{&d, nullptr, &cache};
-    const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
-                                        jobs, partitioner, opts);
+    const FleetPlan packed = pack_one_slot(slot, jobs, partitioner, opts);
     const std::vector<PackedBatch>& batches = packed.batches[0];
     std::vector<std::size_t> seen;
     for (const PackedBatch& batch : batches) {
@@ -443,8 +452,8 @@ TEST(Packer, ExclusiveJobThatCannotFitAloneIsUnplaceableNotSpilled) {
                             {2, small, 3, false}};
   std::map<std::uint64_t, double> cache;
   const FleetSlot slot{&d, nullptr, &cache};
-  const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
-                                      jobs, partitioner, PackOptions{});
+  const FleetPlan packed =
+      pack_one_slot(slot, jobs, partitioner, PackOptions{});
   const std::vector<PackedBatch>& batches = packed.batches[0];
   EXPECT_EQ(packed.unplaceable, (std::vector<std::size_t>{1}));
   EXPECT_EQ(packed.spill_events, 0u);
@@ -464,8 +473,8 @@ TEST(Packer, MidQueueExclusiveJobDefersWithoutSpillAccounting) {
                             {2, small, 3, false}};
   std::map<std::uint64_t, double> cache;
   const FleetSlot slot{&d, nullptr, &cache};
-  const FleetPlan packed = pack_fleet(std::span<const FleetSlot>(&slot, 1),
-                                      jobs, partitioner, PackOptions{});
+  const FleetPlan packed =
+      pack_one_slot(slot, jobs, partitioner, PackOptions{});
   const std::vector<PackedBatch>& batches = packed.batches[0];
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 2}));
