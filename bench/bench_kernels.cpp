@@ -70,7 +70,7 @@ int reps_for(std::size_t state_elems) {
 FusedOp gate_op(int n, const Gate& g) {
   Circuit c(n);
   c.append(g);
-  return compile_ops(c).front();
+  return CompiledProgram::compile(c).ops().front();
 }
 
 /// Density rows through the entry points the executor runs: a gate-only
@@ -146,7 +146,7 @@ std::vector<KernelResult> run_noisy_op_suite(int n) {
     bundles.back().circuit.cx(0, n - 1);
   }
   for (const Bundle& b : bundles) {
-    const FusedOp op = compile_ops(b.circuit).front();
+    const FusedOp op = CompiledProgram::compile(b.circuit).ops().front();
     const std::vector<int> q(op.q, op.q + op.k());
     const double c2 = 1e-5;
     const kern::DepolCoeffs depol{1.0 - c2, c2, op.k() == 1 ? 0.5 : 0.25};

@@ -12,6 +12,14 @@ namespace qucp {
 
 namespace {
 
+// Swap-score weights (the cost function in router.hpp).
+constexpr double kErrorWeight = 10.0;
+constexpr double kLookaheadWeight = 0.5;
+constexpr int kLookaheadDepth = 20;
+constexpr double kDecay = 0.001;
+constexpr int kDecayResetInterval = 5;
+constexpr double kCrosstalkWeight = 5.0;
+
 /// Hop distances inside the partition-induced subgraph.
 class PartitionDistances {
  public:
@@ -141,7 +149,7 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
     std::deque<std::size_t> queue(front_nodes.begin(), front_nodes.end());
     for (std::size_t n : front_nodes) seen_at[n] = pass;
     while (!queue.empty() &&
-           static_cast<int>(ext.size()) < options.lookahead_depth) {
+           static_cast<int>(ext.size()) < kLookaheadDepth) {
       const std::size_t n = queue.front();
       queue.pop_front();
       for (std::size_t s : dag.successors(n)) {
@@ -222,10 +230,10 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
         h_look /= static_cast<double>(ext.size());
       }
 
-      double score = (h_front + options.lookahead_weight * h_look) *
+      double score = (h_front + kLookaheadWeight * h_look) *
                      (1.0 + std::max(decay[edge.a], decay[edge.b]));
       if (options.noise_aware) {
-        score += options.error_weight * device.calibration().cx_error[e];
+        score += kErrorWeight * device.calibration().cx_error[e];
       }
       if (options.crosstalk_aware) {
         for (int f : options.context_edges) {
@@ -238,7 +246,7 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
           const double gamma = options.crosstalk_estimates != nullptr
                                    ? options.crosstalk_estimates->gamma(e, f)
                                    : 2.0;
-          score += options.crosstalk_weight *
+          score += kCrosstalkWeight *
                    device.calibration().cx_error[e] * (gamma - 1.0);
         }
       }
@@ -262,9 +270,9 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
     log_of[se.a] = log_b;
     log_of[se.b] = log_a;
 
-    decay[se.a] += options.decay;
-    decay[se.b] += options.decay;
-    if (++since_reset >= options.decay_reset_interval) {
+    decay[se.a] += kDecay;
+    decay[se.b] += kDecay;
+    if (++since_reset >= kDecayResetInterval) {
       std::fill(decay.begin(), decay.end(), 0.0);
       since_reset = 0;
     }

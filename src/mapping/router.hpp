@@ -3,10 +3,13 @@
 //
 // Makes every two-qubit gate act on coupled qubits by inserting SWAPs along
 // partition-internal edges. The cost function blends hop distance for the
-// front layer, a look-ahead over upcoming gates, a per-qubit decay term
-// against ping-ponging, an optional noise term (3x the edge's CX error —
-// the SWAP's real cost), and — for the CNA baseline — a gate-level
-// crosstalk penalty against edges one-hop from co-runner partitions.
+// front layer, a look-ahead over the next 20 two-qubit gates at weight
+// 0.5, a per-qubit decay term against ping-ponging (+0.001 per use,
+// cleared every 5 swaps), an optional noise term (10x the edge's CX
+// error), and — for the CNA baseline — a gate-level crosstalk penalty
+// against edges one-hop from co-runner partitions (5x the edge's CX error
+// x (gamma - 1)). The weights are fixed constants of router.cpp; the
+// options only switch terms on and supply the CNA context.
 
 #include <optional>
 #include <span>
@@ -18,17 +21,11 @@
 namespace qucp {
 
 struct RouterOptions {
-  bool noise_aware = true;     ///< add CX-error term to swap scores
-  double error_weight = 10.0;  ///< weight of the noise term
-  double lookahead_weight = 0.5;
-  int lookahead_depth = 20;    ///< number of future 2q gates considered
-  double decay = 0.001;        ///< per-use decay increment
-  int decay_reset_interval = 5;
+  bool noise_aware = true;  ///< add the CX-error term to swap scores
 
   /// Gate-level crosstalk penalty (CNA): edges one-hop from any context
   /// edge are discouraged proportionally to the estimated gamma.
   bool crosstalk_aware = false;
-  double crosstalk_weight = 5.0;
   std::vector<int> context_edges;            ///< co-runner partition edges
   const CrosstalkModel* crosstalk_estimates = nullptr;  ///< SRB estimates
 };

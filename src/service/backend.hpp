@@ -120,12 +120,6 @@ class CalibrationEpoch {
     return candidate_index_;
   }
 
-  /// Executor noise constants derived from this epoch's calibration once,
-  /// instead of per gate application (sim/executor.hpp).
-  [[nodiscard]] const DerivedNoise& derived_noise() const noexcept {
-    return derived_noise_;
-  }
-
   /// Persistent program-compilation cache (sim/fusion.hpp). Thread-safe.
   [[nodiscard]] const CompiledProgramCache& program_cache() const noexcept {
     return program_cache_;

@@ -5,16 +5,6 @@
 
 namespace qucp {
 
-std::string_view job_status_name(JobStatus status) noexcept {
-  switch (status) {
-    case JobStatus::Queued: return "queued";
-    case JobStatus::Running: return "running";
-    case JobStatus::Done: return "done";
-    case JobStatus::Failed: return "failed";
-  }
-  return "?";
-}
-
 namespace detail {
 
 void JobState::finish(JobResult r) {

@@ -14,7 +14,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "core/parallel.hpp"
 
@@ -26,8 +25,6 @@ enum class JobStatus {
   Done,     ///< result available
   Failed,   ///< terminal error; JobHandle::error() has the message
 };
-
-[[nodiscard]] std::string_view job_status_name(JobStatus status) noexcept;
 
 /// Batch-level context attached to every job result, so callers can
 /// reconstruct per-batch figures (speedup, throughput) from job handles.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -538,16 +537,11 @@ void ExecutionService::dispatch_pending() {
   // wait accounting see work dispatched in earlier cycles. Read under the
   // lane mutexes but used under pack_mutex_, so concurrent completions can
   // only make the snapshot conservative (stale-high), never inconsistent
-  // with the plan that consumes it. With realized-duration feedback on,
-  // the snapshot is scaled by the lane's observed realized/modeled ratio
-  // so routing prices how the lane actually drains, not just the model.
+  // with the plan that consumes it.
   std::vector<double> backlogs(lanes_.size(), 0.0);
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     std::lock_guard<std::mutex> lane_lock(lanes_[i]->mutex);
     backlogs[i] = lanes_[i]->backlog_s;
-    if (options_.feed_realized_durations) {
-      backlogs[i] *= lanes_[i]->realized_ratio;
-    }
   }
   FleetPlan plan = scheduler_->plan(pack_jobs, *partitioner_, popts, backlogs);
 
@@ -744,12 +738,6 @@ void ExecutionService::execute_batch(Lane& lane, Batch batch,
         std::max(1, kern::parallel_threads() / concurrency);
   }
 
-  // Only read the clock when realized-duration feedback is on: the
-  // modeled-only mode must not depend on timing in any way.
-  const bool feed_realized = options_.feed_realized_durations;
-  std::chrono::steady_clock::time_point wall_start;
-  if (feed_realized) wall_start = std::chrono::steady_clock::now();
-
   std::size_t failed = 0;
   try {
     const BatchReport report = run_batch_pipeline(
@@ -778,12 +766,6 @@ void ExecutionService::execute_batch(Lane& lane, Batch batch,
     failed = batch.jobs.size();
   }
 
-  double realized_s = 0.0;
-  if (feed_realized) {
-    realized_s = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - wall_start)
-                     .count();
-  }
   // A batch that outlived its epoch completed against its pack-time
   // calibration while the backend already serves a newer one — the
   // overlap live recalibration exists to permit. Counted under the lane
@@ -799,18 +781,6 @@ void ExecutionService::execute_batch(Lane& lane, Batch batch,
     // flip behind for the next dispatch cycle's wait estimates.
     lane.backlog_s = std::max(0.0, lane.backlog_s - batch.modeled_exec_s);
     if (stale_epoch) ++lane.stale_epoch_batches;
-    if (feed_realized) {
-      lane.realized_exec_sum_s += realized_s;
-      ++lane.realized_batches;
-      if (batch.modeled_exec_s > 0.0) {
-        // EWMA with alpha = 0.2: smooths per-batch wall-clock jitter while
-        // still tracking a lane whose real drain speed shifts.
-        constexpr double kAlpha = 0.2;
-        const double ratio = realized_s / batch.modeled_exec_s;
-        lane.realized_ratio =
-            (1.0 - kAlpha) * lane.realized_ratio + kAlpha * ratio;
-      }
-    }
   }
   inflight_batches_.fetch_sub(1, std::memory_order_relaxed);
   {
@@ -893,9 +863,6 @@ ServiceStats ExecutionService::stats() const {
       bs.modeled_wait_max_s = lane->wait_max_s;
       bs.modeled_backlog_s = lane->backlog_s;
       bs.stale_epoch_batches = lane->stale_epoch_batches;
-      bs.realized_exec_sum_s = lane->realized_exec_sum_s;
-      bs.realized_batches = lane->realized_batches;
-      bs.realized_ratio = lane->realized_ratio;
       bs.sweep_groups = lane->sweep_groups;
       bs.batched_binds = lane->batched_binds;
     }

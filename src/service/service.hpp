@@ -75,7 +75,7 @@ enum class JobOrder {
 struct ServiceOptions {
   Method method = Method::QuCP;
   double sigma = 4.0;  ///< QuCP crosstalk parameter (paper: sigma = 4)
-  ExecOptions exec;    ///< shots, noise toggles, base seed
+  ExecOptions exec;    ///< shots, schedule, base seed
   /// SRB crosstalk estimates; required by QuMC, used by CNA when present.
   std::optional<CrosstalkModel> srb_estimates;
   bool optimize_circuits = true;
@@ -123,16 +123,6 @@ struct ServiceOptions {
   /// and nothing is dropped, but under overload batch boundaries follow
   /// drain timing rather than auto_flush_batch_size.
   std::size_t submit_shard_capacity = 4096;
-  /// Feed *realized* batch durations back into the per-lane backlog the
-  /// next dispatch cycle routes on: each lane keeps an EWMA of
-  /// (measured wall-clock batch duration) / (modeled batch runtime), and
-  /// the backlog snapshot handed to ExpectedLatency routing is scaled by
-  /// it — a lane whose batches consistently run longer than the model
-  /// says attracts less traffic. Off (default) the service never reads a
-  /// clock and stays bit-identical to the modeled-only behavior. Note the
-  /// ratio calibrates modeled device-time against observed host-time
-  /// behavior; only its trend matters, not its absolute scale.
-  bool feed_realized_durations = false;
 };
 
 /// Per-backend slice of the service counters, keyed by registry id.
@@ -166,13 +156,6 @@ struct BackendStats {
   /// backend's current one — in-flight work that rode out a live
   /// recalibration on its pinned snapshot.
   std::uint64_t stale_epoch_batches = 0;
-  /// Realized-duration feedback (ServiceOptions::feed_realized_durations):
-  /// measured wall seconds summed over executed batches, the number of
-  /// batches measured, and the lane's current EWMA of realized/modeled
-  /// duration. All zero (ratio 1) when the knob is off.
-  double realized_exec_sum_s = 0.0;
-  std::uint64_t realized_batches = 0;
-  double realized_ratio = 1.0;
   /// Sweep fast path (see ExecutionService::submit_all): groups of
   /// same-structure jobs in this lane's planned batches whose templates
   /// were probed once per group and bound at dispatch, and the
@@ -375,14 +358,6 @@ class ExecutionService {
     /// Batches that finished against an epoch the backend had already
     /// superseded (guarded by mutex) — the live-recalibration overlap.
     std::uint64_t stale_epoch_batches = 0;
-    /// Realized-duration feedback (only touched when
-    /// ServiceOptions::feed_realized_durations is on; guarded by mutex).
-    /// realized_ratio is an EWMA of measured-wall / modeled-runtime per
-    /// executed batch; the dispatch cycle multiplies its backlog snapshot
-    /// by it so routing sees a lane's *observed* drain speed.
-    double realized_ratio = 1.0;
-    double realized_exec_sum_s = 0.0;
-    std::uint64_t realized_batches = 0;
     /// Sweep fast-path counters (written under pack_mutex_ at dispatch,
     /// read under mutex at stats()-time via the same lane lock the
     /// dispatch enqueue takes).

@@ -179,13 +179,7 @@ ParallelRunReport execute_parallel(const Device& device,
   // Outcome-memo keys (sim/fusion.hpp): every input of a program's
   // simulation below beyond its binding, the device and `derived`.
   std::vector<OutcomeKey> keys(programs.size());
-  for (OutcomeKey& key : keys) {
-    key.flags = (options.idle_noise ? 1U : 0U) |
-                (options.gate_noise ? 2U : 0U) |
-                (options.readout_noise ? 4U : 0U) |
-                (options.crosstalk_noise ? 8U : 0U) |
-                (kern::native_kernels_active() ? 16U : 0U);
-  }
+  for (OutcomeKey& key : keys) key.native = kern::native_kernels_active();
 
   // Each program's cached schedule, aligned to the common end time under
   // ALAP (shifted in place, so the times match a fresh schedule's).
@@ -222,11 +216,11 @@ ParallelRunReport execute_parallel(const Device& device,
   }
   if (options.serialize_crosstalk) {
     // Program-level serialization: shift the later program past the
-    // earlier one whenever a (hinted) one-hop CX pair overlaps. Coarse but
-    // sound — overlap strictly decreases each round.
+    // earlier one whenever a one-hop CX pair overlaps. Coarse but sound —
+    // overlap strictly decreases each round.
     //
     // Everything about a pair except its time overlap (programs, edges,
-    // one-hop distance, hints) is shift-invariant, so the O(E^2) pair scan
+    // one-hop distance) is shift-invariant, so the O(E^2) pair scan
     // runs once; each round then only rechecks overlap on the precomputed
     // eligible pairs. A shift moves just the victim program's events, so
     // the next scan resumes from the victim's earlier pairs plus the tail
@@ -242,9 +236,7 @@ ParallelRunReport execute_parallel(const Device& device,
       const int dist = std::min(
           {topo.distance(ea.a, eb.a), topo.distance(ea.a, eb.b),
            topo.distance(ea.b, eb.a), topo.distance(ea.b, eb.b)});
-      if (dist != 1) return false;
-      return !options.serialize_hints.has_value() ||
-             options.serialize_hints->gamma(a.edge, b.edge) > 1.0;
+      return dist == 1;
     };
     struct EligiblePair {
       std::uint32_t a = 0;
@@ -322,10 +314,8 @@ ParallelRunReport execute_parallel(const Device& device,
       global_makespan = std::max(global_makespan, s.makespan_ns);
     }
   }
-  detail::CrosstalkTally xtalk;
-  if (options.crosstalk_noise) {
-    xtalk = detail::amplify_crosstalk(events, *derived);
-  }
+  const detail::CrosstalkTally xtalk =
+      detail::amplify_crosstalk(events, *derived);
   // Index the amplified gamma per (program, op): flat per-op vectors.
   std::vector<std::vector<double>> gamma_of(programs.size());
   for (std::size_t p = 0; p < compiled.size(); ++p) {
@@ -395,7 +385,7 @@ ParallelRunReport execute_parallel(const Device& device,
     auto take_idle = [&](int q, double until_ns, double busy_ns) {
       Relaxation r;
       const double gap = until_ns - busy_until[q];
-      if (options.idle_noise && gap > 1e-9) {
+      if (gap > 1e-9) {
         r = {gap, cal.t1_us[q], cal.t2_us[q]};
       }
       busy_until[q] = busy_ns;
@@ -425,7 +415,7 @@ ParallelRunReport execute_parallel(const Device& device,
         idle[i] = take_idle(g.qubits[i], so.start_ns, so.end_ns);
       }
       double param = 0.0;
-      if (options.gate_noise && g.kind == GateKind::CX) {
+      if (g.kind == GateKind::CX) {
         const double gamma = gamma_of[p][idx];
         const auto edge = static_cast<std::size_t>(cx_edges[idx]);
         // x * 1.0 == x bitwise for every finite error rate, so the
@@ -433,7 +423,7 @@ ParallelRunReport execute_parallel(const Device& device,
         param = gamma == 1.0
                     ? derived->cx_depol[edge]
                     : depolarizing_param(cal.cx_error[edge] * gamma);
-      } else if (options.gate_noise) {
+      } else {
         param = derived->q1_depol[static_cast<std::size_t>(g.qubits[0])];
       }
       // Idle relaxation, gate and depolarizing in one sweep over rho.
@@ -464,14 +454,12 @@ ParallelRunReport execute_parallel(const Device& device,
       }
       meas_probs[packed] += local_probs[basis];
     }
-    if (options.readout_noise) {
-      std::vector<double> flips;
-      flips.reserve(m);
-      for (const auto& [q, c] : measurements) {
-        flips.push_back(cal.readout_error[q]);
-      }
-      apply_readout_flips(meas_probs, flips);
+    std::vector<double> flips;
+    flips.reserve(m);
+    for (const auto& [q, c] : measurements) {
+      flips.push_back(cal.readout_error[q]);
     }
+    apply_readout_flips(meas_probs, flips);
     int num_bits = 0;
     for (const auto& [q, c] : measurements) num_bits = std::max(num_bits, c + 1);
     std::vector<Distribution::Entry> dist_entries;

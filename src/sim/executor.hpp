@@ -10,20 +10,22 @@
 //
 // Noise sources, matching the paper's discussion: per-edge CX error,
 // per-qubit single-qubit error, readout assignment error, idle thermal
-// relaxation (T1/T2) in schedule gaps, and crosstalk. A gate's idle
-// relaxation, the gate and its depolarizing share one sweep over rho.
+// relaxation (T1/T2) in schedule gaps, and crosstalk. Every source is read
+// from the device and always applied; a device turns one off by its
+// parameters (zero error rates, infinite T1/T2, an empty crosstalk ground
+// truth). A gate's idle relaxation, the gate and its depolarizing share
+// one sweep over rho.
 //
 // Each program's exact noisy distribution is a pure function of its exact
 // binding, the device, its time deltas (ALAP alignment shift, then any
-// crosstalk-serialization delays), the crosstalk gamma of each of its CXs,
-// the noise flags and the active kernel variant. With a program cache,
+// crosstalk-serialization delays), the crosstalk gamma of each of its CXs
+// and the active kernel variant. With a program cache,
 // execute_parallel memoizes it under those inputs (CompiledProgramCache::
 // outcome, sim/fusion.hpp), so cloud traffic that resubmits a circuit into
 // the same timing and crosstalk skips the density-matrix walk and only
 // samples its shots: counts stay bit-identical.
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,10 +51,6 @@ struct PhysicalProgram {
 struct ExecOptions {
   int shots = 4096;
   SchedulePolicy schedule = SchedulePolicy::ALAP;
-  bool idle_noise = true;
-  bool readout_noise = true;
-  bool gate_noise = true;
-  bool crosstalk_noise = true;
   std::uint64_t seed = 1234;  ///< sampling seed
 
   /// Cap on kern::parallel_for worker threads while this run simulates
@@ -63,14 +61,9 @@ struct ExecOptions {
 
   /// Software crosstalk mitigation by instruction scheduling (Murali et
   /// al., the alternative to QuCP's avoidance): delay whole programs until
-  /// no one-hop CX pairs overlap in time. With `serialize_hints` set only
-  /// the listed (SRB-characterized) pairs are serialized; otherwise every
-  /// one-hop overlap is. Buys crosstalk immunity with idle decoherence
-  /// and a longer makespan. Held by value: ExecOptions frequently outlive
-  /// the caller's stack frame in the async ExecutionService, so a borrowed
-  /// pointer here would be a dangling-lifetime trap.
+  /// no one-hop CX pairs overlap in time. Buys crosstalk immunity with
+  /// idle decoherence and a longer makespan.
   bool serialize_crosstalk = false;
-  std::optional<CrosstalkModel> serialize_hints;
 };
 
 struct ProgramOutcome {
@@ -124,11 +117,11 @@ struct ParallelRunReport {
 /// exactly `device` (the outcome memo trusts it); a table sized for another
 /// topology throws std::invalid_argument. When null they are derived per
 /// call. Every gate replays through a precompiled kernel, gate by gate in
-/// schedule order, whichever noise flags are set: each gate and its
-/// channels — idle relaxation on its operands since their last op, then
-/// depolarizing — run as one DensityMatrix::apply_noisy_gate sweep,
-/// bit-identical to applying the channels one full pass at a time; idle
-/// windows before measurements relax in a pass of their own.
+/// schedule order: each gate and its channels — idle relaxation on its
+/// operands since their last op, then depolarizing — run as one
+/// DensityMatrix::apply_noisy_gate sweep, bit-identical to applying the
+/// channels one full pass at a time; idle windows before measurements
+/// relax in a pass of their own.
 [[nodiscard]] ParallelRunReport execute_parallel(
     const Device& device, std::vector<PhysicalProgram> programs,
     const ExecOptions& options = {},

@@ -415,20 +415,6 @@ CompiledProgram CompiledProgram::materialize(const FusionPlan& plan,
   return out;
 }
 
-std::vector<FusedOp> compile_ops(const Circuit& circuit) {
-  std::vector<FusedOp> out(circuit.size());
-  for (std::size_t i = 0; i < circuit.size(); ++i) {
-    const Gate& g = circuit.ops()[i];
-    if (!is_unitary_gate(g.kind)) continue;
-    const int k = static_cast<int>(g.qubits.size());
-    assert(k == 1 || k == 2);
-    const Matrix u = gate_matrix(g);
-    out[i] = make_fused_op(u.data().data(), k, g.qubits[0],
-                           k == 2 ? g.qubits[1] : -1);
-  }
-  return out;
-}
-
 ExecutableStructure ExecutableStructure::build(const Circuit& physical,
                                                const Device& device,
                                                const SchedulePolicy policy) {
@@ -528,7 +514,7 @@ bool OutcomeKey::operator==(const OutcomeKey& other) const noexcept {
   auto same = [](double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
   };
-  return flags == other.flags &&
+  return native == other.native &&
          std::equal(shifts.begin(), shifts.end(), other.shifts.begin(),
                     other.shifts.end(), same) &&
          std::equal(gammas.begin(), gammas.end(), other.gammas.begin(),

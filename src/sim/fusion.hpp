@@ -66,12 +66,12 @@
 // exact noisy Distribution execute_parallel computed for it, keyed by an
 // OutcomeKey — every input of that program's simulation beyond the binding
 // and the epoch's device: the time deltas applied to its cached schedule,
-// the crosstalk gamma of each amplified CX, the noise flags and whether
-// the native kernels are active. An exact repeat skips the density-matrix
-// walk; only sampling runs. At most kMaxOutcomeVariants keys are held per
-// entry (oldest replaced first), a new binding clears them, and the
-// entry's byte charge follows them, so the memo counts against the
-// executable cache's byte bound like everything else.
+// the crosstalk gamma of each amplified CX and whether the native kernels
+// are active. An exact repeat skips the density-matrix walk; only
+// sampling runs. At most kMaxOutcomeVariants keys are held per entry
+// (oldest replaced first), a new binding clears them, and the entry's
+// byte charge follows them, so the memo counts against the executable
+// cache's byte bound like everything else.
 
 #include <atomic>
 #include <cstdint>
@@ -326,9 +326,9 @@ class CompiledExecutable {
 /// execute_parallel beyond its exact binding, the device and the device's
 /// DerivedNoise. Compared exactly: doubles bit for bit.
 struct OutcomeKey {
-  /// Noise flags and the native-kernel bit (the scalar and AVX2 kernels
-  /// round differently).
-  std::uint32_t flags = 0;
+  /// Whether the native kernels ran (the scalar and AVX2 kernels round
+  /// differently).
+  bool native = false;
   /// Time deltas added to the cached schedule, in the order applied: the
   /// ALAP alignment shift, then each crosstalk-serialization delay.
   std::vector<double> shifts;
@@ -338,11 +338,6 @@ struct OutcomeKey {
 
   [[nodiscard]] bool operator==(const OutcomeKey& other) const noexcept;
 };
-
-/// Per-op (unfused) kernel compilation for an arbitrary circuit: entry i
-/// corresponds to circuit.ops()[i]; barrier/measure positions are
-/// placeholders with is_unitary() == false.
-[[nodiscard]] std::vector<FusedOp> compile_ops(const Circuit& circuit);
 
 /// Exact outcome distribution of a compiled (fused) program under ideal
 /// execution — the cached-program fast path of

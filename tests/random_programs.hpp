@@ -1,11 +1,13 @@
 #pragma once
 // Random physical programs for the noisy-executor tests: connected device
-// regions, circuits over them with every lowering case, and rebindings
-// that keep a circuit's structure.
+// regions, circuits over them with every lowering case, rebindings that
+// keep a circuit's structure, and a pair of programs that overlap on a
+// ground-truth crosstalk pair.
 
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -104,6 +106,31 @@ inline Circuit rebind(const Circuit& c, Rng& rng) {
       out.set_param(i, k, rng.uniform(-3.0, 3.0));
     }
   }
+  return out;
+}
+
+/// Two CXs on the device's first ground-truth crosstalk pair: program `a`
+/// is `lead` 1q gates on its control and then its CX, `b` only its CX.
+struct CrosstalkPair {
+  Circuit a;
+  Circuit b;
+};
+
+inline CrosstalkPair crosstalk_pair(const Device& device, int lead) {
+  const auto pairs = device.crosstalk_ground_truth().pairs();
+  if (pairs.empty()) throw std::logic_error("device has no crosstalk pairs");
+  const auto& [e1, e2, g] = pairs.front();
+  const Edge& ea = device.topology().edges()[static_cast<std::size_t>(e1)];
+  const Edge& eb = device.topology().edges()[static_cast<std::size_t>(e2)];
+  CrosstalkPair out{Circuit(device.num_qubits(), 2),
+                    Circuit(device.num_qubits(), 2)};
+  for (int i = 0; i < lead; ++i) out.a.rx(0.3 + 0.1 * i, ea.a);
+  out.a.cx(ea.a, ea.b);
+  out.a.measure(ea.a, 0);
+  out.a.measure(ea.b, 1);
+  out.b.cx(eb.a, eb.b);
+  out.b.measure(eb.a, 0);
+  out.b.measure(eb.b, 1);
   return out;
 }
 

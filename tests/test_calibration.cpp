@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "common/rng.hpp"
 
 namespace qucp {
@@ -88,6 +92,22 @@ TEST(Calibration, ValidateRejectsNonPositiveDurations) {
   cal.q1_duration_ns = 35.0;
   cal.t1_us[2] = -1.0;
   EXPECT_THROW(cal.validate(topo), std::invalid_argument);
+}
+
+TEST(Calibration, ValidateAcceptsANoiselessChip) {
+  // Zero error rates and infinite T1/T2 describe a chip without gate,
+  // readout or idle noise; tests build quiet devices that way.
+  const Topology topo = line4();
+  Calibration cal =
+      synthesize_calibration(topo, CalibrationProfile{}, Rng(1));
+  for (std::vector<double>* v : {&cal.q1_error, &cal.readout_error,
+                                 &cal.cx_error}) {
+    std::fill(v->begin(), v->end(), 0.0);
+  }
+  const double forever = std::numeric_limits<double>::infinity();
+  std::fill(cal.t1_us.begin(), cal.t1_us.end(), forever);
+  std::fill(cal.t2_us.begin(), cal.t2_us.end(), forever);
+  EXPECT_NO_THROW(cal.validate(topo));
 }
 
 }  // namespace

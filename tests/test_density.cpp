@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "reference_density.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
@@ -29,7 +31,7 @@ TEST(DensityMatrix, PureEvolutionMatchesStatevector) {
 
   DensityMatrix dm(3);
   Statevector sv(3);
-  reference::apply_ops(dm, compile_ops(c));
+  reference::apply_ops(dm, reference::compile_ops(c));
   sv.apply_circuit(c);
 
   const auto dp = dm.probabilities();
@@ -123,6 +125,18 @@ TEST(DensityMatrix, RelaxationValidatesT1T2) {
                std::invalid_argument);
   // A non-positive window is no relaxation, whatever T1/T2 say.
   EXPECT_NO_THROW(dm.apply_relaxation(0, 0.0, 0.0, 0.0));
+}
+
+TEST(DensityMatrix, InfiniteT1T2IsIdentityRelaxation) {
+  // A calibration with infinite T1/T2 switches idle noise off: every idle
+  // window gets the exact identity coefficients.
+  const double forever = std::numeric_limits<double>::infinity();
+  for (const double gap_ns : {1e-6, 35.0, 1e9}) {
+    const kern::RelaxCoeffs c = relaxation_coeffs({gap_ns, forever, forever});
+    EXPECT_EQ(c.gamma, 0.0) << gap_ns;
+    EXPECT_EQ(c.decay, 1.0) << gap_ns;
+    EXPECT_EQ(c.keep, 1.0) << gap_ns;
+  }
 }
 
 TEST(DensityMatrix, ExpectationOfZ) {

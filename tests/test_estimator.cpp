@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "quiet_device.hpp"
+
 namespace qucp {
 namespace {
 
@@ -53,14 +55,10 @@ TEST(VqeSweep, IdealEnergiesBoundedBelowByGround) {
 }
 
 TEST(VqeSweep, NoiselessParallelMatchesIdeal) {
-  const Device d = make_manhattan65();
-  VqeSweepOptions opts = fast_options(true);
-  opts.parallel.exec.gate_noise = false;
-  opts.parallel.exec.readout_noise = false;
-  opts.parallel.exec.idle_noise = false;
-  opts.parallel.exec.crosstalk_noise = false;
+  const Device d = test_devices::quiet_device(make_manhattan65());
   const auto result = run_vqe_sweep(d, h2_hamiltonian(),
-                                    theta_grid(6, -1.0, 1.0), opts);
+                                    theta_grid(6, -1.0, 1.0),
+                                    fast_options(true));
   for (std::size_t i = 0; i < result.energies.size(); ++i) {
     EXPECT_NEAR(result.energies[i], result.ideal_energies[i], 1e-6) << i;
   }

@@ -25,6 +25,7 @@
 #include "common/rng.hpp"
 #include "hardware/device.hpp"
 #include "random_programs.hpp"
+#include "reference_density.hpp"
 #include "schedule/schedule.hpp"
 #include "sim/executor.hpp"
 #include "sim/kernels.hpp"
@@ -109,7 +110,7 @@ TEST(ExecutableStructure, MaterializeMatchesFromScratchPipeline) {
 
         // The from-scratch pipeline for the second binding.
         const Circuit lowered = lower_to_cx_basis(second);
-        const std::vector<FusedOp> channels = compile_ops(lowered);
+        const std::vector<FusedOp> channels = reference::compile_ops(lowered);
         const Schedule sched = schedule_circuit(lowered, device, policy);
         std::vector<std::uint32_t> order(lowered.size());
         for (std::size_t i = 0; i < order.size(); ++i) {

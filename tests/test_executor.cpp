@@ -9,11 +9,18 @@
 
 #include "common/rng.hpp"
 #include "metrics/metrics.hpp"
+#include "quiet_device.hpp"
 #include "sim/kernels.hpp"
 #include "sim/statevector.hpp"
 
 namespace qucp {
 namespace {
+
+using test_devices::kCrosstalkNoise;
+using test_devices::kGateNoise;
+using test_devices::kIdleNoise;
+using test_devices::kReadoutNoise;
+using test_devices::quiet_device;
 
 /// Line device with uniform mild noise and no crosstalk.
 Device quiet_line(int n) { return make_line_device(n, 7); }
@@ -28,14 +35,9 @@ Circuit bell_on(int a, int b, int n) {
 }
 
 TEST(Executor, NoiselessMatchesIdeal) {
-  const Device d = quiet_line(4);
+  const Device d = quiet_device(quiet_line(4));
   Circuit c = bell_on(0, 1, 4);
-  ExecOptions opts;
-  opts.gate_noise = false;
-  opts.readout_noise = false;
-  opts.idle_noise = false;
-  opts.crosstalk_noise = false;
-  const ProgramOutcome out = execute_single(d, c, opts);
+  const ProgramOutcome out = execute_single(d, c);
   EXPECT_NEAR(out.distribution.prob(0b00), 0.5, 1e-9);
   EXPECT_NEAR(out.distribution.prob(0b11), 0.5, 1e-9);
 }
@@ -112,16 +114,13 @@ TEST(Executor, ThroughputAndQubitsUsed) {
 }
 
 TEST(Executor, SwapsAreLowered) {
-  const Device d = quiet_line(3);
+  const Device d =
+      quiet_device(quiet_line(3), kGateNoise | kIdleNoise | kReadoutNoise);
   Circuit c(3, 2);
   c.x(0);
   c.swap(0, 1);
   c.measure(1, 0);
-  ExecOptions opts;
-  opts.gate_noise = false;
-  opts.readout_noise = false;
-  opts.idle_noise = false;
-  const ProgramOutcome out = execute_single(d, c, opts);
+  const ProgramOutcome out = execute_single(d, c);
   EXPECT_NEAR(out.distribution.prob(1), 1.0, 1e-9);
 }
 
@@ -179,9 +178,8 @@ TEST_F(CrosstalkExecutionTest, CrosstalkToggleRestoresFidelity) {
   std::vector<PhysicalProgram> progs;
   progs.push_back({cx_ladder(0, 1), "p0"});
   progs.push_back({cx_ladder(2, 3), "p1"});
-  ExecOptions opts;
-  opts.crosstalk_noise = false;
-  const ParallelRunReport off = execute_parallel(d, progs, opts);
+  const ParallelRunReport off =
+      execute_parallel(quiet_device(d, kCrosstalkNoise), progs);
   EXPECT_EQ(off.crosstalk_events, 0);
   const ParallelRunReport on = execute_parallel(d, progs, {});
   const Distribution ideal = ideal_distribution(cx_ladder(0, 1));
@@ -229,16 +227,13 @@ TEST(Executor, AlapNotWorseThanAsapForUnequalDepths) {
 }
 
 TEST(Executor, MeasurementClbitMapping) {
-  const Device d = quiet_line(3);
+  const Device d =
+      quiet_device(quiet_line(3), kGateNoise | kIdleNoise | kReadoutNoise);
   Circuit c(3, 3);
   c.x(2);
   c.measure(2, 0);  // q2 -> clbit 0
   c.measure(0, 2);  // q0 -> clbit 2
-  ExecOptions opts;
-  opts.gate_noise = false;
-  opts.readout_noise = false;
-  opts.idle_noise = false;
-  const ProgramOutcome out = execute_single(d, c, opts);
+  const ProgramOutcome out = execute_single(d, c);
   EXPECT_NEAR(out.distribution.prob(0b001), 1.0, 1e-9);
 }
 

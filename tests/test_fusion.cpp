@@ -23,10 +23,13 @@
 #include "benchmarks/suite.hpp"
 #include "common/rng.hpp"
 #include "hardware/device.hpp"
+#include "quiet_device.hpp"
+#include "random_programs.hpp"
 #include "reference_density.hpp"
 #include "service/backend.hpp"
 #include "sim/density.hpp"
 #include "sim/executor.hpp"
+#include "sim/noise.hpp"
 #include "sim/statevector.hpp"
 
 namespace qucp {
@@ -67,7 +70,7 @@ double state_diff(std::span<const cx> a, std::span<const cx> b) {
 /// Gate-by-gate density replay of a circuit's unitary stream.
 DensityMatrix density_reference(const Circuit& c) {
   DensityMatrix dm(c.num_qubits());
-  reference::apply_ops(dm, compile_ops(c));
+  reference::apply_ops(dm, reference::compile_ops(c));
   return dm;
 }
 
@@ -225,60 +228,74 @@ TEST(FusionGolden, ExecutorDistributionsAndCountsBitIdenticalWithCache) {
   }
 }
 
-/// `device` with every gate error zeroed (readout error, coherence times,
-/// durations and crosstalk ground truth kept): the executor's noisy per-op
-/// walk on it applies exactly the unitary evolution of a noiseless run.
-Device zero_gate_error_copy(const Device& device) {
-  Calibration cal = device.calibration();
-  std::fill(cal.q1_error.begin(), cal.q1_error.end(), 0.0);
-  std::fill(cal.cx_error.begin(), cal.cx_error.end(), 0.0);
-  return Device(device.name(), device.topology(), std::move(cal),
-                device.crosstalk_ground_truth());
-}
-
-TEST(FusionGolden, NoiseOffMatchesZeroGateErrorCalibration) {
-  // Turning gate_noise and idle_noise off must run the same evolution as
-  // gate noise on against a zero-gate-error copy of the calibration (idle
-  // noise off): the distributions must agree to <= 1e-10 on every bundled
-  // topology — through the epoch caches and without them, readout noise
-  // on and off — and the schedule-derived reporting must not move at all.
+TEST(FusionGolden, QuietDeviceSwitchesOffEachNoiseSource) {
+  // The executor applies every noise source its device describes, so a
+  // source zeroed in the calibration is off. On every bundled topology: a
+  // fully quiet device runs the ideal evolution (through the epoch caches,
+  // twice, and without them); readout noise alone is exactly
+  // apply_readout_flips of the quiet distribution; and a device without
+  // its crosstalk ground truth amplifies no CX of a pair that overlaps on
+  // the noisy one.
+  using test_devices::kAllNoise;
+  using test_devices::kCrosstalkNoise;
+  using test_devices::kReadoutNoise;
+  using test_devices::quiet_device;
   std::uint64_t seed = 1300;
   for (const Device& device : bundled_devices()) {
-    Backend backend(device);
-    const auto epoch = backend.epoch();
-    const Device zero_error = zero_gate_error_copy(device);
     Rng rng(seed++);
-    const Circuit c = random_physical_circuit(device, rng, 4, 40);
-    std::vector<PhysicalProgram> progs;
-    progs.push_back({c, "noiseless"});
-    for (const bool readout : {true, false}) {
-      ExecOptions off_opts;
-      off_opts.shots = 128;
-      off_opts.gate_noise = false;
-      off_opts.idle_noise = false;
-      off_opts.readout_noise = readout;
-      ExecOptions zero_error_opts = off_opts;
-      zero_error_opts.gate_noise = true;
-      // Twice through the epoch: the second run replays the cached
-      // executable and its outcome. A third run has no epoch.
-      const ParallelRunReport off = epoch->execute(progs, off_opts);
-      const ParallelRunReport off2 = epoch->execute(progs, off_opts);
-      const ParallelRunReport uncached =
-          execute_parallel(device, progs, off_opts);
-      const ParallelRunReport per_op =
-          execute_parallel(zero_error, progs, zero_error_opts);
-      for (const ParallelRunReport* run : {&off, &off2, &uncached}) {
-        EXPECT_LT(dist_diff(run->programs[0].distribution,
-                            per_op.programs[0].distribution),
-                  kTol)
-            << device.name() << " readout=" << readout;
-        EXPECT_DOUBLE_EQ(run->makespan_ns, per_op.makespan_ns)
-            << device.name();
-        EXPECT_EQ(run->crosstalk_events, per_op.crosstalk_events)
-            << device.name();
-      }
-      EXPECT_EQ(off.programs[0].counts.total(), 128);
+    std::vector<char> taken(static_cast<std::size_t>(device.num_qubits()), 0);
+    const Circuit c = test_programs::random_physical_circuit(
+        device, rng, test_programs::random_region(device, rng, 4, taken), 40);
+    const std::vector<PhysicalProgram> progs{{c, "quiet"}};
+    ExecOptions opts;
+    opts.shots = 128;
+
+    const Device quiet = quiet_device(device);
+    Backend backend(quiet);
+    const auto epoch = backend.epoch();
+    // The second epoch run replays the cached executable and its outcome.
+    const ParallelRunReport cached = epoch->execute(progs, opts);
+    const ParallelRunReport cached2 = epoch->execute(progs, opts);
+    const ParallelRunReport uncached = execute_parallel(quiet, progs, opts);
+    const Distribution ideal = ideal_distribution(c.compacted());
+    for (const ParallelRunReport* run : {&cached, &cached2, &uncached}) {
+      EXPECT_LT(dist_diff(run->programs[0].distribution, ideal), kTol)
+          << device.name();
+      EXPECT_EQ(run->programs[0].counts.total(), 128) << device.name();
     }
+
+    // Clbit b holds the measurement of one qubit; flip it at that qubit's
+    // readout error.
+    std::vector<double> flips(static_cast<std::size_t>(c.num_clbits()), 0.0);
+    for (const Gate& g : c.ops()) {
+      if (g.kind == GateKind::Measure) {
+        flips[static_cast<std::size_t>(g.clbit)] =
+            device.readout_error(g.qubits[0]);
+      }
+    }
+    std::vector<double> flipped(std::size_t{1} << flips.size(), 0.0);
+    for (const auto& [outcome, p] : uncached.programs[0].distribution.probs()) {
+      flipped[outcome] = p;
+    }
+    apply_readout_flips(flipped, flips);
+    const ParallelRunReport readout_only = execute_parallel(
+        quiet_device(device, kAllNoise & ~kReadoutNoise), progs, opts);
+    const Distribution& got = readout_only.programs[0].distribution;
+    for (std::size_t outcome = 0; outcome < flipped.size(); ++outcome) {
+      EXPECT_NEAR(got.prob(outcome), flipped[outcome], kTol)
+          << device.name() << " outcome " << outcome;
+    }
+
+    if (device.crosstalk_ground_truth().pairs().empty()) continue;
+    const test_programs::CrosstalkPair pair =
+        test_programs::crosstalk_pair(device, 0);
+    const std::vector<PhysicalProgram> overlap{{pair.a, "a"}, {pair.b, "b"}};
+    EXPECT_GT(execute_parallel(device, overlap, opts).crosstalk_events, 0)
+        << device.name();
+    const ParallelRunReport xtalk_off = execute_parallel(
+        quiet_device(device, kCrosstalkNoise), overlap, opts);
+    EXPECT_EQ(xtalk_off.crosstalk_events, 0) << device.name();
+    EXPECT_EQ(xtalk_off.max_gamma_applied, 1.0) << device.name();
   }
 }
 

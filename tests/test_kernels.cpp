@@ -452,12 +452,12 @@ std::vector<FusedOp> noisy_test_ops(std::span<const int> q) {
     c.x(q[0]);         // superket perm
     c.ry(1.1, q[0]);   // superket dense
     c.h(q[0]);
-    return compile_ops(c);
+    return reference::compile_ops(c);
   }
   c.cx(q[0], q[1]);
   c.swap(q[0], q[1]);
   c.cz(q[0], q[1]);
-  std::vector<FusedOp> ops = compile_ops(c);
+  std::vector<FusedOp> ops = reference::compile_ops(c);
   // A fused entangling block: dense 4x4 row and column passes.
   Circuit block(8);
   block.ry(0.7, q[0]);
@@ -546,7 +546,7 @@ TEST(NoisyGateSweep, DensityEntryPointMatchesSequentialCalls) {
     c.ry(0.4, n - 1);
     c.cx(n - 1, 0);
     c.t(n / 2);
-    const std::vector<FusedOp> ops = compile_ops(c);
+    const std::vector<FusedOp> ops = reference::compile_ops(c);
     DensityMatrix fused(n);
     std::vector<cx> seq(fused.data().begin(), fused.data().end());
     for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -581,7 +581,7 @@ TEST(NoisyGateSweep, RejectsMalformedInput) {
   DensityMatrix dm(2);
   Circuit c(2);
   c.cx(0, 1);
-  const FusedOp op = compile_ops(c).front();
+  const FusedOp op = reference::compile_ops(c).front();
   const int q[2] = {0, 1};
   const Relaxation idle[2] = {{10.0, 50.0, 50.0}, {10.0, -1.0, 50.0}};
   EXPECT_THROW(dm.apply_noisy_gate(op, q, idle, 0.0), std::invalid_argument);

@@ -4,10 +4,10 @@
 // A memo hit must equal a cacheless execute_parallel bit for bit, in the
 // distribution and in the sampled counts. Every input of a program's
 // simulation beyond its binding and the device — its ALAP shift and
-// serialization delays, the crosstalk gamma of its CXs, the noise flags
-// and the kernel variant — must force a miss when it changes, as must a
-// new binding. Each executable entry holds at most kMaxOutcomeVariants
-// outcomes, and concurrent executions may share one cache.
+// serialization delays, the crosstalk gamma of its CXs and the kernel
+// variant — must force a miss when it changes, as must a new binding.
+// Each executable entry holds at most kMaxOutcomeVariants outcomes, and
+// concurrent executions may share one cache.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
 #include "hardware/device.hpp"
+#include "quiet_device.hpp"
 #include "random_programs.hpp"
 #include "sim/executor.hpp"
 #include "sim/fusion.hpp"
@@ -31,6 +32,8 @@
 namespace qucp {
 namespace {
 
+using test_programs::crosstalk_pair;
+using test_programs::CrosstalkPair;
 using test_programs::random_physical_circuit;
 using test_programs::random_region;
 using test_programs::rebind;
@@ -133,31 +136,6 @@ TEST(OutcomeMemo, HitsEqualCachelessRunsOnRandomBatches) {
   EXPECT_GT(total_hits, 0u);
 }
 
-/// Two CXs on a ground-truth crosstalk pair of toronto27: program `a` is
-/// `lead` 1q gates on its control and then its CX, `b` only its CX.
-struct CrosstalkPair {
-  Circuit a;
-  Circuit b;
-};
-
-CrosstalkPair crosstalk_pair(const Device& device, int lead) {
-  const auto pairs = device.crosstalk_ground_truth().pairs();
-  if (pairs.empty()) throw std::logic_error("device has no crosstalk pairs");
-  const auto& [e1, e2, g] = pairs.front();
-  const Edge& ea = device.topology().edges()[static_cast<std::size_t>(e1)];
-  const Edge& eb = device.topology().edges()[static_cast<std::size_t>(e2)];
-  CrosstalkPair out{Circuit(device.num_qubits(), 2),
-                    Circuit(device.num_qubits(), 2)};
-  for (int i = 0; i < lead; ++i) out.a.rx(0.3 + 0.1 * i, ea.a);
-  out.a.cx(ea.a, ea.b);
-  out.a.measure(ea.a, 0);
-  out.a.measure(ea.b, 1);
-  out.b.cx(eb.a, eb.b);
-  out.b.measure(eb.a, 0);
-  out.b.measure(eb.b, 1);
-  return out;
-}
-
 double makespan(const Device& device, const Circuit& c) {
   return ExecutableStructure::build(c, device, SchedulePolicy::ALAP)
       .schedule()
@@ -197,9 +175,6 @@ TEST(OutcomeMemo, RaisedGammaForcesMiss) {
   ASSERT_GT(both.crosstalk_events, 0);
   EXPECT_EQ(h.run({{pair.a, "a"}, {pair.b, "b"}}), 2u);
   EXPECT_EQ(h.run({{pair.a, "a"}, {pair.b, "b"}}), 0u);
-  // Crosstalk noise off leaves gamma at 1: a different key again.
-  h.options.crosstalk_noise = false;
-  EXPECT_EQ(h.run({{pair.a, "a"}, {pair.b, "b"}}), 2u);
 }
 
 TEST(OutcomeMemo, ChangedAlapShiftForcesMiss) {
@@ -227,34 +202,15 @@ TEST(OutcomeMemo, SerializationDelayForcesMiss) {
   const ParallelRunReport serialized =
       execute_parallel(device, {{pair.a, "a"}, {pair.b, "b"}}, h.options);
   ASSERT_EQ(serialized.crosstalk_events, 0);
-  h.options.crosstalk_noise = false;
-  // Gamma is 1 either way now; only the delay tells the runs apart.
-  h.options.serialize_crosstalk = false;
-  EXPECT_EQ(h.run({{pair.a, "a"}, {pair.b, "b"}}), 2u);
-  h.options.serialize_crosstalk = true;
-  EXPECT_GE(h.run({{pair.a, "a"}, {pair.b, "b"}}), 1u);
-  EXPECT_EQ(h.run({{pair.a, "a"}, {pair.b, "b"}}), 0u);
-}
-
-TEST(OutcomeMemo, EveryNoiseFlagIsPartOfTheKey) {
-  const Device device = make_toronto27();
-  const Circuit a = crosstalk_pair(device, 3).a;
-  MemoHarness h{device};
-  EXPECT_EQ(h.run({{a, "a"}}), 1u);
-  for (bool ExecOptions::*flag :
-       {&ExecOptions::idle_noise, &ExecOptions::gate_noise,
-        &ExecOptions::readout_noise, &ExecOptions::crosstalk_noise}) {
-    h.options.*flag = false;
-    EXPECT_EQ(h.run({{a, "a"}}), 1u);
-    EXPECT_EQ(h.run({{a, "a"}}), 0u);
-    h.options.*flag = true;
-    EXPECT_EQ(h.run({{a, "a"}}), 0u);
-  }
-  // Both gate and idle noise off at once is a key of its own too.
-  h.options.idle_noise = false;
-  h.options.gate_noise = false;
-  EXPECT_EQ(h.run({{a, "a"}}), 1u);
-  EXPECT_EQ(h.run({{a, "a"}}), 0u);
+  // Without crosstalk gamma is 1 either way; only the delay tells the runs
+  // apart.
+  const Device quiet =
+      test_devices::quiet_device(device, test_devices::kCrosstalkNoise);
+  MemoHarness q{quiet};
+  EXPECT_EQ(q.run({{pair.a, "a"}, {pair.b, "b"}}), 2u);
+  q.options.serialize_crosstalk = true;
+  EXPECT_GE(q.run({{pair.a, "a"}, {pair.b, "b"}}), 1u);
+  EXPECT_EQ(q.run({{pair.a, "a"}, {pair.b, "b"}}), 0u);
 }
 
 TEST(OutcomeMemo, TogglingNativeKernelsForcesMiss) {

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "benchmarks/suite.hpp"
+#include "quiet_device.hpp"
 
 namespace qucp {
 namespace {
@@ -113,13 +114,9 @@ TEST(RunParallel, DeterministicForFixedSeed) {
 }
 
 TEST(RunParallel, NoiselessExecIsPerfect) {
-  const Device d = make_toronto27();
-  ParallelOptions opts = fast_options(Method::QuCP);
-  opts.exec.gate_noise = false;
-  opts.exec.readout_noise = false;
-  opts.exec.idle_noise = false;
-  opts.exec.crosstalk_noise = false;
-  const BatchReport report = run_parallel(d, three_benchmarks(), opts);
+  const Device d = test_devices::quiet_device(make_toronto27());
+  const BatchReport report =
+      run_parallel(d, three_benchmarks(), fast_options(Method::QuCP));
   for (const ProgramReport& pr : report.programs) {
     EXPECT_NEAR(pr.jsd_value, 0.0, 1e-6);
     EXPECT_NEAR(pr.pst_value, 1.0, 1e-6);  // all three are deterministic

@@ -498,7 +498,7 @@ TEST(ParametricFusion, MaterializedReplayMatchesUnfusedWithinTolerance) {
     DensityMatrix dm(c.num_qubits());
     reference::apply_ops(dm, prog.ops());
     DensityMatrix dref(c.num_qubits());
-    reference::apply_ops(dref, compile_ops(c));
+    reference::apply_ops(dref, reference::compile_ops(c));
     double worst = 0.0;
     for (std::size_t i = 0; i < dm.data().size(); ++i) {
       worst = std::max(worst, std::abs(dm.data()[i] - dref.data()[i]));

@@ -92,7 +92,7 @@ TEST_P(FuzzSeeds, StatevectorAndDensityAgree) {
   Statevector sv(4);
   sv.apply_circuit(c);
   DensityMatrix dm(4);
-  reference::apply_ops(dm, compile_ops(c));
+  reference::apply_ops(dm, reference::compile_ops(c));
   const auto sp = sv.probabilities();
   const auto dp = dm.probabilities();
   for (std::size_t i = 0; i < sp.size(); ++i) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "quiet_device.hpp"
+
 namespace qucp {
 namespace {
 
@@ -47,12 +49,8 @@ TEST(Rb, MirrorSequenceIsIdentityNoiseless) {
   const Device d = rb_device(0.02, 1.0);
   Rng rng(2);
   const Circuit seq = make_rb_sequence(d, 1, 2, 5, rng);
-  ExecOptions noiseless;
-  noiseless.gate_noise = false;
-  noiseless.readout_noise = false;
-  noiseless.idle_noise = false;
-  noiseless.crosstalk_noise = false;
-  const ProgramOutcome out = execute_single(d, seq, noiseless);
+  const ProgramOutcome out =
+      execute_single(test_devices::quiet_device(d), seq);
   EXPECT_NEAR(out.distribution.prob(0), 1.0, 1e-9);
 }
 

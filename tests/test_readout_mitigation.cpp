@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "quiet_device.hpp"
 #include "sim/noise.hpp"
 #include "sim/statevector.hpp"
 
@@ -70,11 +71,11 @@ TEST(ReadoutMitigation, FromDeviceUsesCalibration) {
 
 TEST(ReadoutMitigation, CharacterizationMatchesCalibration) {
   const Device d = make_line_device(4);
-  ExecOptions exec;
-  exec.gate_noise = false;  // isolate readout error
-  exec.idle_noise = false;
+  // Isolate readout error.
+  const Device readout_only = test_devices::quiet_device(
+      d, test_devices::kGateNoise | test_devices::kIdleNoise);
   const auto mitigator =
-      ReadoutMitigator::characterize(d, {0, 1, 2}, exec);
+      ReadoutMitigator::characterize(readout_only, {0, 1, 2}, {});
   for (int b = 0; b < 3; ++b) {
     EXPECT_NEAR(mitigator.p10(b), d.readout_error(b), 5e-3) << b;
     EXPECT_NEAR(mitigator.p01(b), d.readout_error(b), 5e-3) << b;

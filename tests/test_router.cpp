@@ -221,7 +221,6 @@ TEST(Router, NoiseAwareAvoidsBadEdge) {
   const std::vector<int> layout{0, 1, 2, 3};
   RouterOptions noise_on;
   noise_on.noise_aware = true;
-  noise_on.error_weight = 20.0;
   const RoutingResult r =
       route_on_partition(c, d, partition, layout, noise_on);
   for (const Gate& g : r.physical.ops()) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "quiet_device.hpp"
 #include "sim/executor.hpp"
 #include "sim/statevector.hpp"
 
@@ -76,34 +77,10 @@ TEST(SerializeCrosstalk, ImprovesFidelityWhenCrosstalkDominates) {
             base.programs[0].distribution.prob(ideal.most_likely()));
 }
 
-TEST(SerializeCrosstalk, HintsRestrictSerialization) {
-  const Device d = xtalk_device();
-  // Hints that do NOT contain the planted pair: nothing is serialized.
-  CrosstalkModel empty_hints;
-  ExecOptions opts;
-  opts.serialize_crosstalk = true;
-  opts.serialize_hints = empty_hints;
-  const ParallelRunReport report =
-      execute_parallel(d, two_programs(), opts);
-  EXPECT_GT(report.crosstalk_events, 0);  // overlaps still happen
-
-  // Hints with the planted pair serialize it away.
-  CrosstalkModel good_hints;
-  good_hints.add_pair(0, 2, 6.0);
-  opts.serialize_hints = good_hints;
-  const ParallelRunReport fixed =
-      execute_parallel(d, two_programs(), opts);
-  EXPECT_EQ(fixed.crosstalk_events, 0);
-}
-
 TEST(SerializeCrosstalk, PreservesProgramSemantics) {
-  const Device d = xtalk_device();
+  const Device d = test_devices::quiet_device(xtalk_device());
   ExecOptions opts;
   opts.serialize_crosstalk = true;
-  opts.gate_noise = false;
-  opts.readout_noise = false;
-  opts.idle_noise = false;
-  opts.crosstalk_noise = false;
   const ParallelRunReport report =
       execute_parallel(d, two_programs(), opts);
   for (int p = 0; p < 2; ++p) {

@@ -1081,37 +1081,6 @@ TEST(FleetService, ExpectedLatencyDrainsDeterministicallyAcrossInterleavings) {
   EXPECT_EQ(run_jobs(*threaded, 24, 4), base);
 }
 
-TEST(ExecutionService, RealizedDurationFeedbackPopulatesLaneStats) {
-  // feed_realized_durations on: every executed batch contributes a wall-
-  // clock measurement and the lane's realized/modeled EWMA moves off its
-  // 1.0 seed. The knob changes routing inputs only (an EWMA-scaled backlog
-  // snapshot), never results — and with one flush cycle the backlog
-  // snapshot is zero anyway, so the outcomes must match the modeled-only
-  // service bit for bit.
-  ServiceOptions opts = fast_service_options();
-  ExecutionService modeled(make_toronto27(), opts);
-  const auto base = run_jobs(modeled, 16, 1);
-  const ServiceStats modeled_stats = modeled.stats();
-  EXPECT_EQ(modeled_stats.backends[0].realized_batches, 0u);
-  EXPECT_DOUBLE_EQ(modeled_stats.backends[0].realized_ratio, 1.0);
-  EXPECT_DOUBLE_EQ(modeled_stats.backends[0].realized_exec_sum_s, 0.0);
-
-  opts.feed_realized_durations = true;
-  ExecutionService measured(make_toronto27(), opts);
-  EXPECT_EQ(run_jobs(measured, 16, 1), base);
-  const ServiceStats stats = measured.stats();
-  EXPECT_EQ(stats.backends[0].realized_batches, stats.batches_executed);
-  EXPECT_GT(stats.backends[0].realized_exec_sum_s, 0.0);
-  EXPECT_GT(stats.backends[0].realized_ratio, 0.0);
-  EXPECT_NE(stats.backends[0].realized_ratio, 1.0);
-
-  // A second flush cycle routes on the EWMA-scaled backlog; everything
-  // still drains.
-  const auto second = run_jobs(measured, 16, 1);
-  EXPECT_EQ(second.size(), 16u);
-  EXPECT_EQ(measured.stats().jobs_failed, 0u);
-}
-
 TEST(Backend, TranspileCacheHitsAndEviction) {
   const Circuit bell = get_benchmark("bell").circuit;
   const std::vector<int> partition{0, 1, 2, 4};
