@@ -1,15 +1,15 @@
 // Service throughput: the million-job intake path plus the batch packer /
 // worker pool artifact (§II-A's motivation, operationalized). Sections:
 //
-//   intake    — sustained submission rate through the sharded MPSC intake
-//               for 1/2/4/8 producer threads, measured over waves of
+//   intake    — sustained submission rate through the intake queue for
+//               1/2/4/8 producer threads, measured over waves of
 //               submit + cancel_pending() (the drain discards jobs before
 //               dispatch, so the timer isolates the intake path from the
 //               simulator). The artifact enforces the >= 1e6 jobs/min
 //               target the service is sized for.
 //   overhead  — single-producer ns/job across queue depths: per-job intake
-//               overhead must stay flat as the queue grows (ring publish is
-//               O(1); no O(pending) rescans on the submit path).
+//               overhead must stay flat as the queue grows (a push is
+//               amortized O(1); no O(pending) rescans on the submit path).
 //   submit_all— micro-timer for one submit_all() call vs a loop of
 //               submit() calls over the same circuits (both push through
 //               the same per-job intake path).
@@ -23,7 +23,7 @@
 //               The artifact enforces the >= 5x
 //               amortization target for sweep-style traffic.
 //
-// Everything lands in BENCH_service.json (schema qucp-bench-service-v1)
+// Everything lands in BENCH_service.json (schema qucp-bench-service-v2)
 // with the shared meta block, like the other BENCH_*.json artifacts.
 
 #include <algorithm>
@@ -65,11 +65,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 /// A service configured so nothing dispatches on its own: the intake
 /// sections submit, measure, and cancel_pending() before any flush.
-ExecutionService make_intake_service(std::size_t shard_capacity) {
+ExecutionService make_intake_service(std::size_t capacity) {
   ServiceOptions opts;
   opts.exec.shots = 1;
   opts.num_workers = 1;
-  opts.submit_shard_capacity = shard_capacity;
+  opts.intake_capacity = capacity;
   return ExecutionService(make_toronto27(), opts);
 }
 
@@ -87,17 +87,18 @@ struct IntakeRow {
   }
 };
 
-/// Submit `jobs_total` tiny jobs from `producers` threads in waves sized to
-/// the shard capacity, draining with cancel_pending() between waves so the
-/// rings never backpressure into a real dispatch. The cycle timer includes
+/// Submit `jobs_total` tiny jobs from `producers` threads in waves that
+/// fit the queue, draining with cancel_pending() between waves so the
+/// queue never backpressures into a real dispatch. The cycle timer includes
 /// the drain: "sustained" means the service keeps absorbing jobs at this
-/// rate indefinitely, not just until the rings fill.
+/// rate indefinitely, not just until the queue fills.
 IntakeRow run_intake_config(int producers, std::size_t jobs_total,
                             std::size_t wave_per_producer) {
-  ExecutionService service = make_intake_service(wave_per_producer);
+  ExecutionService service = make_intake_service(
+      wave_per_producer * static_cast<std::size_t>(producers));
   const Circuit circuit = get_benchmark("bell").circuit;
   // Untimed warmup wave shaped exactly like a timed one (same thread
-  // fan-out): first-touch of the rings, the per-thread malloc arenas and
+  // fan-out): first-touch of the queue, the per-thread malloc arenas and
   // the allocator's steady-state happen here, not inside the first timed
   // wave.
   {
@@ -143,7 +144,7 @@ std::vector<IntakeRow> run_intake_section() {
   const std::size_t total = smoke_mode() ? 16384 : 262144;
   const std::size_t wave = smoke_mode() ? 2048 : 16384;
   std::vector<IntakeRow> rows;
-  bench::heading("Intake: sustained submission rate, sharded MPSC rings");
+  bench::heading("Intake: sustained submission rate, one bounded queue");
   bench::row({"producers", "jobs", "ns/job", "jobs/s", "jobs/min", "target"});
   bench::rule(6);
   for (const int producers : {1, 2, 4, 8}) {
@@ -156,9 +157,7 @@ std::vector<IntakeRow> run_intake_section() {
                 r.jobs_per_min() >= kTargetJobsPerMin ? "PASS" : "FAIL"});
   }
   std::printf(
-      "\ntarget: >= %.0f submitted jobs/min sustained (submission + drain);\n"
-      "producers home on distinct shards, so the rates above are contention-\n"
-      "free up to submit_shards threads.\n",
+      "\ntarget: >= %.0f submitted jobs/min sustained (submission + drain).\n",
       kTargetJobsPerMin);
   return rows;
 }
@@ -204,9 +203,9 @@ SubmitAllRow run_submit_all_section() {
   double best_loop = 0.0;
   double best_all = 0.0;
   // Interleaved best-of: both sides copy each circuit once per job and
-  // push each job through the same ring push, so the difference is the
-  // per-call overhead (gate, id claim, home-shard lookup, auto-flush
-  // check) that submit_all() pays once and a submit() loop pays per job,
+  // push each job through the same queue push, so the difference is the
+  // per-call overhead (gate, id claim, auto-flush check) that
+  // submit_all() pays once and a submit() loop pays per job,
   // plus submit_all()'s sweep detection. Per-job cost is dominated by
   // state construction, so the two sit near parity.
   for (int round = 0; round < rounds; ++round) {
@@ -330,12 +329,6 @@ struct ParametricRow {
 
   [[nodiscard]] double ns_per_job() const {
     return jobs > 0 ? 1e9 * total_s / static_cast<double>(jobs) : 0.0;
-  }
-  [[nodiscard]] double bind_ns_per_hit() const {
-    return cache.structural_hits > 0
-               ? static_cast<double>(cache.bind_ns) /
-                     static_cast<double>(cache.structural_hits)
-               : 0.0;
   }
 };
 
@@ -524,8 +517,8 @@ ParametricSection run_parametric_section() {
       "Parametric compilation: VQE angle sweep, 8 structures (8q 3-rep) x " +
       std::to_string(iters) + " iterations (toronto27, transpile+compile)");
   bench::row({"cache", "jobs", "ns/job", "hits", "struct_hits", "misses",
-              "fallbacks", "bind ns/hit", "plan builds"});
-  bench::rule(9);
+              "fallbacks", "plan builds"});
+  bench::rule(8);
   ParametricSection section;
   // The four arms run interleaved, one round of each at a time, so load
   // that drifts on a shared host hits every arm of a round alike, and the
@@ -583,7 +576,6 @@ ParametricSection run_parametric_section() {
                 std::to_string(r->cache.structural_hits),
                 std::to_string(r->cache.misses),
                 std::to_string(r->cache.bind_fallbacks),
-                fmt_double(r->bind_ns_per_hit(), 0),
                 std::to_string(r->plan_builds)});
   }
   std::printf(
@@ -618,7 +610,7 @@ void write_json(const std::vector<IntakeRow>& intake,
                  path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"schema\": \"qucp-bench-service-v1\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"qucp-bench-service-v2\",\n");
   bench::write_meta_json(f);
   std::fprintf(f, "  \"smoke\": %s,\n", smoke_mode() ? "true" : "false");
   std::fprintf(f, "  \"target_jobs_per_min\": %.0f,\n", kTargetJobsPerMin);
@@ -672,11 +664,11 @@ void write_json(const std::vector<IntakeRow>& intake,
                  "\"jobs\": %zu, \"ns_per_job\": %.1f, \"hits\": %" PRIu64
                  ", \"structural_hits\": %" PRIu64 ", \"misses\": %" PRIu64
                  ", \"bind_fallbacks\": %" PRIu64
-                 ", \"bind_ns_per_hit\": %.1f, \"plan_builds\": %" PRIu64
+                 ", \"plan_builds\": %" PRIu64
                  ", \"plan_hits\": %" PRIu64 "}",
                  sep(), parametric_mode(r), r->jobs, r->ns_per_job(),
                  r->cache.hits, r->cache.structural_hits, r->cache.misses,
-                 r->cache.bind_fallbacks, r->bind_ns_per_hit(), r->plan_builds,
+                 r->cache.bind_fallbacks, r->plan_builds,
                  r->plan_hits);
   }
   std::fprintf(f,

@@ -39,7 +39,6 @@ int main() {
 
   ServiceOptions base_opts;
   base_opts.exec.shots = 512;
-  base_opts.order = JobOrder::Fifo;  // jobs run in arrival order
 
   // Serial: every job is its own batch — it waits in the queue and runs
   // alone (max_batch_size = 1 models today's one-job-per-submission flow).

@@ -53,12 +53,10 @@ void CalibrationEpoch::transpile_sweep(std::span<const Circuit* const> circuits,
   std::shared_ptr<const TranspileTemplate> tmpl = cache_.find(key);
   std::uint64_t hits = 0;
   std::uint64_t structural_hits = 0;
-  std::uint64_t bind_ns = 0;
   const auto commit = [&] {  // caller holds mutex_
     stats_.hits += hits;
     stats_.structural_hits += structural_hits;
-    stats_.bind_ns += bind_ns;
-    hits = structural_hits = bind_ns = 0;
+    hits = structural_hits = 0;
   };
 
   for (const Circuit* c : circuits) {
@@ -71,12 +69,7 @@ void CalibrationEpoch::transpile_sweep(std::span<const Circuit* const> circuits,
         out.push_back(tmpl->result);
         continue;
       }
-      const auto t0 = std::chrono::steady_clock::now();
       if (std::optional<TranspiledProgram> bound = tmpl->bind(binding.values)) {
-        bind_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
         ++structural_hits;
         out.push_back(*std::move(bound));
         continue;

@@ -75,8 +75,6 @@ struct TranspileCacheStats {
   /// Structure matched but the binding flipped a recorded optimizer
   /// decision; rebuilt from scratch.
   std::uint64_t bind_fallbacks = 0;
-  /// Total nanoseconds spent in successful template binds.
-  std::uint64_t bind_ns = 0;
 };
 
 /// Per-cache counters of one calibration epoch and the budget they share.
@@ -144,12 +142,12 @@ class CalibrationEpoch {
   /// fingerprint on one partition with a single cache probe, then one
   /// bind() per circuit whose binding differs from the entry's. Every
   /// cache counter counts per circuit, exactly as N sequential
-  /// transpile() calls would (bind_ns aside — it is timing): an unseen
-  /// key counts one miss and builds the template, exact-binding repeats
-  /// count hits, successful binds count structural hits, and a binding
-  /// the template rejects counts a bind fallback and rebuilds, replacing
-  /// the entry the remaining circuits bind against. `out` is cleared and
-  /// filled with one program per circuit. Thread-safe.
+  /// transpile() calls would: an unseen key counts one miss and builds the
+  /// template, exact-binding repeats count hits, successful binds count
+  /// structural hits, and a binding the template rejects counts a bind
+  /// fallback and rebuilds, replacing the entry the remaining circuits
+  /// bind against. `out` is cleared and filled with one program per
+  /// circuit. Thread-safe.
   void transpile_sweep(std::span<const Circuit* const> circuits,
                        std::span<const int> partition,
                        const TranspileOptions& options,

@@ -214,18 +214,8 @@ ExecutionService::ExecutionService(BackendRegistry fleet,
     }
   }
   options_.num_workers = std::max(1, options_.num_workers);
-  if (options_.submit_shards == 0) {
-    // Adaptive intake sharding: one shard per hardware thread, rounded up
-    // to a power of two, clamped to [8, 64] (see ServiceOptions). Plans
-    // are shard-layout independent, so this only moves contention.
-    const auto hw =
-        static_cast<std::size_t>(std::thread::hardware_concurrency());
-    options_.submit_shards =
-        std::clamp<std::size_t>(std::bit_ceil(hw), 8, 64);
-  }
-  options_.submit_shards = std::max<std::size_t>(1, options_.submit_shards);
-  intake_ = std::make_unique<detail::ShardedIntake>(
-      options_.submit_shards, options_.submit_shard_capacity);
+  options_.intake_capacity =
+      std::max<std::size_t>(1, options_.intake_capacity);
   lanes_.reserve(fleet_.size());
   for (std::size_t i = 0; i < fleet_.size(); ++i) {
     lanes_.push_back(
@@ -369,7 +359,8 @@ std::string malformed_reason(const Circuit& circuit) {
 }
 
 /// The queued state of one job; publish() gives it its id.
-detail::JobPtr make_state(Circuit circuit, JobOptions options) {
+std::shared_ptr<detail::JobState> make_state(Circuit circuit,
+                                             JobOptions options) {
   auto state = std::make_shared<detail::JobState>();
   state->fingerprint = circuit_fingerprint(circuit);
   state->structural_fp = structural_fingerprint(circuit);
@@ -394,17 +385,23 @@ void ExecutionService::publish(std::span<const JobPtr> states) {
   // jobs_submitted, and by one fetch_add, so one call's ids are contiguous.
   const std::uint64_t first_id =
       next_job_id_.fetch_add(states.size(), std::memory_order_relaxed);
-  const std::size_t shard = intake_->home_shard();
   std::size_t pending_now = 0;
   for (std::size_t i = 0; i < states.size(); ++i) {
     states[i]->id = first_id + i;
-    while (!intake_->try_push(states[i], shard)) {
-      // Ring full: backpressure. Drain the rings ourselves (one pack/
-      // dispatch cycle, our published prefix included) and retry —
-      // producers never block on a lock and jobs are never dropped.
+    for (;;) {
+      {
+        const std::lock_guard<std::mutex> lock(intake_mutex_);
+        if (intake_.size() < options_.intake_capacity) {
+          intake_.push_back(states[i]);
+          pending_now = intake_.size();
+          break;
+        }
+      }
+      // Queue full: backpressure. Drain it ourselves (one pack/dispatch
+      // cycle, our published prefix included) and retry — jobs are never
+      // dropped.
       dispatch_pending();
     }
-    pending_now = pending_count_.fetch_add(1, std::memory_order_acq_rel) + 1;
   }
   maybe_auto_flush(pending_now);
 }
@@ -476,15 +473,18 @@ std::vector<JobHandle> ExecutionService::submit_all(
   return handles;
 }
 
-std::size_t ExecutionService::cancel_pending() {
-  // pack_mutex_ makes us the single intake consumer and serializes against
-  // dispatch cycles, so a job is either cancelled here or packed there —
-  // never both.
-  std::lock_guard<std::mutex> pack_lock(pack_mutex_);
+std::vector<ExecutionService::JobPtr> ExecutionService::take_pending() {
   std::vector<JobPtr> jobs;
-  intake_->drain(jobs);
+  const std::lock_guard<std::mutex> lock(intake_mutex_);
+  jobs.swap(intake_);
+  return jobs;
+}
+
+std::size_t ExecutionService::cancel_pending() {
+  // Dispatch cycles take the queue the same way, so a job is either
+  // cancelled here or packed there — never both.
+  const std::vector<JobPtr> jobs = take_pending();
   if (jobs.empty()) return 0;
-  pending_count_.fetch_sub(jobs.size(), std::memory_order_acq_rel);
   for (const JobPtr& job : jobs) {
     job->fail("job '" + job->name + "' cancelled before dispatch");
   }
@@ -498,30 +498,18 @@ std::size_t ExecutionService::cancel_pending() {
 
 void ExecutionService::dispatch_pending() {
   std::lock_guard<std::mutex> pack_lock(pack_mutex_);
-  std::vector<JobPtr> jobs;
-  // Deterministic shard-then-ticket drain under pack_mutex_ (the single
-  // consumer). The canonical/FIFO sort below is a total order over the
-  // drained set, so the plan does not depend on the drain layout.
-  const std::size_t drained = intake_->drain(jobs);
-  if (drained != 0) {
-    pending_count_.fetch_sub(drained, std::memory_order_acq_rel);
-  }
+  std::vector<JobPtr> jobs = take_pending();
   if (jobs.empty()) return;
 
-  if (options_.order == JobOrder::Canonical) {
-    std::sort(jobs.begin(), jobs.end(), [](const JobPtr& a, const JobPtr& b) {
-      if (a->fingerprint != b->fingerprint) {
-        return a->fingerprint < b->fingerprint;
-      }
-      if (a->name != b->name) return a->name < b->name;
-      return a->id < b->id;
-    });
-  } else {
-    // pending_ is appended under the same lock that assigns ids, so jobs
-    // are already in submission order; keep it explicit regardless.
-    std::sort(jobs.begin(), jobs.end(),
-              [](const JobPtr& a, const JobPtr& b) { return a->id < b->id; });
-  }
+  // Canonical order is total over the drained set, so the plan does not
+  // depend on how concurrent submitters interleaved.
+  std::sort(jobs.begin(), jobs.end(), [](const JobPtr& a, const JobPtr& b) {
+    if (a->fingerprint != b->fingerprint) {
+      return a->fingerprint < b->fingerprint;
+    }
+    if (a->name != b->name) return a->name < b->name;
+    return a->id < b->id;
+  });
 
   std::vector<PackJob> pack_jobs;
   pack_jobs.reserve(jobs.size());
@@ -805,7 +793,7 @@ void ExecutionService::flush() {
 
 void ExecutionService::shutdown() {
   // Close the gate, then wait for in-flight submits to finish publishing
-  // (see SubmitGate): after the spin no new job can reach the rings, so
+  // (see SubmitGate): after the spin no new job can reach the queue, so
   // the flush below drains everything ever accepted.
   accepting_.store(false);
   while (active_submits_.load() != 0) std::this_thread::yield();
@@ -877,14 +865,14 @@ ServiceStats ExecutionService::stats() const {
     stats.transpile_cache.entries += bs.transpile_cache.entries;
     stats.transpile_cache.structural_hits += bs.transpile_cache.structural_hits;
     stats.transpile_cache.bind_fallbacks += bs.transpile_cache.bind_fallbacks;
-    stats.transpile_cache.bind_ns += bs.transpile_cache.bind_ns;
     stats.backends.push_back(std::move(bs));
   }
   return stats;
 }
 
 std::size_t ExecutionService::pending_jobs() const {
-  return pending_count_.load(std::memory_order_acquire);
+  const std::lock_guard<std::mutex> lock(intake_mutex_);
+  return intake_.size();
 }
 
 double modeled_fleet_drain_s(std::span<const JobHandle> handles,

@@ -24,10 +24,10 @@
 //   BackendRegistry fleet({make_toronto27(), make_manhattan65()});
 //   ExecutionService service(std::move(fleet), options);  // BestEfs default
 //
-// Determinism: with JobOrder::Canonical (default) queued jobs are packed
-// in (circuit fingerprint, name, submission id) order, so for a fixed seed
-// the results — including routing decisions and per-backend batch
-// assignments — are reproducible regardless of submission interleaving;
+// Determinism: queued jobs are packed in (circuit fingerprint, name,
+// submission id) order, so for a fixed seed the results — including
+// routing decisions and per-backend batch assignments — are reproducible
+// regardless of submission interleaving;
 // jobs that share both circuit and name are mutually interchangeable, and
 // every other handle is exactly reproducible. A batch with per-backend
 // ordinal k on backend b (of B) executes with seed
@@ -56,21 +56,11 @@
 #include "core/runtime.hpp"
 #include "service/backend.hpp"
 #include "service/fleet.hpp"
-#include "service/intake.hpp"
 #include "service/job.hpp"
 #include "service/packer.hpp"
 #include "service/registry.hpp"
 
 namespace qucp {
-
-/// Order in which queued jobs are considered for packing.
-enum class JobOrder {
-  /// Submission order. Deterministic only for single-threaded submitters.
-  Fifo,
-  /// (circuit fingerprint, name, submission id): deterministic under
-  /// concurrent submission up to jobs that are exact duplicates.
-  Canonical,
-};
 
 struct ServiceOptions {
   Method method = Method::QuCP;
@@ -87,7 +77,6 @@ struct ServiceOptions {
   /// another device's open batch, then to the next batch.
   /// 0 forces independent execution; infinity admits anything that fits.
   double efs_threshold = std::numeric_limits<double>::infinity();
-  JobOrder order = JobOrder::Canonical;
   /// Fleet routing policy (see service/fleet.hpp). Ignored on a
   /// single-backend service, where routing is trivial.
   RoutePolicy route_policy = RoutePolicy::BestEfs;
@@ -104,25 +93,12 @@ struct ServiceOptions {
   /// the same code a cached run uses, and submit_all() sweeps take the
   /// per-job path.
   std::size_t cache_budget_bytes = kDefaultCacheBudgetBytes;
-  /// Sharded MPSC intake (service/intake.hpp): number of submission
-  /// shards. Each submitter thread homes on shard (thread ordinal mod
-  /// shards), so up to this many producers publish without touching the
-  /// same ring. 0 (the default) sizes the shard count from the machine:
-  /// hardware_concurrency rounded up to a power of two, clamped to
-  /// [8, 64] — at least 8 so an 8-producer burst never shares a ring even
-  /// on small boxes, capped so shard memory stays bounded. An explicit
-  /// value overrides. Shard count no longer affects plans: Canonical
-  /// packing totally orders the drained set, so batch boundaries are
-  /// drain-layout independent (see dispatch_pending); under Fifo order
-  /// the global ticket sort restores submission order regardless of
-  /// layout.
-  std::size_t submit_shards = 0;
-  /// Fixed capacity per submission shard, rounded up to a power of two.
-  /// A full shard backpressures submit() into draining the rings itself
-  /// (a pack/dispatch cycle) and retrying — nothing blocks indefinitely
-  /// and nothing is dropped, but under overload batch boundaries follow
-  /// drain timing rather than auto_flush_batch_size.
-  std::size_t submit_shard_capacity = 4096;
+  /// Jobs the intake queue holds before a submitter backpressure-
+  /// dispatches: a submit() that finds the queue full runs a pack/dispatch
+  /// cycle itself and retries. Nothing blocks indefinitely and nothing is
+  /// dropped, but under overload batch boundaries follow drain timing
+  /// rather than auto_flush_batch_size. Values below 1 act as 1.
+  std::size_t intake_capacity = 32768;
 };
 
 /// Per-backend slice of the service counters, keyed by registry id.
@@ -253,9 +229,9 @@ class ExecutionService {
   ExecutionService(const ExecutionService&) = delete;
   ExecutionService& operator=(const ExecutionService&) = delete;
 
-  /// Enqueue a circuit. Cheap, thread-safe and lock-free on the hot path
-  /// (sharded MPSC intake, see service/intake.hpp); nothing executes
-  /// until a batch is dispatched (flush(), shutdown() or auto-flush).
+  /// Enqueue a circuit. Cheap and thread-safe: the job is appended to the
+  /// intake queue under a short-held lock; nothing executes until a batch
+  /// is dispatched (flush(), shutdown() or auto-flush).
   /// Throws std::invalid_argument for a circuit with a NaN or infinite
   /// angle or a gate after a measurement on the same qubit (naming the op
   /// index), with a register qubit no op acts on (naming the first), with
@@ -268,16 +244,15 @@ class ExecutionService {
   /// circuit as submit() does before enqueuing any: a malformed one
   /// throws std::invalid_argument naming its index (and, for a bad op,
   /// the op), and nothing is submitted. The jobs then take contiguous ids
-  /// and are pushed one by one, in order, to the caller's home shard —
-  /// the same push as submit(). A drain may see the vector interleaved
-  /// with other same-shard producers (a plan sorts its drained set, so
-  /// this never changes one) or split across pack cycles. While the shard
-  /// is full, as it is for any vector larger than its capacity, the call
+  /// and are pushed one by one, in order, onto the intake queue — the
+  /// same push as submit(). A drain may see the vector interleaved with
+  /// other producers' jobs (a plan sorts its drained set, so this never
+  /// changes one) or split across pack cycles. While the queue is full,
+  /// as it is for any vector larger than intake_capacity, the call
   /// backpressure-dispatches its published prefix. If that dispatch
   /// throws, the exception propagates: the published prefix stays with
   /// the service (queued, or drained by the cycle that threw), the rest is
-  /// never enqueued, and the shard stays usable — no ticket is claimed
-  /// before its cell is free.
+  /// never enqueued, and the queue stays usable.
   std::vector<JobHandle> submit_all(std::vector<Circuit> circuits);
 
   /// Fail every not-yet-dispatched job ("cancelled before dispatch") and
@@ -374,10 +349,12 @@ class ExecutionService {
                 std::optional<std::size_t> index) const;
   /// The one intake path of submit() and submit_all(): pass the submit
   /// gate (std::runtime_error once shut down), give `states` contiguous
-  /// ids, and push them in order to the caller's home shard,
+  /// ids, and push them in order onto the intake queue,
   /// backpressure-dispatching while it is full; then auto-flush once.
   void publish(std::span<const JobPtr> states);
   void maybe_auto_flush(std::size_t pending_now);
+  /// Swap the whole intake queue out, leaving it empty.
+  std::vector<JobPtr> take_pending();
   void worker_loop(Lane& lane);
   /// Pack current pending jobs through the fleet scheduler and enqueue
   /// the planned batches onto their lanes. Serialized by pack_mutex_.
@@ -396,11 +373,12 @@ class ExecutionService {
   std::size_t widest_backend_ = 0;  ///< first backend of the most qubits
   int widest_qubits_ = 0;           ///< its qubit count
 
-  /// Sharded MPSC submission queues; drained only under pack_mutex_.
-  std::unique_ptr<detail::ShardedIntake> intake_;
-  /// Submission-side state, all atomic — submit() takes no lock.
+  /// Published, not yet drained jobs (guarded by intake_mutex_). Pack
+  /// cycles and cancel_pending() take the whole vector (take_pending).
+  mutable std::mutex intake_mutex_;
+  std::vector<JobPtr> intake_;
+  /// Submission-side state outside the queue, all atomic.
   std::atomic<std::uint64_t> next_job_id_{0};
-  std::atomic<std::size_t> pending_count_{0};  ///< published, not drained
   std::atomic<bool> accepting_{true};  ///< false in shutdown(); submit throws
   std::atomic<std::size_t> active_submits_{0};  ///< submits past the gate
 

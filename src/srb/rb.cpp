@@ -20,11 +20,7 @@ void random_clifford_layer(Circuit& c, int a, int b, Rng& rng) {
   c.append({kCliffords1q[rng.index(kCliffords1q.size())], {b}, {}});
 }
 
-double survival_00(const ProgramOutcome& outcome, bool sampled) {
-  if (sampled) {
-    return static_cast<double>(outcome.counts.count(0)) /
-           outcome.counts.total();
-  }
+double survival_00(const ProgramOutcome& outcome) {
   return outcome.distribution.prob(0);
 }
 
@@ -68,7 +64,7 @@ RbResult run_rb(const Device& device, int a, int b, const RbOptions& options,
       ExecOptions exec = options.exec;
       exec.seed = seq_rng.seed();
       const ProgramOutcome outcome = execute_single(device, seq, exec);
-      total += survival_00(outcome, options.sampled);
+      total += survival_00(outcome);
     }
     result.lengths.push_back(static_cast<double>(len));
     result.survival.push_back(total / options.seeds);
@@ -107,8 +103,8 @@ std::pair<RbResult, RbResult> run_simultaneous_rb(const Device& device,
       exec.seed = rng1.seed() ^ (rng2.seed() << 1);
       const ParallelRunReport report =
           execute_parallel(device, std::move(programs), exec);
-      total1 += survival_00(report.programs[0], options.sampled);
-      total2 += survival_00(report.programs[1], options.sampled);
+      total1 += survival_00(report.programs[0]);
+      total2 += survival_00(report.programs[1]);
     }
     r1.lengths.push_back(static_cast<double>(len));
     r1.survival.push_back(total1 / options.seeds);

@@ -19,9 +19,7 @@ namespace qucp {
 struct RbOptions {
   std::vector<int> lengths = {1, 3, 6, 10, 15};  ///< cycles per sequence
   int seeds = 5;          ///< random sequences averaged per length
-  bool sampled = false;   ///< true: estimate survival from sampled shots
-  int shots = 2048;
-  ExecOptions exec;       ///< execution configuration (noise toggles)
+  ExecOptions exec;       ///< execution configuration
 };
 
 /// One RB sequence of `cycles` cycles on edge (a, b), including the mirror

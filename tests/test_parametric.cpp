@@ -188,7 +188,6 @@ TEST(ParametricTranspile, BindsBitIdenticalOnAllTopologies) {
     }
     const TranspileCacheStats stats = epoch->cache_stats();
     EXPECT_GT(stats.structural_hits, 0u) << device.name();
-    EXPECT_GT(stats.bind_ns, 0u) << device.name();
   }
 }
 
@@ -621,8 +620,8 @@ void expect_cache_stats_equal(const ServiceStats& sweep,
   // Everything the epoch cache counts must be identical: the fast path
   // delegates misses/hits/fallbacks to the per-call transpile() and bulk-
   // commits structural hits, so the decision chain is exactly sequential.
-  // bind_ns is wall-clock and sweep_groups/batched_binds are *supposed* to
-  // differ — they are the fast path's own odometer.
+  // sweep_groups/batched_binds are *supposed* to differ — they are the
+  // fast path's own odometer.
   EXPECT_EQ(sweep.transpile_cache.hits, singles.transpile_cache.hits) << label;
   EXPECT_EQ(sweep.transpile_cache.misses, singles.transpile_cache.misses)
       << label;

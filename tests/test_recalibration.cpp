@@ -322,7 +322,7 @@ TEST(CalibrationEpoch, RoutingShiftsAwayFromDegradedBackendAndBack) {
 }
 
 TEST(RecalibrationStress, EightProducersRaceLiveRecalibrations) {
-  // 8 producer threads submit through the sharded intake with auto-flush
+  // 8 producer threads submit through the intake queue with auto-flush
   // racing them, while the main thread publishes new calibration epochs as
   // fast as it can build them. Every job must complete, ids stay unique,
   // and the stats stay consistent — and under TSan this is the data-race
@@ -332,8 +332,7 @@ TEST(RecalibrationStress, EightProducersRaceLiveRecalibrations) {
   opts.exec.shots = 1;
   opts.num_workers = 2;
   opts.max_batch_size = 8;
-  opts.submit_shards = 4;
-  opts.submit_shard_capacity = 32;
+  opts.intake_capacity = 32;
   opts.auto_flush_batch_size = 16;
   ExecutionService service(make_toronto27(), opts);
   const Calibration base = service.backend().epoch()->device().calibration();
