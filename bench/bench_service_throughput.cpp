@@ -272,7 +272,10 @@ std::vector<CapacityRow> run_capacity_sweep() {
     ServiceOptions opts;
     opts.exec.shots = 256;
     opts.max_batch_size = cap;
-    opts.num_workers = 4;
+    // One worker: with several, lanes race first sightings of a circuit
+    // and the cache_hit% column changes from run to run. Batches, spills,
+    // PST and runtime come from the plan and the seeds either way.
+    opts.num_workers = 1;
     ExecutionService service(make_toronto27(), opts);
     const std::vector<JobHandle> handles =
         submit_queue(service, kQueueJobs);
@@ -344,10 +347,10 @@ struct ParametricSection {
   /// off / on: the structural-template bind path's amortized win.
   double speedup = 0.0;
   /// The sweep fast path's target: the full batched path (group-probed
-  /// cache, one bind() per job, plan-direct materialize on the AVX2
-  /// kernels) vs the per-job bind path it replaces as previously
-  /// shipped — per-job cache round-trips and scalar materialize
-  /// (`on_scalar`). In a build
+  /// transpile cache, one bind() per job, one compiled-program lookup per
+  /// job on the AVX2 kernels) vs the per-job bind path it replaces as
+  /// previously shipped — per-job cache round-trips and scalar
+  /// materialize (`on_scalar`). In a build
   /// without native kernels both arms run the same scalar products and
   /// this reduces to the pure batching win.
   double batched_speedup = 0.0;
@@ -456,7 +459,7 @@ ParametricRow run_parametric_on(int iters, bool scalar_kernels = false) {
         epoch.transpile(c, partition, topts, /*options_fp=*/1);
     benchmark::DoNotOptimize(&tp);
     // The scoring pass compiles the logical circuit per job (the service's
-    // ideal-distribution reference), which is where the fusion-plan cache
+    // ideal-distribution reference), which is where the fused entry's plan
     // earns its keep on a sweep.
     const auto prog = epoch.compiled_program(c);
     benchmark::DoNotOptimize(prog.get());
@@ -470,12 +473,11 @@ ParametricRow run_parametric_on(int iters, bool scalar_kernels = false) {
 }
 
 /// The sweep_batched arm: the same stream, but grouped by structure and
-/// pushed through the submit_all() sweep fast path's two batched legs:
+/// pushed through what the submit_all() sweep fast path runs:
 /// CalibrationEpoch::transpile_sweep (one epoch pin and one cache probe
-/// per group, then one template bind() per job) plus one
-/// fusion-plan fetch per group with the ideal-reference program
-/// materialized directly per job (what run_batch_pipeline does for
-/// prebound sweep jobs, skipping the per-job fingerprint + cache lock).
+/// per group, then one template bind() per job) at dispatch, plus one
+/// compiled_program() per job in the scoring pass (each fresh binding
+/// materialized from its structure's fusion plan).
 ParametricRow run_parametric_batched(int iters) {
   const Device device = make_toronto27();
   const CalibrationEpoch epoch(0, device, kDefaultCacheBudgetBytes);
@@ -495,11 +497,9 @@ ParametricRow run_parametric_batched(int iters) {
     epoch.transpile_sweep(circuits, partition, topts, /*options_fp=*/1,
                           bound);
     benchmark::DoNotOptimize(bound.data());
-    const auto fusion_plan = epoch.program_cache().plan(*circuits.front());
     for (const Circuit* c : circuits) {
-      const CompiledProgram prog =
-          CompiledProgram::materialize(*fusion_plan, *c);
-      benchmark::DoNotOptimize(&prog);
+      const auto prog = epoch.compiled_program(*c);
+      benchmark::DoNotOptimize(prog.get());
     }
   }
   row.total_s = seconds_since(t0);
@@ -585,9 +585,9 @@ ParametricSection run_parametric_section() {
       "every job is a fresh binding: the off arm re-places and re-routes\n"
       "per job, the on/on_scalar arms bind the structural template per job\n"
       "(native vs scalar materialize), and the sweep_batched arm probes\n"
-      "the cache + fusion plan once per structure group, binds each job\n"
-      "against the group's template and materializes each ideal\n"
-      "reference straight off the plan's AVX2 product chain (the\n"
+      "the transpile cache once per structure group, binds each job\n"
+      "against the group's template and compiles each ideal reference\n"
+      "through the program cache on the AVX2 product chain (the\n"
       "submit_all sweep path). Speedups are medians of per-round ratios\n"
       "over %d interleaved rounds.\n",
       section.speedup, section.batched_speedup, rounds);

@@ -225,7 +225,7 @@ class Circuit {
 /// as an anonymous slot. Two circuits differing only in rotation angles
 /// (an ansatz across optimizer iterations, ZNE folded variants, ...) share
 /// a structural fingerprint, which keys the parametric transpile-template
-/// and fusion-plan caches. A circuit with no parameters hashes identically
+/// and fused-program caches. A circuit with no parameters hashes identically
 /// to its own structure, so the key degenerates gracefully for
 /// non-parameterized traffic.
 [[nodiscard]] std::uint64_t structural_fingerprint(const Circuit& circuit);

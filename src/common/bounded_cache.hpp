@@ -2,9 +2,9 @@
 // BoundedCache: a thread-safe memo bounded in bytes.
 //
 // Every cache a calibration epoch keeps (transpile templates, allocation
-// states, fused programs, fusion plans, noisy executables) is one
-// BoundedCache, and the epoch splits one byte budget
-// (ServiceOptions::cache_budget_bytes) evenly across the five. Values are
+// states, fused programs, noisy executables) is one BoundedCache, and the
+// epoch splits one byte budget (ServiceOptions::cache_budget_bytes)
+// evenly across the four. Values are
 // handed out as shared_ptr, so evicting an entry never frees a value a
 // caller is still using. Each entry is charged the byte cost its inserter
 // reports (the value's heap footprint estimate) plus a fixed per-entry
@@ -32,9 +32,8 @@
 namespace qucp {
 
 /// Caches a calibration epoch splits its budget across: transpile
-/// templates, allocation states, fused programs, fusion plans and
-/// executables.
-inline constexpr std::size_t kEpochCaches = 5;
+/// templates, allocation states, fused programs and executables.
+inline constexpr std::size_t kEpochCaches = 4;
 /// Per-epoch cache budget when none is given (ServiceOptions, Backend,
 /// BackendRegistry).
 inline constexpr std::size_t kDefaultCacheBudgetBytes = std::size_t{8} << 20;

@@ -18,7 +18,7 @@
 // Methods map to the paper's comparison set:
 //   QuCP    — EFS partitioning with sigma-emulated crosstalk (this paper)
 //   QuMC    — EFS partitioning with SRB-measured crosstalk
-//   CNA     — reliability partitioning + gate-level crosstalk-aware mapping
+//   CNA     — first-fit partitioning + gate-level crosstalk-aware mapping
 //   QuCloud — fidelity-degree partitioning, crosstalk-blind
 //   MultiQC — reliability partitioning, crosstalk-blind
 //   Naive   — first-fit partitioning, calibration-blind
@@ -81,7 +81,7 @@ struct BatchReport {
                                        const std::vector<Circuit>& programs,
                                        const ParallelOptions& options = {});
 
-/// The partitioner behind a method (CNA shares MultiQC's reliability
+/// The partitioner behind a method (CNA shares Naive's first-fit
 /// partitioner — the paper notes CNA has no partitioning algorithm of its
 /// own). QuMC requires estimates.
 [[nodiscard]] std::unique_ptr<Partitioner> make_partitioner(

@@ -120,11 +120,9 @@ EpochCacheStats CalibrationEpoch::cache_memory() const {
   const CompiledProgramCache::Stats programs = program_cache_.stats();
   EpochCacheStats stats{cache_budget_bytes_,     0,
                         cache_.stats(),          candidate_index_.state_stats(),
-                        programs.fused,          programs.plans,
-                        programs.executables};
+                        programs.fused,          programs.executables};
   stats.used_bytes = stats.transpile.bytes + stats.allocation_states.bytes +
-                     stats.fused.bytes + stats.plans.bytes +
-                     stats.executables.bytes;
+                     stats.fused.bytes + stats.executables.bytes;
   return stats;
 }
 

@@ -33,10 +33,11 @@
 // fallback-prone template forever. Parameterless circuits have an empty
 // binding, so after the first build they are always exact hits.
 //
-// All five caches of an epoch — transpile templates, CandidateIndex
-// states, and the CompiledProgramCache's fused programs, fusion plans and
-// executables — are BoundedCaches (common/bounded_cache.hpp) splitting one
-// byte budget evenly; each evicts only its own least recently used
+// All four caches of an epoch — transpile templates, CandidateIndex
+// states, and the CompiledProgramCache's fused programs (each entry a
+// structure's fusion plan plus its last binding) and executables — are
+// BoundedCaches (common/bounded_cache.hpp) splitting one byte budget
+// evenly; each evicts only its own least recently used
 // entries. cache_memory() reports entries, bytes, hits, misses and
 // evictions per cache. A budget-0 epoch stores nothing but runs the same
 // code: every lookup misses, so each transpile call builds its template
@@ -80,11 +81,10 @@ struct TranspileCacheStats {
 /// Per-cache counters of one calibration epoch and the budget they share.
 struct EpochCacheStats {
   std::size_t budget_bytes = 0;  ///< the epoch's cache budget
-  std::size_t used_bytes = 0;    ///< held by all five caches together
+  std::size_t used_bytes = 0;    ///< held by all four caches together
   CacheStats transpile;          ///< transpile templates
   CacheStats allocation_states;  ///< CandidateIndex state memo
-  CacheStats fused;              ///< fused programs (ideal pipeline)
-  CacheStats plans;              ///< fusion plans
+  CacheStats fused;  ///< fusion plans + last bindings (ideal pipeline)
   CacheStats executables;        ///< noisy executables and their outcomes
 };
 
@@ -98,7 +98,7 @@ struct EpochCacheStats {
 /// building a successor epoch, not by touching this one.
 class CalibrationEpoch {
  public:
-  /// The epoch's five caches split `cache_budget_bytes` evenly; with 0
+  /// The epoch's four caches split `cache_budget_bytes` evenly; with 0
   /// they store nothing.
   CalibrationEpoch(std::uint64_t id, Device device,
                    std::size_t cache_budget_bytes);
@@ -123,7 +123,7 @@ class CalibrationEpoch {
     return program_cache_;
   }
 
-  /// Fused compilation of `logical`, memoized per circuit fingerprint.
+  /// Fused compilation of `logical` (CompiledProgramCache::fused).
   [[nodiscard]] std::shared_ptr<const CompiledProgram> compiled_program(
       const Circuit& logical) const {
     return program_cache_.fused(logical);

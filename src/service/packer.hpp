@@ -18,8 +18,9 @@
 //
 // This header holds the packer's vocabulary (jobs, batches, options). The
 // engine itself is pack_fleet() in service/fleet.hpp: one open batch per
-// device, policy-routed preference order, cross-device spill. With one
-// FleetSlot and no policy it is the single-device packer described above.
+// device, policy-routed preference order, cross-device spill. A one-slot
+// plan never consults its routing policy, so with one FleetSlot it is the
+// single-device packer described above under every RoutePolicy.
 //
 // Pure logic, no threads: the ExecutionService drives it under its own
 // locking, and tests exercise it directly.

@@ -2,10 +2,11 @@
 // BackendRegistry: the set of device endpoints an ExecutionService fleet
 // schedules over.
 //
-// Each registered Backend carries its own epoch-versioned cache set —
-// TranspileCache, CandidateIndex, CompiledProgramCache,
-// all owned by the backend's current CalibrationEpoch (service/
-// backend.hpp) — so per-device memoization survives routing decisions: a
+// Each registered Backend carries its own epoch-versioned cache set — the
+// four caches of its current CalibrationEpoch (service/backend.hpp):
+// transpile templates, CandidateIndex allocation states, and the
+// CompiledProgramCache's fused programs and executables — so per-device
+// memoization survives routing decisions: a
 // job bounced between devices warms each device's caches independently,
 // and a device recalibrated mid-stream swaps in a fresh cache set without
 // touching its fleet peers. Backends are held by shared_ptr and

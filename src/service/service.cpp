@@ -80,7 +80,7 @@ BatchReport run_batch_pipeline(
     const CalibrationEpoch& epoch, const std::vector<Circuit>& programs,
     const std::vector<PartitionAssignment>& assignments,
     const std::vector<std::string>& names, const ParallelOptions& options,
-    PreboundTranspiles* prebound) {
+    std::vector<std::optional<TranspiledProgram>>* prebound) {
   if (programs.empty()) {
     throw std::invalid_argument("run_batch_pipeline: no programs");
   }
@@ -113,13 +113,13 @@ BatchReport run_batch_pipeline(
     }
     const TranspileSetup setup = transpile_setup(options, std::move(context));
     TranspiledProgram tp;
-    if (prebound != nullptr && i < prebound->programs.size() &&
-        prebound->programs[i].has_value()) {
+    if (prebound != nullptr && i < prebound->size() &&
+        (*prebound)[i].has_value()) {
       // Sweep fast path: dispatch already probed the epoch cache for this
       // job's structure once per group and bound its template against
       // this job's planned partition, so the per-job cache round-trip is
       // skipped entirely.
-      tp = *std::move(prebound->programs[i]);
+      tp = *std::move((*prebound)[i]);
     } else {
       tp = epoch.transpile(programs[i], assignments[i].qubits,
                            setup.options, setup.fp);
@@ -148,17 +148,9 @@ BatchReport run_batch_pipeline(
     pr.efs = assignments[i].efs.score;
     pr.swaps_added = swaps[i];
     // Fused, backend-cached ideal pipeline: repeated submissions of the
-    // same circuit replay a precompiled kernel stream (sim/fusion.hpp).
-    // Sweep jobs carry their group's fusion plan from dispatch, so the
-    // reference program materializes directly — no per-job fingerprint
-    // hashing or program-cache lock. Bit-identical to the cached path.
-    if (prebound != nullptr && i < prebound->plans.size() &&
-        prebound->plans[i] != nullptr) {
-      pr.ideal = ideal_distribution(
-          CompiledProgram::materialize(*prebound->plans[i], programs[i]));
-    } else {
-      pr.ideal = ideal_distribution(*epoch.compiled_program(programs[i]));
-    }
+    // same circuit replay a precompiled kernel stream, and a fresh binding
+    // of a known structure replays its fusion plan (sim/fusion.hpp).
+    pr.ideal = ideal_distribution(*epoch.compiled_program(programs[i]));
     pr.noisy = run.programs[i].distribution;
     pr.counts = run.programs[i].counts;
     pr.jsd_value = jsd(pr.noisy, pr.ideal);
@@ -571,7 +563,8 @@ void ExecutionService::dispatch_pending() {
   // counters are exactly what the per-job path produces. CNA is excluded:
   // its options fingerprint folds in per-batch co-runner context, so
   // there is no batch-independent key to group under.
-  std::vector<std::vector<PreboundTranspiles>> prebound(plan.batches.size());
+  std::vector<std::vector<decltype(Batch::prebound)>> prebound(
+      plan.batches.size());
   std::vector<std::uint64_t> slot_sweep_groups(plan.batches.size(), 0);
   std::vector<std::uint64_t> slot_batched_binds(plan.batches.size(), 0);
   const bool sweep_eligible = options_.cache_budget_bytes > 0 &&
@@ -605,14 +598,9 @@ void ExecutionService::dispatch_pending() {
         circuits.clear();
         circuits.reserve(targets.size());
         for (const Target& t : targets) circuits.push_back(&jobs[t.job]->circuit);
-        std::shared_ptr<const FusionPlan> fusion_plan;
         try {
           plan.epochs[s]->transpile_sweep(circuits, group_key.second,
                                           setup.options, setup.fp, bound);
-          // One fusion-plan fetch for the whole group (memoized per
-          // structure): the pipeline's scoring pass materializes each
-          // job's ideal-reference program from it directly.
-          fusion_plan = plan.epochs[s]->program_cache().plan(*circuits.front());
         } catch (...) {
           // The group's jobs are already counted outstanding, so they must
           // still reach their batches: leave them without prebinds. The
@@ -623,13 +611,11 @@ void ExecutionService::dispatch_pending() {
         ++slot_sweep_groups[s];
         slot_batched_binds[s] += targets.size();
         for (std::size_t t = 0; t < targets.size(); ++t) {
-          PreboundTranspiles& pre = prebound[s][targets[t].batch];
+          auto& pre = prebound[s][targets[t].batch];
           if (pre.empty()) {
-            pre.programs.resize(plan.batches[s][targets[t].batch].jobs.size());
-            pre.plans.resize(pre.programs.size());
+            pre.resize(plan.batches[s][targets[t].batch].jobs.size());
           }
-          pre.programs[targets[t].pos] = std::move(bound[t]);
-          pre.plans[targets[t].pos] = fusion_plan;
+          pre[targets[t].pos] = std::move(bound[t]);
         }
       }
     }

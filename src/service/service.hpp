@@ -17,8 +17,9 @@
 // The service also scales past one chip: construct it from a
 // BackendRegistry and it becomes a fleet — a FleetScheduler
 // (service/fleet.hpp) routes each pending job to a (backend, batch) slot
-// via a pluggable policy (RoundRobin / LeastLoaded / BestEfs /
-// ExpectedLatency), and every backend gets its own packer/worker lane, so
+// by the RoutePolicy rule ServiceOptions::route_policy selects
+// (RoundRobin / LeastLoaded / BestEfs / ExpectedLatency), and every
+// backend gets its own packer/worker lane, so
 // batches on different devices execute concurrently without sharing locks:
 //
 //   BackendRegistry fleet({make_toronto27(), make_manhattan65()});
@@ -86,7 +87,7 @@ struct ServiceOptions {
   std::size_t auto_flush_batch_size = 0;
   /// Bytes all caches of one calibration epoch may hold together
   /// (service/backend.hpp): transpile templates, allocation states, fused
-  /// programs, fusion plans and executables. Applies to the backend the
+  /// programs and executables. Applies to the backend the
   /// single-device constructor builds; a BackendRegistry's backends carry
   /// their own. With 0 the caches store nothing: every job builds its
   /// transpile template, allocation states and executable afresh through
@@ -195,25 +196,6 @@ struct CircuitTooWide : std::invalid_argument {
   std::optional<std::size_t> index;  ///< position in submit_all's vector
 };
 
-/// Sweep fast-path payload for run_batch_pipeline: transpiles prebound at
-/// dispatch (ExecutionService::dispatch_pending groups same-structure
-/// sweep jobs per planned batch by their planned partition and binds them
-/// against one cache probe per group). Entries are parallel to the
-/// pipeline's programs; a disengaged program means "transpile normally".
-/// Each prebind was computed against the partition the pipeline executes
-/// that program on — the batch's planned assignment — so using it gives
-/// exactly the per-job result. `plans[i]` (when set) is the group's shared
-/// fusion plan, fetched once per sweep group from the epoch's program
-/// cache; the scoring pass materializes the ideal-reference program
-/// straight from it instead of paying a per-job fingerprint + cache
-/// round-trip. materialize() is bit-identical to the cached fused()
-/// compile, so results don't change.
-struct PreboundTranspiles {
-  std::vector<std::optional<TranspiledProgram>> programs;
-  std::vector<std::shared_ptr<const FusionPlan>> plans;
-  [[nodiscard]] bool empty() const noexcept { return programs.empty(); }
-};
-
 class ExecutionService {
  public:
   /// Validates the configuration eagerly: QuMC without SRB estimates
@@ -304,8 +286,9 @@ class ExecutionService {
     /// the plan's PackedBatch; the pipeline executes on them.
     std::vector<PartitionAssignment> assignments;
     /// Sweep fast path: transpiles already bound at dispatch, parallel to
-    /// `jobs` (empty when the batch has none).
-    PreboundTranspiles prebound;
+    /// `jobs` (empty when the batch has none; a disengaged entry means
+    /// "transpile normally").
+    std::vector<std::optional<TranspiledProgram>> prebound;
   };
   /// Per-backend execution lane: its own batch queue, condition variable
   /// and worker threads, so devices drain concurrently without sharing
@@ -415,15 +398,19 @@ class ExecutionService {
 /// plan's PackedBatch) are the partitions the programs execute on; the
 /// pipeline allocates nothing itself. `names` overrides per-program report
 /// names; empty entries (or an empty vector) fall back to the circuit name
-/// / "program<i>". `prebound` (optional) carries dispatch-time batch-bound
-/// transpiles, each consumed (moved from) in place of that program's
-/// epoch-cache transpile. Throws std::invalid_argument when there are no
-/// programs or `assignments` does not have one entry per program.
+/// / "program<i>". `prebound` (optional, parallel to `programs`) carries
+/// the sweep fast path's dispatch-time transpiles (ExecutionService::
+/// dispatch_pending binds same-structure sweep jobs against one cache
+/// probe per group and planned partition); each engaged entry is consumed
+/// (moved from) in place of that program's epoch-cache transpile. Each was
+/// bound against the partition the pipeline executes that program on, so
+/// it equals the per-job result. Throws std::invalid_argument when there
+/// are no programs or `assignments` does not have one entry per program.
 [[nodiscard]] BatchReport run_batch_pipeline(
     const CalibrationEpoch& epoch, const std::vector<Circuit>& programs,
     const std::vector<PartitionAssignment>& assignments,
     const std::vector<std::string>& names, const ParallelOptions& options,
-    PreboundTranspiles* prebound = nullptr);
+    std::vector<std::optional<TranspiledProgram>>* prebound = nullptr);
 
 /// Modeled fleet drain time for a set of finished jobs: batches are
 /// grouped by (backend id, batch index), each backend's occupancy is the

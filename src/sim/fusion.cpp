@@ -544,6 +544,10 @@ std::size_t CompiledExecutable::bytes() const noexcept {
   return sizeof(CompiledExecutable) + heap_bytes(bound_);
 }
 
+std::size_t CompiledProgramCache::FusedEntry::bytes() const noexcept {
+  return sizeof(FusedEntry) + plan->bytes() + last->bytes();
+}
+
 std::size_t CompiledProgramCache::ExecutableEntry::bytes() const noexcept {
   std::size_t total = sizeof(ExecutableEntry) + structure->bytes() +
                       last->bytes() + heap_bytes(outcomes);
@@ -556,34 +560,38 @@ std::size_t CompiledProgramCache::ExecutableEntry::bytes() const noexcept {
 
 std::shared_ptr<const FusionPlan> CompiledProgramCache::plan(
     const Circuit& circuit) const {
-  return plan_for(structural_fingerprint(circuit), circuit);
-}
-
-std::shared_ptr<const FusionPlan> CompiledProgramCache::plan_for(
-    const std::uint64_t key, const Circuit& circuit) const {
-  if (auto hit = plans_.find(key)) return hit;
-  // Built outside any lock: deterministic, so a racing duplicate insert
-  // just loses and its result is identical anyway.
-  auto built = std::make_shared<const FusionPlan>(FusionPlan::build(circuit));
-  const std::size_t bytes = built->bytes();
-  return plans_.insert(key, std::move(built), bytes);
+  const CircuitFingerprints fp = circuit_fingerprints(circuit);
+  std::shared_ptr<const FusedEntry> entry = fused_.find(fp.structural);
+  if (entry == nullptr) entry = bind(nullptr, fp, circuit);
+  return entry->plan;
 }
 
 std::shared_ptr<const CompiledProgram> CompiledProgramCache::fused(
     const Circuit& circuit) const {
   const CircuitFingerprints fp = circuit_fingerprints(circuit);
-  if (auto hit = fused_.find(fp.exact)) return hit;
-  // Exact-fingerprint miss: fetch (or build) the structural plan, then
-  // materialize this circuit's matrices against it. A parameter sweep
-  // over one ansatz pays the fusion walk once — every later binding is a
-  // plan hit plus the cheap matrix products. materialize() is
-  // bit-identical to CompiledProgram::compile() (pinned by
-  // tests/test_parametric.cpp).
-  const std::shared_ptr<const FusionPlan> p = plan_for(fp.structural, circuit);
+  const std::shared_ptr<const FusedEntry> entry = fused_.find(fp.structural);
+  if (entry != nullptr && entry->last_exact == fp.exact) return entry->last;
+  return bind(entry, fp, circuit)->last;
+}
+
+std::shared_ptr<const CompiledProgramCache::FusedEntry>
+CompiledProgramCache::bind(const std::shared_ptr<const FusedEntry>& entry,
+                           const CircuitFingerprints& fp,
+                           const Circuit& circuit) const {
+  // Both steps are deterministic and run outside any lock, so a racing
+  // duplicate build is identical anyway; materialize() is bit-identical to
+  // CompiledProgram::compile() (pinned by tests/test_parametric.cpp).
+  std::shared_ptr<const FusionPlan> plan =
+      entry != nullptr
+          ? entry->plan
+          : std::make_shared<const FusionPlan>(FusionPlan::build(circuit));
   auto program = std::make_shared<const CompiledProgram>(
-      CompiledProgram::materialize(*p, circuit));
-  const std::size_t bytes = program->bytes();
-  return fused_.insert(fp.exact, std::move(program), bytes);
+      CompiledProgram::materialize(*plan, circuit));
+  // Copy on write: readers holding the old entry keep a consistent view.
+  auto next = std::make_shared<const FusedEntry>(
+      FusedEntry{std::move(plan), std::move(program), fp.exact});
+  fused_.assign(fp.structural, next, next->bytes());
+  return next;
 }
 
 std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
@@ -649,15 +657,15 @@ void CompiledProgramCache::store_outcome(
 }
 
 CompiledProgramCache::Stats CompiledProgramCache::stats() const {
-  return {fused_.stats(), plans_.stats(), executables_.stats()};
+  return {fused_.stats(), executables_.stats()};
 }
 
 std::uint64_t CompiledProgramCache::plan_builds() const {
-  return plans_.stats().misses;
+  return fused_.stats().misses;
 }
 
 std::uint64_t CompiledProgramCache::plan_hits() const {
-  return plans_.stats().hits;
+  return fused_.stats().hits;
 }
 
 std::uint64_t CompiledProgramCache::outcome_hits() const {

@@ -29,10 +29,11 @@
 // plan against a concrete circuit's gate matrices, performing the same
 // multiplications in the same order the from-scratch path would, so the
 // result is bit-identical to CompiledProgram::compile() — which is now
-// literally materialize(FusionPlan::build(c), c). Plans are cached per
-// structural_fingerprint in CompiledProgramCache, so a parameter sweep
-// over one ansatz re-runs only the cheap matrix products per iteration,
-// never the fusion walk.
+// literally materialize(FusionPlan::build(c), c). CompiledProgramCache
+// keeps one entry per structural_fingerprint holding the plan and the
+// last binding it materialized, so a parameter sweep over one ansatz
+// re-runs only the cheap matrix products per iteration, never the fusion
+// walk, and an exact repeat costs one lookup.
 //
 // The noisy executor's unfused sibling is split the same way. An
 // ExecutableStructure is the structural half of a physical program: the
@@ -56,7 +57,7 @@
 // the Matrix-taking transform in tests/reference_density.hpp. The executor replays this per-op stream
 // under every noise setting, noiseless runs included; fused programs serve
 // the ideal pipeline. CompiledProgramCache memoizes fused programs per
-// circuit fingerprint and executables per (structural fingerprint,
+// structural fingerprint and executables per (structural fingerprint,
 // schedule policy); it lives on a calibration epoch next to
 // CandidateIndex, so a recalibration starts it cold. execute_parallel
 // without an epoch compiles through a zero-budget one, which keeps
@@ -345,16 +346,17 @@ struct OutcomeKey {
 [[nodiscard]] Distribution ideal_distribution(const CompiledProgram& program);
 
 /// Thread-safe per-epoch memo of compiled programs. Fused programs are
-/// keyed by circuit fingerprint like the transpile cache; executables by
-/// (structural fingerprint, schedule policy), each entry also keeping the
-/// last binding it materialized so an exact repeat costs one lookup, and
-/// up to kMaxOutcomeVariants noisy outcomes of that binding (outcome()).
-/// Fused programs, fusion plans and executables are three BoundedCaches of
-/// `bytes_per_cache` each (a fifth of the epoch's budget), so an endless
-/// stream of distinct circuits evicts least-recently-used entries instead
-/// of growing without limit, and each cache evicts only its own. Entries are returned as
-/// shared_ptr, so eviction can never invalidate a program a simulation is
-/// replaying.
+/// keyed by structural fingerprint and executables by (structural
+/// fingerprint, schedule policy); each entry holds the structural half
+/// (FusionPlan / ExecutableStructure) and the last binding it
+/// materialized, so an exact repeat costs one lookup and a fresh binding
+/// skips the structural build. Executable entries also keep up to
+/// kMaxOutcomeVariants noisy outcomes of that binding (outcome()). Both
+/// are BoundedCaches of `bytes_per_cache` each (a quarter of the epoch's
+/// budget), so an endless stream of distinct circuits evicts
+/// least-recently-used entries instead of growing without limit, and each
+/// cache evicts only its own. Entries are returned as shared_ptr, so
+/// eviction can never invalidate a program a simulation is replaying.
 class CompiledProgramCache {
  public:
   /// Outcomes held per executable entry; the oldest is replaced first.
@@ -363,22 +365,23 @@ class CompiledProgramCache {
   /// Per-cache counters (BoundedCache::stats of each).
   struct Stats {
     CacheStats fused;
-    CacheStats plans;
     CacheStats executables;
   };
 
   /// Executables are scheduled against `device`, which must outlive the
   /// cache (a CalibrationEpoch passes its own device snapshot). Fused
-  /// programs, plans and executables may each hold `bytes_per_cache`.
+  /// programs and executables may each hold `bytes_per_cache`.
   explicit CompiledProgramCache(
       const Device& device,
       std::size_t bytes_per_cache = kDefaultCacheBytes)
       : device_(&device),
         fused_(bytes_per_cache),
-        plans_(bytes_per_cache),
         executables_(bytes_per_cache) {}
 
-  /// Fused compilation of `circuit` (ideal pipeline).
+  /// Fused compilation of `circuit` (ideal pipeline): the entry's program
+  /// on an exact repeat of its last binding; otherwise this binding
+  /// materialized from the structure's plan (built on first sight), which
+  /// then replaces the entry's binding.
   [[nodiscard]] std::shared_ptr<const CompiledProgram> fused(
       const Circuit& circuit) const;
 
@@ -403,10 +406,8 @@ class CompiledProgramCache {
   void store_outcome(const CircuitFingerprints& fp, SchedulePolicy policy,
                      OutcomeKey key, const Distribution& distribution) const;
 
-  /// Fusion plan for `circuit`'s structure, memoized per
-  /// structural_fingerprint. Exact-fingerprint misses in fused() go
-  /// through here, so a parameter sweep over one ansatz runs the fusion
-  /// walk once and only re-materializes matrices.
+  /// Fusion plan of `circuit`'s structure: the fused() entry's plan. On
+  /// first sight of the structure it builds the entry, binding `circuit`.
   [[nodiscard]] std::shared_ptr<const FusionPlan> plan(
       const Circuit& circuit) const;
 
@@ -417,7 +418,8 @@ class CompiledProgramCache {
   /// its hits include exact repeats.
   [[nodiscard]] Stats stats() const;
 
-  /// Fusion walks actually performed / avoided via the plan cache.
+  /// Fusion walks actually performed / avoided: the fused cache's misses
+  /// and hits (exact repeats included).
   [[nodiscard]] std::uint64_t plan_builds() const;
   [[nodiscard]] std::uint64_t plan_hits() const;
 
@@ -443,6 +445,14 @@ class CompiledProgramCache {
     OutcomeKey key;
     std::shared_ptr<const Distribution> distribution;
   };
+  /// Immutable once cached: a new binding replaces the entry.
+  struct FusedEntry {
+    std::shared_ptr<const FusionPlan> plan;
+    std::shared_ptr<const CompiledProgram> last;  ///< last binding seen
+    std::uint64_t last_exact = 0;  ///< circuit_fingerprint of `last`
+
+    [[nodiscard]] std::size_t bytes() const noexcept;
+  };
   /// Immutable once cached: a new binding or outcome replaces the entry.
   struct ExecutableEntry {
     std::shared_ptr<const ExecutableStructure> structure;
@@ -454,14 +464,15 @@ class CompiledProgramCache {
     [[nodiscard]] std::size_t bytes() const noexcept;
   };
 
-  /// Plan lookup with the structural key already in hand (fused() computes
-  /// both fingerprints in one circuit walk).
-  [[nodiscard]] std::shared_ptr<const FusionPlan> plan_for(
-      std::uint64_t structural_key, const Circuit& circuit) const;
+  /// Materialize `circuit` (fingerprints `fp`) from `entry`'s plan, or
+  /// from a fresh plan when `entry` is null, and store the result as the
+  /// structure's entry.
+  std::shared_ptr<const FusedEntry> bind(
+      const std::shared_ptr<const FusedEntry>& entry,
+      const CircuitFingerprints& fp, const Circuit& circuit) const;
 
   const Device* device_;
-  mutable BoundedCache<std::uint64_t, CompiledProgram> fused_;
-  mutable BoundedCache<std::uint64_t, FusionPlan> plans_;  ///< structural key
+  mutable BoundedCache<std::uint64_t, FusedEntry> fused_;  ///< structural key
   mutable BoundedCache<ExecutableKey, ExecutableEntry, ExecutableKeyHash>
       executables_;
   mutable std::atomic<std::uint64_t> outcome_hits_{0};

@@ -1,12 +1,13 @@
 // Tests for BoundedCache (common/bounded_cache.hpp) and the byte budget a
-// calibration epoch splits across its five caches.
+// calibration epoch splits across its four caches.
 //
 // A cache never holds more bytes than its capacity, evicts its own least
 // recently used entries first, and a value it handed out survives the
 // entry's eviction. Through an epoch: a stream of distinct circuits keeps
 // every cache within its share of the budget after every batch, one
-// cache's churn never evicts another cache's entries, and the service
-// reports entries, bytes, hits, misses and evictions per cache.
+// cache's churn never evicts another cache's entries, lanes racing on one
+// structure's fused entry each get their own binding's program, and the
+// service reports entries, bytes, hits, misses and evictions per cache.
 
 #include "common/bounded_cache.hpp"
 
@@ -23,6 +24,7 @@
 #include "hardware/device.hpp"
 #include "mapping/transpiler.hpp"
 #include "partition/partitioners.hpp"
+#include "same_kernels.hpp"
 #include "service/backend.hpp"
 #include "service/service.hpp"
 
@@ -166,20 +168,19 @@ void run_batch(const CalibrationEpoch& epoch, const Partitioner& partitioner,
 void expect_within_budget(const EpochCacheStats& s, const std::string& at) {
   const std::size_t share = s.budget_bytes / kEpochCaches;
   for (const CacheStats* c : {&s.transpile, &s.allocation_states, &s.fused,
-                              &s.plans, &s.executables}) {
+                              &s.executables}) {
     EXPECT_EQ(c->capacity, share) << at;
     EXPECT_LE(c->bytes, share) << at;
   }
   EXPECT_EQ(s.used_bytes, s.transpile.bytes + s.allocation_states.bytes +
-                              s.fused.bytes + s.plans.bytes +
-                              s.executables.bytes)
+                              s.fused.bytes + s.executables.bytes)
       << at;
   EXPECT_LE(s.used_bytes, s.budget_bytes) << at;
 }
 
 TEST(EpochCaches, DistinctCircuitStreamStaysWithinTheBudget) {
   // Each step below inserts into one cache of the epoch (allocation
-  // states, transpile templates, fusion plans and fused programs,
+  // states, transpile templates, fused programs with their fusion plans,
   // executables and their outcomes); the budget is checked after each.
   constexpr std::size_t kBudget = std::size_t{160} << 10;
   const CalibrationEpoch epoch(0, make_toronto27(), kBudget);
@@ -210,10 +211,9 @@ TEST(EpochCaches, DistinctCircuitStreamStaysWithinTheBudget) {
   const EpochCacheStats s = epoch.cache_memory();
   EXPECT_GT(s.transpile.evictions, 0u);
   EXPECT_GT(s.fused.evictions, 0u);
-  EXPECT_GT(s.plans.evictions, 0u);
   EXPECT_GT(s.executables.evictions, 0u);
   for (const CacheStats* c : {&s.transpile, &s.allocation_states, &s.fused,
-                              &s.plans, &s.executables}) {
+                              &s.executables}) {
     EXPECT_GT(c->entries, 0u);
   }
 }
@@ -306,6 +306,42 @@ TEST(EpochCaches, ConcurrentLanesStayWithinTheBudget) {
   EXPECT_GT(s.executables.hits + s.fused.hits, 0u);
 }
 
+TEST(EpochCaches, RacingBindingsOfOneStructureEachGetTheirOwnProgram) {
+  // Lanes scoring one sweep race on one structure's fused entry, each
+  // lookup replacing the binding another lane just stored (TSan and ASan
+  // run this in CI).
+  constexpr std::size_t kBudget = std::size_t{64} << 10;
+  const CalibrationEpoch epoch(0, make_toronto27(), kBudget);
+  Rng rng(31);
+  std::vector<Circuit> bindings(2, random_logical(rng, 3, 16));
+  for (std::size_t i = 0; i < bindings[1].size(); ++i) {
+    for (std::size_t j = 0; j < bindings[1].ops()[i].params.size(); ++j) {
+      bindings[1].set_param(i, j, rng.uniform(-3.0, 3.0));
+    }
+  }
+  ASSERT_EQ(structural_fingerprint(bindings[0]),
+            structural_fingerprint(bindings[1]));
+  ASSERT_NE(circuit_fingerprint(bindings[0]), circuit_fingerprint(bindings[1]));
+  const CompiledProgram want[2] = {CompiledProgram::compile(bindings[0]),
+                                   CompiledProgram::compile(bindings[1])};
+  constexpr int kThreads = 4;
+  std::vector<std::thread> lanes;
+  for (int t = 0; t < kThreads; ++t) {
+    lanes.emplace_back([&, t] {
+      for (int i = 0; i < 64; ++i) {
+        const std::size_t b = static_cast<std::size_t>(t + i) % 2;
+        const auto program = epoch.compiled_program(bindings[b]);
+        EXPECT_TRUE(test_programs::same_kernels(*program, want[b]))
+            << "thread " << t << " call " << i;
+      }
+    });
+  }
+  for (std::thread& lane : lanes) lane.join();
+  const EpochCacheStats s = epoch.cache_memory();
+  expect_within_budget(s, "after join");
+  EXPECT_EQ(s.fused.entries, 1u);
+}
+
 TEST(EpochCaches, ServiceStatsReportEveryCachePerBackend) {
   ServiceOptions opts;
   opts.exec.shots = 32;
@@ -329,7 +365,7 @@ TEST(EpochCaches, ServiceStatsReportEveryCachePerBackend) {
   EXPECT_EQ(s.budget_bytes, opts.cache_budget_bytes);
   expect_within_budget(s, "service");
   for (const CacheStats* c : {&s.transpile, &s.allocation_states, &s.fused,
-                              &s.plans, &s.executables}) {
+                              &s.executables}) {
     EXPECT_GT(c->entries, 0u);
     EXPECT_GT(c->bytes, 0u);
     EXPECT_GT(c->misses, 0u);

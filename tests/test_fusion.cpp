@@ -26,6 +26,7 @@
 #include "quiet_device.hpp"
 #include "random_programs.hpp"
 #include "reference_density.hpp"
+#include "same_kernels.hpp"
 #include "service/backend.hpp"
 #include "sim/density.hpp"
 #include "sim/executor.hpp"
@@ -442,6 +443,31 @@ TEST(CompiledProgramCache, MemoizesByFingerprint) {
   EXPECT_EQ(exe1.get(), exe2.get());
   EXPECT_EQ(cache.stats().fused.entries, 1u);
   EXPECT_EQ(cache.stats().executables.entries, 1u);
+
+  // Two bindings of one parameterized structure share one entry, which
+  // keeps the last binding it materialized.
+  const auto binding = [](double theta) {
+    Circuit p(2, 2);
+    p.ry(theta, 0);
+    p.cx(0, 1);
+    p.rz(0.5 * theta, 1);
+    p.measure_all();
+    return p;
+  };
+  const Circuit a = binding(0.3);
+  const Circuit b = binding(1.1);
+  CompiledProgramCache sweep(device);
+  const auto a1 = sweep.fused(a);
+  EXPECT_EQ(sweep.fused(a).get(), a1.get());  // exact repeat
+  const auto b1 = sweep.fused(b);
+  EXPECT_NE(b1.get(), a1.get());
+  EXPECT_EQ(sweep.fused(b).get(), b1.get());  // b replaced a ...
+  const auto a2 = sweep.fused(a);
+  EXPECT_NE(a2.get(), a1.get());  // ... so a re-materializes
+  EXPECT_TRUE(test_programs::same_kernels(*a2, CompiledProgram::compile(a)));
+  EXPECT_TRUE(test_programs::same_kernels(*b1, CompiledProgram::compile(b)));
+  EXPECT_EQ(sweep.plan_builds(), 1u);
+  EXPECT_EQ(sweep.stats().fused.entries, 1u);
 }
 
 TEST(NativeKernels, ScalarAndNativeDenseKernelsAgree) {

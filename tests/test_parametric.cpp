@@ -1,5 +1,5 @@
 // Golden suite for parametric compilation (mapping/parametric.hpp +
-// the structural transpile / fusion-plan caches).
+// the structure-keyed transpile and fused-program caches).
 //
 // The load-bearing contract is BIT-identity: a template bind must produce
 // exactly the TranspiledProgram the untraced pipeline
@@ -510,7 +510,7 @@ TEST(ParametricFusion, SweepRunsFusionWalkOnce) {
   // Regression for the recompile-per-angle-change inefficiency: a
   // 50-iteration angle sweep over one ansatz structure through the epoch's
   // program cache must run the fusion state machine exactly once and serve
-  // every later iteration from the plan cache.
+  // every later iteration from the structure's cached plan.
   const Device device = make_line_device(6);
   Backend backend(device);
   const auto epoch = backend.epoch();

@@ -1086,7 +1086,7 @@ TEST(Backend, TranspileCacheHitsAndEviction) {
   const std::vector<int> partition{0, 1, 2, 4};
   const TranspileOptions topts = hardware_aware_options();
   // The byte charge of one bell template, measured on a roomy epoch; a
-  // transpile cache of 2.5 templates (a fifth of the epoch budget) holds
+  // transpile cache of 2.5 templates (a quarter of the epoch budget) holds
   // exactly two.
   std::size_t entry_bytes = 0;
   {
