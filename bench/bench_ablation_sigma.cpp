@@ -69,7 +69,7 @@ void print_sigma_ablation() {
   for (const auto& [e1, e2, g] : d.crosstalk_ground_truth().pairs()) {
     truth.add_pair(e1, e2, g);
   }
-  const QumcPartitioner qumc(truth);
+  const auto qumc = make_partitioner(Method::QuMC, 4.0, truth);
   const auto loads = workloads();
 
   std::vector<std::vector<PartitionAssignment>> reference;
@@ -78,7 +78,7 @@ void print_sigma_ablation() {
   for (const auto& programs : loads) {
     std::vector<ProgramShape> ordered;
     for (auto i : allocation_order(programs)) ordered.push_back(programs[i]);
-    reference.push_back(*qumc.allocate(d, ordered));
+    reference.push_back(*qumc->allocate(d, ordered));
     const auto [oh, pl] = realized_conflicts(d, reference.back());
     qumc_one_hop += oh;
     qumc_planted += pl;
@@ -88,7 +88,7 @@ void print_sigma_ablation() {
              14);
   bench::rule(5, 14);
   for (double sigma : {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0}) {
-    const QucpPartitioner qucp(sigma);
+    const auto qucp = make_partitioner(Method::QuCP, sigma, std::nullopt);
     int same = 0;
     int total = 0;
     int one_hop = 0;
@@ -99,7 +99,7 @@ void print_sigma_ablation() {
       for (auto i : allocation_order(loads[w])) {
         ordered.push_back(loads[w][i]);
       }
-      const auto alloc = qucp.allocate(d, ordered);
+      const auto alloc = qucp->allocate(d, ordered);
       const auto [oh, pl] = realized_conflicts(d, *alloc);
       one_hop += oh;
       planted += pl;
@@ -124,10 +124,10 @@ void print_sigma_ablation() {
 
 void BM_QucpAllocation(benchmark::State& state) {
   const Device d = make_toronto27();
-  const QucpPartitioner qucp(4.0);
+  const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const auto programs = workloads()[0];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(qucp.allocate(d, programs));
+    benchmark::DoNotOptimize(qucp->allocate(d, programs));
   }
 }
 BENCHMARK(BM_QucpAllocation)->Unit(benchmark::kMicrosecond);

@@ -183,18 +183,18 @@ void print_allocator_table() {
 
   std::vector<AllocatorResult> results;
   for (const Device& device : devices) {
-    const QucpPartitioner qucp(4.0);
+    const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
     const std::vector<ProgramShape> shapes = batch_shapes();
     const std::vector<std::size_t> order = allocation_order(shapes);
     std::vector<ProgramShape> ordered;
     for (std::size_t idx : order) ordered.push_back(shapes[idx]);
 
-    results.push_back(run_batch_case(device, qucp, ordered, "qucp_batch4"));
+    results.push_back(run_batch_case(device, *qucp, ordered, "qucp_batch4"));
     const std::vector<ProgramShape> solo{ordered.front()};
-    results.push_back(run_batch_case(device, qucp, solo, "qucp_solo"));
-    const MultiqcPartitioner multiqc;
+    results.push_back(run_batch_case(device, *qucp, solo, "qucp_solo"));
+    const auto multiqc = make_partitioner(Method::MultiQC, 4.0, std::nullopt);
     results.push_back(
-        run_batch_case(device, multiqc, ordered, "multiqc_batch4"));
+        run_batch_case(device, *multiqc, ordered, "multiqc_batch4"));
   }
 
   bench::row({"device", "scenario", "zero-budget us", "memo cold us",
@@ -215,10 +215,10 @@ void print_allocator_table() {
 // google-benchmark timers over the same hot path for perf-diff output.
 void BM_AllocateBatchZeroBudget(benchmark::State& state) {
   const Device device = make_toronto27();
-  const QucpPartitioner qucp(4.0);
+  const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const std::vector<ProgramShape> shapes = batch_shapes();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(qucp.allocate(device, shapes));
+    benchmark::DoNotOptimize(qucp->allocate(device, shapes));
   }
 }
 BENCHMARK(BM_AllocateBatchZeroBudget);
@@ -226,23 +226,23 @@ BENCHMARK(BM_AllocateBatchZeroBudget);
 void BM_AllocateBatchMemoWarm(benchmark::State& state) {
   const Device device = make_toronto27();
   const CandidateIndex index(device);
-  const QucpPartitioner qucp(4.0);
+  const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const std::vector<ProgramShape> shapes = batch_shapes();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(qucp.allocate(device, shapes, &index));
+    benchmark::DoNotOptimize(qucp->allocate(device, shapes, &index));
   }
 }
 BENCHMARK(BM_AllocateBatchMemoWarm);
 
 void BM_AllocateBatchMemoCold(benchmark::State& state) {
   const Device device = make_toronto27();
-  const QucpPartitioner qucp(4.0);
+  const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const std::vector<ProgramShape> shapes = batch_shapes();
   for (auto _ : state) {
     state.PauseTiming();
     auto index = std::make_unique<CandidateIndex>(device);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(qucp.allocate(device, shapes, index.get()));
+    benchmark::DoNotOptimize(qucp->allocate(device, shapes, index.get()));
     state.PauseTiming();
     index.reset();
     state.ResumeTiming();

@@ -16,7 +16,7 @@ using namespace qucp;
 
 void sweep_circuit(const Device& d, const char* name) {
   const Circuit& circuit = get_benchmark(name).circuit;
-  const QucpPartitioner qucp(4.0);
+  const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   bench::heading(std::string("Fig. 4: ") + name +
                  " on IBM Q 65 Manhattan (max 6 copies)");
   bench::row({"threshold", "n_circ", "throughput", "avg PST", "runtime x"},
@@ -24,7 +24,7 @@ void sweep_circuit(const Device& d, const char* name) {
   bench::rule(5, 13);
   for (double tau : {0.0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8, 1.5, 3.0}) {
     const ThresholdSelection sel =
-        select_parallel_count(d, shape_of(circuit), 6, tau, qucp);
+        select_parallel_count(d, shape_of(circuit), 6, tau, *qucp);
     ParallelOptions opts;
     opts.exec.shots = 1024;
     const std::vector<Circuit> batch(
@@ -50,11 +50,11 @@ void print_fig4() {
 
 void BM_ThresholdSelection(benchmark::State& state) {
   const Device d = make_manhattan65();
-  const QucpPartitioner qucp(4.0);
+  const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const ProgramShape shape = shape_of(get_benchmark("4mod").circuit);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        select_parallel_count(d, shape, 6, 0.2, qucp));
+        select_parallel_count(d, shape, 6, 0.2, *qucp));
   }
 }
 BENCHMARK(BM_ThresholdSelection)->Unit(benchmark::kMillisecond);

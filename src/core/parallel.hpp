@@ -15,13 +15,9 @@
 // simultaneous ALAP execution on the noisy simulator, and fidelity scoring
 // (PST/JSD vs the ideal output).
 //
-// Methods map to the paper's comparison set:
-//   QuCP    — EFS partitioning with sigma-emulated crosstalk (this paper)
-//   QuMC    — EFS partitioning with SRB-measured crosstalk
-//   CNA     — first-fit partitioning + gate-level crosstalk-aware mapping
-//   QuCloud — fidelity-degree partitioning, crosstalk-blind
-//   MultiQC — reliability partitioning, crosstalk-blind
-//   Naive   — first-fit partitioning, calibration-blind
+// The method (the paper's comparison set, partition/partitioners.hpp)
+// picks the partitioner, MethodPartitioner, that make_partitioner builds;
+// CNA additionally turns on gate-level crosstalk-aware mapping.
 
 #include <optional>
 #include <string>
@@ -35,14 +31,10 @@
 
 namespace qucp {
 
-enum class Method { QuCP, QuMC, CNA, QuCloud, MultiQC, Naive };
-
-[[nodiscard]] std::string_view method_name(Method m) noexcept;
-
 struct ParallelOptions {
   Method method = Method::QuCP;
   double sigma = 4.0;  ///< QuCP's crosstalk parameter (paper: sigma = 4)
-  ExecOptions exec;    ///< shots, scheduling policy, noise toggles, seed
+  ExecOptions exec;    ///< shots, scheduling policy, seed
   /// SRB crosstalk estimates; required by QuMC, used by CNA when present.
   std::optional<CrosstalkModel> srb_estimates;
   /// Peephole-optimize circuits during transpilation. ZNE disables this:
@@ -80,12 +72,5 @@ struct BatchReport {
 [[nodiscard]] BatchReport run_parallel(const Device& device,
                                        const std::vector<Circuit>& programs,
                                        const ParallelOptions& options = {});
-
-/// The partitioner behind a method (CNA shares Naive's first-fit
-/// partitioner — the paper notes CNA has no partitioning algorithm of its
-/// own). QuMC requires estimates.
-[[nodiscard]] std::unique_ptr<Partitioner> make_partitioner(
-    Method method, double sigma,
-    const std::optional<CrosstalkModel>& estimates);
 
 }  // namespace qucp

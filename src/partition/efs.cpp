@@ -6,9 +6,9 @@
 
 namespace qucp {
 
-SigmaPolicy::SigmaPolicy(double sigma) : sigma_(sigma) {
+CrosstalkPolicy::CrosstalkPolicy(double sigma) : sigma_(sigma) {
   if (sigma < 1.0) {
-    throw std::invalid_argument("SigmaPolicy: sigma must be >= 1");
+    throw std::invalid_argument("CrosstalkPolicy: sigma must be >= 1");
   }
 }
 

@@ -6,13 +6,10 @@
 // EFS estimates the *error* a program accumulates on a partition (lower is
 // better, despite the name). Avg2q(cross) averages CX errors over the
 // partition's internal edges, where edges one-hop away from already-
-// allocated edges ("q_crosstalk") have their error inflated by a crosstalk
-// policy:
-//   - SigmaPolicy       : fixed sigma multiplier (QuCP — no characterization)
-//   - EstimatePolicy    : per-pair multipliers from SRB estimates (QuMC)
-//   - NoCrosstalkPolicy : ignore crosstalk (QuCloud/MultiQC-style baselines)
+// allocated edges ("q_crosstalk") have their error inflated by a
+// CrosstalkPolicy: a flat sigma (QuCP; sigma = 1 ignores crosstalk, as the
+// QuCloud/MultiQC-style baselines do) or per-pair SRB estimates (QuMC).
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -29,43 +26,26 @@ struct ProgramShape {
 
 /// Crosstalk multiplier applied to a candidate edge adjacent (one-hop) to
 /// an allocated edge.
-class CrosstalkPolicy {
+class CrosstalkPolicy final {
  public:
-  virtual ~CrosstalkPolicy() = default;
+  /// Every one-hop conflict costs a flat `sigma` (>= 1; the paper's QuCP
+  /// sets 4). The default, sigma = 1, ignores crosstalk.
+  explicit CrosstalkPolicy(double sigma = 1.0);
+  /// Per-pair multipliers measured by SRB (or any CrosstalkModel), which
+  /// must outlive the policy.
+  explicit CrosstalkPolicy(const CrosstalkModel& estimates)
+      : estimates_(&estimates) {}
+
   /// Multiplier (>= 1) for candidate edge `cand_edge` given allocated
   /// neighbor edge `alloc_edge` (device edge ids).
-  [[nodiscard]] virtual double multiplier(int cand_edge,
-                                          int alloc_edge) const = 0;
-};
-
-class NoCrosstalkPolicy final : public CrosstalkPolicy {
- public:
-  [[nodiscard]] double multiplier(int, int) const override { return 1.0; }
-};
-
-/// QuCP: every one-hop conflict costs a flat sigma (paper sets sigma = 4).
-class SigmaPolicy final : public CrosstalkPolicy {
- public:
-  explicit SigmaPolicy(double sigma);
-  [[nodiscard]] double multiplier(int, int) const override { return sigma_; }
-  [[nodiscard]] double sigma() const noexcept { return sigma_; }
-
- private:
-  double sigma_;
-};
-
-/// QuMC: per-pair multipliers measured by SRB (or any CrosstalkModel).
-class EstimatePolicy final : public CrosstalkPolicy {
- public:
-  explicit EstimatePolicy(const CrosstalkModel& estimates)
-      : estimates_(&estimates) {}
-  [[nodiscard]] double multiplier(int cand_edge,
-                                  int alloc_edge) const override {
-    return estimates_->gamma(cand_edge, alloc_edge);
+  [[nodiscard]] double multiplier(int cand_edge, int alloc_edge) const {
+    return estimates_ != nullptr ? estimates_->gamma(cand_edge, alloc_edge)
+                                 : sigma_;
   }
 
  private:
-  const CrosstalkModel* estimates_;
+  double sigma_ = 1.0;
+  const CrosstalkModel* estimates_ = nullptr;
 };
 
 /// EFS evaluation detail for reporting and tests.

@@ -10,6 +10,18 @@
 
 namespace qucp {
 
+std::string_view method_name(Method m) noexcept {
+  switch (m) {
+    case Method::QuCP: return "QuCP";
+    case Method::QuMC: return "QuMC";
+    case Method::CNA: return "CNA";
+    case Method::QuCloud: return "QuCloud";
+    case Method::MultiQC: return "MultiQC";
+    case Method::Naive: return "Naive";
+  }
+  return "?";
+}
+
 ProgramShape shape_of(const Circuit& circuit) {
   ProgramShape shape;
   shape.num_qubits = static_cast<int>(circuit.active_qubits().size());
@@ -121,7 +133,7 @@ std::optional<std::vector<PartitionAssignment>> score_greedy_allocate(
     const Device& device, const CandidateIndex& index,
     std::span<const ProgramShape> programs,
     ScoreFn score /* higher is better */) {
-  const NoCrosstalkPolicy no_xtalk;
+  const CrosstalkPolicy no_xtalk;
   // Negated, so the highest score wins with the same first-on-ties rule
   // (negation is exact).
   return memo_allocate(index, programs, no_xtalk,
@@ -161,38 +173,13 @@ double multiqc_score(const Device& dev, std::span<const int> cand) {
   return log_survival;
 }
 
-}  // namespace
-
-std::optional<std::vector<PartitionAssignment>> QucpPartitioner::do_allocate(
-    const Device& /*device*/, std::span<const ProgramShape> programs,
-    const CandidateIndex& index) const {
-  return efs_greedy_allocate(index, programs, policy_);
-}
-
-std::optional<std::vector<PartitionAssignment>> QumcPartitioner::do_allocate(
-    const Device& /*device*/, std::span<const ProgramShape> programs,
-    const CandidateIndex& index) const {
-  return efs_greedy_allocate(index, programs, policy_);
-}
-
-std::optional<std::vector<PartitionAssignment>> QucloudPartitioner::do_allocate(
-    const Device& device, std::span<const ProgramShape> programs,
-    const CandidateIndex& index) const {
-  return score_greedy_allocate(device, index, programs, qucloud_score);
-}
-
-std::optional<std::vector<PartitionAssignment>> MultiqcPartitioner::do_allocate(
-    const Device& device, std::span<const ProgramShape> programs,
-    const CandidateIndex& index) const {
-  return score_greedy_allocate(device, index, programs, multiqc_score);
-}
-
-std::optional<std::vector<PartitionAssignment>> NaivePartitioner::do_allocate(
-    const Device& device, std::span<const ProgramShape> programs,
-    const CandidateIndex& /*index*/) const {
-  // First-fit BFS needs no candidate enumeration, so the index is unused.
+/// First-fit allocation (Naive and CNA): per program, the BFS region of
+/// the requested size grown from the lowest free qubit that has one. It
+/// needs no candidate enumeration, so no index.
+std::optional<std::vector<PartitionAssignment>> first_fit_allocate(
+    const Device& device, std::span<const ProgramShape> programs) {
   const Topology& topo = device.topology();
-  const NoCrosstalkPolicy no_xtalk;
+  const CrosstalkPolicy no_xtalk;
   std::vector<PartitionAssignment> result(programs.size());
   std::set<int> blocked;
   for (std::size_t idx = 0; idx < programs.size(); ++idx) {
@@ -232,6 +219,49 @@ std::optional<std::vector<PartitionAssignment>> NaivePartitioner::do_allocate(
     result[idx] = std::move(assignment);
   }
   return result;
+}
+
+}  // namespace
+
+MethodPartitioner::MethodPartitioner(
+    Method method, double sigma,
+    const std::optional<CrosstalkModel>& estimates)
+    : method_(method),
+      sigma_(sigma),
+      estimates_(method == Method::QuMC ? estimates : std::nullopt) {
+  if (method_ == Method::QuCP) (void)CrosstalkPolicy(sigma_);  // validates
+  if (method_ == Method::QuMC && !estimates_) {
+    throw std::invalid_argument("MethodPartitioner: QuMC requires estimates");
+  }
+}
+
+std::string MethodPartitioner::name() const {
+  return std::string(method_name(method_));
+}
+
+std::optional<std::vector<PartitionAssignment>> MethodPartitioner::do_allocate(
+    const Device& device, std::span<const ProgramShape> programs,
+    const CandidateIndex& index) const {
+  switch (method_) {
+    case Method::QuCP:
+      return efs_greedy_allocate(index, programs, CrosstalkPolicy(sigma_));
+    case Method::QuMC:
+      return efs_greedy_allocate(index, programs, CrosstalkPolicy(*estimates_));
+    case Method::QuCloud:
+      return score_greedy_allocate(device, index, programs, qucloud_score);
+    case Method::MultiQC:
+      return score_greedy_allocate(device, index, programs, multiqc_score);
+    case Method::CNA:
+    case Method::Naive:
+      return first_fit_allocate(device, programs);
+  }
+  throw std::logic_error("MethodPartitioner: unhandled method");
+}
+
+std::unique_ptr<Partitioner> make_partitioner(
+    Method method, double sigma,
+    const std::optional<CrosstalkModel>& estimates) {
+  return std::make_unique<MethodPartitioner>(method, sigma, estimates);
 }
 
 }  // namespace qucp

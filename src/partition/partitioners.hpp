@@ -1,17 +1,16 @@
 #pragma once
-// Qubit partitioners: QuCP (this paper), QuMC, QuCloud-style,
-// MultiQC-style, and a naive first-fit baseline.
-//
-// All allocate connected, mutually-disjoint physical-qubit regions for a
-// batch of programs. Programs are processed largest-first (qubits, then CX
-// count), the order QuMC uses. QuCP and QuMC share the candidate
-// generation + EFS machinery and differ only in where the crosstalk
-// multiplier comes from: a flat sigma vs. SRB measurements — the paper's
-// central comparison.
+// Qubit partitioners for the paper's comparison set (Method), all served by
+// one class, MethodPartitioner. Each allocates connected, mutually-disjoint
+// physical-qubit regions for a batch of programs, processed largest-first
+// (qubits, then CX count), the order QuMC uses. QuCP and QuMC share the
+// candidate generation + EFS machinery and differ only in where the
+// crosstalk multiplier comes from: a flat sigma vs. SRB measurements — the
+// paper's central comparison.
 
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "circuit/circuit.hpp"
 #include "partition/efs.hpp"
@@ -19,6 +18,17 @@
 namespace qucp {
 
 class CandidateIndex;     // partition/candidate_index.hpp
+
+/// The paper's comparison set of multi-programming methods:
+///   QuCP    — EFS partitioning with sigma-emulated crosstalk (this paper)
+///   QuMC    — EFS partitioning with SRB-measured crosstalk
+///   CNA     — first-fit partitioning + gate-level crosstalk-aware mapping
+///   QuCloud — fidelity-degree partitioning, crosstalk-blind
+///   MultiQC — reliability partitioning, crosstalk-blind
+///   Naive   — first-fit partitioning, calibration-blind
+enum class Method { QuCP, QuMC, CNA, QuCloud, MultiQC, Naive };
+
+[[nodiscard]] std::string_view method_name(Method m) noexcept;
 
 /// Derive a program's partition requirements from its circuit.
 [[nodiscard]] ProgramShape shape_of(const Circuit& circuit);
@@ -28,6 +38,8 @@ struct PartitionAssignment {
   EfsBreakdown efs;         ///< score in its allocation context
 };
 
+/// The allocator interface: MethodPartitioner in production, the index-less
+/// oracle of tests/reference_allocator.hpp in tests.
 class Partitioner {
  public:
   virtual ~Partitioner() = default;
@@ -82,63 +94,35 @@ class Partitioner {
     const Device& device, const Partitioner& partitioner,
     const ProgramShape& shape, const CandidateIndex* index = nullptr);
 
-/// QuCP: EFS-greedy with flat sigma crosstalk emulation. No SRB needed.
-class QucpPartitioner final : public Partitioner {
+/// The partitioner behind every method. QuCP and QuMC take each program's
+/// lowest-EFS candidate; QuCloud ranks candidates by qubit "fidelity
+/// degree" and MultiQC (Das et al.) by gate/readout survival; Naive and CNA
+/// (which has no partitioning algorithm of its own) take the first-fit BFS
+/// region from the lowest free qubit. The crosstalk policy is built per
+/// call, so a copy does not depend on its original.
+class MethodPartitioner final : public Partitioner {
  public:
-  explicit QucpPartitioner(double sigma = 4.0) : policy_(sigma) {}
-  [[nodiscard]] std::string name() const override { return "QuCP"; }
-  [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
-      const Device& device, std::span<const ProgramShape> programs,
-      const CandidateIndex& index) const override;
-  [[nodiscard]] double sigma() const noexcept { return policy_.sigma(); }
+  /// `sigma` is read by QuCP only and must be >= 1 there; `estimates` are
+  /// read (and kept) by QuMC only, which throws std::invalid_argument
+  /// without them.
+  MethodPartitioner(Method method, double sigma,
+                    const std::optional<CrosstalkModel>& estimates);
+  [[nodiscard]] std::string name() const override;
 
- private:
-  SigmaPolicy policy_;
-};
-
-/// QuMC: EFS-greedy with measured (SRB-estimated) per-pair crosstalk.
-class QumcPartitioner final : public Partitioner {
- public:
-  explicit QumcPartitioner(CrosstalkModel srb_estimates)
-      : estimates_(std::move(srb_estimates)), policy_(estimates_) {}
-  [[nodiscard]] std::string name() const override { return "QuMC"; }
+ protected:
   [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
       const Device& device, std::span<const ProgramShape> programs,
       const CandidateIndex& index) const override;
 
  private:
-  CrosstalkModel estimates_;
-  EstimatePolicy policy_;
+  Method method_;
+  double sigma_;
+  std::optional<CrosstalkModel> estimates_;  ///< QuMC's only
 };
 
-/// QuCloud-style: ranks candidates by qubit "fidelity degree"
-/// (connectivity weighted by local gate fidelity) without crosstalk terms.
-class QucloudPartitioner final : public Partitioner {
- public:
-  [[nodiscard]] std::string name() const override { return "QuCloud"; }
-  [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
-      const Device& device, std::span<const ProgramShape> programs,
-      const CandidateIndex& index) const override;
-};
-
-/// MultiQC-style (Das et al.): picks the most reliable region by a
-/// success-probability utility (product of gate/readout survivals).
-class MultiqcPartitioner final : public Partitioner {
- public:
-  [[nodiscard]] std::string name() const override { return "MultiQC"; }
-  [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
-      const Device& device, std::span<const ProgramShape> programs,
-      const CandidateIndex& index) const override;
-};
-
-/// First-fit connected region by BFS from the lowest free index,
-/// calibration-blind. Ablation baseline.
-class NaivePartitioner final : public Partitioner {
- public:
-  [[nodiscard]] std::string name() const override { return "Naive"; }
-  [[nodiscard]] std::optional<std::vector<PartitionAssignment>> do_allocate(
-      const Device& device, std::span<const ProgramShape> programs,
-      const CandidateIndex& index) const override;
-};
+/// The partitioner behind a method, as MethodPartitioner builds it.
+[[nodiscard]] std::unique_ptr<Partitioner> make_partitioner(
+    Method method, double sigma,
+    const std::optional<CrosstalkModel>& estimates);
 
 }  // namespace qucp

@@ -61,19 +61,6 @@ TranspileSetup transpile_setup(const ParallelOptions& options,
   return setup;
 }
 
-/// The pipeline configuration a service batch runs with, before the
-/// per-batch seed and kernel-thread budget are applied. The sweep prebind
-/// derives its transpile options from it too.
-ParallelOptions pipeline_options(const ServiceOptions& options) {
-  ParallelOptions popts;
-  popts.method = options.method;
-  popts.sigma = options.sigma;
-  popts.exec = options.exec;
-  popts.srb_estimates = options.srb_estimates;
-  popts.optimize_circuits = options.optimize_circuits;
-  return popts;
-}
-
 }  // namespace
 
 BatchReport run_batch_pipeline(
@@ -570,8 +557,7 @@ void ExecutionService::dispatch_pending() {
   const bool sweep_eligible = options_.cache_budget_bytes > 0 &&
                               options_.method != Method::CNA;
   if (sweep_eligible) {
-    const TranspileSetup setup =
-        transpile_setup(pipeline_options(options_), {});
+    const TranspileSetup setup = transpile_setup(options_, {});
     for (std::size_t s = 0; s < plan.batches.size(); ++s) {
       struct Target {
         std::size_t batch;
@@ -698,7 +684,9 @@ void ExecutionService::execute_batch(Lane& lane, Batch batch,
     names.push_back(job->name);
   }
 
-  ParallelOptions popts = pipeline_options(options_);
+  // The batch runs with the service's method configuration, before the
+  // per-batch seed and kernel-thread budget below are applied.
+  ParallelOptions popts = options_;
   // Decorrelate batches fleet-wide while keeping batch 0 of lane 0 on the
   // caller's exact seed (the run_parallel() shim runs as that batch and
   // must stay bit-identical to the historical single-shot behavior).

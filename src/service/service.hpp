@@ -63,14 +63,9 @@
 
 namespace qucp {
 
-struct ServiceOptions {
-  Method method = Method::QuCP;
-  double sigma = 4.0;  ///< QuCP crosstalk parameter (paper: sigma = 4)
-  ExecOptions exec;    ///< shots, schedule, base seed
-  /// SRB crosstalk estimates; required by QuMC, used by CNA when present.
-  std::optional<CrosstalkModel> srb_estimates;
-  bool optimize_circuits = true;
-
+/// ParallelOptions' method configuration, which every batch runs with
+/// (`exec.seed` is the base seed), plus the service's own knobs.
+struct ServiceOptions : ParallelOptions {
   int num_workers = 4;     ///< batch-executing threads per backend lane
   int max_batch_size = 4;  ///< jobs per batch; <= 0 means unbounded
   /// §IV-B fidelity threshold: max EFS degradation vs running solo before

@@ -570,7 +570,10 @@ std::shared_ptr<const CompiledProgram> CompiledProgramCache::fused(
     const Circuit& circuit) const {
   const CircuitFingerprints fp = circuit_fingerprints(circuit);
   const std::shared_ptr<const FusedEntry> entry = fused_.find(fp.structural);
-  if (entry != nullptr && entry->last_exact == fp.exact) return entry->last;
+  if (entry != nullptr && entry->last_exact == fp.exact &&
+      entry->native == kern::native_kernels_active()) {
+    return entry->last;
+  }
   return bind(entry, fp, circuit)->last;
 }
 
@@ -580,7 +583,9 @@ CompiledProgramCache::bind(const std::shared_ptr<const FusedEntry>& entry,
                            const Circuit& circuit) const {
   // Both steps are deterministic and run outside any lock, so a racing
   // duplicate build is identical anyway; materialize() is bit-identical to
-  // CompiledProgram::compile() (pinned by tests/test_parametric.cpp).
+  // CompiledProgram::compile() in the same kernel mode (pinned by
+  // tests/test_parametric.cpp). The plan does not depend on the mode.
+  const bool native = kern::native_kernels_active();
   std::shared_ptr<const FusionPlan> plan =
       entry != nullptr
           ? entry->plan
@@ -589,7 +594,7 @@ CompiledProgramCache::bind(const std::shared_ptr<const FusedEntry>& entry,
       CompiledProgram::materialize(*plan, circuit));
   // Copy on write: readers holding the old entry keep a consistent view.
   auto next = std::make_shared<const FusedEntry>(
-      FusedEntry{std::move(plan), std::move(program), fp.exact});
+      FusedEntry{std::move(plan), std::move(program), fp.exact, native});
   fused_.assign(fp.structural, next, next->bytes());
   return next;
 }

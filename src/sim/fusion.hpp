@@ -379,9 +379,10 @@ class CompiledProgramCache {
         executables_(bytes_per_cache) {}
 
   /// Fused compilation of `circuit` (ideal pipeline): the entry's program
-  /// on an exact repeat of its last binding; otherwise this binding
-  /// materialized from the structure's plan (built on first sight), which
-  /// then replaces the entry's binding.
+  /// on an exact repeat of its last binding under the current kernel mode
+  /// (kern::native_kernels_active(), whose 4x4 products round differently);
+  /// otherwise this binding materialized from the structure's plan (built
+  /// on first sight), which then replaces the entry's binding.
   [[nodiscard]] std::shared_ptr<const CompiledProgram> fused(
       const Circuit& circuit) const;
 
@@ -450,6 +451,7 @@ class CompiledProgramCache {
     std::shared_ptr<const FusionPlan> plan;
     std::shared_ptr<const CompiledProgram> last;  ///< last binding seen
     std::uint64_t last_exact = 0;  ///< circuit_fingerprint of `last`
+    bool native = false;  ///< kernel mode `last` was materialized under
 
     [[nodiscard]] std::size_t bytes() const noexcept;
   };

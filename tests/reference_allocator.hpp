@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,7 +68,7 @@ template <typename ScoreFn>
 Allocation score_greedy_allocate(const Device& device,
                                  std::span<const ProgramShape> programs,
                                  ScoreFn score /* higher is better */) {
-  const NoCrosstalkPolicy no_xtalk;
+  const CrosstalkPolicy no_xtalk;
   std::vector<PartitionAssignment> result(programs.size());
   std::vector<int> allocated;
   for (std::size_t idx = 0; idx < programs.size(); ++idx) {
@@ -147,27 +148,27 @@ class ReferencePartitioner final : public Partitioner {
   Loop loop_;
 };
 
-/// The reference twin of QucpPartitioner(sigma).
+/// The reference twin of the QuCP partitioner at `sigma`.
 inline std::unique_ptr<Partitioner> qucp(double sigma = 4.0) {
   return std::make_unique<ReferencePartitioner>(
-      "QuCP", [policy = SigmaPolicy(sigma)](
+      "QuCP", [policy = CrosstalkPolicy(sigma)](
                   const Device& device,
                   std::span<const ProgramShape> programs) {
         return efs_greedy_allocate(device, programs, policy);
       });
 }
 
-/// The reference twin of QumcPartitioner(estimates).
+/// The reference twin of the QuMC partitioner with `estimates`.
 inline std::unique_ptr<Partitioner> qumc(CrosstalkModel estimates) {
   auto shared = std::make_shared<const CrosstalkModel>(std::move(estimates));
   return std::make_unique<ReferencePartitioner>(
       "QuMC", [shared](const Device& device,
                        std::span<const ProgramShape> programs) {
-        return efs_greedy_allocate(device, programs, EstimatePolicy(*shared));
+        return efs_greedy_allocate(device, programs, CrosstalkPolicy(*shared));
       });
 }
 
-/// The reference twin of QucloudPartitioner.
+/// The reference twin of the QuCloud partitioner.
 inline std::unique_ptr<Partitioner> qucloud() {
   return std::make_unique<ReferencePartitioner>(
       "QuCloud",
@@ -176,7 +177,7 @@ inline std::unique_ptr<Partitioner> qucloud() {
       });
 }
 
-/// The reference twin of MultiqcPartitioner.
+/// The reference twin of the MultiQC partitioner.
 inline std::unique_ptr<Partitioner> multiqc() {
   return std::make_unique<ReferencePartitioner>(
       "MultiQC",
@@ -190,5 +191,23 @@ struct PartitionerPair {
   std::unique_ptr<Partitioner> subject;
   std::unique_ptr<Partitioner> oracle;
 };
+
+/// make_partitioner(method, sigma, estimates) and its reference twin, for
+/// the candidate-based methods (QuCP, QuMC, QuCloud, MultiQC).
+inline PartitionerPair pair_of(
+    Method method, double sigma = 4.0,
+    const std::optional<CrosstalkModel>& estimates = std::nullopt) {
+  PartitionerPair out{make_partitioner(method, sigma, estimates), nullptr};
+  switch (method) {
+    case Method::QuCP: out.oracle = qucp(sigma); break;
+    case Method::QuMC: out.oracle = qumc(*estimates); break;
+    case Method::QuCloud: out.oracle = qucloud(); break;
+    case Method::MultiQC: out.oracle = multiqc(); break;
+    case Method::CNA:
+    case Method::Naive:
+      throw std::invalid_argument("reference::pair_of: no reference twin");
+  }
+  return out;
+}
 
 }  // namespace qucp::reference

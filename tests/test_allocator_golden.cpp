@@ -47,19 +47,16 @@ using reference::PartitionerPair;
 std::vector<PartitionerPair> candidate_partitioners(const Device& device,
                                                     Rng& rng) {
   std::vector<PartitionerPair> out;
-  out.push_back({std::make_unique<QucpPartitioner>(4.0), reference::qucp(4.0)});
+  out.push_back(reference::pair_of(Method::QuCP));
   CrosstalkModel estimates;
   for (const auto& [e1, e2] : device.topology().one_hop_edge_pairs()) {
     if (rng.bernoulli(0.5)) {
       estimates.add_pair(e1, e2, rng.uniform(1.0, 8.0));
     }
   }
-  out.push_back({std::make_unique<QumcPartitioner>(estimates),
-                 reference::qumc(estimates)});
-  out.push_back(
-      {std::make_unique<QucloudPartitioner>(), reference::qucloud()});
-  out.push_back(
-      {std::make_unique<MultiqcPartitioner>(), reference::multiqc()});
+  out.push_back(reference::pair_of(Method::QuMC, 4.0, estimates));
+  out.push_back(reference::pair_of(Method::QuCloud));
+  out.push_back(reference::pair_of(Method::MultiQC));
   return out;
 }
 
@@ -125,6 +122,35 @@ TEST(AllocatorGolden, IndexedAllocationBitIdenticalOnAllTopologies) {
   }
 }
 
+TEST(AllocatorGolden, CopiedQumcPartitionerOutlivesItsOriginal) {
+  // A partitioner owns its estimates and builds its crosstalk policy per
+  // call, so a copy must keep allocating correctly once the original (and
+  // everything it owned) is gone.
+  const Device device = make_toronto27();
+  Rng rng(1729);
+  CrosstalkModel estimates;
+  for (const auto& [e1, e2] : device.topology().one_hop_edge_pairs()) {
+    estimates.add_pair(e1, e2, rng.uniform(1.0, 8.0));
+  }
+  auto original =
+      std::make_unique<MethodPartitioner>(Method::QuMC, 4.0, estimates);
+  const MethodPartitioner copy = *original;
+  original.reset();
+  const auto oracle = reference::qumc(estimates);
+  for (int batch = 0; batch < 8; ++batch) {
+    std::vector<ProgramShape> shapes = random_batch(rng, 6);
+    const std::vector<std::size_t> order = allocation_order(shapes);
+    std::vector<ProgramShape> ordered;
+    for (std::size_t idx : order) ordered.push_back(shapes[idx]);
+    CandidateIndex index(device);
+    const std::string context = "batch" + std::to_string(batch);
+    const auto want = oracle->allocate(device, ordered);
+    expect_identical(want, copy.allocate(device, ordered, &index), context);
+    expect_identical(want, copy.allocate(device, ordered),
+                     context + "/zero-budget");
+  }
+}
+
 TEST(AllocatorGolden, CandidateGenerationHashIsPinned) {
   // partition_candidates is the one candidate generator: the memo builds
   // its states from it, so the indexed-vs-reference goldens above and
@@ -178,7 +204,7 @@ TEST(AllocatorGolden, CandidateGenerationHashIsPinned) {
 TEST(AllocatorGolden, PackerDecisionsIdenticalWithIndex) {
   const Device device = make_toronto27();
   CandidateIndex index(device);
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const auto oracle = reference::qucp();
   Rng rng(99);
   for (int trial = 0; trial < 8; ++trial) {
@@ -204,7 +230,7 @@ TEST(AllocatorGolden, PackerDecisionsIdenticalWithIndex) {
     const FleetPlan reference = pack_fleet(
         std::span<const FleetSlot>(&slot_ref, 1), jobs, *oracle, opts, policy);
     const FleetPlan indexed = pack_fleet(
-        std::span<const FleetSlot>(&slot_idx, 1), jobs, partitioner, opts,
+        std::span<const FleetSlot>(&slot_idx, 1), jobs, *partitioner, opts,
         policy);
     ASSERT_EQ(reference.batches[0].size(), indexed.batches[0].size()) << trial;
     for (std::size_t b = 0; b < reference.batches[0].size(); ++b) {
@@ -233,10 +259,10 @@ TEST(AllocatorGolden, IndexValidatesPartitionSize) {
 TEST(AllocatorGolden, OversizedProgramsYieldNoCandidates) {
   const Device device = make_line_device(4);
   CandidateIndex index(device);
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const std::vector<ProgramShape> programs{ProgramShape{5, 3, 3}};
-  EXPECT_FALSE(partitioner.allocate(device, programs, &index).has_value());
-  EXPECT_FALSE(partitioner.allocate(device, programs).has_value());
+  EXPECT_FALSE(partitioner->allocate(device, programs, &index).has_value());
+  EXPECT_FALSE(partitioner->allocate(device, programs).has_value());
   EXPECT_FALSE(reference::qucp()->allocate(device, programs).has_value());
 }
 
@@ -280,20 +306,15 @@ TEST(AllocatorGolden, MemoSharedAcrossPoliciesBitIdentical) {
   for (const Device& device : devices) {
     CandidateIndex index(device);
     std::vector<PartitionerPair> partitioners;
-    partitioners.push_back(
-        {std::make_unique<QucpPartitioner>(4.0), reference::qucp(4.0)});
-    partitioners.push_back(
-        {std::make_unique<QucpPartitioner>(2.0), reference::qucp(2.0)});
+    partitioners.push_back(reference::pair_of(Method::QuCP, 4.0));
+    partitioners.push_back(reference::pair_of(Method::QuCP, 2.0));
     CrosstalkModel estimates;
     for (const auto& [e1, e2] : device.topology().one_hop_edge_pairs()) {
       if (rng.bernoulli(0.5)) estimates.add_pair(e1, e2, rng.uniform(1.0, 8.0));
     }
-    partitioners.push_back({std::make_unique<QumcPartitioner>(estimates),
-                            reference::qumc(estimates)});
-    partitioners.push_back(
-        {std::make_unique<QucloudPartitioner>(), reference::qucloud()});
-    partitioners.push_back(
-        {std::make_unique<MultiqcPartitioner>(), reference::multiqc()});
+    partitioners.push_back(reference::pair_of(Method::QuMC, 4.0, estimates));
+    partitioners.push_back(reference::pair_of(Method::QuCloud));
+    partitioners.push_back(reference::pair_of(Method::MultiQC));
 
     const int n = device.num_qubits();
     for (int batch = 0; batch < 40; ++batch) {
@@ -362,12 +383,12 @@ TEST(AllocatorGolden, MemoStatesMatchReferenceOnArbitraryMasks) {
   devices.push_back(make_manhattan65());
   for (const Device& device : devices) {
     CandidateIndex index(device);
-    const SigmaPolicy sigma(4.0);
+    const CrosstalkPolicy sigma(4.0);
     CrosstalkModel estimates;
     for (const auto& [e1, e2] : device.topology().one_hop_edge_pairs()) {
       estimates.add_pair(e1, e2, rng.uniform(1.0, 8.0));
     }
-    const EstimatePolicy measured(estimates);
+    const CrosstalkPolicy measured(estimates);
     for (int trial = 0; trial < 60; ++trial) {
       const int k = static_cast<int>(rng.integer(1, 5));
       CandidateIndex::StateKey key = index.empty_key(k);
@@ -383,9 +404,7 @@ TEST(AllocatorGolden, MemoStatesMatchReferenceOnArbitraryMasks) {
       for (std::size_t i = 0; i < reference.size(); ++i) {
         const std::span<const int> part = state->part(i);
         ASSERT_EQ(std::vector<int>(part.begin(), part.end()), reference[i]);
-        for (const CrosstalkPolicy* policy :
-             {static_cast<const CrosstalkPolicy*>(&sigma),
-              static_cast<const CrosstalkPolicy*>(&measured)}) {
+        for (const CrosstalkPolicy* policy : {&sigma, &measured}) {
           const EfsBreakdown want =
               efs_score(device, reference[i], shape, allocated, *policy);
           const EfsBreakdown got = state->score(i, shape, *policy);
@@ -408,8 +427,8 @@ TEST(AllocatorGolden, ConcurrentAllocationMatchesSingleThreaded) {
   // four threads allocate overlapping batch lists on one cold index and
   // must each reproduce the single-threaded reference results.
   const Device device = make_toronto27();
-  const QucpPartitioner qucp(4.0);
-  const MultiqcPartitioner multiqc;
+  const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
+  const auto multiqc = make_partitioner(Method::MultiQC, 4.0, std::nullopt);
   const auto qucp_oracle = reference::qucp(4.0);
   const auto multiqc_oracle = reference::multiqc();
   Rng rng(4242);
@@ -422,7 +441,7 @@ TEST(AllocatorGolden, ConcurrentAllocationMatchesSingleThreaded) {
     batches.push_back(std::move(ordered));
   }
   const auto partitioner_of = [&](std::size_t b) -> const Partitioner& {
-    return b % 3 == 0 ? static_cast<const Partitioner&>(multiqc) : qucp;
+    return b % 3 == 0 ? *multiqc : *qucp;
   };
   std::vector<std::optional<std::vector<PartitionAssignment>>> reference;
   for (std::size_t b = 0; b < batches.size(); ++b) {
@@ -466,17 +485,17 @@ TEST(AllocatorGolden, MemoStaysBoundedAndResultsUnchanged) {
   const Device device = make_manhattan65();
   constexpr std::size_t kCapacity = std::size_t{256} << 10;
   CandidateIndex index(device, kCapacity);
-  const QucpPartitioner qucp(4.0);
+  const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const std::vector<ProgramShape> golden_batch = {
       {5, 10, 10}, {4, 7, 8}, {3, 4, 6}, {2, 3, 3}};
   const auto want = reference::qucp(4.0)->allocate(device, golden_batch);
-  expect_identical(want, qucp.allocate(device, golden_batch, &index),
+  expect_identical(want, qucp->allocate(device, golden_batch, &index),
                    "before flood");
   const std::shared_ptr<const CandidateIndex::State> early =
       index.state(index.empty_key(3));
   const std::size_t early_size = early->size();
   const EfsBreakdown early_score =
-      early->score(0, ProgramShape{3, 2, 2}, SigmaPolicy(4.0));
+      early->score(0, ProgramShape{3, 2, 2}, CrosstalkPolicy(4.0));
 
   Rng rng(31337);
   std::set<std::pair<std::vector<std::uint64_t>, int>> distinct;
@@ -505,9 +524,9 @@ TEST(AllocatorGolden, MemoStaysBoundedAndResultsUnchanged) {
 
   ASSERT_EQ(early->size(), early_size);
   const EfsBreakdown again =
-      early->score(0, ProgramShape{3, 2, 2}, SigmaPolicy(4.0));
+      early->score(0, ProgramShape{3, 2, 2}, CrosstalkPolicy(4.0));
   EXPECT_EQ(again.score, early_score.score);
-  expect_identical(want, qucp.allocate(device, golden_batch, &index),
+  expect_identical(want, qucp->allocate(device, golden_batch, &index),
                    "after flood");
 }
 

@@ -26,7 +26,7 @@ Device efs_device() {
 
 TEST(Efs, HandComputedScore) {
   const Device d = efs_device();
-  const NoCrosstalkPolicy policy;
+  const CrosstalkPolicy policy;
   const ProgramShape shape{2, 5, 10};
   const std::vector<int> part{0, 1};
   const EfsBreakdown efs = efs_score(d, part, shape, {}, policy);
@@ -40,7 +40,7 @@ TEST(Efs, HandComputedScore) {
 
 TEST(Efs, LowerErrorRegionScoresBetter) {
   const Device d = efs_device();
-  const NoCrosstalkPolicy policy;
+  const CrosstalkPolicy policy;
   const ProgramShape shape{2, 5, 5};
   const double low =
       efs_score(d, std::vector<int>{0, 1}, shape, {}, policy).score;
@@ -55,8 +55,8 @@ TEST(Efs, SigmaPolicyInflatesOneHopEdges) {
   // Allocate {0,1} (edge 0); candidate {2,3} (edge 2) is one-hop from it.
   const std::vector<int> allocated{0, 1};
   const std::vector<int> cand{2, 3};
-  const NoCrosstalkPolicy none;
-  const SigmaPolicy sigma4(4.0);
+  const CrosstalkPolicy none;
+  const CrosstalkPolicy sigma4(4.0);
   const EfsBreakdown base = efs_score(d, cand, shape, allocated, none);
   const EfsBreakdown inflated = efs_score(d, cand, shape, allocated, sigma4);
   EXPECT_NEAR(inflated.avg_2q, 4.0 * base.avg_2q, 1e-12);
@@ -68,7 +68,7 @@ TEST(Efs, SigmaPolicyInflatesOneHopEdges) {
 TEST(Efs, OneHopDetectionRange) {
   const Device d = efs_device();
   const ProgramShape shape{2, 4, 0};
-  const SigmaPolicy sigma(3.0);
+  const CrosstalkPolicy sigma(3.0);
   // Candidate {2,3} (edge 2) vs allocation {4,5} (edge 4): one hop apart.
   const EfsBreakdown near_efs = efs_score(
       d, std::vector<int>{2, 3}, shape, std::vector<int>{4, 5}, sigma);
@@ -83,7 +83,7 @@ TEST(Efs, EstimatePolicyUsesPerPairGamma) {
   const Device d = efs_device();
   CrosstalkModel estimates;
   estimates.add_pair(0, 2, 6.0);  // edges (0,1) and (2,3)
-  const EstimatePolicy policy(estimates);
+  const CrosstalkPolicy policy(estimates);
   const ProgramShape shape{2, 10, 0};
   const EfsBreakdown efs = efs_score(d, std::vector<int>{2, 3}, shape,
                                      std::vector<int>{0, 1}, policy);
@@ -99,7 +99,7 @@ TEST(Efs, CrosstalkAdjustedErrorCapsAtOne) {
   Calibration cal = d.calibration();
   cal.cx_error[2] = 0.9;
   d.set_calibration(cal);
-  const SigmaPolicy sigma(8.0);
+  const CrosstalkPolicy sigma(8.0);
   const ProgramShape shape{2, 1, 0};
   const EfsBreakdown efs = efs_score(d, std::vector<int>{2, 3}, shape,
                                      std::vector<int>{0, 1}, sigma);
@@ -108,7 +108,7 @@ TEST(Efs, CrosstalkAdjustedErrorCapsAtOne) {
 
 TEST(Efs, Validation) {
   const Device d = efs_device();
-  const NoCrosstalkPolicy policy;
+  const CrosstalkPolicy policy;
   const ProgramShape shape{2, 1, 1};
   EXPECT_THROW(
       (void)efs_score(d, std::vector<int>{0, 1, 2}, shape, {}, policy),
@@ -132,7 +132,7 @@ TEST(Efs, SharedQubitEdgePairsAreUnreachable) {
   // before any edge is inspected. This test documents the invariant by
   // pinning the rejection for every overlap geometry on the line device.
   const Device d = efs_device();
-  const NoCrosstalkPolicy policy;
+  const CrosstalkPolicy policy;
   const ProgramShape shape{2, 1, 0};
   // Full overlap, single-qubit overlap at either end: all must throw.
   EXPECT_THROW((void)efs_score(d, std::vector<int>{1, 2}, shape,
@@ -153,13 +153,13 @@ TEST(Efs, SharedQubitEdgePairsAreUnreachable) {
 }
 
 TEST(Efs, SigmaPolicyValidatesSigma) {
-  EXPECT_THROW(SigmaPolicy(0.5), std::invalid_argument);
-  EXPECT_NO_THROW(SigmaPolicy(1.0));
+  EXPECT_THROW(CrosstalkPolicy(0.5), std::invalid_argument);
+  EXPECT_NO_THROW(CrosstalkPolicy(1.0));
 }
 
 TEST(Efs, SingleQubitProgramScoresReadoutOnly) {
   const Device d = efs_device();
-  const NoCrosstalkPolicy policy;
+  const CrosstalkPolicy policy;
   const ProgramShape shape{1, 0, 3};
   const EfsBreakdown efs =
       efs_score(d, std::vector<int>{2}, shape, {}, policy);
@@ -169,7 +169,7 @@ TEST(Efs, SingleQubitProgramScoresReadoutOnly) {
 
 TEST(Efs, MoreGatesAmplifyScore) {
   const Device d = efs_device();
-  const NoCrosstalkPolicy policy;
+  const CrosstalkPolicy policy;
   const std::vector<int> part{0, 1, 2};
   const double few =
       efs_score(d, part, ProgramShape{3, 2, 4}, {}, policy).score;

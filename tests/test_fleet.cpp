@@ -96,7 +96,8 @@ TEST(PackFleet, AccountingIsExactAcrossSlotsAndPolicies) {
                                         RoutePolicy::BestEfs}) {
     for (int trial = 0; trial < 8; ++trial) {
       TestFleet fleet({make_line_device(10, 3), make_grid_device(3, 3, 4)});
-      const QucpPartitioner partitioner;
+      const auto partitioner =
+          make_partitioner(Method::QuCP, 4.0, std::nullopt);
       std::vector<PackJob> jobs;
       const int n = static_cast<int>(rng.integer(1, 12));
       for (int i = 0; i < n; ++i) {
@@ -111,7 +112,7 @@ TEST(PackFleet, AccountingIsExactAcrossSlotsAndPolicies) {
       opts.max_batch_size = static_cast<int>(rng.integer(1, 4));
       RoutingPolicy policy(policy_kind);
       const FleetPlan plan =
-          pack_fleet(fleet.slots, jobs, partitioner, opts, policy);
+          pack_fleet(fleet.slots, jobs, *partitioner, opts, policy);
 
       std::vector<std::size_t> seen;
       for (const auto& slot_batches : plan.batches) {
@@ -139,7 +140,7 @@ TEST(PackFleet, PlansAreDeterministic) {
   for (const RoutePolicy policy_kind : {RoutePolicy::RoundRobin,
                                         RoutePolicy::LeastLoaded,
                                         RoutePolicy::BestEfs}) {
-    const QucpPartitioner partitioner;
+    const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
     std::vector<PackJob> jobs;
     for (std::size_t i = 0; i < 9; ++i) {
       jobs.push_back(make_job(i, {2 + static_cast<int>(i % 4), 3, 4}, 100 + i));
@@ -147,7 +148,7 @@ TEST(PackFleet, PlansAreDeterministic) {
     auto run = [&] {
       TestFleet fleet({make_toronto27(), make_manhattan65()});
       RoutingPolicy policy(policy_kind);
-      return pack_fleet(fleet.slots, jobs, partitioner, PackOptions{}, policy);
+      return pack_fleet(fleet.slots, jobs, *partitioner, PackOptions{}, policy);
     };
     const FleetPlan a = run();
     const FleetPlan b = run();
@@ -166,7 +167,7 @@ TEST(PackFleet, PlansAreDeterministic) {
 
 TEST(PackFleet, RoundRobinSpreadsIdenticalJobsAcrossSlots) {
   TestFleet fleet({make_line_device(8, 3), make_line_device(8, 3)});
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 8; ++i) {
     jobs.push_back(make_job(i, {2, 1, 2}, 500 + i));
@@ -175,7 +176,7 @@ TEST(PackFleet, RoundRobinSpreadsIdenticalJobsAcrossSlots) {
   PackOptions opts;
   opts.max_batch_size = 2;
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, opts, policy);
+      pack_fleet(fleet.slots, jobs, *partitioner, opts, policy);
   std::size_t per_slot[2] = {0, 0};
   for (std::size_t s = 0; s < 2; ++s) {
     for (const PackedBatch& batch : plan.batches[s]) {
@@ -191,7 +192,7 @@ TEST(PackFleet, LeastLoadedBalancesQubitLoad) {
   // 4 wide jobs + 4 narrow jobs: qubit-weighted load accounting should
   // keep the two identical devices near-even instead of job-count-even.
   TestFleet fleet({make_line_device(12, 3), make_line_device(12, 3)});
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 4; ++i) {
     jobs.push_back(make_job(i, {4, 4, 4}, 900 + i));
@@ -203,7 +204,7 @@ TEST(PackFleet, LeastLoadedBalancesQubitLoad) {
   PackOptions opts;
   opts.max_batch_size = 2;
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, opts, policy);
+      pack_fleet(fleet.slots, jobs, *partitioner, opts, policy);
   std::uint64_t load[2] = {0, 0};
   for (std::size_t s = 0; s < 2; ++s) {
     for (const PackedBatch& batch : plan.batches[s]) {
@@ -222,7 +223,7 @@ TEST(PackFleet, BestEfsRoutesEveryJobToItsLowestErrorDevice) {
   // where its best solo EFS is smallest — checked against direct
   // solo_efs_score() probes on both devices.
   TestFleet fleet({make_toronto27(), make_manhattan65()});
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   std::vector<PackJob> jobs;
   std::vector<ProgramShape> shapes;
   for (const char* name : {"bell", "lin", "adder", "alu", "qec", "var"}) {
@@ -235,7 +236,7 @@ TEST(PackFleet, BestEfsRoutesEveryJobToItsLowestErrorDevice) {
   PackOptions opts;
   opts.max_batch_size = 0;  // unbounded: nothing spills for capacity
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, opts, policy);
+      pack_fleet(fleet.slots, jobs, *partitioner, opts, policy);
   ASSERT_TRUE(plan.unplaceable.empty());
 
   std::vector<int> slot_of(jobs.size(), -1);
@@ -246,9 +247,9 @@ TEST(PackFleet, BestEfsRoutesEveryJobToItsLowestErrorDevice) {
   }
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto on_toronto =
-        solo_efs_score(fleet.devices[0], partitioner, shapes[i]);
+        solo_efs_score(fleet.devices[0], *partitioner, shapes[i]);
     const auto on_manhattan =
-        solo_efs_score(fleet.devices[1], partitioner, shapes[i]);
+        solo_efs_score(fleet.devices[1], *partitioner, shapes[i]);
     ASSERT_TRUE(on_toronto && on_manhattan) << i;
     const int expected = *on_toronto <= *on_manhattan ? 0 : 1;
     EXPECT_EQ(slot_of[i], expected)
@@ -262,14 +263,14 @@ TEST(PackFleet, BestEfsExcludesDevicesTheJobCannotFitOn) {
   // big device even when the small one scores better for tiny jobs, and a
   // job that fits nowhere is unplaceable.
   TestFleet fleet({make_line_device(4, 3), make_grid_device(3, 3, 4)});
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   std::vector<PackJob> jobs;
   jobs.push_back(make_job(0, {5, 4, 4}, 1));   // only fits the grid
   jobs.push_back(make_job(1, {2, 1, 1}, 2));   // fits both
   jobs.push_back(make_job(2, {12, 6, 6}, 3));  // fits neither
   RoutingPolicy policy(RoutePolicy::BestEfs);
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, PackOptions{}, policy);
+      pack_fleet(fleet.slots, jobs, *partitioner, PackOptions{}, policy);
   EXPECT_EQ(plan.unplaceable, (std::vector<std::size_t>{2}));
   bool wide_on_grid = false;
   for (const PackedBatch& batch : plan.batches[1]) {
@@ -286,7 +287,7 @@ TEST(PackFleet, ThresholdSpillsCrossDeviceBeforeDeferring) {
   // it CAN open the other device's empty batch in the same round — a
   // cross-device spill instead of a deferred batch.
   TestFleet fleet({make_line_device(8, 3), make_line_device(8, 3)});
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 2; ++i) {
     jobs.push_back(make_job(i, {4, 6, 4}, 77));  // same circuit fingerprint
@@ -295,7 +296,7 @@ TEST(PackFleet, ThresholdSpillsCrossDeviceBeforeDeferring) {
   PackOptions opts;
   opts.efs_threshold = 0.0;
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, opts, policy);
+      pack_fleet(fleet.slots, jobs, *partitioner, opts, policy);
   // One batch per device, one job each, in a single round.
   ASSERT_EQ(plan.batches[0].size(), 1u);
   ASSERT_EQ(plan.batches[1].size(), 1u);
@@ -308,15 +309,15 @@ TEST(PackFleet, ThresholdSpillsCrossDeviceBeforeDeferring) {
 
 TEST(PackFleet, InitialBacklogSizeIsValidated) {
   TestFleet fleet({make_line_device(8, 3), make_line_device(8, 3)});
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const std::vector<PackJob> jobs = {make_job(0, {2, 1, 2}, 1)};
   RoutingPolicy policy(RoutePolicy::RoundRobin);
   const std::vector<double> short_backlog = {1.0};
-  EXPECT_THROW((void)pack_fleet(fleet.slots, jobs, partitioner, PackOptions{},
+  EXPECT_THROW((void)pack_fleet(fleet.slots, jobs, *partitioner, PackOptions{},
                                 policy, short_backlog),
                std::invalid_argument);
   const std::vector<double> exact = {1.0, 2.0};
-  EXPECT_NO_THROW((void)pack_fleet(fleet.slots, jobs, partitioner,
+  EXPECT_NO_THROW((void)pack_fleet(fleet.slots, jobs, *partitioner,
                                    PackOptions{}, policy, exact));
 }
 
@@ -327,7 +328,7 @@ TEST(PackFleet, WaitAccountingMatchesHandComputation) {
   // number in the plan's accounting is recomputable from modeled_exec_ns
   // and job_runtime_s alone.
   const Device device = make_line_device(10);
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const ProgramShape shape{2, 1, 2};
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 3; ++i) jobs.push_back(make_job(i, shape, i));
@@ -338,7 +339,7 @@ TEST(PackFleet, WaitAccountingMatchesHandComputation) {
   const std::vector<double> backlog = {5.0};
   RoutingPolicy policy(RoutePolicy::BestEfs);
   const FleetPlan plan =
-      pack_fleet(std::span<const FleetSlot>(&slot, 1), jobs, partitioner,
+      pack_fleet(std::span<const FleetSlot>(&slot, 1), jobs, *partitioner,
                  opts, policy, backlog);
 
   RuntimeModel model = opts.runtime;
@@ -355,7 +356,7 @@ TEST(PackFleet, WaitAccountingMatchesHandComputation) {
 
   // Without a backlog the first batch's jobs wait zero.
   const FleetPlan idle =
-      pack_fleet(std::span<const FleetSlot>(&slot, 1), jobs, partitioner,
+      pack_fleet(std::span<const FleetSlot>(&slot, 1), jobs, *partitioner,
                  opts, policy);
   EXPECT_DOUBLE_EQ(idle.wait_sum_s[0], exec_s);
   EXPECT_DOUBLE_EQ(idle.wait_max_s[0], exec_s);
@@ -367,7 +368,7 @@ TEST(FleetView, ExpectedLatencyScoresMatchHandComputation) {
   // (drain + runtime of the batch the job would join) must follow
   // fleet.hpp's documented semantics exactly.
   TestFleet fleet({make_line_device(10, 3), make_line_device(10, 3)});
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const PackJob job = make_job(0, {2, 1, 2}, 9);
   RuntimeModel model;
   model.queue_depth = 0;
@@ -379,7 +380,7 @@ TEST(FleetView, ExpectedLatencyScoresMatchHandComputation) {
   lanes[0].open_max_ns = 4 * own_ns;
   lanes[1].open_jobs = 1;  // room for one more
   lanes[1].open_max_ns = 3 * own_ns;
-  const FleetView view(fleet.slots, partitioner, lanes, model, 2);
+  const FleetView view(fleet.slots, *partitioner, lanes, model, 2);
 
   EXPECT_DOUBLE_EQ(view.drain_estimate_s(0), 50.0);
   EXPECT_DOUBLE_EQ(view.drain_estimate_s(1), 0.0);
@@ -398,7 +399,7 @@ TEST(FleetView, ExpectedLatencyScoresMatchHandComputation) {
 
   // Idle lanes report zero queues and tie to slot id.
   const std::vector<LaneEstimate> idle_lanes(2);
-  const FleetView idle(fleet.slots, partitioner, idle_lanes, model, 2);
+  const FleetView idle(fleet.slots, *partitioner, idle_lanes, model, 2);
   EXPECT_DOUBLE_EQ(idle.drain_estimate_s(0), 0.0);
   policy.preference(idle, job, order);
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1}));
@@ -414,7 +415,7 @@ TEST(PackFleet, ExpectedLatencyRoutesAroundBacklog) {
   // preference is modeled slower than waiting), so it opens lane 1's
   // second batch and lane 0 still plans nothing.
   TestFleet fleet({make_line_device(8, 3), make_line_device(8, 3)});
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 3; ++i) {
     jobs.push_back(make_job(i, {2, 1, 2}, 700 + i));
@@ -424,7 +425,7 @@ TEST(PackFleet, ExpectedLatencyRoutesAroundBacklog) {
   opts.max_batch_size = 2;
   const std::vector<double> backlog = {1000.0, 0.0};
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, opts, policy, backlog);
+      pack_fleet(fleet.slots, jobs, *partitioner, opts, policy, backlog);
   EXPECT_TRUE(plan.batches[0].empty());
   ASSERT_EQ(plan.batches[1].size(), 2u);
   EXPECT_EQ(plan.batches[1][0].jobs, (std::vector<std::size_t>{0, 1}));
@@ -440,7 +441,7 @@ TEST(PackFleet, ExpectedLatencyRoutesAroundBacklog) {
   // spill). Pins that the queue-aware kind alone gates the new behavior.
   TestFleet blind_fleet({make_line_device(8, 3), make_line_device(8, 3)});
   RoutingPolicy blind(RoutePolicy::BestEfs);
-  const FleetPlan blind_plan = pack_fleet(blind_fleet.slots, jobs, partitioner,
+  const FleetPlan blind_plan = pack_fleet(blind_fleet.slots, jobs, *partitioner,
                                           opts, blind, backlog);
   ASSERT_EQ(blind_plan.batches[0].size(), 1u);
   EXPECT_EQ(blind_plan.batches[0][0].jobs, (std::vector<std::size_t>{0, 1}));
@@ -458,7 +459,7 @@ TEST(PackFleet, ReservationLaneClaimsTheEmptiestChip) {
   // still lands by policy order, and the reserved chip admits nobody else
   // in that round.
   TestFleet fleet({make_line_device(8, 3), make_line_device(8, 3)});
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   std::vector<PackJob> jobs;
   jobs.push_back(make_job(0, {2, 1, 2}, 900, true));   // exclusive
   jobs.push_back(make_job(1, {2, 1, 2}, 901, false));
@@ -468,7 +469,7 @@ TEST(PackFleet, ReservationLaneClaimsTheEmptiestChip) {
   opts.max_batch_size = 4;
   const std::vector<double> backlog = {50.0, 0.0};
   const FleetPlan plan =
-      pack_fleet(fleet.slots, jobs, partitioner, opts, policy, backlog);
+      pack_fleet(fleet.slots, jobs, *partitioner, opts, policy, backlog);
   // Reservation on the idle chip, alone; the rest share backlogged lane 0
   // (BestEfs is time-blind, ties to the lowest id).
   ASSERT_EQ(plan.batches[1].size(), 1u);
@@ -486,7 +487,7 @@ TEST(PackFleet, ReservationLaneClaimsTheEmptiestChip) {
   const std::vector<double> both = {50.0, 20.0};
   const std::vector<PackJob> solo = {make_job(0, {2, 1, 2}, 900, true)};
   const FleetPlan busy_plan =
-      pack_fleet(busy.slots, solo, partitioner, opts, policy2, both);
+      pack_fleet(busy.slots, solo, *partitioner, opts, policy2, both);
   ASSERT_EQ(busy_plan.batches[1].size(), 1u);
   EXPECT_EQ(busy_plan.reservation_jobs, 1u);
   EXPECT_DOUBLE_EQ(busy_plan.reservation_wait_sum_s, 20.0);
@@ -498,7 +499,7 @@ TEST(PackFleet, TimeBlindPoliciesIgnoreBacklog) {
   // RoundRobin/LeastLoaded/BestEfs must plan the identical batches with or
   // without a lopsided backlog (single-backend golden paths depend on it).
   TestFleet fleet({make_toronto27(), make_manhattan65()});
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 9; ++i) {
     jobs.push_back(make_job(i, {2 + static_cast<int>(i % 4), 3, 4}, 300 + i));
@@ -511,10 +512,10 @@ TEST(PackFleet, TimeBlindPoliciesIgnoreBacklog) {
                                  RoutePolicy::BestEfs}) {
     RoutingPolicy without(kind);
     const FleetPlan a =
-        pack_fleet(fleet.slots, jobs, partitioner, opts, without);
+        pack_fleet(fleet.slots, jobs, *partitioner, opts, without);
     RoutingPolicy with(kind);
     const FleetPlan b =
-        pack_fleet(fleet.slots, jobs, partitioner, opts, with, backlog);
+        pack_fleet(fleet.slots, jobs, *partitioner, opts, with, backlog);
     ASSERT_EQ(a.batches.size(), b.batches.size());
     for (std::size_t s = 0; s < a.batches.size(); ++s) {
       ASSERT_EQ(a.batches[s].size(), b.batches[s].size())
@@ -544,19 +545,16 @@ std::vector<Device> bundled_topologies() {
 std::vector<reference::PartitionerPair> candidate_partitioners(
     const Device& device, Rng& rng) {
   std::vector<reference::PartitionerPair> out;
-  out.push_back({std::make_unique<QucpPartitioner>(4.0), reference::qucp(4.0)});
+  out.push_back(reference::pair_of(Method::QuCP));
   CrosstalkModel estimates;
   for (const auto& [e1, e2] : device.topology().one_hop_edge_pairs()) {
     if (rng.bernoulli(0.5)) {
       estimates.add_pair(e1, e2, rng.uniform(1.0, 8.0));
     }
   }
-  out.push_back({std::make_unique<QumcPartitioner>(estimates),
-                 reference::qumc(estimates)});
-  out.push_back(
-      {std::make_unique<QucloudPartitioner>(), reference::qucloud()});
-  out.push_back(
-      {std::make_unique<MultiqcPartitioner>(), reference::multiqc()});
+  out.push_back(reference::pair_of(Method::QuMC, 4.0, estimates));
+  out.push_back(reference::pair_of(Method::QuCloud));
+  out.push_back(reference::pair_of(Method::MultiQC));
   return out;
 }
 
@@ -647,7 +645,7 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalAcrossPoliciesAndBacklogs) {
   // routing decision, spill, or wait/reservation double, with persistent
   // indexes or without.
   Rng rng(8088);
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const auto oracle = reference::qucp();
   for (int trial = 0; trial < 5; ++trial) {
     const std::vector<PackJob> jobs = random_pack_jobs(rng, 6);
@@ -670,8 +668,8 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalAcrossPoliciesAndBacklogs) {
         return pack_fleet(fleet.slots, jobs, p, opts, policy, backlog);
       };
       const FleetPlan reference = run(*oracle, false);
-      expect_plans_identical(reference, run(partitioner, true), context);
-      expect_plans_identical(reference, run(partitioner, false),
+      expect_plans_identical(reference, run(*partitioner, true), context);
+      expect_plans_identical(reference, run(*partitioner, false),
                              context + "/zero-budget");
     }
   }
@@ -688,7 +686,7 @@ TEST(PackFleet, ThresholdAdmissionFollowsTheDecisionRule) {
   Rng rng(1504);
   const Device device = make_toronto27();
   CandidateIndex index(device);
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const auto oracle = reference::qucp();
   for (int trial = 0; trial < 24; ++trial) {
     std::vector<PackJob> jobs;
@@ -707,7 +705,7 @@ TEST(PackFleet, ThresholdAdmissionFollowsTheDecisionRule) {
     const FleetSlot slot{&device, &index, &cache};
     RoutingPolicy policy(RoutePolicy::BestEfs);
     const FleetPlan plan = pack_fleet(std::span<const FleetSlot>(&slot, 1),
-                                      jobs, partitioner, opts, policy);
+                                      jobs, *partitioner, opts, policy);
 
     const auto admissible = [&](const std::vector<std::size_t>& members) {
       std::vector<ProgramShape> shapes;
@@ -755,7 +753,7 @@ TEST(PackFleet, OneSlotPlanIsTheSameUnderEveryPolicy) {
   // unplaceable and spill accounting must all match RoundRobin's plan.
   const Device device = make_line_device(8, 3);
   CandidateIndex index(device);
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   std::vector<PackJob> jobs;
   jobs.push_back(make_job(0, {3, 4, 4}, 10));
   jobs.push_back(make_job(1, {12, 6, 6}, 11));  // fits no slot
@@ -771,7 +769,7 @@ TEST(PackFleet, OneSlotPlanIsTheSameUnderEveryPolicy) {
     std::map<std::uint64_t, double> cache;
     const FleetSlot slot{&device, &index, &cache};
     RoutingPolicy policy(kind);
-    return pack_fleet(std::span<const FleetSlot>(&slot, 1), jobs, partitioner,
+    return pack_fleet(std::span<const FleetSlot>(&slot, 1), jobs, *partitioner,
                       opts, policy, backlog);
   };
   const FleetPlan reference = run(RoutePolicy::RoundRobin);
@@ -804,7 +802,7 @@ TEST(FleetScheduler, EveryBatchCarriesTheAssignmentsItWasAdmittedOn) {
   // per member, equal to allocate_batch of the batch's shapes on the
   // slot's pinned epoch — same qubits, bit-identical EFS.
   Rng rng(20261017);
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const std::vector<RoutePolicy> kinds = {
       RoutePolicy::RoundRobin, RoutePolicy::LeastLoaded, RoutePolicy::BestEfs,
       RoutePolicy::ExpectedLatency};
@@ -834,7 +832,7 @@ TEST(FleetScheduler, EveryBatchCarriesTheAssignmentsItWasAdmittedOn) {
                  : std::vector<Device>{make_toronto27(), make_manhattan65()});
       FleetScheduler scheduler(registry,
                                single ? RoutePolicy::BestEfs : kinds[k]);
-      const FleetPlan plan = scheduler.plan(jobs, partitioner, opts);
+      const FleetPlan plan = scheduler.plan(jobs, *partitioner, opts);
       std::size_t placed = 0;
       for (std::size_t s = 0; s < plan.batches.size(); ++s) {
         const CalibrationEpoch& epoch = *plan.epochs[s];
@@ -844,7 +842,7 @@ TEST(FleetScheduler, EveryBatchCarriesTheAssignmentsItWasAdmittedOn) {
           std::vector<ProgramShape> shapes;
           for (std::size_t j : batch.jobs) shapes.push_back(jobs[j].shape);
           const auto expected =
-              allocate_batch(epoch.device(), partitioner, shapes,
+              allocate_batch(epoch.device(), *partitioner, shapes,
                              &epoch.candidate_index());
           ASSERT_TRUE(expected.has_value()) << context;
           for (std::size_t i = 0; i < shapes.size(); ++i) {

@@ -470,6 +470,62 @@ TEST(CompiledProgramCache, MemoizesByFingerprint) {
   EXPECT_EQ(sweep.stats().fused.entries, 1u);
 }
 
+/// A 2q-heavy random circuit, so fused blocks chain 4x4 products (kMul2 /
+/// kAbsorb) and lift 1q rotations into them (kLift1Mul) — the steps
+/// materialize dispatches to the AVX2 kernels.
+Circuit cx_heavy_circuit(Rng& rng, int n) {
+  Circuit c(n);
+  for (int q = 0; q < n; ++q) c.h(q);
+  for (int step = 0; step < 30; ++step) {
+    if (rng.bernoulli(0.45)) {
+      const int x = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
+      int y = static_cast<int>(rng.index(static_cast<std::size_t>(n) - 1));
+      if (y >= x) ++y;
+      c.cx(x, y);
+    }
+    c.append(random_1q_gate(
+        rng, static_cast<int>(rng.index(static_cast<std::size_t>(n)))));
+  }
+  return c;
+}
+
+TEST(CompiledProgramCache, ExactRepeatFollowsTheKernelMode) {
+  if (!kern::native_kernels_active()) {
+    GTEST_SKIP() << "native kernels not compiled/supported on this machine";
+  }
+  // The AVX2 products round ~1 ulp from the scalar chain, so a program
+  // materialized under one kernel mode is not what compile() produces
+  // under the other: an exact repeat after set_native_kernels() toggles
+  // must rebind, and every program fused() returns must equal compile()
+  // in the current mode bit for bit.
+  struct NativeReset {
+    ~NativeReset() { kern::set_native_kernels(true); }
+  } reset;
+  const Device device = make_line_device(6);
+  CompiledProgramCache cache(device);
+  Rng rng(20220212);
+  int differing = 0;
+  for (int n = 2; n <= 6; ++n) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const Circuit c = cx_heavy_circuit(rng, n);
+      kern::set_native_kernels(true);
+      const CompiledProgram native = CompiledProgram::compile(c);
+      EXPECT_TRUE(test_programs::same_kernels(*cache.fused(c), native));
+      kern::set_native_kernels(false);
+      const CompiledProgram scalar = CompiledProgram::compile(c);
+      EXPECT_TRUE(test_programs::same_kernels(*cache.fused(c), scalar))
+          << "n=" << n << " trial=" << trial;
+      kern::set_native_kernels(true);
+      EXPECT_TRUE(test_programs::same_kernels(*cache.fused(c), native))
+          << "n=" << n << " trial=" << trial;
+      if (!test_programs::same_kernels(native, scalar)) ++differing;
+    }
+  }
+  // Otherwise the corpus cannot tell the modes apart.
+  EXPECT_GT(differing, 0);
+  EXPECT_EQ(cache.plan_builds(), 20u);  // the plan outlives mode switches
+}
+
 TEST(NativeKernels, ScalarAndNativeDenseKernelsAgree) {
   if (!kern::native_kernels_active()) {
     GTEST_SKIP() << "native kernels not compiled/supported on this machine";
@@ -692,20 +748,7 @@ TEST(NativeKernels, ScalarAndNativeMaterializeAgree) {
   Rng rng(20220212);
   for (int n = 2; n <= 6; ++n) {
     for (int trial = 0; trial < 4; ++trial) {
-      // 2q-heavy so fused blocks chain 4x4 products (kMul2 / kAbsorb) and
-      // lift 1q rotations into them (kLift1Mul) — the AVX2-dispatched steps.
-      Circuit c(n);
-      for (int q = 0; q < n; ++q) c.h(q);
-      for (int step = 0; step < 30; ++step) {
-        if (rng.bernoulli(0.45)) {
-          const int x = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
-          int y = static_cast<int>(rng.index(static_cast<std::size_t>(n) - 1));
-          if (y >= x) ++y;
-          c.cx(x, y);
-        }
-        c.append(random_1q_gate(
-            rng, static_cast<int>(rng.index(static_cast<std::size_t>(n)))));
-      }
+      const Circuit c = cx_heavy_circuit(rng, n);
       const FusionPlan plan = FusionPlan::build(c);
       kern::set_native_kernels(false);
       const CompiledProgram scalar_mat = CompiledProgram::materialize(plan, c);

@@ -67,10 +67,10 @@ TEST(Integration, QucpMatchesQumcWithoutCharacterization) {
   std::vector<ProgramShape> ordered;
   for (auto i : order) ordered.push_back(programs[i]);
 
-  const QucpPartitioner qucp(4.0);
-  const QumcPartitioner qumc(truth_estimates);
-  const auto a = qucp.allocate(d, ordered);
-  const auto b = qumc.allocate(d, ordered);
+  const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
+  const auto qumc = make_partitioner(Method::QuMC, 4.0, truth_estimates);
+  const auto a = qucp->allocate(d, ordered);
+  const auto b = qumc->allocate(d, ordered);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   int agree = 0;
@@ -82,10 +82,10 @@ TEST(Integration, QucpMatchesQumcWithoutCharacterization) {
 
 TEST(Integration, ThresholdSelectionThenExecution) {
   const Device d = make_manhattan65();
-  const QucpPartitioner qucp(4.0);
+  const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const Circuit& circuit = get_benchmark("4mod").circuit;
   const ThresholdSelection sel =
-      select_parallel_count(d, shape_of(circuit), 4, 0.5, qucp);
+      select_parallel_count(d, shape_of(circuit), 4, 0.5, *qucp);
   ASSERT_GE(sel.num_circuits, 1);
 
   ParallelOptions opts;

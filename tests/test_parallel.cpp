@@ -38,6 +38,14 @@ TEST(MakePartitioner, QumcNeedsEstimates) {
   EXPECT_NO_THROW((void)make_partitioner(Method::QuMC, 4.0, est));
 }
 
+TEST(MakePartitioner, OnlyQucpReadsSigma) {
+  EXPECT_THROW((void)make_partitioner(Method::QuCP, 0.5, std::nullopt),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)make_partitioner(Method::Naive, 0.5, std::nullopt));
+  CrosstalkModel est;
+  EXPECT_NO_THROW((void)make_partitioner(Method::QuMC, 0.5, est));
+}
+
 class RunParallelMethodTest : public ::testing::TestWithParam<Method> {};
 
 TEST_P(RunParallelMethodTest, ThreeBenchmarksOnToronto) {

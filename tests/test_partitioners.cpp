@@ -45,19 +45,13 @@ TEST(AllocationOrder, LargestFirst) {
   EXPECT_EQ(order, (std::vector<std::size_t>{2, 1, 3, 0}));
 }
 
-class PartitionerParamTest
-    : public ::testing::TestWithParam<const char*> {
+class PartitionerParamTest : public ::testing::TestWithParam<Method> {
  protected:
-  static std::unique_ptr<Partitioner> make(const std::string& name) {
-    if (name == "QuCP") return std::make_unique<QucpPartitioner>(4.0);
-    if (name == "QuMC") {
-      CrosstalkModel est;
-      est.add_pair(0, 5, 3.0);
-      return std::make_unique<QumcPartitioner>(est);
-    }
-    if (name == "QuCloud") return std::make_unique<QucloudPartitioner>();
-    if (name == "MultiQC") return std::make_unique<MultiqcPartitioner>();
-    return std::make_unique<NaivePartitioner>();
+  /// The method's partitioner; QuMC reads the one estimate given here.
+  static std::unique_ptr<Partitioner> make(Method method) {
+    CrosstalkModel est;
+    est.add_pair(0, 5, 3.0);
+    return make_partitioner(method, 4.0, est);
   }
 };
 
@@ -67,7 +61,7 @@ TEST_P(PartitionerParamTest, AllocatesDisjointConnectedRegions) {
   const std::vector<ProgramShape> programs{shape(5, 10, 10), shape(4, 7, 8),
                                            shape(3, 4, 6)};
   const auto result = partitioner->allocate(d, programs);
-  ASSERT_TRUE(result.has_value()) << GetParam();
+  ASSERT_TRUE(result.has_value()) << method_name(GetParam());
   expect_valid_allocation(d, programs, *result);
 }
 
@@ -88,9 +82,12 @@ TEST_P(PartitionerParamTest, SingleProgramUsesWholeDeviceChoice) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, PartitionerParamTest,
-                         ::testing::Values("QuCP", "QuMC", "QuCloud",
-                                           "MultiQC", "Naive"),
-                         [](const auto& info) { return info.param; });
+                         ::testing::Values(Method::QuCP, Method::QuMC,
+                                           Method::QuCloud, Method::MultiQC,
+                                           Method::Naive),
+                         [](const auto& info) {
+                           return std::string(method_name(info.param));
+                         });
 
 TEST(QucpPartitionerTest, PrefersLowErrorRegions) {
   // Line with one very bad edge in the middle of the best region.
@@ -105,9 +102,9 @@ TEST(QucpPartitionerTest, PrefersLowErrorRegions) {
   for (auto& r : cal.readout_error) r = 0.02;
   Device d("biased", std::move(topo), std::move(cal), CrosstalkModel{});
 
-  const QucpPartitioner qucp(4.0);
+  const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const std::vector<ProgramShape> programs{shape(2, 8, 2)};
-  const auto result = qucp.allocate(d, programs);
+  const auto result = qucp->allocate(d, programs);
   ASSERT_TRUE(result.has_value());
   // Must avoid the bad edge (0,1).
   EXPECT_NE((*result)[0].qubits, (std::vector<int>{0, 1}));
@@ -127,10 +124,10 @@ TEST(QucpPartitionerTest, SigmaSeparatesCoRunners) {
   for (auto& q : cal.q1_error) q = 1e-4;
   Device d("line8u", std::move(topo), std::move(cal), CrosstalkModel{});
 
-  const QucpPartitioner qucp(4.0);
+  const auto qucp = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const std::vector<ProgramShape> programs{shape(2, 10, 2),
                                            shape(2, 10, 2)};
-  const auto result = qucp.allocate(d, programs);
+  const auto result = qucp->allocate(d, programs);
   ASSERT_TRUE(result.has_value());
   // Partitions should end up more than one hop apart (no crosstalk flag).
   EXPECT_TRUE((*result)[1].efs.crosstalk_edges.empty());
@@ -154,28 +151,37 @@ TEST(QumcPartitionerTest, EstimatesChangePlacement) {
   Device d("line8b", std::move(topo), std::move(cal), CrosstalkModel{});
 
   const std::vector<ProgramShape> programs{shape(2, 10, 2), shape(2, 10, 2)};
-  const QumcPartitioner blind{CrosstalkModel{}};
-  const auto without = blind.allocate(d, programs);
+  const auto blind = make_partitioner(Method::QuMC, 4.0, CrosstalkModel{});
+  const auto without = blind->allocate(d, programs);
   ASSERT_TRUE(without.has_value());
 
   CrosstalkModel est;
   for (const auto& [e1, e2] : d.topology().one_hop_edge_pairs()) {
     est.add_pair(e1, e2, 10.0);
   }
-  const QumcPartitioner informed(est);
-  const auto with = informed.allocate(d, programs);
+  const auto informed = make_partitioner(Method::QuMC, 4.0, est);
+  const auto with = informed->allocate(d, programs);
   ASSERT_TRUE(with.has_value());
   EXPECT_TRUE((*with)[1].efs.crosstalk_edges.empty());
 }
 
 TEST(NaivePartitionerTest, FirstFitFromLowIndex) {
   const Device d = make_line_device(8);
-  const NaivePartitioner naive;
+  const auto naive = make_partitioner(Method::Naive, 4.0, std::nullopt);
   const std::vector<ProgramShape> programs{shape(3, 2, 2), shape(2, 1, 1)};
-  const auto result = naive.allocate(d, programs);
+  const auto result = naive->allocate(d, programs);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ((*result)[0].qubits, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ((*result)[1].qubits, (std::vector<int>{3, 4}));
+  // CNA has no partitioning algorithm of its own: it takes the same
+  // first-fit regions.
+  const auto cna = make_partitioner(Method::CNA, 4.0, std::nullopt)
+                       ->allocate(d, programs);
+  ASSERT_TRUE(cna.has_value());
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    EXPECT_EQ((*cna)[i].qubits, (*result)[i].qubits);
+    EXPECT_EQ((*cna)[i].efs.score, (*result)[i].efs.score);
+  }
 }
 
 }  // namespace

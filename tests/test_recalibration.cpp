@@ -105,10 +105,10 @@ TEST(CalibrationEpoch, ReplacementCachesAreWarmBuiltAndFresh) {
   // Serve allocations at widths 2 and 4 (a batch of both, so non-empty
   // states are memoized too) and transpile-cache traffic on epoch 0.
   const auto old_epoch = backend.epoch();
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const std::vector<ProgramShape> batch{{4, 3, 2}, {2, 1, 1}};
   ASSERT_TRUE(partitioner
-                  .allocate(old_epoch->device(), batch,
+                  ->allocate(old_epoch->device(), batch,
                             &old_epoch->candidate_index())
                   .has_value());
   const Circuit bell = get_benchmark("bell").circuit;
@@ -145,8 +145,8 @@ TEST(CalibrationEpoch, ReplacementCachesAreWarmBuiltAndFresh) {
   // from the new calibration (bit-identical to the index-less path).
   for (const int k : old_sizes) {
     const std::vector<ProgramShape> solo{{k, 1, 1}};
-    const auto got = partitioner.allocate(fresh->device(), solo, &index);
-    const auto want = partitioner.allocate(fresh->device(), solo);
+    const auto got = partitioner->allocate(fresh->device(), solo, &index);
+    const auto want = partitioner->allocate(fresh->device(), solo);
     ASSERT_TRUE(got.has_value()) << k;
     ASSERT_TRUE(want.has_value()) << k;
     EXPECT_EQ(got->front().qubits, want->front().qubits) << k;

@@ -310,14 +310,14 @@ TEST(Packer, PartialTailBatchAndOrder) {
   // 5 equal jobs, batches of 4: the tail batch has 1 job — the non-multiple
   // case the old examples/cloud_queue.cpp slicing read past the end on.
   const Device d = make_toronto27();
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const ProgramShape shape = shape_of(get_benchmark("bell").circuit);
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 5; ++i) jobs.push_back({i, shape, i, false});
   std::map<std::uint64_t, double> cache;
   const FleetSlot slot{&d, nullptr, &cache};
   const FleetPlan packed =
-      pack_one_slot(slot, jobs, partitioner, PackOptions{});
+      pack_one_slot(slot, jobs, *partitioner, PackOptions{});
   const std::vector<PackedBatch>& batches = packed.batches[0];
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 1, 2, 3}));
@@ -332,14 +332,14 @@ TEST(Packer, SpillsWhatDoesNotFitTogether) {
   // first-fit makes the packing geometry exact; the EFS partitioners may
   // fragment the line.)
   const Device d = make_line_device(12);
-  const NaivePartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::Naive, 4.0, std::nullopt);
   const ProgramShape shape = shape_of(get_benchmark("alu").circuit);
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 3; ++i) jobs.push_back({i, shape, i, false});
   std::map<std::uint64_t, double> cache;
   const FleetSlot slot{&d, nullptr, &cache};
   const FleetPlan packed =
-      pack_one_slot(slot, jobs, partitioner, PackOptions{});
+      pack_one_slot(slot, jobs, *partitioner, PackOptions{});
   const std::vector<PackedBatch>& batches = packed.batches[0];
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].jobs.size(), 2u);
@@ -354,14 +354,14 @@ TEST(Packer, SpilledJobsKeepFifoOrderBehindRepeatedlyFullBatches) {
   // consecutive queue positions, and first-dispatch order is arrival
   // order.
   const Device d = make_line_device(12);
-  const NaivePartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::Naive, 4.0, std::nullopt);
   const ProgramShape shape = shape_of(get_benchmark("alu").circuit);
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 5; ++i) jobs.push_back({i, shape, i, false});
   std::map<std::uint64_t, double> cache;
   const FleetSlot slot{&d, nullptr, &cache};
   const FleetPlan packed =
-      pack_one_slot(slot, jobs, partitioner, PackOptions{});
+      pack_one_slot(slot, jobs, *partitioner, PackOptions{});
   const std::vector<PackedBatch>& batches = packed.batches[0];
   ASSERT_EQ(batches.size(), 3u);
   EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 1}));
@@ -379,7 +379,7 @@ TEST(Packer, LateSmallJobMayOvertakeButSpilledJobsStayOrdered) {
   // in batch 1 past the spilled third 5q job, which still dispatches next
   // and exactly once.
   const Device d = make_line_device(12);
-  const NaivePartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::Naive, 4.0, std::nullopt);
   const ProgramShape big = shape_of(get_benchmark("alu").circuit);
   const ProgramShape small{2, 1, 1};
   std::vector<PackJob> jobs{{0, big, 10, false},
@@ -389,7 +389,7 @@ TEST(Packer, LateSmallJobMayOvertakeButSpilledJobsStayOrdered) {
   std::map<std::uint64_t, double> cache;
   const FleetSlot slot{&d, nullptr, &cache};
   const FleetPlan packed =
-      pack_one_slot(slot, jobs, partitioner, PackOptions{});
+      pack_one_slot(slot, jobs, *partitioner, PackOptions{});
   const std::vector<PackedBatch>& batches = packed.batches[0];
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 1, 3}));
@@ -401,7 +401,7 @@ TEST(Packer, AccountingIsExactOverRandomizedStreams) {
   // Property: every job lands in exactly one batch or in unplaceable —
   // nothing is dropped or duplicated no matter how spills interleave.
   const Device d = make_line_device(10);
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   Rng rng(4242);
   for (int trial = 0; trial < 12; ++trial) {
     std::vector<PackJob> jobs;
@@ -418,7 +418,7 @@ TEST(Packer, AccountingIsExactOverRandomizedStreams) {
     opts.max_batch_size = static_cast<int>(rng.integer(1, 4));
     std::map<std::uint64_t, double> cache;
     const FleetSlot slot{&d, nullptr, &cache};
-    const FleetPlan packed = pack_one_slot(slot, jobs, partitioner, opts);
+    const FleetPlan packed = pack_one_slot(slot, jobs, *partitioner, opts);
     const std::vector<PackedBatch>& batches = packed.batches[0];
     std::vector<std::size_t> seen;
     for (const PackedBatch& batch : batches) {
@@ -444,7 +444,7 @@ TEST(Packer, ExclusiveJobThatCannotFitAloneIsUnplaceableNotSpilled) {
   // solo-allocation failure is terminal (unplaceable), never a spill, and
   // must not wedge the jobs queued behind it.
   const Device d = make_line_device(4);
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const ProgramShape small{2, 1, 1};
   const ProgramShape huge{9, 4, 4};
   std::vector<PackJob> jobs{{0, small, 1, false},
@@ -453,7 +453,7 @@ TEST(Packer, ExclusiveJobThatCannotFitAloneIsUnplaceableNotSpilled) {
   std::map<std::uint64_t, double> cache;
   const FleetSlot slot{&d, nullptr, &cache};
   const FleetPlan packed =
-      pack_one_slot(slot, jobs, partitioner, PackOptions{});
+      pack_one_slot(slot, jobs, *partitioner, PackOptions{});
   const std::vector<PackedBatch>& batches = packed.batches[0];
   EXPECT_EQ(packed.unplaceable, (std::vector<std::size_t>{1}));
   EXPECT_EQ(packed.spill_events, 0u);
@@ -466,7 +466,7 @@ TEST(Packer, MidQueueExclusiveJobDefersWithoutSpillAccounting) {
   // queueing, not a spill_event); followers may still fill the current
   // batch, and the exclusive job runs alone in the following one.
   const Device d = make_line_device(8);
-  const QucpPartitioner partitioner;
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
   const ProgramShape small{2, 1, 1};
   std::vector<PackJob> jobs{{0, small, 1, false},
                             {1, small, 2, true},  // exclusive
@@ -474,7 +474,7 @@ TEST(Packer, MidQueueExclusiveJobDefersWithoutSpillAccounting) {
   std::map<std::uint64_t, double> cache;
   const FleetSlot slot{&d, nullptr, &cache};
   const FleetPlan packed =
-      pack_one_slot(slot, jobs, partitioner, PackOptions{});
+      pack_one_slot(slot, jobs, *partitioner, PackOptions{});
   const std::vector<PackedBatch>& batches = packed.batches[0];
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].jobs, (std::vector<std::size_t>{0, 2}));
@@ -873,11 +873,12 @@ TEST(FleetService, BestEfsRoutesEveryJobToItsLowestErrorDevice) {
   }
   service.flush();
 
-  const QucpPartitioner partitioner(service.options().sigma);
+  const auto partitioner =
+      make_partitioner(Method::QuCP, service.options().sigma, std::nullopt);
   for (std::size_t i = 0; i < handles.size(); ++i) {
-    const auto on_toronto = solo_efs_score(toronto, partitioner, shapes[i]);
+    const auto on_toronto = solo_efs_score(toronto, *partitioner, shapes[i]);
     const auto on_manhattan =
-        solo_efs_score(manhattan, partitioner, shapes[i]);
+        solo_efs_score(manhattan, *partitioner, shapes[i]);
     ASSERT_TRUE(on_toronto && on_manhattan) << handles[i].name();
     const int expected = *on_toronto <= *on_manhattan ? 0 : 1;
     EXPECT_EQ(handles[i].result().batch.backend_id, expected)
@@ -1032,10 +1033,11 @@ TEST(FleetService, WaitAccountingIsAuditableAgainstAnIndependentPlan) {
   popts.runtime.shots = opts.exec.shots;
   BackendRegistry audit(devices);
   FleetScheduler scheduler(audit, opts.route_policy);
-  const QucpPartitioner partitioner(opts.sigma);
+  const auto partitioner =
+      make_partitioner(Method::QuCP, opts.sigma, std::nullopt);
   const std::vector<double> idle = {0.0, 0.0};
   const FleetPlan plan =
-      scheduler.plan(pack_jobs, partitioner, popts, idle);
+      scheduler.plan(pack_jobs, *partitioner, popts, idle);
 
   const ServiceStats stats = service.stats();
   ASSERT_EQ(stats.backends.size(), 2u);
