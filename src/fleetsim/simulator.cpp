@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -13,31 +14,6 @@
 namespace qucp::fleetsim {
 
 namespace {
-
-// Accumulated drift of one process at time `now`: zero outside the window,
-// else seconds since the window opened — wrapped by the scheduled
-// recalibration period, which models the daily cycle resetting the chip.
-double drift_elapsed(const DriftProcess& p, double now) {
-  if (now < p.start_s || now >= p.end_s) return 0.0;
-  double elapsed = now - p.start_s;
-  if (p.recalibration_period_s > 0.0) {
-    elapsed = std::fmod(elapsed, p.recalibration_period_s);
-  }
-  return elapsed;
-}
-
-// Drifted per-device estimate (`ramp` selects EFS or makespan). With no
-// drift configured it returns its input untouched (no arithmetic), keeping
-// the frozen-calibration simulator bit-identical; unfit stays unfit.
-double drifted(std::span<const DriftProcess> drift, double DriftProcess::*ramp,
-               std::size_t d, double base, double now) {
-  if (base < 0.0) return base;
-  for (const DriftProcess& p : drift) {
-    if (p.device != static_cast<int>(d)) continue;
-    base *= 1.0 + p.*ramp * drift_elapsed(p, now);
-  }
-  return base;
-}
 
 /// Open/queued batch as the lane models it: member count and the running
 /// max makespan, which fixes the batch's modeled runtime. Only the tail
@@ -70,12 +46,12 @@ class LaneView final : public RouteView {
 
   std::size_t size() const noexcept override { return lanes_.size(); }
 
-  /// Drifted EFS; nullopt when the drifted makespan marks the slot unfit.
+  /// The class's EFS on `slot`; nullopt when its makespan marks the slot
+  /// unfit.
   [[nodiscard]] std::optional<double> solo_efs(
       std::size_t slot, const PackJob& job) const override {
     if (exec_ns(slot, job) < 0.0) return std::nullopt;
-    return drifted(sim_.options().drift, &DriftProcess::efs_ramp_per_s, slot,
-                   sim_.classes()[job.fingerprint].efs[slot], now);
+    return sim_.classes()[job.fingerprint].efs[slot];
   }
 
   /// The shared formula. The running batch's remaining time is the
@@ -95,11 +71,9 @@ class LaneView final : public RouteView {
                                     sim_.options().max_batch_size);
   }
 
-  /// Drifted makespan of `job` on `slot`; < 0 when unfit.
+  /// Modeled makespan of `job` on `slot`; < 0 when unfit.
   [[nodiscard]] double exec_ns(std::size_t slot, const PackJob& job) const {
-    return drifted(sim_.options().drift, &DriftProcess::makespan_ramp_per_s,
-                   slot, sim_.classes()[job.fingerprint].makespan_ns[slot],
-                   now);
+    return sim_.classes()[job.fingerprint].makespan_ns[slot];
   }
 
  private:
@@ -148,16 +122,6 @@ FleetSimulator::FleetSimulator(std::vector<SimJobClass> classes,
     if (!fits_somewhere) {
       throw std::invalid_argument("FleetSimulator: class '" + c.name +
                                   "' fits on no device");
-    }
-  }
-  for (const DriftProcess& p : options_.drift) {
-    if (p.device < 0 || static_cast<std::size_t>(p.device) >= num_devices_) {
-      throw std::invalid_argument(
-          "FleetSimulator: drift process targets an unknown device");
-    }
-    if (p.end_s < p.start_s) {
-      throw std::invalid_argument(
-          "FleetSimulator: drift process window end precedes start");
     }
   }
   options_.model.queue_depth = 0;  // queueing is simulated, not modeled
@@ -251,23 +215,18 @@ SimTrace FleetSimulator::run(std::span<const Arrival> arrivals) const {
         const std::size_t cls = static_cast<std::size_t>(arrival.job_class);
         const PackJob routed{job, {classes_[cls].qubits, 0, 0}, cls};
         view.now = event.time_s;
-        // The first device in preference order that the job fits on.
+        // The first device in preference order that the job fits on. The
+        // constructor checked that every class fits on some device, and a
+        // class's fit never changes, so one always exists.
         policy.preference(view, routed, prefs);
         const auto fit = std::ranges::find_if(prefs, [&](std::size_t s) {
           return view.exec_ns(s, routed) >= 0.0;
         });
-        if (fit == prefs.end()) {
-          throw std::invalid_argument("FleetSimulator: arrival " +
-                                      std::to_string(job) + " fits nowhere");
-        }
+        assert(fit != prefs.end());
         const std::size_t d = *fit;
         policy.on_placed(d, routed);
         record.device = static_cast<int>(d);
         Lane& lane = lanes[d];
-        // The makespan is read at enqueue time under the drift in force
-        // now: a job admitted to a degraded chip carries the degraded
-        // estimate even if the chip recalibrates before the batch
-        // dispatches, mirroring the service's pack-time-epoch rule.
         enqueue(lane, job, view.exec_ns(d, routed));
         if (!lane.busy) start_batch(d, event.time_s);
         break;

@@ -20,9 +20,10 @@
 //
 // Routing runs the service's own RoutingPolicy class (service/fleet.hpp)
 // over a RouteView of the simulator's lanes, so offline evaluation checks
-// the very rule the service routes with. Each arrival goes to the first device in the
-// policy's preference order that it fits on. The view's solo EFS is the
-// drifted EFS, and its expected latency is the service's one
+// the very rule the service routes with. Each arrival goes to the first
+// device in the policy's preference order that it fits on. Calibrations
+// are frozen for the whole run: the view's solo EFS is the class's
+// per-device EFS, and its expected latency is the service's one
 // ExpectedLatency formula over the lane: the running batch's remaining
 // time as backlog, queued batches as closed work, and the tail batch as
 // the open batch while it has room.
@@ -59,40 +60,12 @@ struct SimJobClass {
   std::vector<double> efs;
 };
 
-/// Calibration drift applied to one device over a time window — the
-/// offline mirror of a chip degrading between live recalibrations
-/// (service/backend.hpp). Inside [start_s, end_s) the device's EFS
-/// (2q-error-driven fidelity score) and makespans ramp linearly with the
-/// time since the last recalibration; `recalibration_period_s` models the
-/// scheduled daily cycle that resets the accumulated drift, and at end_s
-/// a final recalibration restores the device for good. Outside the window
-/// the device is exactly its base self, so a drift-free configuration is
-/// bit-identical to a simulator without drift support.
-struct DriftProcess {
-  int device = 0;
-  double start_s = 0.0;  ///< drift onset
-  double end_s = 0.0;    ///< final recalibration; restored at and after
-  /// Fractional EFS growth per second of accumulated drift (error grows,
-  /// so BestEfs/ExpectedLatency see the chip worsen).
-  double efs_ramp_per_s = 0.0;
-  /// Fractional makespan growth per second of accumulated drift (gates
-  /// slow down as calibration decays).
-  double makespan_ramp_per_s = 0.0;
-  /// Scheduled recalibration period within the window; <= 0 means the
-  /// drift accumulates unchecked until end_s.
-  double recalibration_period_s = 0.0;
-};
-
 struct SimOptions {
   RoutePolicy policy = RoutePolicy::ExpectedLatency;
   int max_batch_size = 4;  ///< jobs per dispatched batch; <= 0 unbounded
   /// Device-time model for batch runtimes (shots, per-job overhead). The
   /// queue_depth field is ignored — queueing is what the simulator models.
   RuntimeModel model;
-  /// Drift scenarios, applied multiplicatively when several target the
-  /// same device. Empty = frozen calibration (bit-identical to the
-  /// pre-drift simulator).
-  std::vector<DriftProcess> drift;
 };
 
 /// Per-job outcome, in arrival order. start_s/end_s bound the job's batch

@@ -221,12 +221,8 @@ ParallelRunReport execute_parallel(const Device& device,
     //
     // Everything about a pair except its time overlap (programs, edges,
     // one-hop distance) is shift-invariant, so the O(E^2) pair scan
-    // runs once; each round then only rechecks overlap on the precomputed
-    // eligible pairs. A shift moves just the victim program's events, so
-    // the next scan resumes from the victim's earlier pairs plus the tail
-    // at/after the shift position instead of restarting at index 0 —
-    // pairs before that point without a victim event were already clean
-    // and cannot have changed.
+    // runs once; each round then rescans only the precomputed eligible
+    // pairs for the first that overlaps in time.
     const Topology& topo = device.topology();
     auto statically_eligible = [&](const CxEvent& a, const CxEvent& b) {
       if (a.program == b.program || a.edge == b.edge) return false;
@@ -251,44 +247,15 @@ ParallelRunReport execute_parallel(const Device& device,
         }
       }
     }
-    // Eligible-pair positions touching each program, ascending.
-    std::vector<std::vector<std::uint32_t>> pairs_of(programs.size());
-    for (std::size_t t = 0; t < eligible.size(); ++t) {
-      pairs_of[events[eligible[t].a].program].push_back(
-          static_cast<std::uint32_t>(t));
-      pairs_of[events[eligible[t].b].program].push_back(
-          static_cast<std::uint32_t>(t));
-    }
-    auto overlapping = [&](const EligiblePair& pr) {
-      const CxEvent& a = events[pr.a];
-      const CxEvent& b = events[pr.b];
-      return intervals_overlap(a.start_ns, a.end_ns, b.start_ns, b.end_ns);
-    };
-    const std::size_t kNoVictim = programs.size();
-    std::size_t resume = 0;
-    std::size_t last_victim = kNoVictim;
     for (int round = 0; round < 100; ++round) {
-      std::size_t found = eligible.size();
-      if (last_victim != kNoVictim) {
-        for (std::uint32_t t : pairs_of[last_victim]) {
-          if (t >= resume) break;
-          if (overlapping(eligible[t])) {
-            found = t;
-            break;
-          }
-        }
-      }
-      if (found == eligible.size()) {
-        for (std::size_t t = resume; t < eligible.size(); ++t) {
-          if (overlapping(eligible[t])) {
-            found = t;
-            break;
-          }
-        }
-      }
-      if (found == eligible.size()) break;
-      const CxEvent& a = events[eligible[found].a];
-      const CxEvent& b = events[eligible[found].b];
+      const auto found = std::ranges::find_if(eligible, [&](const auto& pr) {
+        const CxEvent& a = events[pr.a];
+        const CxEvent& b = events[pr.b];
+        return intervals_overlap(a.start_ns, a.end_ns, b.start_ns, b.end_ns);
+      });
+      if (found == eligible.end()) break;
+      const CxEvent& a = events[found->a];
+      const CxEvent& b = events[found->b];
       // Delay the program whose conflicting gate starts later.
       const bool delay_b = b.start_ns >= a.start_ns;
       const std::size_t victim = delay_b ? b.program : a.program;
@@ -306,8 +273,6 @@ ParallelRunReport execute_parallel(const Device& device,
           ev.end_ns += delta;
         }
       }
-      resume = found;
-      last_victim = victim;
     }
     global_makespan = 0.0;
     for (const Schedule& s : schedules) {

@@ -8,6 +8,13 @@
 
 namespace qucp {
 
+namespace {
+
+// Repetitions of the swept RyRz ansatz.
+constexpr int kAnsatzReps = 2;
+
+}  // namespace
+
 std::vector<double> theta_grid(int count, double lo, double hi) {
   if (count < 1) throw std::invalid_argument("theta_grid: count < 1");
   std::vector<double> out;
@@ -39,7 +46,7 @@ VqeSweepResult run_vqe_sweep(const Device& device,
   std::vector<Circuit> circuits;
   circuits.reserve(thetas.size() * groups.size());
   for (std::size_t t = 0; t < thetas.size(); ++t) {
-    const Circuit prep = make_tied_ansatz(n, options.reps, thetas[t]);
+    const Circuit prep = make_tied_ansatz(n, kAnsatzReps, thetas[t]);
     for (std::size_t g = 0; g < groups.size(); ++g) {
       Circuit mc = measurement_circuit(prep, groups[g]);
       mc.set_name("t" + std::to_string(t) + "g" + std::to_string(g));

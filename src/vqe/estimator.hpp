@@ -6,7 +6,8 @@
 // paper's independent baseline); QuCP+PG packs all of them into one
 // parallel batch on the device. The energy estimate at each theta sums the
 // group energies plus any identity offsets; the sweep minimum approximates
-// the ground energy (Table III / Fig. 5).
+// the ground energy (Table III / Fig. 5). The ansatz is the tied RyRz
+// ansatz with two repetitions.
 
 #include <vector>
 
@@ -17,7 +18,6 @@
 namespace qucp {
 
 struct VqeSweepOptions {
-  int reps = 2;                  ///< ansatz repetitions
   ParallelOptions parallel;      ///< method/sigma/exec for QuCP+PG
   bool run_parallel = true;      ///< false: PG (one circuit per job)
 };

@@ -58,25 +58,11 @@ std::vector<double> polyfit(std::span<const double> xs,
   return coeff;
 }
 
-double LinearFactory::extrapolate(std::span<const double> scales,
-                                  std::span<const double> values) const {
-  return polyfit(scales, values, 1)[0];
-}
-
-PolyFactory::PolyFactory(int order) : order_(order) {
-  if (order < 1) throw std::invalid_argument("PolyFactory: order < 1");
-}
-
-double PolyFactory::extrapolate(std::span<const double> scales,
-                                std::span<const double> values) const {
-  return polyfit(scales, values, order_)[0];
-}
-
-double RichardsonFactory::extrapolate(std::span<const double> scales,
-                                      std::span<const double> values) const {
+double richardson_extrapolate(std::span<const double> scales,
+                              std::span<const double> values) {
   const std::size_t n = scales.size();
   if (values.size() != n || n < 2) {
-    throw std::invalid_argument("RichardsonFactory: need >= 2 points");
+    throw std::invalid_argument("richardson_extrapolate: need >= 2 points");
   }
   // Lagrange interpolation evaluated at x = 0.
   double result = 0.0;
@@ -86,7 +72,7 @@ double RichardsonFactory::extrapolate(std::span<const double> scales,
       if (j == i) continue;
       const double denom = scales[i] - scales[j];
       if (std::abs(denom) < 1e-12) {
-        throw std::invalid_argument("RichardsonFactory: duplicate scales");
+        throw std::invalid_argument("richardson_extrapolate: duplicate scales");
       }
       weight *= -scales[j] / denom;
     }

@@ -1,62 +1,27 @@
 #pragma once
-// Zero-noise extrapolation factories (Mitiq's Linear/Poly/Richardson).
+// Zero-noise extrapolation (Mitiq's Linear/Poly/Richardson fits).
 //
-// Each factory fits expectation values measured at scale factors >= 1 and
-// extrapolates to scale 0. Richardson interpolates exactly through all
-// points (Lagrange at 0); Linear and Poly are least-squares fits, which
-// tolerate noisy expectation values better.
+// Each fit takes expectation values measured at scale factors >= 1 and
+// extrapolates to scale 0. Linear and Poly2 are least-squares fits, the
+// intercepts polyfit(scales, values, 1)[0] and polyfit(scales, values, 2)[0],
+// which tolerate noisy expectation values; Richardson interpolates exactly
+// through all points (Lagrange at 0). run_zne tries all three.
 
 #include <span>
-#include <string>
 #include <vector>
 
 namespace qucp {
-
-class ExtrapolationFactory {
- public:
-  virtual ~ExtrapolationFactory() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Extrapolate to zero noise from (scale, expectation) samples.
-  /// Requires enough points for the model; throws otherwise.
-  [[nodiscard]] virtual double extrapolate(
-      std::span<const double> scales,
-      std::span<const double> values) const = 0;
-};
-
-class LinearFactory final : public ExtrapolationFactory {
- public:
-  [[nodiscard]] std::string name() const override { return "Linear"; }
-  [[nodiscard]] double extrapolate(
-      std::span<const double> scales,
-      std::span<const double> values) const override;
-};
-
-class PolyFactory final : public ExtrapolationFactory {
- public:
-  explicit PolyFactory(int order);
-  [[nodiscard]] std::string name() const override {
-    return "Poly" + std::to_string(order_);
-  }
-  [[nodiscard]] double extrapolate(
-      std::span<const double> scales,
-      std::span<const double> values) const override;
-
- private:
-  int order_;
-};
-
-class RichardsonFactory final : public ExtrapolationFactory {
- public:
-  [[nodiscard]] std::string name() const override { return "Richardson"; }
-  [[nodiscard]] double extrapolate(
-      std::span<const double> scales,
-      std::span<const double> values) const override;
-};
 
 /// Least-squares polynomial fit returning coefficients c0..c_order
 /// (normal equations with partial-pivot elimination; sizes here are tiny).
 [[nodiscard]] std::vector<double> polyfit(std::span<const double> xs,
                                           std::span<const double> ys,
                                           int order);
+
+/// Richardson extrapolation: the Lagrange interpolant through every
+/// (scale, value) sample, evaluated at scale 0. Throws
+/// std::invalid_argument on fewer than two points or duplicate scales.
+[[nodiscard]] double richardson_extrapolate(std::span<const double> scales,
+                                            std::span<const double> values);
 
 }  // namespace qucp

@@ -1,6 +1,5 @@
 #include "zne/folding.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -77,35 +76,6 @@ Circuit fold_gates_at_random(const Circuit& circuit, double scale, Rng rng) {
       out.append(g);
     }
   }
-  append_measurements(out, split.measurements);
-  return out;
-}
-
-Circuit fold_global(const Circuit& circuit, double scale) {
-  if (scale < 1.0) throw std::invalid_argument("fold_global: scale < 1");
-  SplitCircuit split = split_terminal(circuit);
-  const std::size_t n = split.body.size();
-  if (n == 0) return circuit;
-
-  const auto k = static_cast<std::size_t>(std::floor((scale - 1.0) / 2.0));
-  // Partial fold of the last `p` gates to land near the requested scale.
-  const double frac = (scale - 1.0) / 2.0 - static_cast<double>(k);
-  const auto p = static_cast<std::size_t>(std::llround(frac * n));
-
-  Circuit out = split.body;
-  const Circuit inv = split.body.inverse();
-  for (std::size_t i = 0; i < k; ++i) {
-    out.compose(inv);
-    out.compose(split.body);
-  }
-  if (p > 0) {
-    // Fold the tail: append inverse of last p gates, then the gates again.
-    Circuit tail(circuit.num_qubits(), circuit.num_clbits());
-    for (std::size_t i = n - p; i < n; ++i) tail.append(split.body.ops()[i]);
-    out.compose(tail.inverse());
-    out.compose(tail);
-  }
-  out.set_name(circuit.name());
   append_measurements(out, split.measurements);
   return out;
 }

@@ -5,8 +5,8 @@
 // Folding a gate G into G G^dagger G leaves the ideal circuit invariant
 // while tripling that gate's noise exposure. A scale factor s >= 1 selects
 // how many gates to fold: the folded circuit has ~s times the original
-// gate count. fold_gates_at_random picks the folded subset randomly
-// (the paper's choice); fold_global folds the whole circuit.
+// gate count. fold_gates_at_random picks the folded subset randomly, as
+// the paper does.
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
@@ -18,10 +18,6 @@ namespace qucp {
 /// larger scales apply full folds first, then a random partial fold.
 [[nodiscard]] Circuit fold_gates_at_random(const Circuit& circuit,
                                            double scale, Rng rng);
-
-/// Global folding: C -> C (C^dagger C)^k with a partial right fold for
-/// fractional scales.
-[[nodiscard]] Circuit fold_global(const Circuit& circuit, double scale);
 
 /// Achieved scale: folded unitary gate count / original count.
 [[nodiscard]] double achieved_scale(const Circuit& original,

@@ -2,13 +2,24 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "common/strings.hpp"
 #include "sim/statevector.hpp"
 
 namespace qucp {
+
+namespace {
+
+// Seed of the random gate folding; fixed, so a run is reproducible.
+constexpr std::uint64_t kFoldingSeed = 99;
+
+}  // namespace
 
 double parity_expectation(const Distribution& dist) {
   double e = 0.0;
@@ -33,7 +44,7 @@ ZneResult run_zne(const Device& device, const Circuit& circuit,
   exec_opts.optimize_circuits = false;
 
   // Folded circuits (scale 1 = original).
-  Rng fold_rng(options.folding_seed);
+  Rng fold_rng(kFoldingSeed);
   std::vector<Circuit> folded;
   for (double s : options.scales) {
     Circuit f = s == 1.0
@@ -77,17 +88,20 @@ ZneResult run_zne(const Device& device, const Circuit& circuit,
   }
   result.unmitigated = result.expectations.front();
 
-  // Extrapolate with every factory; report the one closest to ideal (the
+  // Extrapolate with every fit; report the one closest to ideal (the
   // paper's protocol, acknowledging extrapolation's noise sensitivity).
-  std::vector<std::unique_ptr<ExtrapolationFactory>> factories;
-  factories.push_back(std::make_unique<LinearFactory>());
-  factories.push_back(std::make_unique<PolyFactory>(2));
-  factories.push_back(std::make_unique<RichardsonFactory>());
+  using Samples = std::span<const double>;
+  using Extrapolate = double (*)(Samples, Samples);
+  const std::pair<const char*, Extrapolate> fits[] = {
+      {"Linear", [](Samples s, Samples v) { return polyfit(s, v, 1)[0]; }},
+      {"Poly2", [](Samples s, Samples v) { return polyfit(s, v, 2)[0]; }},
+      {"Richardson", richardson_extrapolate},
+  };
   double best_err = std::numeric_limits<double>::infinity();
-  for (const auto& factory : factories) {
+  for (const auto& [name, extrapolate] : fits) {
     double value = 0.0;
     try {
-      value = factory->extrapolate(result.scales, result.expectations);
+      value = extrapolate(result.scales, result.expectations);
     } catch (const std::exception&) {
       continue;  // e.g. singular fit on degenerate scales
     }
@@ -95,8 +109,17 @@ ZneResult run_zne(const Device& device, const Circuit& circuit,
     if (err < best_err) {
       best_err = err;
       result.mitigated = value;
-      result.best_factory = factory->name();
+      result.best_factory = name;
     }
+  }
+  if (result.best_factory.empty()) {
+    std::string achieved;
+    for (double s : result.scales) {
+      achieved += (achieved.empty() ? "" : ", ") + fmt_double(s, 4);
+    }
+    throw std::invalid_argument(
+        "run_zne: no extrapolation fits the achieved scales {" + achieved +
+        "}; at least two distinct scales are needed");
   }
   result.abs_error = std::abs(result.mitigated - result.ideal_expectation);
   return result;

@@ -366,139 +366,6 @@ TEST(FleetSimulator, ExpectedLatencyBeatsQueueBlindPoliciesOnBurstyStream) {
   EXPECT_LT(el, p95[static_cast<int>(RoutePolicy::RoundRobin)]);
 }
 
-TEST(Drift, ConstructorValidatesProcesses) {
-  SimOptions options;
-  options.drift.push_back({/*device=*/2, 0.0, 10.0, 0.1, 0.0, 0.0});
-  EXPECT_THROW(FleetSimulator({{"a", 2, {1.0, 1.0}, {0.1, 0.1}}}, 2, options),
-               std::invalid_argument);
-  options.drift = {{0, /*start_s=*/10.0, /*end_s=*/5.0, 0.1, 0.0, 0.0}};
-  EXPECT_THROW(FleetSimulator({{"a", 2, {1.0, 1.0}, {0.1, 0.1}}}, 2, options),
-               std::invalid_argument);
-}
-
-TEST(Drift, InertProcessesLeaveTraceBitIdentical) {
-  // Zero ramps, or a window the stream never enters, must not perturb a
-  // single bit of the trace — the no-recalibration fleet is exactly the
-  // pre-drift simulator.
-  ArrivalConfig config;
-  config.kind = ArrivalKind::Bursty;
-  config.rate_per_s = 1.2;
-  config.class_weights = {2.0, 1.0};
-  const auto arrivals = generate_arrivals(config, 1000, 33);
-  const std::uint64_t base =
-      tiny_sim(RoutePolicy::ExpectedLatency, 4, 2).run(arrivals).hash();
-
-  SimOptions options = tiny_sim(RoutePolicy::ExpectedLatency, 4, 2).options();
-  options.drift = {{0, 0.0, 1e9, /*efs_ramp=*/0.0, /*makespan_ramp=*/0.0,
-                    0.0}};
-  FleetSimulator zero_ramp({{"short", 2, {1000.0, 1000.0}, {0.1, 0.1}},
-                            {"long", 4, {3000.0, 3000.0}, {0.2, 0.2}}},
-                           2, options);
-  EXPECT_EQ(zero_ramp.run(arrivals).hash(), base);
-
-  options.drift = {{0, 1e8, 2e8, 0.5, 0.5, 0.0}};  // far past the stream
-  FleetSimulator far_window({{"short", 2, {1000.0, 1000.0}, {0.1, 0.1}},
-                             {"long", 4, {3000.0, 3000.0}, {0.2, 0.2}}},
-                            2, options);
-  EXPECT_EQ(far_window.run(arrivals).hash(), base);
-}
-
-TEST(Drift, BestEfsRoutesAroundTheWindowAndRecalibrationResets) {
-  // Device 0 is the better chip (EFS 0.1 vs 0.2) but drifts over
-  // [100, 1000) with efs_ramp 0.02/s: after 50s of accumulated drift its
-  // EFS crosses device 1's. The scheduled recalibration every 200s resets
-  // the accumulation, and the final recalibration at end_s restores the
-  // chip for good. BestEfs is queue-independent, so each arrival's route
-  // is a pure function of the drifted EFS at its arrival time.
-  SimOptions options;
-  options.policy = RoutePolicy::BestEfs;
-  options.max_batch_size = 1;
-  options.model.job_overhead_s = 0.0;
-  options.model.shot_overhead_ns = 0.0;
-  options.model.shots = 1;  // batches drain instantly vs the time scale
-  options.drift = {{0, 100.0, 1000.0, /*efs_ramp=*/0.02, 0.0,
-                    /*recalibration_period_s=*/200.0}};
-  FleetSimulator sim({{"job", 2, {1000.0, 1000.0}, {0.1, 0.2}}}, 2, options);
-
-  const std::vector<Arrival> arrivals = {
-      {50.0, 0},    // before the window: device 0
-      {110.0, 0},   // 10s of drift, efs 0.1*1.2 = 0.12: still device 0
-      {160.0, 0},   // 60s of drift, efs 0.22: degraded past device 1
-      {310.0, 0},   // period wrapped at t=300, 10s again: device 0
-      {460.0, 0},   // 360s of drift wraps to 160s: still degraded, device 1
-      {1200.0, 0},  // after end_s: restored, device 0
-  };
-  const SimTrace trace = sim.run(arrivals);
-  const int expected[] = {0, 0, 1, 0, 1, 0};
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    EXPECT_EQ(trace.jobs[i].device, expected[i]) << "arrival " << i;
-  }
-}
-
-TEST(Drift, ArrivalThatFitsNowhereUnderDriftIsRejected) {
-  // A negative makespan ramp can drive the drifted makespan of the only
-  // device a class fits on below zero. Every policy then rejects the
-  // arrival instead of routing it off the fleet.
-  for (const RoutePolicy policy :
-       {RoutePolicy::RoundRobin, RoutePolicy::LeastLoaded,
-        RoutePolicy::BestEfs, RoutePolicy::ExpectedLatency}) {
-    SimOptions options;
-    options.policy = policy;
-    options.drift = {{0, 0.0, 100.0, 0.0, /*makespan_ramp=*/-1.0, 0.0}};
-    FleetSimulator sim({{"job", 2, {1000.0, -1.0}, {0.1, 0.1}}}, 2, options);
-    // Factor 1 - 0.5 = 0.5 at t=0.5; 1 - 2 = -1 at t=2.
-    EXPECT_EQ(sim.run(std::vector<Arrival>{{0.5, 0}}).jobs[0].device, 0)
-        << route_policy_name(policy);
-    EXPECT_THROW((void)sim.run(std::vector<Arrival>{{2.0, 0}}),
-                 std::invalid_argument)
-        << route_policy_name(policy);
-  }
-}
-
-TEST(Drift, DegradedDeviceLosesTrafficShareAndRegainsIt) {
-  // Under ExpectedLatency, a makespan ramp on device 0 mid-stream shifts
-  // traffic share toward device 1 inside the window and hands it back
-  // after the final recalibration at end_s.
-  SimOptions options;
-  options.policy = RoutePolicy::ExpectedLatency;
-  options.max_batch_size = 4;
-  options.model.job_overhead_s = 0.0;
-  options.model.shot_overhead_ns = 0.0;
-  options.model.shots = 1'000'000;  // runtime_s = makespan_ns * 1e-3
-  options.drift = {{0, 1000.0, 2000.0, 0.0, /*makespan_ramp=*/0.01, 0.0}};
-  // Device 0 is strictly faster when healthy.
-  std::vector<SimJobClass> classes = {
-      {"job", 2, {1000.0, 1500.0}, {0.1, 0.1}}};
-  FleetSimulator sim(classes, 2, options);
-
-  std::vector<Arrival> arrivals;
-  for (int i = 0; i < 3000; ++i) {
-    arrivals.push_back({static_cast<double>(i), 0});
-  }
-  const SimTrace trace = sim.run(arrivals);
-
-  // Traffic share of device 0 per window (jobs arriving in [lo, hi)).
-  const auto share0 = [&trace](double lo, double hi) {
-    std::uint64_t total = 0;
-    std::uint64_t on0 = 0;
-    for (const JobRecord& r : trace.jobs) {
-      if (r.arrival_s < lo || r.arrival_s >= hi) continue;
-      ++total;
-      on0 += r.device == 0 ? 1 : 0;
-    }
-    return static_cast<double>(on0) / static_cast<double>(total);
-  };
-  const double before = share0(0.0, 1000.0);
-  const double during = share0(1400.0, 2000.0);  // well past the ramp-up
-  const double after = share0(2000.0, 3000.0);
-  EXPECT_GT(before, 0.9);
-  EXPECT_LT(during, before - 0.3) << "no shift away from the drifting chip";
-  EXPECT_GT(after, 0.9) << "traffic did not return after recalibration";
-
-  // Same config, same stream: the drift machinery is deterministic.
-  EXPECT_EQ(sim.run(arrivals).hash(), trace.hash());
-}
-
 TEST(Stats, PercentileIsNearestRank) {
   const std::vector<double> sample = {5.0, 1.0, 3.0, 2.0, 4.0};
   EXPECT_DOUBLE_EQ(percentile(sample, 0.0), 1.0);

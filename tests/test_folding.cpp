@@ -52,25 +52,6 @@ TEST_P(FoldScaleTest, FoldingPreservesSemantics) {
 INSTANTIATE_TEST_SUITE_P(Scales, FoldScaleTest,
                          ::testing::Values(1.0, 1.5, 2.0, 2.5, 3.0, 4.5));
 
-TEST(Folding, GlobalFoldExactOddScales) {
-  const Circuit c = sample_circuit();
-  for (double scale : {1.0, 3.0, 5.0}) {
-    const Circuit folded = fold_global(c, scale);
-    EXPECT_NEAR(achieved_scale(c, folded), scale, 1e-12) << scale;
-  }
-}
-
-TEST(Folding, GlobalFoldPreservesSemantics) {
-  const Circuit c = sample_circuit();
-  for (double scale : {1.5, 2.0, 3.0}) {
-    const Distribution want = ideal_distribution(c);
-    const Distribution got = ideal_distribution(fold_global(c, scale));
-    for (const auto& [outcome, p] : want.probs()) {
-      EXPECT_NEAR(got.prob(outcome), p, 1e-9) << scale;
-    }
-  }
-}
-
 TEST(Folding, MeasurementsStayTerminalAndUntouched) {
   const Circuit c = sample_circuit();
   const Circuit folded = fold_gates_at_random(c, 2.5, Rng(5));
@@ -90,7 +71,6 @@ TEST(Folding, RejectsBadScale) {
   const Circuit c = sample_circuit();
   EXPECT_THROW((void)fold_gates_at_random(c, 0.5, Rng(1)),
                std::invalid_argument);
-  EXPECT_THROW((void)fold_global(c, 0.0), std::invalid_argument);
 }
 
 TEST(Folding, NonTerminalMeasurementRejected) {

@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "quiet_device.hpp"
+#include "random_programs.hpp"
 #include "sim/executor.hpp"
+#include "sim/kernels.hpp"
 #include "sim/statevector.hpp"
 
 namespace qucp {
@@ -106,6 +112,66 @@ TEST(SerializeCrosstalk, NoopWithoutConflicts) {
   opts.serialize_crosstalk = false;
   const ParallelRunReport b = execute_parallel(d, programs, opts);
   EXPECT_DOUBLE_EQ(a.makespan_ns, b.makespan_ns);
+}
+
+TEST(SerializeCrosstalk, MultiProgramBatchesMatchPinnedDigest) {
+  // Seeded random 3-6-program batches on toronto27 and manhattan65 under
+  // ALAP and ASAP, serialized with the scalar kernels. The digest folds
+  // each batch's makespan bits, crosstalk events and max gamma, and every
+  // program's distribution bits and counts, so any change to which pair
+  // a serialization round shifts, or by how much, moves it.
+  struct NativeReset {
+    bool was = kern::native_kernels_active();
+    ~NativeReset() { kern::set_native_kernels(was); }
+  } reset;
+  kern::set_native_kernels(false);
+
+  std::uint64_t h = kFnv1aBasis;
+  int multi_program_batches = 0;
+  Rng rng(7331);
+  for (const Device& device : {make_toronto27(), make_manhattan65()}) {
+    for (const SchedulePolicy policy :
+         {SchedulePolicy::ALAP, SchedulePolicy::ASAP}) {
+      for (int batch = 0; batch < 25; ++batch) {
+        std::vector<char> taken(static_cast<std::size_t>(device.num_qubits()),
+                                0);
+        std::vector<PhysicalProgram> programs;
+        const int want = 3 + static_cast<int>(rng.index(4));
+        for (int p = 0; p < want; ++p) {
+          const std::vector<int> region = test_programs::random_region(
+              device, rng, 2 + static_cast<int>(rng.index(3)), taken);
+          if (region.size() < 2) break;
+          programs.push_back({test_programs::random_physical_circuit(
+                                  device, rng, region,
+                                  12 + static_cast<int>(rng.index(12))),
+                              "p"});
+        }
+        multi_program_batches += programs.size() >= 3 ? 1 : 0;
+        ExecOptions opts;
+        opts.shots = 64;
+        opts.schedule = policy;
+        opts.seed = 17 + static_cast<std::uint64_t>(batch);
+        opts.serialize_crosstalk = true;
+        const ParallelRunReport run = execute_parallel(device, programs, opts);
+        h = fnv1a_mix(h, std::bit_cast<std::uint64_t>(run.makespan_ns));
+        h = fnv1a_mix(h, static_cast<std::uint64_t>(run.crosstalk_events));
+        h = fnv1a_mix(h, std::bit_cast<std::uint64_t>(run.max_gamma_applied));
+        for (const ProgramOutcome& out : run.programs) {
+          for (const auto& [outcome, p] : out.distribution.probs()) {
+            h = fnv1a_mix(h, outcome);
+            h = fnv1a_mix(h, std::bit_cast<std::uint64_t>(p));
+          }
+          for (const auto& [outcome, n] : out.counts.data()) {
+            h = fnv1a_mix(h, outcome);
+            h = fnv1a_mix(h, static_cast<std::uint64_t>(n));
+          }
+        }
+      }
+    }
+  }
+  // A batch stops growing when no free region of two qubits is left.
+  EXPECT_GE(multi_program_batches, 95);
+  EXPECT_EQ(h, 0xeda378a4a551c7c6ull) << std::hex << h;
 }
 
 }  // namespace

@@ -104,6 +104,37 @@ TEST(Zne, RequiresScaleOne) {
                std::invalid_argument);
 }
 
+TEST(Zne, EveryFitFailingThrows) {
+  // One achieved scale leaves Linear, Poly2 and Richardson all without a
+  // fit; the mitigated processes must say so instead of reporting 0.
+  const Device d = make_toronto27();
+  ZneOptions opts = fast_zne();
+  opts.scales = {1.0};
+  const Circuit& circuit = get_benchmark("fredkin").circuit;
+  for (const ZneProcess process :
+       {ZneProcess::Parallel, ZneProcess::Independent}) {
+    try {
+      (void)run_zne(d, circuit, process, opts);
+      ADD_FAILURE() << "no throw for process " << static_cast<int>(process);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("{1.0000}"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Baseline never extrapolates.
+  EXPECT_EQ(run_zne(d, circuit, ZneProcess::Baseline, opts).best_factory,
+            "none");
+
+  // Achieved scales can collapse: one gate folds round(0.25) = 0 times at
+  // scale 1.5, so {1.0, 1.5} achieves {1.0, 1.0}.
+  Circuit one_gate(1, 1, "one_gate");
+  one_gate.h(0);
+  one_gate.measure(0, 0);
+  opts.scales = {1.0, 1.5};
+  EXPECT_THROW((void)run_zne(d, one_gate, ZneProcess::Parallel, opts),
+               std::invalid_argument);
+}
+
 TEST(Zne, DeterministicPerSeeds) {
   const Device d = make_toronto27();
   const ZneOptions opts = fast_zne();
