@@ -155,41 +155,6 @@ std::map<std::string, int> Circuit::count_ops() const {
   return counts;
 }
 
-int Circuit::depth() const {
-  std::vector<int> qlevel(num_qubits_, 0);
-  std::vector<int> clevel(num_clbits_, 0);
-  int depth = 0;
-  for (const Gate& g : ops_) {
-    if (g.kind == GateKind::Barrier) {
-      int m = 0;
-      for (int q : g.qubits) m = std::max(m, qlevel[q]);
-      for (int q : g.qubits) qlevel[q] = m;
-      continue;
-    }
-    int lvl = 0;
-    for (int q : g.qubits) lvl = std::max(lvl, qlevel[q]);
-    if (g.kind == GateKind::Measure) lvl = std::max(lvl, clevel[g.clbit]);
-    ++lvl;
-    for (int q : g.qubits) qlevel[q] = lvl;
-    if (g.kind == GateKind::Measure) clevel[g.clbit] = lvl;
-    depth = std::max(depth, lvl);
-  }
-  return depth;
-}
-
-int Circuit::two_qubit_depth() const {
-  std::vector<int> qlevel(num_qubits_, 0);
-  int depth = 0;
-  for (const Gate& g : ops_) {
-    if (!is_two_qubit_gate(g.kind)) continue;
-    const int lvl = std::max(qlevel[g.qubits[0]], qlevel[g.qubits[1]]) + 1;
-    qlevel[g.qubits[0]] = lvl;
-    qlevel[g.qubits[1]] = lvl;
-    depth = std::max(depth, lvl);
-  }
-  return depth;
-}
-
 bool Circuit::has_measurements() const {
   return std::any_of(ops_.begin(), ops_.end(), [](const Gate& g) {
     return g.kind == GateKind::Measure;
@@ -203,15 +168,6 @@ std::vector<int> Circuit::active_qubits() const {
     used.insert(g.qubits.begin(), g.qubits.end());
   }
   return {used.begin(), used.end()};
-}
-
-Circuit Circuit::without_final_ops() const {
-  Circuit out(num_qubits_, num_clbits_, name_);
-  for (const Gate& g : ops_) {
-    if (g.kind == GateKind::Measure || g.kind == GateKind::Barrier) continue;
-    out.append(g);
-  }
-  return out;
 }
 
 Circuit Circuit::compacted() const {
@@ -240,25 +196,6 @@ Circuit Circuit::inverse() const {
       continue;
     }
     out.append(inverse_gate(*it));
-  }
-  return out;
-}
-
-Circuit Circuit::remapped(std::span<const int> layout,
-                          int new_num_qubits) const {
-  if (static_cast<int>(layout.size()) != num_qubits_) {
-    throw std::invalid_argument("Circuit::remapped: layout size mismatch");
-  }
-  Circuit out(new_num_qubits, std::max(num_clbits_, new_num_qubits), name_);
-  for (const Gate& g : ops_) {
-    Gate mapped = g;
-    for (int& q : mapped.qubits) {
-      if (layout[q] < 0 || layout[q] >= new_num_qubits) {
-        throw std::out_of_range("Circuit::remapped: layout target invalid");
-      }
-      q = layout[q];
-    }
-    out.append(std::move(mapped));
   }
   return out;
 }

@@ -163,29 +163,18 @@ class Circuit {
   [[nodiscard]] int two_qubit_count() const;
   /// Count per mnemonic.
   [[nodiscard]] std::map<std::string, int> count_ops() const;
-  /// Circuit depth over unitary gates + measurements (barriers synchronize
-  /// but add no depth).
-  [[nodiscard]] int depth() const;
-  /// Depth counting only two-qubit gates.
-  [[nodiscard]] int two_qubit_depth() const;
   /// True when any op is a measurement.
   [[nodiscard]] bool has_measurements() const;
   /// Qubits that appear in at least one op.
   [[nodiscard]] std::vector<int> active_qubits() const;
 
   // -- transformations (return new circuits) ------------------------------
-  /// Copy without measurements and barriers.
-  [[nodiscard]] Circuit without_final_ops() const;
   /// Compact onto the active qubits only (relative order preserved, clbits
   /// unchanged). Useful for simulating device-wide circuits whose ops all
   /// sit inside one small partition.
   [[nodiscard]] Circuit compacted() const;
   /// Reverse op order with each unitary inverted. Requires no measurements.
   [[nodiscard]] Circuit inverse() const;
-  /// Relabel qubits: new_qubit = layout[old_qubit]. The layout must be a
-  /// permutation injection into [0, new_num_qubits).
-  [[nodiscard]] Circuit remapped(std::span<const int> layout,
-                                 int new_num_qubits) const;
   /// Append `other`'s ops onto `*this` (operand counts must fit). The
   /// optional qubit_map relabels other's qubits into this circuit; clbits
   /// are mapped through clbit_offset.

@@ -1,7 +1,6 @@
 #include "circuit/dag.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace qucp {
 
@@ -42,31 +41,6 @@ std::vector<std::size_t> DagCircuit::initial_front() const {
     if (in_degree_[i] == 0) front.push_back(i);
   }
   return front;
-}
-
-std::vector<std::size_t> DagCircuit::topological_order() const {
-  std::vector<int> pending = in_degree_;
-  std::vector<std::size_t> order;
-  order.reserve(num_nodes());
-  // Kahn's algorithm with an index-ordered worklist for stability.
-  std::vector<std::size_t> ready = initial_front();
-  std::make_heap(ready.begin(), ready.end(), std::greater<>{});
-  while (!ready.empty()) {
-    std::pop_heap(ready.begin(), ready.end(), std::greater<>{});
-    const std::size_t n = ready.back();
-    ready.pop_back();
-    order.push_back(n);
-    for (std::size_t s : succs_[n]) {
-      if (--pending[s] == 0) {
-        ready.push_back(s);
-        std::push_heap(ready.begin(), ready.end(), std::greater<>{});
-      }
-    }
-  }
-  if (order.size() != num_nodes()) {
-    throw std::logic_error("DagCircuit: cycle detected");
-  }
-  return order;
 }
 
 FrontLayer::FrontLayer(const DagCircuit& dag)

@@ -36,9 +36,6 @@ class DagCircuit {
   /// Nodes with no predecessors.
   [[nodiscard]] std::vector<std::size_t> initial_front() const;
 
-  /// Topological order (stable: follows op order).
-  [[nodiscard]] std::vector<std::size_t> topological_order() const;
-
   /// The gate behind a node.
   [[nodiscard]] const Gate& gate(std::size_t node) const {
     return circuit_->ops().at(node);

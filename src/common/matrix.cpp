@@ -24,20 +24,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::zeros(std::size_t rows, std::size_t cols) {
-  return Matrix(rows, cols);
-}
-
-cx& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return data_[r * cols_ + c];
-}
-
-const cx& Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return data_[r * cols_ + c];
-}
-
 Matrix& Matrix::operator+=(const Matrix& rhs) {
   if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
     throw std::invalid_argument("Matrix::+=: shape mismatch");
@@ -85,12 +71,6 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
       }
     }
   }
-  return out;
-}
-
-Matrix Matrix::operator*(cx scalar) const {
-  Matrix out = *this;
-  out *= scalar;
   return out;
 }
 
@@ -162,19 +142,6 @@ Matrix kron_all(std::span<const Matrix> ms) {
   if (ms.empty()) return Matrix::identity(1);
   Matrix out = ms[0];
   for (std::size_t i = 1; i < ms.size(); ++i) out = kron(out, ms[i]);
-  return out;
-}
-
-std::vector<cx> mat_vec(const Matrix& m, std::span<const cx> v) {
-  if (v.size() != m.cols()) {
-    throw std::invalid_argument("mat_vec: dimension mismatch");
-  }
-  std::vector<cx> out(m.rows(), cx{0.0, 0.0});
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    cx acc{0.0, 0.0};
-    for (std::size_t j = 0; j < m.cols(); ++j) acc += m(i, j) * v[j];
-    out[i] = acc;
-  }
   return out;
 }
 

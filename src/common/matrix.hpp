@@ -23,14 +23,11 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, std::initializer_list<cx> vals);
 
   [[nodiscard]] static Matrix identity(std::size_t n);
-  [[nodiscard]] static Matrix zeros(std::size_t rows, std::size_t cols);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] bool is_square() const noexcept { return rows_ == cols_; }
 
-  [[nodiscard]] cx& at(std::size_t r, std::size_t c);
-  [[nodiscard]] const cx& at(std::size_t r, std::size_t c) const;
   cx& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
   const cx& operator()(std::size_t r, std::size_t c) const {
     return data_[r * cols_ + c];
@@ -46,7 +43,6 @@ class Matrix {
   [[nodiscard]] Matrix operator+(const Matrix& rhs) const;
   [[nodiscard]] Matrix operator-(const Matrix& rhs) const;
   [[nodiscard]] Matrix operator*(const Matrix& rhs) const;
-  [[nodiscard]] Matrix operator*(cx scalar) const;
 
   /// Conjugate transpose.
   [[nodiscard]] Matrix dagger() const;
@@ -79,8 +75,5 @@ class Matrix {
 
 /// Kronecker product of a list, left to right: ms[0] (x) ms[1] (x) ...
 [[nodiscard]] Matrix kron_all(std::span<const Matrix> ms);
-
-/// Matrix-vector product. Requires v.size() == m.cols().
-[[nodiscard]] std::vector<cx> mat_vec(const Matrix& m, std::span<const cx> v);
 
 }  // namespace qucp

@@ -11,15 +11,8 @@ namespace qucp {
 /// Split on a delimiter; empty tokens are kept.
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char delim);
 
-/// Split on arbitrary whitespace; empty tokens are dropped.
-[[nodiscard]] std::vector<std::string> split_ws(std::string_view s);
-
 /// Strip leading/trailing whitespace.
 [[nodiscard]] std::string_view trim(std::string_view s);
-
-/// Join items with a separator.
-[[nodiscard]] std::string join(const std::vector<std::string>& items,
-                               std::string_view sep);
 
 /// True when `s` starts with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);

@@ -43,15 +43,6 @@ void validate(const ArrivalConfig& config) {
 
 }  // namespace
 
-std::string_view arrival_kind_name(ArrivalKind kind) noexcept {
-  switch (kind) {
-    case ArrivalKind::Poisson: return "poisson";
-    case ArrivalKind::Bursty: return "bursty";
-    case ArrivalKind::Diurnal: return "diurnal";
-  }
-  return "?";
-}
-
 std::vector<Arrival> generate_arrivals(const ArrivalConfig& config,
                                        std::size_t count,
                                        std::uint64_t seed) {

@@ -27,14 +27,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 namespace qucp::fleetsim {
 
 enum class ArrivalKind { Poisson, Bursty, Diurnal };
-
-[[nodiscard]] std::string_view arrival_kind_name(ArrivalKind kind) noexcept;
 
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::Poisson;

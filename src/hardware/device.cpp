@@ -36,16 +36,6 @@ double Device::readout_error(int q) const {
   return cal_.readout_error[static_cast<std::size_t>(q)];
 }
 
-double Device::q1_error(int q) const {
-  if (q < 0 || q >= num_qubits()) throw std::out_of_range("Device::q1_error");
-  return cal_.q1_error[static_cast<std::size_t>(q)];
-}
-
-void Device::set_calibration(Calibration cal) {
-  cal.validate(topo_);
-  cal_ = std::move(cal);
-}
-
 namespace {
 
 /// IBM Q 16 Melbourne: two rows (0-6 top, 7-14 bottom) with rung links.
@@ -186,20 +176,6 @@ Device make_grid_device(int rows, int cols, std::uint64_t seed) {
       plant_crosstalk(topo, 0.2, 2.0, 4.0, rng.derive("grid-xtalk"));
   return Device("grid" + std::to_string(rows) + "x" + std::to_string(cols),
                 std::move(topo), std::move(cal), std::move(xtalk));
-}
-
-Device make_named_device(std::string_view name, std::uint64_t seed) {
-  if (name == "melbourne16" || name == "ibmq_melbourne16") {
-    return make_melbourne16(seed);
-  }
-  if (name == "toronto27" || name == "ibmq_toronto27") {
-    return make_toronto27(seed);
-  }
-  if (name == "manhattan65" || name == "ibmq_manhattan65") {
-    return make_manhattan65(seed);
-  }
-  throw std::invalid_argument("make_named_device: unknown device '" +
-                              std::string(name) + "'");
 }
 
 }  // namespace qucp

@@ -10,7 +10,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "hardware/calibration.hpp"
 #include "hardware/crosstalk.hpp"
@@ -18,6 +17,10 @@
 
 namespace qucp {
 
+/// A Device never changes once built: every derived cache (CandidateIndex,
+/// transpile and compiled-program caches, solo-EFS memos) assumes so. A
+/// new calibration means a new Device, as Backend::recalibrate
+/// (service/backend.hpp) builds one per epoch.
 class Device {
  public:
   Device(std::string name, Topology topology, Calibration calibration,
@@ -40,16 +43,6 @@ class Device {
   [[nodiscard]] double cx_error(int a, int b) const;
   [[nodiscard]] double cx_duration_ns(int a, int b) const;
   [[nodiscard]] double readout_error(int q) const;
-  [[nodiscard]] double q1_error(int q) const;
-
-  /// Replace the calibration snapshot in place (e.g. for what-if studies
-  /// in tests). Live recalibration of a serving backend must NOT use
-  /// this: every derived cache (CandidateIndex, transpile/compiled-
-  /// program caches, solo-EFS memos) assumes the Device it was built
-  /// against never changes. Backend::recalibrate (service/backend.hpp)
-  /// builds a fresh epoch-owned Device copy instead and swaps the whole
-  /// cache set atomically.
-  void set_calibration(Calibration cal);
 
  private:
   std::string name_;
@@ -73,13 +66,5 @@ class Device {
 /// r x c grid device; for tests.
 [[nodiscard]] Device make_grid_device(int rows, int cols,
                                       std::uint64_t seed = 7);
-
-/// Bundled device by name — "melbourne16", "toronto27" or "manhattan65"
-/// (full IBM names like "ibmq_toronto27" are accepted too). This is the
-/// config-string entry point for assembling heterogeneous fleets
-/// (service/registry.hpp). Throws std::invalid_argument on an unknown
-/// name.
-[[nodiscard]] Device make_named_device(std::string_view name,
-                                       std::uint64_t seed = 2022);
 
 }  // namespace qucp

@@ -75,11 +75,6 @@ const std::vector<int>& Topology::neighbors(int q) const {
   return adj_[q];
 }
 
-int Topology::degree(int q) const {
-  check_qubit(q);
-  return static_cast<int>(adj_[q].size());
-}
-
 std::optional<int> Topology::edge_index(int a, int b) const {
   check_qubit(a);
   check_qubit(b);
@@ -108,23 +103,6 @@ std::vector<std::pair<int, int>> Topology::one_hop_edge_pairs() const {
     }
   }
   return pairs;
-}
-
-std::vector<int> Topology::one_hop_neighbors_of_edge(int e) const {
-  if (e < 0 || e >= num_edges()) {
-    throw std::out_of_range("Topology: edge id out of range");
-  }
-  std::vector<int> out;
-  for (int j = 0; j < num_edges(); ++j) {
-    if (j == e) continue;
-    const Edge& a = edges_[e];
-    const Edge& b = edges_[j];
-    if (a.shares_qubit(b)) continue;
-    const int d = std::min(std::min(dist_[a.a][b.a], dist_[a.a][b.b]),
-                           std::min(dist_[a.b][b.a], dist_[a.b][b.b]));
-    if (d == 1) out.push_back(j);
-  }
-  return out;
 }
 
 bool Topology::is_connected_subset(std::span<const int> qubits) const {

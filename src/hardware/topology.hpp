@@ -46,7 +46,6 @@ class Topology {
 
   [[nodiscard]] bool adjacent(int a, int b) const;
   [[nodiscard]] const std::vector<int>& neighbors(int q) const;
-  [[nodiscard]] int degree(int q) const;
 
   /// Edge id of (a,b) if coupled.
   [[nodiscard]] std::optional<int> edge_index(int a, int b) const;
@@ -57,9 +56,6 @@ class Topology {
   /// All unordered pairs of disjoint edges {e, f} (by edge id) such that an
   /// endpoint of e is adjacent to an endpoint of f.
   [[nodiscard]] std::vector<std::pair<int, int>> one_hop_edge_pairs() const;
-
-  /// Edge ids at one-hop distance from edge id `e` (disjoint neighbors).
-  [[nodiscard]] std::vector<int> one_hop_neighbors_of_edge(int e) const;
 
   /// True when the qubit subset induces a connected subgraph.
   [[nodiscard]] bool is_connected_subset(std::span<const int> qubits) const;

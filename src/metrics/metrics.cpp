@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace qucp {
 
 namespace {
-
-double log2_safe(double x) { return std::log2(x); }
 
 /// Calls f(pk, qk) for every outcome in the union of the two supports, in
 /// ascending outcome order, with 0 for an outcome a side lacks: one merge
@@ -34,50 +31,19 @@ void for_each_union(const Distribution& p, const Distribution& q, F&& f) {
 
 }  // namespace
 
-double pst(const Counts& counts, std::uint64_t expected) {
-  if (counts.total() == 0) throw std::invalid_argument("pst: no shots");
-  return static_cast<double>(counts.count(expected)) / counts.total();
-}
-
 double pst(const Distribution& dist, std::uint64_t expected) {
   return dist.prob(expected);
-}
-
-double kl_divergence(const Distribution& p, const Distribution& q) {
-  double d = 0.0;
-  for (const auto& [k, pk] : p.probs()) {
-    const double qk = q.prob(k);
-    if (qk <= 0.0) return std::numeric_limits<double>::infinity();
-    d += pk * log2_safe(pk / qk);
-  }
-  return d;
 }
 
 double jsd(const Distribution& p, const Distribution& q) {
   double d = 0.0;
   for_each_union(p, q, [&d](double pk, double qk) {
     const double mk = 0.5 * (pk + qk);
-    if (pk > 0.0) d += 0.5 * pk * log2_safe(pk / mk);
-    if (qk > 0.0) d += 0.5 * qk * log2_safe(qk / mk);
+    if (pk > 0.0) d += 0.5 * pk * std::log2(pk / mk);
+    if (qk > 0.0) d += 0.5 * qk * std::log2(qk / mk);
   });
   // Numerical guard: JSD in base 2 lies in [0, 1].
   return std::min(1.0, std::max(0.0, d));
-}
-
-double tvd(const Distribution& p, const Distribution& q) {
-  double d = 0.0;
-  for_each_union(p, q,
-                 [&d](double pk, double qk) { d += std::abs(pk - qk); });
-  return 0.5 * d;
-}
-
-double hellinger(const Distribution& p, const Distribution& q) {
-  double s = 0.0;
-  for_each_union(p, q, [&s](double pk, double qk) {
-    const double diff = std::sqrt(pk) - std::sqrt(qk);
-    s += diff * diff;
-  });
-  return std::sqrt(s / 2.0);
 }
 
 double hardware_throughput(int qubits_used, int device_qubits) {

@@ -3,8 +3,10 @@
 //
 // PST (Probability of a Successful Trial) scores circuits with one known
 // correct outcome; JSD (Jensen-Shannon divergence, base-2, in [0,1])
-// scores circuits whose ideal output is a distribution. KL is the building
-// block of JSD; TVD and Hellinger are provided for cross-checks.
+// scores circuits whose ideal output is a distribution. JSD is defined
+// through KL divergence (Eq. 4) against the mixture, but is computed in
+// one merge walk over both supports and never calls a KL routine; the
+// KL form lives on as an oracle in tests/test_metrics.cpp.
 
 #include <cstdint>
 
@@ -12,26 +14,13 @@
 
 namespace qucp {
 
-/// PST = successful trials / total trials (Eq. 2).
-[[nodiscard]] double pst(const Counts& counts, std::uint64_t expected);
-
-/// PST from an exact distribution: probability mass on the expected outcome.
+/// PST = successful trials / total trials (Eq. 2), taken on the exact
+/// distribution: the probability mass on the expected outcome.
 [[nodiscard]] double pst(const Distribution& dist, std::uint64_t expected);
-
-/// Kullback-Leibler divergence D(P||Q) in bits (Eq. 4). Infinite when P has
-/// support where Q does not; callers needing finiteness use JSD.
-[[nodiscard]] double kl_divergence(const Distribution& p,
-                                   const Distribution& q);
 
 /// Jensen-Shannon divergence (Eq. 3), base-2: always finite, symmetric,
 /// bounded to [0, 1]. Lower is better.
 [[nodiscard]] double jsd(const Distribution& p, const Distribution& q);
-
-/// Total variation distance, [0, 1].
-[[nodiscard]] double tvd(const Distribution& p, const Distribution& q);
-
-/// Hellinger distance, [0, 1].
-[[nodiscard]] double hellinger(const Distribution& p, const Distribution& q);
 
 /// Hardware throughput: used qubits / total qubits (paper §II-A).
 [[nodiscard]] double hardware_throughput(int qubits_used, int device_qubits);

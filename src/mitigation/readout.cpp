@@ -1,19 +1,16 @@
 #include "mitigation/readout.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace qucp {
 
-ReadoutMitigator::ReadoutMitigator(std::vector<double> p01,
-                                   std::vector<double> p10)
-    : p01_(std::move(p01)), p10_(std::move(p10)) {
-  if (p01_.size() != p10_.size() || p01_.empty()) {
-    throw std::invalid_argument("ReadoutMitigator: bad flip vectors");
+ReadoutMitigator::ReadoutMitigator(std::vector<double> flip)
+    : flip_(std::move(flip)) {
+  if (flip_.empty()) {
+    throw std::invalid_argument("ReadoutMitigator: no bits");
   }
-  for (std::size_t b = 0; b < p01_.size(); ++b) {
-    if (p01_[b] < 0.0 || p10_[b] < 0.0 || p01_[b] + p10_[b] >= 1.0) {
+  for (const double p : flip_) {
+    if (p < 0.0 || p + p >= 1.0) {
       throw std::invalid_argument(
           "ReadoutMitigator: confusion matrix not invertible");
     }
@@ -22,56 +19,7 @@ ReadoutMitigator::ReadoutMitigator(std::vector<double> p01,
 
 ReadoutMitigator ReadoutMitigator::from_flip_probs(
     std::vector<double> flip_probs) {
-  std::vector<double> p01 = flip_probs;
-  return ReadoutMitigator(std::move(p01), std::move(flip_probs));
-}
-
-ReadoutMitigator ReadoutMitigator::from_device(
-    const Device& device, const std::vector<int>& qubits) {
-  std::vector<double> flips;
-  flips.reserve(qubits.size());
-  for (int q : qubits) flips.push_back(device.readout_error(q));
-  return from_flip_probs(std::move(flips));
-}
-
-ReadoutMitigator ReadoutMitigator::characterize(const Device& device,
-                                                const std::vector<int>& qubits,
-                                                const ExecOptions& options) {
-  if (qubits.empty()) {
-    throw std::invalid_argument("ReadoutMitigator: no qubits");
-  }
-  const int n = static_cast<int>(qubits.size());
-  // Calibration circuit 1: all-zeros. Circuit 2: all-ones.
-  auto run_basis = [&](bool ones) {
-    Circuit c(device.num_qubits(), n,
-              ones ? "readout_cal_1" : "readout_cal_0");
-    for (int b = 0; b < n; ++b) {
-      if (ones) c.x(qubits[b]);
-      c.measure(qubits[b], b);
-    }
-    ExecOptions exec = options;
-    // Only readout noise matters for the estimate; keep gate noise as
-    // configured (an X error folds into the estimate, as on hardware).
-    return execute_single(device, c, exec);
-  };
-  const ProgramOutcome zeros = run_basis(false);
-  const ProgramOutcome ones = run_basis(true);
-
-  std::vector<double> p10(n, 0.0);
-  std::vector<double> p01(n, 0.0);
-  for (int b = 0; b < n; ++b) {
-    double read1_given0 = 0.0;
-    for (const auto& [outcome, p] : zeros.distribution.probs()) {
-      if ((outcome >> b) & 1U) read1_given0 += p;
-    }
-    double read0_given1 = 0.0;
-    for (const auto& [outcome, p] : ones.distribution.probs()) {
-      if (!((outcome >> b) & 1U)) read0_given1 += p;
-    }
-    p10[b] = std::clamp(read1_given0, 0.0, 0.49);
-    p01[b] = std::clamp(read0_given1, 0.0, 0.49);
-  }
-  return ReadoutMitigator(std::move(p01), std::move(p10));
+  return ReadoutMitigator(std::move(flip_probs));
 }
 
 Distribution ReadoutMitigator::mitigate(const Distribution& dist) const {
@@ -88,18 +36,18 @@ Distribution ReadoutMitigator::mitigate(const Distribution& dist) const {
     }
     probs[outcome] = p;
   }
-  // Apply the per-bit inverse confusion matrix:
-  //   M = [[1-p10, p01], [p10, 1-p01]],  M^-1 = 1/det [[1-p01, -p01],
-  //                                                    [-p10, 1-p10]]
+  // Apply the per-bit inverse confusion matrix (flip probability p):
+  //   M = [[1-p, p], [p, 1-p]],  M^-1 = 1/det [[1-p, -p], [-p, 1-p]]
   for (int b = 0; b < n; ++b) {
-    const double det = 1.0 - p01_[b] - p10_[b];
+    const double p = flip_[b];
+    const double det = 1.0 - p - p;
     const std::size_t mask = std::size_t{1} << b;
     for (std::size_t x = 0; x < dim; ++x) {
       if (x & mask) continue;
       const double m0 = probs[x];
       const double m1 = probs[x | mask];
-      probs[x] = ((1.0 - p01_[b]) * m0 - p01_[b] * m1) / det;
-      probs[x | mask] = (-p10_[b] * m0 + (1.0 - p10_[b]) * m1) / det;
+      probs[x] = ((1.0 - p) * m0 - p * m1) / det;
+      probs[x | mask] = (-p * m0 + (1.0 - p) * m1) / det;
     }
   }
   // Clip and renormalize.
@@ -115,10 +63,6 @@ Distribution ReadoutMitigator::mitigate(const Distribution& dist) const {
     throw std::runtime_error("ReadoutMitigator: mitigation emptied support");
   }
   return Distribution(dist.num_bits(), std::move(out));
-}
-
-Distribution ReadoutMitigator::mitigate(const Counts& counts) const {
-  return mitigate(counts.to_distribution());
 }
 
 }  // namespace qucp

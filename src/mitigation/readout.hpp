@@ -2,18 +2,14 @@
 // Measurement (readout) error mitigation — the tensored calibration-matrix
 // method the paper cites among QEM techniques (Bravyi et al. [2]).
 //
-// Each measured qubit gets a 2x2 confusion matrix M with
-// M[observed][prepared]; the mitigated distribution applies M^-1 per bit,
-// clips small negative probabilities and renormalizes. Matrices can be
-// taken directly from calibration data or *characterized* by running the
-// two basis-state calibration circuits through the noisy executor, the
-// way one would on hardware.
+// Each measured qubit gets a symmetric 2x2 confusion matrix M with
+// M[observed][prepared] built from its calibrated assignment error; the
+// mitigated distribution applies M^-1 per bit, clips small negative
+// probabilities and renormalizes.
 
 #include <vector>
 
-#include "hardware/device.hpp"
 #include "sim/counts.hpp"
-#include "sim/executor.hpp"
 
 namespace qucp {
 
@@ -26,39 +22,19 @@ class ReadoutMitigator {
   [[nodiscard]] static ReadoutMitigator from_flip_probs(
       std::vector<double> flip_probs);
 
-  /// Build directly from the device for physical qubits `qubits` (bit b of
-  /// mitigated outcomes corresponds to qubits[b]).
-  [[nodiscard]] static ReadoutMitigator from_device(
-      const Device& device, const std::vector<int>& qubits);
-
-  /// Characterize by experiment: prepare |0...0> and |1...1> on the given
-  /// physical qubits and estimate per-qubit flip rates from the executor's
-  /// sampled counts (asymmetric errors supported by the estimate).
-  [[nodiscard]] static ReadoutMitigator characterize(
-      const Device& device, const std::vector<int>& qubits,
-      const ExecOptions& options);
-
   [[nodiscard]] int num_bits() const {
-    return static_cast<int>(p01_.size());
+    return static_cast<int>(flip_.size());
   }
-  /// P(read 0 | prepared 1) of bit b.
-  [[nodiscard]] double p01(int bit) const { return p01_.at(bit); }
-  /// P(read 1 | prepared 0) of bit b.
-  [[nodiscard]] double p10(int bit) const { return p10_.at(bit); }
 
   /// Invert the confusion model on a distribution (bit b of outcomes =
   /// calibrated bit b). Negative probabilities from the inversion are
   /// clipped before renormalization.
   [[nodiscard]] Distribution mitigate(const Distribution& dist) const;
 
-  /// Convenience: mitigate raw counts.
-  [[nodiscard]] Distribution mitigate(const Counts& counts) const;
-
  private:
-  ReadoutMitigator(std::vector<double> p01, std::vector<double> p10);
+  explicit ReadoutMitigator(std::vector<double> flip);
 
-  std::vector<double> p01_;  // P(0|1) per bit
-  std::vector<double> p10_;  // P(1|0) per bit
+  std::vector<double> flip_;  // P(0|1) = P(1|0) per bit
 };
 
 }  // namespace qucp

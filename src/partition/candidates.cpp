@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 
 namespace qucp {
@@ -117,52 +116,6 @@ std::vector<std::vector<int>> partition_candidates(
   std::sort(parts.begin(), parts.end());
   parts.erase(std::unique(parts.begin(), parts.end()), parts.end());
   return parts;
-}
-
-std::vector<std::vector<int>> enumerate_connected_subsets(
-    const Topology& topo, int k, std::span<const int> allocated,
-    std::size_t max_count) {
-  if (k <= 0) {
-    throw std::invalid_argument("enumerate_connected_subsets: k <= 0");
-  }
-  std::set<int> blocked(allocated.begin(), allocated.end());
-  std::set<std::vector<int>> found;
-
-  // Standard connected-subgraph enumeration: expand only through qubits
-  // greater than the anchor to avoid duplicates, then dedup defensively.
-  for (int anchor = 0; anchor < topo.num_qubits(); ++anchor) {
-    if (blocked.count(anchor)) continue;
-    std::vector<std::vector<int>> stack{{anchor}};
-    while (!stack.empty()) {
-      std::vector<int> cur = std::move(stack.back());
-      stack.pop_back();
-      if (static_cast<int>(cur.size()) == k) {
-        std::vector<int> sorted = cur;
-        std::sort(sorted.begin(), sorted.end());
-        found.insert(std::move(sorted));
-        if (found.size() > max_count) {
-          throw std::runtime_error(
-              "enumerate_connected_subsets: bound exceeded");
-        }
-        continue;
-      }
-      std::set<int> in_cur(cur.begin(), cur.end());
-      std::set<int> frontier;
-      for (int q : cur) {
-        for (int nb : topo.neighbors(q)) {
-          if (nb > anchor && !in_cur.count(nb) && !blocked.count(nb)) {
-            frontier.insert(nb);
-          }
-        }
-      }
-      for (int nb : frontier) {
-        std::vector<int> next = cur;
-        next.push_back(nb);
-        stack.push_back(std::move(next));
-      }
-    }
-  }
-  return {found.begin(), found.end()};
 }
 
 }  // namespace qucp

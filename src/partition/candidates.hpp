@@ -25,11 +25,4 @@ namespace qucp {
 [[nodiscard]] std::vector<std::vector<int>> partition_candidates(
     const Device& device, int k, std::span<const int> allocated);
 
-/// All connected subsets of size k avoiding `allocated`, up to `max_count`
-/// (throws std::runtime_error if the bound is exceeded). For tests and
-/// small devices.
-[[nodiscard]] std::vector<std::vector<int>> enumerate_connected_subsets(
-    const Topology& topo, int k, std::span<const int> allocated,
-    std::size_t max_count = 200000);
-
 }  // namespace qucp

@@ -19,8 +19,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "service/backend.hpp"
@@ -61,10 +59,6 @@ class BackendRegistry {
 
   /// Shared ownership of backend `id` (e.g. to build a service lane).
   [[nodiscard]] std::shared_ptr<Backend> share(std::size_t id) const;
-
-  /// Id of the first backend whose device name matches; nullopt when absent.
-  [[nodiscard]] std::optional<std::size_t> find(
-      std::string_view device_name) const noexcept;
 
  private:
   std::vector<std::shared_ptr<Backend>> backends_;

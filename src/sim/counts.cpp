@@ -124,16 +124,6 @@ void Counts::add(std::uint64_t outcome, int n) {
   total_ += n;
 }
 
-Distribution Counts::to_distribution() const {
-  if (total_ == 0) throw std::logic_error("Counts: no shots");
-  std::vector<Distribution::Entry> probs;
-  probs.reserve(counts_.size());
-  for (const auto& [outcome, n] : counts_) {
-    probs.emplace_back(outcome, static_cast<double>(n) / total_);
-  }
-  return Distribution(num_bits_, std::move(probs));
-}
-
 namespace detail {
 
 std::size_t cdf_index(std::span<const double> cdf, double r) noexcept {

@@ -74,8 +74,6 @@ class Counts {
 
   void add(std::uint64_t outcome, int n = 1);
 
-  [[nodiscard]] Distribution to_distribution() const;
-
  private:
   int num_bits_ = 0;
   std::vector<Entry> counts_;  ///< sorted by outcome, unique

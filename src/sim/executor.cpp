@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "metrics/metrics.hpp"
 #include "sim/density.hpp"
 #include "sim/fusion.hpp"
 #include "sim/kernels.hpp"
@@ -215,14 +216,17 @@ ParallelRunReport execute_parallel(const Device& device,
     }
   }
   if (options.serialize_crosstalk) {
-    // Program-level serialization: shift the later program past the
-    // earlier one whenever a one-hop CX pair overlaps. Coarse but sound —
-    // overlap strictly decreases each round.
+    // Program-level serialization: programs are placed in input order and
+    // a placed program never moves. While program p's CX overlaps a
+    // one-hop CX of an earlier program, p shifts later until that gate
+    // starts where the earlier one ends. p only moves later, so a cleared
+    // pair stays cleared: the loop ends with no cross-program one-hop
+    // pair overlapping, and needs no round cap.
     //
     // Everything about a pair except its time overlap (programs, edges,
     // one-hop distance) is shift-invariant, so the O(E^2) pair scan
-    // runs once; each round then rescans only the precomputed eligible
-    // pairs for the first that overlaps in time.
+    // runs once. Pairs are collected by their later event, and events by
+    // program, so each program's pairs form one contiguous run.
     const Topology& topo = device.topology();
     auto statically_eligible = [&](const CxEvent& a, const CxEvent& b) {
       if (a.program == b.program || a.edge == b.edge) return false;
@@ -235,44 +239,49 @@ ParallelRunReport execute_parallel(const Device& device,
       return dist == 1;
     };
     struct EligiblePair {
-      std::uint32_t a = 0;
-      std::uint32_t b = 0;
+      std::uint32_t a = 0;  // event of the earlier program
+      std::uint32_t b = 0;  // event of the program being placed
     };
     std::vector<EligiblePair> eligible;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      for (std::size_t j = i + 1; j < events.size(); ++j) {
+    for (std::size_t j = 0; j < events.size(); ++j) {
+      for (std::size_t i = 0; i < j; ++i) {
         if (statically_eligible(events[i], events[j])) {
           eligible.push_back({static_cast<std::uint32_t>(i),
                               static_cast<std::uint32_t>(j)});
         }
       }
     }
-    for (int round = 0; round < 100; ++round) {
-      const auto found = std::ranges::find_if(eligible, [&](const auto& pr) {
-        const CxEvent& a = events[pr.a];
-        const CxEvent& b = events[pr.b];
-        return intervals_overlap(a.start_ns, a.end_ns, b.start_ns, b.end_ns);
-      });
-      if (found == eligible.end()) break;
-      const CxEvent& a = events[found->a];
-      const CxEvent& b = events[found->b];
-      // Delay the program whose conflicting gate starts later.
-      const bool delay_b = b.start_ns >= a.start_ns;
-      const std::size_t victim = delay_b ? b.program : a.program;
-      const double delta = delay_b ? a.end_ns - b.start_ns
-                                   : b.end_ns - a.start_ns;
-      for (ScheduledOp& op : schedules[victim].ops) {
-        op.start_ns += delta;
-        op.end_ns += delta;
-      }
-      schedules[victim].makespan_ns += delta;
-      keys[victim].shifts.push_back(delta);
-      for (CxEvent& ev : events) {
-        if (ev.program == victim) {
-          ev.start_ns += delta;
-          ev.end_ns += delta;
+    for (auto run = eligible.begin(); run != eligible.end();) {
+      const std::size_t p = events[run->b].program;
+      const auto run_end =
+          std::find_if(run, eligible.end(), [&](const EligiblePair& pr) {
+            return events[pr.b].program != p;
+          });
+      for (;;) {
+        const auto found =
+            std::find_if(run, run_end, [&](const EligiblePair& pr) {
+              const CxEvent& a = events[pr.a];
+              const CxEvent& b = events[pr.b];
+              return intervals_overlap(a.start_ns, a.end_ns, b.start_ns,
+                                       b.end_ns);
+            });
+        if (found == run_end) break;
+        const double delta =
+            events[found->a].end_ns - events[found->b].start_ns;
+        for (ScheduledOp& op : schedules[p].ops) {
+          op.start_ns += delta;
+          op.end_ns += delta;
+        }
+        schedules[p].makespan_ns += delta;
+        keys[p].shifts.push_back(delta);
+        for (CxEvent& ev : events) {
+          if (ev.program == p) {
+            ev.start_ns += delta;
+            ev.end_ns += delta;
+          }
         }
       }
+      run = run_end;
     }
     global_makespan = 0.0;
     for (const Schedule& s : schedules) {
@@ -302,7 +311,7 @@ ParallelRunReport execute_parallel(const Device& device,
   report.crosstalk_events = xtalk.events;
   report.max_gamma_applied = xtalk.max_gamma;
   report.qubits_used = qubits_used;
-  report.throughput = static_cast<double>(qubits_used) / device.num_qubits();
+  report.throughput = hardware_throughput(qubits_used, device.num_qubits());
 
   // Flat device-indexed bookkeeping, reused across programs.
   std::vector<int> local_of(device.num_qubits(), -1);

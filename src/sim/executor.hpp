@@ -60,9 +60,13 @@ struct ExecOptions {
   int kernel_threads = 0;
 
   /// Software crosstalk mitigation by instruction scheduling (Murali et
-  /// al., the alternative to QuCP's avoidance): delay whole programs until
-  /// no one-hop CX pairs overlap in time. Buys crosstalk immunity with
-  /// idle decoherence and a longer makespan.
+  /// al., the alternative to QuCP's avoidance): programs are placed in
+  /// input order, and each is delayed as a whole, never moving an earlier
+  /// one, until none of its CX gates overlaps a one-hop CX of an earlier
+  /// program. No CX pair from two programs at one-hop distance then
+  /// overlaps in time, so a batch sees only the crosstalk its programs
+  /// would see alone. Buys that immunity with idle decoherence and a
+  /// longer makespan.
   bool serialize_crosstalk = false;
 };
 
@@ -100,7 +104,7 @@ struct ParallelRunReport {
   int crosstalk_events = 0;   ///< CX pairs overlapped on one-hop edges
   double max_gamma_applied = 1.0;
   int qubits_used = 0;
-  double throughput = 0.0;    ///< qubits_used / device qubits
+  double throughput = 0.0;    ///< hardware_throughput (paper §II-A)
 };
 
 /// Execute programs simultaneously on the device. Programs must occupy

@@ -88,10 +88,6 @@ int parallel_threads() noexcept {
   return ambient;
 }
 
-void set_parallel_threads(int n) noexcept {
-  t_parallel_threads_override = n > 0 ? n : 0;
-}
-
 ParallelThreadsGuard::ParallelThreadsGuard(int n) noexcept
     : previous_(t_parallel_threads_override) {
   if (n > 0) t_parallel_threads_override = n;

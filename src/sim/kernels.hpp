@@ -81,13 +81,10 @@ void set_native_kernels(bool enable) noexcept;
 /// hardware concurrency (cached; glibc re-reads sysfs per call). >= 1.
 [[nodiscard]] int parallel_threads() noexcept;
 
-/// Set (n > 0) or clear (n <= 0) the calling thread's cap. An
-/// ExecutionService worker sets hw/num_workers here so N concurrent batch
-/// simulations cannot oversubscribe the machine N-fold.
-void set_parallel_threads(int n) noexcept;
-
 /// Scoped thread cap: applies `n` for the guard's lifetime when n > 0, a
-/// no-op otherwise. Restores the previous override either way.
+/// no-op otherwise. Restores the previous override either way. An
+/// ExecutionService worker caps itself at hw/num_workers this way so N
+/// concurrent batch simulations cannot oversubscribe the machine N-fold.
 class ParallelThreadsGuard {
  public:
   explicit ParallelThreadsGuard(int n) noexcept;

@@ -65,12 +65,6 @@ QubitOperator QubitOperator::operator*(const QubitOperator& other) const {
   return out;
 }
 
-QubitOperator QubitOperator::operator*(cx scalar) const {
-  QubitOperator out = *this;
-  for (auto& [label, coeff] : out.terms_) coeff *= scalar;
-  return out;
-}
-
 void QubitOperator::prune(double tol) {
   for (auto it = terms_.begin(); it != terms_.end();) {
     if (std::abs(it->second) <= tol) {

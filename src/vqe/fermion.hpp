@@ -34,7 +34,6 @@ class QubitOperator {
   void add_term(const PauliString& pauli, cx coefficient);
   QubitOperator& operator+=(const QubitOperator& other);
   [[nodiscard]] QubitOperator operator*(const QubitOperator& other) const;
-  [[nodiscard]] QubitOperator operator*(cx scalar) const;
 
   /// Drop terms with |coeff| <= tol.
   void prune(double tol = 1e-12);

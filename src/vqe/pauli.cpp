@@ -87,20 +87,6 @@ bool PauliString::is_identity() const {
   return true;
 }
 
-bool PauliString::commutes_with(const PauliString& other) const {
-  if (num_qubits() != other.num_qubits()) {
-    throw std::invalid_argument("PauliString: qubit count mismatch");
-  }
-  // P and Q commute iff they anticommute on an even number of qubits.
-  int anti = 0;
-  for (int q = 0; q < num_qubits(); ++q) {
-    const PauliOp a = ops_[static_cast<std::size_t>(q)];
-    const PauliOp b = other.ops_[static_cast<std::size_t>(q)];
-    if (a != PauliOp::I && b != PauliOp::I && a != b) ++anti;
-  }
-  return anti % 2 == 0;
-}
-
 bool PauliString::qubit_wise_commutes_with(const PauliString& other) const {
   if (num_qubits() != other.num_qubits()) {
     throw std::invalid_argument("PauliString: qubit count mismatch");

@@ -39,9 +39,6 @@ class PauliString {
   /// True when the string is all-identity.
   [[nodiscard]] bool is_identity() const;
 
-  /// General commutation: [P, Q] == 0.
-  [[nodiscard]] bool commutes_with(const PauliString& other) const;
-
   /// Qubit-wise commutation: per qubit, ops are equal or one is I. This is
   /// the grouping criterion for simultaneous measurement (Gokhale et al.).
   [[nodiscard]] bool qubit_wise_commutes_with(const PauliString& other) const;

@@ -2,10 +2,62 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
 
 namespace qucp {
 namespace {
+
+/// All connected subsets of size k avoiding `allocated`, up to `max_count`
+/// (throws std::runtime_error if the bound is exceeded): the exhaustive
+/// oracle the greedy candidates are checked against.
+std::vector<std::vector<int>> enumerate_connected_subsets(
+    const Topology& topo, int k, std::span<const int> allocated,
+    std::size_t max_count = 200000) {
+  if (k <= 0) {
+    throw std::invalid_argument("enumerate_connected_subsets: k <= 0");
+  }
+  std::set<int> blocked(allocated.begin(), allocated.end());
+  std::set<std::vector<int>> found;
+
+  // Standard connected-subgraph enumeration: expand only through qubits
+  // greater than the anchor to avoid duplicates, then dedup defensively.
+  for (int anchor = 0; anchor < topo.num_qubits(); ++anchor) {
+    if (blocked.count(anchor)) continue;
+    std::vector<std::vector<int>> stack{{anchor}};
+    while (!stack.empty()) {
+      std::vector<int> cur = std::move(stack.back());
+      stack.pop_back();
+      if (static_cast<int>(cur.size()) == k) {
+        std::vector<int> sorted = cur;
+        std::sort(sorted.begin(), sorted.end());
+        found.insert(std::move(sorted));
+        if (found.size() > max_count) {
+          throw std::runtime_error(
+              "enumerate_connected_subsets: bound exceeded");
+        }
+        continue;
+      }
+      std::set<int> in_cur(cur.begin(), cur.end());
+      std::set<int> frontier;
+      for (int q : cur) {
+        for (int nb : topo.neighbors(q)) {
+          if (nb > anchor && !in_cur.count(nb) && !blocked.count(nb)) {
+            frontier.insert(nb);
+          }
+        }
+      }
+      for (int nb : frontier) {
+        std::vector<int> next = cur;
+        next.push_back(nb);
+        stack.push_back(std::move(next));
+      }
+    }
+  }
+  return {found.begin(), found.end()};
+}
+
 
 TEST(Candidates, AllConnectedAndRightSize) {
   const Device d = make_toronto27();

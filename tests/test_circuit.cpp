@@ -47,36 +47,6 @@ TEST(Circuit, GateCountsExcludeMeasureAndBarrier) {
   EXPECT_EQ(counts.at("barrier"), 1);
 }
 
-TEST(Circuit, DepthSerialVsParallel) {
-  Circuit serial(1);
-  serial.h(0);
-  serial.h(0);
-  serial.h(0);
-  EXPECT_EQ(serial.depth(), 3);
-
-  Circuit parallel(3);
-  parallel.h(0);
-  parallel.h(1);
-  parallel.h(2);
-  EXPECT_EQ(parallel.depth(), 1);
-
-  Circuit mixed(2);
-  mixed.h(0);
-  mixed.cx(0, 1);
-  mixed.h(1);
-  EXPECT_EQ(mixed.depth(), 3);
-}
-
-TEST(Circuit, TwoQubitDepthIgnoresSingles) {
-  Circuit c(3);
-  c.h(0);
-  c.cx(0, 1);
-  c.h(1);
-  c.cx(1, 2);
-  c.cx(0, 1);
-  EXPECT_EQ(c.two_qubit_depth(), 3);
-}
-
 TEST(Circuit, CcxExpansionCounts) {
   Circuit c(3);
   c.ccx(0, 1, 2);
@@ -117,16 +87,6 @@ TEST(Circuit, MeasureAllRequiresClbits) {
   EXPECT_THROW(c.measure_all(), std::logic_error);
 }
 
-TEST(Circuit, WithoutFinalOps) {
-  Circuit c(2);
-  c.h(0);
-  c.barrier();
-  c.measure_all();
-  const Circuit stripped = c.without_final_ops();
-  EXPECT_EQ(stripped.size(), 1u);
-  EXPECT_FALSE(stripped.has_measurements());
-}
-
 TEST(Circuit, InverseReversesAndInverts) {
   Circuit c(2);
   c.h(0);
@@ -148,21 +108,6 @@ TEST(Circuit, InverseRejectsMeasured) {
   Circuit c(1);
   c.measure(0, 0);
   EXPECT_THROW((void)c.inverse(), std::logic_error);
-}
-
-TEST(Circuit, RemappedMovesOperands) {
-  Circuit c(2);
-  c.h(0);
-  c.cx(0, 1);
-  const std::vector<int> layout{3, 1};
-  const Circuit r = c.remapped(layout, 4);
-  EXPECT_EQ(r.num_qubits(), 4);
-  EXPECT_EQ(r.ops()[0].qubits[0], 3);
-  EXPECT_EQ(r.ops()[1].qubits, (std::vector<int>{3, 1}));
-  EXPECT_THROW((void)c.remapped(std::vector<int>{0}, 4),
-               std::invalid_argument);
-  EXPECT_THROW((void)c.remapped(std::vector<int>{0, 9}, 4),
-               std::out_of_range);
 }
 
 TEST(Circuit, ComposeWithMapAndClbitOffset) {

@@ -48,13 +48,6 @@ TEST(Counts, AddAndTotal) {
   EXPECT_THROW(c.add(0, -1), std::invalid_argument);
 }
 
-TEST(Counts, ToDistribution) {
-  Counts c(1, {{0, 25}, {1, 75}});
-  const Distribution d = c.to_distribution();
-  EXPECT_DOUBLE_EQ(d.prob(1), 0.75);
-  EXPECT_THROW(Counts(1, {}).to_distribution(), std::logic_error);
-}
-
 TEST(Counts, SampleMatchesDistribution) {
   const Distribution d(2, {{0, 0.7}, {3, 0.3}});
   Rng rng(17);

@@ -46,20 +46,6 @@ TEST(Dag, SuccessorsAreCorrect) {
   EXPECT_TRUE(dag.successors(5).empty());
 }
 
-TEST(Dag, TopologicalOrderRespectsDependencies) {
-  const Circuit c = simple_circuit();
-  const DagCircuit dag(c);
-  const auto order = dag.topological_order();
-  ASSERT_EQ(order.size(), c.size());
-  std::vector<std::size_t> position(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
-  for (std::size_t node = 0; node < dag.num_nodes(); ++node) {
-    for (std::size_t succ : dag.successors(node)) {
-      EXPECT_LT(position[node], position[succ]);
-    }
-  }
-}
-
 TEST(Dag, MeasureSharesClbitWire) {
   Circuit c(2, 1);
   c.measure(0, 0);

@@ -95,10 +95,11 @@ TEST(Efs, EstimatePolicyUsesPerPairGamma) {
 }
 
 TEST(Efs, CrosstalkAdjustedErrorCapsAtOne) {
-  Device d = efs_device();
-  Calibration cal = d.calibration();
+  const Device base = efs_device();
+  Calibration cal = base.calibration();
   cal.cx_error[2] = 0.9;
-  d.set_calibration(cal);
+  const Device d(base.name(), base.topology(), std::move(cal),
+                 base.crosstalk_ground_truth());
   const CrosstalkPolicy sigma(8.0);
   const ProgramShape shape{2, 1, 0};
   const EfsBreakdown efs = efs_score(d, std::vector<int>{2, 3}, shape,

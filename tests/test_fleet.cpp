@@ -56,8 +56,6 @@ TEST(BackendRegistry, ConstructionAndLookup) {
   ASSERT_EQ(registry.size(), 2u);
   EXPECT_EQ(registry.at(0).epoch()->device().name(), "ibmq_toronto27");
   EXPECT_EQ(registry.at(1).epoch()->device().name(), "ibmq_manhattan65");
-  EXPECT_EQ(registry.find("ibmq_manhattan65"), std::optional<std::size_t>{1});
-  EXPECT_EQ(registry.find("nope"), std::nullopt);
   EXPECT_THROW((void)registry.at(2), std::out_of_range);
 
   const std::size_t id = registry.add(make_line_device(5));
@@ -80,11 +78,10 @@ TEST(BackendRegistry, ConstructionAndLookup) {
       std::invalid_argument);
 }
 
-TEST(MakeNamedDevice, ResolvesBundledNamesAndRejectsUnknown) {
-  EXPECT_EQ(make_named_device("toronto27").name(), "ibmq_toronto27");
-  EXPECT_EQ(make_named_device("ibmq_manhattan65").num_qubits(), 65);
-  EXPECT_EQ(make_named_device("melbourne16").num_qubits(), 15);
-  EXPECT_THROW((void)make_named_device("osaka127"), std::invalid_argument);
+TEST(DeviceFactories, BundledDevicesCarryTheirNamesAndSizes) {
+  EXPECT_EQ(make_toronto27().name(), "ibmq_toronto27");
+  EXPECT_EQ(make_manhattan65().num_qubits(), 65);
+  EXPECT_EQ(make_melbourne16().num_qubits(), 15);
 }
 
 TEST(PackFleet, AccountingIsExactAcrossSlotsAndPolicies) {

@@ -109,10 +109,10 @@ TEST(Arrivals, StreamPropertiesHoldForEveryKind) {
     config.rate_per_s = 2.0;
     config.class_weights = {3.0, 1.0, 2.0};
     const auto stream = generate_arrivals(config, 500, 99);
-    ASSERT_EQ(stream.size(), 500u) << arrival_kind_name(kind);
+    ASSERT_EQ(stream.size(), 500u) << static_cast<int>(kind);
     double prev = 0.0;
     for (const Arrival& a : stream) {
-      EXPECT_GE(a.time_s, prev) << arrival_kind_name(kind);
+      EXPECT_GE(a.time_s, prev) << static_cast<int>(kind);
       EXPECT_TRUE(std::isfinite(a.time_s));
       EXPECT_GE(a.job_class, 0);
       EXPECT_LT(a.job_class, 3);

@@ -592,11 +592,6 @@ TEST(NoisyGateSweep, RejectsMalformedInput) {
   EXPECT_THROW(dm.apply_noisy_gate(op, bad, {}, 0.0), std::out_of_range);
 }
 
-/// RAII reset so a failing expectation cannot leak a cap into later tests.
-struct ThreadCapReset {
-  ~ThreadCapReset() { kern::set_parallel_threads(0); }
-};
-
 TEST(ParallelFor, ResolvesZeroHardwareConcurrencyToSerial) {
   // The standard allows hardware_concurrency() to report 0 ("unknown");
   // the resolver must map that to 1 worker, not feed 0 into the chunk
@@ -614,13 +609,12 @@ TEST(ParallelFor, ResolvesZeroHardwareConcurrencyToSerial) {
 }
 
 TEST(ParallelFor, CoversEveryElementExactlyOnceUnderAnyCap) {
-  const ThreadCapReset reset;
   // Above-threshold count so the parallel branch engages when the cap
   // allows it; each element incremented exactly once proves the ranges
   // are disjoint and complete.
   const std::size_t count = (std::size_t{2} << 16) + 37;
   for (int cap : {1, 2, 3, 8}) {
-    kern::set_parallel_threads(cap);
+    const kern::ParallelThreadsGuard guard(cap);
     EXPECT_EQ(kern::parallel_threads(), cap);
     std::vector<int> touched(count, 0);
     kern::parallel_for(count, [&](std::size_t begin, std::size_t end) {
@@ -634,25 +628,24 @@ TEST(ParallelFor, CoversEveryElementExactlyOnceUnderAnyCap) {
 }
 
 TEST(ParallelFor, GuardScopesTheCapAndRestoresOnExit) {
-  const ThreadCapReset reset;
-  kern::set_parallel_threads(6);
   {
-    const kern::ParallelThreadsGuard guard(2);
-    EXPECT_EQ(kern::parallel_threads(), 2);
+    const kern::ParallelThreadsGuard outer(6);
     {
-      const kern::ParallelThreadsGuard inner(0);  // no-op: inherit
+      const kern::ParallelThreadsGuard guard(2);
+      EXPECT_EQ(kern::parallel_threads(), 2);
+      {
+        const kern::ParallelThreadsGuard inner(0);  // no-op: inherit
+        EXPECT_EQ(kern::parallel_threads(), 2);
+      }
       EXPECT_EQ(kern::parallel_threads(), 2);
     }
-    EXPECT_EQ(kern::parallel_threads(), 2);
+    EXPECT_EQ(kern::parallel_threads(), 6);
   }
-  EXPECT_EQ(kern::parallel_threads(), 6);
-  kern::set_parallel_threads(0);
   EXPECT_GE(kern::parallel_threads(), 1);  // ambient is always >= 1
 }
 
 TEST(ParallelFor, CapIsThreadLocal) {
-  const ThreadCapReset reset;
-  kern::set_parallel_threads(5);
+  const kern::ParallelThreadsGuard guard(5);
   int other_thread_cap = -1;
   std::thread probe([&] { other_thread_cap = kern::parallel_threads(); });
   probe.join();
@@ -664,8 +657,7 @@ TEST(ParallelFor, CapIsThreadLocal) {
 }
 
 TEST(ParallelFor, SmallCountsStaySerialRegardlessOfCap) {
-  const ThreadCapReset reset;
-  kern::set_parallel_threads(8);
+  const kern::ParallelThreadsGuard guard(8);
   // Below 2 * kParallelGrain the body must run inline as one range.
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
   kern::parallel_for(kern::kParallelGrain, [&](std::size_t b, std::size_t e) {

@@ -65,29 +65,6 @@ TEST(Pauli, MatricesAreHermitianAndUnitary) {
   }
 }
 
-TEST(Pauli, GeneralCommutation) {
-  EXPECT_TRUE(PauliString("XX").commutes_with(PauliString("ZZ")));
-  EXPECT_FALSE(PauliString("XI").commutes_with(PauliString("ZI")));
-  EXPECT_TRUE(PauliString("XI").commutes_with(PauliString("IZ")));
-  EXPECT_TRUE(PauliString("XY").commutes_with(PauliString("YX")));
-  EXPECT_THROW((void)PauliString("X").commutes_with(PauliString("XX")),
-               std::invalid_argument);
-}
-
-TEST(Pauli, CommutationMatchesMatrixAlgebra) {
-  const std::vector<std::string> labels{"XX", "ZZ", "XZ", "YI", "IZ", "YY"};
-  for (const auto& a : labels) {
-    for (const auto& b : labels) {
-      const Matrix ma = PauliString(a).matrix();
-      const Matrix mb = PauliString(b).matrix();
-      const Matrix comm = ma * mb - mb * ma;
-      const bool commutes = comm.norm() < 1e-12;
-      EXPECT_EQ(PauliString(a).commutes_with(PauliString(b)), commutes)
-          << a << " vs " << b;
-    }
-  }
-}
-
 TEST(Pauli, QubitWiseCommutation) {
   // The paper's H2 grouping: {II, IZ, ZI, ZZ} mutually QWC; XX not with IZ.
   const PauliString ii("II"), iz("IZ"), zi("ZI"), zz("ZZ"), xx("XX");
@@ -106,7 +83,9 @@ TEST(Pauli, QwcImpliesCommuting) {
     for (const auto& b : labels) {
       const PauliString pa(a), pb(b);
       if (pa.qubit_wise_commutes_with(pb)) {
-        EXPECT_TRUE(pa.commutes_with(pb)) << a << " " << b;
+        const Matrix ma = pa.matrix();
+        const Matrix mb = pb.matrix();
+        EXPECT_LT((ma * mb - mb * ma).norm(), 1e-12) << a << " " << b;
       }
     }
   }

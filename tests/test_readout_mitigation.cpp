@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
-#include "quiet_device.hpp"
+#include "hardware/device.hpp"
+#include "sim/executor.hpp"
 #include "sim/noise.hpp"
 #include "sim/statevector.hpp"
 
@@ -61,27 +61,6 @@ TEST(ReadoutMitigation, ClipsNegativesAndRenormalizes) {
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
-TEST(ReadoutMitigation, FromDeviceUsesCalibration) {
-  const Device d = make_line_device(4);
-  const auto mitigator =
-      ReadoutMitigator::from_device(d, {1, 3});
-  EXPECT_NEAR(mitigator.p01(0), d.readout_error(1), 1e-12);
-  EXPECT_NEAR(mitigator.p10(1), d.readout_error(3), 1e-12);
-}
-
-TEST(ReadoutMitigation, CharacterizationMatchesCalibration) {
-  const Device d = make_line_device(4);
-  // Isolate readout error.
-  const Device readout_only = test_devices::quiet_device(
-      d, test_devices::kGateNoise | test_devices::kIdleNoise);
-  const auto mitigator =
-      ReadoutMitigator::characterize(readout_only, {0, 1, 2}, {});
-  for (int b = 0; b < 3; ++b) {
-    EXPECT_NEAR(mitigator.p10(b), d.readout_error(b), 5e-3) << b;
-    EXPECT_NEAR(mitigator.p01(b), d.readout_error(b), 5e-3) << b;
-  }
-}
-
 TEST(ReadoutMitigation, ImprovesExecutorPst) {
   const Device d = make_line_device(4);
   Circuit c(4, 2);
@@ -91,7 +70,8 @@ TEST(ReadoutMitigation, ImprovesExecutorPst) {
   c.measure(1, 1);
   const ProgramOutcome out = execute_single(d, c, {});
   const Distribution ideal = ideal_distribution(c);
-  const auto mitigator = ReadoutMitigator::from_device(d, {0, 1});
+  const auto mitigator = ReadoutMitigator::from_flip_probs(
+      {d.readout_error(0), d.readout_error(1)});
   const Distribution mitigated = mitigator.mitigate(out.distribution);
   EXPECT_GT(mitigated.prob(ideal.most_likely()),
             out.distribution.prob(ideal.most_likely()));

@@ -114,19 +114,13 @@ TEST(SerializeCrosstalk, NoopWithoutConflicts) {
   EXPECT_DOUBLE_EQ(a.makespan_ns, b.makespan_ns);
 }
 
-TEST(SerializeCrosstalk, MultiProgramBatchesMatchPinnedDigest) {
-  // Seeded random 3-6-program batches on toronto27 and manhattan65 under
-  // ALAP and ASAP, serialized with the scalar kernels. The digest folds
-  // each batch's makespan bits, crosstalk events and max gamma, and every
-  // program's distribution bits and counts, so any change to which pair
-  // a serialization round shifts, or by how much, moves it.
-  struct NativeReset {
-    bool was = kern::native_kernels_active();
-    ~NativeReset() { kern::set_native_kernels(was); }
-  } reset;
-  kern::set_native_kernels(false);
-
-  std::uint64_t h = kFnv1aBasis;
+/// Seeded random 3-6-program batches on toronto27 and manhattan65 under
+/// ALAP and ASAP (25 each), with serialize_crosstalk on: calls
+/// visit(device, programs, options) once per batch and returns how many
+/// batches hold at least three programs (a batch stops growing when no
+/// free region of two qubits is left).
+template <typename Visit>
+int for_each_serialized_batch(Visit&& visit) {
   int multi_program_batches = 0;
   Rng rng(7331);
   for (const Device& device : {make_toronto27(), make_manhattan65()}) {
@@ -152,6 +146,28 @@ TEST(SerializeCrosstalk, MultiProgramBatchesMatchPinnedDigest) {
         opts.schedule = policy;
         opts.seed = 17 + static_cast<std::uint64_t>(batch);
         opts.serialize_crosstalk = true;
+        visit(device, programs, opts);
+      }
+    }
+  }
+  return multi_program_batches;
+}
+
+TEST(SerializeCrosstalk, MultiProgramBatchesMatchPinnedDigest) {
+  // The digest folds each batch's makespan bits, crosstalk events and max
+  // gamma, and every program's distribution bits and counts, so any
+  // change to which program serialization shifts, or by how much, moves
+  // it. Scalar kernels: the digest belongs to them.
+  struct NativeReset {
+    bool was = kern::native_kernels_active();
+    ~NativeReset() { kern::set_native_kernels(was); }
+  } reset;
+  kern::set_native_kernels(false);
+
+  std::uint64_t h = kFnv1aBasis;
+  const int multi_program_batches = for_each_serialized_batch(
+      [&](const Device& device, const std::vector<PhysicalProgram>& programs,
+          const ExecOptions& opts) {
         const ParallelRunReport run = execute_parallel(device, programs, opts);
         h = fnv1a_mix(h, std::bit_cast<std::uint64_t>(run.makespan_ns));
         h = fnv1a_mix(h, static_cast<std::uint64_t>(run.crosstalk_events));
@@ -166,12 +182,30 @@ TEST(SerializeCrosstalk, MultiProgramBatchesMatchPinnedDigest) {
             h = fnv1a_mix(h, static_cast<std::uint64_t>(n));
           }
         }
-      }
-    }
-  }
-  // A batch stops growing when no free region of two qubits is left.
+      });
   EXPECT_GE(multi_program_batches, 95);
-  EXPECT_EQ(h, 0xeda378a4a551c7c6ull) << std::hex << h;
+  EXPECT_EQ(h, 0x777efd7841138d77ull) << std::hex << h;
+}
+
+TEST(SerializeCrosstalk, NoCrossProgramOverlapSurvives) {
+  // After serialization no two programs' one-hop CX gates overlap in
+  // time. The ground-truth crosstalk pairs are one-hop pairs, so a
+  // serialized batch counts exactly the crosstalk events its programs
+  // count when each runs alone.
+  int batches = 0;
+  for_each_serialized_batch(
+      [&](const Device& device, const std::vector<PhysicalProgram>& programs,
+          const ExecOptions& opts) {
+        const ParallelRunReport run = execute_parallel(device, programs, opts);
+        int solo_events = 0;
+        for (const PhysicalProgram& program : programs) {
+          solo_events += execute_parallel(device, {program}, opts)
+                             .crosstalk_events;
+        }
+        EXPECT_EQ(run.crosstalk_events, solo_events) << "batch " << batches;
+        ++batches;
+      });
+  EXPECT_EQ(batches, 100);
 }
 
 }  // namespace

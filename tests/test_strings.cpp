@@ -14,24 +14,11 @@ TEST(Strings, SplitKeepsEmptyTokens) {
   EXPECT_EQ(parts[3], "");
 }
 
-TEST(Strings, SplitWsDropsEmpty) {
-  const auto parts = split_ws("  foo \t bar\nbaz  ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "foo");
-  EXPECT_EQ(parts[2], "baz");
-}
-
 TEST(Strings, TrimBothEnds) {
   EXPECT_EQ(trim("  x  "), "x");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim(" \t\n"), "");
   EXPECT_EQ(trim("ab"), "ab");
-}
-
-TEST(Strings, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
 }
 
 TEST(Strings, StartsWith) {

@@ -2,13 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 namespace qucp {
 namespace {
 
 Topology line5() {
   return Topology(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+}
+
+/// Edge ids at one-hop distance from edge id `e` (disjoint, with one
+/// coupling between them): the per-edge oracle one_hop_edge_pairs is
+/// checked against.
+std::vector<int> one_hop_neighbors_of_edge(const Topology& t, int e) {
+  if (e < 0 || e >= t.num_edges()) {
+    throw std::out_of_range("Topology: edge id out of range");
+  }
+  std::vector<int> out;
+  for (int j = 0; j < t.num_edges(); ++j) {
+    if (j == e) continue;
+    const Edge& a = t.edges()[e];
+    const Edge& b = t.edges()[j];
+    if (a.shares_qubit(b)) continue;
+    const int d = std::min({t.distance(a.a, b.a), t.distance(a.a, b.b),
+                            t.distance(a.b, b.a), t.distance(a.b, b.b)});
+    if (d == 1) out.push_back(j);
+  }
+  return out;
 }
 
 TEST(Edge, CanonicalOrder) {
@@ -38,8 +61,8 @@ TEST(Topology, AdjacencyAndDegree) {
   EXPECT_TRUE(t.adjacent(0, 1));
   EXPECT_TRUE(t.adjacent(1, 0));
   EXPECT_FALSE(t.adjacent(0, 2));
-  EXPECT_EQ(t.degree(0), 1);
-  EXPECT_EQ(t.degree(2), 2);
+  EXPECT_EQ(t.neighbors(0).size(), 1u);
+  EXPECT_EQ(t.neighbors(2).size(), 2u);
   EXPECT_EQ(t.neighbors(2), (std::vector<int>{1, 3}));
   EXPECT_THROW((void)t.adjacent(0, 9), std::out_of_range);
 }
@@ -76,9 +99,9 @@ TEST(Topology, OneHopEdgePairsOnLine) {
 
 TEST(Topology, OneHopNeighborsOfEdge) {
   const Topology t = line5();
-  EXPECT_EQ(t.one_hop_neighbors_of_edge(0), (std::vector<int>{2}));
-  EXPECT_EQ(t.one_hop_neighbors_of_edge(1), (std::vector<int>{3}));
-  EXPECT_THROW((void)t.one_hop_neighbors_of_edge(99), std::out_of_range);
+  EXPECT_EQ(one_hop_neighbors_of_edge(t, 0), (std::vector<int>{2}));
+  EXPECT_EQ(one_hop_neighbors_of_edge(t, 1), (std::vector<int>{3}));
+  EXPECT_THROW((void)one_hop_neighbors_of_edge(t, 99), std::out_of_range);
 }
 
 TEST(Topology, OneHopPairsConsistentWithNeighborLists) {
@@ -87,7 +110,7 @@ TEST(Topology, OneHopPairsConsistentWithNeighborLists) {
   const auto pairs = grid.one_hop_edge_pairs();
   std::size_t from_lists = 0;
   for (int e = 0; e < grid.num_edges(); ++e) {
-    from_lists += grid.one_hop_neighbors_of_edge(e).size();
+    from_lists += one_hop_neighbors_of_edge(grid, e).size();
   }
   EXPECT_EQ(pairs.size() * 2, from_lists);
 }
