@@ -45,13 +45,7 @@ std::pair<int, int> realized_conflicts(
     for (std::size_t j = i + 1; j < alloc.size(); ++j) {
       for (int e : topo.induced_edges(alloc[i].qubits)) {
         for (int f : topo.induced_edges(alloc[j].qubits)) {
-          const Edge& a = topo.edges()[e];
-          const Edge& b = topo.edges()[f];
-          if (a.shares_qubit(b)) continue;
-          const int dist =
-              std::min({topo.distance(a.a, b.a), topo.distance(a.a, b.b),
-                        topo.distance(a.b, b.a), topo.distance(a.b, b.b)});
-          if (dist != 1) continue;
+          if (!topo.one_hop(e, f)) continue;
           ++one_hop;
           if (d.crosstalk_ground_truth().gamma(e, f) > 1.0) ++planted;
         }

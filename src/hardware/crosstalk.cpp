@@ -29,6 +29,12 @@ std::vector<std::tuple<int, int, double>> CrosstalkModel::pairs() const {
   return out;
 }
 
+CrosstalkPolicy::CrosstalkPolicy(double sigma) : sigma_(sigma) {
+  if (sigma < 1.0) {
+    throw std::invalid_argument("CrosstalkPolicy: sigma must be >= 1");
+  }
+}
+
 CrosstalkModel plant_crosstalk(const Topology& topo, double fraction,
                                double gamma_lo, double gamma_hi, Rng rng) {
   if (fraction < 0.0 || fraction > 1.0) {

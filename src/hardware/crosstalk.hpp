@@ -7,6 +7,10 @@
 // ground truth: the noisy simulator consults it to amplify CX depolarizing
 // rates when two CNOTs overlap in time, and SRB *estimates* it by
 // experiment. QuCP never reads it — that is the point of the paper.
+//
+// CrosstalkPolicy is what the crosstalk-aware methods assume instead: the
+// multiplier one_hop-adjacent edges get in EFS scoring (Eq. 1) and in the
+// CNA router's swap penalty — a flat sigma or a set of SRB estimates.
 
 #include <map>
 #include <optional>
@@ -41,6 +45,31 @@ class CrosstalkModel {
     return e1 < e2 ? std::make_pair(e1, e2) : std::make_pair(e2, e1);
   }
   std::map<std::pair<int, int>, double> gamma_;
+};
+
+/// Crosstalk multiplier assumed for an edge one hop (Topology::one_hop)
+/// from an edge in use elsewhere.
+class CrosstalkPolicy final {
+ public:
+  /// sigma = 1: crosstalk is ignored.
+  CrosstalkPolicy() = default;
+  /// Every one-hop conflict costs a flat `sigma` (>= 1; the paper's QuCP
+  /// sets 4, the CNA router without estimates 2).
+  explicit CrosstalkPolicy(double sigma);
+  /// Per-pair multipliers measured by SRB (or any CrosstalkModel), which
+  /// must outlive the policy.
+  explicit CrosstalkPolicy(const CrosstalkModel& estimates)
+      : estimates_(&estimates) {}
+
+  /// Multiplier (>= 1) for edge `edge` next to the in-use edge `other`
+  /// (device edge ids).
+  [[nodiscard]] double multiplier(int edge, int other) const {
+    return estimates_ != nullptr ? estimates_->gamma(edge, other) : sigma_;
+  }
+
+ private:
+  double sigma_ = 1.0;
+  const CrosstalkModel* estimates_ = nullptr;
 };
 
 /// Plant crosstalk on a deterministic subset of one-hop edge pairs.

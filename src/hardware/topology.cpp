@@ -40,6 +40,23 @@ Topology::Topology(int num_qubits, std::vector<std::pair<int, int>> edge_list)
         static_cast<int>(i);
   }
 
+  // Dense E x E one-hop relation: f is one hop from e when it is disjoint
+  // from e and has an endpoint n adjacent to an endpoint of e, so walking
+  // the edges at each such n finds every f.
+  const std::size_t ne = edges_.size();
+  one_hop_.assign(ne * ne, 0);
+  for (std::size_t i = 0; i < ne; ++i) {
+    for (int q : {edges_[i].a, edges_[i].b}) {
+      for (int n : adj_[q]) {
+        for (int m : adj_[n]) {
+          const auto j = static_cast<std::size_t>(
+              edge_of_[static_cast<std::size_t>(n) * num_qubits + m]);
+          if (!edges_[j].shares_qubit(edges_[i])) one_hop_[i * ne + j] = 1;
+        }
+      }
+    }
+  }
+
   // All-pairs BFS.
   dist_.assign(num_qubits, std::vector<int>(num_qubits, -1));
   for (int src = 0; src < num_qubits; ++src) {
@@ -89,17 +106,18 @@ int Topology::distance(int a, int b) const {
   return dist_[a][b];
 }
 
+bool Topology::one_hop(int e, int f) const {
+  if (e < 0 || e >= num_edges() || f < 0 || f >= num_edges()) {
+    throw std::out_of_range("Topology: edge id out of range");
+  }
+  return one_hop_[static_cast<std::size_t>(e) * edges_.size() + f] != 0;
+}
+
 std::vector<std::pair<int, int>> Topology::one_hop_edge_pairs() const {
   std::vector<std::pair<int, int>> pairs;
   for (int i = 0; i < num_edges(); ++i) {
     for (int j = i + 1; j < num_edges(); ++j) {
-      const Edge& e = edges_[i];
-      const Edge& f = edges_[j];
-      if (e.shares_qubit(f)) continue;
-      const int d = std::min(
-          std::min(dist_[e.a][f.a], dist_[e.a][f.b]),
-          std::min(dist_[e.b][f.a], dist_[e.b][f.b]));
-      if (d == 1) pairs.emplace_back(i, j);
+      if (one_hop(i, j)) pairs.emplace_back(i, j);
     }
   }
   return pairs;

@@ -5,8 +5,11 @@
 // two qubits (both directions). Distances are hop counts. "One-hop edge
 // pairs" — disjoint edges joined by a single coupling link — are the pairs
 // on which simultaneous CNOTs can experience crosstalk (Murali et al.,
-// ASPLOS'20) and drive both SRB characterization cost (Table I) and QuCP's
-// sigma-emulated crosstalk.
+// ASPLOS'20). Topology decides that relation once, in its constructor, and
+// one_hop(e, f) is the only place it is read: EFS scoring and the
+// allocator's states (Eq. 1's q_crosstalk edges), the CNA router's
+// penalty, the executor's crosstalk serialization, SRB grouping (Table I)
+// and the sigma ablation all call it.
 
 #include <optional>
 #include <span>
@@ -53,8 +56,12 @@ class Topology {
   /// Hop distance; -1 when disconnected.
   [[nodiscard]] int distance(int a, int b) const;
 
-  /// All unordered pairs of disjoint edges {e, f} (by edge id) such that an
-  /// endpoint of e is adjacent to an endpoint of f.
+  /// True when edges e and f (edge ids) are disjoint and an endpoint of e
+  /// is adjacent to an endpoint of f. Symmetric; false for e == f. Throws
+  /// std::out_of_range for an edge id outside [0, num_edges()).
+  [[nodiscard]] bool one_hop(int e, int f) const;
+
+  /// The pairs (e, f) with e < f and one_hop(e, f), in (e, f) order.
   [[nodiscard]] std::vector<std::pair<int, int>> one_hop_edge_pairs() const;
 
   /// True when the qubit subset induces a connected subgraph.
@@ -71,6 +78,7 @@ class Topology {
   std::vector<Edge> edges_;
   std::vector<std::vector<int>> adj_;       // neighbor lists
   std::vector<int> edge_of_;  ///< dense (a,b) -> edge id, -1 when uncoupled
+  std::vector<char> one_hop_;  ///< dense (e,f) -> one_hop(e, f)
   std::vector<std::vector<int>> dist_;      // all-pairs hop distances
 };
 

@@ -235,19 +235,10 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
       if (options.noise_aware) {
         score += kErrorWeight * device.calibration().cx_error[e];
       }
-      if (options.crosstalk_aware) {
-        for (int f : options.context_edges) {
-          const Edge& fe = topo.edges()[f];
-          if (edge.shares_qubit(fe)) continue;
-          const int d =
-              std::min({topo.distance(edge.a, fe.a), topo.distance(edge.a, fe.b),
-                        topo.distance(edge.b, fe.a), topo.distance(edge.b, fe.b)});
-          if (d != 1) continue;
-          const double gamma = options.crosstalk_estimates != nullptr
-                                   ? options.crosstalk_estimates->gamma(e, f)
-                                   : 2.0;
-          score += kCrosstalkWeight *
-                   device.calibration().cx_error[e] * (gamma - 1.0);
+      for (int f : options.context_edges) {
+        if (topo.one_hop(e, f)) {
+          score += kCrosstalkWeight * device.calibration().cx_error[e] *
+                   (options.crosstalk.multiplier(e, f) - 1.0);
         }
       }
       if (score < best_score) {

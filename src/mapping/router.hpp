@@ -6,10 +6,11 @@
 // front layer, a look-ahead over the next 20 two-qubit gates at weight
 // 0.5, a per-qubit decay term against ping-ponging (+0.001 per use,
 // cleared every 5 swaps), an optional noise term (10x the edge's CX
-// error), and — for the CNA baseline — a gate-level crosstalk penalty
-// against edges one-hop from co-runner partitions (5x the edge's CX error
-// x (gamma - 1)). The weights are fixed constants of router.cpp; the
-// options only switch terms on and supply the CNA context.
+// error), and a gate-level crosstalk penalty against edges one hop
+// (Topology::one_hop) from co-runner edges (5x the edge's CX error x
+// (multiplier - 1)), which only the CNA baseline's preset turns on by
+// naming those edges. The weights are fixed constants of router.cpp; the
+// options only switch the noise term and supply the CNA context.
 
 #include <optional>
 #include <span>
@@ -23,11 +24,11 @@ namespace qucp {
 struct RouterOptions {
   bool noise_aware = true;  ///< add the CX-error term to swap scores
 
-  /// Gate-level crosstalk penalty (CNA): edges one-hop from any context
-  /// edge are discouraged proportionally to the estimated gamma.
-  bool crosstalk_aware = false;
-  std::vector<int> context_edges;            ///< co-runner partition edges
-  const CrosstalkModel* crosstalk_estimates = nullptr;  ///< SRB estimates
+  /// Gate-level crosstalk penalty (CNA): a swap edge one hop from a
+  /// context edge is discouraged in proportion to `crosstalk`'s multiplier
+  /// for the pair, less one. Empty (no penalty) unless cna_options fills it.
+  std::vector<int> context_edges;  ///< co-runner partition edges
+  CrosstalkPolicy crosstalk;       ///< multipliers for the penalty
 };
 
 struct RoutingResult {

@@ -8,7 +8,6 @@ TranspileOptions hardware_aware_options() {
   TranspileOptions opts;
   opts.placement = PlacementStyle::HardwareAware;
   opts.router.noise_aware = true;
-  opts.router.crosstalk_aware = false;
   return opts;
 }
 
@@ -17,9 +16,9 @@ TranspileOptions cna_options(std::vector<int> context_edges,
   TranspileOptions opts;
   opts.placement = PlacementStyle::NoiseAdaptive;
   opts.router.noise_aware = true;
-  opts.router.crosstalk_aware = true;
   opts.router.context_edges = std::move(context_edges);
-  opts.router.crosstalk_estimates = estimates;
+  opts.router.crosstalk = estimates != nullptr ? CrosstalkPolicy(*estimates)
+                                               : CrosstalkPolicy(2.0);
   return opts;
 }
 

@@ -30,7 +30,8 @@ struct TranspileOptions {
 /// Preset used by the CNA baseline: noise-adaptive placement and a router
 /// penalizing edges one-hop from co-runner edges (gate-level crosstalk).
 /// `context_edges` are the device edge ids inside co-runners' partitions;
-/// `estimates` are SRB-measured crosstalk multipliers (may be null).
+/// `estimates` are SRB-measured crosstalk multipliers, which must outlive
+/// the options. Without them (null) every one-hop pair costs a flat 2.
 [[nodiscard]] TranspileOptions cna_options(std::vector<int> context_edges,
                                            const CrosstalkModel* estimates);
 

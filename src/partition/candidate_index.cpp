@@ -9,30 +9,6 @@
 
 namespace qucp {
 
-namespace {
-
-/// Static EFS components of a candidate, accumulated in efs_score's exact
-/// summation order: edge errors (with the mult == 1 cap) in induced-edge
-/// order, 1q and readout errors in partition order. The bit-identity
-/// contract with efs.cpp depends on these exact float operations.
-CandidateIndex::BaseScore compute_base(const Device& device,
-                                       const std::vector<int>& part,
-                                       const std::vector<int>& part_edges) {
-  const Calibration& cal = device.calibration();
-  CandidateIndex::BaseScore base;
-  base.num_edges = static_cast<int>(part_edges.size());
-  for (int e : part_edges) {
-    base.edge_error_total += std::min(1.0, cal.cx_error[e] * 1.0);
-  }
-  for (int q : part) {
-    base.q1_total += cal.q1_error[q];
-    base.readout_sum += cal.readout_error[q];
-  }
-  return base;
-}
-
-}  // namespace
-
 std::vector<int> CandidateIndex::cached_sizes() const {
   std::lock_guard<std::mutex> lock(sizes_mutex_);
   return {sizes_.begin(), sizes_.end()};
@@ -78,56 +54,55 @@ std::size_t CandidateIndex::State::bytes() const noexcept {
          heap_bytes(hops_);
 }
 
+CandidateIndex::State::State(const Device& device, int k,
+                             std::span<const int> allocated,
+                             std::span<const std::vector<int>> candidates)
+    : device_(&device), k_(k) {
+  const Topology& topo = device.topology();
+  const Calibration& cal = device.calibration();
+  // Per device edge, the allocated edges one hop from it, in edge-id
+  // order (the order score() takes the largest multiplier in).
+  std::vector<std::vector<int>> near(
+      static_cast<std::size_t>(topo.num_edges()));
+  for (int f : topo.induced_edges(allocated)) {
+    for (int e = 0; e < topo.num_edges(); ++e) {
+      if (topo.one_hop(e, f)) near[e].push_back(f);
+    }
+  }
+  parts_.reserve(candidates.size() * static_cast<std::size_t>(k));
+  base_.reserve(candidates.size());
+  edge_begin_.push_back(0);
+  hop_begin_.push_back(0);
+  for (const std::vector<int>& part : candidates) {
+    parts_.insert(parts_.end(), part.begin(), part.end());
+    BaseScore base;
+    for (int e : topo.induced_edges(part)) {
+      base.edge_error_total += std::min(1.0, cal.cx_error[e]);
+      ++base.num_edges;
+      edges_.push_back(e);
+      hops_.insert(hops_.end(), near[e].begin(), near[e].end());
+      hop_begin_.push_back(static_cast<std::uint32_t>(hops_.size()));
+    }
+    for (int q : part) {
+      base.q1_total += cal.q1_error[q];
+      base.readout_sum += cal.readout_error[q];
+    }
+    base_.push_back(base);
+    edge_begin_.push_back(static_cast<std::uint32_t>(edges_.size()));
+  }
+}
+
 std::shared_ptr<const CandidateIndex::State> CandidateIndex::build_state(
     const StateKey& key) const {
-  const Device& device = *device_;
-  const Topology& topo = device.topology();
   std::vector<int> allocated;
   for (std::size_t w = 0; w < key.allocated.size(); ++w) {
     for (std::uint64_t bits = key.allocated[w]; bits != 0; bits &= bits - 1) {
       allocated.push_back(static_cast<int>(w * 64) + std::countr_zero(bits));
     }
   }
-  const std::vector<std::vector<int>> candidates =
-      partition_candidates(device, key.k, allocated);
-
-  // Edge-id order, exactly what efs_score's induced_edges(allocated) scan
-  // walks. A candidate edge can sit one hop from an allocated edge only
-  // when one of its endpoints neighbours an allocated qubit.
-  const std::vector<int> alloc_edges = topo.induced_edges(allocated);
-  std::vector<char> near1(static_cast<std::size_t>(topo.num_qubits()), 0);
-  for (int q : allocated) {
-    for (int nb : topo.neighbors(q)) near1[nb] = 1;
-  }
-
-  auto out = std::make_shared<State>();
-  out->device_ = &device;
-  out->k_ = key.k;
-  out->parts_.reserve(candidates.size() * static_cast<std::size_t>(key.k));
-  out->base_.reserve(candidates.size());
-  out->edge_begin_.push_back(0);
-  out->hop_begin_.push_back(0);
-  for (const std::vector<int>& part : candidates) {
-    out->parts_.insert(out->parts_.end(), part.begin(), part.end());
-    const std::vector<int> edges = topo.induced_edges(part);
-    out->base_.push_back(compute_base(device, part, edges));
-    for (int e : edges) {
-      out->edges_.push_back(e);
-      const Edge& ee = topo.edges()[e];
-      if (near1[ee.a] || near1[ee.b]) {
-        for (int f : alloc_edges) {
-          const Edge& fe = topo.edges()[f];
-          assert(!ee.shares_qubit(fe));
-          const int d = std::min(
-              {topo.distance(ee.a, fe.a), topo.distance(ee.a, fe.b),
-               topo.distance(ee.b, fe.a), topo.distance(ee.b, fe.b)});
-          if (d == 1) out->hops_.push_back(f);
-        }
-      }
-      out->hop_begin_.push_back(static_cast<std::uint32_t>(out->hops_.size()));
-    }
-    out->edge_begin_.push_back(static_cast<std::uint32_t>(out->edges_.size()));
-  }
+  auto out = std::make_shared<const State>(
+      *device_, key.k, allocated,
+      partition_candidates(*device_, key.k, allocated));
   {
     std::lock_guard<std::mutex> lock(sizes_mutex_);
     sizes_.insert(key.k);
@@ -151,12 +126,12 @@ EfsBreakdown CandidateIndex::State::score(std::size_t i,
   EfsBreakdown out;
   if (hop_begin_[e0] == hop_begin_[e1]) {
     // No edge one hop from the allocation: every multiplier is 1 and the
-    // cached base is efs_score's sum.
+    // cached base is the sum.
     if (base.num_edges > 0) {
       out.avg_2q = base.edge_error_total / static_cast<double>(base.num_edges);
     }
   } else {
-    // efs_score's edge loop, with the d == 1 scan precomputed.
+    // Avg2q(cross): each edge's error under its largest one-hop multiplier.
     const Calibration& cal = device_->calibration();
     double total = 0.0;
     for (std::uint32_t j = e0; j < e1; ++j) {

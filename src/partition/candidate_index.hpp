@@ -10,15 +10,17 @@
 // batch after batch, so the index memoizes whole allocation states:
 // state(key) returns, for one (allocated-qubit set, k), the candidate
 // parts in partition_candidates order, each candidate's static EFS base
-// (plain average CX error, 1q errors, readout sum, accumulated in
-// efs_score's exact order) and induced edges, and per candidate edge the
-// allocated edges one hop away (in the edge-id order efs_score walks
-// them). Those are all policy-independent, so State::score() rescores a
-// candidate under any CrosstalkPolicy with efs_score's exact accumulation
-// order: QuCP at any sigma, QuMC, QuCloud and MultiQC share entries and
-// stay bit-identical to the index-less greedy loops (regenerate and
-// rescore every candidate per program) that tests/reference_allocator.hpp
-// keeps and tests/test_allocator_golden.cpp compares against.
+// (plain average CX error, 1q errors, readout sum) and induced edges, and
+// per candidate edge the allocated edges one hop away (Topology::one_hop,
+// in edge-id order). Those are all policy-independent, so State::score()
+// rescores a candidate under any CrosstalkPolicy: QuCP at any sigma, QuMC,
+// QuCloud and MultiQC share entries.
+//
+// State::score() is the one implementation of Eq. 1: efs_score (the
+// first-fit methods' scorer) builds a one-candidate State and scores it.
+// tests/reference_allocator.hpp keeps an independent Eq. 1 loop
+// (reference::efs_score) and the index-less greedy loops built on it, and
+// tests/test_allocator_golden.cpp compares the two bit for bit.
 //
 // A miss builds its state from partition_candidates(device, k, allocated)
 // — the one candidate generator — so the memo cannot drift from it.
@@ -56,15 +58,6 @@ namespace qucp {
 
 class CandidateIndex {
  public:
-  /// Static (allocation-independent) EFS components of one candidate,
-  /// accumulated in efs_score's exact summation order.
-  struct BaseScore {
-    double edge_error_total = 0.0;  ///< sum of min(1, cx_error) over edges
-    int num_edges = 0;              ///< induced partition-internal edges
-    double q1_total = 0.0;          ///< sum of 1q errors over the qubits
-    double readout_sum = 0.0;       ///< sum of readout errors
-  };
-
   /// Memo key: the allocated-qubit set (bit q of word q / 64) and the
   /// partition width k.
   struct StateKey {
@@ -75,21 +68,27 @@ class CandidateIndex {
     void allocate(std::span<const int> qubits);
   };
 
-  /// Everything candidate generation and EFS scoring derive from one
-  /// allocation state, independent of the crosstalk policy. Candidates
-  /// are in partition_candidates order (sorted sets, lexicographic).
-  /// score() reads the index's device, so a State must not be used after
-  /// its index is gone.
+  /// Everything EFS scoring derives from a list of candidates against one
+  /// allocation, independent of the crosstalk policy. An index's states
+  /// hold partition_candidates' list (sorted sets, lexicographic). score()
+  /// reads the device, so a State must not outlive it.
   class State {
    public:
+    /// The state of `candidates` (k qubits each, kept in the order given)
+    /// against the qubits in `allocated`.
+    State(const Device& device, int k, std::span<const int> allocated,
+          std::span<const std::vector<int>> candidates);
+
     [[nodiscard]] std::size_t size() const noexcept { return base_.size(); }
-    /// Sorted qubits of candidate i.
+    /// Qubits of candidate i, in the order given.
     [[nodiscard]] std::span<const int> part(std::size_t i) const noexcept {
       return {parts_.data() + i * static_cast<std::size_t>(k_),
               static_cast<std::size_t>(k_)};
     }
-    /// efs_score(device, part(i), shape, allocated, policy), bit for bit.
-    /// `crosstalk_edges` is left empty unless `with_edges` is set.
+    /// Eq. 1 for candidate i under `policy`: efs_score(device, part(i),
+    /// shape, allocated, policy). `crosstalk_edges` is left empty unless
+    /// `with_edges` is set. Throws std::invalid_argument when the shape's
+    /// width is not k or it has 2q gates and k < 2.
     [[nodiscard]] EfsBreakdown score(std::size_t i, const ProgramShape& shape,
                                      const CrosstalkPolicy& policy,
                                      bool with_edges = true) const;
@@ -97,16 +96,25 @@ class CandidateIndex {
     [[nodiscard]] std::size_t bytes() const noexcept;
 
    private:
-    friend class CandidateIndex;
-    const Device* device_ = nullptr;
-    int k_ = 0;
+    /// Static (allocation-independent) EFS components of one candidate:
+    /// edge errors in induced-edge order, 1q and readout errors in the
+    /// candidate's qubit order.
+    struct BaseScore {
+      double edge_error_total = 0.0;  ///< sum of min(1, cx_error) over edges
+      int num_edges = 0;              ///< induced partition-internal edges
+      double q1_total = 0.0;          ///< sum of 1q errors over the qubits
+      double readout_sum = 0.0;       ///< sum of readout errors
+    };
+
+    const Device* device_;
+    int k_;
     std::vector<int> parts_;           ///< k qubits per candidate
     std::vector<BaseScore> base_;      ///< per candidate
     /// Candidate i's induced edges are edges_[edge_begin_[i]..[i + 1]).
     std::vector<std::uint32_t> edge_begin_;
     std::vector<int> edges_;
-    /// Allocated edges one hop from edges_[j] (efs_score's d == 1 test),
-    /// in edge-id order: hops_[hop_begin_[j]..[j + 1]).
+    /// Allocated edges one hop from edges_[j], in edge-id order:
+    /// hops_[hop_begin_[j]..[j + 1]).
     std::vector<std::uint32_t> hop_begin_;
     std::vector<int> hops_;
   };

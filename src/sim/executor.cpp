@@ -224,19 +224,12 @@ ParallelRunReport execute_parallel(const Device& device,
     // pair overlapping, and needs no round cap.
     //
     // Everything about a pair except its time overlap (programs, edges,
-    // one-hop distance) is shift-invariant, so the O(E^2) pair scan
+    // Topology::one_hop) is shift-invariant, so the O(E^2) pair scan
     // runs once. Pairs are collected by their later event, and events by
     // program, so each program's pairs form one contiguous run.
     const Topology& topo = device.topology();
     auto statically_eligible = [&](const CxEvent& a, const CxEvent& b) {
-      if (a.program == b.program || a.edge == b.edge) return false;
-      const Edge& ea = topo.edges()[a.edge];
-      const Edge& eb = topo.edges()[b.edge];
-      if (ea.shares_qubit(eb)) return false;
-      const int dist = std::min(
-          {topo.distance(ea.a, eb.a), topo.distance(ea.a, eb.b),
-           topo.distance(ea.b, eb.a), topo.distance(ea.b, eb.b)});
-      return dist == 1;
+      return a.program != b.program && topo.one_hop(a.edge, b.edge);
     };
     struct EligiblePair {
       std::uint32_t a = 0;  // event of the earlier program

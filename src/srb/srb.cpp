@@ -7,23 +7,16 @@ namespace qucp {
 
 namespace {
 
-/// Minimum hop distance between two edges' endpoints (0 when sharing).
-int edge_distance(const Topology& topo, int e, int f) {
-  const Edge& a = topo.edges()[e];
-  const Edge& b = topo.edges()[f];
-  if (a.shares_qubit(b)) return 0;
-  return std::min({topo.distance(a.a, b.a), topo.distance(a.a, b.b),
-                   topo.distance(a.b, b.a), topo.distance(a.b, b.b)});
-}
-
 /// Two one-hop pairs interfere when any cross-pair edge combination is
-/// within one hop (or shares a qubit).
+/// the same edge, shares a qubit or is one hop apart.
 bool pairs_conflict(const Topology& topo, const std::pair<int, int>& p,
                     const std::pair<int, int>& q) {
   for (int e : {p.first, p.second}) {
     for (int f : {q.first, q.second}) {
-      if (e == f) return true;
-      if (edge_distance(topo, e, f) <= 1) return true;
+      if (e == f || topo.edges()[e].shares_qubit(topo.edges()[f]) ||
+          topo.one_hop(e, f)) {
+        return true;
+      }
     }
   }
   return false;

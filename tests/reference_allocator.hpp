@@ -2,17 +2,23 @@
 // Index-less reference allocators: the oracle the production allocator is
 // pinned against.
 //
+// reference::efs_score is Eq. 1 written out directly — the edge-distance
+// test, the crosstalk multiplier and the sums in one loop — independent of
+// Topology::one_hop and CandidateIndex::State, which production scores
+// through.
+//
 // Every candidate-based partitioner allocates by walking allocation states
 // through a CandidateIndex (partition/partitioners.cpp). These are the
 // greedy loops it replaces, kept here: each program regenerates its
 // candidates with partition_candidates and rescores every one with
-// efs_score (or the baseline's own ranking), with no memo at all. A
-// ReferencePartitioner runs them behind the Partitioner interface and
-// ignores any index it is handed, so tests can put it wherever the
+// reference::efs_score (or the baseline's own ranking), with no memo at
+// all. A ReferencePartitioner runs them behind the Partitioner interface
+// and ignores any index it is handed, so tests can put it wherever the
 // production partitioner goes (allocate, pack_fleet, solo_efs_score) and
 // compare bit for bit.
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -31,6 +37,80 @@ namespace qucp::reference {
 
 using Allocation = std::optional<std::vector<PartitionAssignment>>;
 
+/// Eq. 1 for one partition: production efs_score's contract, computed
+/// without the index.
+inline EfsBreakdown efs_score(const Device& device,
+                              std::span<const int> partition,
+                              const ProgramShape& shape,
+                              std::span<const int> allocated,
+                              const CrosstalkPolicy& policy) {
+  const Topology& topo = device.topology();
+  const Calibration& cal = device.calibration();
+  if (static_cast<int>(partition.size()) != shape.num_qubits) {
+    throw std::invalid_argument("efs_score: partition size != program size");
+  }
+  if (!topo.is_connected_subset(partition)) {
+    throw std::invalid_argument("efs_score: partition not connected");
+  }
+  std::vector<char> alloc_mask(static_cast<std::size_t>(topo.num_qubits()), 0);
+  for (int q : allocated) {
+    if (q < 0 || q >= topo.num_qubits()) {
+      throw std::out_of_range("efs_score: allocated qubit out of range");
+    }
+    alloc_mask[q] = 1;
+  }
+  for (int q : partition) {
+    if (alloc_mask[q]) {
+      throw std::invalid_argument("efs_score: partition overlaps allocation");
+    }
+  }
+  if (shape.num_2q > 0 && partition.size() < 2) {
+    throw std::invalid_argument("efs_score: program needs an edge");
+  }
+
+  EfsBreakdown out;
+  // Avg2q(cross): average CX error over partition-internal edges, with
+  // q_crosstalk edges (one-hop from an allocated edge) inflated.
+  const std::vector<int> part_edges = topo.induced_edges(partition);
+  const std::vector<int> alloc_edges = topo.induced_edges(allocated);
+  if (!part_edges.empty()) {
+    double total = 0.0;
+    for (int e : part_edges) {
+      double mult = 1.0;
+      bool flagged = false;
+      const Edge& ee = topo.edges()[e];
+      for (int f : alloc_edges) {
+        const Edge& fe = topo.edges()[f];
+        // The overlap validation above keeps partition and allocation
+        // disjoint, so no partition edge shares a qubit with an allocated
+        // one.
+        assert(!ee.shares_qubit(fe));
+        const int d = std::min(
+            {topo.distance(ee.a, fe.a), topo.distance(ee.a, fe.b),
+             topo.distance(ee.b, fe.a), topo.distance(ee.b, fe.b)});
+        if (d == 1) {
+          mult = std::max(mult, policy.multiplier(e, f));
+          flagged = true;
+        }
+      }
+      if (flagged) out.crosstalk_edges.push_back(e);
+      total += std::min(1.0, cal.cx_error[e] * mult);
+    }
+    out.avg_2q = total / static_cast<double>(part_edges.size());
+  }
+
+  double q1_total = 0.0;
+  for (int q : partition) {
+    q1_total += cal.q1_error[q];
+    out.readout_sum += cal.readout_error[q];
+  }
+  out.avg_1q = q1_total / static_cast<double>(partition.size());
+
+  out.score = out.avg_2q * shape.num_2q + out.avg_1q * shape.num_1q +
+              out.readout_sum;
+  return out;
+}
+
 /// EFS-greedy allocation (QuCP and QuMC): per program, the candidate of
 /// lowest EFS under `policy`, the first one on ties.
 inline Allocation efs_greedy_allocate(const Device& device,
@@ -46,7 +126,8 @@ inline Allocation efs_greedy_allocate(const Device& device,
     PartitionAssignment current;
     double best_score = 0.0;
     for (const auto& cand : candidates) {
-      EfsBreakdown efs = efs_score(device, cand, shape, allocated, policy);
+      EfsBreakdown efs =
+          reference::efs_score(device, cand, shape, allocated, policy);
       if (best == nullptr || efs.score < best_score) {
         current = {cand, std::move(efs)};
         best = &current;
@@ -63,7 +144,7 @@ inline Allocation efs_greedy_allocate(const Device& device,
 
 /// Score-based allocation for the calibration-aware, crosstalk-blind
 /// baselines: per program, the candidate `score` ranks highest, the first
-/// one on ties, with efs_score's breakdown under no crosstalk.
+/// one on ties, with reference::efs_score's breakdown under no crosstalk.
 template <typename ScoreFn>
 Allocation score_greedy_allocate(const Device& device,
                                  std::span<const ProgramShape> programs,
@@ -90,7 +171,7 @@ Allocation score_greedy_allocate(const Device& device,
     PartitionAssignment assignment;
     assignment.qubits = best_cand;
     assignment.efs =
-        efs_score(device, best_cand, shape, allocated, no_xtalk);
+        reference::efs_score(device, best_cand, shape, allocated, no_xtalk);
     allocated.insert(allocated.end(), best_cand.begin(), best_cand.end());
     result[idx] = std::move(assignment);
   }

@@ -7,13 +7,15 @@
 // partitioner, and the packer must make identical packing decisions. This
 // is the contract that lets the service use the memoized allocator without
 // a behavior flag. The candidate generator itself is pinned by a hash of
-// its output.
+// its output, and production efs_score (which scores through a
+// CandidateIndex::State) by reference::efs_score on random regions.
 
 #include "partition/candidate_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -374,8 +376,8 @@ TEST(AllocatorGolden, MemoStatesMatchReferenceOnArbitraryMasks) {
   // Greedy allocations only reach unions of connected partitions; pin the
   // memoized states on arbitrary allocated sets too (isolated qubits,
   // scattered edges): the same candidates as partition_candidates and,
-  // per candidate, efs_score's breakdown under a flat sigma and under
-  // per-pair estimates.
+  // per candidate, reference::efs_score's breakdown under a flat sigma and
+  // under per-pair estimates.
   Rng rng(5150);
   std::vector<Device> devices;
   devices.push_back(make_melbourne16());
@@ -405,8 +407,8 @@ TEST(AllocatorGolden, MemoStatesMatchReferenceOnArbitraryMasks) {
         const std::span<const int> part = state->part(i);
         ASSERT_EQ(std::vector<int>(part.begin(), part.end()), reference[i]);
         for (const CrosstalkPolicy* policy : {&sigma, &measured}) {
-          const EfsBreakdown want =
-              efs_score(device, reference[i], shape, allocated, *policy);
+          const EfsBreakdown want = reference::efs_score(
+              device, reference[i], shape, allocated, *policy);
           const EfsBreakdown got = state->score(i, shape, *policy);
           const std::string context = device.name() + "/trial" +
                                       std::to_string(trial) + "/cand" +
@@ -419,6 +421,103 @@ TEST(AllocatorGolden, MemoStatesMatchReferenceOnArbitraryMasks) {
         }
       }
     }
+  }
+}
+
+/// A connected region of up to k free qubits grown from `start`: first-fit's
+/// BFS (neighbours in id order) or, with `random_growth`, a random pick
+/// from the frontier at every step. Returned in growth order.
+std::vector<int> grow_region(const Topology& topo,
+                             const std::vector<char>& blocked, int start,
+                             int k, bool random_growth, Rng& rng) {
+  std::vector<int> region;
+  std::vector<int> frontier{start};
+  std::vector<char> seen(blocked.size(), 0);
+  seen[start] = 1;
+  while (!frontier.empty() && static_cast<int>(region.size()) < k) {
+    const std::size_t pick = random_growth ? rng.index(frontier.size()) : 0;
+    const int u = frontier[pick];
+    frontier.erase(frontier.begin() + static_cast<std::ptrdiff_t>(pick));
+    region.push_back(u);
+    for (int nb : topo.neighbors(u)) {
+      if (!seen[nb] && !blocked[nb]) {
+        seen[nb] = 1;
+        frontier.push_back(nb);
+      }
+    }
+  }
+  return region;
+}
+
+TEST(AllocatorGolden, EfsScoreMatchesReferenceBitForBit) {
+  // Production efs_score scores through a one-candidate
+  // CandidateIndex::State; reference::efs_score is the independent Eq. 1
+  // loop. Regions are first-fit BFS regions and random connected growths
+  // (sorted, in growth order or shuffled, since the 1q and readout sums
+  // run in partition order), which partition_candidates need not propose,
+  // against random allocations, under no crosstalk, sigma = 4 and
+  // per-pair estimates. The doubles are compared with memcmp.
+  Rng rng(3434);
+  std::vector<Device> devices;
+  devices.push_back(make_toronto27());
+  devices.push_back(make_manhattan65());
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (const Device& device : devices) {
+    const Topology& topo = device.topology();
+    CrosstalkModel estimates;
+    for (const auto& [e1, e2] : topo.one_hop_edge_pairs()) {
+      if (rng.bernoulli(0.6)) {
+        estimates.add_pair(e1, e2, rng.uniform(1.0, 8.0));
+      }
+    }
+    const CrosstalkPolicy none;
+    const CrosstalkPolicy sigma(4.0);
+    const CrosstalkPolicy measured(estimates);
+    int flagged = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      const double density = rng.uniform(0.0, 0.6);
+      std::vector<char> blocked(static_cast<std::size_t>(device.num_qubits()));
+      std::vector<int> allocated;
+      std::vector<int> free_qubits;
+      for (int q = 0; q < device.num_qubits(); ++q) {
+        blocked[q] = rng.bernoulli(density) ? 1 : 0;
+        (blocked[q] ? allocated : free_qubits).push_back(q);
+      }
+      if (free_qubits.empty()) continue;
+      rng.shuffle(allocated);
+      const int start = free_qubits[rng.index(free_qubits.size())];
+      const bool random_growth = rng.bernoulli(0.5);
+      std::vector<int> region =
+          grow_region(topo, blocked, start,
+                      static_cast<int>(rng.integer(1, 7)), random_growth, rng);
+      switch (rng.index(3)) {
+        case 0: std::sort(region.begin(), region.end()); break;
+        case 1: rng.shuffle(region); break;
+        default: break;  // growth order
+      }
+      const int k = static_cast<int>(region.size());
+      const int num_2q = k >= 2 ? static_cast<int>(rng.integer(0, 30)) : 0;
+      const ProgramShape shape{k, num_2q,
+                               static_cast<int>(rng.integer(0, 40))};
+      for (const CrosstalkPolicy* policy : {&none, &sigma, &measured}) {
+        const EfsBreakdown want =
+            reference::efs_score(device, region, shape, allocated, *policy);
+        const EfsBreakdown got =
+            efs_score(device, region, shape, allocated, *policy);
+        const std::string context =
+            device.name() + "/trial" + std::to_string(trial);
+        EXPECT_TRUE(same_bits(want.score, got.score)) << context;
+        EXPECT_TRUE(same_bits(want.avg_2q, got.avg_2q)) << context;
+        EXPECT_TRUE(same_bits(want.avg_1q, got.avg_1q)) << context;
+        EXPECT_TRUE(same_bits(want.readout_sum, got.readout_sum)) << context;
+        EXPECT_EQ(want.crosstalk_edges, got.crosstalk_edges) << context;
+        if (!want.crosstalk_edges.empty()) ++flagged;
+      }
+    }
+    // The stream must reach the crosstalk branch, not only the base sums.
+    EXPECT_GT(flagged, 100) << device.name();
   }
 }
 

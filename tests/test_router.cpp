@@ -256,9 +256,17 @@ TEST(Transpiler, CnaOptionsCarryContext) {
   est.add_pair(0, 2, 3.0);
   const TranspileOptions opts = cna_options({0, 1}, &est);
   EXPECT_EQ(opts.placement, PlacementStyle::NoiseAdaptive);
-  EXPECT_TRUE(opts.router.crosstalk_aware);
   EXPECT_EQ(opts.router.context_edges, (std::vector<int>{0, 1}));
-  EXPECT_EQ(opts.router.crosstalk_estimates, &est);
+  // The penalty's multipliers: the estimate for a listed pair, 1 (no
+  // penalty) for an unlisted one, and a flat 2 without estimates.
+  EXPECT_EQ(opts.router.crosstalk.multiplier(0, 2), 3.0);
+  EXPECT_EQ(opts.router.crosstalk.multiplier(2, 0), 3.0);
+  EXPECT_EQ(opts.router.crosstalk.multiplier(0, 3), 1.0);
+  const TranspileOptions flat = cna_options({0, 1}, nullptr);
+  EXPECT_EQ(flat.router.crosstalk.multiplier(0, 2), 2.0);
+  EXPECT_EQ(flat.router.crosstalk.multiplier(0, 3), 2.0);
+  // Every other preset names no context edges, so it adds no penalty.
+  EXPECT_TRUE(hardware_aware_options().router.context_edges.empty());
 }
 
 TEST(Transpiler, CnaRoutesCorrectly) {

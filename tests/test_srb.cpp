@@ -27,6 +27,17 @@ TEST(SrbGrouping, LineHasConflictFreeGroups) {
   }
 }
 
+TEST(SrbGrouping, PairsInSeparateComponentsShareAGroup) {
+  // Two 4-qubit lines with no coupling between them: each holds one
+  // one-hop pair, and pairs no hop path joins cannot interfere, so one
+  // group characterizes both.
+  Topology topo(8, {{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}});
+  ASSERT_EQ(topo.one_hop_edge_pairs().size(), 2u);
+  const auto colors = group_one_hop_pairs(topo);
+  ASSERT_EQ(colors.size(), 2u);
+  EXPECT_EQ(colors[0], colors[1]);
+}
+
 TEST(SrbOverheadTest, JobsFormula) {
   const Device d = make_toronto27();
   const SrbOverhead oh = srb_overhead(d.topology(), 5);

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "hardware/device.hpp"
+
 namespace qucp {
 namespace {
 
@@ -107,12 +109,40 @@ TEST(Topology, OneHopNeighborsOfEdge) {
 TEST(Topology, OneHopPairsConsistentWithNeighborLists) {
   const Topology grid(9, {{0, 1}, {1, 2}, {3, 4}, {4, 5}, {6, 7}, {7, 8},
                           {0, 3}, {3, 6}, {1, 4}, {4, 7}, {2, 5}, {5, 8}});
-  const auto pairs = grid.one_hop_edge_pairs();
-  std::size_t from_lists = 0;
-  for (int e = 0; e < grid.num_edges(); ++e) {
-    from_lists += one_hop_neighbors_of_edge(grid, e).size();
+  const Topology ring(4, {{0, 1}, {1, 2}, {2, 3}, {0, 3}});
+  const Device toronto = make_toronto27();
+  const Device manhattan = make_manhattan65();
+  struct Case {
+    const Topology* topo;
+    std::size_t pairs;  ///< one-hop pair count (Table I's for the devices)
+  };
+  const Topology line = line5();
+  for (const Case& c : {Case{&grid, 32}, Case{&line, 2}, Case{&ring, 2},
+                        Case{&toronto.topology(), 40},
+                        Case{&manhattan.topology(), 116}}) {
+    const Topology& t = *c.topo;
+    const int ne = t.num_edges();
+    // The relation, ordered pairs (shared-qubit pairs and e == f
+    // included), against the distance oracle; its i < j pairs in order
+    // are one_hop_edge_pairs.
+    std::vector<std::pair<int, int>> upper;
+    std::size_t from_lists = 0;
+    for (int e = 0; e < ne; ++e) {
+      const std::vector<int> near = one_hop_neighbors_of_edge(t, e);
+      from_lists += near.size();
+      for (int f = 0; f < ne; ++f) {
+        const bool want = std::count(near.begin(), near.end(), f) == 1;
+        EXPECT_EQ(t.one_hop(e, f), want) << e << "," << f;
+        if (e < f && t.one_hop(e, f)) upper.emplace_back(e, f);
+      }
+    }
+    EXPECT_EQ(t.one_hop_edge_pairs(), upper);
+    EXPECT_EQ(upper.size() * 2, from_lists);
+    EXPECT_EQ(upper.size(), c.pairs);
+    EXPECT_THROW((void)t.one_hop(-1, 0), std::out_of_range);
+    EXPECT_THROW((void)t.one_hop(0, ne), std::out_of_range);
+    EXPECT_THROW((void)t.one_hop(ne, 0), std::out_of_range);
   }
-  EXPECT_EQ(pairs.size() * 2, from_lists);
 }
 
 TEST(Topology, ConnectedSubset) {
