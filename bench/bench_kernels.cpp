@@ -1,7 +1,8 @@
 // Kernel microbenchmark: ns/gate for the density-matrix and statevector
-// simulation kernels by kernel type and qubit count, plus ns per
-// 1024-shot sample_counts call (the per-job sampling cost). The artifact
-// writes
+// simulation kernels by kernel type and qubit count, ns per noisy density
+// walk of one vqe_sweep-shaped program (full sweeps against live-subspace
+// sweeps), plus ns per 1024-shot sample_counts call (the per-job sampling
+// cost). The artifact writes
 // BENCH_kernels.json (schema qucp-bench-kernels-v1) so the perf trajectory
 // of the simulator hot path is pinned across PRs; CI runs it in smoke mode
 // (QUCP_BENCH_SMOKE=1, reduced repetitions) so regressions show up in PR
@@ -15,6 +16,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,11 +26,14 @@
 #include "common/strings.hpp"
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
+#include "hardware/device.hpp"
 #include "sim/counts.hpp"
 #include "sim/density.hpp"
 #include "sim/fusion.hpp"
 #include "sim/kernels.hpp"
+#include "sim/noise.hpp"
 #include "sim/statevector.hpp"
+#include "vqe/ansatz.hpp"
 
 namespace {
 
@@ -42,8 +48,12 @@ struct KernelResult {
   std::string kernel;
   int qubits = 0;
   double ns_per_op = 0.0;
-  std::string bundle;  ///< density_noisy_op rows: gate of the bundle
-  std::string form;    ///< density_noisy_op rows: "sequence" or "sweep"
+  /// density_noisy_op rows: gate of the bundle; density_noisy_program
+  /// rows: the program.
+  std::string bundle;
+  /// density_noisy_op rows: "sequence" or "sweep"; density_noisy_program
+  /// rows: "full" or "live".
+  std::string form;
   int shots = 0;       ///< sample_counts rows: shots per call
 };
 
@@ -185,6 +195,158 @@ std::vector<KernelResult> run_noisy_op_suite(int n) {
   return out;
 }
 
+/// One program's noisy density walk as the executor runs it: a 6-qubit
+/// RyRz ansatz (reps 2, CX chain) of vqe_sweep's shape, ALAP-scheduled on
+/// a 6-qubit line, every op with its idle relaxation and depolarizing and
+/// each measurement with its pre-measurement window. "live" is the
+/// DensityMatrix walk, which skips untouched qubits' entries and settles
+/// each qubit after its last gate; "full" sweeps the same ops over every
+/// entry (kern::apply_noisy_gate with empty masks). The two must read the
+/// same distribution bit for bit.
+std::vector<KernelResult> run_noisy_program() {
+  constexpr int kQubits = 6;
+  const Device device = make_line_device(kQubits);
+  const Calibration& cal = device.calibration();
+  std::vector<double> angles(
+      static_cast<std::size_t>(ansatz_parameter_count(kQubits, 2)));
+  for (std::size_t i = 0; i < angles.size(); ++i) {
+    angles[i] = 0.3 + 0.17 * static_cast<double>(i);
+  }
+  Circuit circuit = make_ryrz_ansatz(kQubits, 2, angles);
+  for (int q = 0; q < kQubits; ++q) circuit.measure(q, q);
+  const CompiledExecutable exe = CompiledExecutable::materialize(
+      std::make_shared<const ExecutableStructure>(ExecutableStructure::build(
+          circuit, device, SchedulePolicy::ALAP)),
+      circuit);
+  const ExecutableStructure& st = exe.structure();
+  const Circuit& lowered = st.lowered();
+
+  // The executor's op stream, with its idle windows and settle points.
+  struct WalkOp {
+    const FusedOp* op = nullptr;  // null: a measurement
+    int q[2] = {};
+    int k = 1;
+    Relaxation idle[2];
+    double depol_p = 0.0;
+    bool last[2] = {};
+  };
+  std::vector<WalkOp> walk;
+  std::vector<double> busy_until(kQubits, 0.0);
+  std::vector<std::uint32_t> last_gate(kQubits, 0);
+  for (std::uint32_t idx : st.time_order()) {
+    const Gate& g = lowered.ops()[idx];
+    if (g.kind == GateKind::Barrier || g.kind == GateKind::Measure) continue;
+    for (int q : g.qubits) last_gate[static_cast<std::size_t>(q)] = idx;
+  }
+  for (std::uint32_t idx : st.time_order()) {
+    const Gate& g = lowered.ops()[idx];
+    const ScheduledOp& so = st.schedule().ops[idx];
+    if (g.kind == GateKind::Barrier) continue;
+    WalkOp w;
+    w.k = static_cast<int>(g.qubits.size());
+    for (int j = 0; j < w.k; ++j) {
+      const int q = g.qubits[static_cast<std::size_t>(j)];
+      const auto qi = static_cast<std::size_t>(q);
+      w.q[j] = q;
+      if (so.start_ns - busy_until[qi] > 1e-9) {
+        w.idle[j] = {so.start_ns - busy_until[qi], cal.t1_us[qi],
+                     cal.t2_us[qi]};
+      }
+      busy_until[qi] = so.end_ns;
+      w.last[j] = last_gate[qi] == idx;
+    }
+    if (g.kind != GateKind::Measure) {
+      w.op = &exe.channel(idx);
+      w.depol_p = g.kind == GateKind::CX
+                      ? depolarizing_param(cal.cx_error[static_cast<
+                            std::size_t>(st.cx_edges()[idx])])
+                      : depolarizing_param(
+                            cal.q1_error[static_cast<std::size_t>(w.q[0])]);
+    }
+    walk.push_back(w);
+  }
+
+  std::vector<double> live_probs;
+  const auto live = [&] {
+    DensityMatrix dm(kQubits);
+    for (const WalkOp& w : walk) {
+      if (w.op == nullptr) {
+        const Relaxation& r = w.idle[0];
+        dm.apply_relaxation(w.q[0], r.duration_ns, r.t1_us, r.t2_us);
+        continue;
+      }
+      const auto k = static_cast<std::size_t>(w.k);
+      dm.apply_noisy_gate(*w.op, std::span<const int>(w.q, k),
+                          std::span<const Relaxation>(w.idle, k), w.depol_p);
+      for (std::size_t j = 0; j < k; ++j) {
+        if (w.last[j]) dm.settle(w.q[j]);
+      }
+    }
+    live_probs = dm.probabilities();
+  };
+  std::vector<double> full_probs;
+  const auto full = [&] {
+    std::vector<cx> rho(std::size_t{1} << (2 * kQubits), cx{0.0, 0.0});
+    rho[0] = 1.0;
+    for (const WalkOp& w : walk) {
+      if (w.op == nullptr) {
+        if (w.idle[0].duration_ns > 0.0) {
+          kern::relax1(rho, kQubits, w.q[0], relaxation_coeffs(w.idle[0]));
+        }
+        continue;
+      }
+      const auto k = static_cast<std::size_t>(w.k);
+      kern::NoisyGate g;
+      g.qubits = std::span<const int>(w.q, k);
+      g.col = &w.op->dm;
+      g.row = w.k == 2 ? &w.op->sv : nullptr;
+      kern::RelaxCoeffs relax[2];
+      for (std::size_t j = 0; j < k; ++j) {
+        if (w.idle[j].duration_ns <= 0.0) continue;
+        relax[j] = relaxation_coeffs(w.idle[j]);
+        g.relax[j] = &relax[j];
+      }
+      kern::DepolCoeffs depol;
+      if (w.depol_p != 0.0) {
+        depol = depolarizing_coeffs(w.depol_p, w.k);
+        g.depol = &depol;
+      }
+      kern::apply_noisy_gate(rho, kQubits, g);
+    }
+    const std::size_t dim = std::size_t{1} << kQubits;
+    full_probs.assign(dim, 0.0);
+    for (std::size_t i = 0; i < dim; ++i) {
+      full_probs[i] = std::max(0.0, rho[i * dim + i].real());
+    }
+  };
+  // Alternating rounds, median per form: on a shared host one long loop
+  // per form can land wholly in a slow or a fast stretch.
+  full();
+  live();
+  const int reps = smoke_mode() ? 20 : 400;
+  std::vector<double> full_ns;
+  std::vector<double> live_ns;
+  for (int round = 0; round < 5; ++round) {
+    full_ns.push_back(time_ns_per_op(reps, full));
+    live_ns.push_back(time_ns_per_op(reps, live));
+  }
+  std::sort(full_ns.begin(), full_ns.end());
+  std::sort(live_ns.begin(), live_ns.end());
+  std::vector<KernelResult> out;
+  out.push_back({"density_noisy_program", kQubits, full_ns[2], "ryrz_reps2",
+                 "full"});
+  out.push_back({"density_noisy_program", kQubits, live_ns[2], "ryrz_reps2",
+                 "live"});
+  if (std::memcmp(live_probs.data(), full_probs.data(),
+                  full_probs.size() * sizeof(double)) != 0) {
+    std::fprintf(stderr,
+                 "bench_kernels: live and full walks read different "
+                 "distributions\n");
+    std::abort();
+  }
+  return out;
+}
+
 /// Statevector rows: one precompiled gate through apply_compiled, as
 /// Statevector::run replays a fused program.
 std::vector<KernelResult> run_statevector_suite(int n) {
@@ -289,20 +451,24 @@ void print_kernel_grid() {
     const auto rs = run_noisy_op_suite(n);
     all.insert(all.end(), rs.begin(), rs.end());
   }
+  {
+    const auto rs = run_noisy_program();
+    all.insert(all.end(), rs.begin(), rs.end());
+  }
   for (int n : sv_sizes) {
     const auto rs = run_statevector_suite(n);
     all.insert(all.end(), rs.begin(), rs.end());
   }
   for (int n : {2, 4, 6}) all.push_back(run_sampling(n));
 
-  bench::row({"kernel", "qubits", "ns/op"}, 26);
-  bench::rule(3, 26);
+  bench::row({"kernel", "qubits", "ns/op"}, 40);
+  bench::rule(3, 40);
   for (const KernelResult& r : all) {
     std::string name = r.kernel;
     if (!r.bundle.empty()) name += ":" + r.bundle + ":" + r.form;
     if (r.shots > 0) name += ":" + std::to_string(r.shots) + "shots";
     bench::row({name, std::to_string(r.qubits), fmt_double(r.ns_per_op, 1)},
-               26);
+               40);
   }
   write_json(all);
 }

@@ -90,6 +90,11 @@ void DensityMatrix::apply_noisy_gate(const FusedOp& op,
   if (k == 2 && op.sv.tag != op.dm.tag) {
     throw std::invalid_argument("DensityMatrix: row/column pass tags differ");
   }
+  std::size_t operands = 0;
+  for (int q : qubits) operands |= std::size_t{1} << q;
+  if ((operands & settled_) != 0) {
+    throw std::invalid_argument("DensityMatrix: gate on a settled qubit");
+  }
   kern::NoisyGate g;
   g.qubits = qubits;
   g.col = &op.dm;
@@ -105,6 +110,10 @@ void DensityMatrix::apply_noisy_gate(const FusedOp& op,
     depol = depolarizing_coeffs(depol_p, k);
     g.depol = &depol;
   }
+  touched_ |= operands;
+  const std::size_t fresh = (dim_ - 1) & ~touched_;
+  g.zero = fresh | (fresh << num_qubits_);
+  g.tied = settled_;
   kern::apply_noisy_gate(rho_, num_qubits_, g);
 }
 
@@ -112,8 +121,14 @@ void DensityMatrix::apply_relaxation(int qubit, double duration_ns,
                                      double t1_us, double t2_us) {
   check_qubits(std::span<const int>(&qubit, 1));
   if (duration_ns <= 0.0) return;
+  touched_ |= std::size_t{1} << qubit;
   kern::relax1(rho_, num_qubits_, qubit,
                relaxation_coeffs({duration_ns, t1_us, t2_us}));
+}
+
+void DensityMatrix::settle(int qubit) {
+  check_qubits(std::span<const int>(&qubit, 1));
+  settled_ |= std::size_t{1} << qubit;
 }
 
 std::vector<double> DensityMatrix::probabilities() const {

@@ -10,9 +10,18 @@
 // length dim^2, so every channel update runs as statevector-style kernels
 // over 2n bits (see sim/kernels.hpp) — row bit q of rho lives at superket
 // bit q + n, column bit q at superket bit q. No update allocates. A noisy
-// gate — idle relaxation on its operands, the gate, depolarizing — touches
-// only the 2^k x 2^k local blocks over its operands' row and column bits,
+// gate — idle relaxation on its operands, the gate, depolarizing — updates
+// rho in 2^k x 2^k local blocks over its operands' row and column bits,
 // so apply_noisy_gate runs the whole sequence block by block in one sweep.
+//
+// That sweep covers only the live subspace of rho. A qubit no op has
+// touched is still in |0>, so every entry with its row or column bit set
+// is an exact zero and is skipped; the matrix tracks those qubits itself.
+// After settle(q) — the executor calls it after q's last gate — only the
+// entries whose row and column agree on q are updated, because the
+// result is read off the diagonal and no later gate mixes q's bits. The
+// column bit of local qubit 0 is never skipped (sim/kernels.hpp), so
+// every kept entry gets the arithmetic a full sweep gives it.
 //
 // The surface is what the executor runs: every gate enters as a compiled
 // FusedOp (sim/fusion.hpp), idle windows before measurements go through
@@ -55,6 +64,8 @@ class DensityMatrix {
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
 
   /// Row-major dim x dim matrix elements: data()[r * dim() + c] = <r|rho|c>.
+  /// The zeros of untouched qubits may carry either sign, and the entries
+  /// whose row and column differ on a settled qubit are stale.
   [[nodiscard]] std::span<const cx> data() const noexcept { return rho_; }
 
   /// One gate of the noisy executor in a single sweep over rho: relaxation
@@ -65,7 +76,8 @@ class DensityMatrix {
   /// depol_p = 0 this is the plain unitary rho -> U rho U^dagger.
   /// Bit-identical to kern::relax1 per operand, the gate's superket passes
   /// and kern::depolarize applied in that order, which cost up to five
-  /// sweeps.
+  /// sweeps, on every entry the sweep keeps. Throws std::invalid_argument
+  /// for an operand that is settled.
   void apply_noisy_gate(const FusedOp& op, std::span<const int> qubits,
                         std::span<const Relaxation> idle, double depol_p);
 
@@ -77,6 +89,10 @@ class DensityMatrix {
   void apply_relaxation(int qubit, double duration_ns, double t1_us,
                         double t2_us);
 
+  /// No further gate acts on `qubit`: later sweeps skip the entries whose
+  /// row and column differ on it. apply_relaxation may still act on it.
+  void settle(int qubit);
+
   /// Diagonal of rho (populations), clamped at 0.
   [[nodiscard]] std::vector<double> probabilities() const;
 
@@ -84,6 +100,8 @@ class DensityMatrix {
   int num_qubits_;
   std::size_t dim_;
   std::vector<cx> rho_;  // row-major dim x dim, read as a superket
+  std::size_t touched_ = 0;  // local qubits some op has acted on
+  std::size_t settled_ = 0;  // local qubits past their last gate
 
   void check_qubits(std::span<const int> qubits) const;
 };

@@ -312,6 +312,8 @@ ParallelRunReport execute_parallel(const Device& device,
 
   // The exact noisy outcome distribution of program p.
   std::vector<std::uint32_t> order;
+  constexpr std::uint32_t kNoGate = ~std::uint32_t{0};
+  std::vector<std::uint32_t> last_gate;  // per local qubit
   auto simulate = [&](std::size_t p) {
     const CompiledExecutable& exe = *compiled[p];
     const ExecutableStructure& st = exe.structure();
@@ -359,6 +361,17 @@ ParallelRunReport execute_parallel(const Device& device,
       return r;
     };
 
+    // Each local qubit's last gate in this order: after it the density
+    // sweeps keep only the qubit's diagonal (DensityMatrix::settle).
+    last_gate.assign(active.size(), kNoGate);
+    for (std::uint32_t idx : *time_order) {
+      const Gate& g = circ.ops()[idx];
+      if (g.kind == GateKind::Barrier || g.kind == GateKind::Measure) continue;
+      for (int q : g.qubits) {
+        last_gate[static_cast<std::size_t>(local_of[q])] = idx;
+      }
+    }
+
     const std::vector<int>& cx_edges = st.cx_edges();
     int local[2];
     Relaxation idle[2];
@@ -397,6 +410,11 @@ ParallelRunReport execute_parallel(const Device& device,
       dm.apply_noisy_gate(exe.channel(idx),
                           std::span<const int>(local, width),
                           std::span<const Relaxation>(idle, width), param);
+      for (std::size_t i = 0; i < width; ++i) {
+        if (last_gate[static_cast<std::size_t>(local[i])] == idx) {
+          dm.settle(local[i]);
+        }
+      }
     }
 
     if (measurements.empty()) {

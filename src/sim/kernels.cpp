@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <limits>
@@ -323,50 +324,65 @@ inline void depol2_block(cx* rho, std::size_t base, const std::size_t* row_off,
   }
 }
 
-/// Block layout and per-step quad offsets for 1 or 2 local qubits of an
-/// n-qubit superket of `size` elements.
-detail::NoisyPlan make_plan(int n, std::span<const int> qubits,
-                            std::size_t size) {
-  detail::NoisyPlan p;
-  p.k = static_cast<int>(qubits.size());
-  p.blocks = size >> (2 * p.k);
+}  // namespace
+
+detail::NoisyPlan detail::make_plan(int n, const NoisyGate& g,
+                                    std::size_t size) {
+  NoisyPlan p;
+  p.k = static_cast<int>(g.qubits.size());
+  p.n = n;
+  p.gate = g;
+  std::size_t block_bits = 0;
   if (p.k == 1) {
-    const int q = qubits[0];
+    const int q = g.qubits[0];
     p.positions[0] = q;
     p.positions[1] = q + n;
     // The quad over (row bit, column bit): relaxation, the superket gate
     // (high operand = row bit) and depolarizing all update exactly it.
     p.relax[0] = {std::size_t{1} << (q + n), std::size_t{1} << q, {0}, 1};
     p.col = p.relax[0];
-    return p;
+    block_bits = p.col.mh | p.col.ml;
+  } else {
+    const int a = g.qubits[0];
+    const int b = g.qubits[1];
+    const std::size_t ca = std::size_t{1} << a, cb = std::size_t{1} << b;
+    const std::size_t ra = ca << n, rb = cb << n;
+    for (std::size_t s = 0; s < 4; ++s) {
+      p.col_off[s] = ((s >> 1) ? ca : 0) | ((s & 1) ? cb : 0);
+      p.row_off[s] = p.col_off[s] << n;
+    }
+    int pos[4] = {a, b, a + n, b + n};
+    std::sort(pos, pos + 4);
+    std::copy(pos, pos + 4, p.positions);
+    p.relax[0] = {ra, ca, {0, cb, rb, rb | cb}, 4};
+    p.relax[1] = {rb, cb, {0, ca, ra, ra | ca}, 4};
+    p.row = {ra, rb, {}, 4};
+    p.col = {ca, cb, {}, 4};
+    std::copy(p.col_off, p.col_off + 4, p.row.off);
+    std::copy(p.row_off, p.row_off + 4, p.col.off);
+    block_bits = ca | cb | ra | rb;
   }
-  const int a = qubits[0];
-  const int b = qubits[1];
-  const std::size_t ca = std::size_t{1} << a, cb = std::size_t{1} << b;
-  const std::size_t ra = ca << n, rb = cb << n;
-  for (std::size_t s = 0; s < 4; ++s) {
-    p.col_off[s] = ((s >> 1) ? ca : 0) | ((s & 1) ? cb : 0);
-    p.row_off[s] = p.col_off[s] << n;
-  }
-  int pos[4] = {a, b, a + n, b + n};
-  std::sort(pos, pos + 4);
-  std::copy(pos, pos + 4, p.positions);
-  p.relax[0] = {ra, ca, {0, cb, rb, rb | cb}, 4};
-  p.relax[1] = {rb, cb, {0, ca, ra, ra | ca}, 4};
-  p.row = {ra, rb, {}, 4};
-  p.col = {ca, cb, {}, 4};
-  std::copy(p.col_off, p.col_off + 4, p.row.off);
-  std::copy(p.row_off, p.row_off + 4, p.col.off);
+  // Superket bit 0 (local qubit 0's column bit) always stays free: the
+  // AVX2 paired layout reads block t + 1 at base | 1, and an op on qubit 0
+  // keeps its in-register column bit.
+  const std::size_t keep0 = ~std::size_t{1};
+  p.tied = g.tied & keep0;
+  assert((g.zero & block_bits) == 0);
+  assert(((p.tied | (p.tied << n)) & block_bits) == 0);
+  p.free = (size - 1) & ~(block_bits | (g.zero & keep0) | (p.tied << n));
+  p.blocks = std::size_t{1} << std::popcount(p.free);
   return p;
 }
+
+namespace {
 
 /// Scalar fused noisy-gate sweep over blocks [begin, end).
 template <Tag T>
 void noisy_range_scalar(cx* rho, std::size_t begin, std::size_t end,
                         const detail::NoisyPlan& p) {
   const NoisyGate& g = p.gate;
-  for (std::size_t t = begin; t < end; ++t) {
-    const std::size_t base = p.base(t);
+  std::size_t base = p.base(begin);
+  for (std::size_t t = begin; t < end; ++t, base = p.next(base)) {
     for (int j = 0; j < p.k; ++j) {
       if (g.relax[j] == nullptr) continue;
       const detail::NoisyPlan::Step& s = p.relax[j];
@@ -514,7 +530,9 @@ void relax1(std::span<cx> rho, int n, int q, const RelaxCoeffs& c) {
 void depolarize(std::span<cx> rho, int n, std::span<const int> qubits,
                 const DepolCoeffs& c) {
   assert(qubits.size() == 1 || qubits.size() == 2);
-  const detail::NoisyPlan p = make_plan(n, qubits, rho.size());
+  NoisyGate g;
+  g.qubits = qubits;
+  const detail::NoisyPlan p = detail::make_plan(n, g, rho.size());
   cx* r = rho.data();
 #if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
   if (native_kernels_active()) {
@@ -531,11 +549,12 @@ void depolarize(std::span<cx> rho, int n, std::span<const int> qubits,
   }
 #endif
   parallel_for(p.blocks, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
+    std::size_t base = p.base(begin);
+    for (std::size_t t = begin; t < end; ++t, base = p.next(base)) {
       if (p.k == 1) {
-        depol1_quad(r, p.base(t), p.col.mh, p.col.ml, c);
+        depol1_quad(r, base, p.col.mh, p.col.ml, c);
       } else {
-        depol2_block(r, p.base(t), p.row_off, p.col_off, c);
+        depol2_block(r, base, p.row_off, p.col_off, c);
       }
     }
   });
@@ -544,8 +563,7 @@ void depolarize(std::span<cx> rho, int n, std::span<const int> qubits,
 void apply_noisy_gate(std::span<cx> rho, int n, const NoisyGate& g) {
   assert(g.qubits.size() == 1 || g.qubits.size() == 2);
   assert(g.qubits.size() == 1 || g.row->tag == g.col->tag);
-  detail::NoisyPlan p = make_plan(n, g.qubits, rho.size());
-  p.gate = g;
+  const detail::NoisyPlan p = detail::make_plan(n, g, rho.size());
   cx* r = rho.data();
 #if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
   if (native_kernels_active()) {

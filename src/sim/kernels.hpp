@@ -17,13 +17,21 @@
 // bits (q + n) and one of conj(U) on the column bits (q).
 //
 // A noisy executor op — idle relaxation on each operand, the gate,
-// depolarizing — touches only the 2^k x 2^k local blocks over its
-// operands' row and column bits, so apply_noisy_gate runs the whole
-// sequence block by block in one sweep instead of one sweep per channel
-// and per pass. Each step applies the same per-quad / per-block formula
-// as its single-channel kernel (relax1, apply_compiled, depolarize), so
-// the fused result is bit-identical; both kernel TUs are compiled without
+// depolarizing — updates rho in 2^k x 2^k local blocks over its operands'
+// row and column bits, so apply_noisy_gate runs the whole sequence block
+// by block in one sweep instead of one sweep per channel and per pass.
+// Each step applies the same per-quad / per-block formula as its
+// single-channel kernel (relax1, apply_compiled, depolarize), so the fused
+// result is bit-identical; both kernel TUs are compiled without
 // floating-point contraction so that holds wherever a formula is inlined.
+//
+// The sweep visits only the live blocks (NoisyGate::zero and ::tied): it
+// skips the entries of qubits no op has touched yet, which are exact
+// zeros, and the entries whose row and column differ on a qubit past its
+// last gate, which nothing reads again. Superket bit 0 is never skipped,
+// so every op keeps the AVX2 layout and pairing it has over the full
+// superket and each kept entry sees the same instructions in the same op
+// order.
 //
 // Kernels whose base loop is large are split across std::thread workers
 // (disjoint index ranges, join before return); small states — everything
@@ -194,7 +202,9 @@ void depolarize(std::span<cx> rho, int n, std::span<const int> qubits,
                 const DepolCoeffs& c);
 
 /// One gate of the noisy density-matrix walk: optional relaxation on each
-/// operand (operand order), the compiled gate, then optional depolarizing.
+/// operand (operand order), the compiled gate, then optional depolarizing,
+/// over the live entries of rho. Both masks must leave the operands' bits
+/// clear; 0 and 0 sweep every block.
 struct NoisyGate {
   std::span<const int> qubits;  ///< 1 or 2 local qubits; [0] = high bit
   /// k == 1: the superket U (x) conj(U) on bits (q + n, q); k == 2: conj(U)
@@ -204,10 +214,18 @@ struct NoisyGate {
   const CompiledUnitary* row = nullptr;
   const RelaxCoeffs* relax[2] = {};  ///< per operand; null = no idle window
   const DepolCoeffs* depol = nullptr;  ///< null = no gate error
+  /// Superket bits known to be clear in every nonzero entry (the row and
+  /// column bits of qubits no op has touched): the entries with one set
+  /// are neither read nor written.
+  std::size_t zero = 0;
+  /// Column bits q whose row twin q + n is tied to them (qubits past their
+  /// last gate): only the entries whose row and column agree on q are
+  /// updated; the others are left stale.
+  std::size_t tied = 0;
 };
 
-/// Apply a NoisyGate in one sweep over the 2^k x 2^k local blocks of an
-/// n-qubit superket rho. Every channel step runs the same per-quad /
+/// Apply a NoisyGate in one sweep over the live 2^k x 2^k local blocks of
+/// an n-qubit superket rho. Every channel step runs the same per-quad /
 /// per-block formula as relax1, apply_compiled (row pass, then column
 /// pass) and depolarize, in that order, so the result is bit-identical to
 /// the multi-pass sequence — at one pass over rho instead of up to five.
@@ -215,10 +233,10 @@ void apply_noisy_gate(std::span<cx> rho, int n, const NoisyGate& g);
 
 namespace detail {
 
-/// A NoisyGate resolved against a superket: block layout plus, per step,
-/// the masks and in-block offsets of the quads it updates. Built once per
-/// apply_noisy_gate / depolarize call and shared by the scalar and AVX2
-/// sweeps.
+/// A NoisyGate resolved against a superket: block layout, the bits the
+/// block index walks, plus, per step, the masks and in-block offsets of
+/// the quads it updates. Built once per apply_noisy_gate / depolarize call
+/// and shared by the scalar and AVX2 sweeps.
 struct NoisyPlan {
   /// One quad-level step: relaxation on one operand (mh = row mask, ml =
   /// column mask) or one gate pass (mh/ml = high/low operand masks).
@@ -229,7 +247,13 @@ struct NoisyPlan {
     int count = 0;
   };
   int k = 1;
+  int n = 0;
   int positions[4] = {};  ///< the block's superket bits, ascending
+  /// Superket bits the block index is deposited into: every bit outside
+  /// the block, the zero mask and the tied row bits. Always holds bit 0
+  /// when bit 0 is outside the block.
+  std::size_t free = 0;
+  std::size_t tied = 0;  ///< NoisyGate::tied without bit 0
   std::size_t blocks = 0;
   Step relax[2];
   Step row;  ///< k == 2: U on the row bits
@@ -238,12 +262,31 @@ struct NoisyPlan {
   std::size_t col_off[4] = {};  ///< k == 2 depolarizing: column bits of s
   NoisyGate gate;
 
-  /// Superket index of block t's base (every block bit clear).
+  /// Superket index of block t's base: t's bits deposited into the free
+  /// bits in ascending order, plus the row twin of each set tied column
+  /// bit. It costs one step per bit of t, so a range body calls it once,
+  /// for its first block, and walks on with next().
   [[nodiscard]] std::size_t base(std::size_t t) const noexcept {
-    for (int j = 0; j < 2 * k; ++j) t = insert_bit(t, positions[j]);
-    return t;
+    std::size_t b = 0;
+    for (std::size_t m = free; t != 0; m &= m - 1, t >>= 1) {
+      if ((t & 1) != 0) b |= m & (~m + 1);
+    }
+    return b | ((b & tied) << n);
+  }
+
+  /// The base of the block after the one at `b`, at one carry through the
+  /// fixed bits however many there are. Where the AVX2 body pairs blocks,
+  /// the pair's second block is b | 1 and the next pair starts at
+  /// next(b | 1).
+  [[nodiscard]] std::size_t next(std::size_t b) const noexcept {
+    const std::size_t f = ((b | ~free) + 1) & free;
+    return f | ((f & tied) << n);
   }
 };
+
+/// The plan of `g` on an n-qubit superket of `size` elements.
+[[nodiscard]] NoisyPlan make_plan(int n, const NoisyGate& g,
+                                  std::size_t size);
 
 /// Call fn(std::integral_constant<Tag, T>{}) with `tag` lifted to a
 /// template argument, so 2q sweeps specialize on the tag outside their

@@ -426,8 +426,10 @@ void depol2_blocks(cx* rho, std::size_t begin, std::size_t end,
                    const NoisyPlan& plan, const DepolVecs& v) {
   double* const p = reinterpret_cast<double*>(rho);
   const std::size_t stride = L == Layout::kPaired ? 2 : 1;
-  for (std::size_t t = begin; t < end; t += stride) {
-    const std::size_t base = plan.base(t);
+  const std::size_t pair_bit = L == Layout::kPaired ? 1 : 0;
+  std::size_t base = plan.base(begin);
+  for (std::size_t t = begin; t < end;
+       t += stride, base = plan.next(base | pair_bit)) {
     Block2<L> blk;
     blk.load(p, base, plan);
     blk.depol(v);
@@ -448,8 +450,10 @@ void noisy_blocks(cx* rho, std::size_t begin, std::size_t end,
   const GateVecs col_v = gate_vecs(*g.col);
   const DepolVecs dv = depol_vecs(g.depol ? *g.depol : DepolCoeffs{});
   const std::size_t stride = L == Layout::kPaired ? 2 : 1;
-  for (std::size_t t = begin; t < end; t += stride) {
-    const std::size_t base = plan.base(t);
+  const std::size_t pair_bit = L == Layout::kPaired ? 1 : 0;
+  std::size_t base = plan.base(begin);
+  for (std::size_t t = begin; t < end;
+       t += stride, base = plan.next(base | pair_bit)) {
     Block2<L> blk;
     blk.load(p, base, plan);
     if (g.relax[0] != nullptr) blk.relax_a(ra);
@@ -492,9 +496,9 @@ void noisy_quads(cx* rho, std::size_t begin, std::size_t end,
   const DepolVecs dv = depol_vecs(g.depol ? *g.depol : DepolCoeffs{});
   const std::size_t mr = plan.col.mh;
   const std::size_t mc = plan.col.ml;
+  std::size_t base = plan.base(begin);
   if (plan.positions[0] >= 1) {
-    for (std::size_t t = begin; t < end; t += 2) {
-      const std::size_t base = plan.base(t);
+    for (std::size_t t = begin; t < end; t += 2, base = plan.next(base | 1)) {
       double* const q[4] = {p + 2 * base, p + 2 * (base | mc),
                             p + 2 * (base | mr), p + 2 * (base | mr | mc)};
       __m256d x[4] = {_mm256_loadu_pd(q[0]), _mm256_loadu_pd(q[1]),
@@ -506,8 +510,7 @@ void noisy_quads(cx* rho, std::size_t begin, std::size_t end,
     }
     return;
   }
-  for (std::size_t t = begin; t < end; ++t) {
-    const std::size_t base = plan.base(t);
+  for (std::size_t t = begin; t < end; ++t, base = plan.next(base)) {
     double* const q0 = p + 2 * base;
     double* const q1 = p + 2 * (base | mr);
     __m256d r0 = _mm256_loadu_pd(q0);  // [p00, p01]

@@ -4,12 +4,14 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "metrics/metrics.hpp"
 #include "quiet_device.hpp"
+#include "random_programs.hpp"
 #include "sim/kernels.hpp"
 #include "sim/statevector.hpp"
 
@@ -343,6 +345,79 @@ TEST(Executor, NoisyBatchMatchesRecordedBits) {
   expect_golden(run_golden_batch(), scalar, "scalar");
   kern::set_native_kernels(true);
   if (native_active) expect_golden(run_golden_batch(), native, "native");
+}
+
+/// Digest of execute_parallel over seeded random batches
+/// (tests/random_programs.hpp): 2-4 programs of 2-6 qubits on melbourne16,
+/// toronto27 and manhattan65, under ALAP and ASAP, with no noise source
+/// zeroed and with each zeroed in turn. It folds every program's
+/// distribution bits and counts and each batch's crosstalk events.
+std::uint64_t random_batches_digest() {
+  std::uint64_t h = kFnv1aBasis;
+  Rng rng(2718);
+  for (const Device& full :
+       {make_melbourne16(), make_toronto27(), make_manhattan65()}) {
+    for (const unsigned zeroed :
+         {0U, unsigned{kGateNoise}, unsigned{kIdleNoise},
+          unsigned{kReadoutNoise}, unsigned{kCrosstalkNoise}}) {
+      const Device device = quiet_device(full, zeroed);
+      for (const SchedulePolicy policy :
+           {SchedulePolicy::ALAP, SchedulePolicy::ASAP}) {
+        for (int batch = 0; batch < 3; ++batch) {
+          std::vector<char> taken(
+              static_cast<std::size_t>(device.num_qubits()), 0);
+          std::vector<PhysicalProgram> programs;
+          const int want = 2 + static_cast<int>(rng.index(3));
+          for (int p = 0; p < want; ++p) {
+            const std::vector<int> region = test_programs::random_region(
+                device, rng, 2 + static_cast<int>(rng.index(5)), taken);
+            if (region.size() < 2) break;
+            programs.push_back({test_programs::random_physical_circuit(
+                                    device, rng, region,
+                                    10 + static_cast<int>(rng.index(20))),
+                                "p" + std::to_string(p)});
+          }
+          ExecOptions opts;
+          opts.shots = 256;
+          opts.schedule = policy;
+          opts.seed = 31 + static_cast<std::uint64_t>(batch);
+          const ParallelRunReport run =
+              execute_parallel(device, programs, opts);
+          h = fnv1a_mix(h, static_cast<std::uint64_t>(run.crosstalk_events));
+          for (const ProgramOutcome& out : run.programs) {
+            for (const auto& [outcome, prob] : out.distribution.probs()) {
+              h = fnv1a_mix(h, outcome);
+              h = fnv1a_mix(h, std::bit_cast<std::uint64_t>(prob));
+            }
+            for (const auto& [outcome, n] : out.counts.data()) {
+              h = fnv1a_mix(h, outcome);
+              h = fnv1a_mix(h, static_cast<std::uint64_t>(n));
+            }
+          }
+        }
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Executor, RandomBatchesMatchPinnedDigest) {
+  // Recorded before the density sweeps skipped the entries of untouched
+  // and settled qubits: the live-subspace sweeps must reproduce every
+  // distribution bit and count. One digest per kernel mode, since the
+  // scalar and AVX2 kernels round differently.
+  struct NativeReset {
+    bool was = kern::native_kernels_active();
+    ~NativeReset() { kern::set_native_kernels(was); }
+  } reset;
+  kern::set_native_kernels(false);
+  const std::uint64_t scalar = random_batches_digest();
+  EXPECT_EQ(scalar, 0x6590ddd77bef3922ull) << std::hex << scalar;
+  kern::set_native_kernels(true);
+  if (reset.was) {
+    const std::uint64_t native = random_batches_digest();
+    EXPECT_EQ(native, 0xf759e7b042076caaull) << std::hex << native;
+  }
 }
 
 TEST(Executor, ValidatesOptions) {

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -590,6 +591,268 @@ TEST(NoisyGateSweep, RejectsMalformedInput) {
                std::invalid_argument);
   const int bad[2] = {0, 2};
   EXPECT_THROW(dm.apply_noisy_gate(op, bad, {}, 0.0), std::out_of_range);
+  // A settled qubit takes no further gate; relaxation is still allowed.
+  EXPECT_THROW(dm.settle(2), std::out_of_range);
+  dm.settle(1);
+  EXPECT_THROW(dm.apply_noisy_gate(op, q, {}, 0.0), std::invalid_argument);
+  EXPECT_NO_THROW(dm.apply_relaxation(1, 10.0, 50.0, 50.0));
+}
+
+// --- Live subspace: the masked sweeps against full sweeps. ---
+
+/// Bitwise equal, except that an exact zero may carry either sign: a
+/// skipped zero of an untouched qubit stays +0 where a full sweep may have
+/// made it -0, and that sign reaches a live entry only as a zero.
+bool same_up_to_zero_sign(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0 || (a == 0.0 && b == 0.0);
+}
+
+/// One random noisy-gate sequence on n qubits, run through a DensityMatrix
+/// and through kern::apply_noisy_gate with empty masks on a superket.
+/// Qubits are first touched one by one at random points, and each may be
+/// settled after any of its gates and then see only relaxation. After
+/// every op each live entry (no bit of an untouched qubit set, row equal
+/// to column on every settled qubit) must agree, and every entry of an
+/// untouched qubit must still be zero. Returns the ops checked.
+int check_live_sequence(int n, Rng& rng, bool relax_on, bool depol_on,
+                        const std::string& label) {
+  DensityMatrix dm(n);
+  std::vector<cx> full(dm.data().begin(), dm.data().end());
+  std::vector<int> first_touch(static_cast<std::size_t>(n));
+  for (int q = 0; q < n; ++q) first_touch[static_cast<std::size_t>(q)] = q;
+  for (std::size_t i = first_touch.size(); i > 1; --i) {
+    std::swap(first_touch[i - 1], first_touch[rng.index(i)]);
+  }
+  std::size_t available = 1;
+  std::size_t touched = 0;
+  std::size_t settled = 0;
+  const std::size_t dim = std::size_t{1} << n;
+  int checked = 0;
+  for (int step = 0; step < 6 * n; ++step) {
+    if (available < first_touch.size() && rng.bernoulli(0.3)) ++available;
+    std::vector<int> open;  // available and not settled
+    for (std::size_t i = 0; i < available; ++i) {
+      const int q = first_touch[i];
+      if (((settled >> q) & 1U) == 0) open.push_back(q);
+    }
+    std::string what;
+    if (relax_on && rng.bernoulli(0.1)) {
+      // The executor's pre-measurement window: any qubit, settled or not.
+      const int q = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
+      const Relaxation r{rng.uniform(5.0, 60.0), 80.0, 70.0};
+      dm.apply_relaxation(q, r.duration_ns, r.t1_us, r.t2_us);
+      kern::relax1(full, n, q, relaxation_coeffs(r));
+      touched |= std::size_t{1} << q;
+      what = "relax q" + std::to_string(q);
+    } else if (!open.empty()) {
+      std::vector<int> q{open[rng.index(open.size())]};
+      if (open.size() >= 2 && rng.bernoulli(0.5)) {
+        int b = q[0];
+        while (b == q[0]) b = open[rng.index(open.size())];
+        q.push_back(b);
+      }
+      const int k = static_cast<int>(q.size());
+      const std::vector<FusedOp> ops = noisy_test_ops(q);
+      const FusedOp& op = ops[rng.index(ops.size())];
+      Relaxation idle[2];
+      kern::RelaxCoeffs relax[2];
+      kern::NoisyGate g;
+      g.qubits = q;
+      g.col = &op.dm;
+      g.row = k == 2 ? &op.sv : nullptr;
+      for (int j = 0; j < k; ++j) {
+        if (!relax_on || !rng.bernoulli(0.7)) continue;
+        idle[j] = {rng.uniform(10.0, 90.0), 60.0 + 20.0 * j, 70.0};
+        relax[j] = relaxation_coeffs(idle[j]);
+        g.relax[j] = &relax[j];
+      }
+      const double p = depol_on ? 0.01 * k : 0.0;
+      kern::DepolCoeffs depol;
+      if (depol_on) {
+        depol = depolarizing_coeffs(p, k);
+        g.depol = &depol;
+      }
+      dm.apply_noisy_gate(op, q, std::span<const Relaxation>(idle, q.size()),
+                          p);
+      kern::apply_noisy_gate(full, n, g);
+      what = "gate q" + std::to_string(q[0]) +
+             (k == 2 ? "," + std::to_string(q[1]) : "");
+      for (int j = 0; j < k; ++j) {
+        touched |= std::size_t{1} << q[static_cast<std::size_t>(j)];
+        if (rng.bernoulli(0.15)) {
+          dm.settle(q[static_cast<std::size_t>(j)]);
+          settled |= std::size_t{1} << q[static_cast<std::size_t>(j)];
+        }
+      }
+    } else {
+      continue;
+    }
+    const std::size_t untouched = (dim - 1) & ~touched;
+    int bad = 0;
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      const std::size_t r = i >> n;
+      const std::size_t c = i & (dim - 1);
+      const cx got = dm.data()[i];
+      if (((r | c) & untouched) != 0) {
+        bad += got == cx{0.0, 0.0} && full[i] == cx{0.0, 0.0} ? 0 : 1;
+      } else if (((r ^ c) & settled) == 0) {
+        bad += same_up_to_zero_sign(got.real(), full[i].real()) &&
+                       same_up_to_zero_sign(got.imag(), full[i].imag())
+                   ? 0
+                   : 1;
+      }
+    }
+    EXPECT_EQ(bad, 0) << label << " n=" << n << " step=" << step << " "
+                      << what;
+    if (bad != 0) return checked;
+    ++checked;
+  }
+  std::vector<double> want(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    want[i] = std::max(0.0, full[i * dim + i].real());
+  }
+  const std::vector<double> got = dm.probabilities();
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), dim * sizeof(double)), 0)
+      << label << " n=" << n << " probabilities";
+  return checked;
+}
+
+TEST(NoisyGateSweep, LiveSubspaceMatchesFullSweep) {
+  std::vector<bool> modes{false};
+  if (kern::native_kernels_active()) modes.push_back(true);
+  int checked = 0;
+  for (const bool mode : modes) {
+    kern::set_native_kernels(mode);
+    for (int noise = 0; noise < 4; ++noise) {
+      const bool relax_on = (noise & 1) != 0;
+      const bool depol_on = (noise & 2) != 0;
+      const std::string label = std::string(mode ? "native" : "scalar") +
+                                " relax=" + std::to_string(relax_on) +
+                                " depol=" + std::to_string(depol_on);
+      for (int n = 2; n <= 7; ++n) {
+        for (int seq = 0; seq < 4; ++seq) {
+          Rng rng(9100 + static_cast<std::uint64_t>(100 * n + seq));
+          checked += check_live_sequence(n, rng, relax_on, depol_on, label);
+        }
+      }
+    }
+  }
+  kern::set_native_kernels(true);
+  EXPECT_GE(checked, 400 * static_cast<int>(modes.size()));
+}
+
+TEST(NoisyGateSweep, LivePlanEnumeratesExactlyTheLiveBlocks) {
+  // At n = 10, with masked and tied bits: base(t) for any t — the first
+  // block of a parallel_for chunk starting at t — equals the walk of
+  // next() from block 0, and the walk visits exactly the bases with the
+  // block bits clear, the zero bits clear and every tied row bit equal to
+  // its column bit, each once. Superket bit 0 stays free.
+  const int n = 10;
+  const std::size_t size = std::size_t{1} << (2 * n);
+  struct Case {
+    std::vector<int> q;
+    std::size_t zero;
+    std::size_t tied;
+  };
+  const std::size_t rows_cols_of_3 = (std::size_t{1} << 3) |
+                                     (std::size_t{1} << (3 + n));
+  const std::vector<Case> cases = {
+      {{5}, 0, 0},
+      {{5}, rows_cols_of_3, (std::size_t{1} << 7) | (std::size_t{1} << 8)},
+      {{0, 9}, rows_cols_of_3, std::size_t{1} << 6},
+      {{4, 2}, (std::size_t{1} << n) | rows_cols_of_3,
+       (std::size_t{1} << 1) | (std::size_t{1} << 9)},
+      // Bit 0 in either mask is ignored: it stays free.
+      {{6}, 1 | (std::size_t{1} << n), 1 | (std::size_t{1} << 2)},
+  };
+  for (const Case& c : cases) {
+    kern::NoisyGate g;
+    g.qubits = c.q;
+    const kern::detail::NoisyPlan plan = kern::detail::make_plan(n, g, size);
+    g.zero = c.zero;
+    g.tied = c.tied;
+    const kern::detail::NoisyPlan live = kern::detail::make_plan(n, g, size);
+    std::size_t block_bits = 0;
+    for (int q : c.q) {
+      block_bits |= (std::size_t{1} << q) | (std::size_t{1} << (q + n));
+    }
+    const std::size_t zero = c.zero & ~std::size_t{1};
+    const std::size_t tied = c.tied & ~std::size_t{1};
+    std::vector<std::size_t> want;
+    for (std::size_t i = 0; i < size; ++i) {
+      if ((i & (block_bits | zero)) != 0) continue;
+      if ((((i >> n) ^ i) & tied) != 0) continue;
+      want.push_back(i);
+    }
+    EXPECT_EQ(plan.blocks, size >> (2 * c.q.size()));
+    ASSERT_EQ(live.blocks, want.size());
+    if ((block_bits & 1) == 0) EXPECT_EQ(live.free & 1, 1U);
+    std::vector<std::size_t> walked{live.base(0)};
+    int bad = 0;
+    for (std::size_t t = 1; t < live.blocks; ++t) {
+      walked.push_back(live.next(walked.back()));
+      bad += live.base(t) == walked.back() ? 0 : 1;
+    }
+    EXPECT_EQ(bad, 0) << "q0=" << c.q[0];
+    std::sort(walked.begin(), walked.end());
+    EXPECT_EQ(walked, want) << "q0=" << c.q[0];
+  }
+}
+
+TEST(NoisyGateSweep, ChunkedLiveSweepMatchesSerialSweep) {
+  // n = 10, a 1q op with one bit masked: 2^17 blocks, which parallel_for
+  // splits into two chunks when the cap allows (on qubit 0 the AVX2 body
+  // is unpaired, so the native sweep splits too). The second chunk starts
+  // mid-walk at base(begin); the result must match the one-chunk sweep
+  // bit for bit. Cases: the zero row bit of an untouched qubit 0, and one
+  // tied qubit.
+  const int n = 10;
+  Rng rng(424242);
+  const std::vector<cx> rho0 = random_mixed_rho(n, rng);
+  const kern::RelaxCoeffs relax{0.013, 0.981, 0.987};
+  const kern::DepolCoeffs depol{0.98, 0.02 * 4.0 / 3.0, 0.5};
+  std::vector<bool> modes{false};
+  if (kern::native_kernels_active()) modes.push_back(true);
+  struct Case {
+    int q;
+    std::size_t zero;
+    std::size_t tied;
+  };
+  const std::vector<Case> cases = {{5, std::size_t{1} << n, 0},
+                                   {0, 0, std::size_t{1} << 7},
+                                   {4, 0, std::size_t{1} << 9}};
+  int compared = 0;
+  for (const bool mode : modes) {
+    kern::set_native_kernels(mode);
+    for (const Case& c : cases) {
+      const std::vector<int> q{c.q};
+      for (const FusedOp& op : noisy_test_ops(q)) {
+        kern::NoisyGate g;
+        g.qubits = q;
+        g.col = &op.dm;
+        g.relax[0] = &relax;
+        g.depol = &depol;
+        g.zero = c.zero;
+        g.tied = c.tied;
+        std::vector<cx> serial = rho0;
+        std::vector<cx> chunked = rho0;
+        {
+          const kern::ParallelThreadsGuard one(1);
+          kern::apply_noisy_gate(serial, n, g);
+        }
+        {
+          const kern::ParallelThreadsGuard four(4);
+          kern::apply_noisy_gate(chunked, n, g);
+        }
+        EXPECT_TRUE(same_bits(chunked, serial))
+            << "native=" << mode << " q=" << c.q;
+        EXPECT_FALSE(same_bits(serial, rho0)) << "native=" << mode;
+        ++compared;
+      }
+    }
+  }
+  kern::set_native_kernels(true);
+  EXPECT_GE(compared, 12 * static_cast<int>(modes.size()));
 }
 
 TEST(ParallelFor, ResolvesZeroHardwareConcurrencyToSerial) {
