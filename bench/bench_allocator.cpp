@@ -4,7 +4,7 @@
 // runs before any transpilation cache or simulation kernel can help), so
 // the artifact pins the allocator's perf trajectory across PRs the same
 // way BENCH_kernels.json pins the simulator's. Writes BENCH_allocator.json
-// (schema qucp-bench-allocator-v3); CI runs it in smoke mode.
+// (schema qucp-bench-allocator-v4); CI runs it in smoke mode.
 //
 // Three arms per case, all through the one indexed allocator:
 //   zero_budget — no index passed: the call walks a zero-budget index of
@@ -16,6 +16,10 @@
 //                 batch of a width after a recalibration;
 //   memo_warm   — one index reused across calls, so every state is a memo
 //                 hit (the steady state of admission probes and lanes).
+//
+// Each arm runs as several interleaved timed loops (12; 5 in smoke mode),
+// and a row reports the median and the min of its loops' per-call means,
+// so a single scheduler hiccup moves neither figure.
 //
 // tests/test_allocator_golden.cpp pins all three against the index-less
 // reference loops; this binary re-checks that the zero-budget and warm
@@ -43,18 +47,35 @@ bool smoke_mode() {
   return env != nullptr && *env != '\0' && *env != '0';
 }
 
+/// Timed loops per arm and row.
+int timed_loops() { return smoke_mode() ? 5 : 12; }
+
 /// Representative service batch: four programs, largest-first (the order
 /// run_batch_pipeline feeds the partitioner).
 std::vector<ProgramShape> batch_shapes() {
   return {{5, 10, 10}, {4, 7, 8}, {3, 4, 6}, {2, 3, 3}};
 }
 
+/// Median and min over an arm's timed loops (each a per-call mean).
+struct LoopStats {
+  double median = 0.0;
+  double min = 0.0;
+
+  static LoopStats of(std::vector<double> loops) {
+    std::sort(loops.begin(), loops.end());
+    const std::size_t n = loops.size();
+    const double median =
+        n % 2 == 1 ? loops[n / 2] : 0.5 * (loops[n / 2 - 1] + loops[n / 2]);
+    return {median, loops.front()};
+  }
+};
+
 struct AllocatorResult {
   std::string device;
   std::string scenario;
-  double us_zero_budget = 0.0;
-  double us_memo_cold = 0.0;
-  double us_memo_warm = 0.0;
+  LoopStats zero_budget;
+  LoopStats memo_cold;
+  LoopStats memo_warm;
 };
 
 double speedup(double base, double other) {
@@ -115,27 +136,23 @@ AllocatorResult run_batch_case(const Device& device,
     }
   }
 
-  // Interleaved best-of-rounds so one scheduler hiccup cannot skew an arm.
-  const int rounds = smoke_mode() ? 3 : 12;
+  // Interleaved rounds so a slow spell on the host hits every arm alike.
+  const int rounds = timed_loops();
   const int reps = smoke_mode() ? 40 : 400;
-  AllocatorResult result;
-  result.device = device.name();
-  result.scenario = scenario;
+  std::vector<double> zero;
+  std::vector<double> cold;
+  std::vector<double> warm;
   for (int round = 0; round < rounds; ++round) {
-    const double zero = time_us_per_call(reps, [&] {
+    zero.push_back(time_us_per_call(reps, [&] {
       benchmark::DoNotOptimize(partitioner.allocate(device, shapes));
-    });
-    const double cold = time_memo_cold_us(reps, device, partitioner, shapes);
-    const double warm = time_us_per_call(reps, [&] {
+    }));
+    cold.push_back(time_memo_cold_us(reps, device, partitioner, shapes));
+    warm.push_back(time_us_per_call(reps, [&] {
       benchmark::DoNotOptimize(partitioner.allocate(device, shapes, &index));
-    });
-    if (round == 0 || zero < result.us_zero_budget) {
-      result.us_zero_budget = zero;
-    }
-    if (round == 0 || cold < result.us_memo_cold) result.us_memo_cold = cold;
-    if (round == 0 || warm < result.us_memo_warm) result.us_memo_warm = warm;
+    }));
   }
-  return result;
+  return {device.name(), scenario, LoopStats::of(std::move(zero)),
+          LoopStats::of(std::move(cold)), LoopStats::of(std::move(warm))};
 }
 
 void write_json(const std::vector<AllocatorResult>& results) {
@@ -149,21 +166,28 @@ void write_json(const std::vector<AllocatorResult>& results) {
                  path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"schema\": \"qucp-bench-allocator-v3\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"qucp-bench-allocator-v4\",\n");
   bench::write_meta_json(f);
   std::fprintf(f, "  \"smoke\": %s,\n", smoke_mode() ? "true" : "false");
-  std::fprintf(f, "  \"unit\": \"us_per_batch\",\n  \"results\": [\n");
+  std::fprintf(f,
+               "  \"unit\": \"us_per_batch\",\n"
+               "  \"stat\": \"median and min of the per-call means of "
+               "%d timed loops; speedups from medians\",\n"
+               "  \"results\": [\n",
+               timed_loops());
   for (std::size_t i = 0; i < results.size(); ++i) {
     const AllocatorResult& r = results[i];
     std::fprintf(f,
                  "    {\"device\": \"%s\", \"scenario\": \"%s\", "
-                 "\"us_zero_budget\": %.2f, \"us_memo_cold\": %.2f, "
-                 "\"us_memo_warm\": %.2f, \"speedup_cold\": %.1f, "
-                 "\"speedup_warm\": %.1f}%s\n",
-                 r.device.c_str(), r.scenario.c_str(), r.us_zero_budget,
-                 r.us_memo_cold, r.us_memo_warm,
-                 speedup(r.us_zero_budget, r.us_memo_cold),
-                 speedup(r.us_zero_budget, r.us_memo_warm),
+                 "\"us_zero_budget\": %.2f, \"us_zero_budget_min\": %.2f, "
+                 "\"us_memo_cold\": %.2f, \"us_memo_cold_min\": %.2f, "
+                 "\"us_memo_warm\": %.2f, \"us_memo_warm_min\": %.2f, "
+                 "\"speedup_cold\": %.1f, \"speedup_warm\": %.1f}%s\n",
+                 r.device.c_str(), r.scenario.c_str(), r.zero_budget.median,
+                 r.zero_budget.min, r.memo_cold.median, r.memo_cold.min,
+                 r.memo_warm.median, r.memo_warm.min,
+                 speedup(r.zero_budget.median, r.memo_cold.median),
+                 speedup(r.zero_budget.median, r.memo_warm.median),
                  i + 1 == results.size() ? "" : ",");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -197,17 +221,21 @@ void print_allocator_table() {
         run_batch_case(device, *multiqc, ordered, "multiqc_batch4"));
   }
 
+  // Each time column: median (min) of the arm's timed loops.
+  const auto cell = [](const LoopStats& t) {
+    return fmt_double(t.median, 2) + " (" + fmt_double(t.min, 2) + ")";
+  };
   bench::row({"device", "scenario", "zero-budget us", "memo cold us",
-              "memo warm us",
-              "cold x", "warm x"},
-             16);
-  bench::rule(7, 16);
+              "memo warm us", "cold x", "warm x"},
+             18);
+  bench::rule(7, 18);
   for (const AllocatorResult& r : results) {
-    bench::row({r.device, r.scenario, fmt_double(r.us_zero_budget, 2),
-                fmt_double(r.us_memo_cold, 2), fmt_double(r.us_memo_warm, 2),
-                fmt_double(speedup(r.us_zero_budget, r.us_memo_cold), 1),
-                fmt_double(speedup(r.us_zero_budget, r.us_memo_warm), 1)},
-               16);
+    const double zero = r.zero_budget.median;
+    bench::row({r.device, r.scenario, cell(r.zero_budget), cell(r.memo_cold),
+                cell(r.memo_warm),
+                fmt_double(speedup(zero, r.memo_cold.median), 1),
+                fmt_double(speedup(zero, r.memo_warm.median), 1)},
+               18);
   }
   write_json(results);
 }

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <numbers>
-#include <set>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -162,12 +161,16 @@ bool Circuit::has_measurements() const {
 }
 
 std::vector<int> Circuit::active_qubits() const {
-  std::set<int> used;
+  std::vector<char> used(static_cast<std::size_t>(num_qubits_), 0);
   for (const Gate& g : ops_) {
     if (g.kind == GateKind::Barrier) continue;
-    used.insert(g.qubits.begin(), g.qubits.end());
+    for (int q : g.qubits) used[static_cast<std::size_t>(q)] = 1;
   }
-  return {used.begin(), used.end()};
+  std::vector<int> active;
+  for (int q = 0; q < num_qubits_; ++q) {
+    if (used[static_cast<std::size_t>(q)]) active.push_back(q);
+  }
+  return active;
 }
 
 Circuit Circuit::compacted() const {

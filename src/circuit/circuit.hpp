@@ -97,6 +97,9 @@ class Circuit {
            name_.capacity();
   }
   [[nodiscard]] bool empty() const noexcept { return ops_.empty(); }
+  /// Reserve room for `n` ops, so a pass that knows its output size
+  /// appends without regrowing the op buffer.
+  void reserve(std::size_t n) { ops_.reserve(n); }
 
   /// Append an op after validating operand counts and index ranges.
   void append(Gate g);

@@ -1,29 +1,34 @@
 #include "circuit/dag.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace qucp {
 
 DagCircuit::DagCircuit(const Circuit& circuit) : circuit_(&circuit) {
   const auto& ops = circuit.ops();
-  succs_.resize(ops.size());
   in_degree_.assign(ops.size(), 0);
 
   // last op seen on each qubit / clbit wire
   std::vector<int> last_q(circuit.num_qubits(), -1);
   std::vector<int> last_c(circuit.num_clbits(), -1);
 
+  // Edges (from, to) in creation order, which is ascending `to`. Op i
+  // links once to each distinct predecessor among its wires' last ops.
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  std::vector<std::size_t> linked;  // predecessors op i has linked
   auto link = [&](int from, std::size_t to) {
     if (from < 0) return;
-    auto& s = succs_[static_cast<std::size_t>(from)];
-    if (std::find(s.begin(), s.end(), to) == s.end()) {
-      s.push_back(to);
-      ++in_degree_[to];
-    }
+    const auto f = static_cast<std::size_t>(from);
+    if (std::find(linked.begin(), linked.end(), f) != linked.end()) return;
+    linked.push_back(f);
+    edges.emplace_back(f, to);
+    ++in_degree_[to];
   };
 
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Gate& g = ops[i];
+    linked.clear();
     for (int q : g.qubits) {
       link(last_q[q], i);
       last_q[q] = static_cast<int>(i);
@@ -33,6 +38,16 @@ DagCircuit::DagCircuit(const Circuit& circuit) : circuit_(&circuit) {
       last_c[g.clbit] = static_cast<int>(i);
     }
   }
+
+  // Bucket the edges by source, keeping creation order within a bucket.
+  succ_begin_.assign(ops.size() + 1, 0);
+  for (const auto& [from, to] : edges) ++succ_begin_[from + 1];
+  for (std::size_t u = 0; u < ops.size(); ++u) {
+    succ_begin_[u + 1] += succ_begin_[u];
+  }
+  succ_.resize(edges.size());
+  std::vector<std::size_t> fill(succ_begin_.begin(), succ_begin_.end() - 1);
+  for (const auto& [from, to] : edges) succ_[fill[from]++] = to;
 }
 
 std::vector<std::size_t> DagCircuit::initial_front() const {

@@ -7,6 +7,7 @@
 // releasing their successors.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -19,13 +20,14 @@ class DagCircuit {
 
   [[nodiscard]] const Circuit& circuit() const noexcept { return *circuit_; }
   [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return succs_.size();
+    return in_degree_.size();
   }
 
-  /// Successor node ids of `node`.
-  [[nodiscard]] const std::vector<std::size_t>& successors(
+  /// Successor node ids of `node`, ascending.
+  [[nodiscard]] std::span<const std::size_t> successors(
       std::size_t node) const {
-    return succs_.at(node);
+    const std::size_t begin = succ_begin_.at(node);
+    return {succ_.data() + begin, succ_begin_[node + 1] - begin};
   }
 
   /// Number of predecessors of `node`.
@@ -43,7 +45,10 @@ class DagCircuit {
 
  private:
   const Circuit* circuit_;
-  std::vector<std::vector<std::size_t>> succs_;
+  /// Successor lists in one buffer: node u's are
+  /// succ_[succ_begin_[u] .. succ_begin_[u + 1]).
+  std::vector<std::size_t> succ_begin_;
+  std::vector<std::size_t> succ_;
   std::vector<int> in_degree_;
 };
 

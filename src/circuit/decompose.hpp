@@ -1,5 +1,5 @@
 #pragma once
-// Basis decomposition passes.
+// Basis lowering.
 //
 // Routing inserts explicit SWAP gates; hardware executes CX only, so SWAPs
 // are lowered to 3 CX before execution/error accounting. CZ lowers to
@@ -9,13 +9,9 @@
 
 namespace qucp {
 
-/// Replace each SWAP with 3 CX (orientation alternates to balance error).
-[[nodiscard]] Circuit decompose_swaps(const Circuit& circuit);
-
-/// Replace each CZ with H(target) CX H(target).
-[[nodiscard]] Circuit decompose_cz(const Circuit& circuit);
-
-/// Full lowering used before execution: SWAPs then CZs.
+/// Full lowering used before execution, in one walk: each SWAP becomes 3 CX
+/// (orientation alternates to balance error), each CZ becomes H(target) CX
+/// H(target), and every other op passes through unchanged.
 [[nodiscard]] Circuit lower_to_cx_basis(const Circuit& circuit);
 
 }  // namespace qucp

@@ -13,35 +13,6 @@ constexpr double kPi = std::numbers::pi;
 const cx kI{0.0, 1.0};
 }  // namespace
 
-int gate_arity(GateKind kind) noexcept {
-  switch (kind) {
-    case GateKind::CX:
-    case GateKind::CZ:
-    case GateKind::SWAP:
-      return 2;
-    case GateKind::Barrier:
-      return 0;  // variadic
-    default:
-      return 1;
-  }
-}
-
-int gate_param_count(GateKind kind) noexcept {
-  switch (kind) {
-    case GateKind::RX:
-    case GateKind::RY:
-    case GateKind::RZ:
-    case GateKind::U1:
-      return 1;
-    case GateKind::U2:
-      return 2;
-    case GateKind::U3:
-      return 3;
-    default:
-      return 0;
-  }
-}
-
 std::string_view gate_name(GateKind kind) noexcept {
   switch (kind) {
     case GateKind::I: return "id";
@@ -88,15 +59,6 @@ std::optional<GateKind> gate_from_name(std::string_view name) {
   auto it = kMap.find(name);
   if (it == kMap.end()) return std::nullopt;
   return it->second;
-}
-
-bool is_unitary_gate(GateKind kind) noexcept {
-  return kind != GateKind::Barrier && kind != GateKind::Measure;
-}
-
-bool is_two_qubit_gate(GateKind kind) noexcept {
-  return kind == GateKind::CX || kind == GateKind::CZ ||
-         kind == GateKind::SWAP;
 }
 
 bool is_self_inverse(GateKind kind) noexcept {

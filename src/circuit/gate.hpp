@@ -61,11 +61,39 @@ struct Gate {
   [[nodiscard]] bool operator==(const Gate& other) const = default;
 };
 
+// The four kind predicates below are inline: every pass, the router and the
+// executor ask them per op.
+
 /// Number of qubit operands the kind requires (barrier is variadic: 0 here).
-[[nodiscard]] int gate_arity(GateKind kind) noexcept;
+[[nodiscard]] constexpr int gate_arity(GateKind kind) noexcept {
+  switch (kind) {
+    case GateKind::CX:
+    case GateKind::CZ:
+    case GateKind::SWAP:
+      return 2;
+    case GateKind::Barrier:
+      return 0;  // variadic
+    default:
+      return 1;
+  }
+}
 
 /// Number of angle parameters the kind requires.
-[[nodiscard]] int gate_param_count(GateKind kind) noexcept;
+[[nodiscard]] constexpr int gate_param_count(GateKind kind) noexcept {
+  switch (kind) {
+    case GateKind::RX:
+    case GateKind::RY:
+    case GateKind::RZ:
+    case GateKind::U1:
+      return 1;
+    case GateKind::U2:
+      return 2;
+    case GateKind::U3:
+      return 3;
+    default:
+      return 0;
+  }
+}
 
 /// Lower-case OpenQASM mnemonic ("cx", "rz", ...).
 [[nodiscard]] std::string_view gate_name(GateKind kind) noexcept;
@@ -74,10 +102,15 @@ struct Gate {
 [[nodiscard]] std::optional<GateKind> gate_from_name(std::string_view name);
 
 /// True for unitary gates (everything except Barrier and Measure).
-[[nodiscard]] bool is_unitary_gate(GateKind kind) noexcept;
+[[nodiscard]] constexpr bool is_unitary_gate(GateKind kind) noexcept {
+  return kind != GateKind::Barrier && kind != GateKind::Measure;
+}
 
 /// True for CX/CZ/SWAP.
-[[nodiscard]] bool is_two_qubit_gate(GateKind kind) noexcept;
+[[nodiscard]] constexpr bool is_two_qubit_gate(GateKind kind) noexcept {
+  return kind == GateKind::CX || kind == GateKind::CZ ||
+         kind == GateKind::SWAP;
+}
 
 /// True when the gate is its own inverse (X,Y,Z,H,CX,CZ,SWAP,I,...).
 [[nodiscard]] bool is_self_inverse(GateKind kind) noexcept;

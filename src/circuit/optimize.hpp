@@ -22,6 +22,7 @@
 #include <cstdint>
 
 #include "circuit/circuit.hpp"
+#include "common/small_vector.hpp"
 
 namespace qucp {
 
@@ -47,6 +48,10 @@ struct ParamExpr {
   double value = 0.0;     ///< Const: fixed value
 };
 
+/// Expression node ids of one op's params, in param order. Inline up to the
+/// gate set's three angles, so expression lists copy without allocating.
+using ParamExprIds = SmallVector<std::uint32_t, 3>;
+
 /// One recorded angle_is_identity evaluation: node id and outcome. A
 /// binding that flips any recorded outcome would have steered the fixpoint
 /// differently, so template binds validate the whole log before reusing
@@ -62,7 +67,7 @@ struct OptimizeTrace {
   /// Node id per (output op, param), parallel to the returned circuit's
   /// ops. Appended by optimize_traced; clear between stages when chaining
   /// several traced passes over one node list.
-  std::vector<std::vector<std::uint32_t>> out_exprs;
+  std::vector<ParamExprIds> out_exprs;
 
   std::uint32_t leaf(std::int32_t slot) {
     nodes.push_back({ParamExpr::Kind::Slot, 0, 0, slot, 0.0});
@@ -97,7 +102,7 @@ struct OptimizeTrace {
 /// trace.nodes/checks and fills trace.out_exprs for the surviving ops.
 [[nodiscard]] Circuit optimize_traced(
     const Circuit& circuit,
-    const std::vector<std::vector<std::uint32_t>>& in_exprs,
+    const std::vector<ParamExprIds>& in_exprs,
     OptimizeTrace& trace, OptimizeStats* stats = nullptr);
 
 }  // namespace qucp

@@ -21,13 +21,14 @@ std::vector<std::vector<int>> interaction_weights(const Circuit& circuit) {
 namespace {
 
 /// Quality of a physical qubit for tie-breaking: lower is better.
+/// `in_partition` flags the partition's qubits.
 double phys_error_score(const Device& device, int q,
-                        const std::set<int>& partition) {
+                        const std::vector<char>& in_partition) {
   double err = device.readout_error(q);
   int links = 0;
   double cx_sum = 0.0;
   for (int nb : device.topology().neighbors(q)) {
-    if (!partition.count(nb)) continue;
+    if (!in_partition[static_cast<std::size_t>(nb)]) continue;
     cx_sum += device.cx_error(q, nb);
     ++links;
   }
@@ -60,14 +61,31 @@ std::vector<int> initial_layout(const Circuit& circuit, const Device& device,
   std::set<int> free_phys = part_set;
   std::vector<bool> placed(n, false);
 
-  // Physical connectivity inside the partition (for the anchor choice).
-  auto part_degree = [&](int q) {
-    int d = 0;
+  // Per partition qubit, computed once: its error score and its physical
+  // connectivity inside the partition (for the anchor choice).
+  std::vector<char> in_partition(static_cast<std::size_t>(topo.num_qubits()),
+                                 0);
+  for (int q : part_set) in_partition[static_cast<std::size_t>(q)] = 1;
+  std::vector<double> error_score(in_partition.size(), 0.0);
+  std::vector<int> part_degree(in_partition.size(), 0);
+  for (int q : part_set) {
+    error_score[static_cast<std::size_t>(q)] =
+        phys_error_score(device, q, in_partition);
     for (int nb : topo.neighbors(q)) {
-      if (part_set.count(nb)) ++d;
+      part_degree[static_cast<std::size_t>(q)] +=
+          in_partition[static_cast<std::size_t>(nb)];
     }
-    return d;
-  };
+  }
+  // The partition's average CX error per hop (noise-adaptive placement).
+  double avg_err = 0.0;
+  if (style != PlacementStyle::HardwareAware) {
+    int cnt = 0;
+    for (int e : topo.induced_edges(partition)) {
+      avg_err += device.calibration().cx_error[e];
+      ++cnt;
+    }
+    avg_err = cnt > 0 ? avg_err / cnt : 0.05;
+  }
 
   for (int step = 0; step < n; ++step) {
     // Next logical: highest connection weight to already-placed logicals;
@@ -100,10 +118,10 @@ std::vector<int> initial_layout(const Circuit& circuit, const Device& device,
             score += weights[logical][m] * topo.distance(phys, layout[m]);
           }
         }
-        score -= 0.1 * part_degree(phys);
+        score -= 0.1 * part_degree[static_cast<std::size_t>(phys)];
         // Error term scaled so calibration dominates pure-connectivity
         // tie-breaks (the point of the hardware-aware heuristic [18]).
-        score += 10.0 * phys_error_score(device, phys, part_set);
+        score += 10.0 * error_score[static_cast<std::size_t>(phys)];
       } else {
         // Noise-adaptive: maximize log reliability toward partners (use
         // negated value so that lower stays better).
@@ -112,18 +130,11 @@ std::vector<int> initial_layout(const Circuit& circuit, const Device& device,
           const int d = topo.distance(phys, layout[m]);
           // Approximate path reliability with the partition's average CX
           // error per hop.
-          double avg_err = 0.0;
-          int cnt = 0;
-          for (int e : topo.induced_edges(partition)) {
-            avg_err += device.calibration().cx_error[e];
-            ++cnt;
-          }
-          avg_err = cnt > 0 ? avg_err / cnt : 0.05;
           score += weights[logical][m] *
                    (-std::log1p(-std::min(0.99, avg_err)) * d);
         }
         score += 2.0 * device.readout_error(phys);
-        score += 10.0 * phys_error_score(device, phys, part_set);
+        score += 10.0 * error_score[static_cast<std::size_t>(phys)];
       }
       if (best_phys < 0 || score < best_score) {
         best_phys = phys;

@@ -13,21 +13,19 @@ TranspileTemplate TranspileTemplate::build(const Circuit& logical,
 
   OptimizeTrace trace;
   // Input ops read binding slots directly, in circuit order.
-  std::vector<std::vector<std::uint32_t>> logical_exprs;
+  std::vector<ParamExprIds> logical_exprs;
   logical_exprs.reserve(logical.size());
   std::int32_t slot = 0;
   for (const Gate& g : logical.ops()) {
-    std::vector<std::uint32_t> ids;
-    ids.reserve(g.params.size());
+    ParamExprIds& ids = logical_exprs.emplace_back();
     for (std::size_t j = 0; j < g.params.size(); ++j) {
       ids.push_back(trace.leaf(slot++));
     }
-    logical_exprs.push_back(std::move(ids));
   }
 
   // Stage A: input peephole (traced).
   Circuit prepared;
-  std::vector<std::vector<std::uint32_t>> prepared_exprs;
+  std::vector<ParamExprIds> prepared_exprs;
   if (options.optimize_input) {
     prepared = optimize_traced(logical, logical_exprs, trace);
     prepared_exprs = std::move(trace.out_exprs);
@@ -45,7 +43,7 @@ TranspileTemplate TranspileTemplate::build(const Circuit& logical,
       initial_layout(prepared, device, partition, options.placement);
   RoutingResult routed = route_on_partition(prepared, device, partition,
                                             layout, options.router);
-  std::vector<std::vector<std::uint32_t>> routed_exprs(routed.source.size());
+  std::vector<ParamExprIds> routed_exprs(routed.source.size());
   for (std::size_t i = 0; i < routed.source.size(); ++i) {
     if (routed.source[i] >= 0) {
       routed_exprs[i] =
@@ -53,11 +51,16 @@ TranspileTemplate TranspileTemplate::build(const Circuit& logical,
     }
   }
 
-  // Stage C: output peephole (traced, same DAG — merges compose).
+  // Stage C: output peephole (traced, same DAG — merges compose). It stays
+  // although it rarely fires on traffic the input pass already cleaned (it
+  // changed none of 9,216 routed e2ebench unique_burst circuits, seed 1,
+  // 3 s): the router drops barriers, which joins gates the input pass saw
+  // fenced apart, and it can emit two identical SWAPs in a row, so either
+  // gives this pass work.
   tmpl.result.initial_layout = layout;
   tmpl.result.final_layout = std::move(routed.final_layout);
   tmpl.result.swaps_added = routed.swaps_added;
-  std::vector<std::vector<std::uint32_t>> phys_exprs;
+  std::vector<ParamExprIds> phys_exprs;
   if (options.optimize_output) {
     tmpl.result.physical =
         optimize_traced(routed.physical, routed_exprs, trace);

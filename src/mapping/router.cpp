@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 
@@ -24,23 +23,25 @@ constexpr double kCrosstalkWeight = 5.0;
 class PartitionDistances {
  public:
   PartitionDistances(const Topology& topo, std::span<const int> partition)
-      : local_(static_cast<std::size_t>(topo.num_qubits()), -1) {
+      : local_(static_cast<std::size_t>(topo.num_qubits()), -1),
+        n_(partition.size()) {
     int next = 0;
     for (int q : partition) local_[q] = next++;
-    const int n = next;
-    dist_.assign(n, std::vector<int>(n, -1));
+    dist_.assign(n_ * n_, -1);
+    // One breadth-first search per source; `queue` is FIFO from `head`.
+    std::vector<int> queue;
+    queue.reserve(n_);
     for (int src : partition) {
-      const int ls = local_[src];
-      dist_[ls][ls] = 0;
-      std::deque<int> queue{src};
-      while (!queue.empty()) {
-        const int u = queue.front();
-        queue.pop_front();
+      int* row = &dist_[static_cast<std::size_t>(local_[src]) * n_];
+      row[local_[src]] = 0;
+      queue.assign(1, src);
+      for (std::size_t head = 0; head < queue.size(); ++head) {
+        const int u = queue[head];
         for (int v : topo.neighbors(u)) {
           const int lv = local_[v];
           if (lv < 0) continue;
-          if (dist_[ls][lv] < 0) {
-            dist_[ls][lv] = dist_[ls][local_[u]] + 1;
+          if (row[lv] < 0) {
+            row[lv] = row[local_[u]] + 1;
             queue.push_back(v);
           }
         }
@@ -49,12 +50,14 @@ class PartitionDistances {
   }
 
   [[nodiscard]] int distance(int phys_a, int phys_b) const {
-    return dist_[local_[phys_a]][local_[phys_b]];
+    return dist_[static_cast<std::size_t>(local_[phys_a]) * n_ +
+                 static_cast<std::size_t>(local_[phys_b])];
   }
 
  private:
   std::vector<int> local_;  ///< physical qubit -> partition index, or -1
-  std::vector<std::vector<int>> dist_;
+  std::size_t n_;           ///< partition size
+  std::vector<int> dist_;   ///< n_ x n_, row = source
 };
 
 }  // namespace
@@ -93,7 +96,9 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
   };
   std::vector<Measurement> measurements;
   Circuit body(circuit.num_qubits(), circuit.num_clbits());
+  body.reserve(circuit.size());
   std::vector<int> body_src;
+  body_src.reserve(circuit.size());
   {
     std::vector<char> measured(static_cast<std::size_t>(circuit.num_qubits()),
                                0);
@@ -125,9 +130,12 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
 
   const DagCircuit dag(body);
   FrontLayer front(dag);
+  // Room for every input op; inserted SWAPs may grow the buffers once.
+  const std::size_t emitted = body.size() + measurements.size();
   Circuit physical(device.num_qubits(), circuit.num_clbits(), circuit.name());
+  physical.reserve(emitted);
   std::vector<int> source;
-  source.reserve(body.size() + measurements.size());
+  source.reserve(emitted);
   std::vector<double> decay(num_phys, 0.0);
   std::vector<char> involved(num_phys, 0);
   int swaps_added = 0;
@@ -139,40 +147,57 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
     return out;
   };
 
-  // Extended (look-ahead) set: the next few 2q gates past the front.
-  // `seen_at[node] == pass` marks a node visited by the current pass.
+  // Extended (look-ahead) set: the next few 2q gates past the front,
+  // breadth first (`queue` is FIFO from `head`). `seen_at[node] == pass`
+  // marks a node visited by the current pass. Both buffers are reused
+  // across passes.
   std::vector<std::uint32_t> seen_at(dag.num_nodes(), 0);
   std::uint32_t pass = 0;
+  std::vector<std::size_t> ext;
+  std::vector<std::size_t> queue;
   auto extended_set = [&](const std::vector<std::size_t>& front_nodes) {
     ++pass;
-    std::vector<std::size_t> ext;
-    std::deque<std::size_t> queue(front_nodes.begin(), front_nodes.end());
+    ext.clear();
+    queue.assign(front_nodes.begin(), front_nodes.end());
     for (std::size_t n : front_nodes) seen_at[n] = pass;
-    while (!queue.empty() &&
-           static_cast<int>(ext.size()) < kLookaheadDepth) {
-      const std::size_t n = queue.front();
-      queue.pop_front();
-      for (std::size_t s : dag.successors(n)) {
+    const auto depth = static_cast<std::size_t>(kLookaheadDepth);
+    for (std::size_t head = 0; head < queue.size() && ext.size() < depth;
+         ++head) {
+      for (std::size_t s : dag.successors(queue[head])) {
         if (seen_at[s] == pass) continue;
         seen_at[s] = pass;
         if (is_two_qubit_gate(dag.gate(s).kind)) ext.push_back(s);
         queue.push_back(s);
       }
     }
-    return ext;
   };
+
+  // A 2q gate's physical qubits under the current layout and their distance.
+  struct PlacedPair {
+    int p0;
+    int p1;
+    int dist;
+  };
+  const auto placed_pair = [&](const Gate& g) {
+    const int p0 = layout[g.qubits[0]];
+    const int p1 = layout[g.qubits[1]];
+    return PlacedPair{p0, p1, dists.distance(p0, p1)};
+  };
+  std::vector<PlacedPair> front_pairs;
+  std::vector<PlacedPair> look_pairs;
 
   int guard = 0;
   const int max_iterations =
       10000 + 200 * static_cast<int>(body.size() + 1);
+  std::vector<std::size_t> ready;  // front snapshot: complete() edits front
   while (!front.empty()) {
     if (++guard > max_iterations) {
       throw std::runtime_error("route_on_partition: routing did not converge");
     }
     // Apply every currently-executable front gate.
     bool applied = false;
-    for (std::size_t node : std::vector<std::size_t>(front.nodes().begin(),
-                                                     front.nodes().end())) {
+    ready.assign(front.nodes().begin(), front.nodes().end());
+    for (std::size_t node : ready) {
       const Gate& g = dag.gate(node);
       const bool executable =
           !is_two_qubit_gate(g.kind) ||
@@ -187,12 +212,30 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
 
     // Blocked: every front gate is a non-adjacent 2q gate. Pick a SWAP.
     const std::vector<std::size_t>& front_nodes = front.nodes();
-    const auto ext = extended_set(front_nodes);
+    extended_set(front_nodes);
 
     // Candidate swaps: partition edges touching a front gate's qubit.
     std::fill(involved.begin(), involved.end(), 0);
     for (std::size_t node : front_nodes) {
       for (int l : dag.gate(node).qubits) involved[layout[l]] = 1;
+    }
+    // Distance terms are integers, so their sums in double are exact: a
+    // candidate's sum is the current sum plus the change on the gates its
+    // swap moves, the same double as summing every gate afresh.
+    front_pairs.clear();
+    look_pairs.clear();
+    int front_sum = 0;
+    int look_sum = 0;
+    for (std::size_t node : front_nodes) {
+      const Gate& g = dag.gate(node);
+      if (is_two_qubit_gate(g.kind)) {
+        front_pairs.push_back(placed_pair(g));
+        front_sum += front_pairs.back().dist;
+      }
+    }
+    for (std::size_t node : ext) {
+      look_pairs.push_back(placed_pair(dag.gate(node)));
+      look_sum += look_pairs.back().dist;
     }
     double best_score = std::numeric_limits<double>::infinity();
     int best_edge = -1;
@@ -200,35 +243,32 @@ RoutingResult route_on_partition(const Circuit& circuit, const Device& device,
       const Edge& edge = topo.edges()[e];
       if (!involved[edge.a] && !involved[edge.b]) continue;
 
-      // Tentative layout after the swap.
-      auto dist_after = [&](int l0, int l1) {
-        int p0 = layout[l0];
-        int p1 = layout[l1];
-        auto swapped = [&](int p) {
+      // Sum of the pairs' distances under the tentative layout after the
+      // swap.
+      const auto sum_after = [&](const std::vector<PlacedPair>& pairs,
+                                 int sum) {
+        const auto swapped = [&](int p) {
           if (p == edge.a) return edge.b;
           if (p == edge.b) return edge.a;
           return p;
         };
-        return dists.distance(swapped(p0), swapped(p1));
+        for (const PlacedPair& pp : pairs) {
+          if (pp.p0 != edge.a && pp.p0 != edge.b && pp.p1 != edge.a &&
+              pp.p1 != edge.b) {
+            continue;
+          }
+          sum += dists.distance(swapped(pp.p0), swapped(pp.p1)) - pp.dist;
+        }
+        return sum;
       };
 
-      double h_front = 0.0;
-      for (std::size_t node : front_nodes) {
-        const Gate& g = dag.gate(node);
-        if (is_two_qubit_gate(g.kind)) {
-          h_front += dist_after(g.qubits[0], g.qubits[1]);
-        }
-      }
-      h_front /= static_cast<double>(front_nodes.size());
-
-      double h_look = 0.0;
-      if (!ext.empty()) {
-        for (std::size_t node : ext) {
-          const Gate& g = dag.gate(node);
-          h_look += dist_after(g.qubits[0], g.qubits[1]);
-        }
-        h_look /= static_cast<double>(ext.size());
-      }
+      const double h_front =
+          static_cast<double>(sum_after(front_pairs, front_sum)) /
+          static_cast<double>(front_nodes.size());
+      const double h_look =
+          ext.empty() ? 0.0
+                      : static_cast<double>(sum_after(look_pairs, look_sum)) /
+                            static_cast<double>(ext.size());
 
       double score = (h_front + kLookaheadWeight * h_look) *
                      (1.0 + std::max(decay[edge.a], decay[edge.b]));

@@ -12,6 +12,7 @@
 // SRB estimates (QuMC). CandidateIndex::State::score is the one
 // implementation; efs_score scores a single partition through it.
 
+#include <compare>
 #include <span>
 #include <vector>
 
@@ -24,6 +25,9 @@ struct ProgramShape {
   int num_qubits = 0;
   int num_2q = 0;  ///< two-qubit gate count
   int num_1q = 0;  ///< single-qubit gate count
+
+  /// Ordered so a shape can key a memo of scores that read nothing else.
+  auto operator<=>(const ProgramShape&) const = default;
 };
 
 /// EFS evaluation detail for reporting and tests.

@@ -22,13 +22,22 @@ double op_duration_ns(const Gate& g, const Device& device) {
   }
 }
 
-namespace {
-
-Schedule schedule_asap(const Circuit& circuit, const Device& device) {
+Schedule schedule_circuit(const Circuit& circuit, const Device& device,
+                          SchedulePolicy policy) {
+  if (circuit.num_qubits() > device.num_qubits()) {
+    throw std::invalid_argument("schedule_circuit: circuit wider than device");
+  }
+  // ASAP walks the ops front to back, packing each as early as its wires
+  // allow. ALAP is the ASAP schedule of the reversed op list (only
+  // dependency order matters for timing), mirrored: walk back to front,
+  // then map each reversed interval [s, e) to [makespan - e, makespan - s).
+  const bool alap = policy == SchedulePolicy::ALAP;
+  const std::size_t n = circuit.size();
   std::vector<double> ready(circuit.num_qubits(), 0.0);
   Schedule sched;
-  sched.ops.resize(circuit.size());
-  for (std::size_t i = 0; i < circuit.size(); ++i) {
+  sched.ops.resize(n);
+  for (std::size_t step = 0; step < n; ++step) {
+    const std::size_t i = alap ? n - 1 - step : step;
     const Gate& g = circuit.ops()[i];
     double start = 0.0;
     for (int q : g.qubits) start = std::max(start, ready[q]);
@@ -37,34 +46,12 @@ Schedule schedule_asap(const Circuit& circuit, const Device& device) {
     for (int q : g.qubits) ready[q] = start + dur;
     sched.makespan_ns = std::max(sched.makespan_ns, start + dur);
   }
-  return sched;
-}
-
-}  // namespace
-
-Schedule schedule_circuit(const Circuit& circuit, const Device& device,
-                          SchedulePolicy policy) {
-  if (circuit.num_qubits() > device.num_qubits()) {
-    throw std::invalid_argument("schedule_circuit: circuit wider than device");
-  }
-  if (policy == SchedulePolicy::ASAP) {
-    return schedule_asap(circuit, device);
-  }
-  // ALAP: run ASAP over the reversed op list (keeping the same gates — only
-  // dependency order matters for timing), then mirror times.
-  Circuit reversed(circuit.num_qubits(), circuit.num_clbits());
-  const auto& ops = circuit.ops();
-  for (auto it = ops.rbegin(); it != ops.rend(); ++it) reversed.append(*it);
-  const Schedule rev = schedule_asap(reversed, device);
-
-  Schedule sched;
-  sched.makespan_ns = rev.makespan_ns;
-  sched.ops.resize(circuit.size());
-  for (std::size_t ri = 0; ri < rev.ops.size(); ++ri) {
-    const std::size_t i = circuit.size() - 1 - ri;
-    const ScheduledOp& r = rev.ops[ri];
-    sched.ops[i] = {i, rev.makespan_ns - r.end_ns,
-                    rev.makespan_ns - r.start_ns};
+  if (alap) {
+    for (ScheduledOp& op : sched.ops) {
+      const double start = sched.makespan_ns - op.end_ns;
+      op.end_ns = sched.makespan_ns - op.start_ns;
+      op.start_ns = start;
+    }
   }
   return sched;
 }

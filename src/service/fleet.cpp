@@ -105,19 +105,16 @@ std::optional<double> FleetView::solo_efs(std::size_t slot,
   // probes every job on every device each round) never re-runs an
   // allocation that is known to fail.
   constexpr double kUnfit = std::numeric_limits<double>::infinity();
-  // Solo EFS reads the job's shape and the device only — never parameter
-  // values — so structurally identical jobs share one memo slot when the
-  // submitter provides the parameter-blind key (angle sweeps score once).
-  const std::uint64_t key =
-      job.structural_fp != 0 ? job.structural_fp : job.fingerprint;
-  std::map<std::uint64_t, double>& cache = *slots_[slot].solo_efs;
-  if (auto it = cache.find(key); it != cache.end()) {
+  // Solo EFS reads the job's shape and the device only, so the shape is
+  // the key: distinct circuits of one shape share a score.
+  SoloEfsMemo& cache = *slots_[slot].solo_efs;
+  if (auto it = cache.find(job.shape); it != cache.end()) {
     if (it->second == kUnfit) return std::nullopt;
     return it->second;
   }
   const auto score = solo_efs_score(*slots_[slot].device, *partitioner_,
                                     job.shape, slots_[slot].index);
-  cache.emplace(key, score.value_or(kUnfit));
+  cache.emplace(job.shape, score.value_or(kUnfit));
   return score;
 }
 

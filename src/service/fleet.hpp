@@ -67,17 +67,19 @@
 
 namespace qucp {
 
+/// Best-solo-EFS scores of one device keyed by program shape: solo EFS
+/// reads the shape and the device only, so every circuit of one shape
+/// shares a score, and the memo holds one entry per distinct shape.
+using SoloEfsMemo = std::map<ProgramShape, double>;
+
 /// One schedulable device endpoint, as the fleet packer sees it. `index`
 /// (optional, as in Partitioner::allocate) must have been built for
-/// `device`; `solo_efs` (required) is
-/// the per-device memo of best-solo-EFS scores keyed by the job's
-/// structural fingerprint (falling back to the exact circuit fingerprint
-/// when the submitter leaves it zero) — the §IV-B spill baseline and the
-/// BestEfs routing score.
+/// `device`; `solo_efs` (required) is the per-device memo of best-solo-EFS
+/// scores — the §IV-B spill baseline and the BestEfs routing score.
 struct FleetSlot {
   const Device* device = nullptr;
   const CandidateIndex* index = nullptr;
-  std::map<std::uint64_t, double>* solo_efs = nullptr;
+  SoloEfsMemo* solo_efs = nullptr;
 };
 
 /// Calibration-dependent modeled makespan (ns) of a program shape on a
@@ -129,7 +131,7 @@ class RouteView {
 /// Read-mostly view of the fleet handed to the routing policy and used by
 /// the packer's threshold checks. Probes are memoized in each slot's
 /// solo-EFS map, so routing and spill checks share one score per
-/// (device, circuit) pair. `lanes` (one per slot) are the drain/occupancy
+/// (device, shape) pair. `lanes` (one per slot) are the drain/occupancy
 /// estimates pack_fleet maintains and ExpectedLatency scores with.
 class FleetView final : public RouteView {
  public:
@@ -139,8 +141,7 @@ class FleetView final : public RouteView {
 
   std::size_t size() const noexcept override { return slots_.size(); }
   /// Best solo EFS of `job` on `slot`'s device; nullopt = does not fit
-  /// even alone. Memoized in the slot's map by structural fingerprint
-  /// (exact fingerprint when the job carries none).
+  /// even alone. Memoized in the slot's map by the job's shape.
   [[nodiscard]] std::optional<double> solo_efs(
       std::size_t slot, const PackJob& job) const override;
 
@@ -280,7 +281,7 @@ class FleetScheduler {
   /// fidelity numbers.
   struct SoloCache {
     std::uint64_t epoch_id = 0;
-    std::map<std::uint64_t, double> scores;  ///< circuit fp -> best solo EFS
+    SoloEfsMemo scores;
   };
 
   const BackendRegistry* fleet_;

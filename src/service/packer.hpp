@@ -36,14 +36,14 @@ namespace qucp {
 
 struct PackJob {
   std::size_t index = 0;        ///< caller's identifier, echoed back
-  ProgramShape shape;
-  std::uint64_t fingerprint = 0;  ///< solo-EFS cache key
+  ProgramShape shape;           ///< what the planner scores and places
+  /// The caller's circuit key. The planner never reads it (solo EFS reads
+  /// only `shape`, and the memo is keyed on that); the fleet simulator
+  /// stores its job class here.
+  std::uint64_t fingerprint = 0;
   bool exclusive = false;         ///< must run alone in its batch
-  /// Structural fingerprint (parameter-blind). When nonzero, the planner
-  /// keys its solo-EFS cache on this instead of `fingerprint`, since solo
-  /// EFS depends only on shape and placement — a parameter sweep over one
-  /// ansatz then scores once, not once per binding. Last field so
-  /// positional aggregate initializers predating it stay valid.
+  /// Parameter-blind fingerprint. Unread by the planner; last field so
+  /// positional aggregate initializers that fill it stay valid.
   std::uint64_t structural_fp = 0;
 };
 

@@ -120,7 +120,8 @@ BatchReport run_batch_pipeline(
     physical[i] = {std::move(tp.physical), std::move(name)};
   }
 
-  const ParallelRunReport run = epoch.execute(physical, options.exec);
+  const ParallelRunReport run =
+      epoch.execute(std::move(physical), options.exec);
 
   BatchReport report;
   report.throughput = run.throughput;
@@ -148,10 +149,9 @@ BatchReport run_batch_pipeline(
   RuntimeModel model;
   model.shots = options.exec.shots;
   std::vector<double> solo_makespans;
-  for (const PhysicalProgram& prog : physical) {
-    solo_makespans.push_back(
-        schedule_circuit(prog.circuit, device, options.exec.schedule)
-            .makespan_ns);
+  solo_makespans.reserve(run.programs.size());
+  for (const ProgramOutcome& out : run.programs) {
+    solo_makespans.push_back(out.solo_makespan_ns);
   }
   report.runtime_reduction =
       serial_runtime_s(model, solo_makespans) /
@@ -494,7 +494,7 @@ void ExecutionService::dispatch_pending() {
   pack_jobs.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     pack_jobs.push_back({i, shape_of(jobs[i]->circuit), jobs[i]->fingerprint,
-                         jobs[i]->exclusive, jobs[i]->structural_fp});
+                         jobs[i]->exclusive});
   }
   PackOptions popts;
   popts.max_batch_size = options_.max_batch_size;

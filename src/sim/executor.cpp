@@ -466,6 +466,7 @@ ParallelRunReport execute_parallel(const Device& device,
   for (std::size_t p = 0; p < compiled.size(); ++p) {
     ProgramOutcome outcome;
     outcome.name = programs[p].name;
+    outcome.solo_makespan_ns = compiled[p]->structure().solo_makespan_ns();
     if (const std::shared_ptr<const Distribution> memo =
             program_cache->outcome(fingerprints[p], options.schedule,
                                    keys[p])) {

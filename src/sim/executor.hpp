@@ -74,6 +74,10 @@ struct ProgramOutcome {
   std::string name;
   Distribution distribution;  ///< exact noisy outcome distribution
   Counts counts;              ///< sampled shots
+  /// Makespan of the program's physical circuit scheduled alone under
+  /// ExecOptions::schedule, SWAP and CZ unlowered: its solo runtime, read
+  /// from the cached structure (ExecutableStructure::solo_makespan_ns).
+  double solo_makespan_ns = 0.0;
 };
 
 /// Calibration-derived noise constants, computed once per calibration

@@ -420,10 +420,9 @@ ExecutableStructure ExecutableStructure::build(const Circuit& physical,
                                                const SchedulePolicy policy) {
   ExecutableStructure s;
   s.source_size_ = physical.size();
-  // Copied rather than moved: lowering grows its op vector by appends, and
-  // a copy's capacity is exact — the structure stays cached.
-  const Circuit lowered = lower_to_cx_basis(physical);
-  s.lowered_ = lowered;
+  // Lowering reserves its exact output size, so the cached structure holds
+  // no slack.
+  s.lowered_ = lower_to_cx_basis(physical);
   // Lowering expands SWAP and CZ into three angle-free ops each and passes
   // every other op through unchanged, so walking the source alongside
   // recovers the lowered -> source index of each parametric op.
@@ -466,6 +465,7 @@ ExecutableStructure ExecutableStructure::build(const Circuit& physical,
     s.cx_edges_[i] = *edge;
   }
   s.schedule_ = schedule_circuit(s.lowered_, device, policy);
+  s.solo_makespan_ns_ = schedule_circuit(physical, device, policy).makespan_ns;
   s.time_order_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     s.time_order_[i] = static_cast<std::uint32_t>(i);

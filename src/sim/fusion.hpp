@@ -240,7 +240,8 @@ class ExecutableStructure {
 
   /// Lower `physical`, index its parametric ops and check every
   /// two-qubit op against `device`'s coupling map; when all are coupled,
-  /// schedule under `policy` and record the time order and CX edge ids.
+  /// schedule under `policy` and record the time order, the CX edge ids
+  /// and the un-lowered circuit's solo makespan.
   [[nodiscard]] static ExecutableStructure build(const Circuit& physical,
                                                  const Device& device,
                                                  SchedulePolicy policy);
@@ -260,6 +261,14 @@ class ExecutableStructure {
   [[nodiscard]] bool coupled() const noexcept { return coupled_; }
   /// Schedule of lowered(), before any cross-program alignment.
   [[nodiscard]] const Schedule& schedule() const noexcept { return schedule_; }
+  /// Makespan of the un-lowered physical circuit scheduled alone under the
+  /// build's policy: the solo runtime the service's runtime-reduction model
+  /// charges. It differs from schedule().makespan_ns wherever lowering
+  /// changes timing (a CZ gains two 1q gates; a SWAP's three CX round their
+  /// start times one at a time). 0 when the structure is not coupled.
+  [[nodiscard]] double solo_makespan_ns() const noexcept {
+    return solo_makespan_ns_;
+  }
   /// Lowered op indices stably sorted by schedule start time.
   [[nodiscard]] const std::vector<std::uint32_t>& time_order() const noexcept {
     return time_order_;
@@ -286,6 +295,7 @@ class ExecutableStructure {
   std::size_t source_size_ = 0;
   bool coupled_ = true;
   Schedule schedule_;
+  double solo_makespan_ns_ = 0.0;
   std::vector<std::uint32_t> time_order_;
   std::vector<int> active_;
   std::vector<int> cx_edges_;

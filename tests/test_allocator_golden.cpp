@@ -224,8 +224,8 @@ TEST(AllocatorGolden, PackerDecisionsIdenticalWithIndex) {
     opts.max_batch_size = static_cast<int>(rng.integer(1, 5));
     opts.efs_threshold = rng.bernoulli(0.5) ? rng.uniform(0.0, 0.5)
                                             : PackOptions{}.efs_threshold;
-    std::map<std::uint64_t, double> cache_ref;
-    std::map<std::uint64_t, double> cache_idx;
+    SoloEfsMemo cache_ref;
+    SoloEfsMemo cache_idx;
     const FleetSlot slot_ref{&device, nullptr, &cache_ref};
     const FleetSlot slot_idx{&device, &index, &cache_idx};
     RoutingPolicy policy(RoutePolicy::BestEfs);  // one slot: not consulted

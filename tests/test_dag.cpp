@@ -8,6 +8,11 @@
 namespace qucp {
 namespace {
 
+std::vector<std::size_t> successors(const DagCircuit& dag, std::size_t node) {
+  const auto s = dag.successors(node);
+  return {s.begin(), s.end()};
+}
+
 Circuit simple_circuit() {
   Circuit c(3);
   c.h(0);        // 0
@@ -40,9 +45,9 @@ TEST(Dag, InitialFrontIsSourceNodes) {
 
 TEST(Dag, SuccessorsAreCorrect) {
   const DagCircuit dag(simple_circuit());
-  EXPECT_EQ(dag.successors(0), (std::vector<std::size_t>{2}));
-  EXPECT_EQ(dag.successors(2), (std::vector<std::size_t>{4}));
-  EXPECT_EQ(dag.successors(4), (std::vector<std::size_t>{5}));
+  EXPECT_EQ(successors(dag, 0), (std::vector<std::size_t>{2}));
+  EXPECT_EQ(successors(dag, 2), (std::vector<std::size_t>{4}));
+  EXPECT_EQ(successors(dag, 4), (std::vector<std::size_t>{5}));
   EXPECT_TRUE(dag.successors(5).empty());
 }
 
@@ -52,7 +57,7 @@ TEST(Dag, MeasureSharesClbitWire) {
   c.measure(1, 0);  // same clbit: must be ordered
   const DagCircuit dag(c);
   EXPECT_EQ(dag.in_degree(1), 1);
-  EXPECT_EQ(dag.successors(0), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(successors(dag, 0), (std::vector<std::size_t>{1}));
 }
 
 TEST(FrontLayerTest, ConsumesInOrder) {

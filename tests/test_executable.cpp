@@ -332,13 +332,14 @@ TEST(SharedKernels, AngleFreeOpsShareOneKernelPerKind) {
   EXPECT_EQ(a.bytes(), sizeof(CompiledExecutable) + 8 * sizeof(FusedOp));
 }
 
-TEST(ExecutableStructure, CachedMakespanMatchesPhysicalOnlyWithoutLowering) {
+TEST(ExecutableStructure, SoloMakespanIsThePhysicalCircuitsMakespan) {
   // run_batch_pipeline models a program's solo runtime from the makespan
   // of its physical circuit. The structure's cached schedule times the
   // CX-lowered circuit instead, which agrees bit for bit only when
   // lowering changes nothing: a CZ gains two 1q gates and a SWAP's three
-  // CX round their start times one at a time. So the pipeline keeps
-  // scheduling the physical circuit.
+  // CX round their start times one at a time. So the structure also
+  // records the physical circuit's own makespan, which must equal a fresh
+  // schedule of it bit for bit.
   Rng rng(77);
   int lowered_differs = 0;
   for (const Device& device : named_devices()) {
@@ -352,9 +353,11 @@ TEST(ExecutableStructure, CachedMakespanMatchesPhysicalOnlyWithoutLowering) {
         const Circuit c =
             random_physical_circuit(device, rng, region, 10 + trial);
         const double physical = schedule_circuit(c, device, policy).makespan_ns;
-        const double cached =
-            ExecutableStructure::build(c, device, policy).schedule()
-                .makespan_ns;
+        const ExecutableStructure structure =
+            ExecutableStructure::build(c, device, policy);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(structure.solo_makespan_ns()),
+                  std::bit_cast<std::uint64_t>(physical));
+        const double cached = structure.schedule().makespan_ns;
         const bool lowers = std::any_of(
             c.ops().begin(), c.ops().end(), [](const Gate& g) {
               return g.kind == GateKind::SWAP || g.kind == GateKind::CZ;
@@ -368,6 +371,39 @@ TEST(ExecutableStructure, CachedMakespanMatchesPhysicalOnlyWithoutLowering) {
     }
   }
   EXPECT_GT(lowered_differs, 0);
+}
+
+TEST(ExecutableStructure, ExecuteReportsEachProgramsSoloMakespan) {
+  // execute_parallel hands each program its structure's solo makespan, the
+  // figure run_batch_pipeline's runtime-reduction model reads.
+  Rng rng(91);
+  for (const Device& device : named_devices()) {
+    const CompiledProgramCache cache(device);
+    for (const SchedulePolicy policy :
+         {SchedulePolicy::ALAP, SchedulePolicy::ASAP}) {
+      std::vector<char> taken(static_cast<std::size_t>(device.num_qubits()),
+                              0);
+      std::vector<PhysicalProgram> programs;
+      for (int p = 0; p < 3; ++p) {
+        const std::vector<int> region = random_region(device, rng, 3, taken);
+        programs.push_back(
+            {random_physical_circuit(device, rng, region, 12 + 4 * p), "p"});
+      }
+      ExecOptions opts;
+      opts.shots = 8;
+      opts.schedule = policy;
+      const ParallelRunReport run =
+          execute_parallel(device, programs, opts, &cache);
+      ASSERT_EQ(run.programs.size(), programs.size());
+      for (std::size_t p = 0; p < programs.size(); ++p) {
+        const double want =
+            schedule_circuit(programs[p].circuit, device, policy).makespan_ns;
+        const double got = run.programs[p].solo_makespan_ns;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want));
+      }
+    }
+  }
 }
 
 /// The all-pairs scan the partner-edge lists replaced.

@@ -46,7 +46,7 @@ struct TestFleet {
   }
   std::vector<Device> devices;
   std::vector<std::unique_ptr<CandidateIndex>> indexes;
-  std::vector<std::map<std::uint64_t, double>> caches;
+  std::vector<SoloEfsMemo> caches;
   std::vector<FleetSlot> slots;
 };
 
@@ -329,7 +329,7 @@ TEST(PackFleet, WaitAccountingMatchesHandComputation) {
   const ProgramShape shape{2, 1, 2};
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 3; ++i) jobs.push_back(make_job(i, shape, i));
-  std::map<std::uint64_t, double> cache;
+  SoloEfsMemo cache;
   const FleetSlot slot{&device, nullptr, &cache};
   PackOptions opts;
   opts.max_batch_size = 2;
@@ -617,8 +617,8 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalOnAllTopologies) {
       for (const auto& [subject, oracle] : partitioners) {
         const std::string context = device.name() + "/" + subject->name() +
                                     "/trial" + std::to_string(trial);
-        std::map<std::uint64_t, double> cache_ref;
-        std::map<std::uint64_t, double> cache_inc;
+        SoloEfsMemo cache_ref;
+        SoloEfsMemo cache_inc;
         const FleetSlot slot_ref{&device, nullptr, &cache_ref};
         const FleetSlot slot_inc{&device, &index, &cache_inc};
         RoutingPolicy policy(RoutePolicy::BestEfs);
@@ -698,7 +698,7 @@ TEST(PackFleet, ThresholdAdmissionFollowsTheDecisionRule) {
     PackOptions opts;
     opts.max_batch_size = static_cast<int>(rng.integer(2, 5));
     opts.efs_threshold = rng.uniform(0.0, 0.3);
-    std::map<std::uint64_t, double> cache;
+    SoloEfsMemo cache;
     const FleetSlot slot{&device, &index, &cache};
     RoutingPolicy policy(RoutePolicy::BestEfs);
     const FleetPlan plan = pack_fleet(std::span<const FleetSlot>(&slot, 1),
@@ -763,7 +763,7 @@ TEST(PackFleet, OneSlotPlanIsTheSameUnderEveryPolicy) {
   opts.efs_threshold = 0.05;
   const std::vector<double> backlog = {7.0};
   auto run = [&](RoutePolicy kind) {
-    std::map<std::uint64_t, double> cache;
+    SoloEfsMemo cache;
     const FleetSlot slot{&device, &index, &cache};
     RoutingPolicy policy(kind);
     return pack_fleet(std::span<const FleetSlot>(&slot, 1), jobs, *partitioner,
@@ -853,6 +853,74 @@ TEST(FleetScheduler, EveryBatchCarriesTheAssignmentsItWasAdmittedOn) {
       EXPECT_EQ(placed + plan.unplaceable.size(), jobs.size()) << context;
     }
   }
+}
+
+TEST(FleetScheduler, ShapeKeyedMemoPlansLikeAMemoClearedEveryCycle) {
+  // All-distinct traffic: every job carries its own fingerprint, but the
+  // stream draws from a few shapes. Solo EFS reads only the shape, so the
+  // scheduler's memo, kept across cycles and keyed on the shape, must plan
+  // every cycle exactly as a packer whose memo starts empty each cycle —
+  // under every policy, with a finite EFS threshold — and must hold no
+  // more than one entry per shape on each backend.
+  Rng rng(36);
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
+  const std::vector<ProgramShape> shapes = {
+      {2, 3, 4}, {3, 6, 2}, {4, 9, 8}, {5, 12, 5}, {6, 20, 10}};
+  for (const RoutePolicy kind : {RoutePolicy::RoundRobin,
+                                 RoutePolicy::LeastLoaded,
+                                 RoutePolicy::BestEfs,
+                                 RoutePolicy::ExpectedLatency}) {
+    BackendRegistry registry(
+        std::vector<Device>{make_toronto27(), make_manhattan65()});
+    FleetScheduler scheduler(registry, kind);
+    RoutingPolicy fresh_policy(kind);
+    std::vector<SoloEfsMemo> fresh(registry.size());
+    PackOptions opts;
+    opts.max_batch_size = 4;
+    opts.efs_threshold = 0.1;
+    for (int cycle = 0; cycle < 6; ++cycle) {
+      const std::string context = std::string(route_policy_name(kind)) +
+                                  " cycle " + std::to_string(cycle);
+      std::vector<PackJob> jobs;
+      for (std::size_t i = 0; i < 24; ++i) {
+        jobs.push_back(make_job(i, shapes[rng.index(shapes.size())],
+                                rng.next_u64(), rng.bernoulli(0.05)));
+      }
+      const FleetPlan plan = scheduler.plan(jobs, *partitioner, opts);
+
+      std::vector<FleetSlot> slots;
+      for (std::size_t b = 0; b < registry.size(); ++b) {
+        fresh[b].clear();
+        const CalibrationEpoch& epoch = *plan.epochs[b];
+        slots.push_back(
+            {&epoch.device(), &epoch.candidate_index(), &fresh[b]});
+      }
+      const FleetPlan want =
+          pack_fleet(slots, jobs, *partitioner, opts, fresh_policy);
+      expect_plans_identical(plan, want, context);
+    }
+  }
+}
+
+TEST(FleetView, SoloEfsMemoHoldsOneEntryPerShape) {
+  // Distinct circuits of one shape share one memoized score: the memo
+  // grows with the shapes seen, not with the jobs.
+  Rng rng(37);
+  const Device device = make_toronto27();
+  const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
+  const std::vector<ProgramShape> shapes = {{2, 3, 4}, {4, 9, 8}, {6, 20, 10}};
+  SoloEfsMemo memo;
+  const FleetSlot slot{&device, nullptr, &memo};
+  const RuntimeModel model;
+  const FleetView view(std::span<const FleetSlot>(&slot, 1), *partitioner, {},
+                       model, 4);
+  for (int i = 0; i < 40; ++i) {
+    const ProgramShape& shape = shapes[rng.index(shapes.size())];
+    const std::optional<double> got =
+        view.solo_efs(0, make_job(0, shape, rng.next_u64()));
+    EXPECT_EQ(got, solo_efs_score(device, *partitioner, shape));
+  }
+  EXPECT_EQ(memo.size(), shapes.size());
 }
 
 TEST(FleetScheduler, RejectsAnEmptyFleet) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "random_programs.hpp"
+
 namespace qucp {
 namespace {
 
@@ -106,6 +113,58 @@ TEST(Schedule, EmptyCircuit) {
   const Schedule s = schedule_circuit(c, d, SchedulePolicy::ALAP);
   EXPECT_TRUE(s.ops.empty());
   EXPECT_DOUBLE_EQ(s.makespan_ns, 0.0);
+}
+
+/// ALAP as it was written before the backward walk: ASAP over a reversed
+/// copy of the circuit, mirrored.
+Schedule reversed_asap_alap(const Circuit& circuit, const Device& device) {
+  Circuit reversed(circuit.num_qubits(), circuit.num_clbits());
+  for (auto it = circuit.ops().rbegin(); it != circuit.ops().rend(); ++it) {
+    reversed.append(*it);
+  }
+  const Schedule rev = schedule_circuit(reversed, device, SchedulePolicy::ASAP);
+  Schedule sched;
+  sched.makespan_ns = rev.makespan_ns;
+  sched.ops.resize(circuit.size());
+  for (std::size_t ri = 0; ri < rev.ops.size(); ++ri) {
+    const std::size_t i = circuit.size() - 1 - ri;
+    const ScheduledOp& r = rev.ops[ri];
+    sched.ops[i] = {i, rev.makespan_ns - r.end_ns,
+                    rev.makespan_ns - r.start_ns};
+  }
+  return sched;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Schedule, AlapEqualsMirroredAsapOfReversedCircuit) {
+  Rng rng(4242);
+  std::vector<Device> devices;
+  devices.push_back(make_toronto27());
+  devices.push_back(make_manhattan65());
+  for (const Device& device : devices) {
+    for (int trial = 0; trial < 60; ++trial) {
+      std::vector<char> taken(static_cast<std::size_t>(device.num_qubits()),
+                              0);
+      const std::vector<int> region = test_programs::random_region(
+          device, rng, 2 + static_cast<int>(rng.index(6)), taken);
+      const Circuit c = test_programs::random_physical_circuit(
+          device, rng, region, 5 + trial);
+      const std::string context =
+          device.name() + " trial " + std::to_string(trial);
+      const Schedule got = schedule_circuit(c, device, SchedulePolicy::ALAP);
+      const Schedule want = reversed_asap_alap(c, device);
+      EXPECT_EQ(bits(got.makespan_ns), bits(want.makespan_ns)) << context;
+      ASSERT_EQ(got.ops.size(), want.ops.size()) << context;
+      for (std::size_t i = 0; i < got.ops.size(); ++i) {
+        EXPECT_EQ(got.ops[i].op_index, want.ops[i].op_index) << context;
+        EXPECT_EQ(bits(got.ops[i].start_ns), bits(want.ops[i].start_ns))
+            << context << " op " << i;
+        EXPECT_EQ(bits(got.ops[i].end_ns), bits(want.ops[i].end_ns))
+            << context << " op " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -314,7 +314,7 @@ TEST(Packer, PartialTailBatchAndOrder) {
   const ProgramShape shape = shape_of(get_benchmark("bell").circuit);
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 5; ++i) jobs.push_back({i, shape, i, false});
-  std::map<std::uint64_t, double> cache;
+  SoloEfsMemo cache;
   const FleetSlot slot{&d, nullptr, &cache};
   const FleetPlan packed =
       pack_one_slot(slot, jobs, *partitioner, PackOptions{});
@@ -336,7 +336,7 @@ TEST(Packer, SpillsWhatDoesNotFitTogether) {
   const ProgramShape shape = shape_of(get_benchmark("alu").circuit);
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 3; ++i) jobs.push_back({i, shape, i, false});
-  std::map<std::uint64_t, double> cache;
+  SoloEfsMemo cache;
   const FleetSlot slot{&d, nullptr, &cache};
   const FleetPlan packed =
       pack_one_slot(slot, jobs, *partitioner, PackOptions{});
@@ -358,7 +358,7 @@ TEST(Packer, SpilledJobsKeepFifoOrderBehindRepeatedlyFullBatches) {
   const ProgramShape shape = shape_of(get_benchmark("alu").circuit);
   std::vector<PackJob> jobs;
   for (std::size_t i = 0; i < 5; ++i) jobs.push_back({i, shape, i, false});
-  std::map<std::uint64_t, double> cache;
+  SoloEfsMemo cache;
   const FleetSlot slot{&d, nullptr, &cache};
   const FleetPlan packed =
       pack_one_slot(slot, jobs, *partitioner, PackOptions{});
@@ -386,7 +386,7 @@ TEST(Packer, LateSmallJobMayOvertakeButSpilledJobsStayOrdered) {
                             {1, big, 11, false},
                             {2, big, 12, false},
                             {3, small, 13, false}};
-  std::map<std::uint64_t, double> cache;
+  SoloEfsMemo cache;
   const FleetSlot slot{&d, nullptr, &cache};
   const FleetPlan packed =
       pack_one_slot(slot, jobs, *partitioner, PackOptions{});
@@ -416,7 +416,7 @@ TEST(Packer, AccountingIsExactOverRandomizedStreams) {
     }
     PackOptions opts;
     opts.max_batch_size = static_cast<int>(rng.integer(1, 4));
-    std::map<std::uint64_t, double> cache;
+    SoloEfsMemo cache;
     const FleetSlot slot{&d, nullptr, &cache};
     const FleetPlan packed = pack_one_slot(slot, jobs, *partitioner, opts);
     const std::vector<PackedBatch>& batches = packed.batches[0];
@@ -450,7 +450,7 @@ TEST(Packer, ExclusiveJobThatCannotFitAloneIsUnplaceableNotSpilled) {
   std::vector<PackJob> jobs{{0, small, 1, false},
                             {1, huge, 2, true},  // exclusive, cannot fit
                             {2, small, 3, false}};
-  std::map<std::uint64_t, double> cache;
+  SoloEfsMemo cache;
   const FleetSlot slot{&d, nullptr, &cache};
   const FleetPlan packed =
       pack_one_slot(slot, jobs, *partitioner, PackOptions{});
@@ -471,7 +471,7 @@ TEST(Packer, MidQueueExclusiveJobDefersWithoutSpillAccounting) {
   std::vector<PackJob> jobs{{0, small, 1, false},
                             {1, small, 2, true},  // exclusive
                             {2, small, 3, false}};
-  std::map<std::uint64_t, double> cache;
+  SoloEfsMemo cache;
   const FleetSlot slot{&d, nullptr, &cache};
   const FleetPlan packed =
       pack_one_slot(slot, jobs, *partitioner, PackOptions{});
