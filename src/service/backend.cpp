@@ -112,6 +112,7 @@ TranspileCacheStats CalibrationEpoch::cache_stats() const {
   TranspileCacheStats stats = stats_;
   stats.misses = cache.misses;
   stats.evictions = cache.evictions;
+  stats.refused = cache.refused;
   stats.entries = cache.entries;
   return stats;
 }

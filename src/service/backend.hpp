@@ -37,13 +37,15 @@
 // states, and the CompiledProgramCache's fused programs (each entry a
 // structure's fusion plan plus its last binding) and executables — are
 // BoundedCaches (common/bounded_cache.hpp) splitting one byte budget
-// evenly; each evicts only its own least recently used
-// entries. cache_memory() reports entries, bytes, hits, misses and
-// evictions per cache. A budget-0 epoch stores nothing but runs the same
-// code: every lookup misses, so each transpile call builds its template
-// (one counted miss per call), each allocation builds its states and each
-// execution its executables. tests/test_parametric.cpp pins its
-// transpiles against the untraced pipeline of tests/reference_transpile.hpp.
+// evenly; each evicts only its own least recently used entries, and the
+// three per-circuit ones, once full, store a new key only on its second
+// sighting. cache_memory() reports entries, bytes, hits, misses,
+// evictions and refused stores per cache. A budget-0 epoch stores nothing
+// but runs the same code: every lookup misses, so each transpile call
+// builds its template (one counted miss per call), each allocation builds
+// its states and each execution its executables.
+// tests/test_parametric.cpp pins its transpiles against the untraced
+// pipeline of tests/reference_transpile.hpp.
 //
 // Backend itself only versions epochs: every device, cache and execution
 // query goes through a pinned epoch(), so a caller that reads the device,
@@ -70,6 +72,9 @@ struct TranspileCacheStats {
   std::uint64_t hits = 0;    ///< exact-binding hits (identical circuit)
   std::uint64_t misses = 0;  ///< no usable entry; full transpile performed
   std::uint64_t evictions = 0;
+  /// First sightings of a key served but not stored: storing them would
+  /// have evicted (BoundedCache's admission).
+  std::uint64_t refused = 0;
   std::size_t entries = 0;
   /// Structure matched with different angles; served by template bind.
   std::uint64_t structural_hits = 0;
@@ -160,7 +165,8 @@ class CalibrationEpoch {
 
   [[nodiscard]] TranspileCacheStats cache_stats() const;
 
-  /// Entries, bytes, hits, misses and evictions of each cache.
+  /// Entries, bytes, hits, misses, evictions and refused stores of each
+  /// cache.
   [[nodiscard]] EpochCacheStats cache_memory() const;
 
   /// Pre-build the empty allocation state of each width in

@@ -836,6 +836,7 @@ ServiceStats ExecutionService::stats() const {
     stats.transpile_cache.hits += bs.transpile_cache.hits;
     stats.transpile_cache.misses += bs.transpile_cache.misses;
     stats.transpile_cache.evictions += bs.transpile_cache.evictions;
+    stats.transpile_cache.refused += bs.transpile_cache.refused;
     stats.transpile_cache.entries += bs.transpile_cache.entries;
     stats.transpile_cache.structural_hits += bs.transpile_cache.structural_hits;
     stats.transpile_cache.bind_fallbacks += bs.transpile_cache.bind_fallbacks;

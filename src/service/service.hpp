@@ -135,8 +135,8 @@ struct BackendStats {
   std::uint64_t sweep_groups = 0;
   std::uint64_t batched_binds = 0;
   TranspileCacheStats transpile_cache;
-  /// Entries, bytes, hits, misses and evictions of each cache of the
-  /// current epoch, and the byte budget they share.
+  /// Entries, bytes, hits, misses, evictions and refused stores of each
+  /// cache of the current epoch, and the byte budget they share.
   EpochCacheStats caches;
 };
 

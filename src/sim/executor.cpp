@@ -151,6 +151,12 @@ ParallelRunReport execute_parallel(const Device& device,
   compiled.reserve(programs.size());
   std::vector<CircuitFingerprints> fingerprints;
   fingerprints.reserve(programs.size());
+  // Outcome-memo keys (sim/fusion.hpp): every input of a program's
+  // simulation below beyond its binding, the device and `derived`. Only a
+  // program whose executable entry is resident gets one; no cache would
+  // store the others' outcomes.
+  std::vector<std::optional<OutcomeKey>> keys;
+  keys.reserve(programs.size());
   std::vector<char> used(static_cast<std::size_t>(device.num_qubits()), 0);
   int qubits_used = 0;
   for (const PhysicalProgram& prog : programs) {
@@ -158,8 +164,11 @@ ParallelRunReport execute_parallel(const Device& device,
       throw std::invalid_argument("execute_parallel: program wider than device");
     }
     fingerprints.push_back(circuit_fingerprints(prog.circuit));
+    bool resident = false;
     std::shared_ptr<const CompiledExecutable> exe = program_cache->executable(
-        prog.circuit, fingerprints.back(), options.schedule);
+        prog.circuit, fingerprints.back(), options.schedule, &resident);
+    keys.emplace_back();
+    if (resident) keys.back().emplace().native = kern::native_kernels_active();
     if (!exe->structure().coupled()) {
       throw std::invalid_argument(
           "execute_parallel: two-qubit gate on uncoupled qubits in " +
@@ -176,11 +185,6 @@ ParallelRunReport execute_parallel(const Device& device,
     }
     compiled.push_back(std::move(exe));
   }
-
-  // Outcome-memo keys (sim/fusion.hpp): every input of a program's
-  // simulation below beyond its binding, the device and `derived`.
-  std::vector<OutcomeKey> keys(programs.size());
-  for (OutcomeKey& key : keys) key.native = kern::native_kernels_active();
 
   // Each program's cached schedule, aligned to the common end time under
   // ALAP (shifted in place, so the times match a fresh schedule's).
@@ -200,7 +204,7 @@ ParallelRunReport execute_parallel(const Device& device,
         op.end_ns += shift;
       }
       s.makespan_ns = global_makespan;
-      keys[p].shifts.push_back(shift);
+      if (keys[p]) keys[p]->shifts.push_back(shift);
     }
   }
 
@@ -266,7 +270,7 @@ ParallelRunReport execute_parallel(const Device& device,
           op.end_ns += delta;
         }
         schedules[p].makespan_ns += delta;
-        keys[p].shifts.push_back(delta);
+        if (keys[p]) keys[p]->shifts.push_back(delta);
         for (CxEvent& ev : events) {
           if (ev.program == p) {
             ev.start_ns += delta;
@@ -291,9 +295,9 @@ ParallelRunReport execute_parallel(const Device& device,
   for (const CxEvent& ev : events) {
     gamma_of[ev.program][ev.op] = ev.gamma;
     // Events are collected per program in op order, so each list ascends.
-    if (ev.gamma != 1.0) {
-      keys[ev.program].gammas.emplace_back(static_cast<std::uint32_t>(ev.op),
-                                           ev.gamma);
+    if (ev.gamma != 1.0 && keys[ev.program]) {
+      keys[ev.program]->gammas.emplace_back(static_cast<std::uint32_t>(ev.op),
+                                            ev.gamma);
     }
   }
 
@@ -467,14 +471,18 @@ ParallelRunReport execute_parallel(const Device& device,
     ProgramOutcome outcome;
     outcome.name = programs[p].name;
     outcome.solo_makespan_ns = compiled[p]->structure().solo_makespan_ns();
-    if (const std::shared_ptr<const Distribution> memo =
-            program_cache->outcome(fingerprints[p], options.schedule,
-                                   keys[p])) {
+    const std::shared_ptr<const Distribution> memo =
+        keys[p] ? program_cache->outcome(fingerprints[p], options.schedule,
+                                         *keys[p])
+                : nullptr;
+    if (memo != nullptr) {
       outcome.distribution = *memo;
     } else {
       outcome.distribution = simulate(p);
-      program_cache->store_outcome(fingerprints[p], options.schedule,
-                                   std::move(keys[p]), outcome.distribution);
+      if (keys[p]) {
+        program_cache->store_outcome(fingerprints[p], options.schedule,
+                                     *std::move(keys[p]), outcome.distribution);
+      }
     }
     Rng prog_rng = rng.derive(programs[p].name + "#" + std::to_string(p));
     outcome.counts = sample_counts(outcome.distribution, options.shots,

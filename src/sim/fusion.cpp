@@ -601,10 +601,13 @@ CompiledProgramCache::bind(const std::shared_ptr<const FusedEntry>& entry,
 
 std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
     const Circuit& physical, const CircuitFingerprints& fp,
-    const SchedulePolicy policy) const {
+    const SchedulePolicy policy, bool* resident) const {
   const ExecutableKey key{fp.structural, policy};
   const std::shared_ptr<const ExecutableEntry> entry = executables_.find(key);
-  if (entry != nullptr && entry->last_exact == fp.exact) return entry->last;
+  if (entry != nullptr && entry->last_exact == fp.exact) {
+    if (resident != nullptr) *resident = true;
+    return entry->last;
+  }
   // Structure miss: lower and schedule once. Either way only the
   // parametric kernels are materialized for this binding. Both are
   // deterministic, so a racing duplicate build is identical anyway.
@@ -619,7 +622,8 @@ std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
   auto next = std::make_shared<const ExecutableEntry>(
       ExecutableEntry{std::move(structure), exe, fp.exact, {}});
   const std::size_t bytes = next->bytes();
-  executables_.assign(key, std::move(next), bytes);
+  const bool stored = executables_.assign(key, std::move(next), bytes);
+  if (resident != nullptr) *resident = stored;
   return exe;
 }
 

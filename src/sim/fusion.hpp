@@ -363,10 +363,11 @@ struct OutcomeKey {
 /// skips the structural build. Executable entries also keep up to
 /// kMaxOutcomeVariants noisy outcomes of that binding (outcome()). Both
 /// are BoundedCaches of `bytes_per_cache` each (a quarter of the epoch's
-/// budget), so an endless stream of distinct circuits evicts
-/// least-recently-used entries instead of growing without limit, and each
-/// cache evicts only its own. Entries are returned as shared_ptr, so
-/// eviction can never invalidate a program a simulation is replaying.
+/// budget), so an endless stream of distinct circuits cannot grow them
+/// without limit: once full, a cache stores a new structure only on its
+/// second sighting (BoundedCache::assign), evicting its own least recently
+/// used entries. Entries are returned as shared_ptr, so eviction can never
+/// invalidate a program a simulation is replaying.
 class CompiledProgramCache {
  public:
   /// Outcomes held per executable entry; the oldest is replaced first.
@@ -400,10 +401,14 @@ class CompiledProgramCache {
   /// (circuit_fingerprints(physical)) the caller computes once for this
   /// call and the outcome memo's: the structure is built once per
   /// (structural fingerprint, `policy`), then only the parametric kernels
-  /// are materialized per fresh binding.
+  /// are materialized per fresh binding. `resident`, when given, is set
+  /// to whether the returned executable's entry is stored, so outcome()
+  /// and store_outcome() can serve it (false when the cache refused or
+  /// could not hold it).
   [[nodiscard]] std::shared_ptr<const CompiledExecutable> executable(
       const Circuit& physical, const CircuitFingerprints& fp,
-      SchedulePolicy policy = SchedulePolicy::ALAP) const;
+      SchedulePolicy policy = SchedulePolicy::ALAP,
+      bool* resident = nullptr) const;
 
   /// The outcome stored for the program of fingerprints `fp` under `key`,
   /// or null. Only the entry's current binding (the last executable()
@@ -435,7 +440,8 @@ class CompiledProgramCache {
   [[nodiscard]] std::uint64_t plan_hits() const;
 
   /// outcome() lookups served from the memo / that found nothing (each
-  /// miss is one density-matrix simulation).
+  /// miss is one density-matrix simulation; execute_parallel simulates a
+  /// program whose executable is not resident without a lookup).
   [[nodiscard]] std::uint64_t outcome_hits() const;
   [[nodiscard]] std::uint64_t outcome_builds() const;
 

@@ -1111,8 +1111,13 @@ TEST(Backend, TranspileCacheHitsAndEviction) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
 
-  // Distinct keys evict the least recently used once the budget is full.
+  // Once the budget is full, a new key is refused on its first offer and
+  // evicts the least recently used on its second.
   (void)epoch->transpile(bell, partition, topts, 8);
+  (void)epoch->transpile(bell, partition, topts, 9);
+  stats = epoch->cache_stats();
+  EXPECT_EQ(stats.refused, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
   (void)epoch->transpile(bell, partition, topts, 9);
   stats = epoch->cache_stats();
   EXPECT_EQ(stats.evictions, 1u);
