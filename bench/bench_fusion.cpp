@@ -18,9 +18,10 @@
 //                box (see meta.hw_threads) forcing 2 threads timeshares
 //                one core, so ratios <= 1 are expected and the threshold
 //                is left alone.
-//   channel_simd — ns per noise-channel pass (1q/2q depolarizing, thermal
-//                relaxation) over the superket, scalar vs AVX2 dispatch
-//                (rows appear only with the native kernels compiled in);
+//   channel_simd — ns per thermal-relaxation pass (apply_relaxation, the
+//                noisy-gate sweep without a gate) over every qubit of the
+//                superket, scalar vs AVX2 dispatch (rows appear only with
+//                the native kernels compiled in);
 //   plan_materialize — ns per CompiledProgram::compile (fusion walk +
 //                matrix products) vs materialize() of a prebuilt
 //                FusionPlan (products only): what the structural plan
@@ -336,9 +337,8 @@ std::vector<FusionRow> run_channel_simd_section() {
 
   // One superket pass per channel application; the state content does not
   // affect the arithmetic path, so an H ladder is enough to avoid
-  // denormal-heavy all-zero sweeps. Depolarizing runs kern::depolarize on
-  // the superket (the executor's depolarizing rides in apply_noisy_gate's
-  // sweep), relaxation the executor's own apply_relaxation.
+  // denormal-heavy all-zero sweeps. The executor's depolarizing rides in
+  // the gate's sweep, so only relaxation has a pass of its own.
   const auto make_state = [](int n) {
     Circuit c(n);
     for (int q = 0; q < n; ++q) c.h(q);
@@ -366,25 +366,8 @@ std::vector<FusionRow> run_channel_simd_section() {
     row.ns_new = native_ns;
     return row;
   };
-  const kern::DepolCoeffs depol1 = depolarizing_coeffs(0.01, 1);
-  const kern::DepolCoeffs depol2 = depolarizing_coeffs(0.01, 2);
   for (const int n : {5, smoke_mode() ? 6 : 7}) {
     const DensityMatrix dm = make_state(n);
-    const std::vector<cx> rho(dm.data().begin(), dm.data().end());
-    rows.push_back(channel_row(n, "dm_depol1_all_qubits", rho,
-                               [&](std::vector<cx>& r) {
-                                 for (int q = 0; q < n; ++q) {
-                                   const int one[] = {q};
-                                   kern::depolarize(r, n, one, depol1);
-                                 }
-                               }));
-    rows.push_back(channel_row(n, "dm_depol2_chain", rho,
-                               [&](std::vector<cx>& r) {
-                                 for (int q = 0; q + 1 < n; ++q) {
-                                   const int two[] = {q, q + 1};
-                                   kern::depolarize(r, n, two, depol2);
-                                 }
-                               }));
     rows.push_back(channel_row(n, "dm_relax_all_qubits", dm,
                                [&](DensityMatrix& d) {
                                  for (int q = 0; q < n; ++q) {

@@ -51,7 +51,7 @@ struct KernelResult {
   /// density_noisy_op rows: gate of the bundle; density_noisy_program
   /// rows: the program.
   std::string bundle;
-  /// density_noisy_op rows: "sequence" or "sweep"; density_noisy_program
+  /// density_noisy_op rows: "sweep"; density_noisy_program
   /// rows: "full" or "live".
   std::string form;
   int shots = 0;       ///< sample_counts rows: shots per call
@@ -85,7 +85,8 @@ FusedOp gate_op(int n, const Gate& g) {
 
 /// Density rows through the entry points the executor runs: a gate-only
 /// DensityMatrix::apply_noisy_gate (compiled op, no idle window, no
-/// depolarizing), kern::depolarize on the superket, apply_relaxation.
+/// depolarizing) and apply_relaxation. Only qubit n / 2 (and the 2q row's
+/// operands) are touched, so both walk the live subspace.
 std::vector<KernelResult> run_density_suite(int n) {
   std::vector<KernelResult> out;
   const std::size_t dim2 = (std::size_t{1} << n) * (std::size_t{1} << n);
@@ -110,17 +111,6 @@ std::vector<KernelResult> run_density_suite(int n) {
                      dm.apply_noisy_gate(cxop, q2, {}, 0.0);
                    })});
   }
-  for (const std::vector<int>& q : {q1, q2}) {
-    const int k = static_cast<int>(q.size());
-    if (k > n) continue;
-    const kern::DepolCoeffs depol = depolarizing_coeffs(0.01, k);
-    std::vector<cx> rho(prepared.data().begin(), prepared.data().end());
-    out.push_back({k == 1 ? "density_depolarizing_1q"
-                          : "density_depolarizing_2q",
-                   n, time_ns_per_op(reps, [&] {
-                     kern::depolarize(rho, n, q, depol);
-                   })});
-  }
   {
     DensityMatrix dm = prepared;
     out.push_back({"density_relaxation", n, time_ns_per_op(reps, [&] {
@@ -131,10 +121,9 @@ std::vector<KernelResult> run_density_suite(int n) {
 }
 
 /// One noisy executor op — idle relaxation on each operand, the gate,
-/// depolarizing — timed as the channel sequence (one sweep per channel and
-/// per 2q row/column pass: 3 sweeps for a 1q gate, 5 for CX) and as the
-/// single fused sweep (kern::apply_noisy_gate). Operands sit on local
-/// qubit 0 and n - 1, as in the executor's compacted partitions.
+/// depolarizing — as one kern::apply_noisy_gate sweep over the full
+/// superket. Operands sit on local qubit 0 and n - 1, as in the executor's
+/// compacted partitions.
 std::vector<KernelResult> run_noisy_op_suite(int n) {
   std::vector<KernelResult> out;
   const std::size_t dim2 = (std::size_t{1} << n) * (std::size_t{1} << n);
@@ -170,23 +159,7 @@ std::vector<KernelResult> run_noisy_op_suite(int n) {
     DensityMatrix init(n);
     init.apply_noisy_gate(fixed_kernel(GateKind::H), std::vector<int>{0}, {},
                           0.0);
-    const std::vector<cx> rho0(init.data().begin(), init.data().end());
-    std::vector<cx> rho = rho0;
-    const int row[2] = {q[0] + n, op.k() == 2 ? q[1] + n : q[0]};
-    out.push_back({"density_noisy_op", n, time_ns_per_op(reps, [&] {
-                     for (int j = 0; j < op.k(); ++j) {
-                       kern::relax1(rho, n, q[j], relax);
-                     }
-                     if (op.k() == 1) {
-                       kern::apply_compiled(rho, 2 * n, row, op.dm);
-                     } else {
-                       kern::apply_compiled(rho, 2 * n, row, op.sv);
-                       kern::apply_compiled(rho, 2 * n, q, op.dm);
-                     }
-                     kern::depolarize(rho, n, q, depol);
-                   }),
-                   b.name, "sequence"});
-    rho = rho0;
+    std::vector<cx> rho(init.data().begin(), init.data().end());
     out.push_back({"density_noisy_op", n, time_ns_per_op(reps, [&] {
                      kern::apply_noisy_gate(rho, n, g);
                    }),
@@ -291,7 +264,11 @@ std::vector<KernelResult> run_noisy_program() {
     for (const WalkOp& w : walk) {
       if (w.op == nullptr) {
         if (w.idle[0].duration_ns > 0.0) {
-          kern::relax1(rho, kQubits, w.q[0], relaxation_coeffs(w.idle[0]));
+          const kern::RelaxCoeffs relax = relaxation_coeffs(w.idle[0]);
+          kern::NoisyGate g;
+          g.qubits = std::span<const int>(w.q, 1);
+          g.relax[0] = &relax;
+          kern::apply_noisy_gate(rho, kQubits, g);
         }
         continue;
       }

@@ -41,12 +41,15 @@ void Calibration::validate(const Topology& topo) const {
       !std::all_of(cx_error.begin(), cx_error.end(), in_unit)) {
     throw std::invalid_argument("Calibration: error rate outside [0,1)");
   }
+  // T1/T2 may be infinite (no idle noise); a duration must be finite.
   auto positive = [](double v) { return v > 0.0; };
+  auto duration = [](double v) { return v > 0.0 && std::isfinite(v); };
   if (!std::all_of(t1_us.begin(), t1_us.end(), positive) ||
       !std::all_of(t2_us.begin(), t2_us.end(), positive) ||
-      !std::all_of(cx_duration_ns.begin(), cx_duration_ns.end(), positive) ||
-      q1_duration_ns <= 0.0 || readout_duration_ns <= 0.0) {
-    throw std::invalid_argument("Calibration: non-positive duration/time");
+      !std::all_of(cx_duration_ns.begin(), cx_duration_ns.end(), duration) ||
+      !duration(q1_duration_ns) || !duration(readout_duration_ns)) {
+    throw std::invalid_argument(
+        "Calibration: non-positive time or non-finite duration");
   }
 }
 

@@ -110,20 +110,27 @@ void DensityMatrix::apply_noisy_gate(const FusedOp& op,
     depol = depolarizing_coeffs(depol_p, k);
     g.depol = &depol;
   }
-  touched_ |= operands;
-  const std::size_t fresh = (dim_ - 1) & ~touched_;
-  g.zero = fresh | (fresh << num_qubits_);
-  g.tied = settled_;
-  kern::apply_noisy_gate(rho_, num_qubits_, g);
+  walk(g, operands);
 }
 
 void DensityMatrix::apply_relaxation(int qubit, double duration_ns,
                                      double t1_us, double t2_us) {
   check_qubits(std::span<const int>(&qubit, 1));
   if (duration_ns <= 0.0) return;
-  touched_ |= std::size_t{1} << qubit;
-  kern::relax1(rho_, num_qubits_, qubit,
-               relaxation_coeffs({duration_ns, t1_us, t2_us}));
+  const kern::RelaxCoeffs relax =
+      relaxation_coeffs({duration_ns, t1_us, t2_us});
+  kern::NoisyGate g;
+  g.qubits = std::span<const int>(&qubit, 1);
+  g.relax[0] = &relax;
+  walk(g, std::size_t{1} << qubit);
+}
+
+void DensityMatrix::walk(kern::NoisyGate g, std::size_t operands) {
+  touched_ |= operands;
+  const std::size_t fresh = (dim_ - 1) & ~touched_;
+  g.zero = fresh | (fresh << num_qubits_);
+  g.tied = settled_ & ~operands;
+  kern::apply_noisy_gate(rho_, num_qubits_, g);
 }
 
 void DensityMatrix::settle(int qubit) {

@@ -25,7 +25,8 @@
 //
 // The surface is what the executor runs: every gate enters as a compiled
 // FusedOp (sim/fusion.hpp), idle windows before measurements go through
-// apply_relaxation, and the result is read off the diagonal. Matrix-taking
+// apply_relaxation (the same sweep with relaxation only), and the result
+// is read off the diagonal. Matrix-taking
 // forms and invariants (trace, purity) that tests compare against live in
 // tests/reference_density.hpp.
 
@@ -49,9 +50,9 @@ struct Relaxation {
 
 /// The kernel coefficients of one idle window (duration_ns > 0) and of
 /// uniform depolarizing with parameter p on k qubits, as apply_noisy_gate
-/// and apply_relaxation derive them; tests feed them to kern::relax1 and
-/// kern::depolarize. Throw std::invalid_argument for non-positive T1/T2,
-/// p outside [0, 1], or channel parameters that leave [0, 1].
+/// and apply_relaxation derive them; tests feed them to
+/// kern::apply_noisy_gate. Throw std::invalid_argument for non-positive
+/// T1/T2, p outside [0, 1], or channel parameters that leave [0, 1].
 [[nodiscard]] kern::RelaxCoeffs relaxation_coeffs(const Relaxation& r);
 [[nodiscard]] kern::DepolCoeffs depolarizing_coeffs(double p, int k);
 
@@ -74,18 +75,18 @@ class DensityMatrix {
   /// parameter depol_p (0 = none): rho -> (1-p) rho + p/(4^k - 1) *
   /// sum_{P != I} P rho P over the k operands. With no idle windows and
   /// depol_p = 0 this is the plain unitary rho -> U rho U^dagger.
-  /// Bit-identical to kern::relax1 per operand, the gate's superket passes
-  /// and kern::depolarize applied in that order, which cost up to five
-  /// sweeps, on every entry the sweep keeps. Throws std::invalid_argument
-  /// for an operand that is settled.
+  /// Throws std::invalid_argument for an operand that is settled.
   void apply_noisy_gate(const FusedOp& op, std::span<const int> qubits,
                         std::span<const Relaxation> idle, double depol_p);
 
   /// Thermal relaxation on one qubit for duration_ns given T1/T2 in us.
   /// Amplitude damping followed by pure dephasing, fused into one
-  /// closed-form per-element pass (no Kraus matrices are built). The
-  /// executor calls this only for idle windows before measurements; idle
-  /// windows before gates ride in apply_noisy_gate's sweep.
+  /// closed-form per-element update (no Kraus matrices are built), run as
+  /// apply_noisy_gate's sweep without a gate over the same live subspace.
+  /// On a settled qubit only the entries whose row and column agree on
+  /// every other settled qubit are updated. The executor calls this only
+  /// for idle windows before measurements; idle windows before gates ride
+  /// in apply_noisy_gate's sweep.
   void apply_relaxation(int qubit, double duration_ns, double t1_us,
                         double t2_us);
 
@@ -104,6 +105,8 @@ class DensityMatrix {
   std::size_t settled_ = 0;  // local qubits past their last gate
 
   void check_qubits(std::span<const int> qubits) const;
+  /// Run g on rho's live subspace; `operands` are g's qubits as a mask.
+  void walk(kern::NoisyGate g, std::size_t operands);
 };
 
 }  // namespace qucp

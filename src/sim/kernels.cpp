@@ -281,8 +281,8 @@ void gate_quads(cx* a, std::size_t quads, int p0, int p1, std::size_t mh,
   });
 }
 
-// --- density noise channels. Scalar per-quad / per-block formulas, shared
-// by the single-channel sweeps and the fused noisy-gate sweep.
+// --- density noise channels: the scalar per-quad / per-block formulas of
+// the noisy-gate sweep.
 
 /// Relaxation on one quad (mr/mc = the qubit's row/column masks).
 inline void relax_quad(cx* rho, std::size_t base, std::size_t mr,
@@ -376,30 +376,41 @@ detail::NoisyPlan detail::make_plan(int n, const NoisyGate& g,
 
 namespace {
 
-/// Scalar fused noisy-gate sweep over blocks [begin, end).
-template <Tag T>
+/// Scalar noisy-gate sweep over blocks [begin, end) of a K-operand plan.
+template <Tag T, int K>
 void noisy_range_scalar(cx* rho, std::size_t begin, std::size_t end,
-                        const detail::NoisyPlan& p) {
+                        const detail::NoisyPlan& plan) {
+  constexpr int kQuads = K == 1 ? 1 : 4;  // quads per block and step
+  // Local copies: the stores through rho may alias the caller's plan and
+  // coefficients, which would reload them on every block.
+  const detail::NoisyPlan p = plan;
   const NoisyGate& g = p.gate;
-  std::size_t base = p.base(begin);
-  for (std::size_t t = begin; t < end; ++t, base = p.next(base)) {
-    for (int j = 0; j < p.k; ++j) {
+  RelaxCoeffs relax[K];
+  for (int j = 0; j < K; ++j) {
+    if (g.relax[j] != nullptr) relax[j] = *g.relax[j];
+  }
+  std::size_t c = p.counter(begin);
+  for (std::size_t t = begin; t < end; ++t, c = p.next(c)) {
+    const std::size_t base = p.base(c);
+    for (int j = 0; j < K; ++j) {
       if (g.relax[j] == nullptr) continue;
       const detail::NoisyPlan::Step& s = p.relax[j];
-      for (int i = 0; i < s.count; ++i) {
-        relax_quad(rho, base | s.off[i], s.mh, s.ml, *g.relax[j]);
+      for (int i = 0; i < kQuads; ++i) {
+        relax_quad(rho, base | s.off[i], s.mh, s.ml, relax[j]);
       }
     }
-    if (p.k == 2) {
+    if constexpr (K == 2) {
       for (int i = 0; i < 4; ++i) {
         gate_quad<T>(rho, base | p.row.off[i], p.row.mh, p.row.ml, *g.row);
       }
     }
-    for (int i = 0; i < p.col.count; ++i) {
-      gate_quad<T>(rho, base | p.col.off[i], p.col.mh, p.col.ml, *g.col);
+    if (g.col != nullptr) {
+      for (int i = 0; i < kQuads; ++i) {
+        gate_quad<T>(rho, base | p.col.off[i], p.col.mh, p.col.ml, *g.col);
+      }
     }
     if (g.depol == nullptr) continue;
-    if (p.k == 1) {
+    if constexpr (K == 1) {
       depol1_quad(rho, base, p.col.mh, p.col.ml, *g.depol);
     } else {
       depol2_block(rho, base, p.row_off, p.col_off, *g.depol);
@@ -505,61 +516,6 @@ void apply_compiled(std::span<cx> amps, int n, std::span<const int> targets,
   });
 }
 
-void relax1(std::span<cx> rho, int n, int q, const RelaxCoeffs& c) {
-  const int pc = q;      // column bit position in the superket
-  const int pr = q + n;  // row bit position
-  const std::size_t mc = std::size_t{1} << pc;
-  const std::size_t mr = std::size_t{1} << pr;
-  const std::size_t quads = rho.size() >> 2;
-  cx* r = rho.data();
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
-  if (native_kernels_active()) {
-    parallel_for_units(quads, pc >= 1, [&](std::size_t b, std::size_t e) {
-      detail::relax1_range_avx2(r, b, e, pc, pr, c);
-    });
-    return;
-  }
-#endif
-  parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
-      relax_quad(r, insert_bit(insert_bit(t, pc), pr), mr, mc, c);
-    }
-  });
-}
-
-void depolarize(std::span<cx> rho, int n, std::span<const int> qubits,
-                const DepolCoeffs& c) {
-  assert(qubits.size() == 1 || qubits.size() == 2);
-  NoisyGate g;
-  g.qubits = qubits;
-  const detail::NoisyPlan p = detail::make_plan(n, g, rho.size());
-  cx* r = rho.data();
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
-  if (native_kernels_active()) {
-    parallel_for_units(p.blocks, p.positions[0] >= 1,
-                       [&](std::size_t b, std::size_t e) {
-                         if (p.k == 1) {
-                           detail::depol1_range_avx2(r, b, e, p.positions[0],
-                                                     p.positions[1], c);
-                         } else {
-                           detail::depol2_range_avx2(r, b, e, p, c);
-                         }
-                       });
-    return;
-  }
-#endif
-  parallel_for(p.blocks, [&](std::size_t begin, std::size_t end) {
-    std::size_t base = p.base(begin);
-    for (std::size_t t = begin; t < end; ++t, base = p.next(base)) {
-      if (p.k == 1) {
-        depol1_quad(r, base, p.col.mh, p.col.ml, c);
-      } else {
-        depol2_block(r, base, p.row_off, p.col_off, c);
-      }
-    }
-  });
-}
-
 void apply_noisy_gate(std::span<cx> rho, int n, const NoisyGate& g) {
   assert(g.qubits.size() == 1 || g.qubits.size() == 2);
   assert(g.qubits.size() == 1 || g.row->tag == g.col->tag);
@@ -574,9 +530,14 @@ void apply_noisy_gate(std::span<cx> rho, int n, const NoisyGate& g) {
     return;
   }
 #endif
-  detail::with_tag2(g.col->tag, [&](auto tag) {
+  detail::with_tag2(p.tag(), [&](auto tag) {
+    constexpr Tag T = decltype(tag)::value;
     parallel_for(p.blocks, [&](std::size_t begin, std::size_t end) {
-      noisy_range_scalar<decltype(tag)::value>(r, begin, end, p);
+      if (p.k == 1) {
+        noisy_range_scalar<T, 1>(r, begin, end, p);
+      } else {
+        noisy_range_scalar<T, 2>(r, begin, end, p);
+      }
     });
   });
 }

@@ -19,11 +19,12 @@
 // A noisy executor op — idle relaxation on each operand, the gate,
 // depolarizing — updates rho in 2^k x 2^k local blocks over its operands'
 // row and column bits, so apply_noisy_gate runs the whole sequence block
-// by block in one sweep instead of one sweep per channel and per pass.
-// Each step applies the same per-quad / per-block formula as its
-// single-channel kernel (relax1, apply_compiled, depolarize), so the fused
-// result is bit-identical; both kernel TUs are compiled without
-// floating-point contraction so that holds wherever a formula is inlined.
+// by block in one sweep. It is the only kernel that applies noise to rho:
+// a pre-measurement idle window is a one-qubit NoisyGate with relaxation
+// and no gate pass. Each step applies one per-quad / per-block formula,
+// the same in every sweep it is part of; both kernel TUs are compiled
+// without floating-point contraction so that holds wherever a formula is
+// inlined.
 //
 // The sweep visits only the live blocks (NoisyGate::zero and ::tied): it
 // skips the entries of qubits no op has touched yet, which are exact
@@ -189,26 +190,14 @@ struct DepolCoeffs {
   double inv_ldim = 1.0;
 };
 
-/// Relaxation on qubit q of an n-qubit rho stored as a superket (column bit
-/// q, row bit q + n): one sweep over its 4^(n-1) quads.
-void relax1(std::span<cx> rho, int n, int q, const RelaxCoeffs& c);
-
-/// Depolarizing on one or two qubits (qubits[0] = high local bit) of an
-/// n-qubit superket rho: one sweep over its 2^k x 2^k local blocks. The
-/// executor depolarizes inside apply_noisy_gate's sweep; this standalone
-/// pass is the single-channel form that sweep is pinned against bit for
-/// bit.
-void depolarize(std::span<cx> rho, int n, std::span<const int> qubits,
-                const DepolCoeffs& c);
-
 /// One gate of the noisy density-matrix walk: optional relaxation on each
 /// operand (operand order), the compiled gate, then optional depolarizing,
 /// over the live entries of rho. Both masks must leave the operands' bits
 /// clear; 0 and 0 sweep every block.
 struct NoisyGate {
   std::span<const int> qubits;  ///< 1 or 2 local qubits; [0] = high bit
-  /// k == 1: the superket U (x) conj(U) on bits (q + n, q); k == 2: conj(U)
-  /// on the column bits.
+  /// k == 1: the superket U (x) conj(U) on bits (q + n, q), or null for no
+  /// gate pass; k == 2: conj(U) on the column bits.
   const CompiledUnitary* col = nullptr;
   /// k == 2 only: U on the row bits; must carry col's tag.
   const CompiledUnitary* row = nullptr;
@@ -225,18 +214,17 @@ struct NoisyGate {
 };
 
 /// Apply a NoisyGate in one sweep over the live 2^k x 2^k local blocks of
-/// an n-qubit superket rho. Every channel step runs the same per-quad /
-/// per-block formula as relax1, apply_compiled (row pass, then column
-/// pass) and depolarize, in that order, so the result is bit-identical to
-/// the multi-pass sequence — at one pass over rho instead of up to five.
+/// an n-qubit superket rho: relaxation per operand, the row pass, the
+/// column pass and depolarizing, in that order, each one per-quad /
+/// per-block formula — one pass over rho instead of up to five.
 void apply_noisy_gate(std::span<cx> rho, int n, const NoisyGate& g);
 
 namespace detail {
 
 /// A NoisyGate resolved against a superket: block layout, the bits the
 /// block index walks, plus, per step, the masks and in-block offsets of
-/// the quads it updates. Built once per apply_noisy_gate / depolarize call
-/// and shared by the scalar and AVX2 sweeps.
+/// the quads it updates. Built once per apply_noisy_gate call and shared
+/// by the scalar and AVX2 sweeps.
 struct NoisyPlan {
   /// One quad-level step: relaxation on one operand (mh = row mask, ml =
   /// column mask) or one gate pass (mh/ml = high/low operand masks).
@@ -257,30 +245,43 @@ struct NoisyPlan {
   std::size_t blocks = 0;
   Step relax[2];
   Step row;  ///< k == 2: U on the row bits
-  Step col;  ///< k == 1: the superket gate; k == 2: conj(U) on the columns
+  /// k == 1: the superket gate, or no pass when NoisyGate::col is null;
+  /// k == 2: conj(U) on the columns.
+  Step col;
   std::size_t row_off[4] = {};  ///< k == 2 depolarizing: row bits of s
   std::size_t col_off[4] = {};  ///< k == 2 depolarizing: column bits of s
   NoisyGate gate;
 
-  /// Superket index of block t's base: t's bits deposited into the free
-  /// bits in ascending order, plus the row twin of each set tied column
-  /// bit. It costs one step per bit of t, so a range body calls it once,
-  /// for its first block, and walks on with next().
-  [[nodiscard]] std::size_t base(std::size_t t) const noexcept {
-    std::size_t b = 0;
+  /// The walk's counter at block t: t's bits deposited into the free bits
+  /// in ascending order. It costs one step per bit of t, so a range body
+  /// calls it once, for its first block, and steps on with next().
+  [[nodiscard]] std::size_t counter(std::size_t t) const noexcept {
+    std::size_t c = 0;
     for (std::size_t m = free; t != 0; m &= m - 1, t >>= 1) {
-      if ((t & 1) != 0) b |= m & (~m + 1);
+      if ((t & 1) != 0) c |= m & (~m + 1);
     }
-    return b | ((b & tied) << n);
+    return c;
   }
 
-  /// The base of the block after the one at `b`, at one carry through the
-  /// fixed bits however many there are. Where the AVX2 body pairs blocks,
-  /// the pair's second block is b | 1 and the next pair starts at
-  /// next(b | 1).
-  [[nodiscard]] std::size_t next(std::size_t b) const noexcept {
-    const std::size_t f = ((b | ~free) + 1) & free;
-    return f | ((f & tied) << n);
+  /// The counter of the block after the one at counter c, at one carry
+  /// through the fixed bits however many there are. The counter leaves out
+  /// the tied row bits, so the chain from block to block is three
+  /// operations. Where the AVX2 body pairs blocks, the pair's second block
+  /// is at c | 1 and the next pair starts at next(c | 1).
+  [[nodiscard]] std::size_t next(std::size_t c) const noexcept {
+    return ((c | ~free) + 1) & free;
+  }
+
+  /// Superket index of the base of the block at counter c: c plus the row
+  /// twin of each set tied column bit.
+  [[nodiscard]] std::size_t base(std::size_t c) const noexcept {
+    return c | ((c & tied) << n);
+  }
+
+  /// The tag the sweeps specialize on. A walk with no gate pass takes
+  /// kCxPerm, whose unused gate body keeps the loop lightest.
+  [[nodiscard]] CompiledUnitary::Tag tag() const noexcept {
+    return gate.col != nullptr ? gate.col->tag : CompiledUnitary::Tag::kCxPerm;
   }
 };
 
@@ -331,16 +332,7 @@ void perm2_range_avx2(cx* a, std::size_t begin, std::size_t end,
                       std::size_t mh, std::size_t ml, int p0, int p1,
                       const CompiledUnitary& cu);
 
-// Range bodies of the density noise channels (real-scalar scaling of
-// superket elements — no complex products, so these vectorize into pure
-// mul/add streams) and of the fused noisy-gate sweep (`begin`/`end` count
-// blocks). `pc`/`pr` are the column/row superket bits of the target qubit.
-void relax1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
-                       int pr, const RelaxCoeffs& c);
-void depol1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
-                       int pr, const DepolCoeffs& c);
-void depol2_range_avx2(cx* rho, std::size_t begin, std::size_t end,
-                       const NoisyPlan& plan, const DepolCoeffs& c);
+// Range body of the noisy-gate sweep (`begin`/`end` count blocks).
 void noisy_range_avx2(cx* rho, std::size_t begin, std::size_t end,
                       const NoisyPlan& plan);
 

@@ -1,5 +1,5 @@
-// AVX2/FMA variants of the dense 1q/2q kernel range bodies, the density
-// noise channels and the fused noisy-gate sweep.
+// AVX2/FMA variants of the dense 1q/2q kernel range bodies and of the
+// noisy-gate sweep.
 //
 // This TU is compiled with -march=x86-64-v3 when the QUCP_NATIVE_KERNELS
 // CMake option is ON and contributes nothing otherwise, so the library
@@ -21,12 +21,12 @@
 // Every 4x4 and noise-channel update is written once as a register body:
 // a "paired" body for two adjacent quads (base, base | 1) when superket
 // bit 0 is not one of the update's bits, and a row / single-quad body
-// otherwise. The single-channel range kernels (load, body, store) and the
-// fused noisy sweep (load a block, run every step's body, store) choose
-// between them by the same rule, so each element sees the same
-// instructions either way. The TU is built with -ffp-contract=off: every
-// fused multiply-add is an explicit intrinsic, so no body's rounding
-// depends on the context it is inlined into.
+// otherwise. The gate range kernels (load, body, store) and the noisy
+// sweep (load a block, run every step's body, store) choose between them
+// by the same rule, so each element sees the same instructions either
+// way. The TU is built with -ffp-contract=off: every fused multiply-add
+// is an explicit intrinsic, so no body's rounding depends on the context
+// it is inlined into.
 
 #include "sim/kernels.hpp"
 
@@ -276,7 +276,7 @@ inline void depol1_rows(__m256d& r0, __m256d& r1, const DepolVecs& v) {
 // same element of block t + 1. kLowA / kLowB (operand a / b is local qubit
 // 0, so its column bit is superket bit 0): 8 registers with that column
 // bit across the lanes. Every step below picks the paired, row or single
-// body exactly as its single-channel sweep does for the same operands.
+// body by the rule noisy_quads and gate_range use for the same operands.
 enum class Layout { kPaired, kLowA, kLowB };
 
 template <Layout L>
@@ -421,27 +421,14 @@ struct Block2 {
   }
 };
 
-template <Layout L>
-void depol2_blocks(cx* rho, std::size_t begin, std::size_t end,
-                   const NoisyPlan& plan, const DepolVecs& v) {
-  double* const p = reinterpret_cast<double*>(rho);
-  const std::size_t stride = L == Layout::kPaired ? 2 : 1;
-  const std::size_t pair_bit = L == Layout::kPaired ? 1 : 0;
-  std::size_t base = plan.base(begin);
-  for (std::size_t t = begin; t < end;
-       t += stride, base = plan.next(base | pair_bit)) {
-    Block2<L> blk;
-    blk.load(p, base, plan);
-    blk.depol(v);
-    blk.store(p, base, plan);
-  }
-}
-
 /// The fused 2q sweep: per block (pair), load once, run relaxation on a
 /// and b, the row and column passes and depolarizing in registers, store.
 template <Tag T, Layout L>
 void noisy_blocks(cx* rho, std::size_t begin, std::size_t end,
-                  const NoisyPlan& plan) {
+                  const NoisyPlan& plan_ref) {
+  // A local copy: the intrinsic stores through rho may alias the caller's
+  // plan, which would reload its masks and pointers on every step.
+  const NoisyPlan plan = plan_ref;
   const NoisyGate& g = plan.gate;
   double* const p = reinterpret_cast<double*>(rho);
   const RelaxVecs ra = relax_vecs(g.relax[0] ? *g.relax[0] : RelaxCoeffs{});
@@ -451,9 +438,10 @@ void noisy_blocks(cx* rho, std::size_t begin, std::size_t end,
   const DepolVecs dv = depol_vecs(g.depol ? *g.depol : DepolCoeffs{});
   const std::size_t stride = L == Layout::kPaired ? 2 : 1;
   const std::size_t pair_bit = L == Layout::kPaired ? 1 : 0;
-  std::size_t base = plan.base(begin);
+  std::size_t c = plan.counter(begin);
   for (std::size_t t = begin; t < end;
-       t += stride, base = plan.next(base | pair_bit)) {
+       t += stride, c = plan.next(c | pair_bit)) {
+    const std::size_t base = plan.base(c);
     Block2<L> blk;
     blk.load(p, base, plan);
     if (g.relax[0] != nullptr) blk.relax_a(ra);
@@ -488,35 +476,38 @@ void with_layout(Layout l, F&& fn) {
 /// The fused 1q sweep over quads: paired (q >= 1) or as two row registers.
 template <Tag T>
 void noisy_quads(cx* rho, std::size_t begin, std::size_t end,
-                 const NoisyPlan& plan) {
+                 const NoisyPlan& plan_ref) {
+  const NoisyPlan plan = plan_ref;  // see noisy_blocks
   const NoisyGate& g = plan.gate;
   double* const p = reinterpret_cast<double*>(rho);
   const RelaxVecs rv = relax_vecs(g.relax[0] ? *g.relax[0] : RelaxCoeffs{});
-  const GateVecs gv = gate_vecs(*g.col);
+  const GateVecs gv = g.col != nullptr ? gate_vecs(*g.col) : GateVecs{};
   const DepolVecs dv = depol_vecs(g.depol ? *g.depol : DepolCoeffs{});
   const std::size_t mr = plan.col.mh;
   const std::size_t mc = plan.col.ml;
-  std::size_t base = plan.base(begin);
+  std::size_t c = plan.counter(begin);
   if (plan.positions[0] >= 1) {
-    for (std::size_t t = begin; t < end; t += 2, base = plan.next(base | 1)) {
+    for (std::size_t t = begin; t < end; t += 2, c = plan.next(c | 1)) {
+      const std::size_t base = plan.base(c);
       double* const q[4] = {p + 2 * base, p + 2 * (base | mc),
                             p + 2 * (base | mr), p + 2 * (base | mr | mc)};
       __m256d x[4] = {_mm256_loadu_pd(q[0]), _mm256_loadu_pd(q[1]),
                       _mm256_loadu_pd(q[2]), _mm256_loadu_pd(q[3])};
       if (g.relax[0] != nullptr) relax_pair(x[0], x[1], x[2], x[3], rv);
-      gate_pair<T>(x[0], x[1], x[2], x[3], *g.col, gv);
+      if (g.col != nullptr) gate_pair<T>(x[0], x[1], x[2], x[3], *g.col, gv);
       if (g.depol != nullptr) depol1_pair(x[0], x[1], x[2], x[3], dv);
       for (int i = 0; i < 4; ++i) _mm256_storeu_pd(q[i], x[i]);
     }
     return;
   }
-  for (std::size_t t = begin; t < end; ++t, base = plan.next(base)) {
+  for (std::size_t t = begin; t < end; ++t, c = plan.next(c)) {
+    const std::size_t base = plan.base(c);
     double* const q0 = p + 2 * base;
     double* const q1 = p + 2 * (base | mr);
     __m256d r0 = _mm256_loadu_pd(q0);  // [p00, p01]
     __m256d r1 = _mm256_loadu_pd(q1);  // [p10, p11]
     if (g.relax[0] != nullptr) relax_rows(r0, r1, rv);
-    gate_single<T>(r0, r1, *g.col, gv);
+    if (g.col != nullptr) gate_single<T>(r0, r1, *g.col, gv);
     if (g.depol != nullptr) depol1_rows(r0, r1, dv);
     _mm256_storeu_pd(q0, r0);
     _mm256_storeu_pd(q1, r1);
@@ -569,67 +560,9 @@ void perm2_range_avx2(cx* a, std::size_t begin, std::size_t end,
   gate_range<Tag::kPerm2>(a, begin, end, mh, ml, p0, p1, cu);
 }
 
-void relax1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
-                       int pr, const RelaxCoeffs& c) {
-  const std::size_t mc = std::size_t{1} << pc;
-  const std::size_t mr = std::size_t{1} << pr;
-  double* const p = reinterpret_cast<double*>(rho);
-  const RelaxVecs v = relax_vecs(c);
-  for (std::size_t t = begin; t < end; t += pc >= 1 ? 2 : 1) {
-    const std::size_t base = insert_bit(insert_bit(t, pc), pr);
-    if (pc >= 1) {
-      double* const q[4] = {p + 2 * base, p + 2 * (base | mc),
-                            p + 2 * (base | mr), p + 2 * (base | mr | mc)};
-      __m256d x[4] = {_mm256_loadu_pd(q[0]), _mm256_loadu_pd(q[1]),
-                      _mm256_loadu_pd(q[2]), _mm256_loadu_pd(q[3])};
-      relax_pair(x[0], x[1], x[2], x[3], v);
-      for (int i = 0; i < 4; ++i) _mm256_storeu_pd(q[i], x[i]);
-    } else {
-      __m256d r0 = _mm256_loadu_pd(p + 2 * base);
-      __m256d r1 = _mm256_loadu_pd(p + 2 * (base | mr));
-      relax_rows(r0, r1, v);
-      _mm256_storeu_pd(p + 2 * base, r0);
-      _mm256_storeu_pd(p + 2 * (base | mr), r1);
-    }
-  }
-}
-
-void depol1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
-                       int pr, const DepolCoeffs& c) {
-  const std::size_t mc = std::size_t{1} << pc;
-  const std::size_t mr = std::size_t{1} << pr;
-  double* const p = reinterpret_cast<double*>(rho);
-  const DepolVecs v = depol_vecs(c);
-  for (std::size_t t = begin; t < end; t += pc >= 1 ? 2 : 1) {
-    const std::size_t base = insert_bit(insert_bit(t, pc), pr);
-    if (pc >= 1) {
-      double* const q[4] = {p + 2 * base, p + 2 * (base | mc),
-                            p + 2 * (base | mr), p + 2 * (base | mr | mc)};
-      __m256d x[4] = {_mm256_loadu_pd(q[0]), _mm256_loadu_pd(q[1]),
-                      _mm256_loadu_pd(q[2]), _mm256_loadu_pd(q[3])};
-      depol1_pair(x[0], x[1], x[2], x[3], v);
-      for (int i = 0; i < 4; ++i) _mm256_storeu_pd(q[i], x[i]);
-    } else {
-      __m256d r0 = _mm256_loadu_pd(p + 2 * base);
-      __m256d r1 = _mm256_loadu_pd(p + 2 * (base | mr));
-      depol1_rows(r0, r1, v);
-      _mm256_storeu_pd(p + 2 * base, r0);
-      _mm256_storeu_pd(p + 2 * (base | mr), r1);
-    }
-  }
-}
-
-void depol2_range_avx2(cx* rho, std::size_t begin, std::size_t end,
-                       const NoisyPlan& plan, const DepolCoeffs& c) {
-  const DepolVecs v = depol_vecs(c);
-  with_layout(layout_of(plan), [&](auto l) {
-    depol2_blocks<decltype(l)::value>(rho, begin, end, plan, v);
-  });
-}
-
 void noisy_range_avx2(cx* rho, std::size_t begin, std::size_t end,
                       const NoisyPlan& plan) {
-  with_tag2(plan.gate.col->tag, [&](auto tag) {
+  with_tag2(plan.tag(), [&](auto tag) {
     constexpr Tag T = decltype(tag)::value;
     if (plan.k == 1) {
       noisy_quads<T>(rho, begin, end, plan);

@@ -92,6 +92,23 @@ TEST(Calibration, ValidateRejectsNonPositiveDurations) {
   cal.q1_duration_ns = 35.0;
   cal.t1_us[2] = -1.0;
   EXPECT_THROW(cal.validate(topo), std::invalid_argument);
+  cal.t1_us[2] = 80.0;
+  EXPECT_NO_THROW(cal.validate(topo));
+  // A NaN or infinite duration would make every schedule time NaN or
+  // infinite; each duration field is checked on its own.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    for (double* field :
+         {&cal.q1_duration_ns, &cal.readout_duration_ns,
+          &cal.cx_duration_ns[1]}) {
+      const double saved = *field;
+      *field = bad;
+      EXPECT_THROW(cal.validate(topo), std::invalid_argument) << bad;
+      *field = saved;
+    }
+  }
+  EXPECT_NO_THROW(cal.validate(topo));
 }
 
 TEST(Calibration, ValidateAcceptsANoiselessChip) {

@@ -627,14 +627,28 @@ TEST(NativeKernels, ScalarAndNativeChannelKernelsAgree) {
   if (!kern::native_kernels_active()) {
     GTEST_SKIP() << "native kernels not compiled/supported on this machine";
   }
-  // Noise-channel superket passes (depolarizing 1q/2q, thermal
-  // relaxation): the AVX2 bodies pre-fold c2 * inv_ldim into one
+  // Noise channels through kern::apply_noisy_gate (thermal relaxation and
+  // depolarizing on one qubit with no gate pass, depolarizing after a
+  // dense 2q gate): the AVX2 bodies pre-fold c2 * inv_ldim into one
   // fill_scale, so agreement is pinned at <= 1e-10 rather than bitwise.
   // Qubit 0 operands exercise the packed-lane (pc == 0) code paths; higher
   // qubits the full-width two-quad bodies.
   struct NativeReset {
     ~NativeReset() { kern::set_native_kernels(true); }
   } reset;
+  Circuit block(2);
+  block.ry(0.7, 0);
+  block.cx(0, 1);
+  block.rz(0.3, 1);
+  block.ry(1.3, 1);
+  const CompiledProgram entangler = CompiledProgram::compile(block);
+  const auto two_q = std::find_if(
+      entangler.ops().begin(), entangler.ops().end(),
+      [](const FusedOp& op) { return op.k() == 2; });
+  ASSERT_NE(two_q, entangler.ops().end());
+  const FusedOp& dense2 = *two_q;
+  ASSERT_EQ(dense2.dm.tag, kern::CompiledUnitary::Tag::kDense2);
+  const kern::DepolCoeffs depol2 = depolarizing_coeffs(0.02, 2);
   Rng rng(9911);
   for (int n = 2; n <= 6; ++n) {
     Circuit c(n);
@@ -656,14 +670,24 @@ TEST(NativeKernels, ScalarAndNativeChannelKernelsAgree) {
       std::vector<cx> rho(dm.data().begin(), dm.data().end());
       for (int q = 0; q < n; ++q) {
         const int one[] = {q};
-        kern::depolarize(rho, n, one,
-                         depolarizing_coeffs(0.015 + 0.004 * q, 1));
-        kern::relax1(rho, n, q,
-                     relaxation_coeffs({120.0 + 15.0 * q, 85.0, 70.0}));
+        const kern::RelaxCoeffs relax =
+            relaxation_coeffs({120.0 + 15.0 * q, 85.0, 70.0});
+        const kern::DepolCoeffs depol =
+            depolarizing_coeffs(0.015 + 0.004 * q, 1);
+        kern::NoisyGate g;
+        g.qubits = one;
+        g.relax[0] = &relax;
+        g.depol = &depol;
+        kern::apply_noisy_gate(rho, n, g);
       }
       for (int q = 0; q + 1 < n; ++q) {
         const int two[] = {q, q + 1};
-        kern::depolarize(rho, n, two, depolarizing_coeffs(0.02, 2));
+        kern::NoisyGate g;
+        g.qubits = two;
+        g.col = &dense2.dm;
+        g.row = &dense2.sv;
+        g.depol = &depol2;
+        kern::apply_noisy_gate(rho, n, g);
       }
       return rho;
     };

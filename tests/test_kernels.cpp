@@ -5,9 +5,12 @@
 // skip-scan base enumeration, per-call scratch, four-Kraus relaxation,
 // copy-based depolarizing. Every production entry point of the kernel
 // layer — compiled gates, DensityMatrix::apply_noisy_gate and
-// apply_relaxation, kern::depolarize — is pinned against them elementwise
-// to 1e-10 over random circuits on 1-8 qubits, plus
-// trace/purity/hermiticity invariants.
+// apply_relaxation, the depolarizing step of kern::apply_noisy_gate — is
+// pinned against them elementwise to 1e-10 over random circuits on 1-8
+// qubits, plus trace/purity/hermiticity invariants. The noisy sweep is
+// further pinned bit for bit against the scalar channel sequence of
+// tests/reference_kernels.hpp, and its live-subspace walk against the
+// same sweep with empty masks.
 
 #include "sim/kernels.hpp"
 
@@ -25,6 +28,7 @@
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
 #include "reference_density.hpp"
+#include "reference_kernels.hpp"
 #include "sim/density.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
@@ -307,6 +311,10 @@ TEST(KernelGolden, DepolarizingRandomSubsets) {
       ref.apply_unitary(gate_matrix(g), g.qubits);
     }
     std::vector<cx> rho(dm.data().begin(), dm.data().end());
+    // The sweep's depolarizing step, after no gate pass (k == 1) or the
+    // identity (k == 2).
+    const kern::CompiledUnitary identity =
+        kern::compile_unitary(Matrix::identity(4).data());
     for (int trial = 0; trial < 6; ++trial) {
       const int k = 1 + static_cast<int>(
                             rng.index(static_cast<std::size_t>(
@@ -316,7 +324,13 @@ TEST(KernelGolden, DepolarizingRandomSubsets) {
       rng.shuffle(qs);
       qs.resize(static_cast<std::size_t>(k));
       const double p = rng.uniform(0.0, 0.75);
-      kern::depolarize(rho, n, qs, depolarizing_coeffs(p, k));
+      const kern::DepolCoeffs depol = depolarizing_coeffs(p, k);
+      kern::NoisyGate g;
+      g.qubits = qs;
+      g.col = k == 2 ? &identity : nullptr;
+      g.row = k == 2 ? &identity : nullptr;
+      g.depol = &depol;
+      kern::apply_noisy_gate(rho, n, g);
       ref.apply_depolarizing(p, qs);
     }
     EXPECT_LT(max_abs_diff(rho, ref.rho), kTol) << "n=" << n;
@@ -399,7 +413,7 @@ TEST(KernelGolden, InsertBitEnumeratesBases) {
   }
 }
 
-// --- Fused noisy-gate sweep: bitwise equal to the channel sequence. ---
+// --- Noisy-gate sweep: bitwise equal to the scalar channel sequence. ---
 
 /// Random mixed state: a weighted sum of three random pure projectors.
 std::vector<cx> random_mixed_rho(int n, Rng& rng) {
@@ -419,25 +433,6 @@ std::vector<cx> random_mixed_rho(int n, Rng& rng) {
   }
   for (cx& v : rho) v /= total * static_cast<double>(dim);
   return rho;
-}
-
-/// The multi-pass channel sequence the fused sweep replaces: relaxation per
-/// operand, the compiled gate (row pass, then column pass), depolarizing —
-/// each a full sweep.
-void channel_sequence(std::vector<cx>& rho, int n, const FusedOp& op,
-                      std::span<const int> q, const kern::NoisyGate& g) {
-  for (std::size_t j = 0; j < q.size(); ++j) {
-    if (g.relax[j] != nullptr) kern::relax1(rho, n, q[j], *g.relax[j]);
-  }
-  if (q.size() == 1) {
-    const int t[2] = {q[0] + n, q[0]};
-    kern::apply_compiled(rho, 2 * n, t, op.dm);
-  } else {
-    const int row[2] = {q[0] + n, q[1] + n};
-    kern::apply_compiled(rho, 2 * n, row, op.sv);
-    kern::apply_compiled(rho, 2 * n, q, op.dm);
-  }
-  if (g.depol != nullptr) kern::depolarize(rho, n, q, *g.depol);
 }
 
 bool same_bits(const std::vector<cx>& a, const std::vector<cx>& b) {
@@ -473,6 +468,8 @@ std::vector<FusedOp> noisy_test_ops(std::span<const int> q) {
 }
 
 TEST(NoisyGateSweep, BitIdenticalToChannelSequence) {
+  // The scalar sweep equals the scalar channel sequence bit for bit; the
+  // AVX2 sweep (explicit FMAs) agrees with it to rounding.
   using Tag = kern::CompiledUnitary::Tag;
   const bool native = kern::native_kernels_active();
   const kern::RelaxCoeffs relax_c[2] = {{0.013, 0.981, 0.987},
@@ -500,27 +497,40 @@ TEST(NoisyGateSweep, BitIdenticalToChannelSequence) {
         const double pauli = k == 1 ? 4.0 : 16.0;
         const double c2 = 0.02 * pauli / (pauli - 1.0);
         const kern::DepolCoeffs depol_c{1.0 - c2, c2, k == 1 ? 0.5 : 0.25};
-        for (const FusedOp& op : noisy_test_ops(q)) {
-          seen.push_back(op.dm.tag);
+        std::vector<const FusedOp*> gates;
+        if (k == 1) gates.push_back(nullptr);  // no gate pass
+        const std::vector<FusedOp> ops = noisy_test_ops(q);
+        for (const FusedOp& op : ops) gates.push_back(&op);
+        for (const FusedOp* op : gates) {
+          if (op != nullptr) seen.push_back(op->dm.tag);
           for (int mask = 0; mask < (1 << (k + 1)); ++mask) {
             kern::NoisyGate g;
             g.qubits = q;
-            g.col = &op.dm;
-            g.row = k == 2 ? &op.sv : nullptr;
+            g.col = op != nullptr ? &op->dm : nullptr;
+            g.row = k == 2 ? &op->sv : nullptr;
             for (int j = 0; j < k; ++j) {
               if ((mask >> j) & 1) g.relax[j] = &relax_c[j];
             }
             if ((mask >> k) & 1) g.depol = &depol_c;
             std::vector<cx> want = rho0;
-            channel_sequence(want, n, op, q, g);
+            kern::set_native_kernels(false);
+            reference::channel_sequence(want, n, g);
+            kern::set_native_kernels(mode);
             std::vector<cx> got = rho0;
             kern::apply_noisy_gate(got, n, g);
-            EXPECT_TRUE(same_bits(got, want))
-                << "native=" << mode << " n=" << n << " q=" << q[0]
-                << (k == 2 ? "," + std::to_string(q[1]) : "")
-                << " tag=" << static_cast<int>(op.dm.tag)
-                << " mask=" << mask
-                << " max|diff|=" << max_abs_diff(got, want);
+            const std::string where =
+                "native=" + std::to_string(mode) + " n=" + std::to_string(n) +
+                " q=" + std::to_string(q[0]) +
+                (k == 2 ? "," + std::to_string(q[1]) : "") + " tag=" +
+                (op != nullptr ? std::to_string(static_cast<int>(op->dm.tag))
+                               : "none") +
+                " mask=" + std::to_string(mask);
+            if (mode) {
+              EXPECT_LT(max_abs_diff(got, want), 1e-14) << where;
+            } else {
+              EXPECT_TRUE(same_bits(got, want))
+                  << where << " max|diff|=" << max_abs_diff(got, want);
+            }
             ++cases;
           }
         }
@@ -537,9 +547,13 @@ TEST(NoisyGateSweep, BitIdenticalToChannelSequence) {
 }
 
 TEST(NoisyGateSweep, DensityEntryPointMatchesSequentialCalls) {
-  // DensityMatrix::apply_noisy_gate against the single-channel kernels on
-  // a superket, each fed the coefficients the entry point derives:
-  // relaxation per operand, the compiled gate, depolarizing.
+  // DensityMatrix::apply_noisy_gate against the scalar channel sequence on
+  // a superket, fed the coefficients the entry point derives: relaxation
+  // per operand, the compiled gate, depolarizing. Both run scalar.
+  struct NativeReset {
+    ~NativeReset() { kern::set_native_kernels(true); }
+  } reset;
+  kern::set_native_kernels(false);
   for (int n = 2; n <= 5; ++n) {
     Circuit c(n);
     c.h(0);
@@ -561,6 +575,9 @@ TEST(NoisyGateSweep, DensityEntryPointMatchesSequentialCalls) {
                              p);
       kern::RelaxCoeffs relax[2];
       kern::NoisyGate g;
+      g.qubits = q;
+      g.col = &op.dm;
+      g.row = op.k() == 2 ? &op.sv : nullptr;
       for (std::size_t j = 0; j < q.size(); ++j) {
         if (idle[j].duration_ns <= 0.0) continue;
         relax[j] = relaxation_coeffs(idle[j]);
@@ -568,7 +585,7 @@ TEST(NoisyGateSweep, DensityEntryPointMatchesSequentialCalls) {
       }
       const kern::DepolCoeffs depol = depolarizing_coeffs(p, op.k());
       g.depol = &depol;
-      channel_sequence(seq, n, op, q, g);
+      reference::channel_sequence(seq, n, g);
     }
     ASSERT_EQ(fused.data().size(), seq.size());
     EXPECT_EQ(std::memcmp(fused.data().data(), seq.data(),
@@ -607,6 +624,14 @@ bool same_up_to_zero_sign(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0 || (a == 0.0 && b == 0.0);
 }
 
+/// Pre-measurement relaxations a live sequence ran, by AVX2 layout (on
+/// qubit 0 unpaired, above it paired) and on a settled qubit.
+struct RelaxSeen {
+  int qubit0 = 0;
+  int above0 = 0;
+  int settled = 0;
+};
+
 /// One random noisy-gate sequence on n qubits, run through a DensityMatrix
 /// and through kern::apply_noisy_gate with empty masks on a superket.
 /// Qubits are first touched one by one at random points, and each may be
@@ -615,7 +640,7 @@ bool same_up_to_zero_sign(double a, double b) {
 /// to column on every settled qubit) must agree, and every entry of an
 /// untouched qubit must still be zero. Returns the ops checked.
 int check_live_sequence(int n, Rng& rng, bool relax_on, bool depol_on,
-                        const std::string& label) {
+                        const std::string& label, RelaxSeen& seen) {
   DensityMatrix dm(n);
   std::vector<cx> full(dm.data().begin(), dm.data().end());
   std::vector<int> first_touch(static_cast<std::size_t>(n));
@@ -641,7 +666,13 @@ int check_live_sequence(int n, Rng& rng, bool relax_on, bool depol_on,
       const int q = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
       const Relaxation r{rng.uniform(5.0, 60.0), 80.0, 70.0};
       dm.apply_relaxation(q, r.duration_ns, r.t1_us, r.t2_us);
-      kern::relax1(full, n, q, relaxation_coeffs(r));
+      const kern::RelaxCoeffs relax = relaxation_coeffs(r);
+      kern::NoisyGate g;
+      g.qubits = std::span<const int>(&q, 1);
+      g.relax[0] = &relax;
+      kern::apply_noisy_gate(full, n, g);
+      ++(q == 0 ? seen.qubit0 : seen.above0);
+      if (((settled >> q) & 1U) != 0) ++seen.settled;
       touched |= std::size_t{1} << q;
       what = "relax q" + std::to_string(q);
     } else if (!open.empty()) {
@@ -723,6 +754,7 @@ TEST(NoisyGateSweep, LiveSubspaceMatchesFullSweep) {
   int checked = 0;
   for (const bool mode : modes) {
     kern::set_native_kernels(mode);
+    RelaxSeen seen;
     for (int noise = 0; noise < 4; ++noise) {
       const bool relax_on = (noise & 1) != 0;
       const bool depol_on = (noise & 2) != 0;
@@ -732,21 +764,25 @@ TEST(NoisyGateSweep, LiveSubspaceMatchesFullSweep) {
       for (int n = 2; n <= 7; ++n) {
         for (int seq = 0; seq < 4; ++seq) {
           Rng rng(9100 + static_cast<std::uint64_t>(100 * n + seq));
-          checked += check_live_sequence(n, rng, relax_on, depol_on, label);
+          checked +=
+              check_live_sequence(n, rng, relax_on, depol_on, label, seen);
         }
       }
     }
+    EXPECT_GT(seen.qubit0, 0) << "native=" << mode;
+    EXPECT_GT(seen.above0, 0) << "native=" << mode;
+    EXPECT_GT(seen.settled, 0) << "native=" << mode;
   }
   kern::set_native_kernels(true);
   EXPECT_GE(checked, 400 * static_cast<int>(modes.size()));
 }
 
 TEST(NoisyGateSweep, LivePlanEnumeratesExactlyTheLiveBlocks) {
-  // At n = 10, with masked and tied bits: base(t) for any t — the first
-  // block of a parallel_for chunk starting at t — equals the walk of
-  // next() from block 0, and the walk visits exactly the bases with the
-  // block bits clear, the zero bits clear and every tied row bit equal to
-  // its column bit, each once. Superket bit 0 stays free.
+  // At n = 10, with masked and tied bits: counter(t) for any t — the
+  // first block of a parallel_for chunk starting at t — equals the walk of
+  // next() from block 0, and the bases of the walk are exactly the indices
+  // with the block bits clear, the zero bits clear and every tied row bit
+  // equal to its column bit, each once. Superket bit 0 stays free.
   const int n = 10;
   const std::size_t size = std::size_t{1} << (2 * n);
   struct Case {
@@ -787,11 +823,13 @@ TEST(NoisyGateSweep, LivePlanEnumeratesExactlyTheLiveBlocks) {
     EXPECT_EQ(plan.blocks, size >> (2 * c.q.size()));
     ASSERT_EQ(live.blocks, want.size());
     if ((block_bits & 1) == 0) EXPECT_EQ(live.free & 1, 1U);
-    std::vector<std::size_t> walked{live.base(0)};
+    std::size_t counter = live.counter(0);
+    std::vector<std::size_t> walked{live.base(counter)};
     int bad = 0;
     for (std::size_t t = 1; t < live.blocks; ++t) {
-      walked.push_back(live.next(walked.back()));
-      bad += live.base(t) == walked.back() ? 0 : 1;
+      counter = live.next(counter);
+      walked.push_back(live.base(counter));
+      bad += live.counter(t) == counter ? 0 : 1;
     }
     EXPECT_EQ(bad, 0) << "q0=" << c.q[0];
     std::sort(walked.begin(), walked.end());
@@ -803,7 +841,7 @@ TEST(NoisyGateSweep, ChunkedLiveSweepMatchesSerialSweep) {
   // n = 10, a 1q op with one bit masked: 2^17 blocks, which parallel_for
   // splits into two chunks when the cap allows (on qubit 0 the AVX2 body
   // is unpaired, so the native sweep splits too). The second chunk starts
-  // mid-walk at base(begin); the result must match the one-chunk sweep
+  // mid-walk at counter(begin); the result must match the one-chunk sweep
   // bit for bit. Cases: the zero row bit of an untouched qubit 0, and one
   // tied qubit.
   const int n = 10;
