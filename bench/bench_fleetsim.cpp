@@ -11,22 +11,23 @@
 // footprints: each class is partitioned (QuCP), transpiled onto its
 // partition, and ALAP-scheduled on every device, so the simulator's
 // makespans carry the same topology and calibration signal the online
-// path sees. Three arrival shapes (Poisson / bursty MMPP-2 / diurnal)
-// cross four routing policies; every run is a pure function of the seed,
-// and the determinism contract (same seed => identical trace hash) is
-// re-checked here while the artifact is produced.
+// path sees. The simulator plans every dispatch cycle with the service's
+// FleetScheduler over these devices, so batching, routing and each job's
+// EFS are the service's. Three arrival shapes (Poisson / bursty MMPP-2 /
+// diurnal) cross four routing policies; every run is a pure function of
+// the seed, and the determinism contract (same seed => identical trace
+// hash) is re-checked here while the artifact is produced.
 //
 // Writes BENCH_fleetsim.json (schema qucp-bench-fleetsim-v1, shared meta
 // block). The acceptance bar — ExpectedLatency beats both LeastLoaded and
-// BestEfs on modeled p95 latency under bursty traffic — is enforced at
-// exit like bench_fleet's throughput bar. CI runs smoke mode (~10k jobs);
+// BestEfs on modeled p95 latency under at least one arrival shape — is
+// enforced at exit like bench_fleet's throughput bar. CI runs smoke mode (~10k jobs);
 // the committed artifact is the full 1M-job sweep.
 
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,50 +63,36 @@ constexpr const char* kClasses[] = {"bell", "4mod", "lin",   "alu",
                                     "var",  "qec",  "adder", "fred"};
 constexpr double kWeights[] = {4.0, 3.0, 3.0, 2.0, 2.0, 2.0, 1.0, 1.0};
 
-std::vector<Device> make_fleet() {
-  std::vector<Device> fleet;
-  fleet.push_back(make_toronto27());
-  fleet.push_back(make_toronto27());
-  fleet.push_back(make_manhattan65());
-  fleet.push_back(make_manhattan65());
-  return fleet;
+BackendRegistry make_fleet() {
+  return BackendRegistry({make_toronto27(), make_toronto27(),
+                          make_manhattan65(), make_manhattan65()});
 }
 
 /// Real per-device footprints: partition with QuCP, transpile onto the
 /// chosen partition, ALAP-schedule on the device. The simulator then
 /// replays these exact makespans — no shape heuristics in the artifact.
-std::vector<SimJobClass> build_classes(const std::vector<Device>& fleet) {
+std::vector<SimJobClass> build_classes(const BackendRegistry& fleet) {
   const auto partitioner = make_partitioner(Method::QuCP, 4.0, std::nullopt);
-  // One epoch per device; epochs own mutexes and a deque never moves them.
-  std::deque<CalibrationEpoch> epochs;
-  for (const Device& d : fleet) {
-    epochs.emplace_back(0, d, kDefaultCacheBudgetBytes);
-  }
-
   std::vector<SimJobClass> classes;
   for (const char* name : kClasses) {
     const BenchmarkSpec& spec = get_benchmark(name);
-    const ProgramShape shape = shape_of(spec.circuit);
-    SimJobClass cls;
-    cls.name = name;
-    cls.qubits = shape.num_qubits;
+    SimJobClass cls{name, shape_of(spec.circuit),
+                    circuit_fingerprint(spec.circuit), {}};
     for (std::size_t d = 0; d < fleet.size(); ++d) {
-      const Device& device = fleet[d];
-      const CandidateIndex* index = &epochs[d].candidate_index();
-      const auto efs = solo_efs_score(device, *partitioner, shape, index);
-      if (!efs) {
+      const auto epoch = fleet.at(d).epoch();
+      const Device& device = epoch->device();
+      const ProgramShape shapes[] = {cls.shape};
+      const auto alloc = partitioner->allocate(device, shapes,
+                                               &epoch->candidate_index());
+      if (!alloc) {
         cls.makespan_ns.push_back(-1.0);
-        cls.efs.push_back(0.0);
         continue;
       }
-      const ProgramShape shapes[] = {shape};
-      const auto alloc = partitioner->allocate(device, shapes, index);
-      const TranspiledProgram tp = epochs[d].transpile(
+      const TranspiledProgram tp = epoch->transpile(
           spec.circuit, (*alloc)[0].qubits, hardware_aware_options(), 0);
       cls.makespan_ns.push_back(
           schedule_circuit(tp.physical, device, SchedulePolicy::ALAP)
               .makespan_ns);
-      cls.efs.push_back(*efs);
     }
     classes.push_back(std::move(cls));
   }
@@ -188,7 +175,8 @@ void write_json(const std::vector<SimRow>& rows,
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"qubits\": %d, \"weight\": %.1f, "
                  "\"makespan_ns\": [",
-                 bench::json_escape(c.name).c_str(), c.qubits, kWeights[i]);
+                 bench::json_escape(c.name).c_str(), c.shape.num_qubits,
+                 kWeights[i]);
     for (std::size_t d = 0; d < c.makespan_ns.size(); ++d) {
       std::fprintf(f, "%s%.1f", d > 0 ? ", " : "", c.makespan_ns[d]);
     }
@@ -229,7 +217,7 @@ constexpr RoutePolicy kPolicies[] = {
 
 void print_fleetsim_tables() {
   const std::size_t jobs = smoke_mode() ? 10'000 : 1'000'000;
-  const std::vector<Device> fleet = make_fleet();
+  const BackendRegistry fleet = make_fleet();
   const std::vector<SimJobClass> classes = build_classes(fleet);
 
   std::vector<SimRow> rows;
@@ -254,7 +242,7 @@ void print_fleetsim_tables() {
       sopts.policy = policy;
       sopts.max_batch_size = 4;
       sopts.model.shots = 4096;
-      const FleetSimulator sim(classes, fleet.size(), sopts);
+      const FleetSimulator sim(classes, fleet, sopts);
 
       const auto t0 = std::chrono::steady_clock::now();
       const SimTrace trace = sim.run(arrivals);
@@ -263,7 +251,7 @@ void print_fleetsim_tables() {
       SimRow row;
       row.scenario = scenario;
       row.policy = std::string(route_policy_name(policy));
-      row.summary = summarize(trace, classes, fleet.size());
+      row.summary = summarize(trace);
       row.wall_ms =
           std::chrono::duration<double, std::milli>(t1 - t0).count();
 
@@ -309,10 +297,11 @@ void print_fleetsim_tables() {
     }
   }
   std::printf(
-      "\nLatency is modeled waiting + execution per job; the tail\n"
-      "percentiles separate the policies — queue-blind routing parks the\n"
-      "tail behind whichever chip it saturates, and ExpectedLatency's\n"
-      "modeled-wait scoring is what avoids that.\n");
+      "\nLatency is modeled waiting + execution per job. Below saturation\n"
+      "the tail percentiles separate the policies — queue-blind routing\n"
+      "parks the tail behind whichever chip it overloads, and\n"
+      "ExpectedLatency's modeled-wait scoring avoids that; past it the\n"
+      "queue, not the routing, dominates.\n");
 
   if (!el_wins_somewhere) {
     std::fprintf(stderr,
@@ -328,14 +317,14 @@ void print_fleetsim_tables() {
 // of wall clock) on a 10k-job Poisson stream per policy.
 void sim_throughput(benchmark::State& state) {
   const auto policy = static_cast<RoutePolicy>(state.range(0));
-  const std::vector<Device> fleet = make_fleet();
+  const BackendRegistry fleet = make_fleet();
   const std::vector<SimJobClass> classes = build_classes(fleet);
   const std::vector<Arrival> arrivals =
       generate_arrivals(make_scenario("poisson"), 10'000, kSeed);
   SimOptions sopts;
   sopts.policy = policy;
   sopts.model.shots = 4096;
-  const FleetSimulator sim(classes, fleet.size(), sopts);
+  const FleetSimulator sim(classes, fleet, sopts);
   for (auto _ : state) {
     const SimTrace trace = sim.run(arrivals);
     benchmark::DoNotOptimize(trace.horizon_s);

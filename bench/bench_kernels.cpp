@@ -83,10 +83,21 @@ FusedOp gate_op(int n, const Gate& g) {
   return CompiledProgram::compile(c).ops().front();
 }
 
+/// An n-qubit density matrix with an H applied to every qubit: every
+/// qubit is touched, so a walk over it visits all 4^n entries, as an
+/// executor walk does once a program has touched its whole partition.
+DensityMatrix all_touched(int n) {
+  DensityMatrix dm(n);
+  for (int q = 0; q < n; ++q) {
+    dm.apply_noisy_gate(gate_op(n, {GateKind::H, {q}, {}}),
+                        std::vector<int>{q}, {}, 0.0);
+  }
+  return dm;
+}
+
 /// Density rows through the entry points the executor runs: a gate-only
 /// DensityMatrix::apply_noisy_gate (compiled op, no idle window, no
-/// depolarizing) and apply_relaxation. Only qubit n / 2 (and the 2q row's
-/// operands) are touched, so both walk the live subspace.
+/// depolarizing) and apply_relaxation, each on an all_touched() state.
 std::vector<KernelResult> run_density_suite(int n) {
   std::vector<KernelResult> out;
   const std::size_t dim2 = (std::size_t{1} << n) * (std::size_t{1} << n);
@@ -95,18 +106,17 @@ std::vector<KernelResult> run_density_suite(int n) {
   const std::vector<int> q1{n / 2};
   const std::vector<int> q2{0, n - 1};
   const FusedOp h = gate_op(n, {GateKind::H, {n / 2}, {}});
-  DensityMatrix prepared(n);
-  prepared.apply_noisy_gate(h, q1, {}, 0.0);
+  const DensityMatrix prepared = all_touched(n);
 
   {
-    DensityMatrix dm(n);
+    DensityMatrix dm = prepared;
     out.push_back({"density_gate_1q", n, time_ns_per_op(reps, [&] {
                      dm.apply_noisy_gate(h, q1, {}, 0.0);
                    })});
   }
   if (n >= 2) {
     const FusedOp cxop = gate_op(n, {GateKind::CX, {0, n - 1}, {}});
-    DensityMatrix dm(n);
+    DensityMatrix dm = prepared;
     out.push_back({"density_gate_2q", n, time_ns_per_op(reps, [&] {
                      dm.apply_noisy_gate(cxop, q2, {}, 0.0);
                    })});
@@ -454,7 +464,7 @@ void print_kernel_grid() {
 // canonical record; these give perf-diff-friendly console output).
 void BM_DensityGate1q(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  DensityMatrix dm(n);
+  DensityMatrix dm = all_touched(n);
   const std::vector<int> q{n / 2};
   const FusedOp h = gate_op(n, {GateKind::H, {n / 2}, {}});
   for (auto _ : state) dm.apply_noisy_gate(h, q, {}, 0.0);
@@ -463,7 +473,7 @@ BENCHMARK(BM_DensityGate1q)->Arg(4)->Arg(8);
 
 void BM_DensityGate2q(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  DensityMatrix dm(n);
+  DensityMatrix dm = all_touched(n);
   const std::vector<int> q{0, n - 1};
   const FusedOp cxop = gate_op(n, {GateKind::CX, {0, n - 1}, {}});
   for (auto _ : state) dm.apply_noisy_gate(cxop, q, {}, 0.0);
@@ -472,9 +482,7 @@ BENCHMARK(BM_DensityGate2q)->Arg(4)->Arg(8);
 
 void BM_DensityRelaxation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  DensityMatrix dm(n);
-  const std::vector<int> q{n / 2};
-  dm.apply_noisy_gate(gate_op(n, {GateKind::H, {n / 2}, {}}), q, {}, 0.0);
+  DensityMatrix dm = all_touched(n);
   for (auto _ : state) dm.apply_relaxation(n / 2, 35.0, 80.0, 70.0);
 }
 BENCHMARK(BM_DensityRelaxation)->Arg(4)->Arg(8);

@@ -100,11 +100,17 @@ bool Rng::bernoulli(double p) {
 std::size_t Rng::discrete(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("Rng::discrete: negative weight");
+    // Written so NaN fails too: it would poison the total and send every
+    // draw to the last index.
+    if (!(w >= 0.0 && std::isfinite(w))) {
+      throw std::invalid_argument(
+          "Rng::discrete: weight negative or not finite");
+    }
     total += w;
   }
-  if (total <= 0.0) {
-    throw std::invalid_argument("Rng::discrete: all weights zero");
+  if (!(total > 0.0 && std::isfinite(total))) {
+    throw std::invalid_argument(
+        "Rng::discrete: weights sum to zero or overflow");
   }
   double r = uniform() * total;
   double acc = 0.0;

@@ -111,8 +111,9 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   [[nodiscard]] bool bernoulli(double p);
 
-  /// Sample an index from a discrete distribution given non-negative
-  /// weights. Requires at least one strictly positive weight.
+  /// Sample an index from a discrete distribution given finite,
+  /// non-negative weights with a positive finite sum; throws
+  /// std::invalid_argument otherwise.
   [[nodiscard]] std::size_t discrete(std::span<const double> weights);
 
   /// Fisher-Yates shuffle.

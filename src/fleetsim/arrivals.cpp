@@ -16,27 +16,33 @@ double exponential(Rng& rng, double rate) {
   return -std::log(1.0 - rng.uniform()) / rate;
 }
 
+/// True for a finite value > 0; false for NaN.
+bool positive_finite(double v) { return v > 0.0 && std::isfinite(v); }
+
 void validate(const ArrivalConfig& config) {
-  if (!(config.rate_per_s > 0.0)) {
-    throw std::invalid_argument("generate_arrivals: rate_per_s must be > 0");
+  if (!positive_finite(config.rate_per_s)) {
+    throw std::invalid_argument(
+        "generate_arrivals: rate_per_s must be finite and > 0");
   }
   if (config.class_weights.empty()) {
     throw std::invalid_argument("generate_arrivals: empty class_weights");
   }
   if (config.kind == ArrivalKind::Bursty) {
-    if (!(config.burst_factor >= 1.0) || !(config.calm_mean_s > 0.0) ||
-        !(config.burst_mean_s > 0.0)) {
+    if (!(config.burst_factor >= 1.0) ||
+        !std::isfinite(config.burst_factor) ||
+        !positive_finite(config.calm_mean_s) ||
+        !positive_finite(config.burst_mean_s)) {
       throw std::invalid_argument(
-          "generate_arrivals: bursty config needs burst_factor >= 1 and "
-          "positive phase sojourns");
+          "generate_arrivals: bursty config needs a finite burst_factor >= 1 "
+          "and finite positive phase sojourns");
     }
   }
   if (config.kind == ArrivalKind::Diurnal) {
     if (!(config.diurnal_depth >= 0.0) || !(config.diurnal_depth < 1.0) ||
-        !(config.diurnal_period_s > 0.0)) {
+        !positive_finite(config.diurnal_period_s)) {
       throw std::invalid_argument(
           "generate_arrivals: diurnal config needs depth in [0, 1) and a "
-          "positive period");
+          "finite positive period");
     }
   }
 }

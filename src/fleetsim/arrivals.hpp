@@ -36,7 +36,7 @@ enum class ArrivalKind { Poisson, Bursty, Diurnal };
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::Poisson;
   /// Base arrival rate in jobs per second (the calm-phase rate for Bursty,
-  /// the mean rate for Diurnal). Must be > 0.
+  /// the mean rate for Diurnal). Must be finite and > 0.
   double rate_per_s = 1.0;
 
   // Bursty (MMPP-2) knobs.
@@ -49,7 +49,8 @@ struct ArrivalConfig {
   double diurnal_depth = 0.8;  ///< in [0, 1); 0 degenerates to Poisson
 
   /// Job-class mixing weights; arrivals sample class ids from this
-  /// discrete distribution. Must be non-empty with a positive total.
+  /// discrete distribution. Must be non-empty, finite and non-negative,
+  /// with a positive total.
   std::vector<double> class_weights = {1.0};
 };
 
@@ -61,7 +62,8 @@ struct Arrival {
 
 /// Generate `count` arrivals. Times are strictly non-decreasing from 0;
 /// deterministic in (config, count, seed). Throws std::invalid_argument
-/// on nonsensical configs (rate <= 0, empty weights, depth outside [0,1)).
+/// on nonsensical configs (a rate, sojourn or period that is not finite
+/// and positive, empty or non-finite weights, depth outside [0,1)).
 [[nodiscard]] std::vector<Arrival> generate_arrivals(
     const ArrivalConfig& config, std::size_t count, std::uint64_t seed);
 

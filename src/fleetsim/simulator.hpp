@@ -1,48 +1,64 @@
 #pragma once
 // FleetSimulator: a deterministic discrete-event model of the fleet.
 //
-// The service layer (service/fleet.hpp) routes a live job stream; this
-// simulator answers the question the live path cannot afford to ask —
-// "what would this routing policy have done to latency under a million
-// jobs of realistic traffic?" — by replaying an arrival stream against a
-// modeled fleet. Each device is a service lane: a FIFO queue of admitted
-// jobs, an open tail batch that fills to `max_batch_size`, and a drain
-// model where a dispatched batch occupies the device for
-// job_runtime_s(model, max member makespan) seconds — the same
-// RuntimeModel (core/runtime.hpp) the service's modeled-drain metric and
-// BENCH_fleet.json use, so online and offline numbers share units.
+// The service layer (service/service.hpp) plans and runs a live job
+// stream; this simulator answers the question the live path cannot afford
+// to ask — "what would this routing policy have done to latency under a
+// million jobs of realistic traffic?" — by replaying an arrival stream
+// against modeled device time. It plans with the service's own planner: a
+// FleetScheduler (service/fleet.hpp) over a BackendRegistry of the real
+// devices, with the QuCP partitioner at sigma = 4 and PackOptions' default
+// EFS threshold (infinity, as ServiceOptions). The §IV-B threshold, fit
+// spills, the reservation order and queue-aware deferral are therefore
+// the service's, and a plan the simulator makes is a plan the service
+// would make for the same dispatch cycle.
 //
-// Job classes carry calibration-dependent per-device execution estimates
-// (makespan_ns from the real transpile + ALAP-schedule machinery, or the
-// shape-based estimator in service/fleet.hpp) and per-device solo-EFS
-// fidelity scores; a negative makespan marks a device the class cannot be
-// placed on, and every routing policy excludes those.
+// Dispatch cycles. Arrived jobs wait in a pending set; a cycle plans all
+// of them. The trigger is fixed, not an option. A cycle runs
+//   - when the pending count reaches one full batch per lane
+//     (max_batch_size x devices) — the service's dispatch by count
+//     (ServiceOptions::auto_flush_batch_size; e2ebench's cloud_poisson
+//     flushes every 12 jobs on three lanes of 4). With an unbounded batch
+//     cap there is no count trigger;
+//   - when a lane runs out of queued work while jobs are pending, so a
+//     freed lane never idles beside a queue;
+//   - when an arrival finds every lane idle, so a quiet fleet starts a job
+//     at once instead of waiting for the count.
+// Every pending job is planned at the end of any event, or some lane is
+// busy and its freeing will plan it: nothing is left behind. A cycle
+// plans in the service's canonical order (circuit fingerprint, then
+// arrival order), against each lane's backlog max(0, free_at - now) —
+// what the service's dispatch passes as the modeled work still ahead on
+// the lane. Each planned batch is queued on its lane behind the batches
+// already there, and occupies the device for job_runtime_s(model, max
+// member makespan) seconds — the same RuntimeModel (core/runtime.hpp) the
+// service's modeled-drain metric and BENCH_fleet.json use, so online and
+// offline numbers share units. The lane-driven triggers are the model's:
+// the service dispatches on its count, on intake backpressure and on
+// flush(), never on a lane's clock.
 //
-// Routing runs the service's own RoutingPolicy class (service/fleet.hpp)
-// over a RouteView of the simulator's lanes, so offline evaluation checks
-// the very rule the service routes with. Each arrival goes to the first
-// device in the policy's preference order that it fits on. Calibrations
-// are frozen for the whole run: the view's solo EFS is the class's
-// per-device EFS, and its expected latency is the service's one
-// ExpectedLatency formula over the lane: the running batch's remaining
-// time as backlog, queued batches as closed work, and the tail batch as
-// the open batch while it has room.
+// Job classes carry per-device makespans (from the real transpile +
+// ALAP-schedule machinery in bench/bench_fleetsim.cpp); a negative
+// makespan marks a device the class cannot be placed on even alone, and
+// must agree with the planner's own fit test. Calibrations are frozen for
+// the whole run.
 //
-// Determinism: the simulation is single-threaded pure logic over the
-// event queue (fleetsim/events.hpp); the same arrival stream produces a
-// bit-identical trace regardless of kernel thread caps, submission
-// interleaving, or whether the arrivals were generated or replayed from a
-// recorded trace. tests/test_fleetsim.cpp pins all three.
+// Determinism: the simulation is single-threaded logic over the event
+// queue (fleetsim/events.hpp) and the planner, so the same arrival stream
+// produces a bit-identical trace regardless of kernel thread caps or
+// whether the arrivals were generated or replayed from a recorded trace.
+// tests/test_fleetsim.cpp pins both, and checks the simulator's cycles
+// against ExecutionService plans.
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/runtime.hpp"
 #include "fleetsim/arrivals.hpp"
+#include "partition/partitioners.hpp"
 #include "service/fleet.hpp"
 
 namespace qucp::fleetsim {
@@ -51,31 +67,34 @@ namespace qucp::fleetsim {
 /// modeled footprint on every fleet device.
 struct SimJobClass {
   std::string name;
-  int qubits = 0;
+  ProgramShape shape;            ///< what the planner scores and places
+  std::uint64_t fingerprint = 0; ///< circuit_fingerprint: the order key
   /// Modeled batch-context makespan per device id; < 0 when the class
   /// cannot be placed on that device even alone.
   std::vector<double> makespan_ns;
-  /// Best solo EFS per device id (error; lower is better). Only read for
-  /// devices the class fits on.
-  std::vector<double> efs;
 };
 
 struct SimOptions {
   RoutePolicy policy = RoutePolicy::ExpectedLatency;
-  int max_batch_size = 4;  ///< jobs per dispatched batch; <= 0 unbounded
+  /// Jobs per dispatched batch; <= 0 unbounded. Times the device count,
+  /// also the pending count that triggers a dispatch cycle.
+  int max_batch_size = 4;
   /// Device-time model for batch runtimes (shots, per-job overhead). The
   /// queue_depth field is ignored — queueing is what the simulator models.
   RuntimeModel model;
 };
 
 /// Per-job outcome, in arrival order. start_s/end_s bound the job's batch
-/// on its device; latency is end_s - arrival_s (waiting + execution).
+/// on its device; latency is end_s - arrival_s (waiting + execution), of
+/// which dispatch_s - arrival_s waited in the pending set.
 struct JobRecord {
   int job_class = 0;
   int device = -1;
   double arrival_s = 0.0;
+  double dispatch_s = 0.0;  ///< when the job's dispatch cycle planned it
   double start_s = 0.0;
   double end_s = 0.0;
+  double efs = 0.0;  ///< EFS of the planned assignment
 };
 
 /// Full simulation outcome: one record per arrival plus per-device
@@ -91,31 +110,24 @@ struct SimTrace {
 
 class FleetSimulator {
  public:
-  /// `classes` must all carry per-device vectors of length `num_devices`,
-  /// and every class must fit on at least one device.
-  FleetSimulator(std::vector<SimJobClass> classes, std::size_t num_devices,
+  /// `classes` must all carry one makespan per registry device, and every
+  /// class must fit on at least one device.
+  FleetSimulator(std::vector<SimJobClass> classes, BackendRegistry fleet,
                  SimOptions options);
 
   /// Replay an arrival stream to completion. Pure: identical inputs give
-  /// a bit-identical trace; the simulator's own state resets per run.
+  /// a bit-identical trace; the planner's routing state resets per run.
   /// Throws std::invalid_argument naming the arrival whose job_class is
-  /// outside [0, classes) or whose time is NaN, infinite or negative.
+  /// outside [0, classes) or whose time is NaN, infinite or negative, and
+  /// naming the class whose makespan table disagrees with the planner's
+  /// fit test.
   [[nodiscard]] SimTrace run(std::span<const Arrival> arrivals) const;
-
-  [[nodiscard]] std::size_t num_devices() const noexcept {
-    return num_devices_;
-  }
-  [[nodiscard]] const std::vector<SimJobClass>& classes() const noexcept {
-    return classes_;
-  }
-  [[nodiscard]] const SimOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   std::vector<SimJobClass> classes_;
-  std::size_t num_devices_ = 0;
+  BackendRegistry fleet_;
   SimOptions options_;
+  MethodPartitioner partitioner_{Method::QuCP, 4.0, std::nullopt};
 };
 
 }  // namespace qucp::fleetsim

@@ -21,9 +21,8 @@ double percentile(std::span<const double> sample, double q) {
   return sorted[std::min(rank, sorted.size()) - 1];
 }
 
-TraceSummary summarize(const SimTrace& trace,
-                       std::span<const SimJobClass> classes,
-                       std::size_t num_devices) {
+TraceSummary summarize(const SimTrace& trace) {
+  const std::size_t num_devices = trace.busy_s.size();
   TraceSummary s;
   s.jobs = trace.jobs.size();
   s.horizon_s = trace.horizon_s;
@@ -44,8 +43,7 @@ TraceSummary summarize(const SimTrace& trace,
   for (const JobRecord& r : trace.jobs) {
     latencies.push_back(r.end_s - r.arrival_s);
     wait_sum += r.start_s - r.arrival_s;
-    efs_sum += classes[static_cast<std::size_t>(r.job_class)]
-                   .efs[static_cast<std::size_t>(r.device)];
+    efs_sum += r.efs;
     s.routed[static_cast<std::size_t>(r.device)] += 1;
     s.max_latency_s = std::max(s.max_latency_s, latencies.back());
   }

@@ -29,8 +29,8 @@ struct TraceSummary {
   double p99_latency_s = 0.0;
   double max_latency_s = 0.0;
   double mean_wait_s = 0.0;   ///< arrival -> batch start
-  /// Mean solo EFS of each job on its routed device: the fidelity proxy
-  /// (lower is better; BestEfs minimizes exactly this).
+  /// Mean EFS of each job's planned assignment, as ProgramReport::efs
+  /// reports it: the fidelity proxy (lower is better).
   double mean_efs = 0.0;
   std::vector<double> utilization;       ///< busy_s / horizon per device
   std::vector<std::uint64_t> routed;     ///< jobs per device
@@ -38,10 +38,7 @@ struct TraceSummary {
   std::uint64_t trace_hash = 0;          ///< SimTrace::hash()
 };
 
-/// Summarize a finished trace. `classes` must be the simulator's class
-/// set (for the EFS proxy); `num_devices` its device count.
-[[nodiscard]] TraceSummary summarize(const SimTrace& trace,
-                                     std::span<const SimJobClass> classes,
-                                     std::size_t num_devices);
+/// Summarize a finished trace.
+[[nodiscard]] TraceSummary summarize(const SimTrace& trace);
 
 }  // namespace qucp::fleetsim

@@ -73,13 +73,15 @@ double FleetView::exec_estimate_ns(std::size_t slot,
                                   job.shape, avg_cx_ns_[slot]);
 }
 
-double expected_latency_s(const LaneEstimate& lane, double own_ns,
-                          const RuntimeModel& model, int max_batch_size) {
+double FleetView::expected_latency_s(std::size_t slot,
+                                     const PackJob& job) const {
+  const LaneEstimate& lane = lanes_[slot];
+  const double own_ns = exec_estimate_ns(slot, job);
   double wait = lane.initial_backlog_s + lane.planned_closed_s;
   double batch_ns = own_ns;
   const bool open_has_room =
       lane.open_jobs > 0 &&
-      (max_batch_size <= 0 || lane.open_jobs < max_batch_size);
+      (max_batch_size_ <= 0 || lane.open_jobs < max_batch_size_);
   if (open_has_room) {
     // Joining the open batch: the batch's runtime only grows by the
     // makespan delta, which is zero when a slower co-runner already
@@ -87,15 +89,9 @@ double expected_latency_s(const LaneEstimate& lane, double own_ns,
     batch_ns = std::max(lane.open_max_ns, own_ns);
   } else if (lane.open_jobs > 0) {
     // Full open batch ahead: wait behind it, then run a fresh batch.
-    wait += job_runtime_s(model, lane.open_max_ns);
+    wait += job_runtime_s(*model_, lane.open_max_ns);
   }
-  return wait + job_runtime_s(model, batch_ns);
-}
-
-double FleetView::expected_latency_s(std::size_t slot,
-                                     const PackJob& job) const {
-  return qucp::expected_latency_s(lanes_[slot], exec_estimate_ns(slot, job),
-                                  *model_, max_batch_size_);
+  return wait + job_runtime_s(*model_, batch_ns);
 }
 
 std::optional<double> FleetView::solo_efs(std::size_t slot,
@@ -128,7 +124,7 @@ std::string_view route_policy_name(RoutePolicy policy) noexcept {
   return "?";
 }
 
-void RoutingPolicy::preference(const RouteView& fleet, const PackJob& job,
+void RoutingPolicy::preference(const FleetView& fleet, const PackJob& job,
                                std::vector<std::size_t>& order) {
   switch (kind_) {
     case RoutePolicy::RoundRobin: {

@@ -35,10 +35,10 @@
 //                     the job is nearly free, while opening a fresh batch
 //                     behind a backlog is charged in full, so the policy
 //                     is queue-aware where BestEfs/LeastLoaded are time-
-//                     blind. Unfit devices are excluded. One formula,
-//                     expected_latency_s(), prices it here and in the
-//                     src/fleetsim/ simulator, which runs this very
-//                     class through RouteView.
+//                     blind. Unfit devices are excluded. The
+//                     src/fleetsim/ simulator plans with this very
+//                     FleetScheduler, so its latency study measures the
+//                     rule the service routes with.
 //
 // pack_fleet() is the one packing engine. A one-slot plan never consults
 // the policy (its order is {0} whatever the rule), so it is the
@@ -87,9 +87,9 @@ struct FleetSlot {
 /// proxy, not a schedule — the same formula applied across devices makes
 /// per-device duration calibration (CX/1q/readout times) the
 /// discriminator, which is all the ExpectedLatency policy and the
-/// service's queue-wait accounting need. The offline fleet simulator can
-/// substitute exact transpile + ALAP-schedule makespans for the same
-/// slot (see bench/bench_fleetsim.cpp).
+/// service's queue-wait accounting need. The fleet simulator plans with
+/// it too, and times the planned batches with exact transpile +
+/// ALAP-schedule makespans (see bench/bench_fleetsim.cpp).
 [[nodiscard]] double modeled_exec_ns(const Device& device,
                                      const ProgramShape& shape);
 
@@ -105,45 +105,22 @@ struct LaneEstimate {
   double open_max_ns = 0.0;        ///< max modeled makespan in the open batch
 };
 
-/// The ExpectedLatency formula: §II-A modeled completion time of a job of
-/// makespan `own_ns` admitted to `lane` — its drain, a full open batch's
-/// runtime, then the batch it joins (the open one while it has room, else
-/// a fresh one). `max_batch_size` <= 0 is unbounded.
-[[nodiscard]] double expected_latency_s(const LaneEstimate& lane,
-                                        double own_ns,
-                                        const RuntimeModel& model,
-                                        int max_batch_size);
-
-/// What a routing policy may ask of the fleet. FleetView implements it for
-/// the service's packer, and the fleet simulator over its modeled lanes.
-class RouteView {
- public:
-  virtual ~RouteView() = default;
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-  /// Best solo EFS of `job` on `slot`; nullopt = does not fit even alone.
-  [[nodiscard]] virtual std::optional<double> solo_efs(
-      std::size_t slot, const PackJob& job) const = 0;
-  /// §II-A modeled completion time were `job` admitted to `slot` now.
-  [[nodiscard]] virtual double expected_latency_s(std::size_t slot,
-                                                  const PackJob& job) const = 0;
-};
-
 /// Read-mostly view of the fleet handed to the routing policy and used by
 /// the packer's threshold checks. Probes are memoized in each slot's
 /// solo-EFS map, so routing and spill checks share one score per
 /// (device, shape) pair. `lanes` (one per slot) are the drain/occupancy
 /// estimates pack_fleet maintains and ExpectedLatency scores with.
-class FleetView final : public RouteView {
+class FleetView {
  public:
   FleetView(std::span<const FleetSlot> slots, const Partitioner& partitioner,
             std::span<const LaneEstimate> lanes, const RuntimeModel& model,
             int max_batch_size);
 
-  std::size_t size() const noexcept override { return slots_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   /// Best solo EFS of `job` on `slot`'s device; nullopt = does not fit
   /// even alone. Memoized in the slot's map by the job's shape.
   [[nodiscard]] std::optional<double> solo_efs(
-      std::size_t slot, const PackJob& job) const override;
+      std::size_t slot, const PackJob& job) const;
 
   /// Modeled seconds until `slot` would start a batch opened now: initial
   /// backlog plus the batches planned earlier this cycle. This is also
@@ -153,9 +130,11 @@ class FleetView final : public RouteView {
   /// averages are cached in the view).
   [[nodiscard]] double exec_estimate_ns(std::size_t slot,
                                         const PackJob& job) const;
-  /// expected_latency_s() of the slot's lane.
+  /// §II-A modeled completion time were `job` admitted to `slot` now: the
+  /// lane's drain, a full open batch's runtime, then the batch it joins
+  /// (the open one while it has room, else a fresh one).
   [[nodiscard]] double expected_latency_s(std::size_t slot,
-                                          const PackJob& job) const override;
+                                          const PackJob& job) const;
 
  private:
   std::span<const FleetSlot> slots_;
@@ -190,7 +169,7 @@ class RoutingPolicy {
  public:
   explicit RoutingPolicy(RoutePolicy kind) noexcept : kind_(kind) {}
   [[nodiscard]] RoutePolicy kind() const noexcept { return kind_; }
-  void preference(const RouteView& fleet, const PackJob& job,
+  void preference(const FleetView& fleet, const PackJob& job,
                   std::vector<std::size_t>& order);
   void on_placed(std::size_t slot, const PackJob& job);
 

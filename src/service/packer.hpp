@@ -39,7 +39,7 @@ struct PackJob {
   ProgramShape shape;           ///< what the planner scores and places
   /// The caller's circuit key. The planner never reads it (solo EFS reads
   /// only `shape`, and the memo is keyed on that); the fleet simulator
-  /// stores its job class here.
+  /// stores its job class's circuit fingerprint here.
   std::uint64_t fingerprint = 0;
   bool exclusive = false;         ///< must run alone in its batch
   /// Parameter-blind fingerprint. Unread by the planner; last field so

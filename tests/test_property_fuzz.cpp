@@ -12,10 +12,12 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "benchmarks/suite.hpp"
 #include "circuit/optimize.hpp"
 #include "circuit/qasm.hpp"
 #include "common/rng.hpp"
@@ -200,29 +202,34 @@ TEST_P(FuzzSeeds, FleetSchedulerDeterministicUnderSubmissionInterleaving) {
 
 TEST_P(FuzzSeeds, FleetSimulatorInvariantsUnderRandomTraffic) {
   // Randomized interleaving fuzz over the discrete-event simulator: a
-  // random fleet (random class tables, some classes unfit on some
-  // devices), a random arrival process and a random policy must always
-  // yield a physical trace — every arrival served on a device it fits,
-  // batches within the cap, FIFO starts per lane, busy time bounded by
-  // the horizon — and rerunning the simulation must be bit-identical.
+  // random fleet of real line devices (the narrow ones cannot host the
+  // wider classes), random suite circuits with random makespans, a random
+  // arrival process and a random policy must always yield a physical
+  // trace — every arrival served on a device it fits, batches within the
+  // cap, FIFO lanes across dispatch cycles, busy time bounded by the
+  // horizon — and rerunning the simulation must be bit-identical.
   Rng rng(11000 + GetParam());
   const std::size_t num_devices = 2 + rng.index(3);  // 2..4
+  std::vector<Device> devices;
+  for (std::size_t d = 0; d < num_devices; ++d) {
+    // The last device hosts every suite circuit (at most 5 qubits).
+    const int width = d + 1 < num_devices ? 3 + static_cast<int>(rng.index(4))
+                                          : 6;
+    devices.push_back(make_line_device(width, 1 + d));
+  }
+  std::vector<std::string> names = {"bell", "4mod", "lin", "alu",
+                                    "var",  "qec",  "adder", "fred"};
+  rng.shuffle(names);
   const std::size_t num_classes = 1 + rng.index(4);  // 1..4
+  const MethodPartitioner qucp(Method::QuCP, 4.0, std::nullopt);
   std::vector<fleetsim::SimJobClass> classes;
   for (std::size_t c = 0; c < num_classes; ++c) {
-    fleetsim::SimJobClass cls;
-    cls.name = "c" + std::to_string(c);
-    cls.qubits = 2 + static_cast<int>(rng.index(6));
-    for (std::size_t d = 0; d < num_devices; ++d) {
-      // ~1 in 5 (device, class) pairs are unfit; retried below if a class
-      // ends up fitting nowhere.
-      const bool unfit = rng.bernoulli(0.2) && d + 1 < num_devices;
-      cls.makespan_ns.push_back(unfit ? -1.0 : rng.uniform(500.0, 8000.0));
-      cls.efs.push_back(rng.uniform(0.01, 0.5));
-    }
-    if (std::all_of(cls.makespan_ns.begin(), cls.makespan_ns.end(),
-                    [](double m) { return m < 0.0; })) {
-      cls.makespan_ns.back() = rng.uniform(500.0, 8000.0);
+    const Circuit& circuit = get_benchmark(names[c]).circuit;
+    fleetsim::SimJobClass cls{names[c], shape_of(circuit),
+                              circuit_fingerprint(circuit), {}};
+    for (const Device& device : devices) {
+      const bool fits = solo_efs_score(device, qucp, cls.shape).has_value();
+      cls.makespan_ns.push_back(fits ? rng.uniform(500.0, 8000.0) : -1.0);
     }
     classes.push_back(std::move(cls));
   }
@@ -241,13 +248,19 @@ TEST_P(FuzzSeeds, FleetSimulatorInvariantsUnderRandomTraffic) {
                       ? std::numeric_limits<int>::max()
                       : options.max_batch_size;
 
-  const fleetsim::FleetSimulator sim(classes, num_devices, options);
+  const fleetsim::FleetSimulator sim(classes, BackendRegistry(devices),
+                                     options);
   const auto arrivals =
       fleetsim::generate_arrivals(config, 400, 500 + GetParam());
   const fleetsim::SimTrace trace = sim.run(arrivals);
 
   ASSERT_EQ(trace.jobs.size(), arrivals.size());
-  std::vector<double> last_start(num_devices, 0.0);
+  // Per device: the latest end of the cycles before the current one, and
+  // of the current one. A cycle is identified by its dispatch time.
+  std::vector<double> earlier_end(num_devices, 0.0);
+  std::vector<double> current_end(num_devices, 0.0);
+  std::vector<double> current_dispatch(num_devices, 0.0);
+  double last_dispatch = 0.0;
   std::map<std::tuple<int, double, double>, int> batch_sizes;
   for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
     const fleetsim::JobRecord& r = trace.jobs[i];
@@ -255,16 +268,28 @@ TEST_P(FuzzSeeds, FleetSimulatorInvariantsUnderRandomTraffic) {
     EXPECT_DOUBLE_EQ(r.arrival_s, arrivals[i].time_s);
     ASSERT_GE(r.device, 0);
     ASSERT_LT(static_cast<std::size_t>(r.device), num_devices);
+    const auto d = static_cast<std::size_t>(r.device);
     // Routed somewhere the class actually fits.
-    EXPECT_GE(classes[static_cast<std::size_t>(r.job_class)]
-                  .makespan_ns[static_cast<std::size_t>(r.device)],
+    EXPECT_GE(classes[static_cast<std::size_t>(r.job_class)].makespan_ns[d],
               0.0);
-    EXPECT_GE(r.start_s, r.arrival_s);
+    EXPECT_GT(r.efs, 0.0);
+    EXPECT_GE(r.dispatch_s, r.arrival_s);
+    EXPECT_GE(r.start_s, r.dispatch_s);
     EXPECT_GT(r.end_s, r.start_s);
     EXPECT_LE(r.end_s, trace.horizon_s);
-    // FIFO lanes: start times never regress in arrival order per device.
-    EXPECT_GE(r.start_s, last_start[static_cast<std::size_t>(r.device)]);
-    last_start[static_cast<std::size_t>(r.device)] = r.start_s;
+    // Arrivals are planned in order. FIFO lanes: a job starts no earlier
+    // than every job of an earlier cycle on its device ends, so start
+    // times never regress in arrival order per device across cycles.
+    // (Within a cycle the service's canonical order, fingerprint first,
+    // and the packer decide the order, not arrival.)
+    EXPECT_GE(r.dispatch_s, last_dispatch);
+    last_dispatch = r.dispatch_s;
+    if (r.dispatch_s != current_dispatch[d]) {
+      earlier_end[d] = std::max(earlier_end[d], current_end[d]);
+      current_dispatch[d] = r.dispatch_s;
+    }
+    EXPECT_GE(r.start_s, earlier_end[d]);
+    current_end[d] = std::max(current_end[d], r.end_s);
     batch_sizes[{r.device, r.start_s, r.end_s}] += 1;
   }
   std::vector<std::uint64_t> batches_per_device(num_devices, 0);
