@@ -1,10 +1,11 @@
 // Policy evaluation at cloud scale: replay up to one million jobs of
 // modeled traffic through the discrete-event fleet simulator
-// (src/fleetsim/) and compare routing policies where it matters — the
-// latency tail. The online service can drain dozens of jobs per run;
-// "millions of users" (§I) is a statement about the arrival stream, and
-// only an offline model can afford to ask what RoundRobin vs
-// ExpectedLatency does to p99 under a week of bursty traffic.
+// (bench/fleetsim/, the qucp_fleetsim library) and compare routing
+// policies where it matters — the latency tail. The online service can
+// drain dozens of jobs per run; "millions of users" (§I) is a statement
+// about the arrival stream, and only an offline model can afford to ask
+// what RoundRobin vs ExpectedLatency does to p99 under a week of bursty
+// traffic.
 //
 // The fleet is heterogeneous (2x toronto27 + 2x manhattan65) and the job
 // classes are the benchmark suite circuits with *real* per-device

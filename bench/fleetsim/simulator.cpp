@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "common/rng.hpp"
-#include "fleetsim/events.hpp"
 
 namespace qucp::fleetsim {
 
@@ -60,18 +60,18 @@ SimTrace FleetSimulator::run(std::span<const Arrival> arrivals) const {
   trace.busy_s.assign(num_devices, 0.0);
   trace.batches.assign(num_devices, 0);
 
-  EventQueue events;
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     // Replayed traces come from outside the program.
     const Arrival& a = arrivals[i];
     if (a.job_class < 0 ||
         static_cast<std::size_t>(a.job_class) >= classes_.size() ||
-        !std::isfinite(a.time_s) || a.time_s < 0.0) {
+        !std::isfinite(a.time_s) || a.time_s < 0.0 ||
+        (i > 0 && a.time_s < arrivals[i - 1].time_s)) {
       throw std::invalid_argument(
           "FleetSimulator: arrival " + std::to_string(i) +
-          " has an unknown job class or a negative or non-finite time");
+          " has an unknown job class, a negative or non-finite time, or a "
+          "time earlier than the arrival before it");
     }
-    events.push(EventKind::JobArrival, a.time_s, i);
   }
 
   FleetScheduler scheduler(fleet_, options_.policy);
@@ -79,6 +79,7 @@ SimTrace FleetSimulator::run(std::span<const Arrival> arrivals) const {
   popts.max_batch_size = options_.max_batch_size;
   popts.runtime = options_.model;
   std::vector<double> free_at(num_devices, 0.0);  ///< each lane's clock
+  std::vector<char> freeing(num_devices, 0);      ///< free_at not handled
   std::vector<std::size_t> pending;               ///< arrival ordinals
   std::vector<PackJob> jobs;
   std::vector<double> backlog(num_devices);
@@ -139,35 +140,41 @@ SimTrace FleetSimulator::run(std::span<const Arrival> arrivals) const {
         trace.busy_s[d] += runtime;
         ++trace.batches[d];
       }
-      if (!plan.batches[d].empty()) {
-        events.push(EventKind::DeviceFree, free_at[d], d);
-      }
+      if (!plan.batches[d].empty()) freeing[d] = 1;
     }
     pending.clear();
   };
 
-  while (!events.empty()) {
-    const SimEvent event = events.pop();
-    const double now = event.time_s;
-    switch (event.kind) {
-      case EventKind::JobArrival: {
-        const Arrival& arrival = arrivals[event.payload];
-        trace.jobs[event.payload].job_class = arrival.job_class;
-        trace.jobs[event.payload].arrival_s = arrival.time_s;
-        pending.push_back(event.payload);
-        if (pending.size() == full_cycle ||
-            std::ranges::all_of(free_at, [&](double f) { return f <= now; })) {
-          dispatch(now);
-        }
-        break;
+  // Handle, earliest first, every lane freeing strictly before `until`: a
+  // lane runs out of the work a dispatch gave it, and a cycle plans what
+  // is pending. The first freeing of an instant empties the pending set,
+  // so simultaneous ones need no order.
+  const auto free_lanes_before = [&](double until) {
+    for (;;) {
+      std::size_t next = num_devices;
+      for (std::size_t d = 0; d < num_devices; ++d) {
+        const double bound = next < num_devices ? free_at[next] : until;
+        if (freeing[d] && free_at[d] < bound) next = d;
       }
-      case EventKind::DeviceFree:
-        // A lane that was handed more batches since this event was pushed
-        // is still busy.
-        if (free_at[event.payload] <= now && !pending.empty()) dispatch(now);
-        break;
+      if (next == num_devices) return;
+      freeing[next] = 0;
+      if (!pending.empty()) dispatch(free_at[next]);
+    }
+  };
+
+  // Arrivals in index order; a freeing at an arrival's instant comes after.
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const double now = arrivals[i].time_s;
+    free_lanes_before(now);
+    trace.jobs[i].job_class = arrivals[i].job_class;
+    trace.jobs[i].arrival_s = now;
+    pending.push_back(i);
+    if (pending.size() == full_cycle ||
+        std::ranges::all_of(free_at, [&](double f) { return f <= now; })) {
+      dispatch(now);
     }
   }
+  free_lanes_before(std::numeric_limits<double>::infinity());
   trace.horizon_s = std::ranges::max(free_at);
   return trace;
 }

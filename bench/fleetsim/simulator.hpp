@@ -1,5 +1,6 @@
 #pragma once
-// FleetSimulator: a deterministic discrete-event model of the fleet.
+// FleetSimulator: a deterministic discrete-event model of the fleet, built
+// as bench_fleetsim's qucp_fleetsim library, outside libqucp.
 //
 // The service layer (service/service.hpp) plans and runs a live job
 // stream; this simulator answers the question the live path cannot afford
@@ -37,14 +38,20 @@
 // the service dispatches on its count, on intake backpressure and on
 // flush(), never on a lane's clock.
 //
+// Events. There is no event heap. Arrivals come in time order, and a
+// lane's latest clock (free_at) is its only freeing that can still start
+// a cycle, so run() walks the arrivals in index order and before each one
+// handles every earlier lane freeing, earliest first. An arrival at a
+// lane's freeing instant comes first and joins the cycle it runs.
+//
 // Job classes carry per-device makespans (from the real transpile +
 // ALAP-schedule machinery in bench/bench_fleetsim.cpp); a negative
 // makespan marks a device the class cannot be placed on even alone, and
 // must agree with the planner's own fit test. Calibrations are frozen for
 // the whole run.
 //
-// Determinism: the simulation is single-threaded logic over the event
-// queue (fleetsim/events.hpp) and the planner, so the same arrival stream
+// Determinism: the simulation is single-threaded logic over the arrival
+// stream, the lane clocks and the planner, so the same arrival stream
 // produces a bit-identical trace regardless of kernel thread caps or
 // whether the arrivals were generated or replayed from a recorded trace.
 // tests/test_fleetsim.cpp pins both, and checks the simulator's cycles
@@ -115,12 +122,13 @@ class FleetSimulator {
   FleetSimulator(std::vector<SimJobClass> classes, BackendRegistry fleet,
                  SimOptions options);
 
-  /// Replay an arrival stream to completion. Pure: identical inputs give
-  /// a bit-identical trace; the planner's routing state resets per run.
-  /// Throws std::invalid_argument naming the arrival whose job_class is
-  /// outside [0, classes) or whose time is NaN, infinite or negative, and
-  /// naming the class whose makespan table disagrees with the planner's
-  /// fit test.
+  /// Replay an arrival stream, in non-decreasing time order, to
+  /// completion. Pure: identical inputs give a bit-identical trace; the
+  /// planner's routing state resets per run. Throws std::invalid_argument
+  /// naming the arrival whose job_class is outside [0, classes), whose
+  /// time is NaN, infinite or negative, or whose time is earlier than the
+  /// arrival before it, and naming the class whose makespan table
+  /// disagrees with the planner's fit test.
   [[nodiscard]] SimTrace run(std::span<const Arrival> arrivals) const;
 
  private:

@@ -128,12 +128,11 @@ void RoutingPolicy::preference(const FleetView& fleet, const PackJob& job,
                                std::vector<std::size_t>& order) {
   switch (kind_) {
     case RoutePolicy::RoundRobin: {
-      // Rotate the starting slot by canonical queue position: stable across
-      // packing rounds (a spilled job keeps its preference) and independent
-      // of submission interleaving.
+      // Rotate the starting slot by the placements so far, so the
+      // rotation carries across dispatch cycles.
       const std::size_t n = fleet.size();
       order.resize(n);
-      for (std::size_t i = 0; i < n; ++i) order[i] = (job.index + i) % n;
+      for (std::size_t i = 0; i < n; ++i) order[i] = (placed_ + i) % n;
       return;
     }
     case RoutePolicy::LeastLoaded: {
@@ -174,6 +173,7 @@ void RoutingPolicy::preference(const FleetView& fleet, const PackJob& job,
 }
 
 void RoutingPolicy::on_placed(std::size_t slot, const PackJob& job) {
+  ++placed_;
   if (kind_ != RoutePolicy::LeastLoaded) return;
   if (load_.size() <= slot) load_.resize(slot + 1, 0);
   load_[slot] += static_cast<std::uint64_t>(std::max(1, job.shape.num_qubits));

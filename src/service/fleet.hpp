@@ -14,8 +14,8 @@
 //
 // Routing rules (one RoutingPolicy class switching on its RoutePolicy
 // kind; deterministic):
-//   RoundRobin      — rotate the starting device by canonical queue
-//                     position; throughput-first, calibration-blind.
+//   RoundRobin      — rotate the starting device by the placement count
+//                     so far; throughput-first, calibration-blind.
 //   LeastLoaded     — ascending routed-qubit load (cumulative per
 //                     scheduler), ties to the lowest id; balances
 //                     heterogeneous job sizes.
@@ -36,7 +36,7 @@
 //                     behind a backlog is charged in full, so the policy
 //                     is queue-aware where BestEfs/LeastLoaded are time-
 //                     blind. Unfit devices are excluded. The
-//                     src/fleetsim/ simulator plans with this very
+//                     bench/fleetsim/ simulator plans with this very
 //                     FleetScheduler, so its latency study measures the
 //                     rule the service routes with.
 //
@@ -87,9 +87,9 @@ struct FleetSlot {
 /// proxy, not a schedule — the same formula applied across devices makes
 /// per-device duration calibration (CX/1q/readout times) the
 /// discriminator, which is all the ExpectedLatency policy and the
-/// service's queue-wait accounting need. The fleet simulator plans with
-/// it too, and times the planned batches with exact transpile +
-/// ALAP-schedule makespans (see bench/bench_fleetsim.cpp).
+/// service's queue-wait accounting need. The fleet simulator
+/// (bench/fleetsim/) plans with it too, and times the planned batches with
+/// exact transpile + ALAP-schedule makespans (see bench/bench_fleetsim.cpp).
 [[nodiscard]] double modeled_exec_ns(const Device& device,
                                      const ProgramShape& shape);
 
@@ -156,7 +156,8 @@ enum class RoutePolicy { RoundRobin, LeastLoaded, BestEfs, ExpectedLatency };
 /// rules out — an empty order marks the job unplaceable); it is called
 /// once per job per packing round and is deterministic in (the policy's
 /// own state, the fleet, the job). `on_placed` observes every successful
-/// placement, in canonical job order, for LeastLoaded's load accounting.
+/// placement, in canonical job order, for RoundRobin's rotation and
+/// LeastLoaded's load accounting.
 ///
 /// ExpectedLatency is the queue-aware rule: its order already prices
 /// queueing (waiting behind full batches and backlogs), so pack_fleet
@@ -175,6 +176,8 @@ class RoutingPolicy {
 
  private:
   RoutePolicy kind_;
+  /// RoundRobin: placements so far, the rotation's starting slot mod n.
+  std::uint64_t placed_ = 0;
   /// LeastLoaded: cumulative routed qubit load per slot (qubit-weighted so
   /// one wide job counts like several narrow ones). Grown on first use.
   std::vector<std::uint64_t> load_;

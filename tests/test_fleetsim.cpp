@@ -1,6 +1,7 @@
-// Tests for the discrete-event fleet simulator (src/fleetsim/): event
-// queue ordering, arrival-process contracts, a hand-checked dispatch-cycle
-// timeline, the determinism pins (bit-identical traces across reruns,
+// Tests for the discrete-event fleet simulator (bench/fleetsim/, the
+// qucp_fleetsim library): arrival-process contracts, a hand-checked
+// dispatch-cycle timeline, the tie rule between an arrival and a lane
+// freeing at one instant, the determinism pins (bit-identical traces across reruns,
 // kernel thread caps and trace replay), the check that every cycle plans
 // what the ExecutionService plans, and the policy-separation acceptance
 // bar (ExpectedLatency beats the queue-blind policies on a heterogeneous
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "benchmarks/suite.hpp"
-#include "fleetsim/events.hpp"
 #include "fleetsim/stats.hpp"
 #include "service/service.hpp"
 #include "sim/kernels.hpp"
@@ -38,45 +38,6 @@ bool same_arrivals(const std::vector<Arrival>& a,
     }
   }
   return true;
-}
-
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue q;
-  q.push(EventKind::JobArrival, 3.0, 30);
-  q.push(EventKind::JobArrival, 1.0, 10);
-  q.push(EventKind::DeviceFree, 2.0, 20);
-  ASSERT_EQ(q.size(), 3u);
-
-  SimEvent e = q.pop();
-  EXPECT_DOUBLE_EQ(e.time_s, 1.0);
-  EXPECT_EQ(e.payload, 10u);
-  e = q.pop();
-  EXPECT_DOUBLE_EQ(e.time_s, 2.0);
-  EXPECT_EQ(e.kind, EventKind::DeviceFree);
-  e = q.pop();
-  EXPECT_DOUBLE_EQ(e.time_s, 3.0);
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.pushed(), 3u);
-}
-
-TEST(EventQueue, TiesResolveInPushOrder) {
-  // Three events at the same instant plus one earlier event pushed last:
-  // pops must order by time first, then by the sequence number assigned
-  // at push — never by payload or kind.
-  EventQueue q;
-  q.push(EventKind::DeviceFree, 5.0, 2);   // seq 0
-  q.push(EventKind::JobArrival, 5.0, 9);   // seq 1
-  q.push(EventKind::JobArrival, 5.0, 1);   // seq 2
-  q.push(EventKind::JobArrival, 4.0, 7);   // seq 3, earliest time
-  std::vector<std::uint64_t> seqs;
-  std::vector<std::uint64_t> payloads;
-  while (!q.empty()) {
-    const SimEvent e = q.pop();
-    seqs.push_back(e.seq);
-    payloads.push_back(e.payload);
-  }
-  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{3, 0, 1, 2}));
-  EXPECT_EQ(payloads, (std::vector<std::uint64_t>{7, 2, 9, 1}));
 }
 
 TEST(Arrivals, ValidatesConfig) {
@@ -269,6 +230,27 @@ TEST(FleetSimulator, HandCheckedCycleTimeline) {
   EXPECT_EQ(summary.trace_hash, trace.hash());
 }
 
+TEST(FleetSimulator, ArrivalAtALanesFreeInstantJoinsItsCycle) {
+  // One toronto27 lane, bell at 1 s, batch cap 4. Job 0 finds the lane
+  // idle and runs [0, 1); job 1 waits. Job 2 arrives at 1.0, the instant
+  // the lane frees: arrivals come first, so the freeing's cycle plans jobs
+  // 1 and 2 together into [1, 2). Were the freeing handled first, job 1
+  // would run alone in [1, 2) and job 2 in [2, 3).
+  const FleetSimulator sim({suite_class("bell", {1000.0})},
+                           BackendRegistry({make_toronto27()}),
+                           hand_options(RoutePolicy::ExpectedLatency, 4));
+  const std::vector<Arrival> arrivals = {{0.0, 0}, {0.5, 0}, {1.0, 0}};
+  const SimTrace trace = sim.run(arrivals);
+  ASSERT_EQ(trace.jobs.size(), 3u);
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_DOUBLE_EQ(trace.jobs[i].dispatch_s, 1.0) << i;
+    EXPECT_DOUBLE_EQ(trace.jobs[i].start_s, 1.0) << i;
+    EXPECT_DOUBLE_EQ(trace.jobs[i].end_s, 2.0) << i;
+  }
+  EXPECT_EQ(trace.batches[0], 2u);
+  EXPECT_DOUBLE_EQ(trace.horizon_s, 2.0);
+}
+
 TEST(FleetSimulator, CyclesPlanAgainstEachLanesRemainingWork) {
   // Two toronto27 lanes, ExpectedLatency, cap 1 (count trigger 2). r is
   // the planner's own estimate of a bell job; the simulator runs it for
@@ -309,12 +291,13 @@ TEST(FleetSimulator, CyclesPlanAgainstEachLanesRemainingWork) {
 
 TEST(FleetSimulator, RoundRobinFollowsTheServiceRule) {
   // The service's RoundRobin rotates the starting device over the whole
-  // fleet by the job's canonical position in its cycle, and a job takes
-  // the first device it fits on. alu (5 qubits) does not fit device 0, a
-  // 4-qubit line, so six alu jobs planned in one cycle land on devices
-  // 1, 1, 2, 1, 1, 2. Job 0 finds the fleet idle and occupies device 1;
-  // the six arrive while it runs (fewer than the count of 12) and are
-  // planned together when device 1 runs out of work.
+  // fleet by its count of placements so far, carried across cycles, and
+  // a job takes the first device it fits on. alu (5 qubits) does not fit
+  // device 0, a 4-qubit line. Job 0 finds the fleet idle and, as
+  // placement 0, starts at device 0 and occupies device 1. The six arrive
+  // while it runs (fewer than the count of 12) and are planned together
+  // when device 1 runs out of work, as placements 1-6: they start at
+  // devices 1, 2, 0, 1, 2, 0 and land on 1, 2, 1, 1, 2, 1.
   SimOptions options;
   options.policy = RoutePolicy::RoundRobin;
   const FleetSimulator sim(
@@ -332,7 +315,7 @@ TEST(FleetSimulator, RoundRobinFollowsTheServiceRule) {
     EXPECT_DOUBLE_EQ(trace.jobs[i].dispatch_s, trace.jobs[0].end_s) << i;
     devices.push_back(trace.jobs[i].device);
   }
-  EXPECT_EQ(devices, (std::vector<int>{1, 1, 2, 1, 1, 2}));
+  EXPECT_EQ(devices, (std::vector<int>{1, 2, 1, 1, 2, 1}));
 }
 
 TEST(FleetSimulator, ConstructorValidatesClassTables) {
@@ -354,7 +337,8 @@ TEST(FleetSimulator, ConstructorValidatesClassTables) {
 
 TEST(FleetSimulator, MakespanTableMustAgreeWithThePlanner) {
   // alu fits toronto27; a table claiming it does not is caught when the
-  // planner routes it there (RoundRobin starts a one-job cycle at slot 0).
+  // planner routes it there (RoundRobin's first placement starts at slot
+  // 0).
   const FleetSimulator sim({suite_class("alu", {-1.0, 1000.0})},
                            two_devices(),
                            hand_options(RoutePolicy::RoundRobin, 4));
@@ -394,8 +378,9 @@ TEST(FleetSimulator, UnfitDevicesAreNeverRouted) {
 }
 
 TEST(FleetSimulator, RejectsMalformedArrivals) {
-  // Replayed traces come from outside the program: an unknown class or a
-  // time that is NaN, infinite or negative is rejected, naming the index.
+  // Replayed traces come from outside the program: an unknown class, a
+  // time that is NaN, infinite or negative, or a time earlier than the
+  // arrival before it is rejected, naming the index.
   const FleetSimulator sim = tiny_sim(RoutePolicy::ExpectedLatency, 2);
   const double inf = std::numeric_limits<double>::infinity();
   const Arrival bad[] = {{1.0, -1},
@@ -415,12 +400,19 @@ TEST(FleetSimulator, RejectsMalformedArrivals) {
           << e.what();
     }
   }
+  try {
+    (void)sim.run(std::vector<Arrival>{{0.0, 0}, {2.0, 0}, {1.0, 0}});
+    ADD_FAILURE() << "accepted an out-of-order arrival stream";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("arrival 2 "), std::string::npos)
+        << e.what();
+  }
   // The boundaries are valid: time 0 and the last class.
   EXPECT_EQ(sim.run(std::vector<Arrival>{{0.0, 1}}).jobs.size(), 1u);
 }
 
 TEST(FleetSimulator, TraceIsBitIdenticalAcrossRerunsAndThreadCaps) {
-  // The simulator is single-threaded event-queue and planner logic: kernel
+  // The simulator is single-threaded arrival-walk and planner logic: kernel
   // thread caps (the only threading knob in the process) must not leak
   // into the trace, and the same (config, count, seed) triple must
   // reproduce it bit-for-bit.
